@@ -4,8 +4,8 @@
     ring currently places on it — request payloads ({!Wire.reqinfo}),
     not just ids, because the node is what actually serves: at the end
     of a round it reports its current-round occupants, and on a
-    rebalance it is the node's table, not the router's mirror, that is
-    exported in {!Wire.Handoff} messages.
+    rebalance it is the node's table, not the router's decision state,
+    that is exported in {!Wire.Handoff} messages.
 
     Replicas are written {e only} from delivered wire messages (the
     transport's [Delivered] outcomes), which is what makes node death
@@ -13,7 +13,7 @@
     node is gone, exactly like a process crash — and the router's
     recovery path (failover readmission, rejoin handoff) has to
     rebuild it through the protocol.  The router compares each serve
-    report against its own mirror ([cluster.serve_conflicts] counts
+    report against the protocol state ([cluster.serve_conflicts] counts
     disagreements), so a replica bug is detected, never silently
     served. *)
 

@@ -1,16 +1,17 @@
-(* The router tier.  The decision state here is deliberately the same
-   state machine as Localstrat.Local — same slot table, same maximal
-   acceptance rule, same phase order — but every protocol step is
-   driven by what the Transport actually delivered as wire bytes, and
-   every accepted decision is materialised on the owning node's
-   replica.  That split is the whole design: decisions depend only on
-   resources and senders (so they are identical to the simulator and
-   invariant under node placement), while the replicas carry the state
+(* The router tier: the wire carrier of Localstrat.Machine.  The
+   machine takes every decision from what the Transport delivered as
+   re-parsed wire bytes; this module routes the messages to the nodes
+   hosting their resources, writes each decision the machine announces
+   onto the owning node's replica, and keeps what the paper's model
+   has no notion of: liveness, failover, rejoin and handoff.  Decisions
+   depend only on resources and senders (so they are the simulator's,
+   and invariant under node placement); the replicas carry the state
    that is genuinely lost when a node dies. *)
 
 module Request = Sched.Request
 module Strategy = Sched.Strategy
-module Slots = Localstrat.Slots
+module Machine = Localstrat.Machine
+module Net = Distnet.Net
 
 type kind =
   | Local_fix
@@ -58,10 +59,7 @@ type t = {
   mutable ring : Ring.t;
   suspected : int array;        (* consecutive missed pongs *)
   confirmed_dead : bool array;  (* the router's view; Node.alive is truth *)
-  (* the mirror: Localstrat.Local's decision state *)
-  slots : int Slots.t;
-  assigned : (int, int * int) Hashtbl.t;
-  active : (int, Request.t) Hashtbl.t;
+  m : Machine.t;  (* the decision state *)
   mutable round : int;
   mutable queue : Request.t list;  (* reversed pending submissions *)
   mutable readmit : int list;      (* failover re-admissions, oldest first *)
@@ -98,8 +96,8 @@ let create ?metrics ?capacity ?priority ?(fail_after = 2) ?vnodes ~strategy
       else c
     | None ->
       (match strategy with
-       | Local_eager { compact = true } -> max d ((2 * d) - 2)
-       | Local_fix | Local_eager _ | Proxy_global -> d)
+       | Local_eager { compact } -> Machine.capacity ~compact ~d
+       | Local_fix | Proxy_global -> d)
   in
   let metrics = Obs.Metrics.resolve metrics in
   let transport = Transport.create ~n ~capacity ?priority ?metrics () in
@@ -115,9 +113,7 @@ let create ?metrics ?capacity ?priority ?(fail_after = 2) ?vnodes ~strategy
       ring = Ring.create ?vnodes ~nodes:(List.init nodes Fun.id) ();
       suspected = Array.make nodes 0;
       confirmed_dead = Array.make nodes false;
-      slots = Slots.create ();
-      assigned = Hashtbl.create 128;
-      active = Hashtbl.create 128;
+      m = Machine.create ~n;
       round = 0;
       queue = [];
       readmit = [];
@@ -150,7 +146,7 @@ let round t = t.round
 let node_alive t k = Node.alive t.nodes.(k)
 let owner t res = Ring.owner t.ring res
 let node_of t res = t.nodes.(Ring.owner t.ring res)
-let pending t = Hashtbl.length t.active + List.length t.queue
+let pending t = Machine.pending t.m + List.length t.queue
 
 let exchange t envs =
   Transport.exchange t.transport
@@ -187,36 +183,12 @@ let submit ?id t ~alternatives ~deadline =
          Ok id)
 
 (* ------------------------------------------------------------------ *)
-(* mirror primitives (Localstrat.Local's, verbatim semantics) *)
-
-let try_accept t ~round res (r : Request.t) =
-  match
-    Slots.try_accept t.slots ~round ~res ~arrival:r.Request.arrival
-      ~last:(Request.last_round r) r.Request.id
-  with
-  | None -> None
-  | Some slot ->
-    Hashtbl.replace t.assigned r.Request.id (res, slot);
-    Some slot
-
-let expire t ~round =
-  let dead =
-    Hashtbl.fold
-      (fun id r acc -> if Request.last_round r < round then id :: acc else acc)
-      t.active []
-  in
-  List.iter
-    (fun id ->
-       Hashtbl.remove t.active id;
-       (match Hashtbl.find_opt t.assigned id with
-        | Some (res, slot) -> Slots.free t.slots ~res ~round:slot
-        | None -> ());
-       Hashtbl.remove t.assigned id)
-    dead;
-  List.sort compare dead
-
-(* ------------------------------------------------------------------ *)
 (* liveness: ping sweep, failover, rejoin *)
+
+let readmit t id =
+  t.readmit <- t.readmit @ [ id ];
+  t.readmitted_n <- t.readmitted_n + 1;
+  met t "cluster.readmitted"
 
 let declare_dead t k =
   t.confirmed_dead.(k) <- true;
@@ -226,26 +198,10 @@ let declare_dead t k =
   if List.length (Ring.members t.ring) > 1 && Ring.mem t.ring k then
     t.ring <- Ring.remove t.ring k;
   (* every request assigned to a resource the dead node hosted has lost
-     its slot with the node's state: free it in the mirror and push the
-     survivors back through the next round's offer phase, windows
-     untouched *)
-  let victims =
-    Hashtbl.fold
-      (fun id (res, slot) acc ->
-         if Ring.owner old_ring res = k then (id, res, slot) :: acc else acc)
-      t.assigned []
-    |> List.sort compare
-  in
-  List.iter
-    (fun (id, res, slot) ->
-       Slots.free t.slots ~res ~round:slot;
-       Hashtbl.remove t.assigned id;
-       if Hashtbl.mem t.active id then begin
-         t.readmit <- t.readmit @ [ id ];
-         t.readmitted_n <- t.readmitted_n + 1;
-         met t "cluster.readmitted"
-       end)
-    victims
+     its slot with the node's state: free it and push the survivors
+     back through the next round's offer phase, windows untouched *)
+  List.iter (readmit t)
+    (Machine.evict t.m ~lost:(fun res -> Ring.owner old_ring res = k))
 
 let ping_sweep t =
   Array.iteri
@@ -307,439 +263,110 @@ let rejoin t k =
   end
 
 (* ------------------------------------------------------------------ *)
-(* serve collection: the mirror claims, the replica confirms *)
+(* the machine's wire carrier *)
 
-let collect_serves t ~round =
-  let serves = ref [] in
-  for res = t.n - 1 downto 0 do
-    match Slots.take t.slots ~res ~round with
-    | None -> ()
-    | Some id ->
-      Hashtbl.remove t.assigned id;
-      let node = node_of t res in
-      let confirmed =
-        Node.alive node
-        &&
-        match Node.take_slot node ~res ~round with
-        | Some ri when ri.Wire.rid = id -> true
-        | Some _ | None ->
-          t.conflicts_n <- t.conflicts_n + 1;
-          met t "cluster.serve_conflicts";
-          false
-      in
-      if confirmed then begin
-        respond t (Wire.Served { res; round; q = id });
-        Hashtbl.remove t.active id;
-        serves := (id, res) :: !serves
-      end
-      else if Hashtbl.mem t.active id then begin
-        (* the node lost the slot with its state before the router
-           noticed: the serve did not happen.  Re-admit while the
-           window still allows; expiry provides the terminal if not. *)
-        t.readmit <- t.readmit @ [ id ];
-        t.readmitted_n <- t.readmitted_n + 1;
-        met t "cluster.readmitted"
-      end
-  done;
-  !serves
+let to_wire (m : Machine.envelope) =
+  let info = Wire.reqinfo_of_request in
+  {
+    Wire.sender = m.Net.sender;
+    dst = m.Net.dst;
+    deadline_key = m.Net.deadline_key;
+    tagged = m.Net.tagged;
+    data =
+      (match m.Net.payload with
+       | Machine.Offer r -> Wire.Offer (info r)
+       | Probe r -> Wire.Probe (info r)
+       | Cancel { q; old_res; old_t } -> Wire.Cancel { q; old_res; old_t }
+       | Rival q -> Wire.Rival (info q)
+       | Swap { r; q } -> Wire.Swap { r; q = info q }
+       | Rehome { r; res } -> Wire.Rehome { r = info r; res });
+  }
 
-(* ------------------------------------------------------------------ *)
-(* the fix protocol (and A_local_eager's phase 1) over the wire *)
+let of_wire (e : Wire.env) : Machine.envelope =
+  let req = Wire.request_of_reqinfo in
+  {
+    Net.sender = e.Wire.sender;
+    dst = e.Wire.dst;
+    deadline_key = e.Wire.deadline_key;
+    tagged = e.Wire.tagged;
+    payload =
+      (match e.Wire.data with
+       | Wire.Offer ri -> Machine.Offer (req ri)
+       | Probe ri -> Probe (req ri)
+       | Cancel { q; old_res; old_t } -> Cancel { q; old_res; old_t }
+       | Rival ri -> Rival (req ri)
+       | Swap { r; q } -> Swap { r; q = req q }
+       | Rehome { r; res } -> Rehome { r = req r; res }
+       | Loadq | Assign _ ->
+         invalid_arg "Session: proxy message in a protocol round");
+  }
 
-let offer_round t ~round ~alt senders =
-  let envs =
-    List.filter_map
-      (fun (r : Request.t) ->
-         if alt >= Array.length r.Request.alternatives then None
-         else
-           Some
-             {
-               Wire.sender = r.Request.id;
-               dst = r.Request.alternatives.(alt);
-               deadline_key = Request.last_round r;
-               tagged = false;
-               data = Wire.Offer (Wire.reqinfo_of_request r);
-             })
-      senders
+(* Decisions land on the replica of the node hosting the resource and
+   are answered over the wire. *)
+let on_event t = function
+  | Machine.Accept { r; res; slot } ->
+    Node.set_slot (node_of t res) ~res ~round:slot (Wire.reqinfo_of_request r);
+    respond t (Wire.Accept { q = r.Request.id; res; slot })
+  | Full { q; res } -> respond t (Wire.Full { q; res })
+  | Ack { q; res; slot } ->
+    respond t (Wire.Ack { q = q.Request.id; res });
+    (* a phase-2 mover's new slot is written at acknowledgment, before
+       its cancel commits the move: equivalent, because a cancel never
+       loses the capacity contest at capacity >= d and replicas are
+       only read at the end of the round *)
+    Option.iter
+      (fun round ->
+         Node.set_slot (node_of t res) ~res ~round (Wire.reqinfo_of_request q))
+      slot
+  | Released { res; slot } -> Node.free_slot (node_of t res) ~res ~round:slot
+  | Swapped { q; res; round } ->
+    Node.set_slot (node_of t res) ~res ~round (Wire.reqinfo_of_request q)
+
+(* The machine claims a serve, the replica confirms it.  A node that
+   lost the slot with its state before the router noticed did not
+   serve: the request is re-admitted while its window allows, and
+   expiry provides the terminal if not. *)
+let confirm t ~res ~round id =
+  let node = node_of t res in
+  let confirmed =
+    Node.alive node
+    &&
+    match Node.take_slot node ~res ~round with
+    | Some ri when ri.Wire.rid = id -> true
+    | Some _ | None ->
+      t.conflicts_n <- t.conflicts_n + 1;
+      met t "cluster.serve_conflicts";
+      false
   in
-  let results = exchange t envs in
-  let skipped =
-    List.filter
-      (fun (r : Request.t) -> alt >= Array.length r.Request.alternatives)
-      senders
-  in
-  let delivered =
-    List.filter_map
-      (fun (e, st) -> if st = Transport.Delivered then Some e else None)
-      results
-  in
-  (* each resource processes its delivered offers in EDF order *)
-  let by_deadline =
-    List.sort
-      (fun (a : Wire.env) b ->
-         if a.Wire.deadline_key <> b.Wire.deadline_key then
-           compare a.Wire.deadline_key b.Wire.deadline_key
-         else compare a.Wire.sender b.Wire.sender)
-      delivered
-  in
-  let rejected =
-    List.filter_map
-      (fun (e : Wire.env) ->
-         let ri =
-           match e.Wire.data with Wire.Offer ri -> ri | _ -> assert false
-         in
-         let r = Wire.request_of_reqinfo ri in
-         match try_accept t ~round e.Wire.dst r with
-         | Some slot ->
-           Node.set_slot (node_of t e.Wire.dst) ~res:e.Wire.dst ~round:slot ri;
-           respond t (Wire.Accept { q = ri.Wire.rid; res = e.Wire.dst; slot });
-           None
-         | None ->
-           respond t (Wire.Full { q = ri.Wire.rid; res = e.Wire.dst });
-           Some r)
-      by_deadline
-  in
-  let failed =
-    List.filter_map
-      (fun ((e : Wire.env), st) ->
-         if st = Transport.Delivered then None
-         else
-           match e.Wire.data with
-           | Wire.Offer ri -> Some (Wire.request_of_reqinfo ri)
-           | _ -> assert false)
-      results
-  in
-  skipped @ failed @ rejected
+  if confirmed then respond t (Wire.Served { res; round; q = id })
+  else if Option.is_some (Machine.find t.m id) then readmit t id;
+  confirmed
 
-let fix_tick t ~round newcomers =
-  let failed = offer_round t ~round ~alt:0 newcomers in
-  ignore (offer_round t ~round ~alt:1 failed)
-
-(* ------------------------------------------------------------------ *)
-(* A_local_eager over the wire *)
-
-type move = Request.t * int * int * int (* r, old res, old slot, new res *)
-
-(* The mirror commits a move when its cancellation lands (the same
-   point Localstrat.Local applies it); the new owner's replica is
-   pre-positioned at acknowledgment time, which is equivalent because a
-   cancellation can never lose the capacity contest at capacity >= d
-   and replicas are only read at end of round. *)
-let apply_move t ~round (((r : Request.t), res, slot, other) : move) =
-  Slots.free t.slots ~res ~round:slot;
-  Slots.set t.slots ~res:other ~round r.Request.id;
-  Hashtbl.replace t.assigned r.Request.id (other, round)
-
-let eager_phase2_select t ~round =
-  let movers =
-    Hashtbl.fold
-      (fun id (res, slot) acc ->
-         if slot > round then
-           match Hashtbl.find_opt t.active id with
-           | Some r when Array.length r.Request.alternatives >= 2 ->
-             let other =
-               if r.Request.alternatives.(0) = res then
-                 r.Request.alternatives.(1)
-               else r.Request.alternatives.(0)
-             in
-             (r, res, slot, other) :: acc
-           | Some _ | None -> acc
-         else acc)
-      t.assigned []
-  in
-  let envs =
-    List.map
-      (fun ((r : Request.t), _res, _slot, other) ->
-         {
-           Wire.sender = r.Request.id;
-           dst = other;
-           deadline_key = Request.last_round r;
-           tagged = false;
-           data = Wire.Probe (Wire.reqinfo_of_request r);
-         })
-      movers
-  in
-  let results = exchange t envs in
-  (* each resource with a free current slot acknowledges one mover *)
-  let chosen = Hashtbl.create 16 in
-  List.iter
-    (fun ((e : Wire.env), st) ->
-       if
-         st = Transport.Delivered
-         && not (Slots.mem t.slots ~res:e.Wire.dst ~round)
-       then
-         match Hashtbl.find_opt chosen e.Wire.dst with
-         | Some prev when prev <= e.Wire.sender -> ()
-         | Some _ | None -> Hashtbl.replace chosen e.Wire.dst e.Wire.sender)
-    results;
-  let moves =
-    List.filter
-      (fun ((r : Request.t), _res, _slot, other) ->
-         Hashtbl.find_opt chosen other = Some r.Request.id)
-      movers
-  in
-  List.iter
-    (fun (((r : Request.t), _res, _slot, other) : move) ->
-       respond t (Wire.Ack { q = r.Request.id; res = other });
-       Node.set_slot (node_of t other) ~res:other ~round
-         (Wire.reqinfo_of_request r))
-    moves;
-  moves
-
-let cancel_envs (moves : move list) =
-  List.map
-    (fun ((r : Request.t), res, slot, _other) ->
-       {
-         Wire.sender = r.Request.id;
-         dst = res;
-         (* highest LDF rank: the capacity cut must never break an
-            acknowledged move (at most d-1 cancels target one resource,
-            below every capacity we allow) *)
-         deadline_key = max_int;
-         tagged = false;
-         data = Wire.Cancel { q = r.Request.id; old_res = res; old_t = slot };
-       })
-    moves
-
-(* A cancellation outcome: Delivered frees the old node's replica slot;
-   Dead means the old node lost that state anyway.  Either way the
-   acknowledged move stands.  Bounced is unreachable at capacity >= d,
-   and if it ever happened the move must abort (mirror untouched). *)
-let process_cancel t ~round ~moves_tbl (e : Wire.env) st =
-  match e.Wire.data with
-  | Wire.Cancel { q; old_res; old_t } ->
-    if st <> Transport.Bounced then begin
-      (match Hashtbl.find_opt moves_tbl q with
-       | Some mv ->
-         apply_move t ~round mv;
-         Hashtbl.remove moves_tbl q
-       | None -> ());
-      if st = Transport.Delivered then
-        Node.free_slot (node_of t old_res) ~res:old_res ~round:old_t
-    end
-  | _ -> ()
-
-type swap = { sw_q : Request.t; sw_res : int; sw_r : int }
-
-let swap_envs swaps =
-  List.map
-    (fun s ->
-       {
-         Wire.sender = s.sw_q.Request.id;
-         dst = s.sw_res;
-         deadline_key = Request.last_round s.sw_q;
-         tagged = true;
-         data =
-           Wire.Swap { r = s.sw_r; q = Wire.reqinfo_of_request s.sw_q };
-       })
-    swaps
-
-let rival_envs ~alt pending =
-  List.filter_map
-    (fun (q : Request.t) ->
-       if alt >= Array.length q.Request.alternatives then None
-       else
-         Some
-           {
-             Wire.sender = q.Request.id;
-             dst = q.Request.alternatives.(alt);
-             deadline_key = Request.last_round q;
-             tagged = false;
-             data = Wire.Rival (Wire.reqinfo_of_request q);
-           })
-    pending
-
-let apply_swap t ~round ~swapped ~res (q : Wire.reqinfo) ~replica =
-  Slots.set t.slots ~res ~round q.Wire.rid;
-  Hashtbl.replace t.assigned q.Wire.rid (res, round);
-  swapped.(res) <- true;
-  if replica then Node.set_slot (node_of t res) ~res ~round q
-
-(* One communication round carrying tagged swap notifications (from the
-   previous attempt) together with this attempt's rival requests (and,
-   in the compact variant, the pending cancellations).  Returns the
-   grants: resource -> (q, current occupant r, r's other resource). *)
-let rival_round t ~round ~swapped ~moves_tbl ~prev_swaps ~extra ~alt pending
-  =
-  let envs = swap_envs prev_swaps @ extra @ rival_envs ~alt pending in
-  let results = exchange t envs in
-  (* swaps (tagged, never cut) and cancellations settle before the
-     grant computation, so the check sees the final slot occupancy *)
-  List.iter
-    (fun ((e : Wire.env), st) ->
-       match e.Wire.data with
-       | Wire.Swap { r = _; q } ->
-         assert (st <> Transport.Bounced);
-         apply_swap t ~round ~swapped ~res:e.Wire.dst q
-           ~replica:(st = Transport.Delivered)
-       | Wire.Cancel _ -> process_cancel t ~round ~moves_tbl e st
-       | _ -> ())
-    results;
-  let grants = Hashtbl.create 16 in
-  List.iter
-    (fun ((e : Wire.env), st) ->
-       match e.Wire.data with
-       | Wire.Rival q_ri ->
-         let res = e.Wire.dst in
-         if
-           st = Transport.Delivered
-           && (not swapped.(res))
-           && not (Hashtbl.mem grants res)
-         then (
-           match Slots.find t.slots ~res ~round with
-           | None -> ()
-           | Some r_id ->
-             (match Hashtbl.find_opt t.active r_id with
-              | None -> ()
-              | Some r when Array.length r.Request.alternatives < 2 -> ()
-              | Some r ->
-                let s_r =
-                  if r.Request.alternatives.(0) = res then
-                    r.Request.alternatives.(1)
-                  else r.Request.alternatives.(0)
-                in
-                respond t (Wire.Ack { q = q_ri.Wire.rid; res });
-                Hashtbl.replace grants res
-                  (Wire.request_of_reqinfo q_ri, r, s_r)))
-       | _ -> ())
-    results;
-  grants
-
-(* The rehome communication round: each granted rival forwards the
-   current occupant to its other resource, which accepts into a free
-   slot of the occupant's window.  Returns the successful swaps. *)
-let rehome_round t ~round grants =
-  let envs =
-    Hashtbl.fold
-      (fun res ((q : Request.t), (r : Request.t), s_r) acc ->
-         {
-           Wire.sender = q.Request.id;
-           dst = s_r;
-           deadline_key = Request.last_round r;
-           tagged = false;
-           data = Wire.Rehome { r = Wire.reqinfo_of_request r; res };
-         }
-         :: acc)
-      grants []
-  in
-  let results = exchange t envs in
-  let ordered =
-    List.sort
-      (fun ((a : Wire.env), _) (b, _) ->
-         if a.Wire.deadline_key <> b.Wire.deadline_key then
-           compare a.Wire.deadline_key b.Wire.deadline_key
-         else compare a.Wire.sender b.Wire.sender)
-      results
-  in
-  List.filter_map
-    (fun ((e : Wire.env), st) ->
-       if st <> Transport.Delivered then None
-       else
-         match e.Wire.data with
-         | Wire.Rehome { r = r_ri; res } ->
-           if Slots.find t.slots ~res ~round <> Some r_ri.Wire.rid then None
-           else begin
-             let r = Wire.request_of_reqinfo r_ri in
-             match try_accept t ~round e.Wire.dst r with
-             | Some slot ->
-               Node.set_slot (node_of t e.Wire.dst) ~res:e.Wire.dst
-                 ~round:slot r_ri;
-               respond t
-                 (Wire.Accept { q = r_ri.Wire.rid; res = e.Wire.dst; slot });
-               (* r re-homed; the old slot is freed in the mirror now
-                  and on the owner's replica when the tagged swap
-                  notification overwrites it *)
-               Slots.free t.slots ~res ~round;
-               let q =
-                 match Hashtbl.find_opt grants res with
-                 | Some (q, _, _) -> q
-                 | None -> assert false
-               in
-               Some { sw_q = q; sw_res = res; sw_r = r_ri.Wire.rid }
-             | None -> None
-           end
-         | _ -> None)
-    ordered
-
-let eager_tick t ~compact ~round =
-  let unscheduled () =
-    Hashtbl.fold
-      (fun id r acc ->
-         if Hashtbl.mem t.assigned id then acc else r :: acc)
-      t.active []
-    |> List.sort (fun (a : Request.t) b ->
-        compare a.Request.id b.Request.id)
-  in
-  (* phase 1 (2 comm rounds): the fix protocol over all unscheduled
-     live requests *)
-  let failed = offer_round t ~round ~alt:0 (unscheduled ()) in
-  ignore (offer_round t ~round ~alt:1 failed);
-  (* phase 2: pull future-scheduled requests into free current slots *)
-  let moves = eager_phase2_select t ~round in
-  let moves_tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (((r : Request.t), _, _, _) as mv : move) ->
-       Hashtbl.replace moves_tbl r.Request.id mv)
-    moves;
-  let pending_cancels =
-    if compact then cancel_envs moves
-    else begin
-      let results = exchange t (cancel_envs moves) in
-      List.iter
-        (fun (e, st) -> process_cancel t ~round ~moves_tbl e st)
-        results;
-      []
-    end
-  in
-  (* phase 3 (5 comm rounds): two swap attempts; attempt 1's tagged
-     notifications share a round with attempt 2's rival requests *)
-  let swapped = Array.make t.n false in
-  let grants1 =
-    rival_round t ~round ~swapped ~moves_tbl ~prev_swaps:[]
-      ~extra:pending_cancels ~alt:0 (unscheduled ())
-  in
-  let swaps1 = rehome_round t ~round grants1 in
-  let won1 = Hashtbl.create 16 in
-  List.iter (fun s -> Hashtbl.replace won1 s.sw_q.Request.id ()) swaps1;
-  let pending2 =
-    List.filter
-      (fun (q : Request.t) -> not (Hashtbl.mem won1 q.Request.id))
-      (unscheduled ())
-  in
-  let grants2 =
-    rival_round t ~round ~swapped ~moves_tbl ~prev_swaps:swaps1 ~extra:[]
-      ~alt:1 pending2
-  in
-  let swaps2 = rehome_round t ~round grants2 in
-  (* final communication round: attempt 2's tagged notifications *)
-  let results = exchange t (swap_envs swaps2) in
-  List.iter
-    (fun ((e : Wire.env), st) ->
-       match e.Wire.data with
-       | Wire.Swap { r = _; q } ->
-         apply_swap t ~round ~swapped ~res:e.Wire.dst q
-           ~replica:(st = Transport.Delivered)
-       | _ -> ())
-    results
+let carrier t =
+  {
+    Machine.exchange =
+      (fun msgs ->
+         List.map (fun (e, st) -> (of_wire e, st))
+           (exchange t (List.map to_wire msgs)));
+    event = on_event t;
+    confirm = confirm t;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* the proxy-global baseline: probe both loads, assign the earliest *)
 
-let free_slot_in_window t ~round ~res (r : Request.t) =
-  let last = Request.last_round r in
-  let rec scan slot =
-    if slot > last then None
-    else if Slots.mem t.slots ~res ~round:slot then scan (slot + 1)
-    else Some slot
-  in
-  scan (max round r.Request.arrival)
+let request_env (q : Request.t) dst data =
+  {
+    Wire.sender = q.Request.id;
+    dst;
+    deadline_key = Request.last_round q;
+    tagged = false;
+    data;
+  }
 
 let proxy_tick t ~round =
   let unscheduled =
-    Hashtbl.fold
-      (fun id r acc ->
-         if Hashtbl.mem t.assigned id then acc else r :: acc)
-      t.active []
+    Machine.unscheduled t.m
     |> List.sort (fun (a : Request.t) b ->
         let la = Request.last_round a and lb = Request.last_round b in
         if la <> lb then compare la lb else compare a.Request.id b.Request.id)
@@ -749,14 +376,7 @@ let proxy_tick t ~round =
     List.concat_map
       (fun (q : Request.t) ->
          Array.to_list q.Request.alternatives
-         |> List.map (fun res ->
-             {
-               Wire.sender = q.Request.id;
-               dst = res;
-               deadline_key = Request.last_round q;
-               tagged = false;
-               data = Wire.Loadq;
-             }))
+         |> List.map (fun res -> request_env q res Wire.Loadq))
       unscheduled
   in
   let results = exchange t probes in
@@ -765,10 +385,10 @@ let proxy_tick t ~round =
   List.iter
     (fun ((e : Wire.env), st) ->
        if st = Transport.Delivered then
-         match Hashtbl.find_opt t.active e.Wire.sender with
+         match Machine.find t.m e.Wire.sender with
          | None -> ()
          | Some q ->
-           (match free_slot_in_window t ~round ~res:e.Wire.dst q with
+           (match Machine.first_free t.m ~round ~res:e.Wire.dst q with
             | Some slot ->
               respond t
                 (Wire.Freeat { q = e.Wire.sender; res = e.Wire.dst; slot });
@@ -795,14 +415,7 @@ let proxy_tick t ~round =
          match best with
          | None -> None
          | Some (res, _slot) ->
-           Some
-             {
-               Wire.sender = q.Request.id;
-               dst = res;
-               deadline_key = Request.last_round q;
-               tagged = false;
-               data = Wire.Assign (Wire.reqinfo_of_request q);
-             })
+           Some (request_env q res (Wire.Assign (Wire.reqinfo_of_request q))))
       unscheduled
   in
   let results = exchange t assigns in
@@ -819,15 +432,11 @@ let proxy_tick t ~round =
        if st = Transport.Delivered then
          match e.Wire.data with
          | Wire.Assign ri ->
-           let r = Wire.request_of_reqinfo ri in
-           (match try_accept t ~round e.Wire.dst r with
-            | Some slot ->
-              Node.set_slot (node_of t e.Wire.dst) ~res:e.Wire.dst
-                ~round:slot ri;
-              respond t
-                (Wire.Accept { q = ri.Wire.rid; res = e.Wire.dst; slot })
-            | None ->
-              respond t (Wire.Full { q = ri.Wire.rid; res = e.Wire.dst }))
+           let r = Wire.request_of_reqinfo ri and res = e.Wire.dst in
+           on_event t
+             (match Machine.try_accept t.m ~round ~res r with
+              | Some slot -> Machine.Accept { r; res; slot }
+              | None -> Full { q = ri.Wire.rid; res })
          | _ -> ())
     ordered
 
@@ -839,12 +448,12 @@ let step t =
   t.sched_rounds <- t.sched_rounds + 1;
   let cr0 = Transport.comm_rounds t.transport in
   ping_sweep t;
-  let expired = expire t ~round in
+  let expired = Machine.expire t.m ~round in
   let arrivals = List.rev t.queue in
   t.queue <- [];
   List.iter
     (fun (r : Request.t) ->
-       Hashtbl.replace t.active r.Request.id r;
+       Machine.admit t.m r;
        t.requests_n <- t.requests_n + 1;
        met t "cluster.requests";
        if
@@ -857,12 +466,13 @@ let step t =
        end)
     arrivals;
   let readmits =
-    List.filter_map (fun id -> Hashtbl.find_opt t.active id) t.readmit
+    List.filter_map (Machine.find t.m) t.readmit
   in
   t.readmit <- [];
+  let c = carrier t in
   (match t.kind with
-   | Local_fix -> fix_tick t ~round (readmits @ arrivals)
-   | Local_eager { compact } -> eager_tick t ~compact ~round
+   | Local_fix -> Machine.fix_round t.m c ~round (readmits @ arrivals)
+   | Local_eager { compact } -> Machine.eager_round t.m c ~compact ~round
    | Proxy_global -> proxy_tick t ~round);
   let cr = Transport.comm_rounds t.transport - cr0 in
   if cr > t.max_cr then begin
@@ -871,7 +481,11 @@ let step t =
     | Some m -> Obs.Metrics.set_counter m "cluster.comm_rounds_max" t.max_cr
     | None -> ()
   end;
-  let served = collect_serves t ~round in
+  let served =
+    List.map
+      (fun { Strategy.request; resource } -> (request, resource))
+      (Machine.collect t.m c ~round)
+  in
   t.served_n <- t.served_n + List.length served;
   met ~by:(List.length served) t "cluster.served";
   t.expired_n <- t.expired_n + List.length expired;

@@ -9,17 +9,25 @@
     guarantee and 2-round budget (Thm 3.7) and [A_local_eager] its
     9-round budget (Thm 3.8) on the live path, measured, not assumed.
 
-    Decision authority is the router's mirror: the same slot table,
-    assignment map and acceptance rule as {!Localstrat.Local}, advanced
-    {e only} by delivered messages.  Two consequences the test-suite
-    pins: the served set is identical to the single-process simulator
-    on any failure-free schedule (decision parity), and identical
-    across node layouts (placement only chooses which replica hosts a
-    slot, never what the protocol decides) — which is what makes
-    [--manual] replay byte-identical across cluster shapes.  Node
-    replicas hold the request payloads, report the end-of-round serves
-    (disagreements with the mirror are counted, never silently served)
-    and carry the state that is genuinely lost on {!kill}.
+    One state machine, two carriers: the protocol is
+    {!Localstrat.Machine}, the very code {!Localstrat.Local} runs over
+    the simulator; the session is its wire carrier.  The machine's
+    messages are rendered to {!Wire} bytes, routed to the node hosting
+    their resource and handed back re-parsed, so every decision is
+    taken from what the wire delivered.  The session writes each
+    decision the machine announces (accept, ack, released cancel,
+    landed swap) onto the owning node's replica and answers it over
+    the wire.  Two consequences the test-suite pins: the served set is
+    the simulator's on any failure-free schedule, and identical across
+    node layouts (placement only chooses which replica hosts a slot,
+    never what the protocol decides) — which is what makes [--manual]
+    replay byte-identical across cluster shapes.  A message to a
+    resource on a dead node is [Dead]: an offer fails over to the
+    second alternative like a bounce, a cancel or swap commits in the
+    machine without reaching a replica.  Node replicas hold the request
+    payloads, confirm each end-of-round serve (disagreements with the
+    machine are counted, never silently served) and carry the state
+    that is genuinely lost on {!kill}.
 
     Failure handling: the router pings every node each round; after
     [fail_after] consecutive missed pongs the node is declared dead,
@@ -59,8 +67,8 @@ type stats = {
   failovers : int;
   handoffs : int;          (** handoff messages sent on rejoins *)
   handoff_slots : int;
-  serve_conflicts : int;   (** mirror/replica disagreements; 0 unless a
-                               node lost state the router had not yet
+  serve_conflicts : int;   (** machine/replica disagreements; 0 unless
+                               a node lost state the router had not yet
                                detected *)
 }
 

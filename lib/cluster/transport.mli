@@ -11,8 +11,10 @@
     Data messages contest per-resource capacity exactly as
     {!Distnet.Net} does — the LDF cut is {!Distnet.Budget.deliver},
     the {e same code} on both the simulated and the live path (the
-    parity the test-suite pins).  Two extra outcomes exist here that
-    the single-process simulator has no use for: a message to a
+    parity the test-suite pins).  {!status} is
+    {!Distnet.Net.status}: this is the live carrier of the local
+    strategies' state machine ({!Localstrat.Machine}).  Two extra outcomes exist here that the single-process
+    simulator has no use for: a message to a
     resource currently hosted on a dead node is [Dead] (the sender is
     notified, as with a bounce, but the message never contests
     capacity), and replies/control lines travel uncapped.
@@ -23,7 +25,7 @@
     [cluster.dropped_dead], [cluster.replies], [cluster.ctrl_msgs])
     for telemetry. *)
 
-type status =
+type status = Distnet.Net.status =
   | Delivered
   | Bounced  (** lost the LDF capacity contest; sender notified *)
   | Dead     (** destination resource hosted on a dead node *)

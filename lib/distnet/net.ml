@@ -1,3 +1,5 @@
+type status = Delivered | Bounced | Dead
+
 type 'a message = {
   sender : int;
   dst : int;
@@ -57,7 +59,7 @@ let create ~n ~capacity ?(priority = fun ~sender:_ ~dst:_ -> 0)
   in
   { n; capacity; priority; loss; loss_rng; metrics; meters }
 
-let exchange t msgs =
+let deliver t msgs =
   match msgs with
   | [] -> []
   | _ :: _ ->
@@ -107,9 +109,11 @@ let exchange t msgs =
     let results =
       List.map
         (fun (i, m) ->
-           let ok = Hashtbl.mem delivered i in
-           if not ok then incr bounced;
-           (m, ok))
+           if Hashtbl.mem delivered i then (m, Delivered)
+           else begin
+             incr bounced;
+             (m, Bounced)
+           end)
         indexed
     in
     t.meters.delivered <- t.meters.delivered + (List.length msgs - !bounced);
@@ -119,6 +123,9 @@ let exchange t msgs =
     Obs.Metrics.incr ~by:!bounced t.metrics k_bounced;
     Obs.Metrics.incr ~by:!dropped t.metrics k_dropped;
     results
+
+let exchange t msgs =
+  List.map (fun (m, st) -> (m, st = Delivered)) (deliver t msgs)
 
 let tick t =
   t.meters.rounds <- t.meters.rounds + 1;

@@ -27,6 +27,11 @@
     running concurrently in other domains under the job runner — so
     budget accounting must come from the per-instance meters. *)
 
+(** A message's fate in one communication round.  The simulator only
+    ever delivers or bounces; [Dead] (destination hosted on a crashed
+    node, never contesting capacity) is the live cluster's. *)
+type status = Delivered | Bounced | Dead
+
 type 'a message = {
   sender : int;      (** request id (or any sender key for priorities) *)
   dst : int;         (** resource index *)
@@ -73,6 +78,10 @@ val exchange : t -> 'a message list -> ('a message * bool) list
     destination in one exchange are distinct (LDF ties among them break
     by list order).  Counts one communication round if the list is
     non-empty, zero otherwise. *)
+
+val deliver : t -> 'a message list -> ('a message * status) list
+(** {!exchange} reporting [Delivered] / [Bounced] (never [Dead]): the
+    carrier the local strategies' state machine runs over. *)
 
 val tick : t -> unit
 (** Count a communication round that carries no request-to-resource

@@ -1,4 +1,7 @@
-module Request = Sched.Request
+(* The local strategies over the synchronous simulator: Machine driven
+   by a Distnet.Net carrier.  The simulator has no replicas to write and
+   nothing to confirm, so the hooks are empty. *)
+
 module Strategy = Sched.Strategy
 module Net = Distnet.Net
 
@@ -11,26 +14,29 @@ type stats = {
 }
 
 type state = {
-  n : int;
-  d : int;
+  m : Machine.t;
   net : Net.t;
-  slots : int Slots.t; (* (resource, round) -> request id *)
-  assigned : (int, int * int) Hashtbl.t; (* id -> (resource, round) *)
-  active : (int, Request.t) Hashtbl.t;
+  carrier : Machine.carrier;
   mutable sched_rounds : int;
   mutable max_cr : int;
 }
 
-let make_state ~n ~d ~capacity ~loss ~priority ~metrics =
+let net_carrier net =
   {
-    n;
-    d;
-    net =
-      Net.create ~n ~capacity ?priority ~loss
-        ~loss_rng:(Prelude.Rng.create ~seed:1) ?metrics ();
-    slots = Slots.create ();
-    assigned = Hashtbl.create 128;
-    active = Hashtbl.create 128;
+    Machine.exchange = Net.deliver net;
+    event = ignore;
+    confirm = (fun ~res:_ ~round:_ _ -> true);
+  }
+
+let make_state ~n ~capacity ~loss ~priority ~metrics =
+  let net =
+    Net.create ~n ~capacity ?priority ~loss
+      ~loss_rng:(Prelude.Rng.create ~seed:1) ?metrics ()
+  in
+  {
+    m = Machine.create ~n;
+    net;
+    carrier = net_carrier net;
     sched_rounds = 0;
     max_cr = 0;
   }
@@ -44,431 +50,48 @@ let stats_of st =
     bounced = Net.messages_bounced st.net;
   }
 
-(* A resource accepts a request into its earliest free slot inside the
-   request's window (a maximal acceptance rule, Slots.try_accept).
-   Returns the slot. *)
-let try_accept st ~round res (r : Request.t) =
-  match
-    Slots.try_accept st.slots ~round ~res ~arrival:r.Request.arrival
-      ~last:(Request.last_round r) r.Request.id
-  with
-  | None -> None
-  | Some t ->
-    Hashtbl.replace st.assigned r.Request.id (res, t);
-    Some t
-
-(* Run one fix-style communication round: [senders] try alternative
-   index [alt]; returns the requests that remain unscheduled (bounced by
-   the network or rejected by a full resource). *)
-let offer_round st ~round ~alt senders =
-  let msgs =
-    List.filter_map
-      (fun (r : Request.t) ->
-         if alt >= Array.length r.Request.alternatives then None
-         else
-           Some
-             {
-               Net.sender = r.Request.id;
-               dst = r.Request.alternatives.(alt);
-               deadline_key = Request.last_round r;
-               tagged = false;
-               payload = r;
-             })
-      senders
-  in
-  let results = Net.exchange st.net msgs in
-  (* requests with no message for this alternative stay failed *)
-  let skipped =
-    List.filter
-      (fun (r : Request.t) -> alt >= Array.length r.Request.alternatives)
-      senders
-  in
-  (* each resource processes its delivered requests in EDF order *)
-  let delivered =
-    List.filter_map (fun (m, ok) -> if ok then Some m else None) results
-  in
-  let by_deadline =
-    List.sort
-      (fun a b ->
-         if a.Net.deadline_key <> b.Net.deadline_key then
-           compare a.Net.deadline_key b.Net.deadline_key
-         else compare a.Net.sender b.Net.sender)
-      delivered
-  in
-  let rejected =
-    List.filter_map
-      (fun m ->
-         match try_accept st ~round m.Net.dst m.Net.payload with
-         | Some _ -> None
-         | None -> Some m.Net.payload)
-      by_deadline
-  in
-  let bounced =
-    List.filter_map (fun (m, ok) -> if ok then None else Some m.Net.payload)
-      results
-  in
-  skipped @ bounced @ rejected
-
-let expire st ~round =
-  let dead =
-    Hashtbl.fold
-      (fun id r acc -> if Request.last_round r < round then id :: acc else acc)
-      st.active []
-  in
-  List.iter
-    (fun id ->
-       Hashtbl.remove st.active id;
-       (match Hashtbl.find_opt st.assigned id with
-        | Some (res, t) -> Slots.free st.slots ~res ~round:t
-        | None -> ());
-       Hashtbl.remove st.assigned id)
-    dead
-
-let collect_serves st ~round =
-  let serves = ref [] in
-  for res = 0 to st.n - 1 do
-    match Slots.take st.slots ~res ~round with
-    | None -> ()
-    | Some id ->
-      Hashtbl.remove st.assigned id;
-      Hashtbl.remove st.active id;
-      serves := { Strategy.request = id; resource = res } :: !serves
-  done;
-  List.rev !serves
-
-(* ------------------------------------------------------------------ *)
-(* A_local_fix *)
-
-let fix_step st ~round ~arrivals =
+(* One scheduling round: expire, admit the arrivals, run the protocol's
+   communication rounds, serve. *)
+let step st decide ~round ~arrivals =
   st.sched_rounds <- st.sched_rounds + 1;
   let cr0 = Net.comm_rounds st.net in
-  expire st ~round;
-  Array.iter
-    (fun (r : Request.t) -> Hashtbl.replace st.active r.Request.id r)
-    arrivals;
-  let newcomers = Array.to_list arrivals in
-  let failed = offer_round st ~round ~alt:0 newcomers in
-  let _still_failed = offer_round st ~round ~alt:1 failed in
+  ignore (Machine.expire st.m ~round);
+  Array.iter (Machine.admit st.m) arrivals;
+  decide st.m st.carrier ~round arrivals;
   st.max_cr <- max st.max_cr (Net.comm_rounds st.net - cr0);
-  collect_serves st ~round
+  Machine.collect st.m st.carrier ~round
 
-(* ------------------------------------------------------------------ *)
-(* A_local_eager *)
-
-(* Phase 2, selection round: requests scheduled in the future ask
-   their other resource for its free current slot; each such resource
-   acknowledges one mover.  Returns the accepted moves; the
-   cancellation round that releases the old slots is built by the
-   caller (so the compact variant can merge it with phase 3). *)
-let eager_phase2_select st ~round =
-  let movers =
-    Hashtbl.fold
-      (fun id (res, t) acc ->
-         if t > round then
-           match Hashtbl.find_opt st.active id with
-           | Some r when Array.length r.Request.alternatives >= 2 ->
-             let other =
-               if r.Request.alternatives.(0) = res then
-                 r.Request.alternatives.(1)
-               else r.Request.alternatives.(0)
-             in
-             (r, res, t, other) :: acc
-           | Some _ | None -> acc
-         else acc)
-      st.assigned []
-  in
-  let msgs =
-    List.map
-      (fun ((r : Request.t), _res, _t, other) ->
-         {
-           Net.sender = r.Request.id;
-           dst = other;
-           deadline_key = Request.last_round r;
-           tagged = false;
-           payload = ();
-         })
-      movers
-  in
-  let results = Net.exchange st.net msgs in
-  (* each resource with a free current slot acknowledges one mover *)
-  let chosen = Hashtbl.create 16 in
-  List.iter
-    (fun (m, ok) ->
-       if ok && not (Slots.mem st.slots ~res:m.Net.dst ~round) then
-         match Hashtbl.find_opt chosen m.Net.dst with
-         | Some prev when prev <= m.Net.sender -> ()
-         | Some _ | None -> Hashtbl.replace chosen m.Net.dst m.Net.sender)
-    results;
-  List.filter
-    (fun ((r : Request.t), _res, _t, other) ->
-       Hashtbl.find_opt chosen other = Some r.Request.id)
-    movers
-
-type move = Request.t * int * int * int (* r, old res, old t, new res *)
-
-let apply_move st ~round ((r : Request.t), res, t, other) =
-  Slots.free st.slots ~res ~round:t;
-  Slots.set st.slots ~res:other ~round r.Request.id;
-  Hashtbl.replace st.assigned r.Request.id (other, round)
-
-(* Phase 3 plumbing.  A successful swap hands the current slot of
-   [sw_res] from its occupant [sw_r] (already re-homed) to the rescuing
-   request [sw_q]; the tagged notification travels one communication
-   round after the rehome acknowledgment. *)
-type swap = {
-  sw_q : Request.t;
-  sw_res : int; (* the resource whose current slot changes hands *)
-  sw_r : int; (* previous occupant, already re-homed *)
-}
-
-type p3_payload =
-  | Rival of Request.t
-  | Swap of swap
-  | Cancel of move
-
-let swap_msgs swaps =
-  List.map
-    (fun s ->
-       {
-         Net.sender = s.sw_q.Request.id;
-         dst = s.sw_res;
-         deadline_key = Request.last_round s.sw_q;
-         tagged = true;
-         payload = Swap s;
-       })
-    swaps
-
-(* cancellations release an already-acknowledged move: give them the
-   highest LDF rank so the capacity cut can never break protocol state
-   (at most d-1 target one resource, below every capacity we use) *)
-let cancel_msgs moves =
-  List.map
-    (fun (((r : Request.t), res, _t, _other) as mv) ->
-       {
-         Net.sender = r.Request.id;
-         dst = res;
-         deadline_key = max_int;
-         tagged = false;
-         payload = Cancel mv;
-       })
-    moves
-
-let rival_msgs ~alt pending =
-  List.filter_map
-    (fun (q : Request.t) ->
-       if alt >= Array.length q.Request.alternatives then None
-       else
-         Some
-           {
-             Net.sender = q.Request.id;
-             dst = q.Request.alternatives.(alt);
-             deadline_key = Request.last_round q;
-             tagged = false;
-             payload = Rival q;
-           })
-    pending
-
-let apply_swap st ~round ~swapped s =
-  Slots.set st.slots ~res:s.sw_res ~round s.sw_q.Request.id;
-  Hashtbl.replace st.assigned s.sw_q.Request.id (s.sw_res, round);
-  swapped.(s.sw_res) <- true
-
-(* One communication round carrying tagged swap notifications (from the
-   previous attempt) together with this attempt's rival requests.
-   Returns the grants: resource -> (q, r, S_r). *)
-let rival_round st ~round ~swapped ~prev_swaps ~extra ~alt pending =
-  let msgs = swap_msgs prev_swaps @ extra @ rival_msgs ~alt pending in
-  let results = Net.exchange st.net msgs in
-  (* tagged messages are always delivered, and cancellations outrank
-     everything in the LDF order; apply both before computing grants so
-     the check sees the final slot occupancy *)
-  List.iter
-    (fun (m, ok) ->
-       match m.Net.payload with
-       | Swap s ->
-         assert ok;
-         apply_swap st ~round ~swapped s
-       | Cancel mv ->
-         (* a dropped cancellation simply aborts the move: the mover
-            keeps its old slot and the acknowledging resource idles *)
-         if ok then apply_move st ~round mv
-       | Rival _ -> ())
-    results;
-  let grants = Hashtbl.create 16 in
-  List.iter
-    (fun (m, ok) ->
-       match m.Net.payload with
-       | Swap _ | Cancel _ -> ()
-       | Rival q ->
-         let res = m.Net.dst in
-         if ok && (not swapped.(res)) && not (Hashtbl.mem grants res) then
-           match Slots.find st.slots ~res ~round with
-           | None -> ()
-           | Some r_id ->
-             (match Hashtbl.find_opt st.active r_id with
-              | None -> ()
-              | Some r when Array.length r.Request.alternatives < 2 -> ()
-              | Some r ->
-                let s_r =
-                  if r.Request.alternatives.(0) = res then
-                    r.Request.alternatives.(1)
-                  else r.Request.alternatives.(0)
-                in
-                Hashtbl.replace grants res (q, r, s_r)))
-    results;
-  grants
-
-(* The rehome communication round: each granted rival forwards the slot
-   occupant to its other resource, which accepts into a free slot of the
-   occupant's window.  Returns the successful swaps. *)
-let rehome_round st ~round grants =
-  let msgs =
-    Hashtbl.fold
-      (fun res ((q : Request.t), (r : Request.t), s_r) acc ->
-         {
-           Net.sender = q.Request.id;
-           dst = s_r;
-           deadline_key = Request.last_round r;
-           tagged = false;
-           payload = (q, r, res);
-         }
-         :: acc)
-      grants []
-  in
-  let results = Net.exchange st.net msgs in
-  let ordered =
-    List.sort
-      (fun (a, _) (b, _) ->
-         if a.Net.deadline_key <> b.Net.deadline_key then
-           compare a.Net.deadline_key b.Net.deadline_key
-         else compare a.Net.sender b.Net.sender)
-      results
-  in
-  List.filter_map
-    (fun (m, ok) ->
-       if not ok then None
-       else begin
-         let q, (r : Request.t), res = m.Net.payload in
-         if Slots.find st.slots ~res ~round <> Some r.Request.id then
-           None
-         else
-           match try_accept st ~round m.Net.dst r with
-           | Some _ ->
-             (* r re-homed; its old slot is freed pending the tagged
-                swap notification *)
-             Slots.free st.slots ~res ~round;
-             Some { sw_q = q; sw_res = res; sw_r = r.Request.id }
-           | None -> None
-       end)
-    ordered
-
-let eager_step st ~compact ~round ~arrivals =
-  st.sched_rounds <- st.sched_rounds + 1;
-  let cr0 = Net.comm_rounds st.net in
-  expire st ~round;
-  Array.iter
-    (fun (r : Request.t) -> Hashtbl.replace st.active r.Request.id r)
-    arrivals;
-  let unscheduled () =
-    Hashtbl.fold
-      (fun id r acc ->
-         if Hashtbl.mem st.assigned id then acc else r :: acc)
-      st.active []
-    |> List.sort (fun (a : Request.t) b -> compare a.Request.id b.Request.id)
-  in
-  (* phase 1 (2 comm rounds): the fix protocol over all unscheduled
-     live requests *)
-  let failed = offer_round st ~round ~alt:0 (unscheduled ()) in
-  let _ = offer_round st ~round ~alt:1 failed in
-  (* phase 2: pull future-scheduled requests into free current slots at
-     their other resource.  One communication round selects the movers;
-     the cancellation round is either dedicated (paper default, 9 comm
-     rounds total) or -- in the compact variant with capacity 2d-2 --
-     merged into phase 3's first round (8 total) *)
-  let moves = eager_phase2_select st ~round in
-  let pending_cancels =
-    if compact then cancel_msgs moves
-    else begin
-      let results = Net.exchange st.net (cancel_msgs moves) in
-      List.iter
-        (fun ((m : p3_payload Net.message), ok) ->
-           match m.Net.payload with
-           | Cancel mv -> if ok then apply_move st ~round mv
-           | Rival _ | Swap _ -> ())
-        results;
-      []
-    end
-  in
-  (* phase 3 (5 comm rounds): two swap attempts; attempt 1's tagged
-     notifications share a round with attempt 2's rival requests *)
-  let swapped = Array.make st.n false in
-  let grants1 =
-    rival_round st ~round ~swapped ~prev_swaps:[] ~extra:pending_cancels
-      ~alt:0 (unscheduled ())
-  in
-  let swaps1 = rehome_round st ~round grants1 in
-  let won1 = Hashtbl.create 16 in
-  List.iter (fun s -> Hashtbl.replace won1 s.sw_q.Request.id ()) swaps1;
-  let pending2 =
-    List.filter
-      (fun (q : Request.t) -> not (Hashtbl.mem won1 q.Request.id))
-      (unscheduled ())
-  in
-  let grants2 =
-    rival_round st ~round ~swapped ~prev_swaps:swaps1 ~extra:[] ~alt:1
-      pending2
-  in
-  let swaps2 = rehome_round st ~round grants2 in
-  (* final communication round: attempt 2's tagged notifications *)
-  let results = Net.exchange st.net (swap_msgs swaps2) in
-  List.iter
-    (fun (m, _) ->
-       match m.Net.payload with
-       | Swap s -> apply_swap st ~round ~swapped s
-       | Rival _ | Cancel _ -> ())
-    results;
-  st.max_cr <- max st.max_cr (Net.comm_rounds st.net - cr0);
-  collect_serves st ~round
-
-(* ------------------------------------------------------------------ *)
-(* factories *)
-
-let make_factory ~name ~capacity_of ~step_of ?(loss = 0.0) ?priority
-    ?metrics () =
+let make_factory ~name ~capacity_of ~decide ?(loss = 0.0) ?priority ?metrics
+    () =
   let latest = ref None in
   let factory : Strategy.factory =
    fun ~n ~d ->
     let st =
-      make_state ~n ~d ~capacity:(capacity_of d) ~loss ~priority ~metrics
+      make_state ~n ~capacity:(capacity_of d) ~loss ~priority ~metrics
     in
     latest := Some st;
-    { Strategy.name; step = step_of st }
+    { Strategy.name; step = step st decide }
   in
-  (factory, latest)
-
-let stats_fn latest name () =
-  match !latest with
-  | Some st -> stats_of st
-  | None -> invalid_arg (name ^ ": no run yet")
+  let stats () =
+    match !latest with
+    | Some st -> stats_of st
+    | None -> invalid_arg (name ^ ": no run yet")
+  in
+  (factory, stats)
 
 let fix_with_stats ?loss ?priority ?metrics () =
-  let factory, latest =
-    make_factory ~name:"A_local_fix" ~capacity_of:(fun d -> d)
-      ~step_of:(fun st ~round ~arrivals -> fix_step st ~round ~arrivals)
-      ?loss ?priority ?metrics ()
-  in
-  (factory, stats_fn latest "Local.fix_with_stats")
+  make_factory ~name:"A_local_fix"
+    ~capacity_of:(fun d -> Machine.capacity ~compact:false ~d)
+    ~decide:(fun m c ~round arrivals ->
+        Machine.fix_round m c ~round (Array.to_list arrivals))
+    ?loss ?priority ?metrics ()
 
 let eager_with_stats ?(compact = false) ?loss ?priority ?metrics () =
-  let name = if compact then "A_local_eager_compact" else "A_local_eager" in
-  let capacity_of d = if compact then max 1 ((2 * d) - 2) else d in
-  let factory, latest =
-    make_factory ~name ~capacity_of
-      ~step_of:(fun st ~round ~arrivals ->
-          eager_step st ~compact ~round ~arrivals)
-      ?loss ?priority ?metrics ()
-  in
-  (factory, stats_fn latest "Local.eager_with_stats")
+  make_factory
+    ~name:(if compact then "A_local_eager_compact" else "A_local_eager")
+    ~capacity_of:(fun d -> Machine.capacity ~compact ~d)
+    ~decide:(fun m c ~round _ -> Machine.eager_round m c ~compact ~round)
+    ?loss ?priority ?metrics ()
 
 let fix ?loss ?priority ?metrics () =
   fst (fix_with_stats ?loss ?priority ?metrics ())

@@ -1,9 +1,14 @@
-(** The paper's local (distributed) strategies (Sec. 3.2).
+(** The paper's local (distributed) strategies (Sec. 3.2) over the
+    synchronous simulator.
 
-    Both run over {!Distnet.Net}: every request-to-resource exchange is a
-    metered communication round with mailbox capacity [d] and LDF
-    overflow, exactly the model the paper charges.  Decisions are taken
-    only from information a resource or request legitimately holds.
+    The protocol itself is {!Machine}, the one decision state machine
+    of these strategies; this module is its {!Distnet.Net} carrier.
+    Every request-to-resource exchange is a metered communication
+    round with mailbox capacity [d] and LDF overflow, exactly the model
+    the paper charges; a bounce (or an injected loss) is the only
+    failure, and every serve the machine claims happens.  The live
+    cluster ([Cluster.Session]) drives the same machine over its wire
+    transport, so the two cannot disagree on a decision.
 
     - {!fix} ([A_local_fix], Theorem 3.7, 2 communication rounds,
       competitive ratio exactly 2): new requests try their first

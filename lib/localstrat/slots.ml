@@ -1,9 +1,7 @@
 (* The slot table a resource keeps under the local protocols: one
-   occupant per (resource, round), with the maximal acceptance rule of
-   Sec. 3.2 — a request is accepted into the earliest free slot of its
-   window.  Shared between the simulator-driven protocol state
-   (Local.state) and the live cluster's router mirror / node replicas,
-   so both paths schedule with the same rule. *)
+   occupant per (resource, round).  Holds ids in the protocol state
+   machine (Machine.t) and request payloads in the cluster's node
+   replicas. *)
 
 type 'a t = (int * int, 'a) Hashtbl.t
 
@@ -20,18 +18,13 @@ let take t ~res ~round =
     Hashtbl.remove t (res, round);
     Some v
 
-let try_accept t ~round ~res ~arrival ~last v =
-  let lo = max round arrival in
-  let rec find r =
+let first_free t ~res ~from ~last =
+  let rec scan r =
     if r > last then None
-    else if Hashtbl.mem t (res, r) then find (r + 1)
+    else if Hashtbl.mem t (res, r) then scan (r + 1)
     else Some r
   in
-  match find lo with
-  | None -> None
-  | Some r ->
-    Hashtbl.replace t (res, r) v;
-    Some r
+  scan from
 
 let fold t f acc = Hashtbl.fold (fun (res, round) v acc -> f ~res ~round v acc) t acc
 let clear = Hashtbl.reset

@@ -1,11 +1,8 @@
 (** A resource-side slot table: one occupant per (resource, round).
 
-    Carries the maximal acceptance rule the paper's local strategies
-    use (a resource accepts a request into the {e earliest} free slot
-    inside the request's window).  One implementation serves both the
-    simulator-driven protocol state ({!Local}) and the live cluster's
-    router mirror and per-node replicas, so simulation and live serving
-    cannot disagree on the accept rule. *)
+    Holds request ids in the local protocols' state machine
+    ({!Machine}) and request payloads in the live cluster's node
+    replicas. *)
 
 type 'a t
 
@@ -18,11 +15,10 @@ val free : 'a t -> res:int -> round:int -> unit
 val take : 'a t -> res:int -> round:int -> 'a option
 (** Remove and return the occupant, if any. *)
 
-val try_accept :
-  'a t -> round:int -> res:int -> arrival:int -> last:int -> 'a -> int option
-(** Accept [v] into the earliest free slot of [res] within
-    [max round arrival .. last]; returns the slot round, or [None] when
-    every slot of the window is taken. *)
+val first_free : 'a t -> res:int -> from:int -> last:int -> int option
+(** The earliest round in [from .. last] with no occupant at [res] —
+    the slot the paper's maximal acceptance rule gives a request whose
+    window is [from .. last]. *)
 
 val fold : 'a t -> (res:int -> round:int -> 'a -> 'b -> 'b) -> 'b -> 'b
 val clear : 'a t -> unit

@@ -14,9 +14,13 @@ let make ~arrival ~alternatives ~deadline =
     (fun r -> if r < 0 then invalid_arg "Request.make: negative resource")
     alternatives;
   (* order is preserved: local strategies distinguish the first and the
-     second alternative *)
-  let sorted = List.sort_uniq compare alternatives in
-  if List.length sorted <> List.length alternatives then
+     second alternative.  Lists are short, and the cluster re-parses a
+     request from every wire message, so the check does not allocate. *)
+  let rec distinct = function
+    | [] -> true
+    | (r : int) :: rest -> (not (List.mem r rest)) && distinct rest
+  in
+  if not (distinct alternatives) then
     invalid_arg "Request.make: duplicate alternatives";
   { id = -1; arrival; alternatives = Array.of_list alternatives; deadline }
 

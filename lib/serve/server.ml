@@ -16,8 +16,9 @@
    Shutdown: [drain] (wired to SIGINT/SIGTERM by the CLI) closes the
    listener, makes every new submission an explicit 'draining' reject,
    and lets the shards serve what is already admitted to its deadline;
-   when the last shard exits the I/O domain flushes remaining responses,
-   merges all metric registries and publishes the final snapshot. *)
+   when the last shard exits the I/O domain reads the lines already
+   waiting on open connections, flushes remaining responses, merges all
+   metric registries and publishes the final snapshot. *)
 
 type addr = Tcp of string * int | Unix_sock of string
 
@@ -486,7 +487,11 @@ let io_loop t =
       (Hashtbl.copy conns);
     scan_timeouts (Unix.gettimeofday ())
   done;
-  (* shards are gone: deliver what is left, then tear down *)
+  (* shards are gone.  A client's last lines (its bye, typically) may
+     already sit in a socket that select has not reported yet: read
+     what is waiting on every open connection once, then deliver what
+     is left and tear down *)
+  Hashtbl.iter (fun _ c -> handle_readable c) (Hashtbl.copy conns);
   route_responses ();
   send_ready_acks ();
   let deadline = Unix.gettimeofday () +. 2.0 in

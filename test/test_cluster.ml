@@ -312,42 +312,60 @@ let outcomes_equal ~what (a : Outcome.t) (b : Outcome.t) =
             | None -> "-"))
     a.Outcome.served_at
 
+(* an LDF tie-break other than the default, to show parity does not
+   hinge on the network's default priority *)
+let salted_priority salt ~sender ~dst =
+  ((sender * 7919) lxor (dst * 104729) lxor salt) land 3
+
 let test_cluster_matches_local () =
   List.iter
-    (fun (name, local_factory, strategy) ->
+    (fun (pname, priority) ->
        List.iter
-         (fun seed ->
-            let inst = random_instance ~n:9 ~d:4 ~rounds:40 ~load:1.5 ~seed in
-            let reference = Engine.run inst local_factory in
+         (fun (name, local_factory, strategy) ->
             List.iter
-              (fun nodes ->
-                 let captured = ref None in
-                 let o =
-                   Engine.run inst
-                     (Session.factory
-                        ~on_create:(fun s -> captured := Some s)
-                        ~strategy ~nodes ())
+              (fun seed ->
+                 let inst =
+                   random_instance ~n:9 ~d:4 ~rounds:40 ~load:1.5 ~seed
                  in
-                 outcomes_equal
-                   ~what:(Printf.sprintf "%s seed=%d nodes=%d" name seed nodes)
-                   reference o;
-                 check Alcotest.bool "consistent" true
-                   (Outcome.is_consistent o);
-                 match !captured with
-                 | None -> Alcotest.fail "factory never ran"
-                 | Some s ->
-                   check Alcotest.int
-                     (Printf.sprintf "%s nodes=%d: no serve conflicts" name
-                        nodes)
-                     0 (Session.stats s).Session.serve_conflicts)
-              [ 1; 2; 3; 5 ])
-         [ 3; 17 ])
+                 let reference = Engine.run inst (local_factory priority) in
+                 List.iter
+                   (fun nodes ->
+                      let captured = ref None in
+                      let o =
+                        Engine.run inst
+                          (Session.factory ?priority
+                             ~on_create:(fun s -> captured := Some s)
+                             ~strategy ~nodes ())
+                      in
+                      outcomes_equal
+                        ~what:
+                          (Printf.sprintf "%s %s seed=%d nodes=%d" name pname
+                             seed nodes)
+                        reference o;
+                      check Alcotest.bool "consistent" true
+                        (Outcome.is_consistent o);
+                      match !captured with
+                      | None -> Alcotest.fail "factory never ran"
+                      | Some s ->
+                        check Alcotest.int
+                          (Printf.sprintf "%s nodes=%d: no serve conflicts"
+                             name nodes)
+                          0 (Session.stats s).Session.serve_conflicts)
+                   [ 1; 2; 3; 5 ])
+              [ 3; 17 ])
+         [
+           ("fix", (fun priority -> Local.fix ?priority ()), Session.Local_fix);
+           ( "eager",
+             (fun priority -> Local.eager ?priority ()),
+             Session.Local_eager { compact = false } );
+           ( "eager_compact",
+             (fun priority -> Local.eager ~compact:true ?priority ()),
+             Session.Local_eager { compact = true } );
+         ])
     [
-      ("fix", Local.fix (), Session.Local_fix);
-      ("eager", Local.eager (), Session.Local_eager { compact = false });
-      ( "eager_compact",
-        Local.eager ~compact:true (),
-        Session.Local_eager { compact = true } );
+      ("default priority", None);
+      ("salt 1", Some (salted_priority 1));
+      ("salt 6", Some (salted_priority 6));
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -434,12 +452,13 @@ let test_proxy_global_baseline () =
 (* Drive a session directly under streaming load, crash one node
    mid-run, rejoin it later, and account for every admitted request:
    exactly one terminal outcome each, every serve inside the request's
-   original window. *)
-let test_kill_and_rejoin_loses_no_terminal () =
+   original window.  Messages reach the killed node before detection,
+   so every strategy's Dead paths run (for eager: probes, cancels,
+   rivals, rehomes and swaps). *)
+let kill_and_rejoin strategy =
+  let kind = Session.kind_name strategy in
   let n = 12 and d = 6 and nodes = 3 in
-  let session =
-    Session.create ~strategy:Session.Local_fix ~nodes ~n ~d ()
-  in
+  let session = Session.create ~strategy ~nodes ~n ~d () in
   let rng = Rng.create ~seed:42 in
   let windows = Hashtbl.create 512 in (* id -> (arrival, last_round) *)
   let terminals = Hashtbl.create 512 in
@@ -472,32 +491,48 @@ let test_kill_and_rejoin_loses_no_terminal () =
          let arrival, last = Hashtbl.find windows id in
          if round < arrival || round > last then
            Alcotest.failf
-             "request %d served at %d outside its original window %d..%d"
-             id round arrival last;
+             "%s: request %d served at %d outside its original window %d..%d"
+             kind id round arrival last;
          if res < 0 || res >= n then Alcotest.failf "bad resource %d" res)
       out.Session.served;
     List.iter (fun id -> record_terminal id "expired" round) out.Session.expired
   done;
-  check Alcotest.int "session drained" 0 (Session.pending session);
+  let check_int what = check Alcotest.int (kind ^ ": " ^ what) in
+  let check_true what = check Alcotest.bool (kind ^ ": " ^ what) true in
+  check_int "session drained" 0 (Session.pending session);
   Hashtbl.iter
     (fun id _ ->
        if not (Hashtbl.mem terminals id) then
-         Alcotest.failf "request %d has no terminal outcome" id)
+         Alcotest.failf "%s: request %d has no terminal outcome" kind id)
     windows;
-  check Alcotest.int "no extra terminals" (Hashtbl.length windows)
+  check_int "no extra terminals" (Hashtbl.length windows)
     (Hashtbl.length terminals);
   let s = Session.stats session in
-  check Alcotest.int "one failover" 1 s.Session.failovers;
-  check Alcotest.bool "failover readmitted survivors" true
-    (s.Session.readmitted > 0);
-  check Alcotest.bool "rejoin handed future slots over" true
-    (s.Session.handoff_slots > 0);
-  check Alcotest.bool "rejoined node is alive" true
-    (Session.node_alive session victim);
-  check Alcotest.bool "some requests straddled nodes" true
-    (s.Session.straddled > 0);
-  check Alcotest.int "terminal conservation" s.Session.requests
+  check_int "one failover" 1 s.Session.failovers;
+  check_true "messages reached the dead node" (s.Session.dropped_dead > 0);
+  check_int "no serve conflicts" 0 s.Session.serve_conflicts;
+  (* fix and proxy hold future slots on the victim when it dies and
+     when it returns; eager's phase 2 pulls future slots into the
+     current round, and under this load none are left to lose *)
+  (match strategy with
+   | Session.Local_fix | Session.Proxy_global ->
+     check_true "failover readmitted survivors" (s.Session.readmitted > 0);
+     check_true "rejoin handed future slots over"
+       (s.Session.handoff_slots > 0)
+   | Session.Local_eager _ -> ());
+  check_true "rejoined node is alive" (Session.node_alive session victim);
+  check_true "some requests straddled nodes" (s.Session.straddled > 0);
+  check_int "terminal conservation" s.Session.requests
     (s.Session.served + s.Session.expired)
+
+let test_kill_and_rejoin_loses_no_terminal () =
+  List.iter kill_and_rejoin
+    [
+      Session.Local_fix;
+      Session.Local_eager { compact = false };
+      Session.Local_eager { compact = true };
+      Session.Proxy_global;
+    ]
 
 let test_layout_invariance_standalone () =
   (* the same submission schedule gives identical outcome sequences on

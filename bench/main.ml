@@ -133,9 +133,9 @@ let micro_tests () =
                 (Strategies.Global.eager ())
                : Sched.Outcome.t)));
     (* offline optimum engines used by every experiment *)
-    Test.make ~name:"OPT/grouped-maxflow"
+    Test.make ~name:"OPT/value-thm2.1"
       (Staged.stage (fun () ->
-           ignore (Offline.Opt.grouped (Lazy.force thm21_instance) : int)));
+           ignore (Offline.Opt.value (Lazy.force thm21_instance) : int)));
     Test.make ~name:"OPT/hopcroft-karp"
       (Staged.stage (fun () ->
            ignore (Offline.Opt.expanded (Lazy.force random_instance) : int)));
@@ -196,16 +196,11 @@ let outcomes_agree (a : Sched.Outcome.t) (b : Sched.Outcome.t) =
   && a.Sched.Outcome.per_round_served = b.Sched.Outcome.per_round_served
 
 let run_scale ~quick =
-  (* Three tiers.  `Oracle shapes time every solver against the
+  (* Two tiers.  `Oracle shapes time every solver against the
      from-scratch rebuild oracle (seconds per round by n=128, so rounds
      shrink with size).  Past that the oracle is unaffordable: `Fix
-     shapes time the fix kernel plus the linear strategies, and also
-     run the kernel's ring-select variant as a differential — the
-     bucketed target selection must produce the identical schedule and
-     never be slower.  At the top, `Local keeps only the bucketed fix
-     kernel (the ring variant's O(nd) scan per augmenting sweep is what
-     made fix quadratic there) next to the linear strategies.  Skipped
-     cells print "-". *)
+     shapes time only the fix kernel next to the linear strategies.
+     Skipped cells print "-". *)
   let shapes =
     if quick then
       [ (4, 2, 40, `Oracle); (8, 4, 40, `Oracle); (1024, 8, 3, `Fix) ]
@@ -213,7 +208,7 @@ let run_scale ~quick =
       [ (4, 2, 100, `Oracle); (8, 4, 100, `Oracle); (16, 4, 100, `Oracle);
         (16, 8, 100, `Oracle); (32, 8, 100, `Oracle); (64, 8, 60, `Oracle);
         (128, 8, 30, `Oracle); (256, 8, 20, `Fix); (1024, 8, 6, `Fix);
-        (4096, 8, 2, `Fix); (10000, 8, 2, `Local) ]
+        (4096, 8, 2, `Fix); (10000, 8, 2, `Fix) ]
   in
   let table =
     Prelude.Texttable.create
@@ -221,12 +216,11 @@ let run_scale ~quick =
         "B.scale  --  us/round vs system size: warm-start kernel vs \
          rebuild oracle (random load 1.1, mean over the run)"
       ~header:
-        [ "n"; "d"; "requests"; "fix kern"; "fix ring"; "fix reb"; "x";
+        [ "n"; "d"; "requests"; "fix kern"; "fix reb"; "x";
           "bal kern"; "bal reb"; "x"; "local"; "2choice"; "agree" ]
       ()
   in
   let all_agree = ref true and never_slower = ref true in
-  let bucketed_agree = ref true and bucketed_never_slower = ref true in
   List.iter
     (fun (n, d, rounds, tier) ->
        let rng = Prelude.Rng.create ~seed:21 in
@@ -250,24 +244,7 @@ let run_scale ~quick =
        in
        let local, _ = time (Localstrat.Local.eager ()) in
        let twochoice, _ = time (Strategies.Twochoice.least_loaded ()) in
-       let fix_k = Some (time (Strategies.Global.fix ())) in
-       (* ring-select differential at the sizes where the scan term
-          shows (n >= 256): identical schedules, bucketed never slower *)
-       let fix_ring =
-         match tier with
-         | `Fix ->
-           let ring_us, out_ring =
-             time
-               (Strategies.Global.fix
-                  ~solver:Strategies.Global.Kernel_ring ())
-           in
-           let bucket_us, out_bucket = Option.get fix_k in
-           if not (outcomes_agree out_bucket out_ring) then
-             bucketed_agree := false;
-           if bucket_us > ring_us *. 1.1 then bucketed_never_slower := false;
-           Some ring_us
-         | `Oracle | `Local -> None
-       in
+       let fix_k = time (Strategies.Global.fix ()) in
        let oracle =
          match tier with
          | `Oracle ->
@@ -279,17 +256,17 @@ let run_scale ~quick =
              time
                (Strategies.Global.balance ~solver:Strategies.Global.Rebuild ())
            in
-           let _, out_fix_k = Option.get fix_k in
+           let _, out_fix_k = fix_k in
            let agree =
              outcomes_agree out_fix_k out_fix_r
              && outcomes_agree out_bal_k out_bal_r
            in
            if not agree then all_agree := false;
            (* 10% tolerance absorbs scheduler jitter on the tiny shapes *)
-           if fst (Option.get fix_k) > fix_r *. 1.1 || bal_k > bal_r *. 1.1
+           if fst fix_k > fix_r *. 1.1 || bal_k > bal_r *. 1.1
            then never_slower := false;
            Some (fix_r, bal_k, bal_r, agree)
-         | `Fix | `Local -> None
+         | `Fix -> None
        in
        let params =
          [ ("n", string_of_int n); ("d", string_of_int d);
@@ -298,18 +275,7 @@ let run_scale ~quick =
        let rec_metric metric v = record ~family:"B.scale" ~params ~metric v in
        rec_metric "local_eager_us_per_round" local;
        rec_metric "twochoice_us_per_round" twochoice;
-       Option.iter
-         (fun (us, _) ->
-            record ~family:"B.scale"
-              ~params:(params @ [ ("spfa", "bucketed") ])
-              ~metric:"fix_kernel_us_per_round" us)
-         fix_k;
-       Option.iter
-         (fun us ->
-            record ~family:"B.scale"
-              ~params:(params @ [ ("spfa", "ring") ])
-              ~metric:"fix_kernel_us_per_round" us)
-         fix_ring;
+       rec_metric "fix_kernel_us_per_round" (fst fix_k);
        Option.iter
          (fun (fix_r, bal_k, bal_r, _) ->
             rec_metric "fix_rebuild_us_per_round" fix_r;
@@ -317,15 +283,11 @@ let run_scale ~quick =
             rec_metric "balance_rebuild_us_per_round" bal_r)
          oracle;
        let dash = "-" in
-       let fix_cell = function
-         | Some (us, _) -> Printf.sprintf "%.1f" us
-         | None -> dash
-       in
        let cells =
          match oracle with
          | Some (fix_r, bal_k, bal_r, agree) ->
            [ Printf.sprintf "%.1f" fix_r;
-             Printf.sprintf "%.1fx" (fix_r /. fst (Option.get fix_k));
+             Printf.sprintf "%.1fx" (fix_r /. fst fix_k);
              Printf.sprintf "%.1f" bal_k;
              Printf.sprintf "%.1f" bal_r;
              Printf.sprintf "%.1fx" (bal_r /. bal_k);
@@ -338,23 +300,14 @@ let run_scale ~quick =
              Printf.sprintf "%.1f" twochoice;
              dash ]
        in
-       let ring_cell =
-         match fix_ring with
-         | Some us -> Printf.sprintf "%.1f" us
-         | None -> dash
-       in
        Prelude.Texttable.add_row table
          (string_of_int n :: string_of_int d
           :: string_of_int (Sched.Instance.n_requests inst)
-          :: fix_cell fix_k :: ring_cell :: cells))
+          :: Printf.sprintf "%.1f" (fst fix_k) :: cells))
     shapes;
   Prelude.Texttable.print table;
   check "kernel outcomes match rebuild on every shape" !all_agree;
   check "kernel never slower than rebuild (10% tolerance)" !never_slower;
-  check "bucketed select matches ring select on every fix-tier shape"
-    !bucketed_agree;
-  check "bucketed select never slower than ring (10% tolerance)"
-    !bucketed_never_slower;
   print_newline ()
 
 (* The served cost model: the same instance replayed through the full

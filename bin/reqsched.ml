@@ -68,10 +68,12 @@ let with_score score k =
 
 let solver_arg =
   let doc =
-    "Solver for the global strategies: kernel (warm-start incremental \
-     round kernel, the default) or rebuild (the from-scratch \
-     differential oracle).  Strategies without a solver choice ignore \
-     this."
+    Printf.sprintf
+      "Solver for the global strategies: one of %s.  $(b,kernel) (the \
+       default) is the warm-start incremental round kernel, $(b,rebuild) \
+       the from-scratch differential oracle.  Strategies without a solver \
+       choice ignore this."
+      (String.concat ", " Report.Registry.solver_names)
   in
   Arg.(value & opt string "kernel" & info [ "solver" ] ~docv:"SOLVER" ~doc)
 
@@ -133,9 +135,12 @@ let finish_runner ctx =
 
 let metrics_fmt_arg =
   let doc =
-    "Record per-subsystem metrics (engine rounds, streaming-optimum \
-     search effort, network traffic, domain utilisation) and print them \
-     after the report in the given format: text, csv or json."
+    "Record per-subsystem metrics (engine rounds, kernel search effort, \
+     the streaming optimum behind SLO and anytime scores, network \
+     traffic, domain utilisation) and print them after the report in \
+     the given format: text, csv or json.  Metrics only observe: every \
+     result, the offline optimum included, is computed the same way \
+     with or without them."
   in
   Arg.(value & opt (some string) None
        & info [ "metrics" ] ~docv:"FMT" ~doc)
@@ -274,11 +279,7 @@ let compare_cmd =
     match instance_of_workload ~name:workload ~n ~d ~rounds ~load ~seed with
     | Error m -> `Error (false, m)
     | Ok inst ->
-      let opt =
-        match metrics with
-        | Some m -> Offline.Opt_stream.value ~metrics:m inst
-        | None -> Offline.Opt.value inst
-      in
+      let opt = Offline.Opt.value inst in
       (* --score slo appends the full block, one objective just its
          column; ratio already has a column, so All skips it *)
       let score_modes =

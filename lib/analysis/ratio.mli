@@ -9,7 +9,7 @@ type t = {
 }
 
 val of_outcome : Sched.Outcome.t -> t
-(** Computes the optimum via {!Offline.Opt.value} (grouped max-flow). *)
+(** Computes the optimum via {!Offline.Opt.value} (Hopcroft–Karp). *)
 
 val of_outcome_with_opt : Sched.Outcome.t -> opt:int -> t
 (** When the optimum is already known (e.g. an adversary's analytic

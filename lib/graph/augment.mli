@@ -15,8 +15,8 @@
     bipartite graph has exactly one free endpoint per side, any path
     created by the appends must end at a new (free) right vertex, and
     roots whose search failed can never gain a path later (non-revival).
-    The differential test-suite pins this against {!Hopcroft_karp} and
-    the grouped max-flow on hundreds of randomized instances.
+    The differential test-suite pins this against {!Hopcroft_karp} on
+    hundreds of randomized instances.
 
     Searches are plain Kuhn DFS with visit stamps: [O(E)] worst case per
     new right vertex, near-constant in practice because most slots match

@@ -2,8 +2,8 @@
 
     [O(E √V)]: each phase finds a maximal set of vertex-disjoint shortest
     augmenting paths by one BFS + one DFS; at most [√V] phases are needed.
-    This is the offline-optimum engine for expanded (one-node-per-request)
-    instances; grouped instances use {!Maxflow} instead. *)
+    This is the offline-optimum engine ({!Offline.Opt}) on the
+    one-node-per-request paper graph. *)
 
 val solve : Bipartite.t -> Matching.t
 (** A maximum cardinality matching of the graph. *)

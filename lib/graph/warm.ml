@@ -13,36 +13,15 @@
    buffer.  A solver value is reused round after round; steady-state
    solving allocates nothing.
 
-   Two selection variants share that sweep.  [Ring] is the historical
-   one: after each sweep, [best_target] scans all [nr] right vertices —
-   with sweeps ~ augments ~ O(n) per round this scan is the quadratic
-   term B.scale measured past n~256.  [Bucketed] keeps a
-   distance-bucketed candidate queue filled during the sweep itself:
-   whenever a right vertex's label improves it is pushed into the bucket
-   keyed by its tier-0 distance (offset-shifted, clamped into overflow
-   buckets at both ends), and selection walks buckets from the top,
-   lazily revalidating entries (stale stamp, matched since, or tier-0
-   distance now mapping to a different bucket).  Because tier 0
-   dominates the lexicographic order and the bucket key is monotone in
-   tier-0 distance, the first bucket holding a valid entry contains the
-   lex-maximum — full lex compare plus smallest-index tie-break inside
-   that bucket reproduces the ring scan's choice exactly, so both
-   variants yield identical matchings edge-for-edge (pinned by a
-   300-graph differential in test_kernel.ml).  Cost drops from O(nr)
-   per sweep to O(labels improved this sweep). *)
-
-type variant = Ring | Bucketed
-
-(* Tier-0 distances land in buckets [d0 + boff] clamped to
-   [0, nbuckets-1]; the clamped overflow buckets may mix distinct
-   distances, which the full lex compare inside a bucket absorbs. *)
-let nbuckets = 64
-let boff = 32
+   After each sweep, [best_target] scans the [nr] right vertices for
+   the maximum-gain free target.  The scan is O(nr) per sweep, but the
+   sweep itself already relaxes every free left vertex's edges, so the
+   scan never dominates; a distance-bucketed candidate queue in its
+   place measured no faster up to n = 10^4 (EXPERIMENTS.md, B.scale). *)
 
 type stats = { sweeps : int; augments : int; warm_hits : int }
 
 type t = {
-  variant : variant;
   mutable k : int;  (* weight-vector length (uniform per round) *)
   mutable nl : int;
   mutable nr : int;
@@ -68,19 +47,13 @@ type t = {
   mutable clock : int;        (* sweep stamp; strictly increasing *)
   mutable cand : int array;   (* one candidate distance vector *)
   mutable path : int array;   (* augmenting path, edges root-to-start *)
-  (* bucketed-selection scratch; per-sweep validity via bstamp = clock *)
-  bsize : int array;          (* entries used in bdata.(b) this sweep *)
-  bstamp : int array;         (* bucket valid iff bstamp.(b) = clock *)
-  bdata : int array array;    (* right-vertex candidates per bucket *)
-  mutable bmax : int;         (* highest bucket touched this sweep *)
   mutable sweeps : int;
   mutable augments : int;
   mutable warm_hits : int;
 }
 
-let create ?(variant = Ring) () =
+let create () =
   {
-    variant;
     k = 1;
     nl = 0;
     nr = 0;
@@ -102,16 +75,10 @@ let create ?(variant = Ring) () =
     clock = 0;
     cand = Array.make 8 0;
     path = [||];
-    bsize = Array.make nbuckets 0;
-    bstamp = Array.make nbuckets 0;
-    bdata = Array.make nbuckets [||];
-    bmax = -1;
     sweeps = 0;
     augments = 0;
     warm_hits = 0;
   }
-
-let variant t = t.variant
 
 let stats t =
   { sweeps = t.sweeps; augments = t.augments; warm_hits = t.warm_hits }
@@ -184,26 +151,6 @@ let dist_gt t off_a off_b =
   in
   go 0
 
-let bucket_of d0 =
-  let b = d0 + boff in
-  if b < 0 then 0 else if b >= nbuckets then nbuckets - 1 else b
-
-(* Record right vertex [v] (whose tier-0 label just became [d0]) as a
-   selection candidate.  Duplicates are fine: each label improvement
-   adds one entry, and selection revalidates lazily. *)
-let bpush t v d0 =
-  let b = bucket_of d0 in
-  if t.bstamp.(b) <> t.clock then begin
-    t.bstamp.(b) <- t.clock;
-    t.bsize.(b) <- 0
-  end;
-  let n = t.bsize.(b) in
-  if n >= Array.length t.bdata.(b) then
-    t.bdata.(b) <- ensure t.bdata.(b) (n + 1) 0;
-  t.bdata.(b).(n) <- v;
-  t.bsize.(b) <- n + 1;
-  if b > t.bmax then t.bmax <- b
-
 (* One SPFA sweep; mirrors Tiered.spfa exactly (same FIFO order, same
    strict-improvement relaxations).  Returns unit; results live in
    dist/parent guarded by the [have] stamp. *)
@@ -213,7 +160,6 @@ let spfa t =
   t.clock <- t.clock + 1;
   t.qhead <- 0;
   t.qtail <- 0;
-  t.bmax <- -1;
   let clock = t.clock in
   let qcap = nv + 1 in
   let dist = t.dist and have = t.have and inq = t.inq in
@@ -275,8 +221,6 @@ let spfa t =
               Array.blit cand 0 dist off_v k;
               have.(code_v) <- clock;
               parent.(code_v) <- id;
-              if t.variant = Bucketed then
-                bpush t v (Array.unsafe_get dist off_v);
               push code_v
             end
           end
@@ -321,7 +265,7 @@ let spfa t =
 
 (* Best free right vertex by gain: maximum distance, ties to the
    smallest index — the same scan as Tiered.best_target. *)
-let best_target_ring t =
+let best_target t =
   let nl = t.nl and k = t.k in
   let best = ref (-1) in
   for v = 0 to t.nr - 1 do
@@ -331,46 +275,6 @@ let best_target_ring t =
     end
   done;
   !best
-
-(* The same selection from the bucketed candidate queue.  Walk buckets
-   top-down; an entry is valid iff its vertex was labelled this sweep,
-   is still free, and its *current* tier-0 distance still maps to this
-   bucket (a later improvement moves it to a higher bucket, leaving a
-   stale entry behind).  The first bucket with a valid entry contains
-   the lex-maximum — the bucket key is monotone in tier-0 distance and
-   tier 0 dominates the lex order; the clamped overflow buckets may mix
-   distances, which the full compare absorbs.  Smallest index wins ties
-   explicitly, since bucket insertion order is not index order. *)
-let best_target_bucketed t =
-  let nl = t.nl and k = t.k in
-  let best = ref (-1) in
-  let b = ref t.bmax in
-  while !best < 0 && !b >= 0 do
-    if t.bstamp.(!b) = t.clock then begin
-      let arr = t.bdata.(!b) and n = t.bsize.(!b) in
-      for i = 0 to n - 1 do
-        let v = Array.unsafe_get arr i in
-        if
-          t.right_to_.(v) < 0
-          && t.have.(nl + v) = t.clock
-          && bucket_of t.dist.((nl + v) * k) = !b
-        then
-          if !best < 0 then best := v
-          else if v <> !best then begin
-            let off_v = (nl + v) * k and off_b = (nl + !best) * k in
-            if dist_gt t off_v off_b then best := v
-            else if v < !best && not (dist_gt t off_b off_v) then best := v
-          end
-      done
-    end;
-    if !best < 0 then decr b
-  done;
-  !best
-
-let best_target t =
-  match t.variant with
-  | Ring -> best_target_ring t
-  | Bucketed -> best_target_bucketed t
 
 let gain_positive t v =
   let off = (t.nl + v) * t.k in

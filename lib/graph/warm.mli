@@ -20,18 +20,6 @@
 
 type t
 
-type variant =
-  | Ring
-      (** Historical selection: after each sweep, scan all [n_right]
-          vertices for the maximum-gain target — O(n_right) per sweep,
-          the quadratic term in the fix-family solves. *)
-  | Bucketed
-      (** Distance-bucketed candidate queue filled during the sweep;
-          selection walks buckets top-down with lazy revalidation.
-          Outcome-identical to [Ring] on every graph (same matching,
-          edge for edge — pinned by a 300-graph differential); cost per
-          sweep drops to O(labels improved). *)
-
 type stats = {
   sweeps : int;
       (** SPFA sweeps run — each is one augmenting-path search over the
@@ -43,12 +31,7 @@ type stats = {
           already-placed requests was needed *)
 }
 
-val create : ?variant:variant -> unit -> t
-(** Default [Ring] — callers that want the asymptotic win opt in to
-    [Bucketed] (the kernel does, by default, via
-    {!Strategies.Kernel}). *)
-
-val variant : t -> variant
+val create : unit -> t
 
 val begin_round : t -> n_right:int -> k:int -> unit
 (** Re-arm for a fresh subproblem: no left vertices, no edges, [n_right]

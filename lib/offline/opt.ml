@@ -12,46 +12,7 @@ let expanded inst =
   let _, m = expanded_matching inst in
   Graph.Matching.size m
 
-(* Group key: requests that are interchangeable for the optimum. *)
-let group_key (r : Request.t) =
-  (r.Request.arrival, r.Request.deadline, Array.to_list r.Request.alternatives)
-
-let grouped inst =
-  let groups = Hashtbl.create 64 in
-  Array.iter
-    (fun r ->
-       let key = group_key r in
-       Hashtbl.replace groups key
-         (1 + Option.value ~default:0 (Hashtbl.find_opt groups key)))
-    inst.Instance.requests;
-  let group_list = Hashtbl.fold (fun k v acc -> (k, v) :: acc) groups [] in
-  let n_groups = List.length group_list in
-  let n_slots = Instance.total_slots inst in
-  if n_groups = 0 then 0
-  else begin
-    let source = n_groups + n_slots in
-    let sink = source + 1 in
-    let f = Graph.Maxflow.create ~n_nodes:(sink + 1) in
-    List.iteri
-      (fun gi ((arrival, deadline, alternatives), count) ->
-         ignore (Graph.Maxflow.add_edge f ~src:source ~dst:gi ~cap:count);
-         List.iter
-           (fun res ->
-              for round = arrival to arrival + deadline - 1 do
-                let slot =
-                  n_groups + Instance.slot_index inst ~resource:res ~round
-                in
-                ignore (Graph.Maxflow.add_edge f ~src:gi ~dst:slot ~cap:1)
-              done)
-           alternatives)
-      group_list;
-    for s = 0 to n_slots - 1 do
-      ignore (Graph.Maxflow.add_edge f ~src:(n_groups + s) ~dst:sink ~cap:1)
-    done;
-    Graph.Maxflow.max_flow f ~source ~sink
-  end
-
-let value = grouped
+let value = expanded
 
 let single_alternative_edf inst =
   Array.iter

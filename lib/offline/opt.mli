@@ -1,16 +1,14 @@
 (** Offline optimum: the benchmark every competitive ratio divides by.
 
     The optimum number of servable requests equals the size of a maximum
-    matching in the paper's graph [G] ({!Sched.Paper_graph}).  Three
-    routes are provided:
-
-    - {!expanded}: Hopcroft–Karp on the one-node-per-request graph.
-      Exact, and the reference implementation.
-    - {!grouped}: Dinic max-flow after collapsing identical requests
-      (same arrival, alternatives and deadline) into capacity-weighted
-      group nodes.  Exact and far faster on the adversarial instances,
-      whose [block(a,d)] structures contain huge identical groups.
-    - {!value}: the default entry point (currently {!grouped}).
+    matching in the paper's graph [G] ({!Sched.Paper_graph}), computed
+    by Hopcroft–Karp on the one-node-per-request graph — the one
+    whole-instance route, whether or not metrics are on (a Dinic
+    max-flow over grouped identical requests measured 2–5.5x slower on
+    random and zoo instances; EXPERIMENTS.md).  The tests cross-check it
+    against the final value of {!Opt_stream}'s independent incremental
+    matching, with König certificates, and against the EDF oracle
+    below.
 
     For the per-round OPT {e prefix curve} of a long or streaming
     workload, use {!Opt_stream} — one incremental pass instead of
@@ -27,11 +25,8 @@ val expanded_matching :
 (** The graph [G] and one maximum matching in it (for alternating-path
     analysis against an online outcome). *)
 
-val grouped : Sched.Instance.t -> int
-(** Maximum matching size via grouped max-flow. *)
-
 val value : Sched.Instance.t -> int
-(** The offline optimum (grouped route). *)
+(** The offline optimum: {!expanded}. *)
 
 val single_alternative_edf : Sched.Instance.t -> int
 (** Greedy earliest-deadline-first optimum for instances in which every

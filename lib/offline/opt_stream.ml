@@ -67,8 +67,6 @@ let of_instance ?metrics inst =
 
 let prefix_curve ?metrics inst = curve (of_instance ?metrics inst)
 
-let value ?metrics inst = opt (of_instance ?metrics inst)
-
 let search_stats t = Graph.Augment.stats t.aug
 
 (* Naive baseline: one full from-scratch solve per prefix.  Kept here so

@@ -16,9 +16,8 @@
     matching of [G] restricted to slots of rounds [0..t] — what an
     offline scheduler could serve {e by the end of round [t]} from the
     requests revealed so far.  After the final round it equals
-    {!Opt.expanded} and {!Opt.grouped} exactly; the differential
-    property suite pins all three against each other and certifies cut
-    rounds with König covers.
+    {!Opt.value} exactly; the differential property suite pins the two
+    against each other and certifies cut rounds with König covers.
 
     The curve is non-decreasing and each round's increment lies in
     [0 .. n_resources] (a round adds only [n_resources] slots, and every
@@ -74,10 +73,6 @@ val of_instance : ?metrics:Obs.Metrics.t -> Sched.Instance.t -> t
 val prefix_curve : ?metrics:Obs.Metrics.t -> Sched.Instance.t -> int array
 (** [curve (of_instance inst)]: the full per-round OPT prefix curve,
     length [horizon], in one pass. *)
-
-val value : ?metrics:Obs.Metrics.t -> Sched.Instance.t -> int
-(** [opt (of_instance inst)] — drop-in compatible with {!Opt.value} /
-    {!Opt.expanded} / {!Opt.grouped}, via the streaming route. *)
 
 val naive_prefix_curve : Sched.Instance.t -> int array
 (** Reference implementation: one full Hopcroft–Karp solve per prefix,

@@ -11,14 +11,7 @@ let ratio_of ~opt ~served =
 let run_instance ?metrics inst factory =
   let metrics = Obs.Metrics.resolve metrics in
   let outcome = Sched.Engine.run ?metrics inst factory in
-  (* with metrics on, compute the optimum via the streaming tracker so
-     the run also profiles the augmenting-path machinery; the two
-     optima are pinned equal by the differential test-suite *)
-  let opt =
-    match metrics with
-    | Some m -> Offline.Opt_stream.value ~metrics:m inst
-    | None -> Offline.Opt.value inst
-  in
+  let opt = Offline.Opt.value inst in
   { outcome; opt; ratio = ratio_of ~opt ~served:outcome.Sched.Outcome.served }
 
 type anytime = {

@@ -15,7 +15,7 @@ val ratio_of : opt:int -> served:int -> float
     that served nothing. *)
 
 val run_scenario : Adversary.Scenario.t -> Sched.Strategy.factory -> run
-(** Run and compute the exact optimum (grouped max-flow); when the
+(** Run and compute the exact optimum ({!Offline.Opt.value}); when the
     scenario carries an [opt_hint] it is checked against the computed
     optimum and a mismatch raises [Failure] — the adversary constructions
     are exact, so disagreement means a bug. *)
@@ -24,10 +24,10 @@ val run_instance :
   ?metrics:Obs.Metrics.t -> Sched.Instance.t -> Sched.Strategy.factory ->
   run
 (** With a registry (explicit or ambient) the engine records its
-    per-round metrics, and the offline optimum is computed by the
-    instrumented streaming tracker ({!Offline.Opt_stream.value}, pinned
-    equal to {!Offline.Opt.value} by the differential suite) so the run
-    profiles the augmenting-path machinery too. *)
+    per-round metrics.  The optimum is always {!Offline.Opt.value}:
+    metrics observe the run, they never pick the algorithm that computes
+    what is measured.  {!run_instance_anytime} is the entry point that
+    profiles the streaming tracker ([opt_stream.*]). *)
 
 type anytime = {
   run : run;

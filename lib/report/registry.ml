@@ -5,13 +5,21 @@ let strategy_names =
     "greedy_firstfit";
   ]
 
-let solver_names = [ "kernel"; "kernel-ring"; "rebuild" ]
+let solvers =
+  [
+    ("kernel", Strategies.Global.Kernel);
+    ("rebuild", Strategies.Global.Rebuild);
+  ]
 
-let solver_of_name = function
-  | "kernel" -> Ok Strategies.Global.Kernel
-  | "kernel-ring" -> Ok Strategies.Global.Kernel_ring
-  | "rebuild" -> Ok Strategies.Global.Rebuild
-  | other -> Error (Printf.sprintf "unknown solver %S" other)
+let solver_names = List.map fst solvers
+
+let solver_of_name name =
+  match List.assoc_opt name solvers with
+  | Some s -> Ok s
+  | None ->
+    Error
+      (Printf.sprintf "unknown solver %S (expected one of: %s)" name
+         (String.concat ", " solver_names))
 
 let factory_of_name ~seed ?metrics ?solver name =
   match name with

@@ -12,12 +12,13 @@ val strategy_names : string list
 (** Every name {!factory_of_name} accepts, in display order. *)
 
 val solver_names : string list
-(** Solver names {!solver_of_name} accepts
-    (["kernel"; "kernel-ring"; "rebuild"]). *)
+(** Every name {!solver_of_name} accepts, in display order — the one
+    source for the CLI's [--solver] help and the error message. *)
 
 val solver_of_name : string -> (Strategies.Global.solver, string) result
 (** ["kernel"] is the warm-start incremental kernel (the default
-    everywhere), ["rebuild"] the from-scratch differential oracle. *)
+    everywhere), ["rebuild"] the from-scratch differential oracle; any
+    other name is an [Error] listing {!solver_names}. *)
 
 val factory_of_name :
   seed:int -> ?metrics:Obs.Metrics.t -> ?solver:Strategies.Global.solver ->

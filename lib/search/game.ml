@@ -95,7 +95,7 @@ let evaluate_instance ?metrics strat inst tags =
     Sched.Engine.run inst (strat.build ~solver:Global.Rebuild ~bias)
   in
   let agree = same_schedule kernel rebuild in
-  let opt = Offline.Opt_stream.value inst in
+  let opt = Offline.Opt.value inst in
   let alg = kernel.Sched.Outcome.served in
   let ratio =
     if alg > 0 then Prelude.Rat.make opt alg else Prelude.Rat.make 0 1

@@ -69,7 +69,7 @@ val evaluate_instance :
   strategy -> Sched.Instance.t -> Move.tag array -> eval
 (** Score one instance: run the strategy with the tag bias under both
     solvers, compare the schedules, and take OPT from
-    {!Offline.Opt_stream.value}.  Records [search.evals],
+    {!Offline.Opt.value}.  Records [search.evals],
     [search.disagreements] and the [search.eval_us] histogram into
     [metrics] (or the ambient registry). *)
 

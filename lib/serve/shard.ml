@@ -32,6 +32,7 @@ type t = {
   inbox : task Chan.t;
   outbox : (int * Protocol.server_msg) Chan.t; (* this shard's own ring *)
   metrics : Obs.Metrics.t;
+  depth_gauge : string; (* serve.shard<index>.queue_depth, built once *)
   live : Live.t;
   tags : Pool.Table.t; (* engine id -> (conn, tag), flat payload *)
   drain_buf : task array ref;        (* reusable inbox drain target *)
@@ -56,6 +57,7 @@ let create ?metrics ~index ~lo ~hi ~d ~queue_capacity ~strategy ~outbox () =
     inbox;
     outbox;
     metrics;
+    depth_gauge = Printf.sprintf "serve.shard%d.queue_depth" index;
     live = Live.create ~metrics ~n:(hi - lo) ~d strategy;
     tags = Pool.Table.create ~capacity:256 ~width:2 ();
     drain_buf = ref [||];
@@ -113,9 +115,7 @@ let step_once t =
   let depth = Chan.drain_into t.inbox t.drain_buf in
   let tasks = !(t.drain_buf) in
   let t0 = Obs.Span.start () in
-  Obs.Metrics.set t.metrics
-    (Printf.sprintf "serve.shard%d.queue_depth" t.index)
-    (float_of_int depth);
+  Obs.Metrics.set t.metrics t.depth_gauge (float_of_int depth);
   Obs.Metrics.observe t.metrics "serve.queue_depth" (float_of_int depth);
   for i = 0 to depth - 1 do
     let task = tasks.(i) in

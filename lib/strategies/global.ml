@@ -6,7 +6,7 @@ module Tiered = Graph.Tiered
 
 type kind = Kernel.kind = Fix | Current | Fix_balance | Eager | Balance | Remax
 
-type solver = Kernel | Kernel_ring | Rebuild
+type solver = Kernel | Rebuild
 
 (* The state below belongs to the Rebuild path: the naive from-scratch
    solver retained as the differential-testing oracle for the
@@ -263,9 +263,6 @@ let make kind ?(solver = Kernel) ?(bias = Strategy.no_bias) ?metrics () :
   match solver with
   | Kernel ->
     Kernel.make ~kind ~n ~d ~bias ~metrics:(Obs.Metrics.resolve metrics) ()
-  | Kernel_ring ->
-    Kernel.make ~variant:Graph.Warm.Ring ~kind ~n ~d ~bias
-      ~metrics:(Obs.Metrics.resolve metrics) ()
   | Rebuild ->
     let st =
       {

@@ -27,26 +27,21 @@
 
     Every factory returned here is deterministic given the bias.
 
-    Three interchangeable solvers realise each strategy.  [Kernel] (the
+    Two interchangeable solvers realise each strategy.  [Kernel] (the
     default) is the warm-start incremental round kernel ({!Kernel}):
     fix-family matchings are carried across rounds and only arrivals
     are solved; the full-reschedule family re-solves on the
-    allocation-free {!Graph.Warm} arena, with the bucketed
-    target-selection queue ({!Graph.Warm.variant} [Bucketed]).
-    [Kernel_ring] is the same kernel on the historical ring scan —
-    outcome-identical, kept so B.scale can measure the bucketed win and
-    the differential suite can pin the equality.  [Rebuild] is the
-    original from-scratch solver, kept as the differential-testing
-    oracle.  For any pure bias all three produce identical services
-    round for round (pinned by the differential suite); the non-default
-    solvers exist to keep that claim checkable forever, not for
-    production use.
+    allocation-free {!Graph.Warm} arena.  [Rebuild] is the original
+    from-scratch solver, kept as the differential-testing oracle.  For
+    any pure bias both produce identical services round for round
+    (pinned by the differential suite); [Rebuild] exists to keep that
+    claim checkable forever, not for production use.
 
     When a [metrics] registry is supplied (or ambient at factory-call
     time), the kernel records [strategy.kernel_us],
     [strategy.augment_searches] and [strategy.warm_hits] per step. *)
 
-type solver = Kernel | Kernel_ring | Rebuild
+type solver = Kernel | Rebuild
 
 val fix :
   ?solver:solver -> ?bias:Sched.Strategy.bias -> ?metrics:Obs.Metrics.t ->

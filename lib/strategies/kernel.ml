@@ -294,8 +294,7 @@ let step_core st ~round ~arrivals =
   | Current -> step_current st ~round ~arrivals
   | Eager | Balance | Remax -> step_full st ~round ~arrivals
 
-let make ?(variant = Warm.Bucketed) ~kind ~n ~d ~bias ~metrics () :
-  Strategy.t =
+let make ~kind ~n ~d ~bias ~metrics () : Strategy.t =
   let occ = Pool.Ints.create ~capacity:(n * d) ~width:2 () in
   (* a fresh arena hands out slots 0, 1, 2, ... — slot index = cell *)
   for _ = 1 to n * d do
@@ -310,7 +309,7 @@ let make ?(variant = Warm.Bucketed) ~kind ~n ~d ~bias ~metrics () :
       d;
       bias;
       metrics;
-      warm = Warm.create ~variant ();
+      warm = Warm.create ();
       occ;
       via = [||];
       via_len = 0;

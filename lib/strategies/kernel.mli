@@ -34,7 +34,6 @@ val kind_name : kind -> string
     ["A_eager"], ["A_balance"]; the ablation is ["A_remax"]. *)
 
 val make :
-  ?variant:Graph.Warm.variant ->
   kind:kind ->
   n:int ->
   d:int ->
@@ -42,12 +41,8 @@ val make :
   metrics:Obs.Metrics.t option ->
   unit ->
   Sched.Strategy.t
-(** One kernel instance (strategy state is per-instance).  [variant]
-    selects the {!Graph.Warm} target-selection structure and defaults
-    to [Bucketed] — outcome-identical to [Ring] but without the
-    O(n_right) scan per augmenting search that made fix-family rounds
-    quadratic (B.scale carries the ring rows for comparison via
-    [~solver:Kernel_ring]).  When [metrics] is present, each step
+(** One kernel instance (strategy state is per-instance).  When
+    [metrics] is present, each step
     records [strategy.kernel_us] (histogram, µs per round) and counts
     [strategy.augment_searches] (SPFA sweeps) and [strategy.warm_hits]
     (single-edge augmentations). *)

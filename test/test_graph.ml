@@ -1,6 +1,6 @@
 (* Tests for the graph substrate: bipartite graphs, matchings,
-   Hopcroft-Karp, the tiered-weight matching engine, Dinic max-flow and
-   the alternating-path decomposition, each validated against brute-force
+   Hopcroft-Karp, the tiered-weight matching engine and the
+   alternating-path decomposition, each validated against brute-force
    oracles on randomly generated small graphs. *)
 
 module Rng = Prelude.Rng
@@ -9,7 +9,6 @@ module Matching = Graph.Matching
 module Hopcroft_karp = Graph.Hopcroft_karp
 module Lexvec = Graph.Lexvec
 module Tiered = Graph.Tiered
-module Maxflow = Graph.Maxflow
 module Brute = Graph.Brute
 module Altpath = Graph.Altpath
 
@@ -357,120 +356,6 @@ let test_tiered_weight_length_mismatch () =
     (fun () -> ignore (Tiered.solve g ~weight))
 
 (* ------------------------------------------------------------------ *)
-(* Maxflow *)
-
-let test_maxflow_simple () =
-  (* source 0 -> {1,2} -> sink 3 *)
-  let f = Maxflow.create ~n_nodes:4 in
-  ignore (Maxflow.add_edge f ~src:0 ~dst:1 ~cap:3);
-  ignore (Maxflow.add_edge f ~src:0 ~dst:2 ~cap:2);
-  ignore (Maxflow.add_edge f ~src:1 ~dst:3 ~cap:2);
-  ignore (Maxflow.add_edge f ~src:2 ~dst:3 ~cap:4);
-  check Alcotest.int "maxflow" 4 (Maxflow.max_flow f ~source:0 ~sink:3)
-
-let test_maxflow_bottleneck () =
-  let f = Maxflow.create ~n_nodes:3 in
-  ignore (Maxflow.add_edge f ~src:0 ~dst:1 ~cap:100);
-  let mid = Maxflow.add_edge f ~src:1 ~dst:2 ~cap:7 in
-  check Alcotest.int "bottleneck" 7 (Maxflow.max_flow f ~source:0 ~sink:2);
-  check Alcotest.int "flow on arc" 7 (Maxflow.flow_on f mid)
-
-let test_maxflow_min_cut () =
-  let f = Maxflow.create ~n_nodes:4 in
-  ignore (Maxflow.add_edge f ~src:0 ~dst:1 ~cap:3);
-  ignore (Maxflow.add_edge f ~src:0 ~dst:2 ~cap:2);
-  ignore (Maxflow.add_edge f ~src:1 ~dst:3 ~cap:2);
-  ignore (Maxflow.add_edge f ~src:2 ~dst:3 ~cap:4);
-  let flow = Maxflow.max_flow f ~source:0 ~sink:3 in
-  check Alcotest.bool "cut certificate" true
-    (Maxflow.is_cut_certificate f ~source:0 ~sink:3 ~flow);
-  let cut = Maxflow.min_cut f ~source:0 in
-  check Alcotest.bool "source in cut" true (List.mem 0 cut);
-  check Alcotest.bool "sink not in cut" false (List.mem 3 cut)
-
-let prop_maxflow_cut_certificate =
-  qtest ~count:300 "min-cut certificate holds on random unit networks"
-    graph_arb (fun (nl, nr, edges) ->
-        let f = Maxflow.create ~n_nodes:(nl + nr + 2) in
-        let source = nl + nr in
-        let sink = source + 1 in
-        for u = 0 to nl - 1 do
-          ignore (Maxflow.add_edge f ~src:source ~dst:u ~cap:1)
-        done;
-        for v = 0 to nr - 1 do
-          ignore (Maxflow.add_edge f ~src:(nl + v) ~dst:sink ~cap:1)
-        done;
-        List.iter
-          (fun (u, v) ->
-             ignore (Maxflow.add_edge f ~src:u ~dst:(nl + v) ~cap:1))
-          edges;
-        let flow = Maxflow.max_flow f ~source ~sink in
-        Maxflow.is_cut_certificate f ~source ~sink ~flow)
-
-let test_maxflow_disconnected () =
-  let f = Maxflow.create ~n_nodes:4 in
-  ignore (Maxflow.add_edge f ~src:0 ~dst:1 ~cap:5);
-  ignore (Maxflow.add_edge f ~src:2 ~dst:3 ~cap:5);
-  check Alcotest.int "no path" 0 (Maxflow.max_flow f ~source:0 ~sink:3)
-
-let prop_maxflow_equals_matching =
-  (* unit-capacity bipartite flow = maximum matching *)
-  qtest ~count:400 "unit bipartite max-flow = max matching" graph_arb
-    (fun (nl, nr, edges) ->
-       let g = build (nl, nr, edges) in
-       let f = Maxflow.create ~n_nodes:(nl + nr + 2) in
-       let source = nl + nr and sink = nl + nr + 1 in
-       for u = 0 to nl - 1 do
-         ignore (Maxflow.add_edge f ~src:source ~dst:u ~cap:1)
-       done;
-       for v = 0 to nr - 1 do
-         ignore (Maxflow.add_edge f ~src:(nl + v) ~dst:sink ~cap:1)
-       done;
-       List.iter
-         (fun (u, v) -> ignore (Maxflow.add_edge f ~src:u ~dst:(nl + v) ~cap:1))
-         edges;
-       Maxflow.max_flow f ~source ~sink = Brute.max_matching_size g)
-
-let prop_maxflow_grouping_invariance =
-  (* duplicating a left vertex k times with unit capacities equals giving
-     it capacity k: the grouped-OPT trick used by lib/offline *)
-  qtest ~count:200 "grouped capacity = expanded duplicates"
-    QCheck.(pair graph_arb (int_range 1 3))
-    (fun ((nl, nr, edges), k) ->
-       (* expanded: k copies of each left vertex *)
-       let fe = Maxflow.create ~n_nodes:((nl * k) + nr + 2) in
-       let source = (nl * k) + nr in
-       let sink = source + 1 in
-       for u = 0 to (nl * k) - 1 do
-         ignore (Maxflow.add_edge fe ~src:source ~dst:u ~cap:1)
-       done;
-       for v = 0 to nr - 1 do
-         ignore (Maxflow.add_edge fe ~src:((nl * k) + v) ~dst:sink ~cap:1)
-       done;
-       List.iter
-         (fun (u, v) ->
-            for c = 0 to k - 1 do
-              ignore
-                (Maxflow.add_edge fe ~src:((u * k) + c) ~dst:((nl * k) + v)
-                   ~cap:1)
-            done)
-         edges;
-       let expanded = Maxflow.max_flow fe ~source ~sink in
-       (* grouped: one node per left vertex with source capacity k *)
-       let fg = Maxflow.create ~n_nodes:(nl + nr + 2) in
-       let source = nl + nr and sink = nl + nr + 1 in
-       for u = 0 to nl - 1 do
-         ignore (Maxflow.add_edge fg ~src:source ~dst:u ~cap:k)
-       done;
-       for v = 0 to nr - 1 do
-         ignore (Maxflow.add_edge fg ~src:(nl + v) ~dst:sink ~cap:1)
-       done;
-       List.iter
-         (fun (u, v) -> ignore (Maxflow.add_edge fg ~src:u ~dst:(nl + v) ~cap:1))
-         edges;
-       Maxflow.max_flow fg ~source ~sink = expanded)
-
-(* ------------------------------------------------------------------ *)
 (* Altpath *)
 
 let test_altpath_single_augmenting () =
@@ -747,16 +632,6 @@ let () =
           prop_tiered_certificate;
           prop_tiered_three_tiers;
           prop_tiered_positive_weights_max_cardinality;
-        ] );
-      ( "maxflow",
-        [
-          Alcotest.test_case "simple" `Quick test_maxflow_simple;
-          Alcotest.test_case "bottleneck" `Quick test_maxflow_bottleneck;
-          Alcotest.test_case "disconnected" `Quick test_maxflow_disconnected;
-          Alcotest.test_case "min cut" `Quick test_maxflow_min_cut;
-          prop_maxflow_equals_matching;
-          prop_maxflow_grouping_invariance;
-          prop_maxflow_cut_certificate;
         ] );
       ( "altpath",
         [

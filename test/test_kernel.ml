@@ -312,58 +312,6 @@ let prop_warm_equals_tiered =
       in
       lefts_equal && rights_equal)
 
-(* Satellite of the bucketed-SPFA change: the bucketed target-selection
-   queue must reproduce the ring scan's matching slot-for-slot on raw
-   weighted graphs — same 300-graph generator as the Tiered
-   differential, but driving two Warm arenas that differ only in
-   variant. *)
-let prop_warm_bucketed_equals_ring =
-  qtest ~count:300 "Warm Bucketed == Ring on random weighted graphs"
-    graph_arb (fun (nl, nr, k, seed) ->
-      let rng = Rng.create ~seed in
-      let ring = Graph.Warm.create ~variant:Graph.Warm.Ring () in
-      let buck = Graph.Warm.create ~variant:Graph.Warm.Bucketed () in
-      Graph.Warm.begin_round ring ~n_right:nr ~k;
-      Graph.Warm.begin_round buck ~n_right:nr ~k;
-      for _ = 0 to nl - 1 do
-        ignore (Graph.Warm.add_left ring : int);
-        ignore (Graph.Warm.add_left buck : int);
-        let degree = if nr = 0 then 0 else Rng.int rng (nr + 1) in
-        for _ = 1 to degree do
-          let right = Rng.int rng nr in
-          let e = Graph.Warm.add_edge ring ~right in
-          let e' = Graph.Warm.add_edge buck ~right in
-          for j = 0 to k - 1 do
-            let w = Rng.int rng 7 - 3 in
-            Graph.Warm.set_weight ring e j w;
-            Graph.Warm.set_weight buck e' j w
-          done
-        done
-      done;
-      Graph.Warm.solve ring;
-      Graph.Warm.solve buck;
-      List.for_all
-        (fun l ->
-           Graph.Warm.left_to buck l = Graph.Warm.left_to ring l
-           && Graph.Warm.left_edge buck l = Graph.Warm.left_edge ring l)
-        (List.init nl Fun.id)
-      && List.for_all
-           (fun r -> Graph.Warm.right_to buck r = Graph.Warm.right_to ring r)
-           (List.init nr Fun.id))
-
-(* ... and end to end: the default (bucketed) kernel against the
-   ring-scan kernel across all strategies on random engine instances. *)
-let prop_kernel_bucketed_equals_ring =
-  qtest ~count:100 "kernel (bucketed) == kernel-ring on random instances"
-    instance_arb (fun spec ->
-      let inst = build_random spec in
-      List.for_all
-        (fun ((_, maker) : string * maker) ->
-           let b = Engine.run inst (maker ~solver:Global.Kernel ()) in
-           let r = Engine.run inst (maker ~solver:Global.Kernel_ring ()) in
-           outcome_sig b = outcome_sig r)
-        makers)
-
 (* ------------------------------------------------------------------ *)
 (* kernel metrics *)
 
@@ -401,8 +349,6 @@ let () =
       ( "warm-arena",
         [
           prop_warm_equals_tiered;
-          prop_warm_bucketed_equals_ring;
-          prop_kernel_bucketed_equals_ring;
         ] );
       ("metrics", [ Alcotest.test_case "counters" `Quick test_kernel_metrics ]);
     ]

@@ -335,7 +335,9 @@ let test_engine_metrics_consistent () =
 let test_opt_stream_metrics_consistent () =
   let m = Metrics.create () in
   let inst = small_instance () in
-  let v = Offline.Opt_stream.value ~metrics:m inst in
+  let v =
+    Offline.Opt_stream.opt (Offline.Opt_stream.of_instance ~metrics:m inst)
+  in
   check Alcotest.int "instrumentation does not change the optimum"
     (Offline.Opt.value inst) v;
   check Alcotest.int "augmentations = optimum" v
@@ -349,19 +351,27 @@ let test_opt_stream_metrics_consistent () =
     (Metrics.counter m "opt_stream.warm_hits" <= v)
 
 let test_ambient_reaches_harness () =
+  let inst = small_instance () in
+  let plain = Report.Harness.run_instance inst (Strategies.Global.fix ()) in
   let m = Metrics.create () in
   Metrics.set_ambient (Some m);
   Fun.protect
     ~finally:(fun () -> Metrics.set_ambient None)
     (fun () ->
-       let r =
-         Report.Harness.run_instance (small_instance ())
-           (Strategies.Global.fix ())
-       in
+       let r = Report.Harness.run_instance inst (Strategies.Global.fix ()) in
        check Alcotest.int "engine counters reach the ambient registry"
          r.Report.Harness.outcome.Sched.Outcome.served
          (Metrics.counter m "engine.served");
-       check Alcotest.bool "opt_stream counters too" true
+       check Alcotest.int "metrics do not change the optimum"
+         plain.Report.Harness.opt r.Report.Harness.opt;
+       check Alcotest.int "run_instance leaves opt_stream alone" 0
+         (Metrics.counter m "opt_stream.rounds");
+       let a =
+         Report.Harness.run_instance_anytime inst (Strategies.Global.fix ())
+       in
+       check Alcotest.int "anytime optimum agrees" plain.Report.Harness.opt
+         a.Report.Harness.run.Report.Harness.opt;
+       check Alcotest.bool "run_instance_anytime profiles opt_stream" true
          (Metrics.counter m "opt_stream.rounds" > 0))
 
 (* ------------------------------------------------------------------ *)

@@ -1,6 +1,7 @@
-(* Tests for the offline optimum solvers: the grouped max-flow route
-   must agree with Hopcroft-Karp on the expanded graph, and the greedy
-   EDF oracle must match both on single-alternative instances. *)
+(* Tests for the offline optimum: Hopcroft-Karp on the paper graph
+   must agree with the streaming tracker's independent incremental
+   matching and carry a Koenig certificate, and the greedy EDF oracle
+   must match it on single-alternative instances. *)
 
 module Request = Sched.Request
 module Instance = Sched.Instance
@@ -26,8 +27,7 @@ let test_opt_trivial () =
       ]
   in
   (* 2 resources, 1 round each: optimum 2 of 3 *)
-  check Alcotest.int "expanded" 2 (Offline.Opt.expanded inst);
-  check Alcotest.int "grouped" 2 (Offline.Opt.grouped inst)
+  check Alcotest.int "expanded" 2 (Offline.Opt.expanded inst)
 
 let test_opt_block_saturation () =
   (* a block(2,d) exactly saturates its pair *)
@@ -62,8 +62,7 @@ let test_opt_ring_block () =
 
 let test_opt_empty () =
   let inst = Instance.build ~n_resources:3 ~d:2 [] in
-  check Alcotest.int "empty expanded" 0 (Offline.Opt.expanded inst);
-  check Alcotest.int "empty grouped" 0 (Offline.Opt.grouped inst)
+  check Alcotest.int "empty expanded" 0 (Offline.Opt.expanded inst)
 
 let test_opt_windows_matter () =
   (* same resource, deadline 1: only one of two same-round requests *)
@@ -138,12 +137,6 @@ let build_random ((n, d, n_req, seed), alts_max) =
   done;
   Instance.build ~n_resources:n ~d (List.rev !protos)
 
-let prop_grouped_equals_expanded =
-  qtest ~count:250 "grouped max-flow = Hopcroft-Karp"
-    (instance_arb ~alts_max:3) (fun spec ->
-        let inst = build_random spec in
-        Offline.Opt.grouped inst = Offline.Opt.expanded inst)
-
 let prop_edf_oracle_equals_matching =
   qtest ~count:250 "EDF oracle = maximum matching (single alternative)"
     (instance_arb ~alts_max:1) (fun spec ->
@@ -167,7 +160,8 @@ let prop_expanded_matching_is_valid =
         let inst = build_random spec in
         let g, m = Offline.Opt.expanded_matching inst in
         Graph.Matching.is_valid g m
-        && Graph.Matching.size m = Offline.Opt.grouped inst)
+        && Graph.Matching.size m
+           = Offline.Opt_stream.opt (Offline.Opt_stream.of_instance inst))
 
 let prop_opt_koenig_certified =
   (* independent optimality certificate: a vertex cover of equal size
@@ -179,7 +173,7 @@ let prop_opt_koenig_certified =
         Graph.Hopcroft_karp.is_koenig_certificate g m)
 
 (* ------------------------------------------------------------------ *)
-(* streaming optimum: differential tests against the exact solvers *)
+(* streaming optimum: differential tests against the exact solver *)
 
 (* curve sanity shared by every streaming test: monotone, per-round
    increments within the slot capacity, final value = the full optimum *)
@@ -198,12 +192,12 @@ let curve_well_formed inst curve =
     !ok
   end
 
-let prop_stream_equals_exact_solvers =
-  qtest ~count:300 "Opt_stream = expanded = grouped (random instances)"
+let prop_stream_equals_expanded =
+  qtest ~count:300 "Opt_stream = expanded (random instances)"
     (instance_arb ~alts_max:3) (fun spec ->
         let inst = build_random spec in
-        let s = Offline.Opt_stream.value inst in
-        s = Offline.Opt.expanded inst && s = Offline.Opt.grouped inst)
+        Offline.Opt_stream.opt (Offline.Opt_stream.of_instance inst)
+        = Offline.Opt.expanded inst)
 
 let workload_arb =
   QCheck.make
@@ -256,9 +250,7 @@ let test_stream_theorem_adversaries () =
     (fun (name, inst) ->
        let expanded = Offline.Opt.expanded inst in
        check Alcotest.int (name ^ ": stream = expanded") expanded
-         (Offline.Opt_stream.value inst);
-       check Alcotest.int (name ^ ": grouped = expanded") expanded
-         (Offline.Opt.grouped inst);
+         (Offline.Opt_stream.opt (Offline.Opt_stream.of_instance inst));
        let curve = Offline.Opt_stream.prefix_curve inst in
        check Alcotest.bool (name ^ ": curve well-formed") true
          (curve_well_formed inst curve);
@@ -358,7 +350,6 @@ let () =
         ] );
       ( "properties",
         [
-          prop_grouped_equals_expanded;
           prop_edf_oracle_equals_matching;
           prop_opt_monotone_in_duplication;
           prop_expanded_matching_is_valid;
@@ -372,7 +363,7 @@ let () =
             test_stream_incremental_api;
           Alcotest.test_case "koenig at cut rounds" `Quick
             test_stream_koenig_at_cut_rounds;
-          prop_stream_equals_exact_solvers;
+          prop_stream_equals_expanded;
           prop_stream_curve_on_workloads;
           prop_stream_koenig_at_random_cuts;
         ] );

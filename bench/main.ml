@@ -1,59 +1,12 @@
-(* The reproduction harness.
-
-   Running this executable regenerates every quantitative claim of the
-   paper (Table 1 lower and upper bounds, the universal bound, the EDF
-   observations and both local strategies; see DESIGN.md §3 for the
-   index), preceded by Bechamel micro-benchmarks of the machinery —
-   one Test.make per experiment family.
-
-   Flags:
-     --quick        small parameters (the test suite's sizes)
-     --no-micro     skip the bench families (B.micro .. B.serve)
-     --only ID      run a single experiment or bench family (by id
-                    prefix, e.g. T1.fix or B.scale)
-     --csv DIR      also write each experiment table as DIR/<id>.csv
-     --json FILE    dump every bench measurement as machine-readable
-                    family/metric/value records (the perf trajectory
-                    baseline committed as BENCH_scale.json)
-     --jobs N       worker domains for the experiment job runner
-     --cache-dir D  cache job results under D (with --resume: read too)
-     --resume       answer jobs from the cache when possible
-     --retries K    extra attempts per failing job
-     --metrics FMT  format of the closing metrics dump: text (default),
-                    csv or json
-     --metrics-out FILE  write the metrics dump to FILE instead of stdout
-     --no-metrics   run without the ambient metrics registry (the
-                    baseline for measuring instrumentation overhead) *)
+(* The bench harness: the B.* families, each a cost model of one piece
+   of the machinery with checks that feed the exit code (see
+   EXPERIMENTS.md).  The reproduction experiments themselves run
+   through [reqsched exp].  [--json FILE] dumps every measurement (the
+   committed BENCH_*.json baselines are quick-run dumps); [--help]
+   lists the other options, which are shared with [reqsched]. *)
 
 open Bechamel
 open Toolkit
-
-let flag name = Report.Flags.flag Sys.argv name
-
-(* a value flag with a missing value is a usage error, not a silent
-   None (the old in-house parser dropped a trailing "--only") *)
-let string_flag name =
-  match Report.Flags.value_flag Sys.argv name with
-  | Ok v -> v
-  | Error msg ->
-    Printf.eprintf
-      "bench: %s\nusage: main.exe [--quick] [--no-micro] [--only ID] [--csv \
-       DIR] [--json FILE] [--jobs N] [--cache-dir DIR] [--resume] \
-       [--retries K] [--metrics FMT] [--metrics-out FILE] [--no-metrics]\n"
-      msg;
-    exit 2
-
-let int_flag name =
-  match string_flag name with
-  | None -> None
-  | Some s ->
-    (match int_of_string_opt s with
-     | Some v -> Some v
-     | None ->
-       Printf.eprintf "bench: %s expects an integer, got %S\n" name s;
-       exit 2)
-
-let only_filter () = string_flag "--only"
 
 (* ------------------------------------------------------------------ *)
 (* bench checks and the --json record sink *)
@@ -63,6 +16,12 @@ let bench_check_failures = ref 0
 let check name ok =
   Printf.printf "check: %s: %b\n%!" name ok;
   if not ok then incr bench_check_failures
+
+(* [f ()] and its wall-clock milliseconds *)
+let time_ms f =
+  let t0 = Unix.gettimeofday () in
+  let v = f () in
+  (v, 1e3 *. (Unix.gettimeofday () -. t0))
 
 (* Every bench family reports its measurements here; --json FILE dumps
    them as one array of {family, params, metric, value} objects. *)
@@ -421,29 +380,35 @@ let run_serve ~quick =
       ~load:6.0 ()
   in
   let strategy2 ~shard:_ ~metrics:_ = Strategies.Twochoice.least_loaded () in
-  (* best-of-3 fresh-server runs per mode, after a compaction: when the
+  (* best-of-3 fresh-server runs by [key], after a compaction: when the
      whole bench runs, the Bechamel micro families leave an inflated
-     major heap behind, and one unlucky GC pause or scheduler stall
-     inside a submit window is enough to blur the >=2x submission-path
-     assertion *)
-  let run_load batch =
+     major heap behind, and on an oversubscribed box one unlucky GC
+     pause or scheduler stall is enough to blur the >=2x assertions *)
+  let best_of_3 ~key ?domains ~batch () =
     Gc.compact ();
     let best = ref None in
     for _ = 1 to 3 do
       match
-        serve_once ~inst:inst2 ~n:n2 ~d:d2 ~shards:4 ~strategy:strategy2
-          ~batch ()
+        serve_once ?domains ~inst:inst2 ~n:n2 ~d:d2 ~shards:4
+          ~strategy:strategy2 ~batch ()
       with
       | Error _ -> ()
       | Ok r ->
         (match !best with
-         | Some b when b.Serve.Client.submit_s <= r.Serve.Client.submit_s ->
-           ()
+         | Some b when key b <= key r -> ()
          | _ -> best := Some r)
     done;
-    match !best with
-    | Some r -> Ok r
-    | None -> Error "all runs failed"
+    Option.to_result ~none:"all runs failed" !best
+  in
+  let req_per_s (r : Serve.Client.report) =
+    if r.duration > 0.0 then float_of_int r.submitted /. r.duration else 0.0
+  in
+  let rtt_ms (r : Serve.Client.report) p =
+    if Array.length r.rtt_samples = 0 then nan
+    else 1e3 *. Prelude.Stats.quantile r.rtt_samples p
+  in
+  let run_load batch =
+    best_of_3 ~key:(fun r -> r.Serve.Client.submit_s) ~batch ()
   in
   (match run_load 1, run_load 64 with
    | Error msg, _ | _, Error msg ->
@@ -462,11 +427,7 @@ let run_serve ~quick =
          ()
      in
      let row name (r : Serve.Client.report) =
-       let rqs =
-         if r.Serve.Client.duration > 0.0 then
-           float_of_int r.Serve.Client.submitted /. r.Serve.Client.duration
-         else 0.0
-       in
+       let rqs = req_per_s r in
        (* the submission-path rate isolates what batching accelerates:
           seconds spent rendering and writing frames, apart from the
           lock-step round-trips that dominate [duration] *)
@@ -475,10 +436,7 @@ let run_serve ~quick =
            float_of_int r.Serve.Client.submitted /. r.Serve.Client.submit_s
          else 0.0
        in
-       let q p =
-         if Array.length r.Serve.Client.rtt_samples = 0 then nan
-         else 1e3 *. Prelude.Stats.quantile r.Serve.Client.rtt_samples p
-       in
+       let q = rtt_ms r in
        let params =
          [ ("n", string_of_int n2); ("d", string_of_int d2);
            ("rounds", string_of_int rounds2); ("mode", name) ]
@@ -534,25 +492,7 @@ let run_serve ~quick =
      is checked there. *)
   let cores = Domain.recommended_domain_count () in
   let run_domains ~domains ~batch =
-    Gc.compact ();
-    (* best-of-3: on an oversubscribed box the OS scheduler adds real
-       variance between identical runs *)
-    let best = ref None in
-    for _ = 1 to 3 do
-      match
-        serve_once ~domains ~inst:inst2 ~n:n2 ~d:d2 ~shards:4
-          ~strategy:strategy2 ~batch ()
-      with
-      | Error _ -> ()
-      | Ok r ->
-        (match !best with
-         | Some b when b.Serve.Client.duration <= r.Serve.Client.duration ->
-           ()
-         | _ -> best := Some r)
-    done;
-    match !best with
-    | Some r -> Ok r
-    | None -> Error "all runs failed"
+    best_of_3 ~key:(fun r -> r.Serve.Client.duration) ~domains ~batch ()
   in
   let grid =
     List.concat_map
@@ -587,15 +527,7 @@ let run_serve ~quick =
     in
     let stats ((domains, batch), (r : Serve.Client.report)) =
       let mode = if batch = 1 then "per-line" else "batched x64" in
-      let rqs =
-        if r.Serve.Client.duration > 0.0 then
-          float_of_int r.Serve.Client.submitted /. r.Serve.Client.duration
-        else 0.0
-      in
-      let q p =
-        if Array.length r.Serve.Client.rtt_samples = 0 then nan
-        else 1e3 *. Prelude.Stats.quantile r.Serve.Client.rtt_samples p
-      in
+      let rqs = req_per_s r and q = rtt_ms r in
       let params =
         [ ("n", string_of_int n2); ("d", string_of_int d2);
           ("rounds", string_of_int rounds2);
@@ -718,19 +650,6 @@ let run_cluster ~quick =
     in
     (o, stats, dt)
   in
-  let decisions (o : Sched.Outcome.t) =
-    let lines = ref [] in
-    Array.iteri
-      (fun id sv ->
-         match sv with
-         | Some (res, round) -> lines := (round, id, res) :: !lines
-         | None -> ())
-      o.Sched.Outcome.served_at;
-    String.concat "\n"
-      (List.map
-         (fun (round, id, res) -> Printf.sprintf "t%d sched@%d S%d" round id res)
-         (List.sort compare !lines))
-  in
   (* part 1: the straddle sweep on 2 nodes under A_local_fix *)
   let table =
     Prelude.Texttable.create
@@ -794,7 +713,7 @@ let run_cluster ~quick =
          let o, _, _ =
            run_one ~strategy:Cluster.Session.Local_fix ~nodes inv_inst
          in
-         decisions o)
+         Report.Export.decisions_of_outcome o)
       [ 1; 2; 3 ]
   in
   check "decisions byte-identical across 1/2/3-node layouts"
@@ -863,16 +782,11 @@ let run_stream ~quick =
        let inst =
          Adversary.Random_workload.make ~rng ~n ~d ~rounds ~load:1.1 ()
        in
-       let time f =
-         let t0 = Unix.gettimeofday () in
-         let r = f () in
-         (r, (Unix.gettimeofday () -. t0) *. 1e3)
-       in
        let stream_curve, stream_ms =
-         time (fun () -> Offline.Opt_stream.prefix_curve inst)
+         time_ms (fun () -> Offline.Opt_stream.prefix_curve inst)
        in
        let naive_curve, naive_ms =
-         time (fun () -> Offline.Opt_stream.naive_prefix_curve inst)
+         time_ms (fun () -> Offline.Opt_stream.naive_prefix_curve inst)
        in
        let speedup = naive_ms /. stream_ms in
        if speedup < !min_speedup then min_speedup := speedup;
@@ -962,11 +876,6 @@ let run_jobs ~quick =
 let run_zoo ~quick =
   let n, d, rounds = Report.Zoo.tier ~quick in
   let seed = Report.Zoo.seed in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let v = f () in
-    (v, 1e3 *. (Unix.gettimeofday () -. t0))
-  in
   let feq a b = (Float.is_nan a && Float.is_nan b) || a = b in
   let scores_equal (a : Analysis.Slo.scores) (b : Analysis.Slo.scores) =
     a.submitted = b.submitted && a.served = b.served && a.expired = b.expired
@@ -1003,10 +912,10 @@ let run_zoo ~quick =
          f.generate ~n ~d ~rounds ~load:f.default_load ~seed
        in
        let streamed, stream_ms =
-         time (fun () -> Analysis.Slo.score_stream inst (factory ()))
+         time_ms (fun () -> Analysis.Slo.score_stream inst (factory ()))
        in
        let batch, batch_ms =
-         time (fun () ->
+         time_ms (fun () ->
              Analysis.Slo.of_outcome (Sched.Engine.run inst (factory ())))
        in
        let s = streamed.Analysis.Slo.scores in
@@ -1085,98 +994,55 @@ let run_micro () =
 
 (* ------------------------------------------------------------------ *)
 
-let () =
-  let quick = flag "--quick" in
-  let metrics_fmt =
-    match string_flag "--metrics" with
-    | None -> Obs.Export.Text
-    | Some s ->
-      (match Obs.Export.format_of_string s with
-       | Ok f -> f
-       | Error msg ->
-         Printf.eprintf "bench: %s\n" msg;
-         exit 2)
-  in
-  let metrics_out = string_flag "--metrics-out" in
-  let metrics =
-    if flag "--no-metrics" then None
-    else begin
-      let m = Obs.Metrics.create () in
-      Obs.Metrics.set_ambient (Some m);
-      Some m
-    end
+let families =
+  [
+    ("B.micro", fun ~quick:_ -> run_micro ());
+    ("B.scale", run_scale);
+    ("B.stream", run_stream);
+    ("B.jobs", run_jobs);
+    ("B.serve", run_serve);
+    ("B.cluster", run_cluster);
+    ("B.zoo", run_zoo);
+  ]
+
+let main quick only json metrics =
+  Cli.with_metrics metrics @@ fun _ ->
+  let ( let* ) = Result.bind in
+  let* selected =
+    match only with None -> Ok families | Some id -> Cli.select id families
   in
   let t0 = Unix.gettimeofday () in
   Printf.printf
-    "reqsched reproduction harness -- Berenbrink, Riedel, Scheideler (SPAA \
-     1999)\nmode: %s\n\n%!"
+    "reqsched bench harness -- Berenbrink, Riedel, Scheideler (SPAA 1999)\n\
+     mode: %s\n\n%!"
     (if quick then "quick" else "full");
-  let only = only_filter () in
-  let selected id =
-    match only with
-    | None -> true
-    | Some prefix ->
-      String.length id >= String.length prefix
-      && String.sub id 0 (String.length prefix) = prefix
-  in
-  (* bench families have ids like the experiments, so --only B.scale
-     runs just that family (and no experiments) *)
-  let bench_family id f = if (not (flag "--no-micro")) && selected id then f () in
-  bench_family "B.micro" run_micro;
-  bench_family "B.scale" (fun () -> run_scale ~quick);
-  bench_family "B.stream" (fun () -> run_stream ~quick);
-  bench_family "B.jobs" (fun () -> run_jobs ~quick);
-  bench_family "B.serve" (fun () -> run_serve ~quick);
-  bench_family "B.cluster" (fun () -> run_cluster ~quick);
-  bench_family "B.zoo" (fun () -> run_zoo ~quick);
-  let catalog =
-    List.filter (fun (id, _) -> selected id)
-      (Report.Experiments.catalog @ Report.Zoo.catalog)
-  in
-  let ctx =
-    Report.Jobs.create ?domains:(int_flag "--jobs")
-      ?cache_dir:(string_flag "--cache-dir")
-      ~resume:(flag "--resume")
-      ~retries:(Option.value ~default:0 (int_flag "--retries"))
-      ?metrics ()
-  in
-  let experiments = List.map (fun (_, f) -> f ~ctx ~quick) catalog in
-  let csv_dir = string_flag "--csv" in
-  (match csv_dir with
-   | Some dir when not (Sys.file_exists dir) -> Sys.mkdir dir 0o755
-   | Some _ | None -> ());
-  let failures = ref 0 in
-  List.iter
-    (fun (e : Report.Experiments.t) ->
-       print_string (Report.Experiments.render e);
-       (match csv_dir with
-        | Some dir ->
-          Report.Export.write_file
-            ~path:(Filename.concat dir (e.id ^ ".csv"))
-            (Report.Export.csv_of_table e.table)
-        | None -> ());
-       List.iter (fun (_, ok) -> if not ok then incr failures) e.checks)
-    experiments;
-  let job_failures = Report.Jobs.render_failures ctx in
-  if job_failures <> "" then print_string job_failures;
-  print_endline (Report.Jobs.summary ctx);
-  Report.Jobs.finish ctx;
-  Printf.printf "total: %d experiments, %d failed checks, %.1f s\n"
-    (List.length experiments)
-    (!failures + !bench_check_failures)
+  List.iter (fun (_, run) -> run ~quick) selected;
+  Printf.printf "total: %d families, %d failed checks, %.1f s\n"
+    (List.length selected) !bench_check_failures
     (Unix.gettimeofday () -. t0);
-  (match string_flag "--json" with
-   | Some path ->
-     write_json path;
-     Printf.printf "json: wrote %s (%d records)\n" path
-       (List.length !json_records)
-   | None -> ());
-  (match metrics with
-   | None -> ()
-   | Some m ->
-     print_newline ();
-     Obs.Export.output ?path:metrics_out metrics_fmt (Obs.Metrics.snapshot m);
-     (match metrics_out with
-      | Some path -> Printf.printf "metrics: wrote %s\n" path
-      | None -> ()));
-  if !failures + !bench_check_failures > 0 then exit 1
+  Option.iter
+    (fun path ->
+       write_json path;
+       Printf.printf "json: wrote %s (%d records)\n" path
+         (List.length !json_records))
+    json;
+  if !bench_check_failures = 0 then Ok ()
+  else Error (Printf.sprintf "%d failed checks" !bench_check_failures)
+
+let () =
+  let open Cmdliner in
+  let json =
+    Arg.(value & opt (some string) None
+         & info [ "json" ] ~docv:"FILE"
+             ~doc:"Dump every bench measurement to $(docv) as \
+                   family/params/metric/value records.")
+  in
+  let info =
+    Cmd.info "main.exe"
+      ~doc:"Run the reqsched bench families (B.micro .. B.zoo)."
+  in
+  exit
+    (Cmd.eval
+       (Cmd.v info
+          (Term.term_result'
+             Term.(const main $ Cli.quick $ Cli.only $ json $ Cli.metrics))))

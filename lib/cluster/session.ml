@@ -24,6 +24,24 @@ let kind_name = function
   | Local_eager { compact = true } -> "local_eager_compact"
   | Proxy_global -> "proxy_global"
 
+let kinds =
+  [
+    (Local_fix, "Thm 3.7: 2 comm rounds, 2-competitive");
+    (Local_eager { compact = false }, "Thm 3.8: 9 comm rounds");
+    (Local_eager { compact = true }, "8 comm rounds at mailbox capacity 2d-2");
+    (Proxy_global, "router-probe baseline");
+  ]
+
+let kind_of_name name =
+  (* hyphens and underscores are interchangeable ("proxy-global") *)
+  let canon = String.map (function '-' -> '_' | c -> c) name in
+  match List.find_opt (fun (k, _) -> kind_name k = canon) kinds with
+  | Some (k, _) -> Ok k
+  | None ->
+    Error
+      (Printf.sprintf "unknown cluster strategy %S (expected one of: %s)" name
+         (String.concat ", " (List.map (fun (k, _) -> kind_name k) kinds)))
+
 type stats = {
   scheduling_rounds : int;
   comm_rounds_total : int;

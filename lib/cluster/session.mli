@@ -51,6 +51,15 @@ type kind =
 
 val kind_name : kind -> string
 
+val kinds : (kind * string) list
+(** Every kind with a one-line description, in display order: the one
+    table behind {!kind_of_name} and the CLI's [--strategy] help. *)
+
+val kind_of_name : string -> (kind, string) result
+(** The kind whose {!kind_name} is the given name, hyphens and
+    underscores interchangeable; any other name is an [Error] listing
+    every kind. *)
+
 type stats = {
   scheduling_rounds : int;
   comm_rounds_total : int;

@@ -82,6 +82,19 @@ let csv_of_outcome (o : Sched.Outcome.t) =
     o.Sched.Outcome.served_at;
   Buffer.contents buf
 
+let decisions_of_outcome (o : Sched.Outcome.t) =
+  let decisions = ref [] in
+  Array.iteri
+    (fun id served ->
+       Option.iter
+         (fun (res, round) -> decisions := (round, id, res) :: !decisions)
+         served)
+    o.Sched.Outcome.served_at;
+  String.concat ""
+    (List.map
+       (fun (round, id, res) -> Printf.sprintf "t%d sched@%d S%d\n" round id res)
+       (List.sort compare !decisions))
+
 let write_file ~path content =
   let oc = open_out path in
   Fun.protect

@@ -20,5 +20,10 @@ val csv_of_outcome : Sched.Outcome.t -> string
     [id,arrival,deadline,served,resource,round,latency] (empty
     resource/round/latency for failed requests). *)
 
+val decisions_of_outcome : Sched.Outcome.t -> string
+(** One [t<round> sched@<id> S<resource>] line per served request,
+    sorted by round then id: a decision log that is byte-comparable
+    across runs and layouts. *)
+
 val write_file : path:string -> string -> unit
 (** Write a string to a file (truncating). *)

@@ -15,25 +15,40 @@ let seed = 7
 
 let pi = string_of_int
 
+let encode_scores (s : Slo.scores) =
+  [
+    Jobs.Int s.submitted;
+    Jobs.Int s.served;
+    Jobs.Int s.expired;
+    Jobs.Int s.rounds;
+    Jobs.Float s.violation_rate;
+    Jobs.Float s.throughput;
+    Jobs.Float s.antt;
+    Jobs.Float s.max_delay_factor;
+    Jobs.Int s.machines_needed;
+  ]
+
+let decode_scores o =
+  let iv i = Jobs.int_value (Jobs.nth o i) in
+  let fv i = Jobs.float_value (Jobs.nth o i) in
+  {
+    Slo.submitted = iv 0;
+    served = iv 1;
+    expired = iv 2;
+    rounds = iv 3;
+    violation_rate = fv 4;
+    throughput = fv 5;
+    antt = fv 6;
+    max_delay_factor = fv 7;
+    machines_needed = iv 8;
+  }
+
 (* The job value is the full score record, not one chosen metric, so a
    cached cell answers every --score mode and table column alike. *)
 let score_value (r : Slo.streamed) =
-  let s = r.scores in
   Jobs.List
-    [
-      Jobs.Int s.submitted;
-      Jobs.Int s.served;
-      Jobs.Int s.expired;
-      Jobs.Int s.rounds;
-      Jobs.Float s.violation_rate;
-      Jobs.Float s.throughput;
-      Jobs.Float s.antt;
-      Jobs.Float s.max_delay_factor;
-      Jobs.Int s.machines_needed;
-      Jobs.Int r.opt;
-      Jobs.Float r.final_ratio;
-      Jobs.Float r.anytime_ratio;
-    ]
+    (encode_scores r.scores
+     @ [ Jobs.Int r.opt; Jobs.Float r.final_ratio; Jobs.Float r.anytime_ratio ])
 
 type cell = {
   scores : Slo.scores;
@@ -50,18 +65,7 @@ let cell_of_outcome o =
       let fv i = Jobs.float_value (Jobs.nth o i) in
       Some
         {
-          scores =
-            {
-              Slo.submitted = iv 0;
-              served = iv 1;
-              expired = iv 2;
-              rounds = iv 3;
-              violation_rate = fv 4;
-              throughput = fv 5;
-              antt = fv 6;
-              max_delay_factor = fv 7;
-              machines_needed = iv 8;
-            };
+          scores = decode_scores o;
           opt = iv 9;
           final_ratio = fv 10;
           anytime_ratio = fv 11;

@@ -21,6 +21,15 @@ val seed : int
     keyed per round, strategy coins are split — see
     {!Registry.factory_of_name}). *)
 
+val encode_scores : Analysis.Slo.scores -> Jobs.value list
+(** The nine score fields as a cached job value's leading elements, in
+    record order — the one encoding behind the zoo's cells and the
+    sweep's. *)
+
+val decode_scores : Jobs.outcome -> Analysis.Slo.scores
+(** Inverse of {!encode_scores} on a [Done (List _)] outcome whose first
+    nine elements it wrote. *)
+
 val summary : ctx:Jobs.ctx -> quick:bool -> Experiments.t
 (** The zoo table: one row per (workload × strategy) with
     served/submitted, violation rate, throughput, ANTT, max delay

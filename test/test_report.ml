@@ -1,6 +1,6 @@
 (* The integration test: every reproduction experiment of DESIGN.md §3
    runs at quick parameters and every one of its named checks must
-   pass.  This is the test-suite mirror of `dune exec bench/main.exe`. *)
+   pass.  This is the test-suite mirror of `reqsched exp --quick`. *)
 
 let experiment_case (id, f) =
   Alcotest.test_case id `Slow (fun () ->
@@ -102,25 +102,6 @@ let test_registry_solver_names () =
            (contains ~needle:name m))
       Report.Registry.solver_names
 
-(* Regression: the bench's hand-rolled parser returned None for a value
-   flag sitting in final position, silently running the full suite when
-   the user typed `--only` and forgot the id. *)
-let test_flags_trailing_value_is_error () =
-  let argv suffix = Array.of_list ("main.exe" :: suffix) in
-  (match Report.Flags.value_flag (argv [ "--only"; "T1" ]) "--only" with
-   | Ok (Some "T1") -> ()
-   | _ -> Alcotest.fail "value not parsed");
-  (match Report.Flags.value_flag (argv [ "--quick" ]) "--only" with
-   | Ok None -> ()
-   | _ -> Alcotest.fail "absent flag must be Ok None");
-  (match Report.Flags.value_flag (argv [ "--quick"; "--only" ]) "--only" with
-   | Error _ -> ()
-   | Ok _ -> Alcotest.fail "trailing value flag must be an error");
-  (* argv.(0) is the executable, never a flag match *)
-  match Report.Flags.value_flag (Array.of_list [ "--only" ]) "--only" with
-  | Ok None -> ()
-  | _ -> Alcotest.fail "argv.(0) must not match"
-
 let () =
   Alcotest.run "report"
     ~and_exit:true
@@ -141,11 +122,6 @@ let () =
             test_registry_knows_every_strategy;
           Alcotest.test_case "solver names parse" `Quick
             test_registry_solver_names;
-        ] );
-      ( "flags",
-        [
-          Alcotest.test_case "trailing value flag" `Quick
-            test_flags_trailing_value_is_error;
         ] );
       ("experiments", List.map experiment_case Report.Experiments.catalog);
     ]

@@ -219,7 +219,7 @@ let test_golden_zoo_quick () =
     Alcotest.failf
       "zoo quick summary drifted from test/golden_zoo_quick.txt.\n\
        If the change is intended, regenerate with:\n\
-      \  dune exec bin/reqsched.exe -- zoo --quick | sed '/^jobs:/,$d' > \
+      \  dune exec bin/reqsched.exe -- exp Z.zoo --quick | sed '/^jobs:/,$d' > \
        test/golden_zoo_quick.txt\n\
        --- expected ---\n%s--- got ---\n%s"
       expected got

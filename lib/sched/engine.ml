@@ -4,172 +4,24 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Protocol_error s)) fmt
 
 type adaptive = round:int -> is_served:(int -> bool) -> Request.t list
 
-(* Shared per-run bookkeeping: validates every service against the model
-   rules and records first services.  [lookup] resolves ids to requests
-   (the id space may still be growing during an adaptive run). *)
-type ledger = {
-  n : int;
-  lookup : int -> Request.t option;
-  served_tbl : (int, int * int) Hashtbl.t; (* id -> (resource, round) *)
-  mutable wasted : int;
-  resource_busy : int array; (* resource -> last round it served *)
-}
-
-let make_ledger ~n ~lookup =
-  { n; lookup; served_tbl = Hashtbl.create 256; wasted = 0;
-    resource_busy = Array.make n (-1) }
-
-let apply_services ledger ~round services =
-  List.iter
-    (fun { Strategy.request; resource } ->
-       let r =
-         match ledger.lookup request with
-         | Some r -> r
-         | None -> fail "round %d: unknown request %d" round request
-       in
-       if not (Request.is_live r ~round) then
-         fail "round %d: request %d outside its window [%d,%d]" round
-           request r.Request.arrival (Request.last_round r);
-       if resource < 0 || resource >= ledger.n then
-         fail "round %d: resource %d out of range" round resource;
-       if not (Request.has_alternative r resource) then
-         fail "round %d: resource %d not an alternative of request %d"
-           round resource request;
-       if ledger.resource_busy.(resource) = round then
-         fail "round %d: resource %d used twice" round resource;
-       ledger.resource_busy.(resource) <- round;
-       if Hashtbl.mem ledger.served_tbl request then
-         ledger.wasted <- ledger.wasted + 1
-       else Hashtbl.replace ledger.served_tbl request (resource, round))
-    services
-
-let finish ledger ~inst ~strategy_name =
-  let n_req = Instance.n_requests inst in
-  let served_at = Array.make n_req None in
-  let per_round_served = Array.make (max inst.Instance.horizon 1) 0 in
-  let served = ref 0 in
-  Hashtbl.iter
-    (fun id (resource, round) ->
-       served_at.(id) <- Some (resource, round);
-       per_round_served.(round) <- per_round_served.(round) + 1;
-       incr served)
-    ledger.served_tbl;
-  {
-    Outcome.instance = inst;
-    strategy_name;
-    served_at;
-    served = !served;
-    wasted = ledger.wasted;
-    per_round_served;
-  }
-
-(* Per-round metric recording around one strategy step.  [step] is a
-   thunk so the un-instrumented path pays a single match per round.
-   Returns the services the strategy emitted (validated and applied):
-   the live engine needs them to report per-request outcomes. *)
-let step_with_metrics metrics ledger ~round ~arrivals step =
-  match metrics with
-  | None ->
-    let services = step () in
-    apply_services ledger ~round services;
-    services
-  | Some m ->
-    let served0 = Hashtbl.length ledger.served_tbl
-    and wasted0 = ledger.wasted in
-    let t0 = Obs.Span.start () in
-    let services = step () in
-    Obs.Metrics.observe m "engine.step_us" (Obs.Span.elapsed t0 *. 1e6);
-    apply_services ledger ~round services;
-    let served = Hashtbl.length ledger.served_tbl - served0 in
-    Obs.Metrics.incr m "engine.rounds";
-    Obs.Metrics.incr ~by:(Array.length arrivals) m "engine.arrivals";
-    Obs.Metrics.incr ~by:served m "engine.served";
-    Obs.Metrics.incr ~by:(ledger.wasted - wasted0) m "engine.wasted";
-    Obs.Metrics.observe m "engine.served_per_round" (float_of_int served);
-    services
-
-let run ?metrics inst factory =
-  let metrics = Obs.Metrics.resolve metrics in
-  let strategy = factory ~n:inst.Instance.n_resources ~d:inst.Instance.d in
-  let ledger =
-    make_ledger ~n:inst.Instance.n_resources ~lookup:(fun id ->
-        if id >= 0 && id < Instance.n_requests inst then
-          Some inst.Instance.requests.(id)
-        else None)
-  in
-  for round = 0 to inst.Instance.horizon - 1 do
-    let arrivals = Instance.arrivals_at inst round in
-    ignore
-      (step_with_metrics metrics ledger ~round ~arrivals (fun () ->
-           strategy.Strategy.step ~round ~arrivals))
-  done;
-  finish ledger ~inst ~strategy_name:strategy.Strategy.name
-
-let run_all inst factories = List.map (run inst) factories
-
-let run_adaptive ?metrics ~n ~d ~last_arrival_round ~adversary factory =
-  if last_arrival_round < 0 then
-    invalid_arg "Engine.run_adaptive: negative last_arrival_round";
-  let metrics = Obs.Metrics.resolve metrics in
-  let strategy = factory ~n ~d in
-  let by_id : (int, Request.t) Hashtbl.t = Hashtbl.create 256 in
-  let emitted = ref [] (* reversed *) in
-  let next_id = ref 0 in
-  let ledger =
-    make_ledger ~n ~lookup:(fun id -> Hashtbl.find_opt by_id id)
-  in
-  let horizon = last_arrival_round + d in
-  for round = 0 to horizon - 1 do
-    let arrivals =
-      if round > last_arrival_round then [||]
-      else begin
-        let protos =
-          adversary ~round
-            ~is_served:(fun id -> Hashtbl.mem ledger.served_tbl id)
-        in
-        let assigned =
-          List.map
-            (fun (r : Request.t) ->
-               if r.Request.arrival <> round then
-                 invalid_arg
-                   (Printf.sprintf
-                      "Engine.run_adaptive: adversary emitted arrival %d \
-                       at round %d"
-                      r.Request.arrival round);
-               let r = Request.with_id r !next_id in
-               incr next_id;
-               Hashtbl.replace by_id r.Request.id r;
-               emitted := r :: !emitted;
-               r)
-            protos
-        in
-        Array.of_list assigned
-      end
-    in
-    ignore
-      (step_with_metrics metrics ledger ~round ~arrivals (fun () ->
-           strategy.Strategy.step ~round ~arrivals))
-  done;
-  let protos =
-    List.rev_map
-      (fun (r : Request.t) ->
-         Request.make ~arrival:r.Request.arrival
-           ~alternatives:(Array.to_list r.Request.alternatives)
-           ~deadline:r.Request.deadline)
-      !emitted
-  in
-  let inst = Instance.build ~n_resources:n ~d protos in
-  finish ledger ~inst ~strategy_name:strategy.Strategy.name
+module Ivec = Prelude.Ivec
 
 (* ------------------------------------------------------------------ *)
-(* Live: the incremental engine behind lib/serve.
+(* Live: the one round engine.
 
-   Same validation ledger as the batch runs, but the workload is not
-   known in advance: requests are submitted between rounds and the
-   caller decides when each round happens (a shard's tick).  Every
-   admitted request reaches exactly one terminal state — served (the
-   step that first serves it reports the id) or expired (reported by
-   the step that closes its window). *)
+   Requests are submitted between rounds and the caller decides when
+   each round happens (a shard's tick, or the batch drivers below).
+   Every admitted request reaches exactly one terminal state — served
+   (the step that first serves it reports the id) or expired (reported
+   by the step that closes its window).
+
+   A request can only be served in the [d] rounds after it arrives, so
+   the engine holds open windows only: [window] maps each open id to
+   its request and served flag, and bucket [last_round mod d] of
+   [expiry] lists the ids whose window closes at that round, ascending
+   because ids are handed out in order.  The step that closes a window
+   drops its entries, so the state is bounded by the requests in
+   flight, not by history. *)
 
 module Live = struct
   type outcome = {
@@ -179,45 +31,52 @@ module Live = struct
     expired : int list;         (** ids whose window closed unserved *)
   }
 
+  type entry = { req : Request.t; mutable was_served : bool }
+
   type t = {
     n : int;
     d : int;
     strategy : Strategy.t;
     metrics : Obs.Metrics.t option;
-    ledger : ledger;
-    by_id : (int, Request.t) Hashtbl.t;
-    expiry : (int, int list ref) Hashtbl.t; (* last_round -> ids, reversed *)
-    mutable queued : Request.t list;        (* reversed arrivals *)
+    window : (int, entry) Hashtbl.t;  (* open-window id -> entry *)
+    expiry : Ivec.t array;            (* last_round mod d -> ids *)
+    busy : int array;                 (* resource -> last round it served *)
+    mutable queued : Request.t list;  (* reversed arrivals *)
     mutable next_id : int;
     mutable round : int;
-    mutable live : int;                     (* admitted, no terminal yet *)
+    mutable live : int;               (* admitted, no terminal yet *)
+    mutable wasted : int;
   }
 
   let create ?metrics ~n ~d factory =
     if n < 1 then invalid_arg "Engine.Live.create: n must be >= 1";
     if d < 1 then invalid_arg "Engine.Live.create: d must be >= 1";
-    let metrics = Obs.Metrics.resolve metrics in
-    let by_id = Hashtbl.create 256 in
     {
       n;
       d;
       strategy = factory ~n ~d;
-      metrics;
-      ledger = make_ledger ~n ~lookup:(fun id -> Hashtbl.find_opt by_id id);
-      by_id;
-      expiry = Hashtbl.create 64;
+      metrics = Obs.Metrics.resolve metrics;
+      window = Hashtbl.create 256;
+      expiry = Array.init d (fun _ -> Ivec.create ());
+      busy = Array.make n (-1);
       queued = [];
       next_id = 0;
       round = 0;
       live = 0;
+      wasted = 0;
     }
 
-  let round t = t.round
   let pending t = t.live
   let submitted t = t.next_id
-  let strategy_name t = t.strategy.Strategy.name
 
-  let is_served t id = Hashtbl.mem t.ledger.served_tbl id
+  (* Queue a valid request arriving at the current round whose id is
+     the next fresh one. *)
+  let admit t (r : Request.t) =
+    Hashtbl.add t.window r.id { req = r; was_served = false };
+    Ivec.push t.expiry.(Request.last_round r mod t.d) r.id;
+    t.queued <- r :: t.queued;
+    t.next_id <- t.next_id + 1;
+    t.live <- t.live + 1
 
   let submit t ~alternatives ~deadline =
     if deadline > t.d then
@@ -232,47 +91,149 @@ module Live = struct
       match Request.make ~arrival:t.round ~alternatives ~deadline with
       | exception Invalid_argument m -> Error m
       | proto ->
-        let r = Request.with_id proto t.next_id in
-        t.next_id <- t.next_id + 1;
-        Hashtbl.replace t.by_id r.Request.id r;
-        t.queued <- r :: t.queued;
-        t.live <- t.live + 1;
-        let last = Request.last_round r in
-        (match Hashtbl.find_opt t.expiry last with
-         | Some ids -> ids := r.Request.id :: !ids
-         | None -> Hashtbl.replace t.expiry last (ref [ r.Request.id ]));
-        Ok r.Request.id
+        let id = t.next_id in
+        admit t (Request.with_id proto id);
+        Ok id
+
+  (* Validate one round's services against the model rules; returns the
+     first services as (id, resource), in service order.  Re-serving a
+     request is legal but wasted (the paper's EDF duplicates). *)
+  let apply t ~round services =
+    List.fold_left
+      (fun first { Strategy.request; resource } ->
+         let e =
+           match Hashtbl.find_opt t.window request with
+           | Some e -> e
+           | None when request >= 0 && request < t.next_id ->
+             fail "round %d: request %d outside its window" round request
+           | None -> fail "round %d: unknown request %d" round request
+         in
+         if resource < 0 || resource >= t.n then
+           fail "round %d: resource %d out of range" round resource;
+         if not (Request.has_alternative e.req resource) then
+           fail "round %d: resource %d not an alternative of request %d"
+             round resource request;
+         if t.busy.(resource) = round then
+           fail "round %d: resource %d used twice" round resource;
+         t.busy.(resource) <- round;
+         if e.was_served then begin
+           t.wasted <- t.wasted + 1;
+           first
+         end
+         else begin
+           e.was_served <- true;
+           (request, resource) :: first
+         end)
+      [] services
+    |> List.rev
 
   let step t =
     let round = t.round in
     let arrivals = Array.of_list (List.rev t.queued) in
     t.queued <- [];
-    let services =
-      step_with_metrics t.metrics t.ledger ~round ~arrivals (fun () ->
-          t.strategy.Strategy.step ~round ~arrivals)
-    in
-    (* keep only first services: a re-service of an already-served
-       request is legal-but-wasted, and the ledger maps each id to its
-       first (resource, round) only *)
     let served =
-      List.filter
-        (fun { Strategy.request; resource } ->
-           match Hashtbl.find_opt t.ledger.served_tbl request with
-           | Some (res, r) -> r = round && res = resource
-           | None -> false)
-        services
-      |> List.map (fun { Strategy.request; resource } -> (request, resource))
+      match t.metrics with
+      | None -> apply t ~round (t.strategy.Strategy.step ~round ~arrivals)
+      | Some m ->
+        let wasted0 = t.wasted in
+        let t0 = Obs.Span.start () in
+        let services = t.strategy.Strategy.step ~round ~arrivals in
+        Obs.Metrics.observe m "engine.step_us" (Obs.Span.elapsed t0 *. 1e6);
+        let served = apply t ~round services in
+        let k = List.length served in
+        Obs.Metrics.incr m "engine.rounds";
+        Obs.Metrics.incr ~by:(Array.length arrivals) m "engine.arrivals";
+        Obs.Metrics.incr ~by:k m "engine.served";
+        Obs.Metrics.incr ~by:(t.wasted - wasted0) m "engine.wasted";
+        Obs.Metrics.observe m "engine.served_per_round" (float_of_int k);
+        served
     in
-    let expired =
-      match Hashtbl.find_opt t.expiry round with
-      | None -> []
-      | Some ids ->
-        List.filter
-          (fun id -> not (Hashtbl.mem t.ledger.served_tbl id))
-          (List.sort Int.compare !ids)
-    in
-    Hashtbl.remove t.expiry round;
-    t.live <- t.live - List.length served - List.length expired;
+    let bucket = t.expiry.(round mod t.d) in
+    let expired = ref [] in
+    for i = Ivec.length bucket - 1 downto 0 do
+      let id = Ivec.get bucket i in
+      if not (Hashtbl.find t.window id).was_served then
+        expired := id :: !expired;
+      Hashtbl.remove t.window id
+    done;
+    Ivec.clear bucket;
+    t.live <- t.live - List.length served - List.length !expired;
     t.round <- round + 1;
-    { round; served; expired }
+    { round; served; expired = !expired }
 end
+
+(* ------------------------------------------------------------------ *)
+(* Batch drivers: a fresh [Live] stepped for [horizon] rounds, [arrive]
+   admitting each round's requests first.  First services are recorded
+   by id ([at] is -1 until served) to build the [Outcome]. *)
+
+let drive ?metrics ~n ~d ~horizon ~arrive ~instance factory =
+  let live = Live.create ?metrics ~n ~d factory in
+  let resource = Ivec.create () and at = Ivec.create () in
+  let is_served id = id >= 0 && id < Ivec.length at && Ivec.get at id >= 0 in
+  for round = 0 to horizon - 1 do
+    arrive live ~round ~is_served;
+    for _ = Ivec.length at to live.Live.next_id - 1 do
+      Ivec.push resource (-1);
+      Ivec.push at (-1)
+    done;
+    List.iter
+      (fun (id, res) ->
+         Ivec.set resource id res;
+         Ivec.set at id round)
+      (Live.step live).Live.served
+  done;
+  let inst = instance () in
+  let per_round_served = Array.make (max inst.Instance.horizon 1) 0 in
+  let served_at =
+    Array.init (Instance.n_requests inst) (fun id ->
+        let round = Ivec.get at id in
+        if round < 0 then None
+        else begin
+          per_round_served.(round) <- per_round_served.(round) + 1;
+          Some (Ivec.get resource id, round)
+        end)
+  in
+  {
+    Outcome.instance = inst;
+    strategy_name = live.Live.strategy.Strategy.name;
+    served_at;
+    served = Array.fold_left ( + ) 0 per_round_served;
+    wasted = live.Live.wasted;
+    per_round_served;
+  }
+
+let run ?metrics inst factory =
+  drive ?metrics ~n:inst.Instance.n_resources ~d:inst.Instance.d
+    ~horizon:inst.Instance.horizon
+    ~arrive:(fun live ~round ~is_served:_ ->
+        Array.iter (Live.admit live) (Instance.arrivals_at inst round))
+    ~instance:(fun () -> inst)
+    factory
+
+let run_adaptive ?metrics ~n ~d ~last_arrival_round ~adversary factory =
+  if last_arrival_round < 0 then
+    invalid_arg "Engine.run_adaptive: negative last_arrival_round";
+  let emitted = ref [] (* reversed *) in
+  let arrive live ~round ~is_served =
+    if round <= last_arrival_round then
+      List.iter
+        (fun (r : Request.t) ->
+           if r.Request.arrival <> round then
+             invalid_arg
+               (Printf.sprintf
+                  "Engine.run_adaptive: adversary emitted arrival %d at round %d"
+                  r.Request.arrival round);
+           match
+             Live.submit live
+               ~alternatives:(Array.to_list r.Request.alternatives)
+               ~deadline:r.Request.deadline
+           with
+           | Ok _ -> emitted := r :: !emitted
+           | Error m -> invalid_arg ("Engine.run_adaptive: " ^ m))
+        (adversary ~round ~is_served)
+  in
+  drive ?metrics ~n ~d ~horizon:(last_arrival_round + d) ~arrive
+    ~instance:(fun () ->
+        Instance.build ~n_resources:n ~d (List.rev !emitted))
+    factory

@@ -24,9 +24,6 @@ val run : ?metrics:Obs.Metrics.t -> Instance.t -> Strategy.factory -> Outcome.t
     With neither set, the engine records nothing and pays one match per
     round. *)
 
-val run_all : Instance.t -> Strategy.factory list -> Outcome.t list
-(** [run] once per factory on the same instance. *)
-
 type adaptive = round:int -> is_served:(int -> bool) -> Request.t list
 (** An adaptive adversary: called at the start of every round with the
     current round number and a predicate telling whether a given request
@@ -45,12 +42,17 @@ val run_adaptive :
     stepping the strategy until every window has closed.  The realised
     instance is available as [(result).instance], so the offline optimum
     of exactly the adaptively-generated workload can be computed
-    afterwards. *)
+    afterwards.
+    @raise Invalid_argument when the adversary emits an arrival {!Live.submit}
+    would reject (resource [>= n], deadline [> d]) or one whose arrival is
+    not the current round. *)
 
-(** The incremental (live) engine: same validation rules as {!run}, but
-    the workload arrives over time — requests are submitted between
-    rounds and the caller decides when each round ticks.  This is what a
-    {e serving} shard drives: admit, tick, collect terminal outcomes.
+(** The incremental (live) engine, the one round engine: {!run} and
+    {!run_adaptive} step it over a whole workload.  Requests are
+    submitted between rounds and the caller decides when each round
+    ticks.  This is what a {e serving} shard drives: admit, tick, collect
+    terminal outcomes.  It holds only requests whose window is still
+    open, so its state is bounded by the requests in flight.
 
     Determinism: the outcome of a run depends only on the strategy and
     the sequence of submissions between steps, so replaying a recorded
@@ -86,15 +88,9 @@ module Live : sig
       and advance the round counter.
       @raise Protocol_error on an illegal service, as {!run}. *)
 
-  val round : t -> int
-  (** The next round {!step} will execute (0 initially). *)
-
   val pending : t -> int
   (** Admitted requests with no terminal outcome yet. *)
 
   val submitted : t -> int
   (** Total requests ever admitted (also the next fresh id). *)
-
-  val is_served : t -> int -> bool
-  val strategy_name : t -> string
 end

@@ -381,6 +381,33 @@ let test_engine_adaptive_rejects_wrong_arrival () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument"
 
+let test_engine_adaptive_rejects_bad_arrival () =
+  (* an arrival Live.submit would refuse is rejected when the adversary
+     emits it, before any strategy sees it *)
+  let expect_rejected name factory proto =
+    let adversary ~round ~is_served:_ =
+      if round = 0 then [ proto ] else []
+    in
+    match
+      Engine.run_adaptive ~n:2 ~d:2 ~last_arrival_round:0 ~adversary factory
+    with
+    | exception Invalid_argument m ->
+      if not (String.starts_with ~prefix:"Engine.run_adaptive: " m) then
+        Alcotest.failf "%s: raised %S" name m
+    | _ -> Alcotest.failf "%s: bad arrival accepted" name
+  in
+  List.iter
+    (fun (name, factory) ->
+       expect_rejected name factory
+         (Request.make ~arrival:0 ~alternatives:[ 0; 5 ] ~deadline:1);
+       expect_rejected name factory
+         (Request.make ~arrival:0 ~alternatives:[ 0; 1 ] ~deadline:3))
+    [
+      ("greedy_2choice", Strategies.Twochoice.least_loaded ());
+      ("edf", Strategies.Edf.independent ());
+      ("balance", Strategies.Global.balance ());
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Outcome / Paper_graph *)
 
@@ -608,8 +635,7 @@ let test_live_validation () =
     check Alcotest.int "first id" 0 id;
     let o = Engine.Live.step live in
     check Alcotest.bool "served on first step" true
-      (List.mem_assoc 0 o.Engine.Live.served);
-    check Alcotest.bool "is_served" true (Engine.Live.is_served live 0)
+      (List.mem_assoc 0 o.Engine.Live.served)
 
 (* Sustained 3x overload: the expired outcomes must account for exactly
    the requests the engine could not serve — served + expired conserves
@@ -634,7 +660,7 @@ let test_live_overload_accounting () =
     List.iter
       (fun id ->
          check Alcotest.bool "expired request was never served" false
-           (Hashtbl.mem served id || Engine.Live.is_served live id);
+           (Hashtbl.mem served id);
          check Alcotest.bool "expired at most once" false
            (Hashtbl.mem expired id);
          Hashtbl.add expired id ())
@@ -668,6 +694,36 @@ let test_live_overload_accounting () =
   check Alcotest.bool "full utilisation under overload" true
     (let s = Hashtbl.length served in
      s >= n * rounds && s <= n * (rounds + d))
+
+(* The engine holds only open-window requests: under a steady 3x
+   overload the live heap after 10^4 rounds stays within a small factor
+   of the heap after 10^3 rounds, however many requests went through. *)
+let test_live_window_bound () =
+  let n = 16 and d = 4 in
+  let live = Engine.Live.create ~n ~d (Strategies.Twochoice.least_loaded ()) in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let at_1k = ref 0 in
+  for round = 1 to 10_000 do
+    for j = 0 to (3 * n) - 1 do
+      let a = (round + j) mod n in
+      let b = (a + 1 + (j mod (n - 1))) mod n in
+      match Engine.Live.submit live ~alternatives:[ a; b ] ~deadline:d with
+      | Ok _ -> ()
+      | Error m -> Alcotest.failf "submit rejected: %s" m
+    done;
+    ignore (Engine.Live.step live : Engine.Live.outcome);
+    if round = 1_000 then at_1k := live_words ()
+  done;
+  let at_10k = live_words () in
+  (* reading [live] after the measurement keeps the engine reachable *)
+  check Alcotest.bool "in flight within the window" true
+    (Engine.Live.pending live <= 3 * n * d);
+  let ratio = float_of_int at_10k /. float_of_int !at_1k in
+  if ratio > 2. then
+    Alcotest.failf "live heap grew %.2fx from round 10^3 to 10^4" ratio
 
 let () =
   Alcotest.run "sched"
@@ -714,6 +770,8 @@ let () =
             test_engine_adaptive_no_arrivals_at_all;
           Alcotest.test_case "protocol errors" `Quick
             test_engine_adaptive_protocol_errors;
+          Alcotest.test_case "rejects bad arrival" `Quick
+            test_engine_adaptive_rejects_bad_arrival;
         ] );
       ( "outcome",
         [
@@ -737,6 +795,8 @@ let () =
           Alcotest.test_case "submit validation" `Quick test_live_validation;
           Alcotest.test_case "overload accounting" `Quick
             test_live_overload_accounting;
+          Alcotest.test_case "state bounded by the window" `Quick
+            test_live_window_bound;
           prop_live_matches_batch;
         ] );
     ]

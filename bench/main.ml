@@ -162,7 +162,8 @@ let run_scale ~quick =
      Skipped cells print "-". *)
   let shapes =
     if quick then
-      [ (4, 2, 40, `Oracle); (8, 4, 40, `Oracle); (1024, 8, 3, `Fix) ]
+      [ (4, 2, 40, `Oracle); (8, 4, 40, `Oracle); (1024, 8, 3, `Fix);
+        (4096, 8, 2, `Fix) ]
     else
       [ (4, 2, 100, `Oracle); (8, 4, 100, `Oracle); (16, 4, 100, `Oracle);
         (16, 8, 100, `Oracle); (32, 8, 100, `Oracle); (64, 8, 60, `Oracle);

@@ -7,8 +7,20 @@ module Ivec = Prelude.Ivec
    right vertex; its total gain is the weight change of augmenting along
    it.  While the current matching is maximum-weight among matchings of
    its cardinality, the residual graph has no positive-gain cycle, so
-   queue-based Bellman-Ford (SPFA) computes maximum-gain paths in finite
-   time. *)
+   queue-based Bellman-Ford (SPFA) computes maximum-gain labels in finite
+   time.
+
+   The solver runs in phases.  One SPFA sweep labels every vertex with
+   its maximum gain from the free left side; if the best free right label
+   [g] is positive, the phase flips a set of vertex-disjoint augmenting
+   paths of gain [g], all of them tight against the sweep's labels
+   ([label a + gain = label b] on every arc).  Reversing a tight arc
+   gives a tight arc, so the labels stay feasible potentials for the new
+   residual graph: it still has no positive cycle, and the matching stays
+   maximum-weight for its size.  Targets are the free right vertices
+   labelled [g], visited in ascending index; from each, a depth-first
+   search walks tight arcs backwards (incoming edges in ascending id) to
+   a free left vertex that no earlier search of the phase visited. *)
 
 type state = {
   g : Bipartite.t;
@@ -17,8 +29,7 @@ type state = {
   m : Matching.t;
   dist_l : Lexvec.t option array;
   dist_r : Lexvec.t option array;
-  parent_l : int array; (* left vertex  -> matched edge used to reach it *)
-  parent_r : int array; (* right vertex -> unmatched edge used to reach it *)
+  visited : bool array; (* left vertex reached by a search this phase *)
 }
 
 let load_weights g ~weight =
@@ -37,29 +48,26 @@ let load_weights g ~weight =
   end;
   w
 
-let make_state g ~weight =
+let make_state g ~weight m =
   let w = load_weights g ~weight in
   let k = if Array.length w = 0 then 0 else Array.length w.(0) in
   {
     g;
     w;
     zero = Lexvec.zero k;
-    m = Matching.empty g;
+    m;
     dist_l = Array.make (Bipartite.n_left g) None;
     dist_r = Array.make (Bipartite.n_right g) None;
-    parent_l = Array.make (Bipartite.n_left g) (-1);
-    parent_r = Array.make (Bipartite.n_right g) (-1);
+    visited = Array.make (Bipartite.n_left g) false;
   }
 
-(* One SPFA sweep from all free left vertices.  Fills dist/parent arrays.
+(* One SPFA sweep from all free left vertices.  Fills the dist arrays.
    The relaxation budget guards the internal no-positive-cycle invariant:
    exceeding it means the invariant was broken (a bug), not bad input. *)
 let spfa st =
   let nl = Bipartite.n_left st.g and nr = Bipartite.n_right st.g in
   Array.fill st.dist_l 0 nl None;
   Array.fill st.dist_r 0 nr None;
-  Array.fill st.parent_l 0 nl (-1);
-  Array.fill st.parent_r 0 nr (-1);
   (* queue of vertices: left encoded as v, right as nl + v *)
   let queue = Queue.create () in
   let in_queue = Array.make (nl + nr) false in
@@ -104,7 +112,6 @@ let spfa st =
                in
                if better then begin
                  st.dist_r.(v) <- Some cand;
-                 st.parent_r.(v) <- id;
                  push (nl + v)
                end
              end)
@@ -127,57 +134,84 @@ let spfa st =
           in
           if better then begin
             st.dist_l.(u) <- Some cand;
-            st.parent_l.(u) <- id;
             push u
           end
         end
     end
   done
 
-(* Best free right vertex by gain, if any. *)
-let best_target st =
-  let nr = Bipartite.n_right st.g in
+(* Best label over the free right vertices, if any is reached. *)
+let best_gain st =
   let best = ref None in
-  for v = 0 to nr - 1 do
+  for v = 0 to Bipartite.n_right st.g - 1 do
     if not (Matching.is_matched_right st.m v) then
-      match st.dist_r.(v) with
-      | None -> ()
-      | Some dv ->
-        (match !best with
-         | Some (_, d) when Lexvec.compare dv d <= 0 -> ()
-         | _ -> best := Some (v, dv))
+      match (st.dist_r.(v), !best) with
+      | None, _ -> ()
+      | Some dv, Some b when Lexvec.compare dv b <= 0 -> ()
+      | Some dv, _ -> best := Some dv
   done;
   !best
 
-(* Reconstruct the augmenting path ending at free right vertex [v] as the
-   edge list from the free left start (even positions unmatched, odd
-   matched), then flip it. *)
-let augment st v =
-  let rec collect v acc =
-    let e = st.parent_r.(v) in
-    assert (e >= 0);
-    let u = Bipartite.edge_left st.g e in
-    if Matching.is_matched_left st.m u then begin
-      let e' = st.m.Matching.left_edge.(u) in
-      (* reached u by stealing it from its matched slot; continue from
-         the slot we freed *)
-      assert (st.parent_l.(u) = e');
-      collect (Bipartite.edge_right st.g e') (e' :: e :: acc)
+(* An arc of gain [c] from a vertex labelled [da] to one labelled [db]
+   is tight when [da + c = db]; arcs at unreached vertices never are. *)
+let tight da c db =
+  match (da, db) with
+  | Some a, Some b -> Lexvec.equal (Lexvec.add a c) b
+  | _ -> false
+
+(* Depth-first search backwards from right vertex [v] over tight arcs to
+   a free left vertex not visited this phase.  [acc] holds the path's
+   edges already found, nearest the target last; the result starts at
+   the free left vertex, as [Matching.augment_along] expects. *)
+let rec search st v acc =
+  let adj = Bipartite.adj_right st.g v in
+  let rec scan i =
+    if i >= Ivec.length adj then None
+    else begin
+      let e = Ivec.get adj i in
+      let u = Bipartite.edge_left st.g e in
+      if
+        st.visited.(u)
+        || st.m.Matching.left_edge.(u) = e
+        || not (tight st.dist_l.(u) st.w.(e) st.dist_r.(v))
+      then scan (i + 1)
+      else begin
+        st.visited.(u) <- true;
+        let e' = st.m.Matching.left_edge.(u) in
+        if e' < 0 then Some (e :: acc)
+        else
+          let v' = Bipartite.edge_right st.g e' in
+          let found =
+            if tight st.dist_r.(v') (Lexvec.neg st.w.(e')) st.dist_l.(u)
+            then search st v' (e' :: e :: acc)
+            else None
+          in
+          match found with Some _ -> found | None -> scan (i + 1)
+      end
     end
-    else e :: acc
   in
-  let path = collect v [] in
-  Matching.augment_along st.g st.m path
+  scan 0
+
+(* One phase: a sweep, then disjoint tight maximum-gain augmentations.
+   Returns [false] once no augmenting path has positive gain. *)
+let phase st =
+  spfa st;
+  match best_gain st with
+  | Some g when Lexvec.compare g st.zero > 0 ->
+    Array.fill st.visited 0 (Array.length st.visited) false;
+    for v = 0 to Bipartite.n_right st.g - 1 do
+      match st.dist_r.(v) with
+      | Some dv
+        when (not (Matching.is_matched_right st.m v)) && Lexvec.equal dv g ->
+        Option.iter (Matching.augment_along st.g st.m) (search st v [])
+      | _ -> ()
+    done;
+    true
+  | Some _ | None -> false
 
 let solve g ~weight =
-  let st = make_state g ~weight in
-  let continue_ = ref true in
-  while !continue_ do
-    spfa st;
-    match best_target st with
-    | Some (v, gain) when Lexvec.compare gain st.zero > 0 -> augment st v
-    | Some _ | None -> continue_ := false
-  done;
+  let st = make_state g ~weight (Matching.empty g) in
+  while phase st do () done;
   st.m
 
 let weight_of g ~weight m =
@@ -193,26 +227,13 @@ let weight_of g ~weight m =
    distances seeded to zero; if any distance can still improve after
    V full rounds, a positive cycle exists. *)
 let is_max_weight_certificate g ~weight m =
-  let w = load_weights g ~weight in
-  let k = if Array.length w = 0 then 0 else Array.length w.(0) in
-  let zero = Lexvec.zero k in
-  let st =
-    {
-      g;
-      w;
-      zero;
-      m = Matching.copy m;
-      dist_l = Array.make (Bipartite.n_left g) None;
-      dist_r = Array.make (Bipartite.n_right g) None;
-      parent_l = Array.make (Bipartite.n_left g) (-1);
-      parent_r = Array.make (Bipartite.n_right g) (-1);
-    }
-  in
+  let st = make_state g ~weight (Matching.copy m) in
+  let w = st.w and zero = st.zero in
   let no_augmenting =
     try
       spfa st;
-      match best_target st with
-      | Some (_, gain) -> Lexvec.compare gain zero <= 0
+      match best_gain st with
+      | Some gain -> Lexvec.compare gain zero <= 0
       | None -> true
     with Failure _ -> false
   in

@@ -7,14 +7,26 @@
     cardinality > balancing function [F] per-round counts > adversarial
     tie-break), see DESIGN.md §4.1.
 
-    Method: successive maximum-gain augmenting paths.  Starting from the
-    empty matching (trivially optimal at cardinality 0), each step finds an
-    augmenting path of maximum total gain via queue-based Bellman–Ford on
-    the residual digraph and augments while the gain is lexicographically
-    positive.  Over an ordered abelian group the classical exchange
-    argument applies unchanged, so each intermediate matching is
-    maximum-weight among matchings of its cardinality and the final
-    matching is a global optimum.
+    Method: phases of disjoint maximum-gain augmenting paths.  Starting
+    from the empty matching (trivially optimal at cardinality 0), each
+    phase runs one queue-based Bellman–Ford (SPFA) sweep over the
+    residual digraph from every free left vertex, which labels each
+    vertex with its maximum gain; if the best free right label [g] is
+    lexicographically positive, the phase then flips vertex-disjoint
+    augmenting paths of gain [g].  Every such path is {e tight} against
+    the labels ([label a + gain = label b] on each arc), found by a
+    depth-first search backwards over tight arcs from each free right
+    vertex labelled [g] in ascending index (incoming edges in ascending
+    id), ending at a free left vertex no earlier search of the phase
+    visited.  Flipping a tight arc gives a tight arc, so the sweep's
+    labels remain feasible potentials for the new residual digraph: it
+    has no positive-gain cycle, hence each intermediate matching is
+    maximum-weight among matchings of its cardinality.  Over an ordered
+    abelian group the classical exchange argument then applies
+    unchanged: once no augmenting path has positive gain, the matching
+    is a global optimum on every tier.  Which optimum is returned is
+    fixed by the visiting order above (ties lean towards small right
+    indices), and {!Warm} replicates it edge for edge.
 
     A key structural fact used throughout the library: when every edge
     weight is positive in some tier at or above all negative tiers (true

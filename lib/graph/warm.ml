@@ -1,23 +1,24 @@
 (* Allocation-free replica of Tiered.solve over a reusable flat arena.
 
-   The algorithm is the same residual-graph SPFA as Tiered — one sweep
-   from all free left vertices, augment along the maximum-gain path while
-   the gain is lexicographically positive — and it visits vertices and
-   edges in exactly the same order (FIFO queue, per-left edges in
-   insertion order, best_target ties broken towards the smallest right
-   index), so for any graph it produces the same matching edge-for-edge.
-   What changes is the representation: a left-grouped CSR with a flat
-   [k]-stride weight array replaces Bipartite + Lexvec.t per edge,
-   distance labels live in a flat int matrix guarded by visit stamps
-   instead of [Lexvec.t option] arrays, and the queue is an int ring
-   buffer.  A solver value is reused round after round; steady-state
-   solving allocates nothing.
-
-   After each sweep, [best_target] scans the [nr] right vertices for
-   the maximum-gain free target.  The scan is O(nr) per sweep, but the
-   sweep itself already relaxes every free left vertex's edges, so the
-   scan never dominates; a distance-bucketed candidate queue in its
-   place measured no faster up to n = 10^4 (EXPERIMENTS.md, B.scale). *)
+   The algorithm is Tiered's phase rule: one residual SPFA sweep from all
+   free left vertices, then, while the best free right label [g] is
+   lexicographically positive, vertex-disjoint augmenting paths of gain
+   [g] that are tight against the sweep's labels, one backward
+   depth-first search per free right vertex labelled [g] in ascending
+   index.  It visits vertices and edges in exactly Tiered's order (FIFO
+   queue, per-left edges in insertion order, per-right edges in
+   ascending id, the same visited marks), so for any graph it produces
+   the same matching edge-for-edge.  What changes is the representation:
+   a left-grouped CSR with a flat [k]-stride weight array replaces
+   Bipartite + Lexvec.t per edge, a right-grouped CSR of the same edges
+   (rebuilt by a counting sort at solve time) drives the backward
+   searches, distance labels live in a flat int matrix guarded by visit
+   stamps instead of [Lexvec.t option] arrays, the queue is an int ring
+   buffer and the search recursion is an explicit stack.  A solver value
+   is reused round after round; steady-state solving allocates nothing:
+   every helper below is a closed top-level function over [int array]
+   arguments, so no closure is built per call and comparisons stay
+   monomorphic. *)
 
 type stats = { sweeps : int; augments : int; warm_hits : int }
 
@@ -32,6 +33,10 @@ type t = {
   mutable esrc : int array;
   mutable edst : int array;
   mutable ew : int array; (* edge id e, tier j -> ew.(e*k + j) *)
+  (* right CSR, built at solve time: edges into right [v] are
+     redge.(roff.(v)) .. redge.(roff.(v+1)-1), ascending *)
+  mutable roff : int array;
+  mutable redge : int array;
   (* matching *)
   mutable left_to_ : int array;
   mutable left_edge_ : int array;
@@ -40,13 +45,15 @@ type t = {
   mutable dist : int array;   (* code c, tier j -> dist.(c*k + j) *)
   mutable have : int array;   (* stamp: dist slice valid this sweep *)
   mutable inq : int array;    (* stamp: code currently queued *)
-  mutable parent : int array; (* code -> edge used to reach it *)
   mutable queue : int array;  (* ring buffer, capacity nl + nr + 1 *)
   mutable qhead : int;
   mutable qtail : int;
   mutable clock : int;        (* sweep stamp; strictly increasing *)
   mutable cand : int array;   (* one candidate distance vector *)
-  mutable path : int array;   (* augmenting path, edges root-to-start *)
+  (* phase scratch *)
+  mutable vis : int array;    (* stamp: left visited by a search *)
+  mutable stk_v : int array;  (* search stack: right vertex per frame *)
+  mutable stk_pos : int array; (* its cursor into redge *)
   mutable sweeps : int;
   mutable augments : int;
   mutable warm_hits : int;
@@ -62,19 +69,22 @@ let create () =
     esrc = [||];
     edst = [||];
     ew = [||];
+    roff = [||];
+    redge = [||];
     left_to_ = [||];
     left_edge_ = [||];
     right_to_ = [||];
     dist = [||];
     have = [||];
     inq = [||];
-    parent = [||];
     queue = [||];
     qhead = 0;
     qtail = 0;
     clock = 0;
     cand = Array.make 8 0;
-    path = [||];
+    vis = [||];
+    stk_v = [||];
+    stk_pos = [||];
     sweeps = 0;
     augments = 0;
     warm_hits = 0;
@@ -139,21 +149,52 @@ let left_to t u = t.left_to_.(u)
 let left_edge t u = t.left_edge_.(u)
 let right_to t v = t.right_to_.(v)
 
-(* dist slice at [off_a] lexicographically greater than at [off_b]? *)
-let dist_gt t off_a off_b =
-  let k = t.k and dist = t.dist in
-  let rec go j =
-    if j >= k then false
-    else
-      let a = Array.unsafe_get dist (off_a + j)
-      and b = Array.unsafe_get dist (off_b + j) in
-      if a <> b then a > b else go (j + 1)
-  in
-  go 0
+(* Lexicographic tests on [k]-slices, tiers [j ..].  Closed top-level
+   functions: a local [let rec] would allocate a closure per call. *)
+
+(* a.(oa ..) > b.(ob ..) *)
+let rec lex_gt (a : int array) oa (b : int array) ob k j =
+  if j >= k then false
+  else
+    let x = Array.unsafe_get a (oa + j) and y = Array.unsafe_get b (ob + j) in
+    if x <> y then x > y else lex_gt a oa b ob k (j + 1)
+
+(* a.(oa ..) = b.(ob ..) *)
+let rec lex_eq (a : int array) oa (b : int array) ob k j =
+  j >= k
+  || Array.unsafe_get a (oa + j) = Array.unsafe_get b (ob + j)
+     && lex_eq a oa b ob k (j + 1)
+
+(* a.(oa ..) > 0 *)
+let rec lex_pos (a : int array) oa k j =
+  if j >= k then false
+  else
+    let x = Array.unsafe_get a (oa + j) in
+    if x <> 0 then x > 0 else lex_pos a oa k (j + 1)
+
+(* Tight arcs: d.(oa ..) + w.(ow ..) = d.(ob ..), resp. with [-]. *)
+let rec tight_add (d : int array) oa (w : int array) ow ob k j =
+  j >= k
+  || Array.unsafe_get d (oa + j) + Array.unsafe_get w (ow + j)
+     = Array.unsafe_get d (ob + j)
+     && tight_add d oa w ow ob k (j + 1)
+
+let rec tight_sub (d : int array) oa (w : int array) ow ob k j =
+  j >= k
+  || Array.unsafe_get d (oa + j) - Array.unsafe_get w (ow + j)
+     = Array.unsafe_get d (ob + j)
+     && tight_sub d oa w ow ob k (j + 1)
+
+let push t code =
+  if t.inq.(code) <> t.clock then begin
+    t.inq.(code) <- t.clock;
+    t.queue.(t.qtail) <- code;
+    t.qtail <- (t.qtail + 1) mod (t.nl + t.nr + 1)
+  end
 
 (* One SPFA sweep; mirrors Tiered.spfa exactly (same FIFO order, same
-   strict-improvement relaxations).  Returns unit; results live in
-   dist/parent guarded by the [have] stamp. *)
+   strict-improvement relaxations).  Results live in [dist] guarded by
+   the [have] stamp. *)
 let spfa t =
   let nl = t.nl and nr = t.nr and k = t.k in
   let nv = nl + nr in
@@ -163,20 +204,12 @@ let spfa t =
   let clock = t.clock in
   let qcap = nv + 1 in
   let dist = t.dist and have = t.have and inq = t.inq in
-  let parent = t.parent and queue = t.queue in
-  let ew = t.ew and cand = t.cand in
-  let push code =
-    if inq.(code) <> clock then begin
-      inq.(code) <- clock;
-      queue.(t.qtail) <- code;
-      t.qtail <- (t.qtail + 1) mod qcap
-    end
-  in
+  let queue = t.queue and ew = t.ew and cand = t.cand in
   for u = 0 to nl - 1 do
     if t.left_to_.(u) < 0 then begin
       Array.fill dist (u * k) k 0;
       have.(u) <- clock;
-      push u
+      push t u
     end
   done;
   let budget = (nv + 1) * (t.ne + 1) * 2 in
@@ -193,35 +226,20 @@ let spfa t =
       let u = code in
       if have.(u) = clock then begin
         let off_u = u * k in
-        let stop = if u + 1 < nl then t.loff.(u + 1) else t.ne in
-        for id = t.loff.(u) to stop - 1 do
+        for id = t.loff.(u) to t.loff.(u + 1) - 1 do
           if t.left_edge_.(u) <> id then begin
-            let v = t.edst.(id) in
             let off_e = id * k in
             for j = 0 to k - 1 do
               Array.unsafe_set cand j
                 (Array.unsafe_get dist (off_u + j)
                  + Array.unsafe_get ew (off_e + j))
             done;
-            let code_v = nl + v in
+            let code_v = nl + t.edst.(id) in
             let off_v = code_v * k in
-            let better =
-              have.(code_v) <> clock
-              ||
-              let rec go j =
-                if j >= k then false
-                else
-                  let c = Array.unsafe_get cand j
-                  and d = Array.unsafe_get dist (off_v + j) in
-                  if c <> d then c > d else go (j + 1)
-              in
-              go 0
-            in
-            if better then begin
+            if have.(code_v) <> clock || lex_gt cand 0 dist off_v k 0 then begin
               Array.blit cand 0 dist off_v k;
               have.(code_v) <- clock;
-              parent.(code_v) <- id;
-              push code_v
+              push t code_v
             end
           end
         done
@@ -229,125 +247,146 @@ let spfa t =
     end
     else begin
       (* right vertex: relax along its matching edge (if matched) *)
-      let v = code - nl in
-      if have.(code) = clock then begin
-        let u = t.right_to_.(v) in
-        if u >= 0 then begin
-          let id = t.left_edge_.(u) in
-          let off_v = code * k and off_u = u * k and off_e = id * k in
-          for j = 0 to k - 1 do
-            Array.unsafe_set cand j
-              (Array.unsafe_get dist (off_v + j)
-               - Array.unsafe_get ew (off_e + j))
-          done;
-          let better =
-            have.(u) <> clock
-            ||
-            let rec go j =
-              if j >= k then false
-              else
-                let c = Array.unsafe_get cand j
-                and d = Array.unsafe_get dist (off_u + j) in
-                if c <> d then c > d else go (j + 1)
-            in
-            go 0
-          in
-          if better then begin
-            Array.blit cand 0 dist off_u k;
-            have.(u) <- clock;
-            parent.(u) <- id;
-            push u
-          end
+      let u = t.right_to_.(code - nl) in
+      if have.(code) = clock && u >= 0 then begin
+        let off_v = code * k and off_u = u * k
+        and off_e = t.left_edge_.(u) * k in
+        for j = 0 to k - 1 do
+          Array.unsafe_set cand j
+            (Array.unsafe_get dist (off_v + j)
+             - Array.unsafe_get ew (off_e + j))
+        done;
+        if have.(u) <> clock || lex_gt cand 0 dist off_u k 0 then begin
+          Array.blit cand 0 dist off_u k;
+          have.(u) <- clock;
+          push t u
         end
       end
     end
   done
 
-(* Best free right vertex by gain: maximum distance, ties to the
-   smallest index — the same scan as Tiered.best_target. *)
+(* Smallest-index free right vertex with the best label, or -1. *)
 let best_target t =
-  let nl = t.nl and k = t.k in
+  let nl = t.nl and k = t.k and dist = t.dist in
   let best = ref (-1) in
   for v = 0 to t.nr - 1 do
     if t.right_to_.(v) < 0 && t.have.(nl + v) = t.clock then begin
-      if !best < 0 then best := v
-      else if dist_gt t ((nl + v) * k) ((nl + !best) * k) then best := v
+      if !best < 0 || lex_gt dist ((nl + v) * k) dist ((nl + !best) * k) k 0
+      then best := v
     end
   done;
   !best
 
-let gain_positive t v =
-  let off = (t.nl + v) * t.k in
-  let rec go j =
-    if j >= t.k then false
-    else
-      let x = t.dist.(off + j) in
-      if x <> 0 then x > 0 else go (j + 1)
-  in
-  go 0
+(* Right-grouped CSR of the round's edges by counting sort; iterating
+   edges downwards leaves each group in ascending id. *)
+let build_right_csr t =
+  let nr = t.nr and roff = t.roff and redge = t.redge in
+  Array.fill roff 0 (nr + 1) 0;
+  for e = 0 to t.ne - 1 do
+    let v = t.edst.(e) in
+    roff.(v) <- roff.(v) + 1
+  done;
+  for v = 1 to nr - 1 do
+    roff.(v) <- roff.(v) + roff.(v - 1)
+  done;
+  for e = t.ne - 1 downto 0 do
+    let v = t.edst.(e) in
+    roff.(v) <- roff.(v) - 1;
+    redge.(roff.(v)) <- e
+  done;
+  roff.(nr) <- t.ne
 
-(* Collect the augmenting path ending at free right [v] (edges stored
-   root-to-start in t.path), then flip it with the same drop-then-use
-   order as Matching.augment_along. *)
-let augment t v =
-  t.path <- ensure t.path ((2 * t.nl) + 1) 0;
-  let path = t.path in
-  let len = ref 0 in
-  let v = ref v in
-  let continue_ = ref true in
-  while !continue_ do
-    let e = t.parent.(t.nl + !v) in
-    path.(!len) <- e;
-    incr len;
-    let u = t.esrc.(e) in
-    if t.left_to_.(u) >= 0 then begin
-      let e' = t.left_edge_.(u) in
-      path.(!len) <- e';
-      incr len;
-      v := t.edst.(e')
+(* Tiered.search with an explicit stack: frame [i] is a right vertex
+   whose cursor rests on the edge the search descended through.  On
+   reaching a free left vertex the frames' edges are the path's
+   unmatched edges, and matching each to its frame flips the path. *)
+let search t target =
+  let nl = t.nl and k = t.k and clock = t.clock in
+  let dist = t.dist and ew = t.ew and have = t.have and vis = t.vis in
+  let roff = t.roff and redge = t.redge in
+  let stk_v = t.stk_v and stk_pos = t.stk_pos in
+  stk_v.(0) <- target;
+  stk_pos.(0) <- roff.(target);
+  let top = ref 0 and found = ref false in
+  while (not !found) && !top >= 0 do
+    let v = stk_v.(!top) and pos = stk_pos.(!top) in
+    if pos >= roff.(v + 1) then begin
+      decr top;
+      if !top >= 0 then stk_pos.(!top) <- stk_pos.(!top) + 1
     end
-    else continue_ := false
-  done;
-  let l = !len in
-  (* path.(i) sits at start-index l-1-i; drop the matched (odd) edges
-     first, then use the unmatched (even) ones *)
-  for i = 0 to l - 1 do
-    if (l - 1 - i) land 1 = 1 then begin
-      let u = t.esrc.(path.(i)) in
-      let w = t.left_to_.(u) in
-      if w >= 0 then begin
-        t.left_to_.(u) <- -1;
-        t.right_to_.(w) <- -1;
-        t.left_edge_.(u) <- -1
+    else begin
+      let e = redge.(pos) in
+      let u = t.esrc.(e) in
+      if
+        vis.(u) <> clock
+        && t.left_edge_.(u) <> e
+        && have.(u) = clock
+        && tight_add dist (u * k) ew (e * k) ((nl + v) * k) k 0
+      then begin
+        vis.(u) <- clock;
+        let e' = t.left_edge_.(u) in
+        if e' < 0 then found := true
+        else begin
+          let v' = t.edst.(e') in
+          if
+            have.(nl + v') = clock
+            && tight_sub dist ((nl + v') * k) ew (e' * k) (u * k) k 0
+          then begin
+            incr top;
+            stk_v.(!top) <- v';
+            stk_pos.(!top) <- roff.(v')
+          end
+          else stk_pos.(!top) <- pos + 1
+        end
       end
+      else stk_pos.(!top) <- pos + 1
     end
   done;
-  for i = 0 to l - 1 do
-    if (l - 1 - i) land 1 = 0 then begin
-      let e = path.(i) in
-      let u = t.esrc.(e) and w = t.edst.(e) in
-      t.left_to_.(u) <- w;
-      t.right_to_.(w) <- u;
-      t.left_edge_.(u) <- e
-    end
-  done;
-  t.augments <- t.augments + 1;
-  if l = 1 then t.warm_hits <- t.warm_hits + 1
+  if !found then begin
+    for i = 0 to !top do
+      let v = stk_v.(i) and e = redge.(stk_pos.(i)) in
+      let u = t.esrc.(e) in
+      t.left_to_.(u) <- v;
+      t.left_edge_.(u) <- e;
+      t.right_to_.(v) <- u
+    done;
+    t.augments <- t.augments + 1;
+    if !top = 0 then t.warm_hits <- t.warm_hits + 1
+  end
+
+(* One phase, as Tiered.phase: sweep, then search from every free right
+   vertex whose label equals the best one.  False once the best gain is
+   not positive. *)
+let phase t =
+  spfa t;
+  t.sweeps <- t.sweeps + 1;
+  let best = best_target t in
+  let k = t.k and nl = t.nl and dist = t.dist in
+  if best < 0 || not (lex_pos dist ((nl + best) * k) k 0) then false
+  else begin
+    let off_g = (nl + best) * k in
+    for v = best to t.nr - 1 do
+      if
+        t.right_to_.(v) < 0
+        && t.have.(nl + v) = t.clock
+        && lex_eq dist ((nl + v) * k) dist off_g k 0
+      then search t v
+    done;
+    true
+  end
 
 let solve t =
   let nv = t.nl + t.nr in
   t.loff <- ensure t.loff (t.nl + 1) 0;
   t.loff.(t.nl) <- t.ne;
+  t.roff <- ensure t.roff (t.nr + 1) 0;
+  t.redge <- ensure t.redge t.ne 0;
+  build_right_csr t;
   t.dist <- ensure t.dist (nv * t.k) 0;
   t.have <- ensure t.have nv 0;
   t.inq <- ensure t.inq nv 0;
-  t.parent <- ensure t.parent nv (-1);
   t.queue <- ensure t.queue (nv + 1) 0;
-  let continue_ = ref true in
-  while !continue_ do
-    spfa t;
-    t.sweeps <- t.sweeps + 1;
-    let v = best_target t in
-    if v >= 0 && gain_positive t v then augment t v
-    else continue_ := false
-  done
+  t.vis <- ensure t.vis t.nl 0;
+  t.stk_v <- ensure t.stk_v (nv + 1) 0;
+  t.stk_pos <- ensure t.stk_pos (nv + 1) 0;
+  while phase t do () done

@@ -1,16 +1,19 @@
 (** Warm-start arena for tiered maximum-weight matching.
 
-    A reusable, allocation-free replica of {!Tiered.solve}: same residual
-    SPFA from all free left vertices, same FIFO relaxation order, same
-    maximum-gain augmenting step with ties broken towards the smallest
-    right index — so on any graph it returns the {e same matching,
-    edge for edge}, as {!Tiered.solve} (the differential suite pins
-    this).  The difference is purely representational: a left-grouped CSR
-    with flat [k]-stride integer weights, stamp-guarded flat distance
-    matrices instead of [Lexvec.t option] arrays, and an int ring buffer
-    for the queue.  One value is created per strategy and re-armed every
-    round with {!begin_round}; steady-state solving performs no heap
-    allocation, which is where the online kernel's speedup over the
+    A reusable, allocation-free replica of {!Tiered.solve}'s phase rule:
+    the same residual SPFA sweep from all free left vertices in the same
+    FIFO order, then the same backward searches over tight arcs from the
+    best-labelled free right vertices in ascending index — so on any
+    graph it returns the {e same matching, edge for edge}, as
+    {!Tiered.solve} (the differential suite pins this).  The difference
+    is purely representational: a left-grouped CSR with flat [k]-stride
+    integer weights, a right-grouped CSR of the same edges for the
+    backward searches, stamp-guarded flat distance matrices instead of
+    [Lexvec.t option] arrays, an int ring buffer for the queue and an
+    explicit stack for the searches.  One value is created per strategy
+    and re-armed every round with {!begin_round}; once its grow-only
+    arrays fit the round, {!solve} performs no heap allocation (a test
+    pins this), which is where the online kernel's speedup over the
     rebuild path comes from.
 
     Build discipline: {!add_left} opens a left vertex; subsequent
@@ -22,13 +25,16 @@ type t
 
 type stats = {
   sweeps : int;
-      (** SPFA sweeps run — each is one augmenting-path search over the
-          current residual graph (the kernel's
+      (** SPFA sweeps run, one per phase including the last one, which
+          finds no positive gain (the kernel's
           [strategy.augment_searches]) *)
-  augments : int;  (** sweeps that grew the matching *)
+  augments : int;
+      (** augmenting paths flipped; one phase flips many (the kernel's
+          [strategy.augments]) *)
   warm_hits : int;
       (** augmentations along a single free edge — no rematching of
-          already-placed requests was needed *)
+          already-placed requests was needed (the kernel's
+          [strategy.warm_hits]) *)
 }
 
 val create : unit -> t

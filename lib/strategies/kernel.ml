@@ -14,16 +14,21 @@ module Pool = Prelude.Pool
      and each round solves only {e new arrivals} (plus the rare
      longer-than-d carryovers) against the still-free slots.  This is
      exact, not heuristic: every fix-family edge weight is
-     lexicographically positive, so after a Tiered solve no edge can
-     join an unmatched request to a free slot (it would be a one-edge
-     positive augmenting path).  Occupied slots never free up before
-     they serve, hence a request left unmatched at round [t] can only
-     regain an edge when a fresh column enters its window — i.e. while
-     [last_round >= round + d - 1].  Requests past that bound are
-     dormant forever; in the rebuild solver they are isolated left
-     vertices, which SPFA visits as no-ops, so dropping them (and
-     keeping the surviving lefts in the same ascending-id order and the
-     slots in the same [(slot_round - round) * n + resource] indexing)
+     lexicographically positive, and a Tiered solve ends on an optimum
+     (its last phase finds no positive augmenting path), so afterwards
+     no edge can join an unmatched request to a free slot (it would be
+     a one-edge positive augmenting path).  Occupied slots never free
+     up before they serve, hence a request left unmatched at round [t]
+     can only regain an edge when a fresh column enters its window —
+     i.e. while [last_round >= round + d - 1].  Requests past that
+     bound are dormant forever; in the rebuild solver they are isolated
+     left vertices, which the phase rule never touches (each sweep
+     seeds them with label 0 and relaxes nothing from them, and a
+     backward search enters a left vertex only over one of its edges).
+     So dropping them, while keeping the surviving lefts in the same
+     ascending-id order and the slots in the same
+     [(slot_round - round) * n + resource] indexing, keeps the sweep's
+     FIFO order and every right vertex's ascending edge order, and
      provably preserves the solver's output.
 
    - Full family (A_eager, A_balance, A_remax) and A_current: the
@@ -332,6 +337,8 @@ let make ~kind ~n ~d ~bias ~metrics () : Strategy.t =
         let s1 = Warm.stats st.warm in
         Obs.Metrics.incr ~by:(s1.Warm.sweeps - s0.Warm.sweeps) m
           "strategy.augment_searches";
+        Obs.Metrics.incr ~by:(s1.Warm.augments - s0.Warm.augments) m
+          "strategy.augments";
         Obs.Metrics.incr ~by:(s1.Warm.warm_hits - s0.Warm.warm_hits) m
           "strategy.warm_hits";
         serves

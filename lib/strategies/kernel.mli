@@ -12,7 +12,10 @@
       requests is exact because every fix-family weight vector is
       lexicographically positive: an unmatched request adjacent to a
       free slot would be a one-edge positive augmenting path, so after
-      a solve none exists, and frozen slots never free up early.
+      a solve (which ends on an optimum) none exists, and frozen slots
+      never free up early.  In the rebuild solver the dropped requests
+      are isolated left vertices, which no phase of {!Graph.Tiered}
+      touches.
     - full family / current — same subproblem as the rebuild (the
       from-empty re-solve {e is} the strategy), but over an id-ordered
       struct-of-arrays pool with expiry folded into the build pass and
@@ -43,6 +46,12 @@ val make :
   Sched.Strategy.t
 (** One kernel instance (strategy state is per-instance).  When
     [metrics] is present, each step
-    records [strategy.kernel_us] (histogram, µs per round) and counts
-    [strategy.augment_searches] (SPFA sweeps) and [strategy.warm_hits]
-    (single-edge augmentations). *)
+    records [strategy.kernel_us] (histogram, µs per round) and counts,
+    from {!Graph.Warm.stats}:
+    - [strategy.augment_searches]: SPFA sweeps, one per phase of the
+      solve (the last phase of each solve finds no positive gain);
+    - [strategy.augments]: augmenting paths flipped — one phase flips
+      many, so this is the matching growth, not the search effort;
+    - [strategy.warm_hits]: the augments along a single free edge, with
+      no already-placed request moved (so never more than
+      [strategy.augments]). *)

@@ -16,9 +16,12 @@
      (reachable only outside Instance.build — exercises the via-pool);
    - the Engine.Live incremental path used by the server;
    - Graph.Warm against Graph.Tiered on raw random weighted graphs,
-     edge-for-edge;
-   - the kernel's Obs counters (augment searches, warm hits, step
-     timing) actually accumulate. *)
+     edge-for-edge, with Tiered.is_max_weight_certificate as the
+     independent optimality oracle;
+   - a steady-state Warm.solve allocates nothing;
+   - the kernel's Obs counters (augment searches, augments, warm hits,
+     step timing) actually accumulate, and a fix-kernel round stays a
+     handful of SPFA sweeps rather than one per augmentation. *)
 
 module Request = Sched.Request
 module Instance = Sched.Instance
@@ -295,9 +298,8 @@ let prop_warm_equals_tiered =
         done
       done;
       let weights = Array.of_list (List.rev !weights) in
-      let m =
-        Graph.Tiered.solve g ~weight:(fun e -> Graph.Lexvec.of_array weights.(e))
-      in
+      let weight e = Graph.Lexvec.of_array weights.(e) in
+      let m = Graph.Tiered.solve g ~weight in
       Graph.Warm.solve warm;
       let lefts_equal =
         List.for_all
@@ -310,7 +312,40 @@ let prop_warm_equals_tiered =
           (fun r -> Graph.Warm.right_to warm r = m.Graph.Matching.right_to.(r))
           (List.init nr Fun.id)
       in
-      lefts_equal && rights_equal)
+      lefts_equal && rights_equal
+      && Graph.Tiered.is_max_weight_certificate g ~weight m)
+
+(* One Warm round over a fixed random graph: 300 lefts of 6 edges each
+   into 200 rights, fix-like tiers [1; 1; bias]. *)
+let build_warm_round warm =
+  let rng = Rng.create ~seed:5 in
+  Graph.Warm.begin_round warm ~n_right:200 ~k:3;
+  for _ = 1 to 300 do
+    ignore (Graph.Warm.add_left warm : int);
+    for _ = 1 to 6 do
+      let e = Graph.Warm.add_edge warm ~right:(Rng.int rng 200) in
+      Graph.Warm.set_weight warm e 0 1;
+      Graph.Warm.set_weight warm e 1 1;
+      Graph.Warm.set_weight warm e 2 (Rng.int rng 7 - 3)
+    done
+  done
+
+let minor_words_during f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let test_warm_solve_allocates_nothing () =
+  let warm = Graph.Warm.create () in
+  (* the first solve grows the arena; the second, on the same shape, is
+     steady state *)
+  build_warm_round warm;
+  Graph.Warm.solve warm;
+  build_warm_round warm;
+  let baseline = minor_words_during ignore in
+  let words = minor_words_during (fun () -> Graph.Warm.solve warm) in
+  check (Alcotest.float 0.) "minor words of a steady-state solve" 0.
+    (words -. baseline)
 
 (* ------------------------------------------------------------------ *)
 (* kernel metrics *)
@@ -322,13 +357,36 @@ let test_kernel_metrics () =
   check Alcotest.bool "some requests served" true (o.Outcome.served > 0);
   check Alcotest.bool "augment searches counted" true
     (Obs.Metrics.counter m "strategy.augment_searches" > 0);
+  check Alcotest.bool "augments counted" true
+    (Obs.Metrics.counter m "strategy.augments" > 0);
   check Alcotest.bool "warm hits counted" true
     (Obs.Metrics.counter m "strategy.warm_hits" >= 0);
+  check Alcotest.bool "every warm hit is an augment" true
+    (Obs.Metrics.counter m "strategy.warm_hits"
+     <= Obs.Metrics.counter m "strategy.augments");
   (match Obs.Metrics.histogram m "strategy.kernel_us" with
    | Some stats ->
      check Alcotest.bool "kernel_us observed every round" true
        (Prelude.Stats.count stats = inst.Instance.horizon)
    | None -> Alcotest.fail "strategy.kernel_us histogram missing")
+
+(* One phase flips many disjoint paths, so a fix-kernel round costs a
+   few SPFA sweeps, not one per augmentation (~256 per round here when
+   every path had its own sweep). *)
+let test_fix_sweeps_per_round () =
+  let m = Obs.Metrics.create () in
+  let rng = Rng.create ~seed:1 in
+  let inst =
+    Adversary.Random_workload.make ~rng ~n:256 ~d:8 ~rounds:40 ~load:1.1 ()
+  in
+  ignore (Engine.run inst (Global.fix ~metrics:m ()) : Outcome.t);
+  let per_round =
+    float_of_int (Obs.Metrics.counter m "strategy.augment_searches")
+    /. float_of_int inst.Instance.horizon
+  in
+  if per_round > 16. then
+    Alcotest.failf "%.1f augment searches per round, expected <= 16"
+      per_round
 
 (* ------------------------------------------------------------------ *)
 
@@ -349,6 +407,13 @@ let () =
       ( "warm-arena",
         [
           prop_warm_equals_tiered;
+          Alcotest.test_case "steady-state solve allocates nothing" `Quick
+            test_warm_solve_allocates_nothing;
         ] );
-      ("metrics", [ Alcotest.test_case "counters" `Quick test_kernel_metrics ]);
+      ( "metrics",
+        [
+          Alcotest.test_case "counters" `Quick test_kernel_metrics;
+          Alcotest.test_case "fix sweeps per round" `Quick
+            test_fix_sweeps_per_round;
+        ] );
     ]

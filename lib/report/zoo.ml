@@ -10,6 +10,9 @@ let strategies =
     "greedy_2choice";
   ]
 
+(* (n, d, rounds) of the quick / full tier, and the one seed every cell
+   shares: workload draws are keyed per round and strategy coins are
+   split (see Registry.factory_of_name) *)
 let tier ~quick = if quick then (6, 4, 40) else (8, 4, 240)
 let seed = 7
 

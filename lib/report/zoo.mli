@@ -13,14 +13,6 @@ val strategies : string list
     and the two-choice greedy — every deterministic strategy with a
     live-engine implementation (8 of them). *)
 
-val tier : quick:bool -> int * int * int
-(** [(n, d, rounds)] of the quick / full tier. *)
-
-val seed : int
-(** The canonical zoo seed (shared by every cell; workload draws are
-    keyed per round, strategy coins are split — see
-    {!Registry.factory_of_name}). *)
-
 val encode_scores : Analysis.Slo.scores -> Jobs.value list
 (** The nine score fields as a cached job value's leading elements, in
     record order — the one encoding behind the zoo's cells and the

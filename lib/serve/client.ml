@@ -126,7 +126,6 @@ type report = {
   rejected : int;
   expired : int;
   duration : float;
-  submit_s : float;
   rtt : Stats.t;
   rtt_samples : float array;
   decisions : (int * outcome) array;
@@ -176,7 +175,7 @@ let note tr msg =
     tr.terminals <- tr.terminals + 1;
     true
 
-let report_of tr ~submitted ~duration ~submit_s =
+let report_of tr ~submitted ~duration =
   let scheduled = ref 0 and rejected = ref 0 and expired = ref 0 in
   Hashtbl.iter
     (fun _ -> function
@@ -195,7 +194,6 @@ let report_of tr ~submitted ~duration ~submit_s =
     rejected = !rejected;
     expired = !expired;
     duration;
-    submit_s;
     rtt = Stats.copy tr.rtt_acc;
     rtt_samples = Array.of_list (List.rev tr.samples);
     decisions;
@@ -256,9 +254,6 @@ let open_loop ~addr ~(inst : Sched.Instance.t) ~tick ?(batch = 1)
     let total = Sched.Instance.n_requests inst in
     let horizon = inst.Sched.Instance.horizon in
     let t0 = Unix.gettimeofday () in
-    (* wall time spent rendering and writing submissions — the wire
-       path batching accelerates, reported apart from round-trip waits *)
-    let submit_clock = ref 0.0 in
     let submit_round round =
       (* a round's arrivals go out in submission order, chunked into
          groups of at most [batch] *)
@@ -278,10 +273,7 @@ let open_loop ~addr ~(inst : Sched.Instance.t) ~tick ?(batch = 1)
           | Error _ as e -> e
           | Ok () -> go (i + len)
       in
-      let c0 = Unix.gettimeofday () in
-      let r = go 0 in
-      submit_clock := !submit_clock +. (Unix.gettimeofday () -. c0);
-      r
+      go 0
     in
     let result =
       let* () =
@@ -353,7 +345,7 @@ let open_loop ~addr ~(inst : Sched.Instance.t) ~tick ?(batch = 1)
     (match result with
      | Error m -> Error m
      | Ok () ->
-       Ok (report_of tr ~submitted:total ~duration ~submit_s:!submit_clock))
+       Ok (report_of tr ~submitted:total ~duration))
 
 let closed_loop ~addr ~(inst : Sched.Instance.t) ~users ~total
     ?(batch = 1) ?(client = "load") () =
@@ -370,7 +362,6 @@ let closed_loop ~addr ~(inst : Sched.Instance.t) ~users ~total
       let n_req = Sched.Instance.n_requests inst in
       let t0 = Unix.gettimeofday () in
       let next = ref 0 in
-      let submit_clock = ref 0.0 in
       (* Submit up to [k] more requests, chunked into groups of at most
          [batch]; stops early when [total] is reached. *)
       let submit_up_to k =
@@ -389,10 +380,7 @@ let closed_loop ~addr ~(inst : Sched.Instance.t) ~users ~total
             let* () = submit_group conn tr reqs in
             go (k - len)
         in
-        let c0 = Unix.gettimeofday () in
-        let r = go k in
-        submit_clock := !submit_clock +. (Unix.gettimeofday () -. c0);
-        r
+        go k
       in
       let result =
         let* () = submit_up_to (min users total) in
@@ -434,10 +422,7 @@ let closed_loop ~addr ~(inst : Sched.Instance.t) ~users ~total
       close conn;
       (match result with
        | Error m -> Error m
-       | Ok () ->
-         Ok
-           (report_of tr ~submitted:!next ~duration
-              ~submit_s:!submit_clock))
+       | Ok () -> Ok (report_of tr ~submitted:!next ~duration))
 
 let render_decisions report =
   let b = Buffer.create (32 * Array.length report.decisions) in

@@ -38,10 +38,6 @@ type report = {
   rejected : int;
   expired : int;
   duration : float;           (** wall-clock seconds for the whole run *)
-  submit_s : float;           (** seconds spent rendering and writing
-                                  submissions — the wire path batching
-                                  accelerates, measured apart from
-                                  round-trip and response waits *)
   rtt : Prelude.Stats.t;      (** submit-to-terminal latency summary *)
   rtt_samples : float array;  (** raw latencies, submission order — feed
                                   to {!Prelude.Stats.quantile} *)

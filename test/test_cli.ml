@@ -45,7 +45,7 @@ let test_select_whole_segments () =
   Alcotest.(check (list string))
     "an exact id" [ "Z.zoo" ] (selected "Z.zoo" catalog);
   let families =
-    List.map (fun id -> (id, ())) [ "B.micro"; "B.scale"; "B.stream"; "B.serve" ]
+    List.map (fun id -> (id, ())) [ "B.micro"; "B.scale" ]
   in
   Alcotest.(check (list string))
     "B.scale" [ "B.scale" ] (selected "B.scale" families);

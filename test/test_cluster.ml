@@ -317,19 +317,33 @@ let outcomes_equal ~what (a : Outcome.t) (b : Outcome.t) =
 let salted_priority salt ~sender ~dst =
   ((sender * 7919) lxor (dst * 104729) lxor salt) land 3
 
+(* seed 3, default priority: (messages, bounced) per strategy *)
+let pinned_seed3 =
+  [ ("fix", (721, 15)); ("eager", (4077, 267));
+    ("eager_compact", (4077, 35)) ]
+
+(* Decisions and traffic both match the simulator: the cluster charges
+   exactly the messages, bounces and communication rounds that
+   [Distnet.Net] does, on every layout. *)
 let test_cluster_matches_local () =
   List.iter
     (fun (pname, priority) ->
        List.iter
-         (fun (name, local_factory, strategy) ->
+         (fun (name, with_stats, strategy) ->
             List.iter
               (fun seed ->
                  let inst =
                    random_instance ~n:9 ~d:4 ~rounds:40 ~load:1.5 ~seed
                  in
-                 let reference = Engine.run inst (local_factory priority) in
+                 let factory, local_stats = with_stats priority in
+                 let reference = Engine.run inst factory in
+                 let ls : Local.stats = local_stats () in
                  List.iter
                    (fun nodes ->
+                      let what =
+                        Printf.sprintf "%s %s seed=%d nodes=%d" name pname
+                          seed nodes
+                      in
                       let captured = ref None in
                       let o =
                         Engine.run inst
@@ -337,29 +351,58 @@ let test_cluster_matches_local () =
                              ~on_create:(fun s -> captured := Some s)
                              ~strategy ~nodes ())
                       in
-                      outcomes_equal
-                        ~what:
-                          (Printf.sprintf "%s %s seed=%d nodes=%d" name pname
-                             seed nodes)
-                        reference o;
+                      outcomes_equal ~what reference o;
                       check Alcotest.bool "consistent" true
                         (Outcome.is_consistent o);
-                      match !captured with
-                      | None -> Alcotest.fail "factory never ran"
-                      | Some s ->
-                        check Alcotest.int
-                          (Printf.sprintf "%s nodes=%d: no serve conflicts"
-                             name nodes)
-                          0 (Session.stats s).Session.serve_conflicts)
-                   [ 1; 2; 3; 5 ])
+                      let s =
+                        match !captured with
+                        | None -> Alcotest.fail "factory never ran"
+                        | Some s -> Session.stats s
+                      in
+                      check Alcotest.int (what ^ ": no serve conflicts") 0
+                        s.Session.serve_conflicts;
+                      List.iter
+                        (fun (field, local, cluster) ->
+                           check Alcotest.int (what ^ ": " ^ field) local
+                             cluster)
+                        [
+                          ("messages", ls.messages, s.Session.messages);
+                          ("bounced", ls.bounced, s.Session.bounced);
+                          ( "comm_rounds_total",
+                            ls.comm_rounds_total,
+                            s.Session.comm_rounds_total );
+                          ( "comm_rounds_max",
+                            ls.comm_rounds_max,
+                            s.Session.comm_rounds_max );
+                          ( "scheduling_rounds",
+                            ls.scheduling_rounds,
+                            s.Session.scheduling_rounds );
+                        ];
+                      (* A_local_fix speaks at most twice per request *)
+                      if strategy = Session.Local_fix then
+                        check Alcotest.bool (what ^ ": <= 2 msgs/request")
+                          true
+                          (s.Session.messages <= 2 * s.Session.requests))
+                   [ 1; 2; 3; 5 ];
+                 (* pinned, so a protocol change that moves simulator and
+                    cluster together still shows *)
+                 if seed = 3 && Option.is_none priority then
+                   check
+                     Alcotest.(pair int int)
+                     (name ^ " seed=3: messages, bounced")
+                     (List.assoc name pinned_seed3)
+                     (ls.messages, ls.bounced))
               [ 3; 17 ])
          [
-           ("fix", (fun priority -> Local.fix ?priority ()), Session.Local_fix);
+           ( "fix",
+             (fun priority -> Local.fix_with_stats ?priority ()),
+             Session.Local_fix );
            ( "eager",
-             (fun priority -> Local.eager ?priority ()),
+             (fun priority -> Local.eager_with_stats ?priority ()),
              Session.Local_eager { compact = false } );
            ( "eager_compact",
-             (fun priority -> Local.eager ~compact:true ?priority ()),
+             (fun priority ->
+                Local.eager_with_stats ~compact:true ?priority ()),
              Session.Local_eager { compact = true } );
          ])
     [

@@ -268,10 +268,11 @@ let fresh_sock_path =
       (Printf.sprintf "reqsched_test_%d_%d.sock" (Unix.getpid ()) !counter)
 
 (* Start a server, run [f], then drain and return (f's result, final
-   metrics snapshot). *)
+   metrics snapshot).  Every shard runs [strategy] (default A_balance). *)
 let with_server ?(shards = 2) ?(domains = 0) ?(n = 8) ?(d = 4)
     ?(queue_capacity = 1024) ?(max_batch = 512) ?(outbox_capacity = 4096)
-    ?(tick = `Manual) f =
+    ?(tick = `Manual) ?(strategy = fun () -> Strategies.Global.balance ())
+    f =
   let path = fresh_sock_path () in
   let cfg =
     {
@@ -280,7 +281,7 @@ let with_server ?(shards = 2) ?(domains = 0) ?(n = 8) ?(d = 4)
       d;
       shards;
       domains;
-      strategy = (fun ~shard:_ ~metrics:_ -> Strategies.Global.balance ());
+      strategy = (fun ~shard:_ ~metrics:_ -> strategy ());
       tick;
       queue_capacity;
       max_batch;
@@ -396,6 +397,24 @@ let test_e2e_domains_invariant () =
          (Printf.sprintf "merged counters identical at %d domain(s)" domains)
          (counters base_snap) (counters snap))
     [ 2; 4 ]
+
+(* The warm-start kernel against its from-scratch rebuild oracle,
+   through sharding, the wire protocol and the live engine: under manual
+   ticks both must produce the same decision log byte for byte. *)
+let test_e2e_kernel_equals_rebuild () =
+  let inst = random_instance ~n:16 ~d:4 ~rounds:60 ~load:1.1 ~seed:55 in
+  let run solver =
+    let r, _ =
+      with_server ~shards:2 ~n:16 ~d:4
+        ~strategy:(fun () -> Strategies.Global.balance ~solver ())
+        (fun addr _ -> run_open addr inst)
+    in
+    Client.render_decisions r
+  in
+  let kernel = run Strategies.Global.Kernel in
+  check Alcotest.bool "log is non-trivial" true (String.length kernel > 0);
+  check Alcotest.string "kernel == rebuild byte-identical" kernel
+    (run Strategies.Global.Rebuild)
 
 let test_e2e_codec_replay_equals_original () =
   (* save the trace, reload it, and check the reloaded instance drives
@@ -562,20 +581,32 @@ let test_e2e_batched_replay_identical () =
           | Error m -> Alcotest.failf "open_loop batch=%d: %s" batch m
           | Ok r -> r)
     in
-    (Client.render_decisions r, counter snap "serve.batches_in")
+    ( Client.render_decisions r,
+      counter snap "serve.batches_in",
+      counter snap "serve.lines_in" )
   in
-  let baseline, frames1 = run 1 in
+  let baseline, frames1, lines1 = run 1 in
   check Alcotest.bool "log is non-trivial" true (String.length baseline > 0);
   check Alcotest.int "batch=1 stays on the per-line frame" 0 frames1;
   List.iter
     (fun batch ->
-       let log, frames = run batch in
+       let log, frames, lines = run batch in
        check Alcotest.string
          (Printf.sprintf "batch=%d decisions byte-identical" batch)
          baseline log;
        check Alcotest.bool
          (Printf.sprintf "batch=%d actually sent batch frames" batch)
-         true (frames > 0))
+         true (frames > 0);
+       (* a round's k arrivals go out as ceil(k/b) frames instead of k
+          lines; every other line (hello, ticks, bye) is unchanged *)
+       let saved = ref 0 in
+       for round = 0 to inst.Instance.horizon - 1 do
+         let k = Array.length (Instance.arrivals_at inst round) in
+         saved := !saved + k - ((k + batch - 1) / batch)
+       done;
+       check Alcotest.int
+         (Printf.sprintf "batch=%d frame count" batch)
+         (lines1 - !saved) lines)
     [ 3; 64 ]
 
 let test_e2e_outbox_overflow_no_reply_dropped () =
@@ -709,6 +740,8 @@ let () =
             test_e2e_replay_deterministic;
           Alcotest.test_case "domain-count invariant" `Quick
             test_e2e_domains_invariant;
+          Alcotest.test_case "kernel == rebuild through the server" `Quick
+            test_e2e_kernel_equals_rebuild;
           Alcotest.test_case "codec trace replays identically" `Quick
             test_e2e_codec_replay_equals_original;
           Alcotest.test_case "interval ticker" `Quick test_e2e_interval_tick;

@@ -5,7 +5,6 @@ let create ?(capacity = 8) () =
   { data = Array.make capacity 0; len = 0 }
 
 let length t = t.len
-let is_empty t = t.len = 0
 
 let check t i op =
   if i < 0 || i >= t.len then
@@ -30,21 +29,11 @@ let push t v =
   t.data.(t.len) <- v;
   t.len <- t.len + 1
 
-let pop t =
-  if t.len = 0 then invalid_arg "Ivec.pop: empty";
-  t.len <- t.len - 1;
-  t.data.(t.len)
-
 let clear t = t.len <- 0
 
 let iter f t =
   for i = 0 to t.len - 1 do
     f t.data.(i)
-  done
-
-let iteri f t =
-  for i = 0 to t.len - 1 do
-    f i t.data.(i)
   done
 
 let fold f init t =
@@ -64,12 +53,3 @@ let of_array a =
   let len = Array.length a in
   let data = if len = 0 then Array.make 1 0 else Array.copy a in
   { data; len }
-
-let to_list t = Array.to_list (to_array t)
-
-let copy t = { data = Array.copy t.data; len = t.len }
-
-let sort t =
-  let a = to_array t in
-  Array.sort compare a;
-  Array.blit a 0 t.data 0 t.len

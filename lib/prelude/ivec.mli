@@ -9,7 +9,6 @@ type t
 
 val create : ?capacity:int -> unit -> t
 val length : t -> int
-val is_empty : t -> bool
 
 val get : t -> int -> int
 (** @raise Invalid_argument on out-of-bounds index. *)
@@ -20,21 +19,11 @@ val set : t -> int -> int -> unit
 val push : t -> int -> unit
 (** Append, growing geometrically as needed. *)
 
-val pop : t -> int
-(** Remove and return the last element.
-    @raise Invalid_argument when empty. *)
-
 val clear : t -> unit
 (** Reset to length 0; capacity is retained. *)
 
 val iter : (int -> unit) -> t -> unit
-val iteri : (int -> int -> unit) -> t -> unit
 val fold : ('a -> int -> 'a) -> 'a -> t -> 'a
 val exists : (int -> bool) -> t -> bool
 val to_array : t -> int array
 val of_array : int array -> t
-val to_list : t -> int list
-val copy : t -> t
-
-val sort : t -> unit
-(** In-place ascending sort of the used prefix. *)

@@ -54,6 +54,11 @@ val run_adaptive :
     terminal outcomes.  It holds only requests whose window is still
     open, so its state is bounded by the requests in flight.
 
+    [Live] is the only caller of {!Strategy.t.step}, and it upholds
+    that function's contract: each round's arrivals have
+    [arrival = round], [1 <= deadline <= d] (enforced by {!submit}) and
+    dense ids ascending from 0 in submission order.
+
     Determinism: the outcome of a run depends only on the strategy and
     the sequence of submissions between steps, so replaying a recorded
     trace through a fresh engine reproduces every decision exactly. *)

@@ -21,8 +21,13 @@ type serve = { request : int; resource : int }
 type t = {
   name : string;
   step : round:int -> arrivals:Request.t array -> serve list;
-      (** Called once per round, rounds strictly increasing from 0;
-          returns the services to execute this round. *)
+      (** Called once per round, rounds advancing by one from 0;
+          returns the services to execute this round.  [arrivals] are
+          the requests admitted for this round: each has
+          [arrival = round] and [1 <= deadline <= d], and their ids
+          ascend, continuing the previous rounds' ids.
+          {!Engine.Live}, the only caller, enforces this contract, and
+          strategies may rely on it. *)
 }
 
 type bias = request:Request.t -> resource:int -> round:int -> int

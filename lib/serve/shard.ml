@@ -9,7 +9,6 @@
    the server merges after the workers exit. *)
 
 module Live = Sched.Engine.Live
-module Pool = Prelude.Pool
 
 type task = {
   conn : int;               (* connection id, for reply routing *)
@@ -34,7 +33,15 @@ type t = {
   metrics : Obs.Metrics.t;
   depth_gauge : string; (* serve.shard<index>.queue_depth, built once *)
   live : Live.t;
-  tags : Pool.Table.t; (* engine id -> (conn, tag), flat payload *)
+  (* Reply routing: the task of open engine id [i] sits at
+     [tasks.(i land (length - 1))]; ids [low ..] up to the next fresh
+     one are admitted ids, each open or reset to [dummy_task] at its
+     terminal.  Live hands out dense ids and every id terminates within
+     [d] rounds, so the span covers at most the last [d] rounds of
+     admissions, and the length (a power of two) doubles only when the
+     span reaches it. *)
+  mutable tasks : task array;
+  mutable low : int;
   drain_buf : task array ref;        (* reusable inbox drain target *)
   stepped : int Atomic.t;
   exited : bool Atomic.t;
@@ -59,7 +66,8 @@ let create ?metrics ~index ~lo ~hi ~d ~queue_capacity ~strategy ~outbox () =
     metrics;
     depth_gauge = Printf.sprintf "serve.shard%d.queue_depth" index;
     live = Live.create ~metrics ~n:(hi - lo) ~d strategy;
-    tags = Pool.Table.create ~capacity:256 ~width:2 ();
+    tasks = Array.make 256 dummy_task;
+    low = 0;
     drain_buf = ref [||];
     stepped = Atomic.make 0;
     exited = Atomic.make false;
@@ -111,6 +119,16 @@ let rec localize t acc dropped = function
     if owns t a then localize t ((a - t.lo) :: acc) dropped rest
     else localize t acc (dropped + 1) rest
 
+(* Room for [id]: double the ring, moving ids [low .. id-1] to their
+   slots under the new mask. *)
+let grow t id =
+  let len = Array.length t.tasks in
+  let tasks = Array.make (2 * len) dummy_task in
+  for i = t.low to id - 1 do
+    tasks.(i land ((2 * len) - 1)) <- t.tasks.(i land (len - 1))
+  done;
+  t.tasks <- tasks
+
 let step_once t =
   let depth = Chan.drain_into t.inbox t.drain_buf in
   let tasks = !(t.drain_buf) in
@@ -124,24 +142,19 @@ let step_once t =
       Obs.Metrics.incr ~by:dropped t.metrics "serve.truncated_alternatives";
     match Live.submit t.live ~alternatives:local ~deadline:task.deadline with
     | Ok id ->
-      let e = Pool.Table.put t.tags id in
-      Pool.Table.setv t.tags e 0 task.conn;
-      Pool.Table.setv t.tags e 1 task.tag
+      if id - t.low >= Array.length t.tasks then grow t id;
+      t.tasks.(id land (Array.length t.tasks - 1)) <- task
     | Error m ->
       Obs.Metrics.incr t.metrics "serve.rejected.invalid";
       push_reply t task.conn
         (Protocol.Rejected { tag = task.tag; reason = Protocol.Invalid m })
   done;
   let outcome = Live.step t.live in
+  let mask = Array.length t.tasks - 1 in
   let reply id msg =
-    let e = Pool.Table.find t.tags id in
-    if e >= 0 then begin
-      let conn = Pool.Table.getv t.tags e 0 in
-      let tag = Pool.Table.getv t.tags e 1 in
-      ignore (Pool.Table.remove t.tags id);
-      push_reply t conn (msg ~tag)
-    end
-    (* e < 0 unreachable: every admitted id has a tag entry *)
+    let task = t.tasks.(id land mask) in
+    t.tasks.(id land mask) <- dummy_task;
+    push_reply t task.conn (msg ~tag:task.tag)
   in
   List.iter
     (fun (id, resource) ->
@@ -156,6 +169,10 @@ let step_once t =
     "serve.served";
   Obs.Metrics.incr ~by:(List.length outcome.Live.expired) t.metrics
     "serve.expired";
+  let next = Live.submitted t.live in
+  while t.low < next && t.tasks.(t.low land mask) == dummy_task do
+    t.low <- t.low + 1
+  done;
   Obs.Metrics.observe t.metrics "serve.tick_us" (Obs.Span.elapsed t0 *. 1e6);
   Atomic.incr t.stepped
 

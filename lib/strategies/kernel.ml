@@ -1,7 +1,6 @@
 module Request = Sched.Request
 module Strategy = Sched.Strategy
 module Warm = Graph.Warm
-module Pool = Prelude.Pool
 
 (* The warm-start incremental round kernel behind Global's strategies.
 
@@ -11,25 +10,24 @@ module Pool = Prelude.Pool
 
    - Fix family (A_fix, A_fix_balance): assignments are frozen, so the
      matching is carried across rounds in a stamped slot-occupancy ring
-     and each round solves only {e new arrivals} (plus the rare
-     longer-than-d carryovers) against the still-free slots.  This is
-     exact, not heuristic: every fix-family edge weight is
-     lexicographically positive, and a Tiered solve ends on an optimum
-     (its last phase finds no positive augmenting path), so afterwards
-     no edge can join an unmatched request to a free slot (it would be
-     a one-edge positive augmenting path).  Occupied slots never free
-     up before they serve, hence a request left unmatched at round [t]
-     can only regain an edge when a fresh column enters its window —
-     i.e. while [last_round >= round + d - 1].  Requests past that
-     bound are dormant forever; in the rebuild solver they are isolated
-     left vertices, which the phase rule never touches (each sweep
-     seeds them with label 0 and relaxes nothing from them, and a
+     and each round solves only the round's {e arrivals} against the
+     still-free slots.  This is exact, not heuristic: every fix-family
+     edge weight is lexicographically positive, and a Tiered solve ends
+     on an optimum (its last phase finds no positive augmenting path),
+     so afterwards no edge can join an unmatched request to a free slot
+     (it would be a one-edge positive augmenting path).  Occupied slots
+     never free up before they serve, hence a request left unmatched at
+     round [t] could only regain an edge when a fresh column enters its
+     window, i.e. if [last_round >= round + d - 1] held a round after
+     it arrived; [deadline <= d] rules that out.  Unmatched requests
+     are therefore dormant forever; in the rebuild solver they are
+     isolated left vertices, which the phase rule never touches (each
+     sweep seeds them with label 0 and relaxes nothing from them, and a
      backward search enters a left vertex only over one of its edges).
-     So dropping them, while keeping the surviving lefts in the same
-     ascending-id order and the slots in the same
-     [(slot_round - round) * n + resource] indexing, keeps the sweep's
-     FIFO order and every right vertex's ascending edge order, and
-     provably preserves the solver's output.
+     So dropping them, while keeping the arrivals in ascending-id order
+     and the slots in the same [(slot_round - round) * n + resource]
+     indexing, keeps the sweep's FIFO order and every right vertex's
+     ascending edge order, and provably preserves the solver's output.
 
    - Full family (A_eager, A_balance, A_remax) and A_current: the
      semantics {e are} the from-empty augmentation sequence each round,
@@ -40,10 +38,10 @@ module Pool = Prelude.Pool
      amortised — each entry is appended once and dropped once), and the
      solve runs on the allocation-free {!Graph.Warm} arena.
 
-   Engine contract assumed (all engines in this repo satisfy it):
-   rounds advance by one and request ids ascend in arrival order.
-   Request windows may exceed [d] when [step] is driven by hand; the
-   carryover pool handles that exactly (see the differential suite). *)
+   Engine contract assumed ({!Sched.Strategy.t}, enforced by
+   [Engine.Live], the only caller of [step]): rounds advance by one,
+   and each round's arrivals have [arrival = round],
+   [1 <= deadline <= d] and ascending ids. *)
 
 type kind = Fix | Current | Fix_balance | Eager | Balance | Remax
 
@@ -62,34 +60,20 @@ type t = {
   bias : Strategy.bias;
   metrics : Obs.Metrics.t option;
   warm : Warm.t;
-  (* fix family: frozen assignments in an off-heap Bigarray arena,
-     cell = (slot_round mod d)*n + res, field 0 = round stamp, field 1 =
-     request id; a cell is live iff field 0 stamps the exact slot round
-     and field 1 >= 0 *)
-  occ : Pool.Ints.t;
-  (* fix family: unmatched requests that can still meet a future column
-     (window longer than d); empty under the engines' deadline <= d *)
-  mutable via : Request.t array;
-  mutable via_len : int;
+  (* fix family: frozen assignments by cell = (slot_round mod d)*n +
+     res; a cell is live iff [occ_round] stamps the exact slot round and
+     [occ_id] holds the request id (>= 0) *)
+  occ_round : int array;
+  occ_id : int array;
   (* full family / current: live requests in ascending id order;
      state -1 = unassigned, -2 = dead (served), t >= 0 = slot round —
-     off-heap flat scratch, compacted in the build pass *)
+     compacted in the build pass *)
   mutable pool : Request.t array;
-  pool_state : Pool.Iarr.t;
+  mutable pool_state : int array;
   mutable pool_len : int;
-  (* scratch: the fix-family left side of the current round *)
-  mutable lefts : Request.t array;
 }
 
 let dummy_req = Request.make ~arrival:0 ~alternatives:[ 0 ] ~deadline:1
-
-let ensure_req a len =
-  if Array.length a >= len then a
-  else begin
-    let a' = Array.make (max len ((2 * Array.length a) + 8)) dummy_req in
-    Array.blit a 0 a' 0 (Array.length a);
-    a'
-  end
 
 let serve_compare (a : Strategy.serve) (b : Strategy.serve) =
   if a.request <> b.request then Int.compare a.request b.request
@@ -100,84 +84,54 @@ let serve_compare (a : Strategy.serve) (b : Strategy.serve) =
 let step_fix st ~round ~(arrivals : Request.t array) =
   let n = st.n and d = st.d in
   let k = match st.kind with Fix -> 3 | _ -> d + 1 in
-  (* keep only carryovers whose window still reaches the newest column *)
-  let keep = ref 0 in
-  for i = 0 to st.via_len - 1 do
-    let r = st.via.(i) in
-    if Request.last_round r >= round + d - 1 then begin
-      st.via.(!keep) <- r;
-      incr keep
-    end
-  done;
-  st.via_len <- !keep;
-  let nl = st.via_len + Array.length arrivals in
-  st.lefts <- ensure_req st.lefts nl;
-  Array.blit st.via 0 st.lefts 0 st.via_len;
-  Array.blit arrivals 0 st.lefts st.via_len (Array.length arrivals);
   Warm.begin_round st.warm ~n_right:(n * d) ~k;
-  for li = 0 to nl - 1 do
-    let r = st.lefts.(li) in
-    ignore (Warm.add_left st.warm);
-    let lo = max round r.Request.arrival
-    and hi = min (Request.last_round r) (round + d - 1) in
-    Array.iter
-      (fun resource ->
-         for slot_round = lo to hi do
-           let cell = ((slot_round mod d) * n) + resource in
-           if
-             not
-               (Pool.Ints.get st.occ cell 0 = slot_round
-                && Pool.Ints.get st.occ cell 1 >= 0)
-           then begin
-             let e =
-               Warm.add_edge st.warm
-                 ~right:(((slot_round - round) * n) + resource)
-             in
-             match st.kind with
-             | Fix ->
-               if r.Request.arrival = round then Warm.set_weight st.warm e 0 1;
-               Warm.set_weight st.warm e 1 1;
-               Warm.set_weight st.warm e 2
-                 (st.bias ~request:r ~resource ~round:slot_round)
-             | _ ->
-               Warm.set_weight st.warm e (slot_round - round) 1;
-               Warm.set_weight st.warm e d
-                 (st.bias ~request:r ~resource ~round:slot_round)
-           end
-         done)
-      r.Request.alternatives
-  done;
+  Array.iter
+    (fun r ->
+       ignore (Warm.add_left st.warm);
+       Array.iter
+         (fun resource ->
+            for slot_round = round to Request.last_round r do
+              let cell = ((slot_round mod d) * n) + resource in
+              if not (st.occ_round.(cell) = slot_round && st.occ_id.(cell) >= 0)
+              then begin
+                let e =
+                  Warm.add_edge st.warm
+                    ~right:(((slot_round - round) * n) + resource)
+                in
+                match st.kind with
+                | Fix ->
+                  Warm.set_weight st.warm e 0 1;
+                  Warm.set_weight st.warm e 1 1;
+                  Warm.set_weight st.warm e 2
+                    (st.bias ~request:r ~resource ~round:slot_round)
+                | _ ->
+                  Warm.set_weight st.warm e (slot_round - round) 1;
+                  Warm.set_weight st.warm e d
+                    (st.bias ~request:r ~resource ~round:slot_round)
+              end
+            done)
+         r.Request.alternatives)
+    arrivals;
   Warm.solve st.warm;
-  (* freeze the new matches into the ring; refill the carryover pool
-     with unmatched requests that can still meet the next column *)
-  let keep = ref 0 in
-  for li = 0 to nl - 1 do
-    let r = st.lefts.(li) in
-    let v = Warm.left_to st.warm li in
-    if v >= 0 then begin
-      let resource = v mod n and slot_round = round + (v / n) in
-      let cell = ((slot_round mod d) * n) + resource in
-      Pool.Ints.set st.occ cell 0 slot_round;
-      Pool.Ints.set st.occ cell 1 r.Request.id
-    end
-    else if Request.last_round r >= round + d then begin
-      st.via <- ensure_req st.via (!keep + 1);
-      st.via.(!keep) <- r;
-      incr keep
-    end
-  done;
-  st.via_len <- !keep;
+  (* freeze the new matches into the ring *)
+  Array.iteri
+    (fun li (r : Request.t) ->
+       let v = Warm.left_to st.warm li in
+       if v >= 0 then begin
+         let resource = v mod n and slot_round = round + (v / n) in
+         let cell = ((slot_round mod d) * n) + resource in
+         st.occ_round.(cell) <- slot_round;
+         st.occ_id.(cell) <- r.id
+       end)
+    arrivals;
   (* serve the current column *)
   let base = (round mod d) * n in
   let serves = ref [] in
   for resource = n - 1 downto 0 do
     let cell = base + resource in
-    if Pool.Ints.get st.occ cell 0 = round && Pool.Ints.get st.occ cell 1 >= 0
-    then begin
-      serves :=
-        { Strategy.request = Pool.Ints.get st.occ cell 1; resource }
-        :: !serves;
-      Pool.Ints.set st.occ cell 1 (-1)
+    if st.occ_round.(cell) = round && st.occ_id.(cell) >= 0 then begin
+      serves := { Strategy.request = st.occ_id.(cell); resource } :: !serves;
+      st.occ_id.(cell) <- -1
     end
   done;
   List.sort serve_compare !serves
@@ -186,14 +140,18 @@ let step_fix st ~round ~(arrivals : Request.t array) =
 
 let pool_append st (arrivals : Request.t array) =
   let a = Array.length arrivals in
-  st.pool <- ensure_req st.pool (st.pool_len + a);
-  Pool.Iarr.ensure st.pool_state (st.pool_len + a);
-  Array.iter
-    (fun r ->
-       st.pool.(st.pool_len) <- r;
-       Pool.Iarr.set st.pool_state st.pool_len (-1);
-       st.pool_len <- st.pool_len + 1)
-    arrivals
+  let len = st.pool_len + a in
+  if Array.length st.pool < len then begin
+    let cap = max len ((2 * Array.length st.pool) + 8) in
+    let pool = Array.make cap dummy_req and state = Array.make cap (-1) in
+    Array.blit st.pool 0 pool 0 st.pool_len;
+    Array.blit st.pool_state 0 state 0 st.pool_len;
+    st.pool <- pool;
+    st.pool_state <- state
+  end;
+  Array.blit arrivals 0 st.pool st.pool_len a;
+  Array.fill st.pool_state st.pool_len a (-1);
+  st.pool_len <- len
 
 let step_current st ~round ~arrivals =
   pool_append st arrivals;
@@ -201,10 +159,9 @@ let step_current st ~round ~arrivals =
   let w = ref 0 in
   for i = 0 to st.pool_len - 1 do
     let r = st.pool.(i) in
-    if Pool.Iarr.get st.pool_state i <> -2 && Request.last_round r >= round
-    then begin
+    if st.pool_state.(i) <> -2 && Request.last_round r >= round then begin
       st.pool.(!w) <- r;
-      Pool.Iarr.set st.pool_state !w (-1);
+      st.pool_state.(!w) <- -1;
       incr w;
       ignore (Warm.add_left st.warm);
       Array.iter
@@ -222,7 +179,7 @@ let step_current st ~round ~arrivals =
   for li = st.pool_len - 1 downto 0 do
     let v = Warm.left_to st.warm li in
     if v >= 0 then begin
-      Pool.Iarr.set st.pool_state li (-2);
+      st.pool_state.(li) <- -2;
       serves :=
         { Strategy.request = st.pool.(li).Request.id; resource = v }
         :: !serves
@@ -238,11 +195,10 @@ let step_full st ~round ~arrivals =
   let w = ref 0 in
   for i = 0 to st.pool_len - 1 do
     let r = st.pool.(i) in
-    if Pool.Iarr.get st.pool_state i <> -2 && Request.last_round r >= round
-    then begin
-      let kept = Pool.Iarr.get st.pool_state i >= 0 in
+    if st.pool_state.(i) <> -2 && Request.last_round r >= round then begin
+      let kept = st.pool_state.(i) >= 0 in
       st.pool.(!w) <- r;
-      Pool.Iarr.set st.pool_state !w (-1);
+      st.pool_state.(!w) <- -1;
       incr w;
       ignore (Warm.add_left st.warm);
       let lo = max round r.Request.arrival
@@ -282,14 +238,14 @@ let step_full st ~round ~arrivals =
     if v >= 0 then begin
       let resource = v mod n and slot_round = round + (v / n) in
       if slot_round = round then begin
-        Pool.Iarr.set st.pool_state li (-2);
+        st.pool_state.(li) <- -2;
         serves :=
           { Strategy.request = st.pool.(li).Request.id; resource }
           :: !serves
       end
-      else Pool.Iarr.set st.pool_state li slot_round
+      else st.pool_state.(li) <- slot_round
     end
-    else Pool.Iarr.set st.pool_state li (-1)
+    else st.pool_state.(li) <- -1
   done;
   !serves
 
@@ -300,13 +256,6 @@ let step_core st ~round ~arrivals =
   | Eager | Balance | Remax -> step_full st ~round ~arrivals
 
 let make ~kind ~n ~d ~bias ~metrics () : Strategy.t =
-  let occ = Pool.Ints.create ~capacity:(n * d) ~width:2 () in
-  (* a fresh arena hands out slots 0, 1, 2, ... — slot index = cell *)
-  for _ = 1 to n * d do
-    let s = Pool.Ints.alloc occ in
-    Pool.Ints.set occ s 0 min_int;
-    Pool.Ints.set occ s 1 (-1)
-  done;
   let st =
     {
       kind;
@@ -315,13 +264,11 @@ let make ~kind ~n ~d ~bias ~metrics () : Strategy.t =
       bias;
       metrics;
       warm = Warm.create ();
-      occ;
-      via = [||];
-      via_len = 0;
+      occ_round = Array.make (n * d) min_int;
+      occ_id = Array.make (n * d) (-1);
       pool = [||];
-      pool_state = Pool.Iarr.create ();
+      pool_state = [||];
       pool_len = 0;
-      lefts = [||];
     }
   in
   let step =

@@ -7,15 +7,16 @@
     doing per-round work proportional to what changed:
 
     - fix family — the carried matching lives in a stamped slot ring;
-      each round solves only the new arrivals (plus longer-than-[d]
-      carryovers) against the still-free slots.  Dropping dormant
-      requests is exact because every fix-family weight vector is
+      each round solves only the round's arrivals against the
+      still-free slots.  Dropping the requests a round leaves unmatched
+      is exact because every fix-family weight vector is
       lexicographically positive: an unmatched request adjacent to a
       free slot would be a one-edge positive augmenting path, so after
-      a solve (which ends on an optimum) none exists, and frozen slots
-      never free up early.  In the rebuild solver the dropped requests
-      are isolated left vertices, which no phase of {!Graph.Tiered}
-      touches.
+      a solve (which ends on an optimum) none exists; frozen slots
+      never free up early, and with [deadline <= d] no new slot column
+      ever enters an arrived request's window.  In the rebuild solver
+      the dropped requests are isolated left vertices, which no phase
+      of {!Graph.Tiered} touches.
     - full family / current — same subproblem as the rebuild (the
       from-empty re-solve {e is} the strategy), but over an id-ordered
       struct-of-arrays pool with expiry folded into the build pass and
@@ -25,10 +26,10 @@
     Equality with the rebuild solver assumes a pure [bias] (both paths
     call it once per edge, in different orders).
 
-    The kernel assumes the engine contract (rounds advance by one,
-    request ids ascend in arrival order), which every engine in this
-    repo satisfies; windows longer than [d] from hand-driven [step]
-    calls are handled exactly via the carryover pool. *)
+    The kernel assumes the {!Sched.Strategy.t} step contract that
+    {!Sched.Engine.Live} enforces: rounds advance by one, and each
+    round's arrivals have [arrival = round], [1 <= deadline <= d] and
+    ascending ids. *)
 
 type kind = Fix | Current | Fix_balance | Eager | Balance | Remax
 

@@ -12,8 +12,6 @@
    - the adaptive Thm 2.6 adversary through Engine.run_adaptive (the
      adversary observes the algorithm, so equality of the emitted
      instances is itself part of the claim);
-   - hand-driven Strategy.step with deadlines exceeding the nominal d
-     (reachable only outside Instance.build — exercises the via-pool);
    - the Engine.Live incremental path used by the server;
    - Graph.Warm against Graph.Tiered on raw random weighted graphs,
      edge-for-edge, with Tiered.is_max_weight_certificate as the
@@ -181,51 +179,6 @@ let test_adaptive_thm26 () =
          (Printf.sprintf "thm26/%s same outcome" sname)
          true
          (outcome_sig k = outcome_sig r))
-    makers
-
-(* ------------------------------------------------------------------ *)
-(* deadlines beyond the nominal d (hand-driven steps only) *)
-
-(* Instance.build and the live engine cap deadlines at d, but the raw
-   Strategy.step contract doesn't; the kernel parks requests whose
-   window extends past the current planning horizon in a via-pool.
-   Drive both solvers by hand with deadline up to d+2 and compare the
-   serve lists of every round. *)
-let test_deadline_beyond_d () =
-  let n = 3 and d = 2 in
-  let mk_req id ~arrival ~alts ~deadline =
-    Request.with_id (Request.make ~arrival ~alternatives:alts ~deadline) id
-  in
-  let schedule =
-    [|
-      [| mk_req 0 ~arrival:0 ~alts:[ 0; 1 ] ~deadline:4;
-         mk_req 1 ~arrival:0 ~alts:[ 0 ] ~deadline:4;
-         mk_req 2 ~arrival:0 ~alts:[ 2 ] ~deadline:1 |];
-      [| mk_req 3 ~arrival:1 ~alts:[ 1; 2 ] ~deadline:3 |];
-      [||];
-      [| mk_req 4 ~arrival:3 ~alts:[ 0; 1; 2 ] ~deadline:4;
-         mk_req 5 ~arrival:3 ~alts:[ 1 ] ~deadline:2 |];
-      [||];
-      [||];
-      [||];
-    |]
-  in
-  List.iter
-    (fun ((sname, maker) : string * maker) ->
-       let step solver =
-         let strat = (maker ~solver ()) ~n ~d in
-         Array.to_list
-           (Array.mapi
-              (fun round arrivals ->
-                 List.map
-                   (fun { Strategy.request; resource } -> (request, resource))
-                   (strat.Strategy.step ~round ~arrivals))
-              schedule)
-       in
-       check
-         Alcotest.(list (list (pair int int)))
-         (Printf.sprintf "%s serves per round, deadline > d" sname)
-         (step Global.Rebuild) (step Global.Kernel))
     makers
 
 (* ------------------------------------------------------------------ *)
@@ -400,8 +353,6 @@ let () =
           Alcotest.test_case "theorem adversaries" `Quick
             test_theorem_adversaries;
           Alcotest.test_case "adaptive thm26" `Quick test_adaptive_thm26;
-          Alcotest.test_case "deadline beyond d" `Quick
-            test_deadline_beyond_d;
           prop_live_path;
         ] );
       ( "warm-arena",

@@ -263,32 +263,25 @@ let test_ivec_push_get () =
     Ivec.push v (i * i)
   done;
   check Alcotest.int "length" 100 (Ivec.length v);
-  check Alcotest.int "get 7" 49 (Ivec.get v 7);
-  check Alcotest.int "pop" (99 * 99) (Ivec.pop v);
-  check Alcotest.int "length after pop" 99 (Ivec.length v)
+  check Alcotest.int "get 7" 49 (Ivec.get v 7)
 
 let test_ivec_bounds () =
   let v = Ivec.of_array [| 1; 2; 3 |] in
   Alcotest.check_raises "get oob"
     (Invalid_argument "Ivec.get: index 3 out of [0,3)") (fun () ->
-        ignore (Ivec.get v 3));
-  Alcotest.check_raises "pop empty" (Invalid_argument "Ivec.pop: empty")
-    (fun () -> ignore (Ivec.pop (Ivec.create ())))
+        ignore (Ivec.get v 3))
 
 let test_ivec_roundtrip () =
   let a = [| 5; 3; 8; 1 |] in
   let v = Ivec.of_array a in
-  check Alcotest.(array int) "to_array" a (Ivec.to_array v);
-  check Alcotest.(list int) "to_list" [ 5; 3; 8; 1 ] (Ivec.to_list v);
-  Ivec.sort v;
-  check Alcotest.(array int) "sorted" [| 1; 3; 5; 8 |] (Ivec.to_array v)
+  check Alcotest.(array int) "to_array" a (Ivec.to_array v)
 
 let test_ivec_fold_iter () =
   let v = Ivec.of_array [| 1; 2; 3; 4 |] in
   check Alcotest.int "fold sum" 10 (Ivec.fold ( + ) 0 v);
   let seen = ref [] in
-  Ivec.iteri (fun i x -> seen := (i, x) :: !seen) v;
-  check Alcotest.int "iteri count" 4 (List.length !seen);
+  Ivec.iter (fun x -> seen := x :: !seen) v;
+  check Alcotest.(list int) "iter order" [ 4; 3; 2; 1 ] !seen;
   check Alcotest.bool "exists" true (Ivec.exists (fun x -> x = 3) v);
   check Alcotest.bool "not exists" false (Ivec.exists (fun x -> x = 9) v)
 
@@ -298,7 +291,7 @@ let prop_ivec_like_list =
     (fun xs ->
        let v = Ivec.create () in
        List.iter (Ivec.push v) xs;
-       Ivec.to_list v = xs)
+       Array.to_list (Ivec.to_array v) = xs)
 
 
 (* ------------------------------------------------------------------ *)
@@ -453,153 +446,6 @@ let test_parmap_actually_parallel_zipf () =
   check Alcotest.(list int) "schedule independent" results again
 
 (* ------------------------------------------------------------------ *)
-(* Pool *)
-
-module Pool = Prelude.Pool
-
-let test_pool_iarr_grow_preserves () =
-  let a = Pool.Iarr.create ~capacity:4 () in
-  Pool.Iarr.fill a ~pos:0 ~len:4 0;
-  for i = 0 to 3 do
-    Pool.Iarr.set a i (i * 7)
-  done;
-  Pool.Iarr.ensure a 1000;
-  check Alcotest.bool "capacity grew" true (Pool.Iarr.capacity a >= 1000);
-  for i = 0 to 3 do
-    check Alcotest.int "contents preserved" (i * 7) (Pool.Iarr.get a i)
-  done;
-  Pool.Iarr.fill a ~pos:4 ~len:996 (-1);
-  check Alcotest.int "fill wrote" (-1) (Pool.Iarr.get a 999)
-
-let test_pool_farr_grow_preserves () =
-  let a = Pool.Farr.create ~capacity:2 () in
-  Pool.Farr.set a 0 3.25;
-  Pool.Farr.set a 1 (-1.5);
-  Pool.Farr.ensure a 64;
-  check (Alcotest.float 0.0) "f0" 3.25 (Pool.Farr.get a 0);
-  check (Alcotest.float 0.0) "f1" (-1.5) (Pool.Farr.get a 1)
-
-let test_pool_ints_alloc_free_recycle () =
-  let p = Pool.Ints.create ~capacity:2 ~width:3 () in
-  let s0 = Pool.Ints.alloc p and s1 = Pool.Ints.alloc p in
-  let s2 = Pool.Ints.alloc p in
-  (* grows past initial capacity *)
-  check Alcotest.bool "distinct slots" true (s0 <> s1 && s1 <> s2 && s0 <> s2);
-  Pool.Ints.set p s1 0 11;
-  Pool.Ints.set p s1 2 13;
-  check Alcotest.int "live" 3 (Pool.Ints.live p);
-  check Alcotest.int "field read back" 13 (Pool.Ints.get p s1 2);
-  Pool.Ints.free p s0;
-  check Alcotest.int "live after free" 2 (Pool.Ints.live p);
-  let s3 = Pool.Ints.alloc p in
-  check Alcotest.int "freed slot recycled" s0 s3;
-  (* s1 untouched by the free/alloc churn of other slots *)
-  check Alcotest.int "neighbour intact" 11 (Pool.Ints.get p s1 0)
-
-let prop_pool_ints_like_naive =
-  (* differential vs a naive Hashtbl-of-arrays model over random
-     alloc/free/set sequences *)
-  qtest ~count:100 "Pool.Ints matches naive model"
-    QCheck.(list (pair (int_range 0 2) (pair small_nat small_nat)))
-    (fun ops ->
-       let width = 2 in
-       let p = Pool.Ints.create ~capacity:1 ~width () in
-       let model = Hashtbl.create 16 in
-       let live = ref [] in
-       let ok = ref true in
-       List.iter
-         (fun (op, (a, b)) ->
-            match op with
-            | 0 ->
-              let s = Pool.Ints.alloc p in
-              if Hashtbl.mem model s then ok := false (* slot double-handed *)
-              else begin
-                Hashtbl.replace model s (Array.make width 0);
-                Pool.Ints.set p s 0 0;
-                Pool.Ints.set p s 1 0;
-                live := s :: !live
-              end
-            | 1 -> (
-                match !live with
-                | [] -> ()
-                | s :: rest ->
-                  Pool.Ints.free p s;
-                  Hashtbl.remove model s;
-                  live := rest)
-            | _ -> (
-                match !live with
-                | [] -> ()
-                | s :: _ ->
-                  let j = a mod width in
-                  Pool.Ints.set p s j b;
-                  (Hashtbl.find model s).(j) <- b))
-         ops;
-       Hashtbl.iter
-         (fun s arr ->
-            for j = 0 to width - 1 do
-              if Pool.Ints.get p s j <> arr.(j) then ok := false
-            done)
-         model;
-       !ok && Pool.Ints.live p = Hashtbl.length model)
-
-let test_pool_table_basic () =
-  let t = Pool.Table.create ~capacity:4 ~width:2 () in
-  let e = Pool.Table.put t 42 in
-  Pool.Table.setv t e 0 7;
-  Pool.Table.setv t e 1 8;
-  check Alcotest.int "count" 1 (Pool.Table.count t);
-  let e' = Pool.Table.find t 42 in
-  check Alcotest.int "find returns entry" e e';
-  check Alcotest.int "payload 0" 7 (Pool.Table.getv t e' 0);
-  check Alcotest.int "payload 1" 8 (Pool.Table.getv t e' 1);
-  check Alcotest.int "missing" (-1) (Pool.Table.find t 43);
-  check Alcotest.bool "remove" true (Pool.Table.remove t 42);
-  check Alcotest.bool "remove again" false (Pool.Table.remove t 42);
-  check Alcotest.int "gone" (-1) (Pool.Table.find t 42)
-
-let test_pool_table_negative_key_rejected () =
-  let t = Pool.Table.create ~width:1 () in
-  Alcotest.check_raises "negative key"
-    (Invalid_argument "Pool.Table: keys must be >= 0") (fun () ->
-        ignore (Pool.Table.put t (-1)))
-
-let prop_pool_table_like_hashtbl =
-  (* differential vs Hashtbl over random put/remove/find with rehash
-     pressure (small initial capacity, keys from a small range) *)
-  qtest ~count:150 "Pool.Table matches Hashtbl"
-    QCheck.(list (pair (int_range 0 2) (pair (int_range 0 40) small_nat)))
-    (fun ops ->
-       let t = Pool.Table.create ~capacity:4 ~width:1 () in
-       let model : (int, int) Hashtbl.t = Hashtbl.create 16 in
-       let ok = ref true in
-       List.iter
-         (fun (op, (key, v)) ->
-            match op with
-            | 0 ->
-              let e = Pool.Table.put t key in
-              Pool.Table.setv t e 0 v;
-              Hashtbl.replace model key v
-            | 1 ->
-              let r = Pool.Table.remove t key in
-              if r <> Hashtbl.mem model key then ok := false;
-              Hashtbl.remove model key
-            | _ -> (
-                let e = Pool.Table.find t key in
-                match Hashtbl.find_opt model key with
-                | None -> if e <> -1 then ok := false
-                | Some expect ->
-                  if e < 0 || Pool.Table.getv t e 0 <> expect then ok := false))
-         ops;
-       if Pool.Table.count t <> Hashtbl.length model then ok := false;
-       let seen = ref 0 in
-       Pool.Table.iter t (fun key e ->
-           incr seen;
-           match Hashtbl.find_opt model key with
-           | None -> ok := false
-           | Some expect -> if Pool.Table.getv t e 0 <> expect then ok := false);
-       !ok && !seen = Hashtbl.length model)
-
-(* ------------------------------------------------------------------ *)
 (* Texttable *)
 
 let test_texttable_render () =
@@ -689,20 +535,6 @@ let () =
           Alcotest.test_case "domain stats" `Quick test_parmap_domain_stats;
           Alcotest.test_case "parallel zipf determinism" `Quick
             test_parmap_actually_parallel_zipf;
-        ] );
-      ( "pool",
-        [
-          Alcotest.test_case "iarr grow preserves" `Quick
-            test_pool_iarr_grow_preserves;
-          Alcotest.test_case "farr grow preserves" `Quick
-            test_pool_farr_grow_preserves;
-          Alcotest.test_case "ints alloc/free recycle" `Quick
-            test_pool_ints_alloc_free_recycle;
-          prop_pool_ints_like_naive;
-          Alcotest.test_case "table basic" `Quick test_pool_table_basic;
-          Alcotest.test_case "table rejects negative keys" `Quick
-            test_pool_table_negative_key_rejected;
-          prop_pool_table_like_hashtbl;
         ] );
       ( "texttable",
         [

@@ -1,7 +1,8 @@
 (* Tests for the live scheduling service: wire protocol round-trips,
-   the bounded channel, and end-to-end server/client runs on loopback
-   unix sockets (exactly-one-terminal, byte-identical replay, explicit
-   overload rejection, client-failure isolation, graceful drain). *)
+   the bounded channel, a shard's reply routing, and end-to-end
+   server/client runs on loopback unix sockets (exactly-one-terminal,
+   byte-identical replay, explicit overload rejection, client-failure
+   isolation, graceful drain). *)
 
 module Protocol = Serve.Protocol
 module Chan = Serve.Chan
@@ -257,6 +258,63 @@ let test_addr_of_string () =
     [ ""; "tcp:"; "tcp:host"; "tcp:host:notaport"; "unix:"; "ftp:x" ]
 
 (* ------------------------------------------------------------------ *)
+(* one shard driven by hand *)
+
+(* A shard routes each terminal through its id-indexed task ring.  Admit
+   640 tasks over four rounds to n = 4 resources with deadlines 1..8, so
+   far more than the ring's initial 256 ids are open at once (it doubles
+   while they are) and they terminate out of id order; every task, each
+   with its own (conn, tag), must get exactly one terminal carrying both. *)
+let test_shard_ring_growth () =
+  let n = 4 and d = 8 and per_round = 160 and rounds = 4 in
+  let total = per_round * rounds in
+  let outbox =
+    Chan.create_spsc ~capacity:(2 * total)
+      ~dummy:(-1, Protocol.Round { round = -1 })
+  in
+  let shard =
+    Serve.Shard.create ~index:0 ~lo:0 ~hi:n ~d ~queue_capacity:per_round
+      ~strategy:(Strategies.Global.fix ()) ~outbox ()
+  in
+  let rng = Prelude.Rng.create ~seed:19 in
+  let conn_of tag = 1000 + (7 * tag) in
+  let terminals = Array.make total 0 and misrouted = ref 0 in
+  let open_span = ref 0 and buf = ref [||] in
+  for round = 0 to rounds + d do
+    if round < rounds then
+      for j = 0 to per_round - 1 do
+        let tag = (round * per_round) + j in
+        let task =
+          { Serve.Shard.conn = conn_of tag; tag;
+            alternatives = [ Prelude.Rng.int rng n ];
+            deadline = 1 + Prelude.Rng.int rng d }
+        in
+        if not (Serve.Shard.try_admit shard task) then
+          Alcotest.fail "inbox full"
+      done;
+    (* ids follow admission order here, so the open span is the next
+       id minus the oldest tag still without a terminal *)
+    let next = min total ((round + 1) * per_round) in
+    let rec oldest i =
+      if i < next && terminals.(i) > 0 then oldest (i + 1) else i
+    in
+    open_span := max !open_span (next - oldest 0);
+    Serve.Shard.step_once shard;
+    for i = 0 to Chan.drain_into outbox buf - 1 do
+      match !buf.(i) with
+      | conn, (Protocol.Scheduled { tag; _ } | Protocol.Expired { tag })
+        when tag >= 0 && tag < total && conn = conn_of tag ->
+        terminals.(tag) <- terminals.(tag) + 1
+      | _ -> incr misrouted
+    done
+  done;
+  check Alcotest.bool "open ids outgrew the initial ring" true
+    (!open_span > 256);
+  check Alcotest.int "no terminal misrouted" 0 !misrouted;
+  check Alcotest.(list int) "tags without exactly one terminal" []
+    (List.filter (fun tag -> terminals.(tag) <> 1) (List.init total Fun.id))
+
+(* ------------------------------------------------------------------ *)
 (* end-to-end on loopback unix sockets *)
 
 let fresh_sock_path =
@@ -400,21 +458,31 @@ let test_e2e_domains_invariant () =
 
 (* The warm-start kernel against its from-scratch rebuild oracle,
    through sharding, the wire protocol and the live engine: under manual
-   ticks both must produce the same decision log byte for byte. *)
+   ticks both must produce the same decision log byte for byte, for a
+   full-family (balance) and a fix-family (fix) kernel. *)
 let test_e2e_kernel_equals_rebuild () =
   let inst = random_instance ~n:16 ~d:4 ~rounds:60 ~load:1.1 ~seed:55 in
-  let run solver =
-    let r, _ =
-      with_server ~shards:2 ~n:16 ~d:4
-        ~strategy:(fun () -> Strategies.Global.balance ~solver ())
-        (fun addr _ -> run_open addr inst)
-    in
-    Client.render_decisions r
-  in
-  let kernel = run Strategies.Global.Kernel in
-  check Alcotest.bool "log is non-trivial" true (String.length kernel > 0);
-  check Alcotest.string "kernel == rebuild byte-identical" kernel
-    (run Strategies.Global.Rebuild)
+  List.iter
+    (fun (name, make) ->
+       let run solver =
+         let r, _ =
+           with_server ~shards:2 ~n:16 ~d:4
+             ~strategy:(fun () -> make ~solver)
+             (fun addr _ -> run_open addr inst)
+         in
+         Client.render_decisions r
+       in
+       let kernel = run Strategies.Global.Kernel in
+       check Alcotest.bool (name ^ " log is non-trivial") true
+         (String.length kernel > 0);
+       check Alcotest.string
+         (name ^ " kernel == rebuild byte-identical")
+         kernel
+         (run Strategies.Global.Rebuild))
+    [
+      ("balance", fun ~solver -> Strategies.Global.balance ~solver ());
+      ("fix", fun ~solver -> Strategies.Global.fix ~solver ());
+    ]
 
 let test_e2e_codec_replay_equals_original () =
   (* save the trace, reload it, and check the reloaded instance drives
@@ -742,6 +810,8 @@ let () =
             test_e2e_domains_invariant;
           Alcotest.test_case "kernel == rebuild through the server" `Quick
             test_e2e_kernel_equals_rebuild;
+          Alcotest.test_case "shard routes every terminal past ring growth"
+            `Quick test_shard_ring_growth;
           Alcotest.test_case "codec trace replays identically" `Quick
             test_e2e_codec_replay_equals_original;
           Alcotest.test_case "interval ticker" `Quick test_e2e_interval_tick;

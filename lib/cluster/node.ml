@@ -2,15 +2,20 @@
    by the router applying a delivered wire message, so the replica's
    content is always explainable by the message log. *)
 
-module Slots = Localstrat.Slots
+module Slots = Sched.Slots
 
 type t = {
   node_id : int;
+  d : int;
   slots : Wire.reqinfo Slots.t;
   mutable alive : bool;
 }
 
-let create ~id = { node_id = id; slots = Slots.create (); alive = true }
+let vacant = { Wire.rid = -1; alternatives = []; arrival = 0; deadline = 1 }
+
+let create ~id ~n ~d =
+  { node_id = id; d; slots = Slots.create ~n ~d ~dummy:vacant; alive = true }
+
 let id t = t.node_id
 let alive t = t.alive
 
@@ -39,15 +44,9 @@ let take_slot t ~res ~round =
 
 let export t ~res ~from_round =
   check_alive t "export";
-  let entries =
-    Slots.fold t.slots
-      (fun ~res:r ~round v acc ->
-         if r = res && round >= from_round then (round, v) :: acc else acc)
-      []
-  in
-  let entries = List.sort (fun (a, _) (b, _) -> compare a b) entries in
-  List.iter (fun (round, _) -> Slots.free t.slots ~res ~round) entries;
-  entries
+  List.init t.d (fun i -> from_round + i)
+  |> List.filter_map (fun round ->
+      Option.map (fun ri -> (round, ri)) (Slots.take t.slots ~res ~round))
 
 let import t ~res entries =
   check_alive t "import";

@@ -19,8 +19,11 @@
 
 type t
 
-val create : id:int -> t
-(** A live, empty node. *)
+val create : id:int -> n:int -> d:int -> t
+(** A live, empty node over resources [0 .. n-1].  Its {!Sched.Slots}
+    table is [d] rounds deep: every slot lies within [d] rounds of the
+    session's current round, as [Session.submit] checks
+    [1 <= deadline <= d]. *)
 
 val id : t -> int
 val alive : t -> bool
@@ -42,9 +45,9 @@ val take_slot : t -> res:int -> round:int -> Wire.reqinfo option
 (** Remove and return the occupant, for the end-of-round serve. *)
 
 val export : t -> res:int -> from_round:int -> (int * Wire.reqinfo) list
-(** Remove and return [res]'s slots at rounds [>= from_round],
-    ascending — the content of a {!Wire.Handoff} when [res] moves to
-    another node. *)
+(** Remove and return [res]'s slots at rounds [from_round ..
+    from_round + d - 1], ascending — the content of a {!Wire.Handoff}
+    when [res] moves to another node. *)
 
 val import : t -> res:int -> (int * Wire.reqinfo) list -> unit
 (** Install handed-off slots.  @raise Invalid_argument when dead or on

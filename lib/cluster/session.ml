@@ -82,7 +82,6 @@ type t = {
   mutable queue : Request.t list;  (* reversed pending submissions *)
   mutable readmit : int list;      (* failover re-admissions, oldest first *)
   mutable next_id : int;
-  ids : (int, unit) Hashtbl.t;
   mutable sched_rounds : int;
   mutable max_cr : int;
   mutable requests_n : int;
@@ -127,16 +126,15 @@ let create ?metrics ?capacity ?priority ?(fail_after = 2) ?vnodes ~strategy
       fail_after;
       metrics;
       transport;
-      nodes = Array.init nodes (fun id -> Node.create ~id);
+      nodes = Array.init nodes (fun id -> Node.create ~id ~n ~d);
       ring = Ring.create ?vnodes ~nodes:(List.init nodes Fun.id) ();
       suspected = Array.make nodes 0;
       confirmed_dead = Array.make nodes false;
-      m = Machine.create ~n;
+      m = Machine.create ~n ~d;
       round = 0;
       queue = [];
       readmit = [];
       next_id = 0;
-      ids = Hashtbl.create 128;
       sched_rounds = 0;
       max_cr = 0;
       requests_n = 0;
@@ -177,28 +175,19 @@ let respond t reply = ignore (Transport.respond t.transport reply)
 (* ------------------------------------------------------------------ *)
 (* submission *)
 
-let enqueue t (r : Request.t) =
-  Hashtbl.replace t.ids r.Request.id ();
-  if r.Request.id >= t.next_id then t.next_id <- r.Request.id + 1;
-  t.queue <- r :: t.queue
-
-let submit ?id t ~alternatives ~deadline =
+let submit t ~alternatives ~deadline =
   if deadline < 1 || deadline > t.d then
     Error (Printf.sprintf "deadline %d outside 1 .. %d" deadline t.d)
   else if List.exists (fun res -> res < 0 || res >= t.n) alternatives then
     Error "alternative resource out of range"
   else
-    match id with
-    | Some i when i < 0 -> Error (Printf.sprintf "negative id %d" i)
-    | Some i when Hashtbl.mem t.ids i ->
-      Error (Printf.sprintf "duplicate id %d" i)
-    | _ ->
-      let id = match id with Some i -> i | None -> t.next_id in
-      (match Request.make ~arrival:t.round ~alternatives ~deadline with
-       | exception Invalid_argument m -> Error m
-       | proto ->
-         enqueue t (Request.with_id proto id);
-         Ok id)
+    match Request.make ~arrival:t.round ~alternatives ~deadline with
+    | exception Invalid_argument m -> Error m
+    | proto ->
+      let id = t.next_id in
+      t.next_id <- id + 1;
+      t.queue <- Request.with_id proto id :: t.queue;
+      Ok id
 
 (* ------------------------------------------------------------------ *)
 (* liveness: ping sweep, failover, rejoin *)
@@ -547,7 +536,7 @@ let factory ?metrics ?capacity ?priority ?fail_after ?vnodes ?on_create
            invalid_arg
              (Printf.sprintf "Session: engine round %d, cluster round %d"
                 round t.round);
-         Array.iter (fun r -> enqueue t r) arrivals;
+         Array.iter (fun r -> t.queue <- r :: t.queue) arrivals;
          let out = step t in
          List.map
            (fun (id, resource) -> { Strategy.request = id; resource })

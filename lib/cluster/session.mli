@@ -108,14 +108,11 @@ val create :
     [capacity < d] or [fail_after < 1]. *)
 
 val submit :
-  ?id:int -> t -> alternatives:int list -> deadline:int ->
-  (int, string) result
-(** Admit a request arriving at the current round; it enters the next
-    {!step}'s offer phase.  [id] overrides the session-assigned dense
-    id (the manual-replay path, where the trace's ids are the wire
-    sender ids); supplying a duplicate or negative id, malformed
-    alternatives or a deadline outside [1 .. d] is an [Error] and
-    admits nothing. *)
+  t -> alternatives:int list -> deadline:int -> (int, string) result
+(** Admit a request arriving at the current round under the next dense
+    id; it enters the next {!step}'s offer phase.  Malformed
+    alternatives or a deadline outside [1 .. d] is an [Error] and admits
+    nothing. *)
 
 val step : t -> outcome
 (** Execute one scheduling round: ping/failure detection, expiry,

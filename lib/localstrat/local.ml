@@ -28,19 +28,6 @@ let net_carrier net =
     confirm = (fun ~res:_ ~round:_ _ -> true);
   }
 
-let make_state ~n ~capacity ~loss ~priority ~metrics =
-  let net =
-    Net.create ~n ~capacity ?priority ~loss
-      ~loss_rng:(Prelude.Rng.create ~seed:1) ?metrics ()
-  in
-  {
-    m = Machine.create ~n;
-    net;
-    carrier = net_carrier net;
-    sched_rounds = 0;
-    max_cr = 0;
-  }
-
 let stats_of st =
   {
     scheduling_rounds = st.sched_rounds;
@@ -66,8 +53,13 @@ let make_factory ~name ~capacity_of ~decide ?(loss = 0.0) ?priority ?metrics
   let latest = ref None in
   let factory : Strategy.factory =
    fun ~n ~d ->
+    let net =
+      Net.create ~n ~capacity:(capacity_of d) ?priority ~loss
+        ~loss_rng:(Prelude.Rng.create ~seed:1) ?metrics ()
+    in
     let st =
-      make_state ~n ~capacity:(capacity_of d) ~loss ~priority ~metrics
+      { m = Machine.create ~n ~d; net; carrier = net_carrier net;
+        sched_rounds = 0; max_cr = 0 }
     in
     latest := Some st;
     { Strategy.name; step = step st decide }

@@ -5,6 +5,7 @@
 
 module Request = Sched.Request
 module Net = Distnet.Net
+module Slots = Sched.Slots
 
 type status = Net.status = Delivered | Bounced | Dead
 
@@ -38,10 +39,10 @@ type t = {
   active : (int, Request.t) Hashtbl.t;
 }
 
-let create ~n =
+let create ~n ~d =
   {
     n;
-    slots = Slots.create ();
+    slots = Slots.create ~n ~d ~dummy:(-1);
     assigned = Hashtbl.create 128;
     active = Hashtbl.create 128;
   }

@@ -2,7 +2,7 @@
     (Sec. 3.2), written once and driven through a {e carrier}.
 
     The state is what the resources collectively know: the slot table
-    ({!Slots}, maximal acceptance into the earliest free slot of the
+    ({!Sched.Slots}, maximal acceptance into the earliest free slot of the
     window), the assignment map and the live requests.  It advances
     {e only} on the outcomes the carrier reports for the messages it
     was handed, so two carriers that deliver the same messages reach
@@ -65,8 +65,11 @@ type carrier = {
 
 type t
 
-val create : n:int -> t
-(** Empty state over [n] resources. *)
+val create : n:int -> d:int -> t
+(** Empty state over [n] resources, for requests with
+    [1 <= deadline <= d]: the {!Sched.Slots} table is [d] rounds deep.
+    {!Sched.Engine.Live} enforces this for {!Local}, and
+    [Cluster.Session.submit] checks it. *)
 
 val capacity : compact:bool -> d:int -> int
 (** The paper's mailbox capacity: [d], or [2d - 2] (at least [d]) for

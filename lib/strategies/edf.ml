@@ -3,21 +3,18 @@ module Strategy = Sched.Strategy
 
 type state = {
   n : int;
+  d : int;
   bias : Strategy.bias;
   coordinate : bool;
   queues : (int, Request.t) Hashtbl.t array; (* per resource: id -> request *)
-  served : (int, unit) Hashtbl.t;
-  (* expiry buckets: last_round -> (resource, id) queue entries, so a
-     round drops exactly the entries whose window just closed instead
-     of scanning every queue (the kernel's O(expiring) scheme).
-     Entries already removed by a serve make the removal a no-op. *)
-  expiry : (int, (int * int) list ref) Hashtbl.t;
-  mutable drained : int; (* buckets below this round are gone *)
+  (* bucket [last_round mod d]: the requests whose window closes at that
+     round, dropped from every queue by the step that closes it (as
+     Engine.Live does) *)
+  expiry : Request.t list array;
 }
 
-(* The request resource [res] serves at [round]: live, not yet served
-   (when coordinating), earliest deadline; ties by higher bias, then
-   lower id. *)
+(* The request resource [res] serves at [round]: earliest deadline; ties
+   by higher bias, then lower id. *)
 let pick st ~round res =
   let better (a : Request.t) (b : Request.t) =
     let da = Request.last_round a and db = Request.last_round b in
@@ -30,68 +27,43 @@ let pick st ~round res =
   in
   Hashtbl.fold
     (fun _ r best ->
-       if not (Request.is_live r ~round) then best
-       else if st.coordinate && Hashtbl.mem st.served r.Request.id then best
-       else
-         match best with
-         | None -> Some r
-         | Some b -> if better r b then Some r else best)
+       match best with
+       | None -> Some r
+       | Some b -> if better r b then Some r else best)
     st.queues.(res) None
 
+let drop st (r : Request.t) =
+  Array.iter (fun res -> Hashtbl.remove st.queues.(res) r.Request.id)
+    r.Request.alternatives
+
 let step st ~round ~arrivals =
-  (* drop entries whose window closed before [round]: O(expiring) *)
-  for closed = st.drained to round - 1 do
-    match Hashtbl.find_opt st.expiry closed with
-    | None -> ()
-    | Some entries ->
-      List.iter (fun (res, id) -> Hashtbl.remove st.queues.(res) id) !entries;
-      Hashtbl.remove st.expiry closed
-  done;
-  if round > st.drained then st.drained <- round;
-  (* admit arrivals into each listed resource's queue *)
   Array.iter
     (fun (r : Request.t) ->
-       let last = Request.last_round r in
-       if last >= round then begin
-         let bucket =
-           match Hashtbl.find_opt st.expiry last with
-           | Some b -> b
-           | None ->
-             let b = ref [] in
-             Hashtbl.replace st.expiry last b;
-             b
-         in
-         Array.iter
-           (fun res ->
-              Hashtbl.replace st.queues.(res) r.Request.id r;
-              bucket := (res, r.Request.id) :: !bucket)
-           r.Request.alternatives
-       end)
+       let b = Request.last_round r mod st.d in
+       st.expiry.(b) <- r :: st.expiry.(b);
+       Array.iter (fun res -> Hashtbl.replace st.queues.(res) r.Request.id r)
+         r.Request.alternatives)
     arrivals;
   let serves = ref [] in
   for res = 0 to st.n - 1 do
     match pick st ~round res with
     | None -> ()
     | Some r ->
-      Hashtbl.remove st.queues.(res) r.Request.id;
-      Hashtbl.replace st.served r.Request.id ();
+      (* coordinated: a served request leaves every queue, so no other
+         resource serves it again, this round or later *)
+      if st.coordinate then drop st r
+      else Hashtbl.remove st.queues.(res) r.Request.id;
       serves := { Strategy.request = r.Request.id; resource = res } :: !serves
   done;
+  let b = round mod st.d in
+  List.iter (drop st) st.expiry.(b);
+  st.expiry.(b) <- [];
   List.rev !serves
 
 let make ~coordinate ~name ?(bias = Strategy.no_bias) () : Strategy.factory =
- fun ~n ~d:_ ->
-  let st =
-    {
-      n;
-      bias;
-      coordinate;
-      queues = Array.init n (fun _ -> Hashtbl.create 16);
-      served = Hashtbl.create 64;
-      expiry = Hashtbl.create 64;
-      drained = 0;
-    }
-  in
+ fun ~n ~d ->
+  let queues = Array.init n (fun _ -> Hashtbl.create 16) in
+  let st = { n; d; bias; coordinate; queues; expiry = Array.make d [] } in
   { Strategy.name = name; step = (fun ~round ~arrivals -> step st ~round ~arrivals) }
 
 let independent ?bias () = make ~coordinate:false ~name:"EDF" ?bias ()

@@ -1,5 +1,6 @@
 module Request = Sched.Request
 module Strategy = Sched.Strategy
+module Slots = Sched.Slots
 module Warm = Graph.Warm
 
 (* The warm-start incremental round kernel behind Global's strategies.
@@ -9,7 +10,7 @@ module Warm = Graph.Warm
    the round advances:
 
    - Fix family (A_fix, A_fix_balance): assignments are frozen, so the
-     matching is carried across rounds in a stamped slot-occupancy ring
+     matching is carried across rounds in a [d]-deep Sched.Slots table
      and each round solves only the round's {e arrivals} against the
      still-free slots.  This is exact, not heuristic: every fix-family
      edge weight is lexicographically positive, and a Tiered solve ends
@@ -60,11 +61,7 @@ type t = {
   bias : Strategy.bias;
   metrics : Obs.Metrics.t option;
   warm : Warm.t;
-  (* fix family: frozen assignments by cell = (slot_round mod d)*n +
-     res; a cell is live iff [occ_round] stamps the exact slot round and
-     [occ_id] holds the request id (>= 0) *)
-  occ_round : int array;
-  occ_id : int array;
+  slots : int Slots.t; (* fix family: frozen assignments, by id *)
   (* full family / current: live requests in ascending id order;
      state -1 = unassigned, -2 = dead (served), t >= 0 = slot round —
      compacted in the build pass *)
@@ -91,8 +88,7 @@ let step_fix st ~round ~(arrivals : Request.t array) =
        Array.iter
          (fun resource ->
             for slot_round = round to Request.last_round r do
-              let cell = ((slot_round mod d) * n) + resource in
-              if not (st.occ_round.(cell) = slot_round && st.occ_id.(cell) >= 0)
+              if not (Slots.mem st.slots ~res:resource ~round:slot_round)
               then begin
                 let e =
                   Warm.add_edge st.warm
@@ -113,26 +109,19 @@ let step_fix st ~round ~(arrivals : Request.t array) =
          r.Request.alternatives)
     arrivals;
   Warm.solve st.warm;
-  (* freeze the new matches into the ring *)
+  (* freeze the new matches into the slot table *)
   Array.iteri
     (fun li (r : Request.t) ->
        let v = Warm.left_to st.warm li in
-       if v >= 0 then begin
-         let resource = v mod n and slot_round = round + (v / n) in
-         let cell = ((slot_round mod d) * n) + resource in
-         st.occ_round.(cell) <- slot_round;
-         st.occ_id.(cell) <- r.id
-       end)
+       if v >= 0 then
+         Slots.set st.slots ~res:(v mod n) ~round:(round + (v / n)) r.id)
     arrivals;
   (* serve the current column *)
-  let base = (round mod d) * n in
   let serves = ref [] in
   for resource = n - 1 downto 0 do
-    let cell = base + resource in
-    if st.occ_round.(cell) = round && st.occ_id.(cell) >= 0 then begin
-      serves := { Strategy.request = st.occ_id.(cell); resource } :: !serves;
-      st.occ_id.(cell) <- -1
-    end
+    match Slots.take st.slots ~res:resource ~round with
+    | Some request -> serves := { Strategy.request; resource } :: !serves
+    | None -> ()
   done;
   List.sort serve_compare !serves
 
@@ -264,8 +253,7 @@ let make ~kind ~n ~d ~bias ~metrics () : Strategy.t =
       bias;
       metrics;
       warm = Warm.create ();
-      occ_round = Array.make (n * d) min_int;
-      occ_id = Array.make (n * d) (-1);
+      slots = Slots.create ~n ~d ~dummy:(-1);
       pool = [||];
       pool_state = [||];
       pool_len = 0;

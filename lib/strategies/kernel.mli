@@ -6,8 +6,9 @@
     theorem adversaries, adaptive runs and the live engine), while
     doing per-round work proportional to what changed:
 
-    - fix family — the carried matching lives in a stamped slot ring;
-      each round solves only the round's arrivals against the
+    - fix family — the carried matching lives in a {!Sched.Slots}
+      table [d] rounds deep (exact, as every window fits in [d]
+      rounds); each round solves only the round's arrivals against the
       still-free slots.  Dropping the requests a round leaves unmatched
       is exact because every fix-family weight vector is
       lexicographically positive: an unmatched request adjacent to a

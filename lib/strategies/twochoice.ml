@@ -1,110 +1,39 @@
 module Request = Sched.Request
 module Strategy = Sched.Strategy
+module Slots = Sched.Slots
 
-(* Slot plan as a stamped ring over the next [cap] rounds: the cell for
-   (res, t) is ((t mod cap) * n) + res, live iff occ_round stamps
-   exactly [t] with a request id present.  Serving a column frees its
-   cells for the column [cap] rounds later, so nothing is ever scanned
-   or rehashed — the greedy family's bookkeeping is O(window) per
-   request and O(n) per round, with no per-slot allocation.  The ring
-   deepens (rare: only for hand-driven windows longer than [d]) by
-   restamping the live cells into a wider ring. *)
-type state = {
-  n : int;
-  mutable cap : int;
-  mutable occ_round : int array;
-  mutable occ_id : int array;
-}
-
-let ensure_depth st ~round ~hi =
-  let needed = hi - round + 1 in
-  if needed > st.cap then begin
-    let cap' = max needed (2 * st.cap) in
-    let occ_round' = Array.make (cap' * st.n) min_int in
-    let occ_id' = Array.make (cap' * st.n) (-1) in
-    Array.iteri
-      (fun cell t ->
-         if t >= round && st.occ_id.(cell) >= 0 then begin
-           let res = cell mod st.n in
-           let cell' = ((t mod cap') * st.n) + res in
-           occ_round'.(cell') <- t;
-           occ_id'.(cell') <- st.occ_id.(cell)
-         end)
-      st.occ_round;
-    st.cap <- cap';
-    st.occ_round <- occ_round';
-    st.occ_id <- occ_id'
-  end
-
-let occupied st res t =
-  let cell = ((t mod st.cap) * st.n) + res in
-  st.occ_round.(cell) = t && st.occ_id.(cell) >= 0
-
-(* free slots of [res] within [r]'s window at [round] *)
-let free_slots st ~round res (r : Request.t) =
-  let lo = max round r.Request.arrival and hi = Request.last_round r in
-  ensure_depth st ~round ~hi;
-  let count = ref 0 in
-  for t = lo to hi do
-    if not (occupied st res t) then incr count
-  done;
-  !count
-
-let earliest_free st ~round res (r : Request.t) =
-  let lo = max round r.Request.arrival and hi = Request.last_round r in
-  ensure_depth st ~round ~hi;
-  let rec find t =
-    if t > hi then None
-    else if occupied st res t then find (t + 1)
-    else Some t
-  in
-  find lo
-
-let assign st ~round (r : Request.t) res t =
-  ensure_depth st ~round ~hi:t;
-  let cell = ((t mod st.cap) * st.n) + res in
-  st.occ_round.(cell) <- t;
-  st.occ_id.(cell) <- r.Request.id
-
-let collect_serves st ~round =
-  let base = (round mod st.cap) * st.n in
-  let serves = ref [] in
-  for res = st.n - 1 downto 0 do
-    let cell = base + res in
-    if st.occ_round.(cell) = round && st.occ_id.(cell) >= 0 then begin
-      serves := { Strategy.request = st.occ_id.(cell); resource = res }
-                :: !serves;
-      st.occ_id.(cell) <- -1
-    end
-  done;
-  !serves
+(* Assignments live in a {!Sched.Slots} table of request ids, so the
+   greedy family's bookkeeping is O(window) per request and O(n) per
+   round, with no per-slot allocation.  Each arrival's window is
+   [round .. last_round], within [d] rounds by the step contract. *)
+let earliest_free slots ~round res (r : Request.t) =
+  Slots.first_free slots ~res ~from:round ~last:(Request.last_round r)
 
 let make ~name ~choose : Strategy.factory =
  fun ~n ~d ->
-  let cap = max d 1 in
-  let st =
-    {
-      n;
-      cap;
-      occ_round = Array.make (cap * n) min_int;
-      occ_id = Array.make (cap * n) (-1);
-    }
-  in
+  let slots = Slots.create ~n ~d ~dummy:(-1) in
   {
     Strategy.name;
     step =
       (fun ~round ~arrivals ->
          Array.iter
            (fun (r : Request.t) ->
-              match choose st ~round r with
-              | Some (res, t) -> assign st ~round r res t
+              match choose slots ~round r with
+              | Some (res, t) -> Slots.set slots ~res ~round:t r.Request.id
               | None -> ())
            arrivals;
-         collect_serves st ~round);
+         let serves = ref [] in
+         for res = n - 1 downto 0 do
+           match Slots.take slots ~res ~round with
+           | Some request ->
+             serves := { Strategy.request; resource = res } :: !serves
+           | None -> ()
+         done;
+         !serves);
   }
 
 let least_loaded ?(bias = Strategy.no_bias) () =
-  let choose st ~round (r : Request.t) =
+  let choose slots ~round (r : Request.t) =
     (* best (free_slots, bias, lower res), compared field by field *)
     let best_free = ref (-1)
     and best_bias = ref 0
@@ -112,10 +41,12 @@ let least_loaded ?(bias = Strategy.no_bias) () =
     and best_t = ref (-1) in
     Array.iter
       (fun res ->
-         match earliest_free st ~round res r with
+         match earliest_free slots ~round res r with
          | None -> ()
          | Some t ->
-           let free = free_slots st ~round res r
+           let free =
+             Slots.count_free slots ~res ~from:round
+               ~last:(Request.last_round r)
            and b = bias ~request:r ~resource:res ~round in
            let better =
              !best_res < 0 || free > !best_free
@@ -134,22 +65,17 @@ let least_loaded ?(bias = Strategy.no_bias) () =
   make ~name:"greedy_2choice" ~choose
 
 let random_choice ~rng () =
-  let choose st ~round (r : Request.t) =
+  let choose slots ~round (r : Request.t) =
     let res = Prelude.Rng.pick rng r.Request.alternatives in
-    Option.map (fun t -> (res, t)) (earliest_free st ~round res r)
+    Option.map (fun t -> (res, t)) (earliest_free slots ~round res r)
   in
   make ~name:"greedy_random" ~choose
 
 let first_fit () =
-  let choose st ~round (r : Request.t) =
-    let rec try_alts i =
-      if i >= Array.length r.Request.alternatives then None
-      else
-        let res = r.Request.alternatives.(i) in
-        match earliest_free st ~round res r with
-        | Some t -> Some (res, t)
-        | None -> try_alts (i + 1)
-    in
-    try_alts 0
+  let choose slots ~round (r : Request.t) =
+    Array.find_map
+      (fun res ->
+         Option.map (fun t -> (res, t)) (earliest_free slots ~round res r))
+      r.Request.alternatives
   in
   make ~name:"greedy_firstfit" ~choose

@@ -618,6 +618,27 @@ let test_layout_invariance_standalone () =
          reference (run nodes))
     [ 2; 3; 5 ]
 
+(* A rejoin handoff exports a resource's slots from the current round
+   on, ascending, and leaves them empty on the donor. *)
+let test_node_export () =
+  let node = Cluster.Node.create ~id:0 ~n:3 ~d:4 in
+  List.iter
+    (fun (res, round) ->
+       Cluster.Node.set_slot node ~res ~round
+         { Wire.rid = (10 * res) + round; alternatives = [ res ];
+           arrival = 3; deadline = 4 })
+    [ (1, 6); (1, 3); (1, 5); (0, 4); (2, 6) ];
+  let export res =
+    List.map (fun (round, ri) -> (round, ri.Wire.rid))
+      (Cluster.Node.export node ~res ~from_round:3)
+  in
+  let slots = Alcotest.(list (pair int int)) in
+  check slots "ascending, with occupants" [ (3, 13); (5, 15); (6, 16) ]
+    (export 1);
+  check slots "emptied" [] (export 1);
+  check slots "other resources kept" [ (4, 4) ] (export 0);
+  check slots "other resources kept" [ (6, 26) ] (export 2)
+
 let test_session_submit_validation () =
   let s = Session.create ~strategy:Session.Local_fix ~nodes:2 ~n:4 ~d:3 () in
   (match Session.submit s ~alternatives:[ 0; 1 ] ~deadline:3 with
@@ -635,14 +656,7 @@ let test_session_submit_validation () =
       ([ 0; 4 ], 2, "resource out of range");
       ([], 2, "no alternatives");
       ([ 1; 1 ], 2, "duplicate alternatives");
-    ];
-  (match Session.submit ~id:0 s ~alternatives:[ 0 ] ~deadline:1 with
-   | Error _ -> ()
-   | Ok _ -> Alcotest.fail "duplicate id accepted");
-  match Session.submit ~id:7 s ~alternatives:[ 0 ] ~deadline:1 with
-  | Ok 7 -> ()
-  | Ok id -> Alcotest.failf "expected id 7, got %d" id
-  | Error m -> Alcotest.failf "explicit id rejected: %s" m
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* serve-mode integration: the cluster as a server strategy *)
@@ -770,6 +784,7 @@ let () =
             test_kill_and_rejoin_loses_no_terminal;
           Alcotest.test_case "submit validation" `Quick
             test_session_submit_validation;
+          Alcotest.test_case "node export" `Quick test_node_export;
         ] );
       ( "serve",
         [

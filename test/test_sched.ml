@@ -695,18 +695,16 @@ let test_live_overload_accounting () =
     (let s = Hashtbl.length served in
      s >= n * rounds && s <= n * (rounds + d))
 
-(* The engine holds only open-window requests: under a steady 3x
-   overload the live heap after 10^4 rounds stays within a small factor
-   of the heap after 10^3 rounds, however many requests went through. *)
-let test_live_window_bound () =
+(* Engine and strategy state are bounded by the window: under a steady
+   3x overload (n=16, d=4, 48 two-choice submissions a round) the live
+   heap at round [rounds] stays within 2x of the heap at [rounds / 10],
+   however many requests went through. *)
+let live_window_bound ?(rounds = 10_000) factory () =
   let n = 16 and d = 4 in
-  let live = Engine.Live.create ~n ~d (Strategies.Twochoice.least_loaded ()) in
-  let live_words () =
-    Gc.full_major ();
-    (Gc.stat ()).Gc.live_words
-  in
-  let at_1k = ref 0 in
-  for round = 1 to 10_000 do
+  let live = Engine.Live.create ~n ~d factory in
+  let live_words () = Gc.full_major (); (Gc.stat ()).Gc.live_words in
+  let early = ref 0 in
+  for round = 1 to rounds do
     for j = 0 to (3 * n) - 1 do
       let a = (round + j) mod n in
       let b = (a + 1 + (j mod (n - 1))) mod n in
@@ -715,15 +713,87 @@ let test_live_window_bound () =
       | Error m -> Alcotest.failf "submit rejected: %s" m
     done;
     ignore (Engine.Live.step live : Engine.Live.outcome);
-    if round = 1_000 then at_1k := live_words ()
+    if round = rounds / 10 then early := live_words ()
   done;
-  let at_10k = live_words () in
+  let ratio = float_of_int (live_words ()) /. float_of_int !early in
   (* reading [live] after the measurement keeps the engine reachable *)
   check Alcotest.bool "in flight within the window" true
     (Engine.Live.pending live <= 3 * n * d);
-  let ratio = float_of_int at_10k /. float_of_int !at_1k in
   if ratio > 2. then
-    Alcotest.failf "live heap grew %.2fx from round 10^3 to 10^4" ratio
+    Alcotest.failf "live heap grew %.2fx from round %d to %d" ratio
+      (rounds / 10) rounds
+
+(* one factory per module that keeps strategy state *)
+let window_bound_cases =
+  List.map
+    (fun (name, rounds, factory) ->
+       Alcotest.test_case ("state bounded by the window" ^ name) `Quick
+         (live_window_bound ?rounds factory))
+    [
+      ("", None, Strategies.Twochoice.least_loaded ());
+      (": edf", None, Strategies.Edf.independent ());
+      (": edf_coord", None, Strategies.Edf.coordinated ());
+      (": fix", None, Strategies.Global.fix ());
+      (": current", None, Strategies.Global.current ());
+      (": local_fix", None, Localstrat.Local.fix ());
+      ( ": local_fix@cluster3", Some 2_000,
+        Cluster.Session.factory ~strategy:Local_fix ~nodes:3 () );
+    ]
+
+(* Slots against a (res, round) Hashtbl model.  The clock [now]
+   advances; writes and reads stay in [now .. now + d - 1], frees and
+   takes also reach back to [now - d + 1], where the ring must never
+   clear the live cell [d] rounds later. *)
+let prop_slots_match_model =
+  let open QCheck in
+  let op = quad small_nat small_nat small_nat small_nat in
+  let ops = list_of_size Gen.(0 -- 80) op in
+  qtest ~count:300 "slots agree with a hashtable model"
+    (triple small_nat small_nat ops) (fun (n, d, ops) ->
+      let module Slots = Sched.Slots in
+      let n = 1 + (n mod 4) and d = 1 + (d mod 5) in
+      let slots = Slots.create ~n ~d ~dummy:(-1) in
+      let model = Hashtbl.create 16 in
+      let now = ref 0 in
+      let ahead x = !now + (x mod d)
+      and around x = max 0 (!now + (x mod ((2 * d) - 1)) - (d - 1)) in
+      let step i (kind, r, x, y) =
+        let res = r mod n in
+        match kind mod 10 with
+        | 0 | 1 | 2 ->
+          Slots.set slots ~res ~round:(ahead x) i;
+          Hashtbl.replace model (res, ahead x) i
+        | 3 | 4 ->
+          let round = around x in
+          let want = Hashtbl.find_opt model (res, round) in
+          if kind mod 10 = 3 then Slots.free slots ~res ~round
+          else if Slots.take slots ~res ~round <> want && round >= !now then
+            Test.fail_reportf "take res %d round %d" res round;
+          Hashtbl.remove model (res, round)
+        | 5 | 6 ->
+          let from = ahead x and last = ahead y in
+          let free =
+            List.init (max 0 (last - from + 1)) (( + ) from)
+            |> List.filter (fun r -> not (Hashtbl.mem model (res, r)))
+          in
+          if Slots.first_free slots ~res ~from ~last <> List.nth_opt free 0
+          || Slots.count_free slots ~res ~from ~last <> List.length free
+          then Test.fail_reportf "free slots res %d %d..%d" res from last
+        | 7 | 8 -> incr now
+        | _ -> Slots.clear slots; Hashtbl.reset model
+      in
+      List.iteri
+        (fun i op ->
+           step i op;
+           for res = 0 to n - 1 do
+             for round = !now to !now + d - 1 do
+               let want = Hashtbl.find_opt model (res, round) in
+               if Slots.find slots ~res ~round <> want then
+                 Test.fail_reportf "res %d round %d disagrees" res round
+             done
+           done)
+        ops;
+      true)
 
 let () =
   Alcotest.run "sched"
@@ -795,8 +865,8 @@ let () =
           Alcotest.test_case "submit validation" `Quick test_live_validation;
           Alcotest.test_case "overload accounting" `Quick
             test_live_overload_accounting;
-          Alcotest.test_case "state bounded by the window" `Quick
-            test_live_window_bound;
           prop_live_matches_batch;
-        ] );
+        ]
+        @ window_bound_cases );
+      ("slots", [ prop_slots_match_model ]);
     ]

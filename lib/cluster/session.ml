@@ -181,13 +181,15 @@ let submit t ~alternatives ~deadline =
   else if List.exists (fun res -> res < 0 || res >= t.n) alternatives then
     Error "alternative resource out of range"
   else
-    match Request.make ~arrival:t.round ~alternatives ~deadline with
+    match
+      Request.of_array ~id:t.next_id ~arrival:t.round
+        ~alternatives:(Array.of_list alternatives) ~deadline
+    with
     | exception Invalid_argument m -> Error m
-    | proto ->
-      let id = t.next_id in
-      t.next_id <- id + 1;
-      t.queue <- Request.with_id proto id :: t.queue;
-      Ok id
+    | r ->
+      t.next_id <- r.Request.id + 1;
+      t.queue <- r :: t.queue;
+      Ok r.Request.id
 
 (* ------------------------------------------------------------------ *)
 (* liveness: ping sweep, failover, rejoin *)

@@ -67,10 +67,8 @@ let reqinfo_of_request (r : Request.t) =
   }
 
 let request_of_reqinfo ri =
-  Request.with_id
-    (Request.make ~arrival:ri.arrival ~alternatives:ri.alternatives
-       ~deadline:ri.deadline)
-    ri.rid
+  Request.of_array ~id:ri.rid ~arrival:ri.arrival
+    ~alternatives:(Array.of_list ri.alternatives) ~deadline:ri.deadline
 
 (* ------------------------------------------------------------------ *)
 (* rendering *)

@@ -19,9 +19,18 @@ type snapshot = (string * value) list
 
 let create () = { tbl = Hashtbl.create 64; lock = Mutex.create () }
 
+(* Not [Fun.protect]: its closures would be allocated on every update,
+   and the serving loop updates once per round and shard. *)
 let locked t f =
   Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+  match f () with
+  | v ->
+    Mutex.unlock t.lock;
+    v
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    Mutex.unlock t.lock;
+    Printexc.raise_with_backtrace e bt
 
 let kind_name = function
   | MCounter _ -> "counter"

@@ -8,42 +8,144 @@
 
 let version = "rsp/1"
 
-let render_alts alts = String.concat "," (List.map string_of_int alts)
+(* ------------------------------------------------------------------ *)
+(* rendering: integers are written digit by digit into the caller's
+   buffer, so a line costs its bytes and nothing else *)
 
-let parse_alts s =
-  if s = "" then Error "empty alternative list"
-  else
-    let fields = String.split_on_char ',' s in
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | f :: rest ->
-        (match int_of_string_opt f with
-         | Some v when v < 0 ->
-           Error (Printf.sprintf "negative resource %d" v)
-         | Some v when List.mem v acc ->
-           Error (Printf.sprintf "duplicate resource %d" v)
-         | Some v -> go (v :: acc) rest
-         | None -> Error (Printf.sprintf "malformed resource %S" f))
-    in
-    go [] fields
+let rec add_digits b n =
+  if n >= 10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_int b n =
+  if n >= 0 then add_digits b n else Buffer.add_string b (string_of_int n)
+
+let rec add_alts b = function
+  | [] -> ()
+  | a :: rest ->
+    add_int b a;
+    if rest <> [] then Buffer.add_char b ',';
+    add_alts b rest
 
 (* [first] is the arrival round in a trace file and the client's tag on
    the wire — same shape, different meaning. *)
-let render_req_fields ~first ~alternatives ~deadline =
-  Printf.sprintf "%d %s %d" first (render_alts alternatives) deadline
+let add_req_fields b ~first ~alternatives ~deadline =
+  add_int b first;
+  Buffer.add_char b ' ';
+  add_alts b alternatives;
+  Buffer.add_char b ' ';
+  add_int b deadline
 
-let parse_req_fields ~what s =
-  match String.split_on_char ' ' s with
-  | [ first; alts; deadline ] ->
-    (match int_of_string_opt first, parse_alts alts,
-           int_of_string_opt deadline with
-     | Some _, Ok _, Some dl when dl < 1 ->
-       Error (Printf.sprintf "deadline %d must be >= 1" dl)
-     | Some f, Ok alternatives, Some dl -> Ok (f, alternatives, dl)
-     | None, _, _ -> Error (Printf.sprintf "malformed %s %S" what first)
-     | _, Error m, _ -> Error m
-     | _, _, None -> Error (Printf.sprintf "malformed deadline %S" deadline))
-  | _ -> Error (Printf.sprintf "expected '<%s> <alts> <deadline>': %S" what s)
+let scratch = Domain.DLS.new_key (fun () -> Buffer.create 256)
+
+let render_with add x =
+  let b = Domain.DLS.get scratch in
+  Buffer.clear b;
+  add b x;
+  Buffer.contents b
+
+let render_alts alts = render_with add_alts alts
+
+(* ------------------------------------------------------------------ *)
+(* scanning: one pass of indices over [s.[pos .. stop-1]], with no
+   substring, split or intermediate list; only the error path builds a
+   string *)
+
+exception Syntax of string
+
+let syntax fmt = Printf.ksprintf (fun m -> raise (Syntax m)) fmt
+
+(* the index of the first [c] in [pos .. stop-1], else [stop] *)
+let rec field_end s c pos stop =
+  if pos >= stop || String.unsafe_get s pos = c then pos
+  else field_end s c (pos + 1) stop
+
+(* Decimal digits with an optional '-', accumulated negatively so that
+   [min_int] parses and anything beyond the int range is caught. *)
+let rec digits s i stop acc =
+  if i = stop then acc
+  else
+    let c = String.unsafe_get s i in
+    if c < '0' || c > '9' then raise_notrace Exit;
+    let dg = Char.code c - 48 in
+    if acc < min_int / 10 || (acc = min_int / 10 && dg > -(min_int mod 10))
+    then raise_notrace Exit;
+    digits s (i + 1) stop ((acc * 10) - dg)
+
+let scan_int ~what s ~pos ~stop =
+  match
+    let neg = pos < stop && String.unsafe_get s pos = '-' in
+    let first = if neg then pos + 1 else pos in
+    if first >= stop then raise_notrace Exit;
+    let v = digits s first stop 0 in
+    if neg then v else if v = min_int then raise_notrace Exit else -v
+  with
+  | v -> v
+  | exception Exit ->
+    syntax "malformed %s %S" what (String.sub s pos (stop - pos))
+
+(* The list is built in order, by plain recursion, with no reversal.
+   Errors keep the left-to-right rule — the first field that is
+   malformed, negative or a repeat names the error — so a field that
+   fails to scan ([Bad_field], with its start) loses to a repeat before
+   it, which only the error path looks for. *)
+exception Bad_field of int * string
+
+let rec alts_in_order s pos stop =
+  let j = field_end s ',' pos stop in
+  let v =
+    match scan_int ~what:"resource" s ~pos ~stop:j with
+    | v when v < 0 ->
+      raise (Bad_field (pos, Printf.sprintf "negative resource %d" v))
+    | v -> v
+    | exception Syntax m -> raise (Bad_field (pos, m))
+  in
+  v :: (if j >= stop then [] else alts_in_order s (j + 1) stop)
+
+(* is [v] among the first [n] elements of [l]? *)
+let rec mem_first l v n =
+  n > 0 && match l with [] -> false | x :: r -> x = v || mem_first r v (n - 1)
+
+let rec check_repeats all l i =
+  match l with
+  | [] -> ()
+  | v :: rest ->
+    if mem_first all v i then syntax "duplicate resource %d" v;
+    check_repeats all rest (i + 1)
+
+let scan_alts s ~pos ~stop =
+  if pos >= stop then raise (Syntax "empty alternative list");
+  match alts_in_order s pos stop with
+  | alts ->
+    check_repeats alts alts 0;
+    alts
+  | exception Bad_field (at, m) ->
+    if at > pos then begin
+      let before = alts_in_order s pos (at - 1) in
+      check_repeats before before 0
+    end;
+    raise (Syntax m)
+
+let split3 s ~pos ~stop =
+  let i1 = field_end s ' ' pos stop in
+  let i2 = if i1 < stop then field_end s ' ' (i1 + 1) stop else stop in
+  if i2 >= stop || field_end s ' ' (i2 + 1) stop < stop then -1 else i2
+
+let scan_req_fields ~what s ~pos ~stop k =
+  let i2 = split3 s ~pos ~stop in
+  if i2 < 0 then
+    syntax "expected '<%s> <alts> <deadline>': %S" what
+      (String.sub s pos (stop - pos));
+  let i1 = field_end s ' ' pos i2 in
+  let first = scan_int ~what s ~pos ~stop:i1 in
+  let alternatives = scan_alts s ~pos:(i1 + 1) ~stop:i2 in
+  let deadline = scan_int ~what:"deadline" s ~pos:(i2 + 1) ~stop in
+  if deadline < 1 then syntax "deadline %d must be >= 1" deadline;
+  k first alternatives deadline
+
+let parse_alts s =
+  match scan_alts s ~pos:0 ~stop:(String.length s) with
+  | alts -> Ok alts
+  | exception Syntax m -> Error m
 
 let to_string (inst : Instance.t) =
   let b = Buffer.create (64 + (32 * Instance.n_requests inst)) in
@@ -53,11 +155,11 @@ let to_string (inst : Instance.t) =
        (Instance.n_requests inst));
   Array.iter
     (fun (r : Request.t) ->
-       Buffer.add_string b
-         (Printf.sprintf "req %s\n"
-            (render_req_fields ~first:r.Request.arrival
-               ~alternatives:(Array.to_list r.Request.alternatives)
-               ~deadline:r.Request.deadline)))
+       Buffer.add_string b "req ";
+       add_req_fields b ~first:r.Request.arrival
+         ~alternatives:(Array.to_list r.Request.alternatives)
+         ~deadline:r.Request.deadline;
+       Buffer.add_char b '\n')
     inst.Instance.requests;
   Buffer.add_string b "end\n";
   Buffer.contents b
@@ -102,17 +204,15 @@ let of_string s =
               | inst -> Ok inst
               | exception Invalid_argument m -> Error m)
          | [] -> Error "truncated trace (missing 'end')"
-         | line :: rest when String.length line >= 4
-                          && String.sub line 0 4 = "req " ->
+         | line :: rest when String.starts_with ~prefix:"req " line ->
            (match
-              parse_req_fields ~what:"arrival"
-                (String.sub line 4 (String.length line - 4))
+              scan_req_fields ~what:"arrival" line ~pos:4
+                ~stop:(String.length line)
+                (fun arrival alternatives deadline ->
+                   Request.make ~arrival ~alternatives ~deadline)
             with
-            | Error _ as e -> e
-            | Ok (arrival, alternatives, deadline) ->
-              (match Request.make ~arrival ~alternatives ~deadline with
-               | proto -> go (proto :: acc) rest
-               | exception Invalid_argument m -> Error m))
+            | proto -> go (proto :: acc) rest
+            | exception (Syntax m | Invalid_argument m) -> Error m)
          | line :: _ -> Error (Printf.sprintf "malformed trace line %S" line)
        in
        go [] rest)

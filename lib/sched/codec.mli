@@ -22,22 +22,74 @@
 val version : string
 (** ["rsp/1"], shared with [Serve.Protocol]. *)
 
-val render_alts : int list -> string
-(** Comma-separated resource ids, e.g. ["3,0"]. *)
+(** {2 Rendering}
 
-val parse_alts : string -> (int list, string) result
-(** Inverse of {!render_alts}; rejects empty lists, negatives,
-    duplicates and non-numeric fields. *)
+    The [add_*] functions append to the caller's buffer, writing
+    integers digit by digit: rendering a line allocates nothing beyond
+    the buffer's growth. *)
 
-val render_req_fields :
-  first:int -> alternatives:int list -> deadline:int -> string
+val add_int : Buffer.t -> int -> unit
+(** Decimal, as [string_of_int]. *)
+
+val add_req_fields :
+  Buffer.t -> first:int -> alternatives:int list -> deadline:int -> unit
 (** ["<first> <alts> <deadline>"] — [first] is the arrival round in a
     trace file and the client's request tag on the wire. *)
 
-val parse_req_fields :
-  what:string -> string -> (int * int list * int, string) result
-(** Inverse of {!render_req_fields}; [what] names the first field in
-    error messages ("arrival", "tag"). *)
+val render_with : (Buffer.t -> 'a -> unit) -> 'a -> string
+(** [render_with add x] is what [add] appends for [x], as a fresh
+    string: [add] writes into a buffer private to the calling domain,
+    so the only allocation is the result.  [add] must not call
+    [render_with] itself. *)
+
+val render_alts : int list -> string
+(** Comma-separated resource ids, e.g. ["3,0"]. *)
+
+(** {2 Scanning}
+
+    One index scanner over [s.[pos .. stop-1]], shared by trace files,
+    [Serve.Protocol] and [Cluster.Wire]: it takes no substring, split
+    or intermediate list, and builds strings only for error messages.
+
+    Integers are decimal: an optional ['-'] and one or more digits,
+    within the [int] range.  This is narrower than [int_of_string]:
+    ["+1"], ["0x1"], ["0o7"], ["0b1"] and ["1_0"] are malformed, as is
+    an overflowing literal.  Every renderer writes plain decimal, so
+    no rendered line is affected. *)
+
+exception Syntax of string
+(** A scanner's error; its message is the [Error] text that
+    {!parse_alts}, {!of_string} and [Serve.Protocol] return. *)
+
+val field_end : string -> char -> int -> int -> int
+(** [field_end s c pos stop] is the index of the first [c] in
+    [s.[pos .. stop-1]], or [stop]. *)
+
+val split3 : string -> pos:int -> stop:int -> int
+(** The index of the second space when the range is exactly three
+    space-separated fields, else -1 (the first space is then
+    [field_end s ' ' pos] of that index). *)
+
+val scan_int : what:string -> string -> pos:int -> stop:int -> int
+(** The decimal integer spanning the range.
+    @raise Syntax ["malformed <what> \"<field>\""] otherwise. *)
+
+val scan_req_fields :
+  what:string -> string -> pos:int -> stop:int ->
+  (int -> int list -> int -> 'a) -> 'a
+(** [scan_req_fields ~what s ~pos ~stop k] scans
+    ["<first> <alts> <deadline>"] and returns [k first alts deadline];
+    the continuation lets the caller build its own record without an
+    intermediate tuple.  [what] names the first field in error
+    messages ("arrival", "tag").
+    @raise Syntax unless there are exactly three space-separated fields,
+    at the first bad field (first, alts, deadline), or on a deadline
+    below 1. *)
+
+val parse_alts : string -> (int list, string) result
+(** The comma-separated alternative list, in order; inverse of
+    {!render_alts}.  [Error] on an empty list, or at the first field
+    (left to right) that is malformed, negative or a duplicate. *)
 
 val to_string : Instance.t -> string
 val of_string : string -> (Instance.t, string) result

@@ -16,12 +16,19 @@ module Ivec = Prelude.Ivec
    by the step that closes its window).
 
    A request can only be served in the [d] rounds after it arrives, so
-   the engine holds open windows only: [window] maps each open id to
-   its request and served flag, and bucket [last_round mod d] of
-   [expiry] lists the ids whose window closes at that round, ascending
-   because ids are handed out in order.  The step that closes a window
-   drops its entries, so the state is bounded by the requests in
-   flight, not by history. *)
+   the engine holds open windows only, in a ring indexed by id: the
+   request of open id [i] sits at [window.(i land (length - 1))], with
+   its served flag at the same index of [first_served].  Ids
+   [low .. next_id - 1] are the admitted ids not yet known closed, each
+   open or reset to [closed]; every id closes within [d] rounds, so
+   the span covers at most the last [d] rounds of admissions and the
+   length (a power of two) doubles only when the span reaches it.
+   Bucket [last_round mod d] of [expiry] lists the ids whose window
+   closes at that round, ascending because ids are handed out in
+   order.  This round's arrivals are ids [round_first .. next_id - 1],
+   contiguous in the ring, so the step copies them out in one slice.
+   A steady-state round allocates the arrivals array and whatever the
+   strategy and the callbacks allocate, and nothing else per request. *)
 
 module Live = struct
   type outcome = {
@@ -31,20 +38,24 @@ module Live = struct
     expired : int list;         (** ids whose window closed unserved *)
   }
 
-  type entry = { req : Request.t; mutable was_served : bool }
+  (* fills closed ring cells; its id (-1) matches no admitted id *)
+  let closed =
+    Request.of_array ~id:(-1) ~arrival:0 ~alternatives:[| 0 |] ~deadline:1
 
   type t = {
     n : int;
     d : int;
     strategy : Strategy.t;
     metrics : Obs.Metrics.t option;
-    window : (int, entry) Hashtbl.t;  (* open-window id -> entry *)
-    expiry : Ivec.t array;            (* last_round mod d -> ids *)
-    busy : int array;                 (* resource -> last round it served *)
-    mutable queued : Request.t list;  (* reversed arrivals *)
+    mutable window : Request.t array;   (* id ring: open request or [closed] *)
+    mutable first_served : bool array;  (* parallel to [window] *)
+    mutable low : int;                  (* ids below are closed *)
+    expiry : Ivec.t array;              (* last_round mod d -> ids *)
+    busy : int array;                   (* resource -> last round it served *)
+    mutable round_first : int;          (* first id arriving this round *)
     mutable next_id : int;
     mutable round : int;
-    mutable live : int;               (* admitted, no terminal yet *)
+    mutable live : int;                 (* admitted, no terminal yet *)
     mutable wasted : int;
   }
 
@@ -56,10 +67,12 @@ module Live = struct
       d;
       strategy = factory ~n ~d;
       metrics = Obs.Metrics.resolve metrics;
-      window = Hashtbl.create 256;
+      window = Array.make 256 closed;
+      first_served = Array.make 256 false;
+      low = 0;
       expiry = Array.init d (fun _ -> Ivec.create ());
       busy = Array.make n (-1);
-      queued = [];
+      round_first = 0;
       next_id = 0;
       round = 0;
       live = 0;
@@ -68,98 +81,156 @@ module Live = struct
 
   let pending t = t.live
   let submitted t = t.next_id
+  let round t = t.round
+
+  (* Double the ring, moving ids [low .. next_id - 1] to their cells
+     under the new mask. *)
+  let grow t =
+    let len = Array.length t.window in
+    let window = Array.make (2 * len) closed
+    and first_served = Array.make (2 * len) false in
+    for id = t.low to t.next_id - 1 do
+      window.(id land ((2 * len) - 1)) <- t.window.(id land (len - 1));
+      first_served.(id land ((2 * len) - 1)) <-
+        t.first_served.(id land (len - 1))
+    done;
+    t.window <- window;
+    t.first_served <- first_served
 
   (* Queue a valid request arriving at the current round whose id is
      the next fresh one. *)
   let admit t (r : Request.t) =
-    Hashtbl.add t.window r.id { req = r; was_served = false };
-    Ivec.push t.expiry.(Request.last_round r mod t.d) r.id;
-    t.queued <- r :: t.queued;
-    t.next_id <- t.next_id + 1;
+    let id = t.next_id in
+    if id - t.low >= Array.length t.window then grow t;
+    let i = id land (Array.length t.window - 1) in
+    t.window.(i) <- r;
+    t.first_served.(i) <- false;
+    Ivec.push t.expiry.(Request.last_round r mod t.d) id;
+    t.next_id <- id + 1;
     t.live <- t.live + 1
 
-  let submit t ~alternatives ~deadline =
+  let rec out_of_range n (alternatives : int array) i =
+    i < Array.length alternatives
+    && (alternatives.(i) >= n || out_of_range n alternatives (i + 1))
+
+  let submit_array t ~alternatives ~deadline =
     if deadline > t.d then
       Error (Printf.sprintf "deadline %d exceeds the server's d=%d" deadline t.d)
-    else if List.exists (fun a -> a >= t.n) alternatives then
+    else if out_of_range t.n alternatives 0 then
       Error
         (Printf.sprintf "resource out of range (n=%d): %s" t.n
            (String.concat ","
-              (List.map string_of_int
-                 (List.filter (fun a -> a >= t.n) alternatives))))
+              (List.filter_map
+                 (fun a -> if a >= t.n then Some (string_of_int a) else None)
+                 (Array.to_list alternatives))))
     else
-      match Request.make ~arrival:t.round ~alternatives ~deadline with
+      match
+        Request.of_array ~id:t.next_id ~arrival:t.round ~alternatives
+          ~deadline
+      with
       | exception Invalid_argument m -> Error m
-      | proto ->
-        let id = t.next_id in
-        admit t (Request.with_id proto id);
-        Ok id
+      | r ->
+        admit t r;
+        Ok r.Request.id
 
-  (* Validate one round's services against the model rules; returns the
-     first services as (id, resource), in service order.  Re-serving a
-     request is legal but wasted (the paper's EDF duplicates). *)
-  let apply t ~round services =
-    List.fold_left
-      (fun first { Strategy.request; resource } ->
-         let e =
-           match Hashtbl.find_opt t.window request with
-           | Some e -> e
-           | None when request >= 0 && request < t.next_id ->
-             fail "round %d: request %d outside its window" round request
-           | None -> fail "round %d: unknown request %d" round request
-         in
-         if resource < 0 || resource >= t.n then
-           fail "round %d: resource %d out of range" round resource;
-         if not (Request.has_alternative e.req resource) then
-           fail "round %d: resource %d not an alternative of request %d"
-             round resource request;
-         if t.busy.(resource) = round then
-           fail "round %d: resource %d used twice" round resource;
-         t.busy.(resource) <- round;
-         if e.was_served then begin
-           t.wasted <- t.wasted + 1;
-           first
-         end
-         else begin
-           e.was_served <- true;
-           (request, resource) :: first
-         end)
-      [] services
-    |> List.rev
+  let submit t ~alternatives ~deadline =
+    submit_array t ~alternatives:(Array.of_list alternatives) ~deadline
 
-  let step t =
+  (* This round's arrivals, ids [round_first .. next_id - 1], in one
+     copy out of the ring. *)
+  let arrivals t =
+    let count = t.next_id - t.round_first in
+    if count = 0 then [||]
+    else begin
+      let len = Array.length t.window in
+      let at = t.round_first land (len - 1) in
+      if at + count <= len then Array.sub t.window at count
+      else begin
+        let a = Array.make count closed in
+        Array.blit t.window at a 0 (len - at);
+        Array.blit t.window 0 a (len - at) (count - (len - at));
+        a
+      end
+    end
+
+  (* Validate one round's services against the model rules, calling
+     [served] on each first service in service order; returns how many
+     there were.  Re-serving a request is legal but wasted (the paper's
+     EDF duplicates). *)
+  let rec apply t ~round ~served k = function
+    | [] -> k
+    | { Strategy.request; resource } :: rest ->
+      if request < 0 || request >= t.next_id then
+        fail "round %d: unknown request %d" round request;
+      let i = request land (Array.length t.window - 1) in
+      if t.window.(i).Request.id <> request then
+        fail "round %d: request %d outside its window" round request;
+      if resource < 0 || resource >= t.n then
+        fail "round %d: resource %d out of range" round resource;
+      if not (Request.has_alternative t.window.(i) resource) then
+        fail "round %d: resource %d not an alternative of request %d"
+          round resource request;
+      if t.busy.(resource) = round then
+        fail "round %d: resource %d used twice" round resource;
+      t.busy.(resource) <- round;
+      if t.first_served.(i) then begin
+        t.wasted <- t.wasted + 1;
+        apply t ~round ~served k rest
+      end
+      else begin
+        t.first_served.(i) <- true;
+        served request resource;
+        apply t ~round ~served (k + 1) rest
+      end
+
+  let step_with t ~served ~expired =
     let round = t.round in
-    let arrivals = Array.of_list (List.rev t.queued) in
-    t.queued <- [];
-    let served =
+    let arrivals = arrivals t in
+    t.round_first <- t.next_id;
+    let k =
       match t.metrics with
-      | None -> apply t ~round (t.strategy.Strategy.step ~round ~arrivals)
+      | None ->
+        apply t ~round ~served 0 (t.strategy.Strategy.step ~round ~arrivals)
       | Some m ->
         let wasted0 = t.wasted in
         let t0 = Obs.Span.start () in
         let services = t.strategy.Strategy.step ~round ~arrivals in
         Obs.Metrics.observe m "engine.step_us" (Obs.Span.elapsed t0 *. 1e6);
-        let served = apply t ~round services in
-        let k = List.length served in
+        let k = apply t ~round ~served 0 services in
         Obs.Metrics.incr m "engine.rounds";
         Obs.Metrics.incr ~by:(Array.length arrivals) m "engine.arrivals";
         Obs.Metrics.incr ~by:k m "engine.served";
         Obs.Metrics.incr ~by:(t.wasted - wasted0) m "engine.wasted";
         Obs.Metrics.observe m "engine.served_per_round" (float_of_int k);
-        served
+        k
     in
     let bucket = t.expiry.(round mod t.d) in
-    let expired = ref [] in
-    for i = Ivec.length bucket - 1 downto 0 do
-      let id = Ivec.get bucket i in
-      if not (Hashtbl.find t.window id).was_served then
-        expired := id :: !expired;
-      Hashtbl.remove t.window id
+    let mask = Array.length t.window - 1 in
+    let unserved = ref 0 in
+    for j = 0 to Ivec.length bucket - 1 do
+      let id = Ivec.get bucket j in
+      if not t.first_served.(id land mask) then begin
+        incr unserved;
+        expired id
+      end;
+      t.window.(id land mask) <- closed
     done;
     Ivec.clear bucket;
-    t.live <- t.live - List.length served - List.length !expired;
+    while t.low < t.next_id && t.window.(t.low land mask) == closed do
+      t.low <- t.low + 1
+    done;
+    t.live <- t.live - k - !unserved;
     t.round <- round + 1;
-    { round; served; expired = !expired }
+    round
+
+  let step t =
+    let served = ref [] and expired = ref [] in
+    let round =
+      step_with t
+        ~served:(fun id res -> served := (id, res) :: !served)
+        ~expired:(fun id -> expired := id :: !expired)
+    in
+    { round; served = List.rev !served; expired = List.rev !expired }
 end
 
 (* ------------------------------------------------------------------ *)
@@ -177,11 +248,12 @@ let drive ?metrics ~n ~d ~horizon ~arrive ~instance factory =
       Ivec.push resource (-1);
       Ivec.push at (-1)
     done;
-    List.iter
-      (fun (id, res) ->
-         Ivec.set resource id res;
-         Ivec.set at id round)
-      (Live.step live).Live.served
+    ignore
+      (Live.step_with live
+         ~served:(fun id res ->
+             Ivec.set resource id res;
+             Ivec.set at id round)
+         ~expired:ignore)
   done;
   let inst = instance () in
   let per_round_served = Array.make (max inst.Instance.horizon 1) 0 in

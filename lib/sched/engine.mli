@@ -87,15 +87,36 @@ module Live : sig
       id.  [Error] (malformed alternatives, resource [>= n], deadline
       outside [1 .. d]) admits nothing. *)
 
+  val submit_array :
+    t -> alternatives:int array -> deadline:int -> (int, string) result
+  (** {!submit} over an array, which the admitted request takes over
+      (not copied: the caller must not mutate it afterwards).  Same
+      checks and messages. *)
+
+  val step_with :
+    t -> served:(int -> int -> unit) -> expired:(int -> unit) -> int
+  (** Execute the current round and return its number: reveal the
+      queued submissions to the strategy, validate and apply its
+      services, close expiring windows, and advance the round counter.
+      [served id resource] is called on each first service, in service
+      order, as it is validated; [expired id] on each id whose window
+      closed unserved in this round, ascending, after every service.
+      Builds no list: a steady-state round allocates the arrivals array
+      it hands the strategy, and what the strategy and the callbacks
+      allocate.
+      @raise Protocol_error on an illegal service, as {!run}; services
+      validated before the illegal one have been reported. *)
+
   val step : t -> outcome
-  (** Execute the current round: reveal the queued submissions to the
-      strategy, validate and apply its services, close expiring windows,
-      and advance the round counter.
-      @raise Protocol_error on an illegal service, as {!run}. *)
+  (** {!step_with} collecting the served and expired ids into an
+      {!outcome}. *)
 
   val pending : t -> int
   (** Admitted requests with no terminal outcome yet. *)
 
   val submitted : t -> int
   (** Total requests ever admitted (also the next fresh id). *)
+
+  val round : t -> int
+  (** The round the next step executes (rounds stepped so far). *)
 end

@@ -21,6 +21,13 @@ val make : arrival:int -> alternatives:int list -> deadline:int -> t
     @raise Invalid_argument on negative arrival, deadline < 1, an empty or
     duplicate-containing alternative list, or a negative resource. *)
 
+val of_array :
+  id:int -> arrival:int -> alternatives:int array -> deadline:int -> t
+(** A request with the given id over [alternatives], which it takes
+    over (the array is not copied; the caller must not mutate it
+    afterwards).  Same checks and messages as {!make}; this is how
+    {!Engine.Live} admits a request without a proto and a copy. *)
+
 val with_id : t -> int -> t
 (** Copy with the given id (used by {!Instance.build}). *)
 

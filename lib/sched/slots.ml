@@ -40,13 +40,10 @@ let take t ~res ~round =
   free t ~res ~round;
   v
 
-let first_free t ~res ~from ~last =
-  let rec scan r =
-    if r > last then None
-    else if mem t ~res ~round:r then scan (r + 1)
-    else Some r
-  in
-  scan from
+let rec first_free t ~res ~from ~last =
+  if from > last then None
+  else if mem t ~res ~round:from then first_free t ~res ~from:(from + 1) ~last
+  else Some from
 
 let count_free t ~res ~from ~last =
   let k = ref 0 in

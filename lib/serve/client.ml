@@ -51,7 +51,7 @@ let recv_opt ?(timeout = 10.0) t =
            | 0 -> Error "connection closed by server"
            | n ->
              Buffer.add_subbytes t.inq scratch 0 n;
-             t.lines <- t.lines @ Lineio.extract_lines t.inq;
+             t.lines <- t.lines @ Lineio.extract_lines ~fresh:n t.inq;
              next ()
            | exception Unix.Unix_error (Unix.EINTR, _, _) -> next ()
            | exception Unix.Unix_error (e, _, _) ->

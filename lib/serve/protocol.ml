@@ -10,7 +10,9 @@
    reject and error details are rest-of-line (spaces allowed, newlines
    never).  Renderers never emit '\n'; the framing layer adds it. *)
 
-let version = Sched.Codec.version
+module Codec = Sched.Codec
+
+let version = Codec.version
 
 type request = { tag : int; alternatives : int list; deadline : int }
 
@@ -35,51 +37,114 @@ type server_msg =
   | Error of { message : string }
 
 (* ------------------------------------------------------------------ *)
-(* rendering *)
+(* rendering: straight into the caller's buffer; the string renderers
+   copy one line out of a domain-private scratch buffer *)
 
-let render_reject_reason = function
-  | Overload -> "overload"
-  | Draining -> "draining"
-  | Invalid "" -> "invalid"
-  | Invalid detail -> "invalid " ^ detail
+let add_reject_reason b = function
+  | Overload -> Buffer.add_string b "overload"
+  | Draining -> Buffer.add_string b "draining"
+  | Invalid "" -> Buffer.add_string b "invalid"
+  | Invalid detail ->
+    Buffer.add_string b "invalid ";
+    Buffer.add_string b detail
 
-let render_req { tag; alternatives; deadline } =
-  Sched.Codec.render_req_fields ~first:tag ~alternatives ~deadline
+let render_reject_reason r = Codec.render_with add_reject_reason r
 
-let render_client = function
-  | Hello { client } -> Printf.sprintf "hello %s %s" version client
-  | Submit r -> "req " ^ render_req r
-  | Batch rs -> "batch " ^ String.concat ";" (List.map render_req rs)
-  | Tick -> "tick"
-  | Bye -> "bye"
+let add_req b { tag; alternatives; deadline } =
+  Codec.add_req_fields b ~first:tag ~alternatives ~deadline
 
-let render_server = function
-  | Welcome { server } -> Printf.sprintf "welcome %s %s" version server
+let add_version_name b keyword name =
+  Buffer.add_string b keyword;
+  Buffer.add_char b ' ';
+  Buffer.add_string b version;
+  Buffer.add_char b ' ';
+  Buffer.add_string b name
+
+let render_client_into b = function
+  | Hello { client } -> add_version_name b "hello" client
+  | Submit r ->
+    Buffer.add_string b "req ";
+    add_req b r
+  | Batch rs ->
+    Buffer.add_string b "batch ";
+    List.iteri
+      (fun i r ->
+         if i > 0 then Buffer.add_char b ';';
+         add_req b r)
+      rs
+  | Tick -> Buffer.add_string b "tick"
+  | Bye -> Buffer.add_string b "bye"
+
+let render_server_into b = function
+  | Welcome { server } -> add_version_name b "welcome" server
   | Scheduled { tag; round; resource } ->
-    Printf.sprintf "sched %d %d %d" tag round resource
+    Buffer.add_string b "sched ";
+    Codec.add_int b tag;
+    Buffer.add_char b ' ';
+    Codec.add_int b round;
+    Buffer.add_char b ' ';
+    Codec.add_int b resource
   | Rejected { tag; reason } ->
-    Printf.sprintf "rej %d %s" tag (render_reject_reason reason)
-  | Expired { tag } -> Printf.sprintf "exp %d" tag
-  | Round { round } -> Printf.sprintf "round %d" round
-  | Error { message = "" } -> "error"
-  | Error { message } -> "error " ^ message
+    Buffer.add_string b "rej ";
+    Codec.add_int b tag;
+    Buffer.add_char b ' ';
+    add_reject_reason b reason
+  | Expired { tag } ->
+    Buffer.add_string b "exp ";
+    Codec.add_int b tag
+  | Round { round } ->
+    Buffer.add_string b "round ";
+    Codec.add_int b round
+  | Error { message = "" } -> Buffer.add_string b "error"
+  | Error { message } ->
+    Buffer.add_string b "error ";
+    Buffer.add_string b message
+
+let render_client m = Codec.render_with render_client_into m
+let render_server m = Codec.render_with render_server_into m
 
 (* ------------------------------------------------------------------ *)
-(* parsing *)
+(* parsing: keyword dispatch and field scanning by index over the line
+   (Sched.Codec's scanner); a well-formed line allocates only the
+   message it denotes *)
+
+(* Where [keyword]'s argument starts in [line]: the end of the line
+   when [line] is [keyword] alone, past the space after it when it is
+   [keyword ^ " " ^ rest]; -1 otherwise. *)
+let rec same_from line keyword i =
+  i = String.length keyword
+  || (line.[i] = keyword.[i] && same_from line keyword (i + 1))
+
+let keyword_end ~keyword line =
+  let kl = String.length keyword and ll = String.length line in
+  if ll < kl || not (same_from line keyword 0) then -1
+  else if ll = kl then kl
+  else if line.[kl] = ' ' then kl + 1
+  else -1
+
+let rest_from line i = String.sub line i (String.length line - i)
 
 let strip_keyword ~keyword line =
-  let kl = String.length keyword in
-  let ll = String.length line in
-  if ll = kl && line = keyword then Some ""
-  else if ll > kl && String.sub line 0 kl = keyword && line.[kl] = ' ' then
-    Some (String.sub line (kl + 1) (ll - kl - 1))
-  else None
+  match keyword_end ~keyword line with
+  | -1 -> None
+  | i -> Some (rest_from line i)
+
+let nonneg ~what s ~pos ~stop =
+  let v = Codec.scan_int ~what s ~pos ~stop in
+  if v < 0 then
+    raise (Codec.Syntax (Printf.sprintf "negative %s %d" what v));
+  v
 
 let int_field ~what s =
-  match int_of_string_opt s with
-  | Some v when v >= 0 -> Ok v
-  | Some v -> Error (Printf.sprintf "negative %s %d" what v)
-  | None -> Error (Printf.sprintf "malformed %s %S" what s)
+  match nonneg ~what s ~pos:0 ~stop:(String.length s) with
+  | v -> Ok v
+  | exception Codec.Syntax m -> Error m
+
+(* the result of a scan, its [Codec.Syntax] error as [Error] *)
+let scanned f line pos =
+  match f line pos with
+  | v -> Ok v
+  | exception Codec.Syntax m -> Error m
 
 let parse_hello ~keyword rest =
   match String.split_on_char ' ' rest with
@@ -89,42 +154,50 @@ let parse_hello ~keyword rest =
       (Printf.sprintf "unsupported protocol version %S (want %s)" v version)
   | _ -> Error (Printf.sprintf "expected '%s %s <name>'" keyword version)
 
-let parse_req rest =
-  match Sched.Codec.parse_req_fields ~what:"tag" rest with
-  | Ok (tag, alternatives, deadline) when tag >= 0 ->
-    Ok { tag; alternatives; deadline }
-  | Ok (tag, _, _) -> Error (Printf.sprintf "negative tag %d" tag)
-  | Error _ as e -> e
+let request tag alternatives deadline =
+  if tag < 0 then raise (Codec.Syntax (Printf.sprintf "negative tag %d" tag));
+  { tag; alternatives; deadline }
+
+let submit tag alternatives deadline =
+  Submit (request tag alternatives deadline)
+
+let scan_submit line pos =
+  Codec.scan_req_fields ~what:"tag" line ~pos ~stop:(String.length line)
+    submit
+
+(* entries separated by ';', each a request, numbered in errors *)
+let scan_batch line pos =
+  let stop = String.length line in
+  let rec go acc i pos =
+    let j = Codec.field_end line ';' pos stop in
+    match
+      Codec.scan_req_fields ~what:"tag" line ~pos ~stop:j request
+    with
+    | r when j >= stop -> Batch (List.rev (r :: acc))
+    | r -> go (r :: acc) (i + 1) (j + 1)
+    | exception Codec.Syntax m ->
+      raise (Codec.Syntax (Printf.sprintf "batch entry %d: %s" i m))
+  in
+  if pos >= stop then raise (Codec.Syntax "empty batch");
+  go [] 0 pos
 
 let parse_client line =
   match line with
   | "tick" -> Ok Tick
   | "bye" -> Ok Bye
   | _ ->
-    (match strip_keyword ~keyword:"hello" line with
-     | Some rest ->
-       Result.map (fun client -> Hello { client })
-         (parse_hello ~keyword:"hello" rest)
-     | None ->
-       (match strip_keyword ~keyword:"req" line with
-        | Some rest -> Result.map (fun r -> Submit r) (parse_req rest)
-        | None ->
-          (match strip_keyword ~keyword:"batch" line with
-           | Some "" -> Error "empty batch"
-           | Some rest ->
-             let rec go acc = function
-               | [] -> Ok (Batch (List.rev acc))
-               | part :: parts ->
-                 (match parse_req part with
-                  | Ok r -> go (r :: acc) parts
-                  | Error m ->
-                    Error
-                      (Printf.sprintf "batch entry %d: %s"
-                         (List.length acc) m))
-             in
-             go [] (String.split_on_char ';' rest)
-           | None ->
-             Error (Printf.sprintf "unknown client message %S" line))))
+    (match keyword_end ~keyword:"req" line with
+     | -1 ->
+       (match keyword_end ~keyword:"batch" line with
+        | -1 ->
+          (match keyword_end ~keyword:"hello" line with
+           | -1 -> Error (Printf.sprintf "unknown client message %S" line)
+           | i ->
+             Result.map
+               (fun client -> Hello { client })
+               (parse_hello ~keyword:"hello" (rest_from line i)))
+        | i -> scanned scan_batch line i)
+     | i -> scanned scan_submit line i)
 
 let parse_reject_reason s =
   match s with
@@ -135,50 +208,57 @@ let parse_reject_reason s =
      | Some detail -> Ok (Invalid detail)
      | None -> Error (Printf.sprintf "unknown reject reason %S" s))
 
+let scan_sched line pos =
+  let stop = String.length line in
+  let i2 = Codec.split3 line ~pos ~stop in
+  if i2 < 0 then
+    raise (Codec.Syntax "expected 'sched <tag> <round> <resource>'");
+  let i1 = Codec.field_end line ' ' pos i2 in
+  let tag = nonneg ~what:"tag" line ~pos ~stop:i1 in
+  let round = nonneg ~what:"round" line ~pos:(i1 + 1) ~stop:i2 in
+  let resource = nonneg ~what:"resource" line ~pos:(i2 + 1) ~stop in
+  Scheduled { tag; round; resource }
+
+let scan_expired line pos =
+  Expired { tag = nonneg ~what:"tag" line ~pos ~stop:(String.length line) }
+
+let scan_round line pos =
+  Round { round = nonneg ~what:"round" line ~pos ~stop:(String.length line) }
+
+let parse_rejected line pos =
+  let stop = String.length line in
+  let i = Codec.field_end line ' ' pos stop in
+  match nonneg ~what:"tag" line ~pos ~stop:i with
+  | exception Codec.Syntax m -> Stdlib.Error m
+  | tag ->
+    let reason_s =
+      if i >= stop then "" else String.sub line (i + 1) (stop - i - 1)
+    in
+    Result.map (fun reason -> Rejected { tag; reason })
+      (parse_reject_reason reason_s)
+
 let parse_server line =
-  match strip_keyword ~keyword:"welcome" line with
-  | Some rest ->
-    Result.map (fun server -> Welcome { server })
-      (parse_hello ~keyword:"welcome" rest)
-  | None ->
-    (match strip_keyword ~keyword:"sched" line with
-     | Some rest ->
-       (match String.split_on_char ' ' rest with
-        | [ t; r; s ] ->
-          let ( let* ) = Result.bind in
-          let* tag = int_field ~what:"tag" t in
-          let* round = int_field ~what:"round" r in
-          let* resource = int_field ~what:"resource" s in
-          Ok (Scheduled { tag; round; resource })
-        | _ -> Error "expected 'sched <tag> <round> <resource>'")
-     | None ->
-       (match strip_keyword ~keyword:"rej" line with
-        | Some rest ->
-          let tag_s, reason_s =
-            match String.index_opt rest ' ' with
-            | Some i ->
-              ( String.sub rest 0 i,
-                String.sub rest (i + 1) (String.length rest - i - 1) )
-            | None -> (rest, "")
-          in
-          let ( let* ) = Result.bind in
-          let* tag = int_field ~what:"tag" tag_s in
-          let* reason = parse_reject_reason reason_s in
-          Ok (Rejected { tag; reason })
-        | None ->
-          (match strip_keyword ~keyword:"exp" line with
-           | Some rest ->
-             Result.map (fun tag -> Expired { tag })
-               (int_field ~what:"tag" rest)
-           | None ->
-             (match strip_keyword ~keyword:"round" line with
-              | Some rest ->
-                Result.map (fun round -> Round { round })
-                  (int_field ~what:"round" rest)
-              | None ->
-                (match strip_keyword ~keyword:"error" line with
-                 | Some message -> Ok (Error { message })
-                 | None ->
+  match keyword_end ~keyword:"sched" line with
+  | i when i >= 0 -> scanned scan_sched line i
+  | _ ->
+    (match keyword_end ~keyword:"exp" line with
+     | i when i >= 0 -> scanned scan_expired line i
+     | _ ->
+       (match keyword_end ~keyword:"round" line with
+        | i when i >= 0 -> scanned scan_round line i
+        | _ ->
+          (match keyword_end ~keyword:"rej" line with
+           | i when i >= 0 -> parse_rejected line i
+           | _ ->
+             (match keyword_end ~keyword:"welcome" line with
+              | i when i >= 0 ->
+                Result.map
+                  (fun server -> Welcome { server })
+                  (parse_hello ~keyword:"welcome" (rest_from line i))
+              | _ ->
+                (match keyword_end ~keyword:"error" line with
+                 | i when i >= 0 -> Ok (Error { message = rest_from line i })
+                 | _ ->
                    Stdlib.Error
                      (Printf.sprintf "unknown server message %S" line))))))
 

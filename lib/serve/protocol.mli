@@ -51,11 +51,23 @@ type server_msg =
   | Round of { round : int }
   | Error of { message : string }
 
-val render_client : client_msg -> string
-val parse_client : string -> (client_msg, string) result
+val render_server_into : Buffer.t -> server_msg -> unit
+(** Append the message's line (without the newline) to the buffer,
+    writing integers digit by digit: the server renders replies
+    straight into a connection's output queue this way. *)
 
+val render_client : client_msg -> string
 val render_server : server_msg -> string
+(** The line as a string, rendered the same way into a scratch buffer
+    ({!Sched.Codec.render_with}). *)
+
+val parse_client : string -> (client_msg, string) result
 val parse_server : string -> (server_msg, string) result
+(** Scan the line by index with {!Sched.Codec}'s scanner: a well-formed
+    [req], [sched], [exp] or [round] line allocates only the message.
+    Integer fields are decimal (optional ['-'], digits, within the
+    [int] range; see {!Sched.Codec}): ["+1"], ["0x1"] or ["1_0"] is a
+    malformed field, where [int_of_string] would have read it. *)
 
 val render_reject_reason : reject_reason -> string
 
@@ -76,4 +88,5 @@ val strip_keyword : keyword:string -> string -> string option
     [keyword ^ " " ^ rest]; [None] otherwise. *)
 
 val int_field : what:string -> string -> (int, string) result
-(** Non-negative integer field; errors name [what]. *)
+(** Non-negative decimal integer field ({!Sched.Codec.scan_int}); errors
+    name [what]. *)

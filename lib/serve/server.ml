@@ -153,26 +153,43 @@ type conn = {
 
 let max_line = 65536
 
+(* the first resource outside [0, n), if any *)
+let rec out_of_range n = function
+  | [] -> None
+  | a :: rest -> if a < 0 || a >= n then Some a else out_of_range n rest
+
 let io_loop t =
   let m = t.io_m in
+  (* Open connections by id (reply routing) and by descriptor (select
+     results).  A closed connection leaves [by_fd] at once and [conns]
+     at the end of the loop iteration ([reap]), so the loops over
+     [conns] never see the table change under them. *)
   let conns : (int, conn) Hashtbl.t = Hashtbl.create 32 in
+  let by_fd : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 32 in
+  let dead = ref [] in
   let next_cid = ref 0 in
   let listener_open = ref true in
-  let pending_acks = ref [] in (* (cid, target round count) *)
+  (* (cid, target round count), targets ascending: one per tick *)
+  let pending_acks = Queue.create () in
   let scratch = Bytes.create 4096 in
   let queue_msg conn msg =
-    Buffer.add_string conn.outq (Protocol.render_server msg);
+    Protocol.render_server_into conn.outq msg;
     Buffer.add_char conn.outq '\n';
     Obs.Metrics.incr m "serve.responses_out"
   in
   let close_conn ?(error = false) conn =
     if not conn.closed then begin
       conn.closed <- true;
-      Hashtbl.remove conns conn.cid;
+      Hashtbl.remove by_fd conn.fd;
+      dead := conn.cid :: !dead;
       (try Unix.close conn.fd with Unix.Unix_error _ -> ());
       if error || conn.inflight > 0 then
         Obs.Metrics.incr m "serve.client_errors"
     end
+  in
+  let reap () =
+    List.iter (Hashtbl.remove conns) !dead;
+    dead := []
   in
   let shard_index_of_resource r = r / t.stride in
   let reject conn ~tag reason counter =
@@ -185,11 +202,7 @@ let io_loop t =
     match alternatives with
     | [] -> Some "empty alternative list"
     | _ ->
-      (match
-         List.find_opt
-           (fun a -> a < 0 || a >= t.cfg.n_resources)
-           alternatives
-       with
+      (match out_of_range t.cfg.n_resources alternatives with
        | Some a ->
          Some
            (Printf.sprintf "resource %d out of range (n=%d)" a
@@ -225,6 +238,8 @@ let io_loop t =
      touched instead of one per request.  Submission order is preserved
      within each shard, so a batched run makes the same decisions as the
      same requests submitted line by line. *)
+  let groups = Array.make (Array.length t.shards) [||]
+  and group_len = Array.make (Array.length t.shards) 0 in
   let admit_batch conn reqs =
     let nreqs = List.length reqs in
     Obs.Metrics.incr ~by:nreqs m "serve.requests";
@@ -245,7 +260,7 @@ let io_loop t =
              "serve.rejected.invalid")
         reqs
     else begin
-      let groups = Array.make (Array.length t.shards) [] in
+      (* each shard's tasks in submission order, in reused arrays *)
       List.iter
         (fun ({ Protocol.tag; alternatives; deadline } as req :
                 Protocol.request) ->
@@ -255,17 +270,23 @@ let io_loop t =
                "serve.rejected.invalid"
            | None ->
              let i = shard_index_of_resource (List.hd alternatives) in
-             groups.(i) <-
+             let task =
                { Shard.conn = conn.cid; tag; alternatives; deadline }
-               :: groups.(i))
+             in
+             let len = group_len.(i) in
+             if len = Array.length groups.(i) then begin
+               let grown = Array.make (max 16 (2 * len)) task in
+               Array.blit groups.(i) 0 grown 0 len;
+               groups.(i) <- grown
+             end;
+             groups.(i).(len) <- task;
+             group_len.(i) <- len + 1)
         reqs;
       Array.iteri
-        (fun i group ->
-           match group with
-           | [] -> ()
-           | _ ->
-             let tasks = Array.of_list (List.rev group) in
-             let len = Array.length tasks in
+        (fun i len ->
+           if len > 0 then begin
+             group_len.(i) <- 0;
+             let tasks = groups.(i) in
              let accepted =
                Shard.try_admit_many t.shards.(i) tasks ~off:0 ~len
              in
@@ -274,8 +295,9 @@ let io_loop t =
              for k = accepted to len - 1 do
                reject conn ~tag:tasks.(k).Shard.tag Protocol.Overload
                  "serve.rejected.overload"
-             done)
-        groups
+             done
+           end)
+        group_len
     end
   in
   let protocol_error conn detail =
@@ -300,12 +322,26 @@ let io_loop t =
       (match t.cfg.tick with
        | `Manual ->
          let target = 1 + Atomic.fetch_and_add t.tick_target 1 in
-         pending_acks := !pending_acks @ [ (conn.cid, target) ]
+         Queue.push (conn.cid, target) pending_acks
        | `Every _ ->
          queue_msg conn
            (Protocol.Error
               { message = "server ticks on its own clock; tick ignored" }))
     | Ok Protocol.Bye -> conn.closing <- true
+  in
+  (* A line longer than [max_line] bytes — complete, or the partial
+     one held — is a protocol error: the rest of the read is dropped
+     and the connection closes once the error is flushed. *)
+  let too_long conn =
+    Buffer.reset conn.inq;
+    protocol_error conn "line too long"
+  in
+  let rec handle_lines conn = function
+    | [] -> if Buffer.length conn.inq > max_line then too_long conn
+    | line :: _ when String.length line > max_line -> too_long conn
+    | line :: rest ->
+      handle_line conn line;
+      handle_lines conn rest
   in
   let handle_readable conn =
     if not conn.closed then
@@ -314,11 +350,7 @@ let io_loop t =
       | n ->
         conn.last_read <- Unix.gettimeofday ();
         Buffer.add_subbytes conn.inq scratch 0 n;
-        if
-          Buffer.length conn.inq > max_line
-          && not (String.contains (Buffer.contents conn.inq) '\n')
-        then protocol_error conn "line too long"
-        else List.iter (handle_line conn) (Lineio.extract_lines conn.inq)
+        handle_lines conn (Lineio.extract_lines ~fresh:n conn.inq)
       | exception
           Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
         -> ()
@@ -359,39 +391,39 @@ let io_loop t =
          done)
       t.outboxes
   in
+  (* Targets ascend in queue order, so the acks whose round every shard
+     has stepped are a prefix. *)
   let send_ready_acks () =
-    match !pending_acks with
-    | [] -> ()
-    | acks ->
+    if not (Queue.is_empty pending_acks) then begin
       let min_stepped =
         Array.fold_left
           (fun acc s -> min acc (Shard.stepped s))
           max_int t.shards
       in
-      let ready, waiting =
-        List.partition (fun (_, target) -> min_stepped >= target) acks
-      in
-      pending_acks := waiting;
-      List.iter
-        (fun (cid, target) ->
-           match Hashtbl.find_opt conns cid with
-           | Some conn when not conn.closed ->
-             queue_msg conn (Protocol.Round { round = target - 1 })
-           | Some _ | None -> ())
-        ready
+      while
+        (not (Queue.is_empty pending_acks))
+        && snd (Queue.peek pending_acks) <= min_stepped
+      do
+        let cid, target = Queue.pop pending_acks in
+        match Hashtbl.find_opt conns cid with
+        | Some conn when not conn.closed ->
+          queue_msg conn (Protocol.Round { round = target - 1 })
+        | Some _ | None -> ()
+      done
+    end
   in
   let scan_timeouts now =
     if t.cfg.read_timeout > 0.0 then
       Hashtbl.iter
         (fun _ conn ->
            if
-             (not conn.closing)
+             (not conn.closed) && (not conn.closing)
              && now -. conn.last_read > t.cfg.read_timeout
            then begin
              Obs.Metrics.incr m "serve.read_timeouts";
              close_conn ~error:(conn.inflight > 0) conn
            end)
-        (Hashtbl.copy conns)
+        conns
   in
   let all_shards_exited () = Array.for_all Shard.has_exited t.shards in
   let outboxes_empty () =
@@ -425,7 +457,8 @@ let io_loop t =
        so replies lag a round by at most half a round, a flat 5 ms in
        manual mode, and let readable fds wake us early. *)
     let timeout =
-      if !pending_acks <> [] || not (outboxes_empty ()) then 0.00005
+      if (not (Queue.is_empty pending_acks)) || not (outboxes_empty ()) then
+        0.00005
       else
         match t.cfg.tick with
         | `Every dt -> Float.max 0.00005 (Float.min 0.005 (dt /. 2.0))
@@ -458,6 +491,7 @@ let io_loop t =
             }
           in
           Hashtbl.replace conns conn.cid conn;
+          Hashtbl.replace by_fd fd conn;
           Obs.Metrics.incr m "serve.connections"
         | exception
             Unix.Unix_error
@@ -466,11 +500,7 @@ let io_loop t =
         | exception Unix.Unix_error _ -> accepting := false
       done
     end;
-    let conn_of_fd fd =
-      Hashtbl.fold
-        (fun _ c acc -> if (not c.closed) && c.fd == fd then Some c else acc)
-        conns None
-    in
+    let conn_of_fd fd = Hashtbl.find_opt by_fd fd in
     List.iter
       (fun fd ->
          if fd != t.listen_fd then
@@ -484,14 +514,16 @@ let io_loop t =
       (fun _ c ->
          if (not c.closed) && (Buffer.length c.outq > 0 || c.closing) then
            handle_writable c)
-      (Hashtbl.copy conns);
-    scan_timeouts (Unix.gettimeofday ())
+      conns;
+    scan_timeouts (Unix.gettimeofday ());
+    reap ()
   done;
   (* shards are gone.  A client's last lines (its bye, typically) may
      already sit in a socket that select has not reported yet: read
      what is waiting on every open connection once, then deliver what
      is left and tear down *)
-  Hashtbl.iter (fun _ c -> handle_readable c) (Hashtbl.copy conns);
+  Hashtbl.iter (fun _ c -> handle_readable c) conns;
+  reap ();
   route_responses ();
   send_ready_acks ();
   let deadline = Unix.gettimeofday () +. 2.0 in
@@ -516,7 +548,8 @@ let io_loop t =
     end
   in
   flush ();
-  Hashtbl.iter (fun _ c -> close_conn c) (Hashtbl.copy conns);
+  Hashtbl.iter (fun _ c -> close_conn c) conns;
+  reap ();
   if !listener_open then
     (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
   (match t.cfg.addr with

@@ -109,15 +109,23 @@ let push_reply t conn msg =
     retry 0.00005
   end
 
-(* Split a task's global alternatives into shard-local ids in one pass:
-   alternatives outside this shard's slice cannot be honoured, so they
-   are dropped (counted — never silent) and the request is scheduled on
+(* A task's global alternatives as shard-local ids, in order, in a
+   fresh array the admitted request takes over.  Alternatives outside
+   this shard's slice cannot be honoured, so they are left out (the
+   caller counts them — never silent) and the request is scheduled on
    the rest. *)
-let rec localize t acc dropped = function
-  | [] -> (List.rev acc, dropped)
+let rec count_owned t n = function
+  | [] -> n
+  | a :: rest -> count_owned t (if owns t a then n + 1 else n) rest
+
+let rec fill_local t local i = function
+  | [] -> ()
   | a :: rest ->
-    if owns t a then localize t ((a - t.lo) :: acc) dropped rest
-    else localize t acc (dropped + 1) rest
+    if owns t a then begin
+      local.(i) <- a - t.lo;
+      fill_local t local (i + 1) rest
+    end
+    else fill_local t local i rest
 
 (* Room for [id]: double the ring, moving ids [low .. id-1] to their
    slots under the new mask. *)
@@ -129,18 +137,31 @@ let grow t id =
   done;
   t.tasks <- tasks
 
+(* The task of terminating id [id], its ring cell reset. *)
+let take_task t id =
+  let i = id land (Array.length t.tasks - 1) in
+  let task = t.tasks.(i) in
+  t.tasks.(i) <- dummy_task;
+  task
+
+(* A round allocates, per request, its local alternatives and engine
+   record, and per reply the message and its outbox pair; the metrics
+   are updated once per round. *)
 let step_once t =
   let depth = Chan.drain_into t.inbox t.drain_buf in
   let tasks = !(t.drain_buf) in
   let t0 = Obs.Span.start () in
   Obs.Metrics.set t.metrics t.depth_gauge (float_of_int depth);
   Obs.Metrics.observe t.metrics "serve.queue_depth" (float_of_int depth);
+  let truncated = ref 0 in
   for i = 0 to depth - 1 do
     let task = tasks.(i) in
-    let local, dropped = localize t [] 0 task.alternatives in
-    if dropped > 0 then
-      Obs.Metrics.incr ~by:dropped t.metrics "serve.truncated_alternatives";
-    match Live.submit t.live ~alternatives:local ~deadline:task.deadline with
+    let owned = count_owned t 0 task.alternatives in
+    let local = Array.make owned 0 in
+    fill_local t local 0 task.alternatives;
+    truncated := !truncated + List.length task.alternatives - owned;
+    match Live.submit_array t.live ~alternatives:local ~deadline:task.deadline
+    with
     | Ok id ->
       if id - t.low >= Array.length t.tasks then grow t id;
       t.tasks.(id land (Array.length t.tasks - 1)) <- task
@@ -149,26 +170,24 @@ let step_once t =
       push_reply t task.conn
         (Protocol.Rejected { tag = task.tag; reason = Protocol.Invalid m })
   done;
-  let outcome = Live.step t.live in
+  if !truncated > 0 then
+    Obs.Metrics.incr ~by:!truncated t.metrics "serve.truncated_alternatives";
+  let round = Live.round t.live and served = ref 0 and expired = ref 0 in
+  ignore
+    (Live.step_with t.live
+       ~served:(fun id resource ->
+           incr served;
+           let task = take_task t id in
+           push_reply t task.conn
+             (Protocol.Scheduled
+                { tag = task.tag; round; resource = resource + t.lo }))
+       ~expired:(fun id ->
+           incr expired;
+           let task = take_task t id in
+           push_reply t task.conn (Protocol.Expired { tag = task.tag })));
+  Obs.Metrics.incr ~by:!served t.metrics "serve.served";
+  Obs.Metrics.incr ~by:!expired t.metrics "serve.expired";
   let mask = Array.length t.tasks - 1 in
-  let reply id msg =
-    let task = t.tasks.(id land mask) in
-    t.tasks.(id land mask) <- dummy_task;
-    push_reply t task.conn (msg ~tag:task.tag)
-  in
-  List.iter
-    (fun (id, resource) ->
-       reply id (fun ~tag ->
-           Protocol.Scheduled
-             { tag; round = outcome.Live.round; resource = resource + t.lo }))
-    outcome.Live.served;
-  List.iter
-    (fun id -> reply id (fun ~tag -> Protocol.Expired { tag }))
-    outcome.Live.expired;
-  Obs.Metrics.incr ~by:(List.length outcome.Live.served) t.metrics
-    "serve.served";
-  Obs.Metrics.incr ~by:(List.length outcome.Live.expired) t.metrics
-    "serve.expired";
   let next = Live.submitted t.live in
   while t.low < next && t.tasks.(t.low land mask) == dummy_task do
     t.low <- t.low + 1

@@ -557,6 +557,67 @@ let prop_codec_roundtrip =
                  && a.Request.alternatives = b.Request.alternatives)
               inst.Instance.requests inst'.Instance.requests)
 
+(* The index scanner against the split-based parser it replaced, with
+   integer fields narrowed to decimal: same result and the same error
+   text — the first bad field, left to right — on any short line over
+   the grammar's characters. *)
+let model_int f =
+  let n = String.length f in
+  let digits i =
+    i < n && String.for_all (fun c -> c >= '0' && c <= '9')
+               (String.sub f i (n - i))
+  in
+  if digits 0 || (n > 0 && f.[0] = '-' && digits 1) then int_of_string_opt f
+  else None
+
+let model_alts s =
+  if s = "" then Error "empty alternative list"
+  else
+    let rec go acc = function
+      | [] -> Ok (List.rev acc)
+      | f :: rest ->
+        (match model_int f with
+         | Some v when v < 0 -> Error (Printf.sprintf "negative resource %d" v)
+         | Some v when List.mem v acc ->
+           Error (Printf.sprintf "duplicate resource %d" v)
+         | Some v -> go (v :: acc) rest
+         | None -> Error (Printf.sprintf "malformed resource %S" f))
+    in
+    go [] (String.split_on_char ',' s)
+
+let model_req_fields s =
+  match String.split_on_char ' ' s with
+  | [ first; alts; deadline ] ->
+    (match model_int first, model_alts alts, model_int deadline with
+     | Some _, Ok _, Some dl when dl < 1 ->
+       Error (Printf.sprintf "deadline %d must be >= 1" dl)
+     | Some f, Ok alternatives, Some dl -> Ok (f, alternatives, dl)
+     | None, _, _ -> Error (Printf.sprintf "malformed tag %S" first)
+     | _, Error m, _ -> Error m
+     | _, _, None -> Error (Printf.sprintf "malformed deadline %S" deadline))
+  | _ -> Error (Printf.sprintf "expected '<tag> <alts> <deadline>': %S" s)
+
+let prop_codec_scanner_matches_model =
+  let line =
+    QCheck.Gen.(
+      string_size
+        ~gen:(frequency
+                [ (6, char_range '0' '3'); (2, return ','); (2, return ' ');
+                  (1, return '-'); (1, return '+'); (1, return 'x') ])
+        (int_range 0 14))
+  in
+  qtest ~count:2000 "request-field scanner matches the split-based model"
+    (QCheck.make line ~print:(Printf.sprintf "%S"))
+    (fun s ->
+       (match
+          Sched.Codec.scan_req_fields ~what:"tag" s ~pos:0
+            ~stop:(String.length s) (fun f a d -> (f, a, d))
+        with
+        | fields -> Ok fields
+        | exception Sched.Codec.Syntax m -> Error m)
+       = model_req_fields s
+       && Sched.Codec.parse_alts s = model_alts s)
+
 (* ------------------------------------------------------------------ *)
 (* live engine: differential against the batch engine *)
 
@@ -723,6 +784,52 @@ let live_window_bound ?(rounds = 10_000) factory () =
     Alcotest.failf "live heap grew %.2fx from round %d to %d" ratio
       (rounds / 10) rounds
 
+(* Minor words a steady-state round allocates per submitted request
+   under greedy_2choice (n=16, d=4, 48 two-choice submissions a round,
+   deadlines 1..4, so two thirds expire), submission not counted.
+   [step_with] with no-op callbacks allocates the arrivals array and
+   the strategy's slot probes and service list; [step] adds the
+   outcome lists it builds.  Each bound sits just above the measured
+   figure, so per-request churn in the round (a list of the queued
+   arrivals, a tuple or closure per reply) cannot come back unseen. *)
+let live_round_words step =
+  let n = 16 and d = 4 and per = 48 and warmup = 100 and rounds = 400 in
+  let live =
+    Engine.Live.create ~n ~d (Strategies.Twochoice.least_loaded ())
+  in
+  let words = ref 0. in
+  let probe = (let b = Gc.minor_words () in Gc.minor_words () -. b) in
+  for round = 1 to warmup + rounds do
+    for j = 0 to per - 1 do
+      match
+        Engine.Live.submit live
+          ~alternatives:[ (j + round) mod n; ((7 * j) + round + 1) mod n ]
+          ~deadline:(1 + ((j + round) mod d))
+      with
+      | Ok _ -> ()
+      | Error m -> Alcotest.failf "submit rejected: %s" m
+    done;
+    let before = Gc.minor_words () in
+    step live;
+    let spent = Gc.minor_words () -. before -. probe in
+    if round > warmup then words := !words +. spent
+  done;
+  !words /. float_of_int (rounds * per)
+
+let test_live_round_words () =
+  let pin what bound words =
+    if words > bound then
+      Alcotest.failf "%s allocates %.2f words per request (bound %.1f)" what
+        words bound
+  in
+  let ignore2 _ _ = () in
+  pin "Live.step_with" 5.0
+    (live_round_words (fun live ->
+         ignore (Engine.Live.step_with live ~served:ignore2 ~expired:ignore)));
+  pin "Live.step" 12.5
+    (live_round_words (fun live ->
+         ignore (Engine.Live.step live : Engine.Live.outcome)))
+
 (* one factory per module that keeps strategy state *)
 let window_bound_cases =
   List.map
@@ -859,6 +966,7 @@ let () =
             test_codec_roundtrip_simple;
           Alcotest.test_case "rejects malformed" `Quick test_codec_rejects;
           prop_codec_roundtrip;
+          prop_codec_scanner_matches_model;
         ] );
       ( "live",
         [
@@ -866,6 +974,8 @@ let () =
           Alcotest.test_case "overload accounting" `Quick
             test_live_overload_accounting;
           prop_live_matches_batch;
+          Alcotest.test_case "round allocation per request" `Quick
+            test_live_round_words;
         ]
         @ window_bound_cases );
       ("slots", [ prop_slots_match_model ]);

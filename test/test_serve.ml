@@ -92,31 +92,111 @@ let prop_server_roundtrip =
        (not (String.contains line '\n'))
        && Protocol.parse_server line = Ok m)
 
+(* Every malformed line maps to one exact error text.  The integer
+   forms [int_of_string] would read ("+1", "0x1", "1_0") are malformed
+   rsp/1 fields: the wire grammar is decimal (Sched.Codec). *)
 let test_protocol_rejects () =
   let bad_client =
     [
-      ""; "nope"; "hello"; "hello rsp/1"; "hello rsp/9 x"; "req";
-      "req x 0 1"; "req 0 0,0 1"; "req -1 0 1"; "req 0 0 0"; "req 0  1";
-      "batch"; "batch "; "batch ;"; "batch 0 0 1;"; "batch 0 0 1;x 1 2";
-      "batch -1 0 1"; "batch 0 0 1;;1 1 1";
+      ("", {|unknown client message ""|});
+      ("nope", {|unknown client message "nope"|});
+      ("hello", {|unsupported protocol version "" (want rsp/1)|});
+      ("hello rsp/1", "expected 'hello rsp/1 <name>'");
+      ("hello rsp/9 x", {|unsupported protocol version "rsp/9" (want rsp/1)|});
+      ("req", {|expected '<tag> <alts> <deadline>': ""|});
+      ("req x 0 1", {|malformed tag "x"|});
+      ("req 0 0,0 1", "duplicate resource 0");
+      ("req -1 0 1", "negative tag -1");
+      ("req 0 0 0", "deadline 0 must be >= 1");
+      ("req 0  1", "empty alternative list");
+      ("req 1  0 1", {|expected '<tag> <alts> <deadline>': "1  0 1"|});
+      ("req 1 0 1 ", {|expected '<tag> <alts> <deadline>': "1 0 1 "|});
+      ("req 1 -2 1", "negative resource -2");
+      ("req 1 , 1", {|malformed resource ""|});
+      ("req 1 0, 1", {|malformed resource ""|});
+      ("req 1 0,0,x 1", "duplicate resource 0");
+      ("req 1 0 -1", "deadline -1 must be >= 1");
+      ("req 1 0 x", {|malformed deadline "x"|});
+      ("req +1 0 1", {|malformed tag "+1"|});
+      ("req 0x1 0 1", {|malformed tag "0x1"|});
+      ("req 1_0 0 1", {|malformed tag "1_0"|});
+      ("req 12345678901234567890 0 1",
+       {|malformed tag "12345678901234567890"|});
+      ("req 1 +1 1", {|malformed resource "+1"|});
+      ("req 1 0,0x1 1", {|malformed resource "0x1"|});
+      ("req 1 1_0 1", {|malformed resource "1_0"|});
+      ("req 1 0,12345678901234567890 1",
+       {|malformed resource "12345678901234567890"|});
+      ("req 1 0 +1", {|malformed deadline "+1"|});
+      ("req 1 0 0x1", {|malformed deadline "0x1"|});
+      ("req 1 0 1_0", {|malformed deadline "1_0"|});
+      ("req 1 0 12345678901234567890",
+       {|malformed deadline "12345678901234567890"|});
+      ("batch", "empty batch");
+      ("batch ", "empty batch");
+      ("batch ;", {|batch entry 0: expected '<tag> <alts> <deadline>': ""|});
+      ("batch 0 0 1;",
+       {|batch entry 1: expected '<tag> <alts> <deadline>': ""|});
+      ("batch 0 0 1;x 1 2", {|batch entry 1: malformed tag "x"|});
+      ("batch -1 0 1", "batch entry 0: negative tag -1");
+      ("batch 0 0 1;;1 1 1",
+       {|batch entry 1: expected '<tag> <alts> <deadline>': ""|});
+      ("batch 0 0 1;+1 0 1", {|batch entry 1: malformed tag "+1"|});
     ]
   in
   List.iter
-    (fun line ->
-       match Protocol.parse_client line with
-       | Error _ -> ()
-       | Ok _ -> Alcotest.failf "client line %S accepted" line)
+    (fun (line, want) ->
+       check
+         Alcotest.(result reject string)
+         (Printf.sprintf "client line %S" line)
+         (Error want)
+         (Result.map ignore (Protocol.parse_client line)))
     bad_client;
   let bad_server =
-    [ ""; "welcome"; "welcome rsp/0 x"; "sched 1 2"; "rej"; "rej x";
-      "rej 0 nonsense"; "exp"; "round x" ]
+    [
+      ("", {|unknown server message ""|});
+      ("welcome", {|unsupported protocol version "" (want rsp/1)|});
+      ("welcome rsp/0 x",
+       {|unsupported protocol version "rsp/0" (want rsp/1)|});
+      ("sched 1 2", "expected 'sched <tag> <round> <resource>'");
+      ("sched 1 2 3 4", "expected 'sched <tag> <round> <resource>'");
+      ("sched 1 -2 3", "negative round -2");
+      ("sched 1 2 x", {|malformed resource "x"|});
+      ("rej", {|malformed tag ""|});
+      ("rej x", {|malformed tag "x"|});
+      ("rej 0 nonsense", {|unknown reject reason "nonsense"|});
+      ("exp", {|malformed tag ""|});
+      ("exp -3", "negative tag -3");
+      ("round x", {|malformed round "x"|});
+      ("sched +1 0 0", {|malformed tag "+1"|});
+      ("exp 0x1", {|malformed tag "0x1"|});
+      ("round 1_0", {|malformed round "1_0"|});
+      ("exp 12345678901234567890", {|malformed tag "12345678901234567890"|});
+    ]
   in
   List.iter
-    (fun line ->
-       match Protocol.parse_server line with
-       | Error _ -> ()
-       | Ok _ -> Alcotest.failf "server line %S accepted" line)
-    bad_server
+    (fun (line, want) ->
+       check
+         Alcotest.(result reject string)
+         (Printf.sprintf "server line %S" line)
+         (Error want)
+         (Result.map ignore (Protocol.parse_server line)))
+    bad_server;
+  (* the decimal range is the int range, both ends *)
+  check
+    Alcotest.(result int string)
+    "max_int tag" (Ok max_int)
+    (Protocol.int_field ~what:"tag" (string_of_int max_int));
+  check
+    Alcotest.(result int string)
+    "min_int is negative, not malformed"
+    (Error (Printf.sprintf "negative tag %d" min_int))
+    (Protocol.int_field ~what:"tag" (string_of_int min_int));
+  check
+    Alcotest.(result int string)
+    "max_int + 1 overflows"
+    (Error {|malformed tag "4611686018427387904"|})
+    (Protocol.int_field ~what:"tag" "4611686018427387904")
 
 let test_terminal_classification () =
   let open Protocol in
@@ -128,6 +208,54 @@ let test_terminal_classification () =
   check Alcotest.(option int) "round" None (terminal_tag (Round { round = 9 }));
   check Alcotest.bool "welcome not terminal" false
     (is_terminal (Welcome { server = "x" }))
+
+(* ------------------------------------------------------------------ *)
+(* line framing *)
+
+(* Fed in random chunks, with and without the fresh-byte hint, the
+   framer yields exactly the non-empty lines of splitting the whole
+   input and keeps the trailing partial line buffered. *)
+let prop_framing_chunks =
+  let input =
+    QCheck.Gen.(
+      string_size
+        ~gen:(frequency [ (5, char_range 'a' 'c'); (1, return ' ');
+                          (2, return '\n') ])
+        (int_range 0 200))
+  in
+  let chunks = QCheck.Gen.(list_size (int_range 1 30) (int_range 1 40)) in
+  qtest ~count:500 "framing is chunking-invariant"
+    (QCheck.make
+       QCheck.Gen.(triple input chunks bool)
+       ~print:(fun (s, cs, hint) ->
+           Printf.sprintf "%S chunks=[%s] fresh=%b" s
+             (String.concat ";" (List.map string_of_int cs)) hint))
+    (fun (s, cs, hint) ->
+       let buf = Buffer.create 8 in
+       let got = ref [] and off = ref 0 and cs = ref cs in
+       while !off < String.length s do
+         let n =
+           match !cs with
+           | c :: rest ->
+             cs := rest @ [ c ];
+             min c (String.length s - !off)
+           | [] -> String.length s - !off
+         in
+         Buffer.add_substring buf s !off n;
+         off := !off + n;
+         let lines =
+           if hint then Serve.Lineio.extract_lines ~fresh:n buf
+           else Serve.Lineio.extract_lines buf
+         in
+         got := List.rev_append lines !got
+       done;
+       let parts = String.split_on_char '\n' s in
+       let partial = List.nth parts (List.length parts - 1) in
+       let complete =
+         List.filteri (fun i _ -> i < List.length parts - 1) parts
+       in
+       List.rev !got = List.filter (( <> ) "") complete
+       && Buffer.contents buf = partial)
 
 (* ------------------------------------------------------------------ *)
 (* bounded channel *)
@@ -314,6 +442,52 @@ let test_shard_ring_growth () =
   check Alcotest.(list int) "tags without exactly one terminal" []
     (List.filter (fun tag -> terminals.(tag) <> 1) (List.init total Fun.id))
 
+(* Minor words a steady-state [Shard.step_once] allocates per request
+   under greedy_2choice: a shard owning resources 0..7 of 16 gets 48
+   two-choice tasks a round, the second alternative outside its slice
+   half the time (deadlines 1..4, so most expire).  Admission and the
+   outbox drain are outside the measurement.  What is left is the
+   request's local alternatives and engine record, its reply and
+   outbox pair, and the strategy's own; the bound sits just above the
+   measured figure, so a per-task list, closure or metrics update
+   cannot come back unseen. *)
+let shard_step_words_bound = 21.5
+
+let test_shard_step_words () =
+  let per = 48 and warmup = 100 and rounds = 400 in
+  let outbox =
+    Chan.create_spsc ~capacity:(4 * per)
+      ~dummy:(-1, Protocol.Round { round = -1 })
+  in
+  let shard =
+    Serve.Shard.create ~index:0 ~lo:0 ~hi:8 ~d:4 ~queue_capacity:per
+      ~strategy:(Strategies.Twochoice.least_loaded ()) ~outbox ()
+  in
+  let tasks round =
+    Array.init per (fun j ->
+        let a = (j + round) mod 8 in
+        { Serve.Shard.conn = 1; tag = (round * per) + j;
+          alternatives = [ a; (a + 1 + (j mod 2 * 8)) mod 16 ];
+          deadline = 1 + ((j + round) mod 4) })
+  in
+  let buf = ref [||] and words = ref 0. in
+  let probe = (let b = Gc.minor_words () in Gc.minor_words () -. b) in
+  for round = 1 to warmup + rounds do
+    let ts = tasks round in
+    if Serve.Shard.try_admit_many shard ts ~off:0 ~len:per <> per then
+      Alcotest.fail "inbox full";
+    let before = Gc.minor_words () in
+    Serve.Shard.step_once shard;
+    let spent = Gc.minor_words () -. before -. probe in
+    if round > warmup then words := !words +. spent;
+    ignore (Chan.drain_into outbox buf)
+  done;
+  let per_request = !words /. float_of_int (rounds * per) in
+  if per_request > shard_step_words_bound then
+    Alcotest.failf
+      "Shard.step_once allocates %.2f words per request (bound %.1f)"
+      per_request shard_step_words_bound
+
 (* ------------------------------------------------------------------ *)
 (* end-to-end on loopback unix sockets *)
 
@@ -402,6 +576,35 @@ let test_e2e_exactly_one_terminal () =
   check Alcotest.int "no client errors" 0 (counter snap "serve.client_errors");
   check Alcotest.int "no dropped responses" 0
     (counter snap "serve.responses_dropped")
+
+(* Shards count the alternatives they drop once per round; the total
+   must equal the out-of-slice alternatives of the submitted stream,
+   counted here from the instance with the server's slice layout (a
+   request lives on the shard of its first alternative). *)
+let test_e2e_truncation_counted () =
+  let n = 8 and shards = 4 in
+  (* three alternatives, so a task can lose two *)
+  let inst =
+    Adversary.Random_workload.make ~rng:(Prelude.Rng.create ~seed:23) ~n
+      ~d:4 ~rounds:30 ~load:1.5 ~alternatives:3 ()
+  in
+  let stride = (n + shards - 1) / shards in
+  let out_of_slice =
+    Array.fold_left
+      (fun acc (r : Request.t) ->
+         let home = r.Request.alternatives.(0) / stride in
+         Array.fold_left
+           (fun acc a -> if a / stride <> home then acc + 1 else acc)
+           acc r.Request.alternatives)
+      0 inst.Instance.requests
+  in
+  let r, snap =
+    with_server ~shards ~n ~d:4 (fun addr _ -> run_open addr inst)
+  in
+  check Alcotest.int "every request admitted" 0 r.Client.rejected;
+  check Alcotest.bool "the stream crosses slices" true (out_of_slice > 0);
+  check Alcotest.int "serve.truncated_alternatives" out_of_slice
+    (counter snap "serve.truncated_alternatives")
 
 let decisions_of_fresh_run ~shards inst =
   let r, _ = with_server ~shards ~n:8 ~d:4 (fun addr _ -> run_open addr inst) in
@@ -514,22 +717,32 @@ let test_e2e_interval_tick () =
 
 let test_e2e_overload_rejects () =
   (* ten same-resource requests land in one un-ticked round against a
-     capacity-1 inbox: one admitted, nine explicit overload rejects *)
+     capacity-1 inbox: one admitted, nine explicit overload rejects —
+     as ten lines, and as one batch frame whose shard share only
+     partly fits *)
   let inst =
     Instance.build ~n_resources:8 ~d:4
       (List.init 10 (fun _ ->
            Request.make ~arrival:0 ~alternatives:[ 0 ] ~deadline:4))
   in
-  let r, snap =
-    with_server ~shards:2 ~n:8 ~d:4 ~queue_capacity:1 (fun addr _ ->
-        run_open addr inst)
-  in
-  check Alcotest.int "one admitted and served" 1 r.Client.scheduled;
-  check Alcotest.int "rest rejected, not dropped" 9 r.Client.rejected;
-  check Alcotest.int "overload counter" 9
-    (counter snap "serve.rejected.overload");
-  check Alcotest.int "still exactly one terminal each" 10
-    (Array.length r.Client.decisions)
+  List.iter
+    (fun batch ->
+       let r, snap =
+         with_server ~shards:2 ~n:8 ~d:4 ~queue_capacity:1 (fun addr _ ->
+             match Client.open_loop ~addr ~inst ~tick:`Manual ~batch () with
+             | Error m -> Alcotest.failf "open_loop: %s" m
+             | Ok r -> r)
+       in
+       let what s = Printf.sprintf "batch=%d: %s" batch s in
+       check Alcotest.int (what "one admitted and served") 1
+         r.Client.scheduled;
+       check Alcotest.int (what "rest rejected, not dropped") 9
+         r.Client.rejected;
+       check Alcotest.int (what "overload counter") 9
+         (counter snap "serve.rejected.overload");
+       check Alcotest.int (what "still exactly one terminal each") 10
+         (Array.length r.Client.decisions))
+    [ 1; 10 ]
 
 let test_e2e_closed_loop () =
   let inst = random_instance ~n:8 ~d:4 ~rounds:10 ~load:1.0 ~seed:9 in
@@ -725,6 +938,57 @@ let test_e2e_oversize_batch_rejected () =
   in
   check Alcotest.int "nothing reached a shard" 0 (counter snap "serve.served")
 
+(* The line bound is exact: a line of [max_line] (65536) bytes is an
+   ordinary (here unknown) message, one byte more is "line too long"
+   and a close — also when its newline arrives in the read that
+   crosses the bound. *)
+let test_e2e_line_too_long () =
+  let max_line = 65536 in
+  let converse addr payload =
+    let path = match addr with Server.Unix_sock p -> p | Server.Tcp _ -> "" in
+    let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+        Unix.connect fd (Unix.ADDR_UNIX path);
+        Serve.Lineio.write_all fd ("hello rsp/1 t\n" ^ payload);
+        let buf = Buffer.create 256 and chunk = Bytes.create 4096 in
+        let rec read_all () =
+          match Unix.select [ fd ] [] [] 5.0 with
+          | [], _, _ -> Alcotest.fail "server neither answered nor closed"
+          | _ ->
+            (match Unix.read fd chunk 0 4096 with
+             | 0 -> ()
+             | n ->
+               Buffer.add_subbytes buf chunk 0 n;
+               read_all ())
+        in
+        read_all ();
+        Serve.Lineio.extract_lines buf)
+  in
+  let (), snap =
+    with_server ~shards:1 (fun addr _ ->
+        (match converse addr (String.make (max_line + 1) 'x' ^ "\n") with
+         | [ welcome; error ] ->
+           check Alcotest.string "welcome" "welcome rsp/1 test" welcome;
+           check Alcotest.string "one byte over" "error line too long" error
+         | lines ->
+           Alcotest.failf "over the bound: got %d lines" (List.length lines));
+        (match converse addr (String.make (max_line + 1) 'x') with
+         | [ _; error ] ->
+           check Alcotest.string "partial line over" "error line too long"
+             error
+         | lines ->
+           Alcotest.failf "partial over the bound: got %d lines"
+             (List.length lines));
+        match converse addr (String.make max_line 'x' ^ "\n") with
+        | [ _; error ] ->
+          check Alcotest.bool "at the bound the line is parsed" true
+            (String.starts_with ~prefix:"error unknown client message" error)
+        | lines ->
+          Alcotest.failf "at the bound: got %d lines" (List.length lines))
+  in
+  check Alcotest.int "three protocol errors" 3
+    (counter snap "serve.protocol_errors")
+
 let base_cfg addr =
   {
     Server.addr;
@@ -787,6 +1051,7 @@ let () =
           Alcotest.test_case "terminal classification" `Quick
             test_terminal_classification;
         ] );
+      ("lineio", [ prop_framing_chunks ]);
       ( "chan",
         [
           Alcotest.test_case "fifo and bound" `Quick test_chan_fifo_and_bound;
@@ -826,6 +1091,12 @@ let () =
             test_e2e_batched_replay_identical;
           Alcotest.test_case "outbox overflow drops no reply" `Quick
             test_e2e_outbox_overflow_no_reply_dropped;
+          Alcotest.test_case "truncated alternatives counted" `Quick
+            test_e2e_truncation_counted;
+          Alcotest.test_case "shard step allocation per request" `Quick
+            test_shard_step_words;
+          Alcotest.test_case "line over max_line rejected" `Quick
+            test_e2e_line_too_long;
           Alcotest.test_case "oversize batch rejected whole" `Quick
             test_e2e_oversize_batch_rejected;
         ] );

@@ -49,6 +49,8 @@ type stats = {
   messages : int;
   bounced : int;
   dropped_dead : int;
+  replies : int;
+  ctrl_msgs : int;
   requests : int;
   straddled : int;
   served : int;
@@ -80,7 +82,7 @@ type t = {
   m : Machine.t;  (* the decision state *)
   mutable round : int;
   mutable queue : Request.t list;  (* reversed pending submissions *)
-  mutable readmit : int list;      (* failover re-admissions, oldest first *)
+  mutable readmit : int list;      (* failover re-admissions, newest first *)
   mutable next_id : int;
   mutable sched_rounds : int;
   mutable max_cr : int;
@@ -156,6 +158,7 @@ let create ?metrics ?capacity ?priority ?(fail_after = 2) ?vnodes ~strategy
        ignore
          (Transport.control transport (Wire.Hello { node = Node.id node })))
     t.nodes;
+  Transport.flush transport;
   t
 
 let round t = t.round
@@ -195,7 +198,7 @@ let submit t ~alternatives ~deadline =
 (* liveness: ping sweep, failover, rejoin *)
 
 let readmit t id =
-  t.readmit <- t.readmit @ [ id ];
+  t.readmit <- id :: t.readmit;
   t.readmitted_n <- t.readmitted_n + 1;
   met t "cluster.readmitted"
 
@@ -268,7 +271,8 @@ let rejoin t k =
              t.handoff_slots_n <- t.handoff_slots_n + List.length slots;
              met ~by:(List.length slots) t "cluster.handoff_slots"
          end)
-      (Ring.moved ~before:old_ring ~after:t.ring ~n:t.n)
+      (Ring.moved ~before:old_ring ~after:t.ring ~n:t.n);
+    Transport.flush t.transport
   end
 
 (* ------------------------------------------------------------------ *)
@@ -460,23 +464,22 @@ let step t =
   let expired = Machine.expire t.m ~round in
   let arrivals = List.rev t.queue in
   t.queue <- [];
+  let straddled = ref 0 in
   List.iter
     (fun (r : Request.t) ->
        Machine.admit t.m r;
-       t.requests_n <- t.requests_n + 1;
-       met t "cluster.requests";
        if
          Array.length r.Request.alternatives >= 2
          && owner t r.Request.alternatives.(0)
             <> owner t r.Request.alternatives.(1)
-       then begin
-         t.straddled_n <- t.straddled_n + 1;
-         met t "cluster.straddle"
-       end)
+       then incr straddled)
     arrivals;
-  let readmits =
-    List.filter_map (Machine.find t.m) t.readmit
-  in
+  let admitted = List.length arrivals in
+  t.requests_n <- t.requests_n + admitted;
+  t.straddled_n <- t.straddled_n + !straddled;
+  if admitted > 0 then met ~by:admitted t "cluster.requests";
+  if !straddled > 0 then met ~by:!straddled t "cluster.straddle";
+  let readmits = List.filter_map (Machine.find t.m) (List.rev t.readmit) in
   t.readmit <- [];
   let c = carrier t in
   (match t.kind with
@@ -499,6 +502,7 @@ let step t =
   met ~by:(List.length served) t "cluster.served";
   t.expired_n <- t.expired_n + List.length expired;
   met ~by:(List.length expired) t "cluster.expired";
+  Transport.flush t.transport;
   t.round <- round + 1;
   { round; served; expired }
 
@@ -510,6 +514,8 @@ let stats t =
     messages = Transport.messages t.transport;
     bounced = Transport.bounced t.transport;
     dropped_dead = Transport.dropped_dead t.transport;
+    replies = Transport.replies t.transport;
+    ctrl_msgs = Transport.ctrl_msgs t.transport;
     requests = t.requests_n;
     straddled = t.straddled_n;
     served = t.served_n;

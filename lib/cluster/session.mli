@@ -67,6 +67,8 @@ type stats = {
   messages : int;          (** capacity-contested data messages *)
   bounced : int;           (** LDF capacity bounces *)
   dropped_dead : int;      (** data messages sent to dead nodes *)
+  replies : int;           (** uncapped reply lines *)
+  ctrl_msgs : int;         (** control lines (hello/ping/join/handoff) *)
   requests : int;          (** arrivals admitted *)
   straddled : int;         (** arrivals whose alternatives live on
                                different nodes (at arrival time) *)
@@ -103,7 +105,9 @@ val create :
     protocols' cancellation soundness needs.  [priority] breaks LDF
     ties (Thm 3.7's favoured/victim split).  [fail_after] (default 2)
     is the missed-pong threshold of dead-node detection.  [metrics]
-    (ambient fallback) receives the [cluster.*] counters.
+    (ambient fallback) receives the [cluster.*] counters, mirrored from
+    {!stats} once per {!step} (and at the end of [create] and
+    {!rejoin}, which send control lines between steps).
     @raise Invalid_argument on [nodes < 1], [n < 1], [d < 1],
     [capacity < d] or [fail_after < 1]. *)
 

@@ -17,7 +17,14 @@ type t = {
   mutable messages : int;
   mutable bounced : int;
   mutable dropped_dead : int;
+  mutable replies : int;
+  mutable ctrl_msgs : int;
+  mirrored : int array;  (* the counters as last mirrored, in [names] order *)
 }
+
+let names =
+  [| "cluster.comm_rounds"; "cluster.msgs"; "cluster.bounced";
+     "cluster.dropped_dead"; "cluster.replies"; "cluster.ctrl_msgs" |]
 
 let create ~n ~capacity ?priority ?metrics () =
   if n < 1 then invalid_arg "Transport.create: n < 1";
@@ -34,12 +41,25 @@ let create ~n ~capacity ?priority ?metrics () =
     messages = 0;
     bounced = 0;
     dropped_dead = 0;
+    replies = 0;
+    ctrl_msgs = 0;
+    mirrored = Array.make (Array.length names) 0;
   }
 
-let record t key by =
+(* one [incr ~by] per counter that moved since the last flush *)
+let flush t =
   match t.metrics with
   | None -> ()
-  | Some m -> Obs.Metrics.incr ~by m key
+  | Some m ->
+    Array.iteri
+      (fun i v ->
+         let by = v - t.mirrored.(i) in
+         if by > 0 then begin
+           Obs.Metrics.incr ~by m names.(i);
+           t.mirrored.(i) <- v
+         end)
+      [| t.comm_rounds; t.messages; t.bounced; t.dropped_dead; t.replies;
+         t.ctrl_msgs |]
 
 (* The wire gate: a message exists only as its rendered line.  Parsing
    it back and comparing catches renderer/parser drift at the moment it
@@ -57,83 +77,74 @@ let roundtrip msg =
     invalid_arg (Printf.sprintf "Transport: unparsable wire line %S: %s"
                    line e)
 
+(* Messages are arrays indexed by their position in the input list,
+   which is also the LDF cut's final tie-break. *)
 let exchange t ~owner ~alive envs =
-  if envs <> [] then begin
-    t.comm_rounds <- t.comm_rounds + 1;
-    record t "cluster.comm_rounds" 1
-  end;
-  let indexed = List.mapi (fun i e -> (i, e)) envs in
-  t.messages <- t.messages + List.length envs;
-  record t "cluster.msgs" (List.length envs);
+  let msgs = Array.of_list envs in
+  let k = Array.length msgs in
+  if k > 0 then t.comm_rounds <- t.comm_rounds + 1;
+  t.messages <- t.messages + k;
   (* the wire pass: every envelope must survive its own rendering *)
-  let indexed =
-    List.map
-      (fun (i, e) ->
-         match roundtrip (Wire.Data e) with
-         | Wire.Data e' -> (i, e')
-         | _ -> assert false)
-      indexed
-  in
-  let dead = Hashtbl.create 8 in
+  for i = 0 to k - 1 do
+    match roundtrip (Wire.Data msgs.(i)) with
+    | Wire.Data e -> msgs.(i) <- e
+    | _ -> assert false
+  done;
+  (* a message to a resource on a dead node never reaches a mailbox *)
   let contesting =
-    List.filter_map
-      (fun (i, (e : Wire.env)) ->
+    Array.map
+      (fun (e : Wire.env) ->
          if e.Wire.dst < 0 || e.Wire.dst >= t.n then
            invalid_arg "Transport.exchange: destination out of range";
-         if not (alive (owner e.Wire.dst)) then begin
-           Hashtbl.replace dead i ();
-           None
-         end
-         else
+         if alive (owner e.Wire.dst) then
            Some
-             ( i,
-               {
-                 Budget.b_sender = e.Wire.sender;
-                 b_dst = e.Wire.dst;
-                 b_deadline = e.Wire.deadline_key;
-                 b_tagged = e.Wire.tagged;
-               } ))
-      indexed
+             {
+               Budget.b_sender = e.Wire.sender;
+               b_dst = e.Wire.dst;
+               b_deadline = e.Wire.deadline_key;
+               b_tagged = e.Wire.tagged;
+             }
+         else None)
+      msgs
   in
   let delivered =
     Budget.deliver ~n:t.n ~capacity:t.capacity ~priority:t.priority
       contesting
   in
-  List.map
-    (fun (i, e) ->
-       let status =
-         if Hashtbl.mem dead i then Dead
-         else if Hashtbl.mem delivered i then Delivered
-         else Bounced
-       in
-       (match status with
-        | Delivered -> ()
-        | Bounced ->
-          t.bounced <- t.bounced + 1;
-          record t "cluster.bounced" 1
-        | Dead ->
-          t.dropped_dead <- t.dropped_dead + 1;
-          record t "cluster.dropped_dead" 1);
-       (e, status))
-    indexed
+  let out = ref [] in
+  for i = k - 1 downto 0 do
+    let status =
+      if delivered.(i) then Delivered
+      else if Option.is_none contesting.(i) then begin
+        t.dropped_dead <- t.dropped_dead + 1;
+        Dead
+      end
+      else begin
+        t.bounced <- t.bounced + 1;
+        Bounced
+      end
+    in
+    out := (msgs.(i), status) :: !out
+  done;
+  !out
 
 let respond t reply =
-  record t "cluster.replies" 1;
+  t.replies <- t.replies + 1;
   match roundtrip (Wire.Reply reply) with
   | Wire.Reply r -> r
   | _ -> assert false
 
 let control t ctrl =
-  record t "cluster.ctrl_msgs" 1;
+  t.ctrl_msgs <- t.ctrl_msgs + 1;
   match roundtrip (Wire.Control ctrl) with
   | Wire.Control c -> c
   | _ -> assert false
 
-let tick t =
-  t.comm_rounds <- t.comm_rounds + 1;
-  record t "cluster.comm_rounds" 1
+let tick t = t.comm_rounds <- t.comm_rounds + 1
 
 let comm_rounds t = t.comm_rounds
 let messages t = t.messages
 let bounced t = t.bounced
 let dropped_dead t = t.dropped_dead
+let replies t = t.replies
+let ctrl_msgs t = t.ctrl_msgs

@@ -20,10 +20,11 @@
     capacity), and replies/control lines travel uncapped.
 
     Meters: private counters for protocol budgets (comm rounds,
-    messages, bounces, dead drops) plus mirrored [cluster.*] metrics
-    ([cluster.comm_rounds], [cluster.msgs], [cluster.bounced],
-    [cluster.dropped_dead], [cluster.replies], [cluster.ctrl_msgs])
-    for telemetry. *)
+    messages, bounces, dead drops, replies, control lines), mirrored
+    into [cluster.*] metrics ([cluster.comm_rounds], [cluster.msgs],
+    [cluster.bounced], [cluster.dropped_dead], [cluster.replies],
+    [cluster.ctrl_msgs]) by {!flush}, so that a message costs no
+    registry lock or string hash. *)
 
 type status = Distnet.Net.status =
   | Delivered
@@ -39,8 +40,8 @@ val create :
 (** A fabric over [n] resources delivering at most [capacity] untagged
     data messages per resource per communication round.  [priority]
     breaks LDF ties as in {!Distnet.Net} (higher kept; default
-    constant 0).  [metrics] receives the [cluster.*] mirror (ambient
-    fallback; silent when neither is set).
+    constant 0).  [metrics] receives the [cluster.*] mirror at each
+    {!flush} (ambient fallback; silent when neither is set).
     @raise Invalid_argument if [n < 1] or [capacity < 1]. *)
 
 val exchange :
@@ -65,7 +66,14 @@ val control : t -> Wire.control -> Wire.control
 val tick : t -> unit
 (** Count a communication round carrying no data traffic. *)
 
+val flush : t -> unit
+(** Mirror what the counters gained since the last flush into the
+    metrics registry: one [incr ~by] per counter that moved.
+    [Cluster.Session] flushes once per scheduling round. *)
+
 val comm_rounds : t -> int
 val messages : t -> int
 val bounced : t -> int
 val dropped_dead : t -> int
+val replies : t -> int
+val ctrl_msgs : t -> int

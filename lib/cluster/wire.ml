@@ -1,12 +1,11 @@
 (* Inter-node wire grammar.  Everything is a single space-separated
    line behind a leading keyword; integer fields are non-negative
-   (Serve.Protocol.int_field), alternative lists use Sched.Codec's
-   comma grammar, and the LDF key renders max_int as "inf" (cancel
-   messages outrank everything, and 4611686018427387903 on the wire
-   would be noise, not meaning). *)
+   decimals, alternative lists use Sched.Codec's comma grammar, and the
+   LDF key renders max_int as "inf" (cancel messages outrank
+   everything, and 4611686018427387903 on the wire would be noise, not
+   meaning). *)
 
 module Codec = Sched.Codec
-module Protocol = Serve.Protocol
 module Request = Sched.Request
 
 let version = Codec.version
@@ -71,291 +70,286 @@ let request_of_reqinfo ri =
     ~alternatives:(Array.of_list ri.alternatives) ~deadline:ri.deadline
 
 (* ------------------------------------------------------------------ *)
-(* rendering *)
+(* rendering: digit by digit into Codec's domain-private buffer, so a
+   line costs its bytes and nothing else *)
 
-let render_reqinfo ri =
-  Printf.sprintf "%d %s %d %d" ri.rid
-    (Codec.render_alts ri.alternatives)
-    ri.arrival ri.deadline
+let add_field b n =
+  Buffer.add_char b ' ';
+  Codec.add_int b n
 
-let render_key k = if k = max_int then "inf" else string_of_int k
+(* " <rid> <alts> <arrival> <deadline>", behind its space *)
+let add_reqinfo b ri =
+  Buffer.add_char b ' ';
+  Codec.add_int b ri.rid;
+  Buffer.add_char b ' ';
+  Codec.add_alts b ri.alternatives;
+  add_field b ri.arrival;
+  add_field b ri.deadline
 
-let render_env_header keyword e =
-  Printf.sprintf "%s %d %d %s %c" keyword e.sender e.dst
-    (render_key e.deadline_key)
-    (if e.tagged then 't' else 'u')
+(* "<keyword> <sender> <dst> <key> <t|u>" *)
+let add_head b keyword e =
+  Buffer.add_string b keyword;
+  add_field b e.sender;
+  add_field b e.dst;
+  Buffer.add_char b ' ';
+  if e.deadline_key = max_int then Buffer.add_string b "inf"
+  else Codec.add_int b e.deadline_key;
+  Buffer.add_string b (if e.tagged then " t" else " u")
 
-let render_data e =
+let add_data b e =
   match e.data with
-  | Offer ri -> render_env_header "offer" e ^ " " ^ render_reqinfo ri
-  | Probe ri -> render_env_header "probe" e ^ " " ^ render_reqinfo ri
+  | Offer ri -> add_head b "offer" e; add_reqinfo b ri
+  | Probe ri -> add_head b "probe" e; add_reqinfo b ri
   | Cancel { q; old_res; old_t } ->
-    Printf.sprintf "%s %d %d %d" (render_env_header "cancel" e) q old_res
-      old_t
-  | Rival ri -> render_env_header "rival" e ^ " " ^ render_reqinfo ri
-  | Swap { r; q } ->
-    Printf.sprintf "%s %d %s" (render_env_header "swap" e) r
-      (render_reqinfo q)
+    add_head b "cancel" e;
+    add_field b q;
+    add_field b old_res;
+    add_field b old_t
+  | Rival ri -> add_head b "rival" e; add_reqinfo b ri
+  | Swap { r; q } -> add_head b "swap" e; add_field b r; add_reqinfo b q
   | Rehome { r; res } ->
-    Printf.sprintf "%s %d %s" (render_env_header "rehome" e) res
-      (render_reqinfo r)
-  | Loadq -> render_env_header "loadq" e
-  | Assign ri -> render_env_header "assign" e ^ " " ^ render_reqinfo ri
+    add_head b "rehome" e; add_field b res; add_reqinfo b r
+  | Loadq -> add_head b "loadq" e
+  | Assign ri -> add_head b "assign" e; add_reqinfo b ri
 
-let render_reply = function
-  | Accept { q; res; slot } -> Printf.sprintf "accept %d %d %d" q res slot
-  | Full { q; res } -> Printf.sprintf "full %d %d" q res
-  | Ack { q; res } -> Printf.sprintf "ack %d %d" q res
-  | Freeat { q; res; slot } -> Printf.sprintf "freeat %d %d %d" q res slot
-  | Served { res; round; q } -> Printf.sprintf "served %d %d %d" res round q
-  | Pong { node; round } -> Printf.sprintf "pong %d %d" node round
+let add_reply b = function
+  | Accept { q; res; slot } ->
+    Buffer.add_string b "accept"; add_field b q; add_field b res;
+    add_field b slot
+  | Full { q; res } ->
+    Buffer.add_string b "full"; add_field b q; add_field b res
+  | Ack { q; res } ->
+    Buffer.add_string b "ack"; add_field b q; add_field b res
+  | Freeat { q; res; slot } ->
+    Buffer.add_string b "freeat"; add_field b q; add_field b res;
+    add_field b slot
+  | Served { res; round; q } ->
+    Buffer.add_string b "served"; add_field b res; add_field b round;
+    add_field b q
+  | Pong { node; round } ->
+    Buffer.add_string b "pong"; add_field b node; add_field b round
 
-let render_control = function
-  | Hello { node } -> Printf.sprintf "hello %s %d" version node
-  | Ping { round } -> Printf.sprintf "ping %d" round
-  | Join { node; round } -> Printf.sprintf "join %s %d %d" version node round
-  | Handoff { res; slots = [] } -> Printf.sprintf "handoff %d" res
+(* handoff entries: "<round> <reqinfo>", the first behind a space, the
+   rest behind ';' *)
+let rec add_slots b sep = function
+  | [] -> ()
+  | (t, ri) :: rest ->
+    Buffer.add_char b sep;
+    Codec.add_int b t;
+    add_reqinfo b ri;
+    add_slots b ';' rest
+
+let add_control b = function
+  | Hello { node } ->
+    Buffer.add_string b "hello ";
+    Buffer.add_string b version;
+    add_field b node
+  | Ping { round } -> Buffer.add_string b "ping"; add_field b round
+  | Join { node; round } ->
+    Buffer.add_string b "join ";
+    Buffer.add_string b version;
+    add_field b node;
+    add_field b round
   | Handoff { res; slots } ->
-    Printf.sprintf "handoff %d %s" res
-      (String.concat ";"
-         (List.map
-            (fun (t, ri) -> Printf.sprintf "%d %s" t (render_reqinfo ri))
-            slots))
+    Buffer.add_string b "handoff";
+    add_field b res;
+    add_slots b ' ' slots
 
-let render = function
-  | Data e -> render_data e
-  | Reply r -> render_reply r
-  | Control c -> render_control c
+let add b = function
+  | Data e -> add_data b e
+  | Reply r -> add_reply b r
+  | Control c -> add_control b c
+
+let render m = Codec.render_with add m
 
 (* ------------------------------------------------------------------ *)
-(* parsing *)
+(* parsing: one index scan over the line with Codec's scanners.  The
+   fields of a range are its single-space-separated pieces, so an empty
+   range is one empty field; "the fields after j" are those of
+   [j+1 .. stop-1], none when [j = stop].  A well-formed line allocates
+   only the message it denotes; a malformed one raises [Codec.Syntax]
+   with its error text. *)
 
-let ( let* ) = Result.bind
+let syntax fmt = Printf.ksprintf (fun m -> raise (Codec.Syntax m)) fmt
 
-let int_field = Protocol.int_field
+let space s pos stop = Codec.field_end s ' ' pos stop
 
-let parse_reqinfo ~what fields =
-  match fields with
-  | [ rid_s; alts_s; arrival_s; deadline_s ] ->
-    let* rid = int_field ~what:(what ^ " id") rid_s in
-    let* alternatives = Codec.parse_alts alts_s in
-    let* arrival = int_field ~what:"arrival" arrival_s in
-    let* deadline = int_field ~what:"deadline" deadline_s in
-    if deadline < 1 then Error (Printf.sprintf "deadline %d < 1" deadline)
-    else Ok { rid; alternatives; arrival; deadline }
-  | _ -> Error (Printf.sprintf "expected '<%s> <alts> <arrival> <deadline>'" what)
+(* a non-negative decimal field *)
+let nat ~what s pos stop =
+  let v = Codec.scan_int ~what s ~pos ~stop in
+  if v < 0 then syntax "negative %s %d" what v;
+  v
 
-let parse_key s =
-  if s = "inf" then Ok max_int else int_field ~what:"deadline key" s
+let rec same s pos tok i =
+  i = String.length tok
+  || (String.unsafe_get s (pos + i) = String.unsafe_get tok i
+      && same s pos tok (i + 1))
 
-let parse_tag = function
-  | "t" -> Ok true
-  | "u" -> Ok false
-  | s -> Error (Printf.sprintf "malformed tag flag %S (want t or u)" s)
+(* is [s.[pos .. stop-1]] exactly [tok]? *)
+let is s pos stop tok = stop - pos = String.length tok && same s pos tok 0
 
-(* "<sender> <dst> <key> <t|u> rest..." *)
-let parse_env rest ~payload =
-  match String.split_on_char ' ' rest with
-  | sender_s :: dst_s :: key_s :: tag_s :: payload_fields ->
-    let* sender = int_field ~what:"sender" sender_s in
-    let* dst = int_field ~what:"destination" dst_s in
-    let* deadline_key = parse_key key_s in
-    let* tagged = parse_tag tag_s in
-    let* data = payload payload_fields in
-    Ok (Data { sender; dst; deadline_key; tagged; data })
-  | _ -> Error "truncated envelope"
+let field s pos stop = String.sub s pos (stop - pos)
 
-let reqinfo_payload ~what wrap fields =
-  let* ri = parse_reqinfo ~what fields in
-  Ok (wrap ri)
+(* "<rid> <alts> <arrival> <deadline>", exactly the fields after j *)
+let reqinfo s j stop =
+  let i1 = if j < stop then space s (j + 1) stop else stop in
+  let i2 = if i1 < stop then space s (i1 + 1) stop else stop in
+  let i3 = if i2 < stop then space s (i2 + 1) stop else stop in
+  if i3 >= stop || space s (i3 + 1) stop < stop then
+    syntax "expected '<request> <alts> <arrival> <deadline>'";
+  let rid = nat ~what:"request id" s (j + 1) i1 in
+  let alternatives = Codec.scan_alts s ~pos:(i1 + 1) ~stop:i2 in
+  let arrival = nat ~what:"arrival" s (i2 + 1) i3 in
+  let deadline = nat ~what:"deadline" s (i3 + 1) stop in
+  if deadline < 1 then syntax "deadline %d < 1" deadline;
+  { rid; alternatives; arrival; deadline }
 
-let parse_ints ~shape whats fields =
-  if List.length whats <> List.length fields then
-    Error (Printf.sprintf "expected '%s'" shape)
-  else
-    List.fold_right2
-      (fun what field acc ->
-         let* vs = acc in
-         let* v = int_field ~what field in
-         Ok (v :: vs))
-      whats fields (Ok [])
+(* Exactly two or three integer fields in [p .. stop-1], scanned right
+   to left: when several are bad, the last one names the error. *)
+let ints2 ~shape w1 w2 s p stop k =
+  let i1 = space s p stop in
+  if i1 >= stop || space s (i1 + 1) stop < stop then
+    syntax "expected '%s'" shape;
+  let b = nat ~what:w2 s (i1 + 1) stop in
+  k (nat ~what:w1 s p i1) b
 
-let parse_handoff rest =
-  let res_s, entries_s =
-    match String.index_opt rest ' ' with
-    | None -> (rest, "")
-    | Some i ->
-      ( String.sub rest 0 i,
-        String.sub rest (i + 1) (String.length rest - i - 1) )
+let ints3 ~shape w1 w2 w3 s p stop k =
+  let i2 = Codec.split3 s ~pos:p ~stop in
+  if i2 < 0 then syntax "expected '%s'" shape;
+  let i1 = space s p i2 in
+  let c = nat ~what:w3 s (i2 + 1) stop in
+  let b = nat ~what:w2 s (i1 + 1) i2 in
+  k (nat ~what:w1 s p i1) b c
+
+(* payloads: the fields after the tag flag, which ends at j *)
+let offer s j stop = Offer (reqinfo s j stop)
+let probe s j stop = Probe (reqinfo s j stop)
+let rival s j stop = Rival (reqinfo s j stop)
+let assign s j stop = Assign (reqinfo s j stop)
+
+let cancel s j stop =
+  let shape = "<q> <old res> <old round>" in
+  if j >= stop then syntax "expected '%s'" shape;
+  ints3 ~shape "request" "old resource" "old round" s (j + 1) stop
+    (fun q old_res old_t -> Cancel { q; old_res; old_t })
+
+let swap s j stop =
+  if j >= stop then syntax "truncated swap";
+  let i = space s (j + 1) stop in
+  let r = nat ~what:"occupant" s (j + 1) i in
+  Swap { r; q = reqinfo s i stop }
+
+let rehome s j stop =
+  if j >= stop then syntax "truncated rehome";
+  let i = space s (j + 1) stop in
+  let res = nat ~what:"resource" s (j + 1) i in
+  Rehome { r = reqinfo s i stop; res }
+
+let loadq _ j stop =
+  if j < stop then syntax "loadq carries no payload";
+  Loadq
+
+(* "<sender> <dst> <key> <t|u> payload..." over [p .. stop-1] *)
+let envelope s p stop payload =
+  let i1 = space s p stop in
+  let i2 = if i1 < stop then space s (i1 + 1) stop else stop in
+  let i3 = if i2 < stop then space s (i2 + 1) stop else stop in
+  if i3 >= stop then syntax "truncated envelope";
+  let i4 = space s (i3 + 1) stop in
+  let sender = nat ~what:"sender" s p i1 in
+  let dst = nat ~what:"destination" s (i1 + 1) i2 in
+  let deadline_key =
+    if is s (i2 + 1) i3 "inf" then max_int
+    else nat ~what:"deadline key" s (i2 + 1) i3
   in
-  let* res = int_field ~what:"resource" res_s in
-  if entries_s = "" then Ok (Control (Handoff { res; slots = [] }))
-  else
-    let* slots =
-      List.fold_right
-        (fun entry acc ->
-           let* slots = acc in
-           match String.split_on_char ' ' entry with
-           | t_s :: ri_fields ->
-             let* t = int_field ~what:"slot round" t_s in
-             let* ri = parse_reqinfo ~what:"request" ri_fields in
-             Ok ((t, ri) :: slots)
-           | [] -> Error "empty handoff entry")
-        (String.split_on_char ';' entries_s)
-        (Ok [])
-    in
-    Ok (Control (Handoff { res; slots }))
+  let tagged =
+    if is s (i3 + 1) i4 "t" then true
+    else if is s (i3 + 1) i4 "u" then false
+    else
+      syntax "malformed tag flag %S (want t or u)" (field s (i3 + 1) i4)
+  in
+  let data = payload s i4 stop in
+  Data { sender; dst; deadline_key; tagged; data }
 
-let parse_versioned ~keyword ~shape rest k =
-  match String.split_on_char ' ' rest with
-  | v :: fields when v = version -> k fields
-  | v :: _ when v <> version ->
-    Error
-      (Printf.sprintf "unsupported protocol version %S (want %s)" v version)
-  | _ -> Error (Printf.sprintf "expected '%s %s %s'" keyword version shape)
+(* "<version> rest...": the end of the version field *)
+let versioned s p stop =
+  let i = space s p stop in
+  if not (is s p i version) then
+    syntax "unsupported protocol version %S (want %s)" (field s p i) version;
+  i
 
-let keyword_table :
-  (string * (string -> (t, string) result)) list =
-  [
-    ( "offer",
-      fun rest -> parse_env rest ~payload:(reqinfo_payload ~what:"request"
-                                             (fun ri -> Offer ri)) );
-    ( "probe",
-      fun rest -> parse_env rest ~payload:(reqinfo_payload ~what:"request"
-                                             (fun ri -> Probe ri)) );
-    ( "cancel",
-      fun rest ->
-        parse_env rest ~payload:(fun fields ->
-            let* vs =
-              parse_ints ~shape:"<q> <old res> <old round>"
-                [ "request"; "old resource"; "old round" ] fields
-            in
-            match vs with
-            | [ q; old_res; old_t ] -> Ok (Cancel { q; old_res; old_t })
-            | _ -> assert false) );
-    ( "rival",
-      fun rest -> parse_env rest ~payload:(reqinfo_payload ~what:"request"
-                                             (fun ri -> Rival ri)) );
-    ( "swap",
-      fun rest ->
-        parse_env rest ~payload:(fun fields ->
-            match fields with
-            | r_s :: ri_fields ->
-              let* r = int_field ~what:"occupant" r_s in
-              let* q = parse_reqinfo ~what:"request" ri_fields in
-              Ok (Swap { r; q })
-            | [] -> Error "truncated swap") );
-    ( "rehome",
-      fun rest ->
-        parse_env rest ~payload:(fun fields ->
-            match fields with
-            | res_s :: ri_fields ->
-              let* res = int_field ~what:"resource" res_s in
-              let* r = parse_reqinfo ~what:"request" ri_fields in
-              Ok (Rehome { r; res })
-            | [] -> Error "truncated rehome") );
-    ("loadq", fun rest -> parse_env rest ~payload:(function
-         | [] -> Ok Loadq
-         | _ -> Error "loadq carries no payload"));
-    ( "assign",
-      fun rest -> parse_env rest ~payload:(reqinfo_payload ~what:"request"
-                                             (fun ri -> Assign ri)) );
-    ( "accept",
-      fun rest ->
-        let* vs =
-          parse_ints ~shape:"accept <q> <res> <slot>"
-            [ "request"; "resource"; "slot" ]
-            (String.split_on_char ' ' rest)
-        in
-        match vs with
-        | [ q; res; slot ] -> Ok (Reply (Accept { q; res; slot }))
-        | _ -> assert false );
-    ( "full",
-      fun rest ->
-        let* vs =
-          parse_ints ~shape:"full <q> <res>" [ "request"; "resource" ]
-            (String.split_on_char ' ' rest)
-        in
-        match vs with
-        | [ q; res ] -> Ok (Reply (Full { q; res }))
-        | _ -> assert false );
-    ( "ack",
-      fun rest ->
-        let* vs =
-          parse_ints ~shape:"ack <q> <res>" [ "request"; "resource" ]
-            (String.split_on_char ' ' rest)
-        in
-        match vs with
-        | [ q; res ] -> Ok (Reply (Ack { q; res }))
-        | _ -> assert false );
-    ( "freeat",
-      fun rest ->
-        let* vs =
-          parse_ints ~shape:"freeat <q> <res> <slot>"
-            [ "request"; "resource"; "slot" ]
-            (String.split_on_char ' ' rest)
-        in
-        match vs with
-        | [ q; res; slot ] -> Ok (Reply (Freeat { q; res; slot }))
-        | _ -> assert false );
-    ( "served",
-      fun rest ->
-        let* vs =
-          parse_ints ~shape:"served <res> <round> <q>"
-            [ "resource"; "round"; "request" ]
-            (String.split_on_char ' ' rest)
-        in
-        match vs with
-        | [ res; round; q ] -> Ok (Reply (Served { res; round; q }))
-        | _ -> assert false );
-    ( "pong",
-      fun rest ->
-        let* vs =
-          parse_ints ~shape:"pong <node> <round>" [ "node"; "round" ]
-            (String.split_on_char ' ' rest)
-        in
-        match vs with
-        | [ node; round ] -> Ok (Reply (Pong { node; round }))
-        | _ -> assert false );
-    ( "hello",
-      fun rest ->
-        parse_versioned ~keyword:"hello" ~shape:"<node>" rest (function
-            | [ node_s ] ->
-              let* node = int_field ~what:"node" node_s in
-              Ok (Control (Hello { node }))
-            | _ -> Error "expected 'hello rsp/1 <node>'") );
-    ( "ping",
-      fun rest ->
-        let* round = int_field ~what:"round" rest in
-        Ok (Control (Ping { round })) );
-    ( "join",
-      fun rest ->
-        parse_versioned ~keyword:"join" ~shape:"<node> <round>" rest
-          (function
-            | [ node_s; round_s ] ->
-              let* node = int_field ~what:"node" node_s in
-              let* round = int_field ~what:"round" round_s in
-              Ok (Control (Join { node; round }))
-            | _ -> Error "expected 'join rsp/1 <node> <round>'") );
-    ("handoff", parse_handoff);
-  ]
+let hello s p stop =
+  let i = versioned s p stop in
+  if i >= stop || space s (i + 1) stop < stop then
+    syntax "expected 'hello %s <node>'" version;
+  Control (Hello { node = nat ~what:"node" s (i + 1) stop })
+
+let join s p stop =
+  let i = versioned s p stop in
+  let i2 = if i < stop then space s (i + 1) stop else stop in
+  if i2 >= stop || space s (i2 + 1) stop < stop then
+    syntax "expected 'join %s <node> <round>'" version;
+  let node = nat ~what:"node" s (i + 1) i2 in
+  let round = nat ~what:"round" s (i2 + 1) stop in
+  Control (Join { node; round })
+
+(* "<round> <reqinfo>" entries separated by ';', scanned right to left
+   like the ints: the last bad entry names the error *)
+let rec slots s pos stop =
+  let e = Codec.field_end s ';' pos stop in
+  let rest = if e < stop then slots s (e + 1) stop else [] in
+  let i = space s pos e in
+  let t = nat ~what:"slot round" s pos i in
+  (t, reqinfo s i e) :: rest
+
+(* "<res>" and "<res> " carry no slots, "<res> <entries>" some *)
+let handoff s p stop =
+  let i = space s p stop in
+  let res = nat ~what:"resource" s p i in
+  let slots = if i + 1 >= stop then [] else slots s (i + 1) stop in
+  Control (Handoff { res; slots })
+
+(* the keyword spans [0 .. k-1], its argument [p .. stop-1] *)
+let message s k p stop =
+  if is s 0 k "offer" then envelope s p stop offer
+  else if is s 0 k "probe" then envelope s p stop probe
+  else if is s 0 k "cancel" then envelope s p stop cancel
+  else if is s 0 k "rival" then envelope s p stop rival
+  else if is s 0 k "swap" then envelope s p stop swap
+  else if is s 0 k "rehome" then envelope s p stop rehome
+  else if is s 0 k "accept" then
+    ints3 ~shape:"accept <q> <res> <slot>" "request" "resource" "slot" s p
+      stop (fun q res slot -> Reply (Accept { q; res; slot }))
+  else if is s 0 k "full" then
+    ints2 ~shape:"full <q> <res>" "request" "resource" s p stop
+      (fun q res -> Reply (Full { q; res }))
+  else if is s 0 k "ack" then
+    ints2 ~shape:"ack <q> <res>" "request" "resource" s p stop
+      (fun q res -> Reply (Ack { q; res }))
+  else if is s 0 k "served" then
+    ints3 ~shape:"served <res> <round> <q>" "resource" "round" "request" s p
+      stop (fun res round q -> Reply (Served { res; round; q }))
+  else if is s 0 k "ping" then
+    Control (Ping { round = nat ~what:"round" s p stop })
+  else if is s 0 k "pong" then
+    ints2 ~shape:"pong <node> <round>" "node" "round" s p stop
+      (fun node round -> Reply (Pong { node; round }))
+  else if is s 0 k "loadq" then envelope s p stop loadq
+  else if is s 0 k "assign" then envelope s p stop assign
+  else if is s 0 k "freeat" then
+    ints3 ~shape:"freeat <q> <res> <slot>" "request" "resource" "slot" s p
+      stop (fun q res slot -> Reply (Freeat { q; res; slot }))
+  else if is s 0 k "hello" then hello s p stop
+  else if is s 0 k "join" then join s p stop
+  else if is s 0 k "handoff" then handoff s p stop
+  else syntax "unknown message %S" (field s 0 k)
 
 let parse line =
   let len = String.length line in
   if len > max_line then
     Error (Printf.sprintf "line too long (%d bytes, max %d)" len max_line)
   else
-    let rec dispatch = function
-      | [] ->
-        let keyword =
-          match String.index_opt line ' ' with
-          | None -> line
-          | Some i -> String.sub line 0 i
-        in
-        Error (Printf.sprintf "unknown message %S" keyword)
-      | (keyword, handler) :: rest ->
-        (match Protocol.strip_keyword ~keyword line with
-         | Some tail -> handler tail
-         | None -> dispatch rest)
-    in
-    dispatch keyword_table
+    let k = space line 0 len in
+    match message line k (if k < len then k + 1 else len) len with
+    | m -> Ok m
+    | exception Codec.Syntax e -> Error e

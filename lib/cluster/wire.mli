@@ -1,9 +1,9 @@
 (** The inter-node wire protocol of the cluster tier (version rsp/1).
 
     Line-delimited text, one message per line, sharing {!Sched.Codec}'s
-    version token and alternative-list grammar and {!Serve.Protocol}'s
-    keyword framing — a cluster trace and a serve trace speak the same
-    dialect.  Three families:
+    version token, integer and alternative-list grammar and scanners,
+    and [Serve.Protocol]'s keyword framing — a cluster trace and a
+    serve trace speak the same dialect.  Three families:
 
     - {e Data} ([Data of env]): request-to-resource traffic.  These are
       the messages the paper's communication model meters: per
@@ -90,11 +90,15 @@ type control =
 type t = Data of env | Reply of reply | Control of control
 
 val render : t -> string
-(** One line, no newline. *)
+(** One line, no newline, written into {!Sched.Codec.render_with}'s
+    buffer: the only allocation is the line. *)
 
 val parse : string -> (t, string) result
 (** Inverse of {!render}; rejects oversize lines, unknown keywords,
-    malformed fields and version mismatches. *)
+    malformed fields and version mismatches.  One index scan over the
+    line: a well-formed line allocates only the message it denotes.
+    Where several integer fields of a reply, a [cancel] or several
+    [handoff] entries are bad, the rightmost names the error. *)
 
 val data_env :
   sender:int -> dst:int -> deadline_key:int -> ?tagged:bool -> data -> t

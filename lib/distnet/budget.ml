@@ -11,45 +11,65 @@ type envelope = {
   b_tagged : bool;
 }
 
-let deliver ~n ~capacity ~priority indexed =
-  let delivered = Hashtbl.create 64 in
-  (* bucket by destination, preserving nothing about order: ties inside
-     a bucket fall back to the global message index, so bucket
-     construction order is immaterial *)
-  let buckets = Array.make n [] in
-  List.iter
-    (fun ((_, e) as ie) ->
-       if e.b_dst < 0 || e.b_dst >= n then
-         invalid_arg "Budget.deliver: destination out of range";
-       buckets.(e.b_dst) <- ie :: buckets.(e.b_dst))
-    indexed;
-  Array.iteri
-    (fun dst inbox ->
-       let tagged, untagged =
-         List.partition (fun (_, e) -> e.b_tagged) inbox
-       in
-       List.iter (fun (i, _) -> Hashtbl.replace delivered i ()) tagged;
-       (* LDF: keep the [capacity] messages with the latest deadlines;
-          ties by higher priority, then lower sender id, then arrival
-          order *)
-       let ranked =
-         List.sort
-           (fun (ia, a) (ib, b) ->
-              if a.b_deadline <> b.b_deadline then
-                compare b.b_deadline a.b_deadline
-              else begin
-                let pa = priority ~sender:a.b_sender ~dst
-                and pb = priority ~sender:b.b_sender ~dst in
-                if pa <> pb then compare pb pa
-                else if a.b_sender <> b.b_sender then
-                  compare a.b_sender b.b_sender
-                else compare ia ib
-              end)
-           untagged
-       in
-       List.iteri
-         (fun rank (i, _) ->
-            if rank < capacity then Hashtbl.replace delivered i ())
-         ranked)
-    buckets;
+let env envs i = match envs.(i) with Some e -> e | None -> assert false
+
+(* LDF order: does message [ia] rank ahead of [ib] at [dst]?  Later
+   deadline first, then higher priority, then lower sender id, then
+   lower position. *)
+let ahead ~priority envs dst ia ib =
+  let a = env envs ia and b = env envs ib in
+  if a.b_deadline <> b.b_deadline then a.b_deadline > b.b_deadline
+  else
+    let pa = priority ~sender:a.b_sender ~dst
+    and pb = priority ~sender:b.b_sender ~dst in
+    if pa <> pb then pa > pb
+    else if a.b_sender <> b.b_sender then a.b_sender < b.b_sender
+    else ia < ib
+
+(* Positions are the messages' identities and their final tie-break.
+   Tagged messages are delivered outright; the untagged ones are
+   bucketed by destination with a counting sort of their positions, and
+   a bucket over capacity keeps its [capacity] best by selection. *)
+let deliver ~n ~capacity ~priority (envs : envelope option array) =
+  let k = Array.length envs in
+  let delivered = Array.make k false in
+  let start = Array.make (n + 1) 0 in
+  for i = 0 to k - 1 do
+    match envs.(i) with
+    | None -> ()
+    | Some e ->
+      if e.b_dst < 0 || e.b_dst >= n then
+        invalid_arg "Budget.deliver: destination out of range";
+      if e.b_tagged then delivered.(i) <- true
+      else start.(e.b_dst + 1) <- start.(e.b_dst + 1) + 1
+  done;
+  for dst = 1 to n do
+    start.(dst) <- start.(dst) + start.(dst - 1)
+  done;
+  let order = Array.make start.(n) 0 in
+  let fill = Array.sub start 0 n in
+  for i = 0 to k - 1 do
+    match envs.(i) with
+    | Some e when not e.b_tagged ->
+      order.(fill.(e.b_dst)) <- i;
+      fill.(e.b_dst) <- fill.(e.b_dst) + 1
+    | Some _ | None -> ()
+  done;
+  for dst = 0 to n - 1 do
+    let lo = start.(dst) and hi = start.(dst + 1) in
+    let keep = min capacity (hi - lo) in
+    for j = lo to lo + keep - 1 do
+      if hi - lo > capacity then begin
+        (* move the best of [j .. hi-1] to [j] *)
+        let best = ref j in
+        for c = j + 1 to hi - 1 do
+          if ahead ~priority envs dst order.(c) order.(!best) then best := c
+        done;
+        let m = order.(!best) in
+        order.(!best) <- order.(j);
+        order.(j) <- m
+      end;
+      delivered.(order.(j)) <- true
+    done
+  done;
   delivered

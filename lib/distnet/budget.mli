@@ -20,10 +20,13 @@ val deliver :
   n:int ->
   capacity:int ->
   priority:(sender:int -> dst:int -> int) ->
-  (int * envelope) list ->
-  (int, unit) Hashtbl.t
-(** [deliver ~n ~capacity ~priority indexed] returns the set of indices
-    (first components) kept by the mailbox rule.  Indices identify
-    messages — the same (sender, dst) pair may appear several times and
-    each copy wins or loses on its own.
+  envelope option array ->
+  bool array
+(** [deliver ~n ~capacity ~priority envs] marks the messages kept by
+    the mailbox rule: [(deliver ...).(i)] is [true] iff message [i] is
+    delivered.  Positions identify messages — the same (sender, dst)
+    pair may appear several times and each copy wins or loses on its
+    own.  [None] is a message that never reaches a mailbox (lost in
+    transit, or addressed to a dead node): it takes no capacity and is
+    not delivered.
     @raise Invalid_argument on a destination outside [0 .. n-1]. *)

@@ -83,23 +83,21 @@ let deliver t msgs =
        exchange, and each copy is delivered or bounced on its own.  The
        mailbox rule itself lives in Budget.deliver, shared with the live
        cluster transport. *)
-    let indexed = List.mapi (fun i m -> (i, m)) msgs in
     let envelopes =
-      List.filter_map
-        (fun (i, m) ->
+      Array.map
+        (fun m ->
            if m.dst < 0 || m.dst >= t.n then
              invalid_arg "Net.exchange: destination out of range";
            if survives m then
              Some
-               ( i,
-                 {
-                   Budget.b_sender = m.sender;
-                   b_dst = m.dst;
-                   b_deadline = m.deadline_key;
-                   b_tagged = m.tagged;
-                 } )
+               {
+                 Budget.b_sender = m.sender;
+                 b_dst = m.dst;
+                 b_deadline = m.deadline_key;
+                 b_tagged = m.tagged;
+               }
            else None)
-        indexed
+        (Array.of_list msgs)
     in
     let delivered =
       Budget.deliver ~n:t.n ~capacity:t.capacity ~priority:t.priority
@@ -107,14 +105,14 @@ let deliver t msgs =
     in
     let bounced = ref 0 in
     let results =
-      List.map
-        (fun (i, m) ->
-           if Hashtbl.mem delivered i then (m, Delivered)
+      List.mapi
+        (fun i m ->
+           if delivered.(i) then (m, Delivered)
            else begin
              incr bounced;
              (m, Bounced)
            end)
-        indexed
+        msgs
     in
     t.meters.delivered <- t.meters.delivered + (List.length msgs - !bounced);
     t.meters.bounced <- t.meters.bounced + !bounced;

@@ -43,7 +43,6 @@ let render_with add x =
   add b x;
   Buffer.contents b
 
-let render_alts alts = render_with add_alts alts
 
 (* ------------------------------------------------------------------ *)
 (* scanning: one pass of indices over [s.[pos .. stop-1]], with no
@@ -141,11 +140,6 @@ let scan_req_fields ~what s ~pos ~stop k =
   let deadline = scan_int ~what:"deadline" s ~pos:(i2 + 1) ~stop in
   if deadline < 1 then syntax "deadline %d must be >= 1" deadline;
   k first alternatives deadline
-
-let parse_alts s =
-  match scan_alts s ~pos:0 ~stop:(String.length s) with
-  | alts -> Ok alts
-  | exception Syntax m -> Error m
 
 let to_string (inst : Instance.t) =
   let b = Buffer.create (64 + (32 * Instance.n_requests inst)) in

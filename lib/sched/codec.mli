@@ -31,6 +31,9 @@ val version : string
 val add_int : Buffer.t -> int -> unit
 (** Decimal, as [string_of_int]. *)
 
+val add_alts : Buffer.t -> int list -> unit
+(** Comma-separated resource ids, e.g. ["3,0"]. *)
+
 val add_req_fields :
   Buffer.t -> first:int -> alternatives:int list -> deadline:int -> unit
 (** ["<first> <alts> <deadline>"] — [first] is the arrival round in a
@@ -41,9 +44,6 @@ val render_with : (Buffer.t -> 'a -> unit) -> 'a -> string
     string: [add] writes into a buffer private to the calling domain,
     so the only allocation is the result.  [add] must not call
     [render_with] itself. *)
-
-val render_alts : int list -> string
-(** Comma-separated resource ids, e.g. ["3,0"]. *)
 
 (** {2 Scanning}
 
@@ -59,7 +59,7 @@ val render_alts : int list -> string
 
 exception Syntax of string
 (** A scanner's error; its message is the [Error] text that
-    {!parse_alts}, {!of_string} and [Serve.Protocol] return. *)
+    {!of_string}, [Serve.Protocol] and [Cluster.Wire] return. *)
 
 val field_end : string -> char -> int -> int -> int
 (** [field_end s c pos stop] is the index of the first [c] in
@@ -74,6 +74,12 @@ val scan_int : what:string -> string -> pos:int -> stop:int -> int
 (** The decimal integer spanning the range.
     @raise Syntax ["malformed <what> \"<field>\""] otherwise. *)
 
+val scan_alts : string -> pos:int -> stop:int -> int list
+(** The comma-separated alternative list spanning the range, in order;
+    inverse of {!add_alts}.
+    @raise Syntax on an empty list, or at the first field (left to
+    right) that is malformed, negative or a duplicate. *)
+
 val scan_req_fields :
   what:string -> string -> pos:int -> stop:int ->
   (int -> int list -> int -> 'a) -> 'a
@@ -85,11 +91,6 @@ val scan_req_fields :
     @raise Syntax unless there are exactly three space-separated fields,
     at the first bad field (first, alts, deadline), or on a deadline
     below 1. *)
-
-val parse_alts : string -> (int list, string) result
-(** The comma-separated alternative list, in order; inverse of
-    {!render_alts}.  [Error] on an empty list, or at the first field
-    (left to right) that is malformed, negative or a duplicate. *)
 
 val to_string : Instance.t -> string
 val of_string : string -> (Instance.t, string) result

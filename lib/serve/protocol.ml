@@ -135,11 +135,6 @@ let nonneg ~what s ~pos ~stop =
     raise (Codec.Syntax (Printf.sprintf "negative %s %d" what v));
   v
 
-let int_field ~what s =
-  match nonneg ~what s ~pos:0 ~stop:(String.length s) with
-  | v -> Ok v
-  | exception Codec.Syntax m -> Error m
-
 (* the result of a scan, its [Codec.Syntax] error as [Error] *)
 let scanned f line pos =
   match f line pos with

@@ -76,17 +76,3 @@ val is_terminal : server_msg -> bool
 
 val terminal_tag : server_msg -> int option
 (** The tag of a terminal response; [None] otherwise. *)
-
-(** {2 Grammar helpers}
-
-    Shared with [Cluster.Wire] so the inter-node grammar stays
-    byte-compatible with this one (same keyword framing, same integer
-    field rules) instead of drifting behind a private copy. *)
-
-val strip_keyword : keyword:string -> string -> string option
-(** [Some rest] when [line] is [keyword] alone (rest = [""]) or
-    [keyword ^ " " ^ rest]; [None] otherwise. *)
-
-val int_field : what:string -> string -> (int, string) result
-(** Non-negative decimal integer field ({!Sched.Codec.scan_int}); errors
-    name [what]. *)

@@ -1,8 +1,10 @@
 (* Tests for the cluster tier: ring placement properties, wire grammar
-   round-trips, live-path/simulator LDF parity, decision parity with
-   Localstrat across node layouts, the Theorem 3.7/3.8 budgets measured
-   over the wire, failure/rejoin semantics (zero lost terminals), and
-   the serve-mode integration. *)
+   round-trips and equivalence with the codec it replaced, the
+   carrier's allocation, live-path/simulator LDF parity, decision
+   parity with Localstrat across node layouts, the Theorem 3.7/3.8
+   budgets measured over the wire, failure/rejoin semantics (zero lost
+   terminals), metrics that mirror the stats, and the serve-mode
+   integration. *)
 
 module Request = Sched.Request
 module Instance = Sched.Instance
@@ -109,10 +111,10 @@ let reqinfo_gen =
 let env_gen data tagged =
   QCheck.Gen.(
     map
-      (fun (sender, dst, key) ->
-         let deadline_key = if key = 0 then max_int else key in
+      (fun (sender, dst, deadline_key) ->
          Wire.Data { Wire.sender; dst; deadline_key; tagged; data })
-      (tup3 (int_range 0 9999) (int_range 0 99) (int_range 0 2000)))
+      (tup3 (int_range 0 9999) (int_range 0 99)
+         (frequency [ (1, return max_int); (9, int_range 0 2000) ])))
 
 let wire_gen =
   QCheck.Gen.(
@@ -146,42 +148,428 @@ let wire_gen =
 
 let wire_arb = QCheck.make wire_gen ~print:Wire.render
 
+(* The model of the codec: the Printf renderer and the split-based
+   parser that Wire's buffer renderer and index scanner replaced, kept
+   verbatim.  [Wire.render] must match it byte for byte, and
+   [Wire.parse] must give the same [Ok] value or the same [Error] text
+   on every line. *)
+module Model = struct
+  open Wire
+
+  (* the helpers it borrowed from Serve.Protocol and Sched.Codec *)
+  let int_field ~what s =
+    match Sched.Codec.scan_int ~what s ~pos:0 ~stop:(String.length s) with
+    | v when v < 0 -> Error (Printf.sprintf "negative %s %d" what v)
+    | v -> Ok v
+    | exception Sched.Codec.Syntax m -> Error m
+
+  let strip_keyword ~keyword line =
+    let kl = String.length keyword in
+    if line = keyword then Some ""
+    else if String.starts_with ~prefix:(keyword ^ " ") line then
+      Some (String.sub line (kl + 1) (String.length line - kl - 1))
+    else None
+
+  let render_alts alts = String.concat "," (List.map string_of_int alts)
+
+  let parse_alts s =
+    match Sched.Codec.scan_alts s ~pos:0 ~stop:(String.length s) with
+    | alts -> Ok alts
+    | exception Sched.Codec.Syntax m -> Error m
+
+
+  let render_reqinfo ri =
+    Printf.sprintf "%d %s %d %d" ri.rid
+      (render_alts ri.alternatives)
+      ri.arrival ri.deadline
+
+  let render_key k = if k = max_int then "inf" else string_of_int k
+
+  let render_env_header keyword e =
+    Printf.sprintf "%s %d %d %s %c" keyword e.sender e.dst
+      (render_key e.deadline_key)
+      (if e.tagged then 't' else 'u')
+
+  let render_data e =
+    match e.data with
+    | Offer ri -> render_env_header "offer" e ^ " " ^ render_reqinfo ri
+    | Probe ri -> render_env_header "probe" e ^ " " ^ render_reqinfo ri
+    | Cancel { q; old_res; old_t } ->
+      Printf.sprintf "%s %d %d %d" (render_env_header "cancel" e) q old_res
+        old_t
+    | Rival ri -> render_env_header "rival" e ^ " " ^ render_reqinfo ri
+    | Swap { r; q } ->
+      Printf.sprintf "%s %d %s" (render_env_header "swap" e) r
+        (render_reqinfo q)
+    | Rehome { r; res } ->
+      Printf.sprintf "%s %d %s" (render_env_header "rehome" e) res
+        (render_reqinfo r)
+    | Loadq -> render_env_header "loadq" e
+    | Assign ri -> render_env_header "assign" e ^ " " ^ render_reqinfo ri
+
+  let render_reply = function
+    | Accept { q; res; slot } -> Printf.sprintf "accept %d %d %d" q res slot
+    | Full { q; res } -> Printf.sprintf "full %d %d" q res
+    | Ack { q; res } -> Printf.sprintf "ack %d %d" q res
+    | Freeat { q; res; slot } -> Printf.sprintf "freeat %d %d %d" q res slot
+    | Served { res; round; q } -> Printf.sprintf "served %d %d %d" res round q
+    | Pong { node; round } -> Printf.sprintf "pong %d %d" node round
+
+  let render_control = function
+    | Hello { node } -> Printf.sprintf "hello %s %d" version node
+    | Ping { round } -> Printf.sprintf "ping %d" round
+    | Join { node; round } -> Printf.sprintf "join %s %d %d" version node round
+    | Handoff { res; slots = [] } -> Printf.sprintf "handoff %d" res
+    | Handoff { res; slots } ->
+      Printf.sprintf "handoff %d %s" res
+        (String.concat ";"
+           (List.map
+              (fun (t, ri) -> Printf.sprintf "%d %s" t (render_reqinfo ri))
+              slots))
+
+  let render = function
+    | Data e -> render_data e
+    | Reply r -> render_reply r
+    | Control c -> render_control c
+
+
+  let ( let* ) = Result.bind
+
+  let parse_reqinfo ~what fields =
+    match fields with
+    | [ rid_s; alts_s; arrival_s; deadline_s ] ->
+      let* rid = int_field ~what:(what ^ " id") rid_s in
+      let* alternatives = parse_alts alts_s in
+      let* arrival = int_field ~what:"arrival" arrival_s in
+      let* deadline = int_field ~what:"deadline" deadline_s in
+      if deadline < 1 then Error (Printf.sprintf "deadline %d < 1" deadline)
+      else Ok { rid; alternatives; arrival; deadline }
+    | _ ->
+      Error
+        (Printf.sprintf "expected '<%s> <alts> <arrival> <deadline>'" what)
+
+  let parse_key s =
+    if s = "inf" then Ok max_int else int_field ~what:"deadline key" s
+
+  let parse_tag = function
+    | "t" -> Ok true
+    | "u" -> Ok false
+    | s -> Error (Printf.sprintf "malformed tag flag %S (want t or u)" s)
+
+  (* "<sender> <dst> <key> <t|u> rest..." *)
+  let parse_env rest ~payload =
+    match String.split_on_char ' ' rest with
+    | sender_s :: dst_s :: key_s :: tag_s :: payload_fields ->
+      let* sender = int_field ~what:"sender" sender_s in
+      let* dst = int_field ~what:"destination" dst_s in
+      let* deadline_key = parse_key key_s in
+      let* tagged = parse_tag tag_s in
+      let* data = payload payload_fields in
+      Ok (Data { sender; dst; deadline_key; tagged; data })
+    | _ -> Error "truncated envelope"
+
+  let reqinfo_payload ~what wrap fields =
+    let* ri = parse_reqinfo ~what fields in
+    Ok (wrap ri)
+
+  let parse_ints ~shape whats fields =
+    if List.length whats <> List.length fields then
+      Error (Printf.sprintf "expected '%s'" shape)
+    else
+      List.fold_right2
+        (fun what field acc ->
+           let* vs = acc in
+           let* v = int_field ~what field in
+           Ok (v :: vs))
+        whats fields (Ok [])
+
+  let parse_handoff rest =
+    let res_s, entries_s =
+      match String.index_opt rest ' ' with
+      | None -> (rest, "")
+      | Some i ->
+        ( String.sub rest 0 i,
+          String.sub rest (i + 1) (String.length rest - i - 1) )
+    in
+    let* res = int_field ~what:"resource" res_s in
+    if entries_s = "" then Ok (Control (Handoff { res; slots = [] }))
+    else
+      let* slots =
+        List.fold_right
+          (fun entry acc ->
+             let* slots = acc in
+             match String.split_on_char ' ' entry with
+             | t_s :: ri_fields ->
+               let* t = int_field ~what:"slot round" t_s in
+               let* ri = parse_reqinfo ~what:"request" ri_fields in
+               Ok ((t, ri) :: slots)
+             | [] -> Error "empty handoff entry")
+          (String.split_on_char ';' entries_s)
+          (Ok [])
+      in
+      Ok (Control (Handoff { res; slots }))
+
+  let parse_versioned ~keyword ~shape rest k =
+    match String.split_on_char ' ' rest with
+    | v :: fields when v = version -> k fields
+    | v :: _ when v <> version ->
+      Error
+        (Printf.sprintf "unsupported protocol version %S (want %s)" v version)
+    | _ -> Error (Printf.sprintf "expected '%s %s %s'" keyword version shape)
+
+  let keyword_table :
+    (string * (string -> (t, string) result)) list =
+    [
+      ( "offer",
+        fun rest -> parse_env rest ~payload:(reqinfo_payload ~what:"request"
+                                               (fun ri -> Offer ri)) );
+      ( "probe",
+        fun rest -> parse_env rest ~payload:(reqinfo_payload ~what:"request"
+                                               (fun ri -> Probe ri)) );
+      ( "cancel",
+        fun rest ->
+          parse_env rest ~payload:(fun fields ->
+              let* vs =
+                parse_ints ~shape:"<q> <old res> <old round>"
+                  [ "request"; "old resource"; "old round" ] fields
+              in
+              match vs with
+              | [ q; old_res; old_t ] -> Ok (Cancel { q; old_res; old_t })
+              | _ -> assert false) );
+      ( "rival",
+        fun rest -> parse_env rest ~payload:(reqinfo_payload ~what:"request"
+                                               (fun ri -> Rival ri)) );
+      ( "swap",
+        fun rest ->
+          parse_env rest ~payload:(fun fields ->
+              match fields with
+              | r_s :: ri_fields ->
+                let* r = int_field ~what:"occupant" r_s in
+                let* q = parse_reqinfo ~what:"request" ri_fields in
+                Ok (Swap { r; q })
+              | [] -> Error "truncated swap") );
+      ( "rehome",
+        fun rest ->
+          parse_env rest ~payload:(fun fields ->
+              match fields with
+              | res_s :: ri_fields ->
+                let* res = int_field ~what:"resource" res_s in
+                let* r = parse_reqinfo ~what:"request" ri_fields in
+                Ok (Rehome { r; res })
+              | [] -> Error "truncated rehome") );
+      ("loadq", fun rest -> parse_env rest ~payload:(function
+           | [] -> Ok Loadq
+           | _ -> Error "loadq carries no payload"));
+      ( "assign",
+        fun rest -> parse_env rest ~payload:(reqinfo_payload ~what:"request"
+                                               (fun ri -> Assign ri)) );
+      ( "accept",
+        fun rest ->
+          let* vs =
+            parse_ints ~shape:"accept <q> <res> <slot>"
+              [ "request"; "resource"; "slot" ]
+              (String.split_on_char ' ' rest)
+          in
+          match vs with
+          | [ q; res; slot ] -> Ok (Reply (Accept { q; res; slot }))
+          | _ -> assert false );
+      ( "full",
+        fun rest ->
+          let* vs =
+            parse_ints ~shape:"full <q> <res>" [ "request"; "resource" ]
+              (String.split_on_char ' ' rest)
+          in
+          match vs with
+          | [ q; res ] -> Ok (Reply (Full { q; res }))
+          | _ -> assert false );
+      ( "ack",
+        fun rest ->
+          let* vs =
+            parse_ints ~shape:"ack <q> <res>" [ "request"; "resource" ]
+              (String.split_on_char ' ' rest)
+          in
+          match vs with
+          | [ q; res ] -> Ok (Reply (Ack { q; res }))
+          | _ -> assert false );
+      ( "freeat",
+        fun rest ->
+          let* vs =
+            parse_ints ~shape:"freeat <q> <res> <slot>"
+              [ "request"; "resource"; "slot" ]
+              (String.split_on_char ' ' rest)
+          in
+          match vs with
+          | [ q; res; slot ] -> Ok (Reply (Freeat { q; res; slot }))
+          | _ -> assert false );
+      ( "served",
+        fun rest ->
+          let* vs =
+            parse_ints ~shape:"served <res> <round> <q>"
+              [ "resource"; "round"; "request" ]
+              (String.split_on_char ' ' rest)
+          in
+          match vs with
+          | [ res; round; q ] -> Ok (Reply (Served { res; round; q }))
+          | _ -> assert false );
+      ( "pong",
+        fun rest ->
+          let* vs =
+            parse_ints ~shape:"pong <node> <round>" [ "node"; "round" ]
+              (String.split_on_char ' ' rest)
+          in
+          match vs with
+          | [ node; round ] -> Ok (Reply (Pong { node; round }))
+          | _ -> assert false );
+      ( "hello",
+        fun rest ->
+          parse_versioned ~keyword:"hello" ~shape:"<node>" rest (function
+              | [ node_s ] ->
+                let* node = int_field ~what:"node" node_s in
+                Ok (Control (Hello { node }))
+              | _ -> Error "expected 'hello rsp/1 <node>'") );
+      ( "ping",
+        fun rest ->
+          let* round = int_field ~what:"round" rest in
+          Ok (Control (Ping { round })) );
+      ( "join",
+        fun rest ->
+          parse_versioned ~keyword:"join" ~shape:"<node> <round>" rest
+            (function
+              | [ node_s; round_s ] ->
+                let* node = int_field ~what:"node" node_s in
+                let* round = int_field ~what:"round" round_s in
+                Ok (Control (Join { node; round }))
+              | _ -> Error "expected 'join rsp/1 <node> <round>'") );
+      ("handoff", parse_handoff);
+    ]
+
+  let parse line =
+    let len = String.length line in
+    if len > max_line then
+      Error (Printf.sprintf "line too long (%d bytes, max %d)" len max_line)
+    else
+      let rec dispatch = function
+        | [] ->
+          let keyword =
+            match String.index_opt line ' ' with
+            | None -> line
+            | Some i -> String.sub line 0 i
+          in
+          Error (Printf.sprintf "unknown message %S" keyword)
+        | (keyword, handler) :: rest ->
+          (match strip_keyword ~keyword line with
+           | Some tail -> handler tail
+           | None -> dispatch rest)
+      in
+      dispatch keyword_table
+end
+
+
 let test_wire_roundtrip =
   qtest ~count:500 "wire messages round-trip" wire_arb (fun msg ->
       match Wire.parse (Wire.render msg) with
       | Ok parsed -> parsed = msg
       | Error e -> QCheck.Test.fail_reportf "parse failed: %s" e)
 
+let test_wire_render_matches_model =
+  qtest ~count:1000 "render is byte-identical to the model" wire_arb
+    (fun msg -> Wire.render msg = Model.render msg)
+
+(* a rendered line and single-byte edits of it: a byte replaced,
+   inserted or deleted, drawn from the grammar's own alphabet and from
+   arbitrary bytes; consecutive edits are also applied in pairs, so
+   that two fields can be bad at once *)
+type edit = Replace of int * char | Insert of int * char | Delete of int
+
+let apply_edit line = function
+  | Replace (i, c) ->
+    let i = i mod String.length line in
+    String.mapi (fun j x -> if j = i then c else x) line
+  | Insert (i, c) ->
+    let i = i mod (String.length line + 1) in
+    String.sub line 0 i ^ String.make 1 c
+    ^ String.sub line i (String.length line - i)
+  | Delete i ->
+    let i = i mod String.length line in
+    String.sub line 0 i ^ String.sub line (i + 1) (String.length line - i - 1)
+
+let edit_gen =
+  QCheck.Gen.(
+    let byte =
+      frequency
+        [ (4, oneofl (List.of_seq (String.to_seq "0123456789 ,;-tux")));
+          (1, oneofl [ 'i'; 'n'; 'f'; '+'; '_'; 'r'; '/'; 'a' ]);
+          (1, char) ]
+    in
+    oneof
+      [ map2 (fun i c -> Replace (i, c)) nat byte;
+        map2 (fun i c -> Insert (i, c)) nat byte;
+        map (fun i -> Delete i) nat ])
+
+let show_result = function
+  | Ok m -> "Ok " ^ Model.render m
+  | Error e -> "Error " ^ e
+
+let parse_agrees line =
+  let got = Wire.parse line and want = Model.parse line in
+  got = want
+  || QCheck.Test.fail_reportf "%S: parse gives %s, the model %s" line
+       (show_result got) (show_result want)
+
+let test_wire_parse_matches_model =
+  qtest ~count:1000 "parse agrees with the model on edited lines"
+    (QCheck.make
+       QCheck.Gen.(pair wire_gen (list_size (int_range 1 24) edit_gen))
+       ~print:(fun (m, _) -> Wire.render m))
+    (fun (msg, edits) ->
+       let line = Wire.render msg in
+       let rec pairs = function
+         | a :: (b :: _ as rest) ->
+           parse_agrees (apply_edit (apply_edit line a) b) && pairs rest
+         | [ _ ] | [] -> true
+       in
+       parse_agrees line
+       && List.for_all (fun e -> parse_agrees (apply_edit line e)) edits
+       && pairs edits)
+
 let test_wire_rejects () =
-  (match Wire.parse (String.make (Wire.max_line + 1) 'x') with
-   | Error _ -> ()
-   | Ok _ -> Alcotest.fail "oversize line accepted");
-  (match Wire.parse "hello rsp/0 3" with
-   | Error m ->
-     check Alcotest.bool "version named" true
-       (String.length m > 0
-        && String.index_opt m '0' <> None)
-   | Ok _ -> Alcotest.fail "bad hello version accepted");
-  (match Wire.parse "join rsp/9 1 4" with
-   | Error _ -> ()
-   | Ok _ -> Alcotest.fail "bad join version accepted");
+  let rejects line want =
+    match Wire.parse line with
+    | Error m -> check Alcotest.string (Printf.sprintf "%S" line) want m
+    | Ok _ -> Alcotest.failf "%S accepted" line
+  in
+  rejects (String.make (Wire.max_line + 1) 'x')
+    "line too long (65537 bytes, max 65536)";
   List.iter
-    (fun line ->
-       match Wire.parse line with
-       | Error _ -> ()
-       | Ok _ -> Alcotest.failf "%S accepted" line)
+    (fun (line, want) -> rejects line want)
     [
-      "";
-      "bogus 1 2 3";
-      "offer 1 2 3";               (* truncated envelope *)
-      "offer 1 2 3 u 4";           (* truncated reqinfo *)
-      "offer 1 2 3 x 4 0,1 0 2";   (* bad tag flag *)
-      "offer -1 2 3 u 4 0,1 0 2";  (* negative field *)
-      "offer 1 2 3 u 4 0,0 0 2";   (* duplicate alternatives *)
-      "offer 1 2 3 u 4 0,1 0 0";   (* zero deadline *)
-      "accept 1 2";                (* arity *)
-      "pong 1";
-      "handoff 3 0 4 0,1 0";       (* truncated handoff entry *)
+      ("hello rsp/0 3", "unsupported protocol version \"rsp/0\" (want rsp/1)");
+      ("join rsp/9 1 4", "unsupported protocol version \"rsp/9\" (want rsp/1)");
+      ("", "unknown message \"\"");
+      ("bogus 1 2 3", "unknown message \"bogus\"");
+      ("offer 1 2 3", "truncated envelope");
+      ("offer 1 2 3 u 4", "expected '<request> <alts> <arrival> <deadline>'");
+      ("offer 1 2 3 x 4 0,1 0 2", "malformed tag flag \"x\" (want t or u)");
+      ("offer -1 2 3 u 4 0,1 0 2", "negative sender -1");
+      ("offer 1 2 3 u 4 0,0 0 2", "duplicate resource 0");
+      ("offer 1 2 3 u 4 0,1 0 0", "deadline 0 < 1");
+      ("offer 1 2 inf u 4 0,1 x 2", "malformed arrival \"x\"");
+      ("swap 1 2 3 t", "truncated swap");
+      ("rehome 1 2 3 u", "truncated rehome");
+      ("loadq 1 2 3 u 4", "loadq carries no payload");
+      ("cancel 1 2 3 u 4 5", "expected '<q> <old res> <old round>'");
+      (* several bad integer fields: the last one names the error *)
+      ("cancel 1 2 3 u x y z", "malformed old round \"z\"");
+      ("accept 1 2", "expected 'accept <q> <res> <slot>'");
+      ("accept x y 3", "malformed resource \"y\"");
+      ("pong 1", "expected 'pong <node> <round>'");
+      ("ping 1 2", "malformed round \"1 2\"");
+      ("hello rsp/1", "expected 'hello rsp/1 <node>'");
+      ("join rsp/1 1", "expected 'join rsp/1 <node> <round>'");
+      ("handoff 3 0 4 0,1 0",
+       "expected '<request> <alts> <arrival> <deadline>'");
+      (* the last bad handoff entry names the error *)
+      ("handoff 3 x 4 0,1 0 2;y 4 0,1 0 2", "malformed slot round \"y\"");
     ]
 
 let test_wire_oversize_via_render () =
@@ -290,6 +678,54 @@ let test_transport_dead_node_bounces () =
      && List.nth statuses 3 = Transport.Dead);
   check Alcotest.int "dead drops counted" 2
     (Transport.dropped_dead transport)
+
+(* The carrier's allocation, pinned just above the measured figures
+   (48.8 words per offer, 14 per reply): a per-message closure, list
+   copy, metrics update or Printf in the wire gate fails it.  The batch
+   is 64 offers over 16 resources at capacity 2, so most of them
+   bounce; the count includes each line, its re-parsed message, the
+   mailbox envelope and the result list. *)
+let minor_words_per iters per f =
+  f ();
+  let before = Gc.minor_words () in
+  for _ = 1 to iters do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int (iters * per)
+
+let test_transport_words () =
+  let pin what bound words =
+    if words > bound then
+      Alcotest.failf "%s allocates %.2f minor words (bound %.1f)" what words
+        bound
+  in
+  let transport = Transport.create ~n:16 ~capacity:2 () in
+  let offers =
+    List.init 64 (fun i ->
+        {
+          Wire.sender = 1000 + i;
+          dst = i mod 16;
+          deadline_key = 2000 + (i mod 5);
+          tagged = false;
+          data =
+            Wire.Offer
+              {
+                Wire.rid = 1000 + i;
+                alternatives = [ i mod 16; (i + 5) mod 16 ];
+                arrival = 1997;
+                deadline = 4;
+              };
+        })
+  in
+  pin "Transport.exchange per message" 49.5
+    (minor_words_per 200 64 (fun () ->
+         ignore
+           (Transport.exchange transport ~owner:(fun _ -> 0)
+              ~alive:(fun _ -> true) offers)));
+  let reply = Wire.Accept { q = 123456; res = 42; slot = 1999 } in
+  pin "Transport.respond per line" 14.5
+    (minor_words_per 10_000 1 (fun () ->
+         ignore (Transport.respond transport reply)))
 
 (* ------------------------------------------------------------------ *)
 (* decision parity with Localstrat across node layouts *)
@@ -577,6 +1013,75 @@ let test_kill_and_rejoin_loses_no_terminal () =
       Session.Proxy_global;
     ]
 
+(* The registry mirrors the session's own counters exactly, though it
+   is only updated once per step: a seeded 3-node run through a kill
+   and a rejoin, for every strategy. *)
+let test_metrics_mirror_stats () =
+  List.iter
+    (fun strategy ->
+       let kind = Session.kind_name strategy in
+       let metrics = Obs.Metrics.create () in
+       let session = Session.create ~metrics ~strategy ~nodes:3 ~n:12 ~d:6 () in
+       let rng = Rng.create ~seed:5 in
+       for round = 0 to 49 do
+         if round < 40 then
+           for _ = 1 to 6 do
+             let a = Rng.int rng 12 in
+             let b = (a + 1 + Rng.int rng 11) mod 12 in
+             match
+               Session.submit session ~alternatives:[ a; b ]
+                 ~deadline:(2 + Rng.int rng 5)
+             with
+             | Ok _ -> ()
+             | Error m -> Alcotest.failf "submit: %s" m
+           done;
+         if round = 12 then Session.kill session 1;
+         if round = 26 then Session.rejoin session 1;
+         ignore (Session.step session)
+       done;
+       let s = Session.stats session in
+       let fields =
+         [
+           ("cluster.comm_rounds", s.Session.comm_rounds_total);
+           ("cluster.comm_rounds_max", s.Session.comm_rounds_max);
+           ("cluster.msgs", s.Session.messages);
+           ("cluster.bounced", s.Session.bounced);
+           ("cluster.dropped_dead", s.Session.dropped_dead);
+           ("cluster.replies", s.Session.replies);
+           ("cluster.ctrl_msgs", s.Session.ctrl_msgs);
+           ("cluster.requests", s.Session.requests);
+           ("cluster.straddle", s.Session.straddled);
+           ("cluster.served", s.Session.served);
+           ("cluster.expired", s.Session.expired);
+           ("cluster.readmitted", s.Session.readmitted);
+           ("cluster.failovers", s.Session.failovers);
+           ("cluster.handoffs", s.Session.handoffs);
+           ("cluster.handoff_slots", s.Session.handoff_slots);
+           ("cluster.serve_conflicts", s.Session.serve_conflicts);
+         ]
+       in
+       List.iter
+         (fun (name, v) ->
+            check Alcotest.int (kind ^ ": " ^ name) v
+              (Obs.Metrics.counter metrics name))
+         fields;
+       List.iter
+         (fun (name, v) ->
+            match v with
+            | Obs.Metrics.Counter _
+              when String.starts_with ~prefix:"cluster." name
+                   && not (List.mem_assoc name fields) ->
+              Alcotest.failf "%s: counter %s has no stats field" kind name
+            | _ -> ())
+         (Obs.Metrics.snapshot metrics);
+       check Alcotest.bool (kind ^ ": failover ran") true
+         (s.Session.failovers = 1 && s.Session.dropped_dead > 0))
+    [
+      Session.Local_fix;
+      Session.Local_eager { compact = false };
+      Session.Proxy_global;
+    ]
+
 let test_layout_invariance_standalone () =
   (* the same submission schedule gives identical outcome sequences on
      every cluster shape: placement cannot change decisions *)
@@ -752,6 +1257,8 @@ let () =
       ( "wire",
         [
           test_wire_roundtrip;
+          test_wire_render_matches_model;
+          test_wire_parse_matches_model;
           Alcotest.test_case "rejects" `Quick test_wire_rejects;
           Alcotest.test_case "oversize handoff" `Quick
             test_wire_oversize_via_render;
@@ -761,6 +1268,8 @@ let () =
           test_net_transport_parity;
           Alcotest.test_case "dead node bounces" `Quick
             test_transport_dead_node_bounces;
+          Alcotest.test_case "allocation per message" `Quick
+            test_transport_words;
         ] );
       ( "parity",
         [
@@ -785,6 +1294,8 @@ let () =
           Alcotest.test_case "submit validation" `Quick
             test_session_submit_validation;
           Alcotest.test_case "node export" `Quick test_node_export;
+          Alcotest.test_case "metrics mirror the stats" `Quick
+            test_metrics_mirror_stats;
         ] );
       ( "serve",
         [

@@ -616,7 +616,12 @@ let prop_codec_scanner_matches_model =
         | fields -> Ok fields
         | exception Sched.Codec.Syntax m -> Error m)
        = model_req_fields s
-       && Sched.Codec.parse_alts s = model_alts s)
+       && (match
+             Sched.Codec.scan_alts s ~pos:0 ~stop:(String.length s)
+           with
+           | alts -> Ok alts
+           | exception Sched.Codec.Syntax m -> Error m)
+          = model_alts s)
 
 (* ------------------------------------------------------------------ *)
 (* live engine: differential against the batch engine *)

@@ -183,20 +183,26 @@ let test_protocol_rejects () =
          (Result.map ignore (Protocol.parse_server line)))
     bad_server;
   (* the decimal range is the int range, both ends *)
+  let exp_tag line =
+    match Protocol.parse_server line with
+    | Ok (Protocol.Expired { tag }) -> Ok tag
+    | Ok _ -> Error "not an expiry"
+    | Error m -> Error m
+  in
   check
     Alcotest.(result int string)
     "max_int tag" (Ok max_int)
-    (Protocol.int_field ~what:"tag" (string_of_int max_int));
+    (exp_tag ("exp " ^ string_of_int max_int));
   check
     Alcotest.(result int string)
     "min_int is negative, not malformed"
     (Error (Printf.sprintf "negative tag %d" min_int))
-    (Protocol.int_field ~what:"tag" (string_of_int min_int));
+    (exp_tag ("exp " ^ string_of_int min_int));
   check
     Alcotest.(result int string)
     "max_int + 1 overflows"
     (Error {|malformed tag "4611686018427387904"|})
-    (Protocol.int_field ~what:"tag" "4611686018427387904")
+    (exp_tag "exp 4611686018427387904")
 
 let test_terminal_classification () =
   let open Protocol in

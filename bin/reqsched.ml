@@ -162,21 +162,18 @@ let compare_cmd =
 (* exp *)
 
 let exp_cmd =
-  let action id quick runner csv metrics =
-    Cli.with_metrics metrics @@ fun metrics ->
+  let action id quick domains csv metrics =
+    Cli.with_metrics metrics @@ fun _ ->
     let catalog = Report.Experiments.catalog @ Report.Zoo.catalog in
     let* selected = if id = "all" then Ok catalog else Cli.select id catalog in
     Option.iter
       (fun dir -> if not (Sys.file_exists dir) then Sys.mkdir dir 0o755)
       csv;
-    (* the experiments enumerate their cases through the job runner;
-       everything else (Engine.run, Net.create, the streaming optimum)
-       still picks the registry up ambiently *)
+    Cli.catch_job_failure @@ fun () ->
     let failures =
-      Cli.with_runner ?metrics runner @@ fun ctx ->
       List.fold_left
         (fun failures (_, f) ->
-           let e = f ~ctx ~quick in
+           let e = f ?domains ~quick () in
            print_string (Report.Experiments.render e);
            Option.iter
              (fun dir ->
@@ -205,7 +202,7 @@ let exp_cmd =
   Cmd.v
     (Cmd.info "exp" ~doc:"Run reproduction experiments (DESIGN.md §3).")
     (Term.term_result'
-       Term.(const action $ id_arg $ Cli.quick $ Cli.runner $ csv_arg
+       Term.(const action $ id_arg $ Cli.quick $ Cli.jobs $ csv_arg
              $ Cli.metrics))
 
 (* ------------------------------------------------------------------ *)
@@ -237,7 +234,7 @@ let table1_cmd =
 (* sweep *)
 
 let sweep_cmd =
-  let action w score runner metrics =
+  let action w score domains metrics =
     Cli.with_metrics metrics @@ fun metrics ->
     (* a sweep cell is one table entry: pick a single objective *)
     let* mode =
@@ -261,47 +258,35 @@ let sweep_cmd =
            Ok ((load, inst) :: acc))
         loads (Ok [])
     in
-    (* one job per table cell (plus the optimum per load): each is
-       independently parallelised, cached and fault-isolated *)
-    let shared =
-      [
-        ("workload", w.Cli.name);
-        ("n", string_of_int w.n);
-        ("d", string_of_int w.d);
-        ("rounds", string_of_int w.rounds);
-        ("seed", string_of_int w.seed);
-      ]
+    (* one job per table cell, and one per load for its optimum *)
+    Cli.catch_job_failure @@ fun () ->
+    let opts =
+      Obs.Instrument.jobs ?domains ~family:"sweep"
+        (List.map
+           (fun (load, inst) ->
+              ( Printf.sprintf "opt/load=%.2f" load,
+                fun () -> Offline.Opt.value inst ))
+           insts)
     in
-    let batch =
-      List.concat_map
-        (fun (load, inst) ->
-           let lp = [ ("load", string_of_float load) ] in
-           Report.Jobs.job
-             ~name:(Printf.sprintf "opt/load=%.2f" load)
-             ~params:lp
-             (fun ~attempt:_ -> Report.Jobs.Int (Offline.Opt.value inst))
-           :: List.map
-             (fun sname ->
-                Report.Jobs.job
-                  ~name:(Printf.sprintf "%s/load=%.2f" sname load)
-                  ~params:(("strategy", sname) :: lp)
-                  (fun ~attempt:_ ->
-                     match
-                       Report.Registry.factory_of_name ~seed:w.seed ?metrics
-                         sname
-                     with
-                     | Error m -> failwith m
-                     | Ok factory ->
-                       let o = Sched.Engine.run ?metrics inst factory in
-                       (* the cached value is the whole score record,
-                          so any --score mode reads the same cache *)
-                       Report.Jobs.List
-                         (Report.Zoo.encode_scores (Analysis.Slo.of_outcome o))))
-             strategies)
-        insts
+    let scores =
+      Obs.Instrument.jobs ?domains ~family:"sweep"
+        (List.concat_map
+           (fun (load, inst) ->
+              List.map
+                (fun sname ->
+                   ( Printf.sprintf "%s/load=%.2f" sname load,
+                     fun () ->
+                       match
+                         Report.Registry.factory_of_name ~seed:w.seed ?metrics
+                           sname
+                       with
+                       | Error m -> failwith m
+                       | Ok factory ->
+                         Analysis.Slo.of_outcome
+                           (Sched.Engine.run ?metrics inst factory) ))
+                strategies)
+           insts)
     in
-    Cli.with_runner ?metrics runner @@ fun ctx ->
-    let outcomes = Report.Jobs.map ctx ~family:"sweep" ~shared batch in
     let table =
       Prelude.Texttable.create
         ~title:
@@ -313,37 +298,22 @@ let sweep_cmd =
         ~header:("load" :: "optimum" :: strategies)
         ()
     in
-    let per_load = 1 + List.length strategies in
+    let per_load = List.length strategies in
     List.iteri
-      (fun li (load, _) ->
-         match List.filteri (fun i _ -> i / per_load = li) outcomes with
-         | opt_o :: cell_os ->
-           let opt = Report.Jobs.int_value opt_o in
-           let cells =
-             List.map
-               (fun o ->
-                  Report.Jobs.cell o (fun _ ->
-                      let s = Report.Zoo.decode_scores o in
-                      let ratio =
-                        Report.Harness.ratio_of ~opt
-                          ~served:s.Analysis.Slo.served
-                      in
-                      match mode with
-                      | Analysis.Slo.Ratio -> Prelude.Texttable.cell_ratio ratio
-                      | m -> Analysis.Slo.mode_cell m ~ratio s))
-               cell_os
-           in
-           Prelude.Texttable.add_row table
-             (Printf.sprintf "%.1f" load
-              :: Report.Jobs.cell opt_o (function
-                | Report.Jobs.Int v -> string_of_int v
-                | _ -> "?")
-              :: cells)
-         | [] -> ())
-      insts;
+      (fun li ((load, _), opt) ->
+         let cells =
+           List.filteri (fun i _ -> i / per_load = li) scores
+           |> List.map (fun (s : Analysis.Slo.scores) ->
+               let ratio = Report.Harness.ratio_of ~opt ~served:s.served in
+               match mode with
+               | Analysis.Slo.Ratio -> Prelude.Texttable.cell_ratio ratio
+               | m -> Analysis.Slo.mode_cell m ~ratio s)
+         in
+         Prelude.Texttable.add_row table
+           (Printf.sprintf "%.1f" load :: string_of_int opt :: cells))
+      (List.combine insts opts);
     Prelude.Texttable.print table;
-    if Report.Jobs.failures ctx = [] then Ok ()
-    else Error "sweep completed with failed jobs"
+    Ok ()
   in
   (* the workload group without --load: the sweep sets it per row *)
   let workload =
@@ -357,7 +327,7 @@ let sweep_cmd =
          "Competitive ratio (or any --score objective) of representative \
           strategies across loads.")
     (Term.term_result'
-       Term.(const action $ workload $ Cli.score $ Cli.runner $ Cli.metrics))
+       Term.(const action $ workload $ Cli.score $ Cli.jobs $ Cli.metrics))
 
 (* ------------------------------------------------------------------ *)
 (* trace *)
@@ -900,7 +870,7 @@ let search_cmd =
   let module Sx = Search.Exhaustive in
   let module Cert = Search.Certificate in
   let action strategy budget n d per_round seed evals restarts phases emit
-      golden runner metrics =
+      golden domains metrics =
     Cli.with_metrics metrics @@ fun metrics ->
     let* strategies =
       if strategy = "all" then Ok Search.Game.strategies
@@ -931,26 +901,21 @@ let search_cmd =
            Printf.printf "emit     : %s\n" path)
         emit
     in
-    (* parse + replay a certificate rendered inside a job; the claims
-       printed above it are only trusted because this passes *)
+    (* replay a certificate found inside a job; the claims printed
+       above it are only trusted because this passes *)
     let recheck = function
-      | "" -> "none"
-      | s ->
-        (match Cert.parse s with
+      | None -> "none"
+      | Some c ->
+        (match Cert.check ?metrics c with
+         | Ok () -> "ok"
          | Error e ->
            incr problems;
-           "PARSE FAILED: " ^ e
-         | Ok c ->
-           (match Cert.check ?metrics c with
-            | Ok () -> "ok"
-            | Error e ->
-              incr problems;
-              "FAILED: " ^ e))
+           "FAILED: " ^ e)
     in
+    Cli.catch_job_failure @@ fun () ->
     (match tier with
      | Some `Guided ->
        let d = Option.value d ~default:3 in
-       Cli.with_runner ?metrics runner @@ fun ctx ->
        Printf.printf
          "search   : tier=guided n=%d d=%d seed=%d restarts=%d evals=%d \
           phases=%d\n"
@@ -960,9 +925,8 @@ let search_cmd =
             let cfg =
               Search.Attacker.config ~seed ~restarts ~evals ~phases ~n ~d ()
             in
-            let r = Search.Attacker.run ?metrics ~ctx ~strategy:strat cfg in
+            let r = Search.Attacker.run ?metrics ?domains ~strategy:strat cfg in
             let cert = r.Search.Attacker.certificate in
-            let rendered = Cert.render cert in
             Printf.printf
               "%s d=%d: guided best per-phase rate %s; certified instance \
                opt %d / alg %d (ratio %s) instances=%d evals=%d \
@@ -973,7 +937,7 @@ let search_cmd =
               (Prelude.Rat.to_string (Cert.ratio cert))
               r.Search.Attacker.instances r.Search.Attacker.evals
               (List.length r.Search.Attacker.disagreements)
-              (recheck rendered);
+              (recheck (Some cert));
             if r.Search.Attacker.disagreements <> [] then begin
               problems :=
                 !problems + List.length r.Search.Attacker.disagreements;
@@ -994,7 +958,6 @@ let search_cmd =
        let ds = match d with Some d -> [ d ] | None -> [ 1; 2 ] in
        if golden then print_string (Sx.golden_table ?budget ~n ~ds ())
        else begin
-         Cli.with_runner ?metrics runner @@ fun ctx ->
          Printf.printf
            "search   : tier=exhaustive n=%d ds=%s budget=%d per-round=%d \
             strategies=%s\n"
@@ -1011,79 +974,44 @@ let search_cmd =
                 List.map (fun (s : Search.Game.strategy) -> (d, s)) strategies)
              ds
          in
-         let job_of (d, (strat : Search.Game.strategy)) =
-           Report.Jobs.job
-             ~name:(Printf.sprintf "%s-d%d" strat.Search.Game.key d)
-             ~params:
-               [ ("strategy", strat.Search.Game.name);
-                 ("n", string_of_int n); ("d", string_of_int d);
-                 ("budget", string_of_int (Option.value budget ~default:4));
-                 ("per_round", string_of_int per_round) ]
-             (fun ~attempt:_ ->
-                let cfg = Sx.config ?budget ~per_round ~n ~d () in
-                let r = Sx.run ~strategy:strat cfg in
-                let best =
-                  match r.Sx.best with
-                  | Some f ->
-                    Report.Jobs.List
-                      [ Report.Jobs.Rat f.Sx.ratio;
-                        Report.Jobs.Int f.Sx.opt;
-                        Report.Jobs.Int f.Sx.alg ]
-                  | None -> Report.Jobs.List []
-                in
-                Report.Jobs.List
-                  [ best;
-                    Report.Jobs.Str
-                      (match Sx.certificate r with
-                       | Some c -> Cert.render c
-                       | None -> "");
-                    Report.Jobs.Int r.Sx.nodes;
-                    Report.Jobs.Int r.Sx.transpositions;
-                    Report.Jobs.Int (List.length r.Sx.disagreements) ])
-         in
-         let outcomes =
-           Report.Jobs.map ctx ~family:"search.exhaustive"
-             (List.map job_of cases)
+         let results =
+           Obs.Instrument.jobs ?domains ~family:"search.exhaustive"
+             (List.map
+                (fun (d, (strat : Search.Game.strategy)) ->
+                   ( Printf.sprintf "%s-d%d" strat.Search.Game.key d,
+                     fun () ->
+                       Sx.run ~strategy:strat
+                         (Sx.config ?budget ~per_round ~n ~d ()) ))
+                cases)
          in
          List.iter2
-           (fun (d, (strat : Search.Game.strategy)) outcome ->
+           (fun (d, (strat : Search.Game.strategy)) (r : Sx.result) ->
               let name = strat.Search.Game.name in
-              match outcome with
-              | Report.Jobs.Done
-                  (Report.Jobs.List
-                     [ Report.Jobs.List
-                         [ Report.Jobs.Rat ratio; Report.Jobs.Int opt;
-                           Report.Jobs.Int alg ];
-                       Report.Jobs.Str cert; Report.Jobs.Int nodes;
-                       Report.Jobs.Int transpositions;
-                       Report.Jobs.Int disagreements ]) ->
+              match r.best with
+              | None ->
+                incr problems;
+                Printf.printf "%s d=%d: empty search tree\n" name d
+              | Some f ->
+                let disagreements = List.length r.disagreements in
                 if disagreements > 0 then
                   problems := !problems + disagreements;
+                let cert = Sx.certificate r in
                 Printf.printf
                   "%s d=%d: found ratio %s (opt %d / alg %d) nodes=%d \
                    transpositions=%d disagreements=%d cert=%s\n"
                   name d
-                  (Prelude.Rat.to_string ratio)
-                  opt alg nodes transpositions disagreements
+                  (Prelude.Rat.to_string f.ratio)
+                  f.opt f.alg r.nodes r.transpositions disagreements
                   (recheck cert);
-                let verdict = Sx.verdict ~d ~strategy_name:name ratio in
+                let verdict = Sx.verdict ~d ~strategy_name:name f.ratio in
                 Printf.printf "%s d=%d: %s\n" name d verdict;
                 if String.starts_with ~prefix:"EXCEEDS" verdict then
                   incr problems;
-                (match Cert.parse cert with
-                 | Ok c ->
-                   emit_cert
-                     (Printf.sprintf "%s-n%d-d%d" strat.Search.Game.key n d)
-                     c
-                 | Error _ -> ())
-              | Report.Jobs.Done _ ->
-                incr problems;
-                Printf.printf "%s d=%d: malformed job result\n" name d
-              | Report.Jobs.Failed f ->
-                incr problems;
-                Printf.printf "%s d=%d: FAILED: %s\n" name d
-                  f.Report.Jobs.message)
-           cases outcomes
+                Option.iter
+                  (emit_cert
+                     (Printf.sprintf "%s-n%d-d%d" strat.Search.Game.key n d))
+                  cert)
+           cases results
        end);
     if !problems = 0 then Ok ()
     else Error (Printf.sprintf "%d search problem(s)" !problems)
@@ -1157,7 +1085,7 @@ let search_cmd =
     (Term.term_result'
        Term.(const action $ strategy_arg $ budget_arg $ n_arg $ d_arg
              $ per_round_arg $ Cli.seed $ evals_arg $ restarts_arg
-             $ phases_arg $ emit_arg $ golden_arg $ Cli.runner $ Cli.metrics))
+             $ phases_arg $ emit_arg $ golden_arg $ Cli.jobs $ Cli.metrics))
 
 (* ------------------------------------------------------------------ *)
 

@@ -149,59 +149,39 @@ let with_metrics { fmt; out } k =
          r)
 
 (* ------------------------------------------------------------------ *)
-(* the job runner *)
+(* experiment jobs *)
 
-type runner = {
-  jobs : int option;
-  cache_dir : string option;
-  resume : bool;
-  retries : int;
-}
-
-let runner =
-  let jobs =
-    let doc =
-      "Worker domains for the experiment job runner (1 = serial; the \
+let jobs =
+  let domains =
+    let parse s =
+      match int_of_string_opt s with
+      | Some n when n >= 1 && n <= Prelude.Parmap.max_domains -> Ok n
+      | _ ->
+        Error
+          (`Msg
+             (Printf.sprintf "expected a domain count in 1..%d, got %S"
+                Prelude.Parmap.max_domains s))
+    in
+    Arg.conv (parse, Format.pp_print_int)
+  in
+  let doc =
+    Printf.sprintf
+      "Worker domains for the experiment jobs (1 = serial, at most %d; the \
        default picks a count suited to the machine).  Any value produces \
        byte-identical report output."
-    in
-    Arg.(value & opt (some int) None & info [ "jobs" ] ~docv:"N" ~doc)
+      Prelude.Parmap.max_domains
   in
-  let cache_dir =
-    let doc =
-      "Cache job results under $(docv) (content-addressed, created on \
-       demand).  Results are always written when set; pair with \
-       $(b,--resume) to also read them back."
-    in
-    Arg.(value & opt (some string) None
-         & info [ "cache-dir" ] ~docv:"DIR" ~doc)
-  in
-  let resume =
-    let doc =
-      "Answer jobs from the $(b,--cache-dir) cache when possible, \
-       recomputing only missing or corrupt entries — a killed run picks \
-       up where it left off."
-    in
-    Arg.(value & flag & info [ "resume" ] ~doc)
-  in
-  let retries =
-    let doc = "Extra attempts per failing job before recording the failure." in
-    Arg.(value & opt int 0 & info [ "retries" ] ~docv:"K" ~doc)
-  in
-  Term.(const (fun jobs cache_dir resume retries ->
-            { jobs; cache_dir; resume; retries })
-        $ jobs $ cache_dir $ resume $ retries)
+  Arg.(value & opt (some domains) None & info [ "jobs" ] ~docv:"N" ~doc)
 
-let with_runner ?metrics r k =
-  let ctx =
-    Report.Jobs.create ?domains:r.jobs ?cache_dir:r.cache_dir
-      ~resume:r.resume ~retries:r.retries ?metrics ()
-  in
-  let v = k ctx in
-  print_string (Report.Jobs.render_failures ctx);
-  print_endline (Report.Jobs.summary ctx);
-  Report.Jobs.finish ctx;
-  v
+let catch_job_failure k =
+  Printexc.record_backtrace true;
+  match k () with
+  | r -> r
+  | exception (Obs.Instrument.Job_failed _ as e) ->
+    let bt = Printexc.get_raw_backtrace () in
+    Error
+      (String.trim
+         (Printexc.to_string e ^ "\n" ^ Printexc.raw_backtrace_to_string bt))
 
 (* ------------------------------------------------------------------ *)
 (* experiment selection *)

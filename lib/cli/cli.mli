@@ -75,18 +75,18 @@ val with_metrics :
     it to [k] too (for callers the ambient fallback does not reach), and
     export its snapshot when [k] succeeds.  Without, [k None]. *)
 
-(** {2 The job runner} *)
+(** {2 Experiment jobs} *)
 
-type runner
+val jobs : int option Term.t
+(** [--jobs N]: worker domains for {!Obs.Instrument.jobs}.  [N] outside
+    [1 .. Prelude.Parmap.max_domains] is a usage error, so no domain is
+    ever asked of a runtime that cannot start it. *)
 
-val runner : runner Term.t
-(** [--jobs N --cache-dir DIR --resume --retries K]. *)
-
-val with_runner :
-  ?metrics:Obs.Metrics.t -> runner -> (Report.Jobs.ctx -> 'a) -> 'a
-(** Run [k] against a fresh {!Report.Jobs.ctx}, then print its failures
-    and summary line and flush its gauges, so a [--metrics] dump carries
-    [jobs.*] alongside the live counters. *)
+val catch_job_failure :
+  (unit -> ('a, string) result) -> ('a, string) result
+(** Run [k] with backtraces recorded; a {!Obs.Instrument.Job_failed}
+    escaping it becomes [Error] naming the family, the job and the
+    exception, followed by the backtrace from the job's raise point. *)
 
 (** {2 Experiment selection} *)
 

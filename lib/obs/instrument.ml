@@ -21,3 +21,27 @@ let parmap_mapi ?metrics ?domains f xs =
 
 let parmap_map ?metrics ?domains f xs =
   parmap_mapi ?metrics ?domains (fun _ x -> f x) xs
+
+exception Job_failed of { family : string; job : string; exn : exn }
+
+let () =
+  Printexc.register_printer (function
+    | Job_failed { family; job; exn } ->
+      Some
+        (Printf.sprintf "job %s/%s raised %s" family job
+           (Printexc.to_string exn))
+    | _ -> None)
+
+let jobs ?metrics ?domains ~family named =
+  (* backtrace recording is per domain: carry the caller's setting into
+     the workers, where the raise happens *)
+  let record = Printexc.backtrace_status () in
+  parmap_map ?metrics ?domains
+    (fun (job, f) ->
+       if record then Printexc.record_backtrace true;
+       match f () with
+       | v -> v
+       | exception exn ->
+         let bt = Printexc.get_raw_backtrace () in
+         Printexc.raise_with_backtrace (Job_failed { family; job; exn }) bt)
+    named

@@ -1,3 +1,5 @@
+let max_domains = 128
+
 let recommended_domains () =
   min 8 (max 1 (Domain.recommended_domain_count () - 1))
 

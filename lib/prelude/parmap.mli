@@ -10,6 +10,12 @@
     owns its instance, strategy state and RNG; the one shared cache, the
     Zipf CDF table, is mutex-protected). *)
 
+val max_domains : int
+(** [128]: OCaml 5.1's [Max_domains] on 64-bit ([caml/domain.h]), the
+    most domains one process may run at once, the calling one included.
+    Callers that take a domain count from the user check it against
+    this before anything spawns. *)
+
 val recommended_domains : unit -> int
 (** [max 1 (cpu count - 1)], capped at 8: leave a core for the runtime
     and avoid oversubscription on big machines. *)

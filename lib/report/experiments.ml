@@ -22,42 +22,36 @@ let scenario_factory
   make ?bias:(Some sc.Adversary.Scenario.bias) ()
 
 (* ------------------------------------------------------------------ *)
-(* job plumbing: every family enumerates its cases as Jobs and lets the
-   runner execute them (parallel, cached, fault-isolated); assembly of
-   tables and checks stays in the submitting domain.  A failed job
-   renders as FAILED and fails its check — it never aborts the rest of
-   the battery. *)
+(* every family enumerates its cases as named jobs and runs them through
+   Obs.Instrument.jobs (parallel, order-preserving); assembly of tables
+   and checks stays in the submitting domain.  A job that raises fails
+   the whole run, naming its family and job. *)
 
-let shared_of ~quick = [ ("quick", if quick then "1" else "0") ]
+let jobs = Obs.Instrument.jobs
 
 let pi = string_of_int
 
-let rat_cell_of o =
-  Jobs.cell o (function Jobs.Rat r -> Harness.rat_cell r | _ -> "?")
-
-let float_cell_of o =
-  Jobs.cell o (function Jobs.Float f -> Harness.float_cell f | _ -> "?")
-
 let yes_no ok = if ok then "yes" else "NO"
+
+(* the first [n] results and the rest *)
+let split_at n xs =
+  (List.filteri (fun i _ -> i < n) xs, List.filteri (fun i _ -> i >= n) xs)
 
 (* ------------------------------------------------------------------ *)
 (* T1.fix.lb - Theorem 2.1 *)
 
 let fix_lb_job ~d ~k =
-  Jobs.job
-    ~name:(Printf.sprintf "d=%d" d)
-    ~params:[ ("d", pi d); ("k", pi k) ]
-    (fun ~attempt:_ ->
-       Jobs.Rat
-         (Harness.asymptotic_ratio_exact
-            ~make:(fun phases -> Adversary.Thm21.make ~d ~phases)
-            ~factory:(scenario_factory Global.fix) ~k))
+  ( Printf.sprintf "d=%d" d,
+    fun () ->
+      Harness.asymptotic_ratio_exact
+        ~make:(fun phases -> Adversary.Thm21.make ~d ~phases)
+        ~factory:(scenario_factory Global.fix) ~k )
 
-let t1_fix_lb ~ctx ~quick =
+let t1_fix_lb ?domains ~quick () =
   let ds = if quick then [ 2; 4; 6 ] else [ 2; 3; 4; 6; 8; 12 ] in
   let k = if quick then 3 else 8 in
-  let outcomes =
-    Jobs.map ctx ~family:"T1.fix.lb" ~shared:(shared_of ~quick)
+  let ratios =
+    jobs ?domains ~family:"T1.fix.lb"
       (List.map (fun d -> fix_lb_job ~d ~k) ds)
   in
   let table =
@@ -68,13 +62,13 @@ let t1_fix_lb ~ctx ~quick =
   in
   let checks =
     List.map2
-      (fun d o ->
+      (fun d r ->
          let bound = Analysis.Bounds.fix_lb ~d in
-         let ok = Rat.equal (Jobs.rat_value o) bound in
+         let ok = Rat.equal r bound in
          Texttable.add_row table
-           [ pi d; Harness.rat_cell bound; rat_cell_of o; yes_no ok ];
+           [ pi d; Harness.rat_cell bound; Harness.rat_cell r; yes_no ok ];
          (Printf.sprintf "A_fix d=%d reaches 2-1/d exactly" d, ok))
-      ds outcomes
+      ds ratios
   in
   { id = "T1.fix.lb"; title = "A_fix lower bound (Thm 2.1)"; table; checks }
 
@@ -82,22 +76,19 @@ let t1_fix_lb ~ctx ~quick =
 (* T1.current.lb - Theorem 2.2 *)
 
 let current_lb_job ~ell ~d =
-  Jobs.job
-    ~name:(Printf.sprintf "ell=%d,d=%d" ell d)
-    ~params:[ ("ell", pi ell); ("d", pi d); ("k", "1") ]
-    (fun ~attempt:_ ->
-       Jobs.Float
-         (Harness.asymptotic_ratio
-            ~make:(fun phases -> Adversary.Thm22.make ~ell ~d ~phases)
-            ~factory:(scenario_factory Global.current) ~k:1))
+  ( Printf.sprintf "ell=%d,d=%d" ell d,
+    fun () ->
+      Harness.asymptotic_ratio
+        ~make:(fun phases -> Adversary.Thm22.make ~ell ~d ~phases)
+        ~factory:(scenario_factory Global.current) ~k:1 )
 
-let t1_current_lb ~ctx ~quick =
+let t1_current_lb ?domains ~quick () =
   let cases =
     if quick then [ (3, 6); (4, 12) ]
     else [ (3, 6); (4, 12); (5, 60); (6, 60) ]
   in
-  let outcomes =
-    Jobs.map ctx ~family:"T1.current.lb" ~shared:(shared_of ~quick)
+  let measured =
+    jobs ?domains ~family:"T1.current.lb"
       (List.map (fun (ell, d) -> current_lb_job ~ell ~d) cases)
   in
   let table =
@@ -111,27 +102,25 @@ let t1_current_lb ~ctx ~quick =
   in
   let checks =
     List.map2
-      (fun (ell, d) o ->
+      (fun (ell, d) m ->
          let reference =
            let alg = Adversary.Thm22.alg_lower_bound_per_phase ~ell ~d in
            float_of_int (ell * d) /. float_of_int alg
          in
-         let measured = Jobs.float_value o in
-         let ok = close ~tol:0.05 measured reference in
+         let ok = close ~tol:0.05 m reference in
          Texttable.add_row table
            [
              pi ell; pi d;
              Harness.float_cell reference;
-             float_cell_of o;
+             Harness.float_cell m;
              yes_no ok;
            ];
          (Printf.sprintf "A_current ell=%d tracks the drain argument" ell, ok))
-      cases outcomes
+      cases measured
   in
   let trend =
     (* the measured ratio must grow with ell toward e/(e-1); the same
        job results feed the rows above, so nothing is computed twice *)
-    let measured = List.map Jobs.float_value outcomes in
     let rec increasing = function
       | a :: (b :: _ as rest) -> a <= b +. 0.02 && increasing rest
       | _ -> true
@@ -153,32 +142,33 @@ let t1_current_lb ~ctx ~quick =
 (* T1.fixbal.lb - Theorems 2.3 / 2.4 *)
 
 let fixbal_lb_job ~d ~k =
-  Jobs.job
-    ~name:(Printf.sprintf "d=%d" d)
-    ~params:[ ("d", pi d); ("k", pi k) ]
-    (fun ~attempt:_ ->
-       Jobs.Rat
-         (Harness.asymptotic_ratio_exact
-            ~make:(fun phases -> Adversary.Thm23.make ~d ~phases)
-            ~factory:(scenario_factory Global.fix_balance) ~k))
+  ( Printf.sprintf "d=%d" d,
+    fun () ->
+      Harness.asymptotic_ratio_exact
+        ~make:(fun phases -> Adversary.Thm23.make ~d ~phases)
+        ~factory:(scenario_factory Global.fix_balance) ~k )
 
-let fixbal_d2_job ~k =
-  Jobs.job ~name:"d=2-thm24"
-    ~params:[ ("d", "2"); ("k", pi k) ]
-    (fun ~attempt:_ ->
-       Jobs.Rat
-         (Harness.asymptotic_ratio_exact
-            ~make:(fun phases -> Adversary.Thm24.make ~d:2 ~phases)
-            ~factory:(scenario_factory Global.fix_balance) ~k))
+(* Theorem 2.4's adversary at d = 2, against [make] *)
+let d2_thm24_job make ~k =
+  ( "d=2-thm24",
+    fun () ->
+      Harness.asymptotic_ratio_exact
+        ~make:(fun phases -> Adversary.Thm24.make ~d:2 ~phases)
+        ~factory:(scenario_factory make) ~k )
 
-let t1_fixbal_lb ~ctx ~quick =
+let t1_fixbal_lb ?domains ~quick () =
   let ds = if quick then [ 4; 6 ] else [ 4; 6; 8; 12 ] in
   let k = if quick then 3 else 6 in
-  let outcomes =
-    Jobs.map ctx ~family:"T1.fixbal.lb" ~shared:(shared_of ~quick)
-      (List.map (fun d -> fixbal_lb_job ~d ~k) ds @ [ fixbal_d2_job ~k ])
+  let ratios, d2_ratio =
+    match
+      split_at (List.length ds)
+        (jobs ?domains ~family:"T1.fixbal.lb"
+           (List.map (fun d -> fixbal_lb_job ~d ~k) ds
+            @ [ d2_thm24_job Global.fix_balance ~k ]))
+    with
+    | ratios, [ d2 ] -> (ratios, d2)
+    | _ -> assert false
   in
-  let d2_outcome = List.nth outcomes (List.length ds) in
   let table =
     Texttable.create
       ~title:
@@ -189,24 +179,23 @@ let t1_fixbal_lb ~ctx ~quick =
   in
   let checks =
     List.map2
-      (fun d o ->
+      (fun d r ->
          let bound = Analysis.Bounds.fix_balance_lb ~d in
-         let ok = Rat.equal (Jobs.rat_value o) bound in
+         let ok = Rat.equal r bound in
          Texttable.add_row table
-           [ pi d; Harness.rat_cell bound; rat_cell_of o; yes_no ok ];
+           [ pi d; Harness.rat_cell bound; Harness.rat_cell r; yes_no ok ];
          (Printf.sprintf "A_fix_balance d=%d reaches 3d/(2d+2)" d, ok))
-      ds
-      (List.filteri (fun i _ -> i < List.length ds) outcomes)
+      ds ratios
   in
   (* d = 2: Theorem 2.4's adversary applies to A_fix_balance *)
   let d2 =
     let bound = Rat.make 4 3 in
-    let ok = Rat.equal (Jobs.rat_value d2_outcome) bound in
+    let ok = Rat.equal d2_ratio bound in
     Texttable.add_row table
       [
         "2 (Thm 2.4)";
         Harness.rat_cell bound;
-        rat_cell_of d2_outcome;
+        Harness.rat_cell d2_ratio;
         yes_no ok;
       ];
     ("A_fix_balance d=2 reaches 4/3 (Thm 2.4)", ok)
@@ -222,20 +211,17 @@ let t1_fixbal_lb ~ctx ~quick =
 (* T1.eager.lb - Theorem 2.4 *)
 
 let eager_lb_job ~d ~k =
-  Jobs.job
-    ~name:(Printf.sprintf "d=%d" d)
-    ~params:[ ("d", pi d); ("k", pi k) ]
-    (fun ~attempt:_ ->
-       Jobs.Rat
-         (Harness.asymptotic_ratio_exact
-            ~make:(fun phases -> Adversary.Thm24.make ~d ~phases)
-            ~factory:(scenario_factory Global.eager) ~k))
+  ( Printf.sprintf "d=%d" d,
+    fun () ->
+      Harness.asymptotic_ratio_exact
+        ~make:(fun phases -> Adversary.Thm24.make ~d ~phases)
+        ~factory:(scenario_factory Global.eager) ~k )
 
-let t1_eager_lb ~ctx ~quick =
+let t1_eager_lb ?domains ~quick () =
   let ds = if quick then [ 2; 4 ] else [ 2; 4; 6; 8; 10 ] in
   let k = if quick then 3 else 6 in
-  let outcomes =
-    Jobs.map ctx ~family:"T1.eager.lb" ~shared:(shared_of ~quick)
+  let ratios =
+    jobs ?domains ~family:"T1.eager.lb"
       (List.map (fun d -> eager_lb_job ~d ~k) ds)
   in
   let table =
@@ -247,12 +233,12 @@ let t1_eager_lb ~ctx ~quick =
   let bound = Rat.make 4 3 in
   let checks =
     List.map2
-      (fun d o ->
-         let ok = Rat.equal (Jobs.rat_value o) bound in
+      (fun d r ->
+         let ok = Rat.equal r bound in
          Texttable.add_row table
-           [ pi d; Harness.rat_cell bound; rat_cell_of o; yes_no ok ];
+           [ pi d; Harness.rat_cell bound; Harness.rat_cell r; yes_no ok ];
          (Printf.sprintf "A_eager d=%d reaches 4/3" d, ok))
-      ds outcomes
+      ds ratios
   in
   { id = "T1.eager.lb"; title = "A_eager lower bound (Thm 2.4)"; table; checks }
 
@@ -260,26 +246,13 @@ let t1_eager_lb ~ctx ~quick =
 (* T1.bal.lb - Theorem 2.5 *)
 
 let bal_lb_job ~d ~groups ~intervals =
-  Jobs.job
-    ~name:(Printf.sprintf "d=%d,groups=%d" d groups)
-    ~params:
-      [ ("d", pi d); ("groups", pi groups); ("intervals", pi intervals) ]
-    (fun ~attempt:_ ->
-       Jobs.Float
-         (Harness.asymptotic_ratio
-            ~make:(fun k -> Adversary.Thm25.make ~d ~groups ~intervals:k)
-            ~factory:(scenario_factory Global.balance) ~k:intervals))
+  ( Printf.sprintf "d=%d,groups=%d" d groups,
+    fun () ->
+      Harness.asymptotic_ratio
+        ~make:(fun k -> Adversary.Thm25.make ~d ~groups ~intervals:k)
+        ~factory:(scenario_factory Global.balance) ~k:intervals )
 
-let bal_d2_job ~k =
-  Jobs.job ~name:"d=2-thm24"
-    ~params:[ ("d", "2"); ("k", pi k) ]
-    (fun ~attempt:_ ->
-       Jobs.Rat
-         (Harness.asymptotic_ratio_exact
-            ~make:(fun phases -> Adversary.Thm24.make ~d:2 ~phases)
-            ~factory:(scenario_factory Global.balance) ~k))
-
-let t1_bal_lb ~ctx ~quick =
+let t1_bal_lb ?domains ~quick () =
   let ds = if quick then [ 5 ] else [ 5; 8; 11 ] in
   let group_counts = if quick then [ 2; 6 ] else [ 2; 6; 12 ] in
   let intervals = if quick then 4 else 8 in
@@ -289,12 +262,15 @@ let t1_bal_lb ~ctx ~quick =
       (fun d -> List.map (fun groups -> (d, groups)) group_counts)
       ds
   in
-  let outcomes =
-    Jobs.map ctx ~family:"T1.bal.lb" ~shared:(shared_of ~quick)
-      (List.map (fun (d, groups) -> bal_lb_job ~d ~groups ~intervals) cases
-       @ [ bal_d2_job ~k:d2_k ])
+  let measured =
+    jobs ?domains ~family:"T1.bal.lb"
+      (List.map (fun (d, groups) -> bal_lb_job ~d ~groups ~intervals) cases)
   in
-  let d2_outcome = List.nth outcomes (List.length cases) in
+  let d2_ratio =
+    List.hd
+      (jobs ?domains ~family:"T1.bal.lb"
+         [ d2_thm24_job Global.balance ~k:d2_k ])
+  in
   let table =
     Texttable.create
       ~title:
@@ -307,7 +283,7 @@ let t1_bal_lb ~ctx ~quick =
   in
   let checks =
     List.map2
-      (fun (d, groups) o ->
+      (fun (d, groups) m ->
          let x = (d + 1) / 3 in
          let bound = Analysis.Bounds.balance_lb ~d in
          (* per interval and group: ALG 4x-1, OPT 5x-1; shared anchor
@@ -316,29 +292,28 @@ let t1_bal_lb ~ctx ~quick =
            float_of_int ((groups * ((5 * x) - 1)) + (4 * x))
            /. float_of_int ((groups * ((4 * x) - 1)) + (4 * x))
          in
-         let ok = close ~tol:0.02 (Jobs.float_value o) expect in
+         let ok = close ~tol:0.02 m expect in
          Texttable.add_row table
            [
              pi d; pi groups;
              Harness.rat_cell bound;
              Harness.float_cell expect;
-             float_cell_of o;
+             Harness.float_cell m;
              yes_no ok;
            ];
          (Printf.sprintf "A_balance d=%d groups=%d matches Thm 2.5" d groups,
           ok))
-      cases
-      (List.filteri (fun i _ -> i < List.length cases) outcomes)
+      cases measured
   in
   (* d = 2 via Theorem 2.4 *)
   let d2 =
-    let ok = Rat.equal (Jobs.rat_value d2_outcome) (Rat.make 4 3) in
+    let ok = Rat.equal d2_ratio (Rat.make 4 3) in
     Texttable.add_row table
       [
         "2 (Thm 2.4)"; "-";
         Harness.rat_cell (Rat.make 4 3);
         "-";
-        rat_cell_of d2_outcome;
+        Harness.rat_cell d2_ratio;
         yes_no ok;
       ];
     ("A_balance d=2 reaches 4/3 (Thm 2.4)", ok)
@@ -354,29 +329,27 @@ let t1_bal_lb ~ctx ~quick =
 (* T1.any.lb - Theorem 2.6 *)
 
 let any_lb_job ~d ~phases ~name ~mk =
-  Jobs.job
-    ~name:(Printf.sprintf "d=%d/%s" d name)
-    ~params:[ ("d", pi d); ("phases", pi phases); ("strategy", name) ]
-    (fun ~attempt:_ ->
-       (* doubling difference cancels the additive constant the
-          competitive definition allows *)
-       let run k =
-         let adv = Adversary.Thm26.create ~d ~phases:k in
-         let outcome =
-           Sched.Engine.run_adaptive ~n:Adversary.Thm26.n_resources ~d
-             ~last_arrival_round:
-               (Adversary.Thm26.last_arrival_round ~d ~phases:k)
-             ~adversary:(Adversary.Thm26.adversary adv)
-             (mk ?bias:None ())
-         in
-         ( Offline.Opt.value outcome.Sched.Outcome.instance,
-           outcome.Sched.Outcome.served )
-       in
-       let opt1, alg1 = run phases in
-       let opt2, alg2 = run (2 * phases) in
-       Jobs.Float (float_of_int (opt2 - opt1) /. float_of_int (alg2 - alg1)))
+  ( Printf.sprintf "d=%d/%s" d name,
+    fun () ->
+      (* doubling difference cancels the additive constant the
+         competitive definition allows *)
+      let run k =
+        let adv = Adversary.Thm26.create ~d ~phases:k in
+        let outcome =
+          Sched.Engine.run_adaptive ~n:Adversary.Thm26.n_resources ~d
+            ~last_arrival_round:
+              (Adversary.Thm26.last_arrival_round ~d ~phases:k)
+            ~adversary:(Adversary.Thm26.adversary adv)
+            (mk ?bias:None ())
+        in
+        ( Offline.Opt.value outcome.Sched.Outcome.instance,
+          outcome.Sched.Outcome.served )
+      in
+      let opt1, alg1 = run phases in
+      let opt2, alg2 = run (2 * phases) in
+      float_of_int (opt2 - opt1) /. float_of_int (alg2 - alg1) )
 
-let t1_any_lb ~ctx ~quick =
+let t1_any_lb ?domains ~quick () =
   let ds = if quick then [ 3; 6 ] else [ 3; 6; 9; 12 ] in
   let phases = if quick then 4 else 8 in
   let cases =
@@ -384,8 +357,8 @@ let t1_any_lb ~ctx ~quick =
       (fun d -> List.map (fun (name, mk) -> (d, name, mk)) Global.all)
       ds
   in
-  let outcomes =
-    Jobs.map ctx ~family:"T1.any.lb" ~shared:(shared_of ~quick)
+  let measured =
+    jobs ?domains ~family:"T1.any.lb"
       (List.map (fun (d, name, mk) -> any_lb_job ~d ~phases ~name ~mk) cases)
   in
   let table =
@@ -398,13 +371,16 @@ let t1_any_lb ~ctx ~quick =
   in
   let checks =
     List.map2
-      (fun (d, name, _) o ->
+      (fun (d, name, _) m ->
          let bound = Analysis.Bounds.universal_lb_finite ~d in
-         let ok = Jobs.float_value o >= Rat.to_float bound -. 1e-9 in
+         let ok = m >= Rat.to_float bound -. 1e-9 in
          Texttable.add_row table
-           [ pi d; name; Harness.rat_cell bound; float_cell_of o; yes_no ok ];
+           [
+             pi d; name; Harness.rat_cell bound; Harness.float_cell m;
+             yes_no ok;
+           ];
          (Printf.sprintf "universal bound holds for %s at d=%d" name d, ok))
-      cases outcomes
+      cases measured
   in
   {
     id = "T1.any.lb";
@@ -467,48 +443,29 @@ let ub_strategies ~d =
     ("A_balance", (fun ?bias () -> Global.balance ?bias ()), Analysis.Bounds.balance_ub ~d, 2);
   ]
 
+(* one job per battery element: its ratio, and whether the outcome
+   admits an augmenting path of the forbidden order *)
 let ub_job ~d ~name ~mk ~forbidden_order ~case (inst, bias) =
-  Jobs.job
-    ~name:(Printf.sprintf "d=%d/%s/case%d" d name case)
-    ~params:
-      [
-        ("d", pi d); ("strategy", name); ("case", pi case);
-        ("order", pi forbidden_order);
-      ]
-    (fun ~attempt:_ ->
-       let r = Harness.run_instance inst (mk ?bias:(Some bias) ()) in
-       Jobs.List
-         [
-           Jobs.Float r.Harness.ratio;
-           Jobs.Bool
-             (Analysis.Audit.has_augmenting_of_order r.Harness.outcome
-                ~order:forbidden_order);
-         ])
+  ( Printf.sprintf "d=%d/%s/case%d" d name case,
+    fun () ->
+      let r = Harness.run_instance inst (mk ?bias:(Some bias) ()) in
+      ( r.Harness.ratio,
+        Analysis.Audit.has_augmenting_of_order r.Harness.outcome
+          ~order:forbidden_order ) )
 
-(* one batch per (d, strategy): the shape Harness.parmap used to fan
-   out, now cached and fault-isolated per battery element *)
-let ub_measure ctx ~quick ~d ~name ~mk ~forbidden_order runs =
-  let outcomes =
-    Jobs.map ctx ~family:"T1.ub" ~shared:(shared_of ~quick)
+(* one batch per (d, strategy): the worst ratio and whether every
+   outcome passed the path audit *)
+let ub_measure ?domains ~d ~name ~mk ~forbidden_order runs =
+  let results =
+    jobs ?domains ~family:"T1.ub"
       (List.mapi
          (fun case run -> ub_job ~d ~name ~mk ~forbidden_order ~case run)
          runs)
   in
-  let worst =
-    List.fold_left
-      (fun acc o -> Float.max acc (Jobs.float_value (Jobs.nth o 0)))
-      0.0 outcomes
-  in
-  let audit_ok =
-    List.for_all
-      (fun o ->
-         (match o with Jobs.Done _ -> true | Jobs.Failed _ -> false)
-         && not (Jobs.bool_value (Jobs.nth o 1)))
-      outcomes
-  in
-  (worst, audit_ok)
+  ( List.fold_left (fun acc (ratio, _) -> Float.max acc ratio) 0.0 results,
+    List.for_all (fun (_, has_path) -> not has_path) results )
 
-let t1_upper_bounds ~ctx ~quick =
+let t1_upper_bounds ?domains ~quick () =
   let ds = if quick then [ 2; 4 ] else [ 2; 3; 4; 6; 8 ] in
   let table =
     Texttable.create
@@ -527,7 +484,7 @@ let t1_upper_bounds ~ctx ~quick =
        List.iter
          (fun (name, mk, ub, forbidden_order) ->
             let worst, audit_ok =
-              ub_measure ctx ~quick ~d ~name ~mk ~forbidden_order runs
+              ub_measure ?domains ~d ~name ~mk ~forbidden_order runs
             in
             let ok = worst <= Rat.to_float ub +. 1e-9 in
             Texttable.add_row table
@@ -571,66 +528,55 @@ let edf_tight_instance ~c ~rounds =
   in
   Sched.Instance.build ~n_resources:c ~d:1 protos
 
-let edf_baselines ~ctx ~quick =
+let edf_baselines ?domains ~quick () =
   let rounds = if quick then 40 else 200 in
   let single_cases = [ (21, 0.8); (22, 1.2) ] in
   let tight_cases = [ 2; 3; 4 ] in
   let random_cases = [ (23, 1.0); (24, 1.6) ] in
-  let jobs =
-    List.map
-      (fun (seed, load) ->
-         Jobs.job
-           ~name:(Printf.sprintf "single/seed=%d" seed)
-           ~params:
-             [ ("seed", pi seed); ("load", string_of_float load);
-               ("rounds", pi rounds) ]
-           (fun ~attempt:_ ->
-              let rng = Rng.create ~seed in
-              let inst =
-                Adversary.Random_workload.make ~rng ~n:6 ~d:4 ~rounds ~load
-                  ~alternatives:1 ()
-              in
-              let r = Harness.run_instance inst (Edf.independent ()) in
-              let edf_oracle = Offline.Opt.single_alternative_edf inst in
-              Jobs.List
-                [
-                  Jobs.Bool
-                    (r.Harness.outcome.Sched.Outcome.served = r.Harness.opt
-                     && edf_oracle = r.Harness.opt);
-                  Jobs.Float r.Harness.ratio;
-                ]))
-      single_cases
-    @ List.map
-        (fun c ->
-           Jobs.job
-             ~name:(Printf.sprintf "tight/c=%d" c)
-             ~params:[ ("c", pi c); ("rounds", pi rounds) ]
-             (fun ~attempt:_ ->
-                let inst = edf_tight_instance ~c ~rounds in
-                Jobs.Float
-                  (Harness.run_instance inst (Edf.independent ())).Harness.ratio))
-        tight_cases
-    @ List.map
-        (fun (seed, load) ->
-           Jobs.job
-             ~name:(Printf.sprintf "random/seed=%d" seed)
-             ~params:
-               [ ("seed", pi seed); ("load", string_of_float load);
-                 ("rounds", pi rounds) ]
-             (fun ~attempt:_ ->
+  (* (EDF optimal and the oracle agrees, ratio) per single-alternative
+     case *)
+  let singles =
+    jobs ?domains ~family:"E.edf"
+      (List.map
+         (fun (seed, load) ->
+            ( Printf.sprintf "single/seed=%d" seed,
+              fun () ->
                 let rng = Rng.create ~seed in
                 let inst =
                   Adversary.Random_workload.make ~rng ~n:6 ~d:4 ~rounds ~load
-                    ()
+                    ~alternatives:1 ()
                 in
-                Jobs.Float
-                  (Harness.run_instance inst (Edf.independent ())).Harness.ratio))
-        random_cases
+                let r = Harness.run_instance inst (Edf.independent ()) in
+                let edf_oracle = Offline.Opt.single_alternative_edf inst in
+                ( r.Harness.outcome.Sched.Outcome.served = r.Harness.opt
+                  && edf_oracle = r.Harness.opt,
+                  r.Harness.ratio ) ))
+         single_cases)
   in
-  let outcomes = Jobs.map ctx ~family:"E.edf" ~shared:(shared_of ~quick) jobs in
-  let singles = List.filteri (fun i _ -> i < 2) outcomes in
-  let tights = List.filteri (fun i _ -> i >= 2 && i < 5) outcomes in
-  let randoms = List.filteri (fun i _ -> i >= 5) outcomes in
+  let tights, randoms =
+    split_at (List.length tight_cases)
+      (jobs ?domains ~family:"E.edf"
+         (List.map
+            (fun c ->
+               ( Printf.sprintf "tight/c=%d" c,
+                 fun () ->
+                   let inst = edf_tight_instance ~c ~rounds in
+                   (Harness.run_instance inst (Edf.independent ()))
+                     .Harness.ratio ))
+            tight_cases
+          @ List.map
+              (fun (seed, load) ->
+                 ( Printf.sprintf "random/seed=%d" seed,
+                   fun () ->
+                     let rng = Rng.create ~seed in
+                     let inst =
+                       Adversary.Random_workload.make ~rng ~n:6 ~d:4 ~rounds
+                         ~load ()
+                     in
+                     (Harness.run_instance inst (Edf.independent ()))
+                       .Harness.ratio ))
+              random_cases))
+  in
   let table =
     Texttable.create
       ~title:
@@ -641,13 +587,12 @@ let edf_baselines ~ctx ~quick =
   let checks = ref [] in
   (* Obs 3.1: single alternative, ratio exactly 1 *)
   List.iter2
-    (fun (_, load) o ->
-       let ok = Jobs.bool_value (Jobs.nth o 0) in
+    (fun (_, load) (ok, ratio) ->
        Texttable.add_row table
          [
            Printf.sprintf "EDF c=1 load=%.1f" load;
            "1";
-           float_cell_of (Jobs.nth o 1);
+           Harness.float_cell ratio;
            yes_no ok;
          ];
        checks :=
@@ -656,26 +601,26 @@ let edf_baselines ~ctx ~quick =
     single_cases singles;
   (* Obs 3.2 tight example: exactly c *)
   List.iter2
-    (fun c o ->
-       let ok = Float.abs (Jobs.float_value o -. float_of_int c) < 1e-9 in
+    (fun c ratio ->
+       let ok = Float.abs (ratio -. float_of_int c) < 1e-9 in
        Texttable.add_row table
          [
            Printf.sprintf "EDF tight example c=%d" c;
            pi c;
-           float_cell_of o;
+           Harness.float_cell ratio;
            yes_no ok;
          ];
        checks := (Printf.sprintf "EDF exactly %d-competitive" c, ok) :: !checks)
     tight_cases tights;
   (* Obs 3.2 upper bound on random two-choice inputs *)
   List.iter2
-    (fun (_, load) o ->
-       let ok = Jobs.float_value o <= 2.0 +. 1e-9 in
+    (fun (_, load) ratio ->
+       let ok = ratio <= 2.0 +. 1e-9 in
        Texttable.add_row table
          [
            Printf.sprintf "EDF c=2 random load=%.1f" load;
            "<= 2";
-           float_cell_of o;
+           Harness.float_cell ratio;
            yes_no ok;
          ];
        checks :=
@@ -692,7 +637,7 @@ let edf_baselines ~ctx ~quick =
 (* ------------------------------------------------------------------ *)
 (* Local strategies - Theorems 3.7 / 3.8 *)
 
-let local_strategies ~ctx ~quick =
+let local_strategies ?domains ~quick () =
   let intervals = if quick then 5 else 20 in
   let rounds = if quick then 60 else 200 in
   let fix_ds = if quick then [ 2; 4 ] else [ 2; 4; 8 ] in
@@ -721,41 +666,28 @@ let local_strategies ~ctx ~quick =
       mk_random 32 1.5;
     ]
   in
-  let jobs =
-    List.map
-      (fun d ->
-         Jobs.job
-           ~name:(Printf.sprintf "fix/d=%d" d)
-           ~params:[ ("d", pi d); ("intervals", pi intervals) ]
-           (fun ~attempt:_ ->
-              let sc, priority = Adversary.Thm37.make ~d ~intervals in
-              let factory, stats = Local.fix_with_stats ~priority () in
-              let r = Harness.run_scenario sc factory in
-              let s = stats () in
-              Jobs.List
-                [ Jobs.Float r.Harness.ratio; Jobs.Int s.Local.comm_rounds_max ]))
-      fix_ds
-    @ List.map
-        (fun (_, jname, mk_inst) ->
-           Jobs.job
-             ~name:("eager/" ^ jname)
-             ~params:[ ("intervals", pi intervals); ("rounds", pi rounds) ]
-             (fun ~attempt:_ ->
-                let factory, stats = Local.eager_with_stats () in
-                let r = Harness.run_instance (mk_inst ()) factory in
-                let s = stats () in
-                Jobs.List
-                  [
-                    Jobs.Float r.Harness.ratio;
-                    Jobs.Int s.Local.comm_rounds_max;
-                  ]))
-        eager_cases
+  (* (ratio, max communication rounds) per case *)
+  let fixes, eagers =
+    split_at (List.length fix_ds)
+      (jobs ?domains ~family:"E.local"
+         (List.map
+            (fun d ->
+               ( Printf.sprintf "fix/d=%d" d,
+                 fun () ->
+                   let sc, priority = Adversary.Thm37.make ~d ~intervals in
+                   let factory, stats = Local.fix_with_stats ~priority () in
+                   let r = Harness.run_scenario sc factory in
+                   (r.Harness.ratio, (stats ()).Local.comm_rounds_max) ))
+            fix_ds
+          @ List.map
+              (fun (_, jname, mk_inst) ->
+                 ( "eager/" ^ jname,
+                   fun () ->
+                     let factory, stats = Local.eager_with_stats () in
+                     let r = Harness.run_instance (mk_inst ()) factory in
+                     (r.Harness.ratio, (stats ()).Local.comm_rounds_max) ))
+              eager_cases))
   in
-  let outcomes =
-    Jobs.map ctx ~family:"E.local" ~shared:(shared_of ~quick) jobs
-  in
-  let fixes = List.filteri (fun i _ -> i < List.length fix_ds) outcomes in
-  let eagers = List.filteri (fun i _ -> i >= List.length fix_ds) outcomes in
   let table =
     Texttable.create
       ~title:
@@ -768,17 +700,14 @@ let local_strategies ~ctx ~quick =
   let checks = ref [] in
   (* Thm 3.7 *)
   List.iter2
-    (fun d o ->
-       let ratio = Jobs.float_value (Jobs.nth o 0) in
-       let comm = Jobs.int_value (Jobs.nth o 1) in
+    (fun d (ratio, comm) ->
        let ok = Float.abs (ratio -. 2.0) < 1e-9 && comm <= 2 in
        Texttable.add_row table
          [
            Printf.sprintf "A_local_fix, Thm 3.7 adversary, d=%d" d;
            "2, 2 rounds";
-           float_cell_of (Jobs.nth o 0);
-           Jobs.cell (Jobs.nth o 1)
-             (function Jobs.Int i -> pi i | _ -> "?");
+           Harness.float_cell ratio;
+           pi comm;
            yes_no ok;
          ];
        checks :=
@@ -787,17 +716,14 @@ let local_strategies ~ctx ~quick =
     fix_ds fixes;
   (* Thm 3.8: battery *)
   List.iter2
-    (fun (label, _, _) o ->
-       let ratio = Jobs.float_value (Jobs.nth o 0) in
-       let comm = Jobs.int_value (Jobs.nth o 1) in
+    (fun (label, _, _) (ratio, comm) ->
        let ok = ratio <= (5.0 /. 3.0) +. 1e-9 && comm <= 9 in
        Texttable.add_row table
          [
            Printf.sprintf "A_local_eager, %s" label;
            "<= 5/3, <= 9 rounds";
-           float_cell_of (Jobs.nth o 0);
-           Jobs.cell (Jobs.nth o 1)
-             (function Jobs.Int i -> pi i | _ -> "?");
+           Harness.float_cell ratio;
+           pi comm;
            yes_no ok;
          ];
        checks :=
@@ -814,13 +740,7 @@ let local_strategies ~ctx ~quick =
 (* Figure: ratio vs d *)
 
 let ratio_vs_d_jobs ~d ~k =
-  let j name f =
-    Some
-      (Jobs.job
-         ~name:(Printf.sprintf "d=%d/%s" d name)
-         ~params:[ ("d", pi d); ("k", pi k) ]
-         (fun ~attempt:_ -> Jobs.Float (f ())))
-  in
+  let j name f = Some (Printf.sprintf "d=%d/%s" d name, f) in
   [
     j "fix" (fun () ->
         Harness.asymptotic_ratio
@@ -852,21 +772,19 @@ let ratio_vs_d_jobs ~d ~k =
      else None);
   ]
 
-let series_ratio_vs_d ~ctx ~quick =
+let series_ratio_vs_d ?domains ~quick () =
   let ds = if quick then [ 2; 4; 6 ] else [ 2; 4; 6; 8; 10; 12 ] in
   let k = if quick then 3 else 5 in
   let per_d = List.map (fun d -> (d, ratio_vs_d_jobs ~d ~k)) ds in
-  let jobs = List.concat_map (fun (_, js) -> List.filter_map Fun.id js) per_d in
-  let outcomes =
-    ref (Jobs.map ctx ~family:"F.ratio-vs-d" ~shared:(shared_of ~quick) jobs)
-  in
+  let named = List.concat_map (fun (_, js) -> List.filter_map Fun.id js) per_d in
+  let results = ref (jobs ?domains ~family:"F.ratio-vs-d" named) in
   let next = function
     | None -> None
     | Some _ -> (
-        match !outcomes with
-        | o :: rest ->
-          outcomes := rest;
-          Some o
+        match !results with
+        | r :: rest ->
+          results := rest;
+          Some r
         | [] -> assert false)
   in
   let table =
@@ -886,17 +804,15 @@ let series_ratio_vs_d ~ctx ~quick =
        | [ jfix; jfixbal; jeager; jbal ] ->
          let fix = next jfix and fixbal = next jfixbal in
          let eager = next jeager and bal = next jbal in
-         let fval = function
-           | Some o -> Jobs.float_value o
-           | None -> nan
-         in
+         let fval = Option.value ~default:nan in
+         let cell = function Some r -> Harness.float_cell r | None -> "-" in
          Texttable.add_row table
            [
              pi d;
-             (match fix with Some o -> float_cell_of o | None -> "-");
-             (match fixbal with Some o -> float_cell_of o | None -> "-");
-             (match eager with Some o -> float_cell_of o | None -> "-");
-             (match bal with Some o -> float_cell_of o | None -> "-");
+             cell fix;
+             cell fixbal;
+             cell eager;
+             cell bal;
              Harness.float_cell (Rat.to_float (Analysis.Bounds.fix_ub ~d));
              Harness.float_cell (Rat.to_float (Analysis.Bounds.eager_ub ~d));
            ];
@@ -918,7 +834,7 @@ let series_ratio_vs_d ~ctx ~quick =
 (* ------------------------------------------------------------------ *)
 (* Figure: average case *)
 
-let series_average_case ~ctx ~quick =
+let series_average_case ?domains ~quick () =
   let loads = if quick then [ 0.8; 1.2 ] else [ 0.6; 0.8; 1.0; 1.2; 1.5 ] in
   let profiles =
     if quick then [ ("uniform", None) ]
@@ -967,30 +883,19 @@ let series_average_case ~ctx ~quick =
                    List.map (fun seed -> (sname, mk, seed)) seeds)
                 strategies
             in
-            let outcomes =
-              Jobs.map ctx ~family:"F.avgcase" ~shared:(shared_of ~quick)
+            let ratios =
+              jobs ?domains ~family:"F.avgcase"
                 (List.map
                    (fun (sname, mk, seed) ->
-                      Jobs.job
-                        ~name:
-                          (Printf.sprintf "%s/load=%.1f/%s/seed=%d" pname
-                             load sname seed)
-                        ~params:
-                          [
-                            ("profile", pname);
-                            ("load", string_of_float load);
-                            ("strategy", sname);
-                            ("seed", pi seed);
-                            ("rounds", pi rounds);
-                          ]
-                        (fun ~attempt:_ ->
-                           let rng = Rng.create ~seed in
-                           let inst =
-                             Adversary.Random_workload.make ~rng ~n:8 ~d:4
-                               ~rounds ~load ?profile ()
-                           in
-                           Jobs.Float
-                             (Harness.run_instance inst (mk ())).Harness.ratio))
+                      ( Printf.sprintf "%s/load=%.1f/%s/seed=%d" pname load
+                          sname seed,
+                        fun () ->
+                          let rng = Rng.create ~seed in
+                          let inst =
+                            Adversary.Random_workload.make ~rng ~n:8 ~d:4
+                              ~rounds ~load ?profile ()
+                          in
+                          (Harness.run_instance inst (mk ())).Harness.ratio ))
                    tasks)
             in
             let per_seed = List.length seeds in
@@ -999,10 +904,9 @@ let series_average_case ~ctx ~quick =
                 (fun si _ ->
                    let stats = Prelude.Stats.create () in
                    List.iteri
-                     (fun i o ->
-                        if i / per_seed = si then
-                          Prelude.Stats.add stats (Jobs.float_value o))
-                     outcomes;
+                     (fun i r ->
+                        if i / per_seed = si then Prelude.Stats.add stats r)
+                     ratios;
                    Prelude.Stats.mean stats)
                 strategies
             in
@@ -1031,7 +935,7 @@ let series_average_case ~ctx ~quick =
 (* ------------------------------------------------------------------ *)
 (* Ablation: adversarial vs neutral vs random tie-break *)
 
-let ablation_bias ~ctx ~quick =
+let ablation_bias ?domains ~quick () =
   let k = if quick then 4 else 8 in
   let d = 4 in
   let cases =
@@ -1051,36 +955,31 @@ let ablation_bias ~ctx ~quick =
     ]
   in
   let modes = [ "adversarial"; "neutral"; "random" ] in
-  let jobs =
+  let named =
     List.concat_map
       (fun (name, (sc : Adversary.Scenario.t), mk) ->
          List.map
            (fun mode ->
-              Jobs.job
-                ~name:(Printf.sprintf "%s/%s" name mode)
-                ~params:[ ("adversary", name); ("mode", mode); ("k", pi k) ]
-                (fun ~attempt:_ ->
-                   let bias =
-                     match mode with
-                     | "adversarial" -> sc.bias
-                     | "neutral" -> Sched.Strategy.no_bias
-                     | _ ->
-                       let rng = Rng.create ~seed:99 in
-                       Strategies.Bias.random ~rng ~magnitude:8
-                   in
-                   Jobs.Float
-                     (Harness.run_instance sc.instance (mk ?bias:(Some bias) ()))
-                       .Harness.ratio))
+              ( Printf.sprintf "%s/%s" name mode,
+                fun () ->
+                  let bias =
+                    match mode with
+                    | "adversarial" -> sc.bias
+                    | "neutral" -> Sched.Strategy.no_bias
+                    | _ ->
+                      let rng = Rng.create ~seed:99 in
+                      Strategies.Bias.random ~rng ~magnitude:8
+                  in
+                  (Harness.run_instance sc.instance (mk ?bias:(Some bias) ()))
+                    .Harness.ratio ))
            modes)
       cases
   in
-  let outcomes =
-    ref (Jobs.map ctx ~family:"A.bias" ~shared:(shared_of ~quick) jobs)
-  in
+  let results = ref (jobs ?domains ~family:"A.bias" named) in
   let next3 () =
-    match !outcomes with
+    match !results with
     | a :: b :: c :: rest ->
-      outcomes := rest;
+      results := rest;
       (a, b, c)
     | _ -> assert false
   in
@@ -1097,10 +996,7 @@ let ablation_bias ~ctx ~quick =
   let checks = ref [] in
   List.iter
     (fun (name, (_ : Adversary.Scenario.t), mk) ->
-       let oa, on, orand = next3 () in
-       let adversarial = Jobs.float_value oa in
-       let neutral = Jobs.float_value on in
-       let random = Jobs.float_value orand in
+       let adversarial, neutral, random = next3 () in
        (* the adversarial tie-break is tuned against this strategy, so
           it must be at least as damaging as the alternatives *)
        let ok =
@@ -1110,9 +1006,9 @@ let ablation_bias ~ctx ~quick =
          [
            name;
            (mk ?bias:None () ~n:1 ~d:2).Sched.Strategy.name;
-           float_cell_of oa;
-           float_cell_of on;
-           float_cell_of orand;
+           Harness.float_cell adversarial;
+           Harness.float_cell neutral;
+           Harness.float_cell random;
            yes_no ok;
          ];
        checks :=
@@ -1129,7 +1025,7 @@ let ablation_bias ~ctx ~quick =
 (* ------------------------------------------------------------------ *)
 (* Ablation: the keep rule of A_eager *)
 
-let ablation_keep ~ctx ~quick =
+let ablation_keep ?domains ~quick () =
   let k = if quick then 4 else 8 in
   let rounds = if quick then 80 else 200 in
   let cases =
@@ -1149,36 +1045,34 @@ let ablation_keep ~ctx ~quick =
             ~profile:(Adversary.Random_workload.Zipf 1.3) () );
     ]
   in
-  let outcomes =
-    Jobs.map ctx ~family:"A.keep" ~shared:(shared_of ~quick)
+  (* (eager served, remax served, remax admits an order-2 path, remax
+     well-behaved) per workload *)
+  let results =
+    jobs ?domains ~family:"A.keep"
       (List.map
          (fun (_, jname, mk_inst) ->
-            Jobs.job ~name:jname
-              ~params:[ ("k", pi k); ("rounds", pi rounds) ]
-              (fun ~attempt:_ ->
-                 let inst = mk_inst () in
-                 let eager = Harness.run_instance inst (Global.eager ()) in
-                 let remax = Harness.run_instance inst (Global.remax ()) in
-                 let order2 =
-                   Analysis.Audit.has_augmenting_of_order remax.Harness.outcome
-                     ~order:2
-                 in
-                 (* both are maximal, so neither admits an order-1 path;
-                    remax stays consistent; and the keep rule never
-                    hurts A_eager here *)
-                 let ok =
-                   Sched.Outcome.is_consistent remax.Harness.outcome
-                   && not
-                        (Analysis.Audit.has_augmenting_of_order
-                           remax.Harness.outcome ~order:1)
-                 in
-                 Jobs.List
-                   [
-                     Jobs.Int eager.Harness.outcome.Sched.Outcome.served;
-                     Jobs.Int remax.Harness.outcome.Sched.Outcome.served;
-                     Jobs.Bool order2;
-                     Jobs.Bool ok;
-                   ]))
+            ( jname,
+              fun () ->
+                let inst = mk_inst () in
+                let eager = Harness.run_instance inst (Global.eager ()) in
+                let remax = Harness.run_instance inst (Global.remax ()) in
+                let order2 =
+                  Analysis.Audit.has_augmenting_of_order remax.Harness.outcome
+                    ~order:2
+                in
+                (* both are maximal, so neither admits an order-1 path;
+                   remax stays consistent; and the keep rule never
+                   hurts A_eager here *)
+                let ok =
+                  Sched.Outcome.is_consistent remax.Harness.outcome
+                  && not
+                       (Analysis.Audit.has_augmenting_of_order
+                          remax.Harness.outcome ~order:1)
+                in
+                ( eager.Harness.outcome.Sched.Outcome.served,
+                  remax.Harness.outcome.Sched.Outcome.served,
+                  order2,
+                  ok ) ))
          cases)
   in
   let table =
@@ -1193,21 +1087,12 @@ let ablation_keep ~ctx ~quick =
   in
   let checks = ref [] in
   List.iter2
-    (fun (name, _, _) o ->
-       let icell i =
-         Jobs.cell (Jobs.nth o i) (function Jobs.Int v -> pi v | _ -> "?")
-       in
-       let ok = Jobs.bool_value (Jobs.nth o 3) in
+    (fun (name, _, _) (eager, remax, order2, ok) ->
        Texttable.add_row table
-         [
-           name;
-           icell 0;
-           icell 1;
-           (if Jobs.bool_value (Jobs.nth o 2) then "yes" else "no");
-         ];
+         [ name; pi eager; pi remax; (if order2 then "yes" else "no") ];
        checks :=
          (Printf.sprintf "remax well-behaved on %s" name, ok) :: !checks)
-    cases outcomes;
+    cases results;
   {
     id = "A.keep";
     title = "Ablation: the keep rule";
@@ -1218,40 +1103,35 @@ let ablation_keep ~ctx ~quick =
 (* ------------------------------------------------------------------ *)
 (* Extension: power of c choices *)
 
-let power_of_choices ~ctx ~quick =
+let power_of_choices ?domains ~quick () =
   let rounds = if quick then 80 else 300 in
   let seeds = if quick then [ 61 ] else [ 61; 62; 63 ] in
   let cs = [ 1; 2; 3; 4 ] in
   let cases =
     List.concat_map (fun c -> List.map (fun seed -> (c, seed)) seeds) cs
   in
-  let outcomes =
-    Jobs.map ctx ~family:"F.choices" ~shared:(shared_of ~quick)
+  (* (optimum, A_balance served, EDF served, A_balance ratio) per case *)
+  let results =
+    jobs ?domains ~family:"F.choices"
       (List.map
          (fun (c, seed) ->
-            Jobs.job
-              ~name:(Printf.sprintf "c=%d/seed=%d" c seed)
-              ~params:
-                [ ("c", pi c); ("seed", pi seed); ("rounds", pi rounds) ]
-              (fun ~attempt:_ ->
-                 let rng = Rng.create ~seed in
-                 let base =
-                   Adversary.Random_workload.make ~rng ~n:8 ~d:4 ~rounds
-                     ~load:1.3 ~alternatives:4 ()
-                 in
-                 let inst = Sched.Instance.restrict_alternatives base ~max:c in
-                 let r = Harness.run_instance inst (Global.balance ()) in
-                 let edf =
-                   (Sched.Engine.run inst (Edf.independent ()))
-                     .Sched.Outcome.served
-                 in
-                 Jobs.List
-                   [
-                     Jobs.Int r.Harness.opt;
-                     Jobs.Int r.Harness.outcome.Sched.Outcome.served;
-                     Jobs.Int edf;
-                     Jobs.Float r.Harness.ratio;
-                   ]))
+            ( Printf.sprintf "c=%d/seed=%d" c seed,
+              fun () ->
+                let rng = Rng.create ~seed in
+                let base =
+                  Adversary.Random_workload.make ~rng ~n:8 ~d:4 ~rounds
+                    ~load:1.3 ~alternatives:4 ()
+                in
+                let inst = Sched.Instance.restrict_alternatives base ~max:c in
+                let r = Harness.run_instance inst (Global.balance ()) in
+                let edf =
+                  (Sched.Engine.run inst (Edf.independent ()))
+                    .Sched.Outcome.served
+                in
+                ( r.Harness.opt,
+                  r.Harness.outcome.Sched.Outcome.served,
+                  edf,
+                  r.Harness.ratio ) ))
          cases)
   in
   let table =
@@ -1272,17 +1152,14 @@ let power_of_choices ~ctx ~quick =
        and edf_s = Prelude.Stats.create ()
        and ratio_s = Prelude.Stats.create () in
        List.iter2
-         (fun (c', _) o ->
+         (fun (c', _) (opt, bal, edf, ratio) ->
             if c' = c then begin
-              Prelude.Stats.add opt_s
-                (float_of_int (Jobs.int_value (Jobs.nth o 0)));
-              Prelude.Stats.add bal_s
-                (float_of_int (Jobs.int_value (Jobs.nth o 1)));
-              Prelude.Stats.add edf_s
-                (float_of_int (Jobs.int_value (Jobs.nth o 2)));
-              Prelude.Stats.add ratio_s (Jobs.float_value (Jobs.nth o 3))
+              Prelude.Stats.add opt_s (float_of_int opt);
+              Prelude.Stats.add bal_s (float_of_int bal);
+              Prelude.Stats.add edf_s (float_of_int edf);
+              Prelude.Stats.add ratio_s ratio
             end)
-         cases outcomes;
+         cases results;
        means.(c) <-
          ( Prelude.Stats.mean opt_s,
            Prelude.Stats.mean bal_s,
@@ -1322,47 +1199,45 @@ let power_of_choices ~ctx ~quick =
 (* ------------------------------------------------------------------ *)
 (* Extension: greedy balls-into-bins baselines *)
 
-let greedy_baselines ~ctx ~quick =
+(* served requests and, for the greedy heuristics, their mean service
+   latency, at one load *)
+type greedy_row = {
+  g_opt : int;
+  two : int * float;
+  rnd : int * float;
+  ff : int * float;
+  g_fix : int;
+  g_bal : int;
+}
+
+let greedy_baselines ?domains ~quick () =
   let rounds = if quick then 80 else 300 in
   let loads = if quick then [ 1.0; 1.4 ] else [ 0.8; 1.0; 1.2; 1.4 ] in
-  let outcomes =
-    Jobs.map ctx ~family:"F.greedy" ~shared:(shared_of ~quick)
+  let rows =
+    jobs ?domains ~family:"F.greedy"
       (List.map
          (fun load ->
-            Jobs.job
-              ~name:(Printf.sprintf "load=%.1f" load)
-              ~params:
-                [ ("load", string_of_float load); ("rounds", pi rounds) ]
-              (fun ~attempt:_ ->
-                 let rng = Rng.create ~seed:85 in
-                 let inst =
-                   Adversary.Random_workload.make ~rng ~n:8 ~d:4 ~rounds ~load
-                     ()
-                 in
-                 let opt = Offline.Opt.value inst in
-                 let run factory =
-                   let o = Sched.Engine.run inst factory in
-                   (o.Sched.Outcome.served, Sched.Outcome.mean_latency o)
-                 in
-                 let two, two_lat =
-                   run (Strategies.Twochoice.least_loaded ())
-                 in
-                 let rnd, rnd_lat =
-                   let rng = Rng.create ~seed:86 in
-                   run (Strategies.Twochoice.random_choice ~rng ())
-                 in
-                 let ff, ff_lat = run (Strategies.Twochoice.first_fit ()) in
-                 let fix, _ = run (Global.fix ()) in
-                 let bal, _ = run (Global.balance ()) in
-                 Jobs.List
-                   [
-                     Jobs.Int opt;
-                     Jobs.Int two; Jobs.Float two_lat;
-                     Jobs.Int rnd; Jobs.Float rnd_lat;
-                     Jobs.Int ff; Jobs.Float ff_lat;
-                     Jobs.Int fix;
-                     Jobs.Int bal;
-                   ]))
+            ( Printf.sprintf "load=%.1f" load,
+              fun () ->
+                let rng = Rng.create ~seed:85 in
+                let inst =
+                  Adversary.Random_workload.make ~rng ~n:8 ~d:4 ~rounds ~load
+                    ()
+                in
+                let run factory =
+                  let o = Sched.Engine.run inst factory in
+                  (o.Sched.Outcome.served, Sched.Outcome.mean_latency o)
+                in
+                let g_opt = Offline.Opt.value inst in
+                let two = run (Strategies.Twochoice.least_loaded ()) in
+                let rnd =
+                  let rng = Rng.create ~seed:86 in
+                  run (Strategies.Twochoice.random_choice ~rng ())
+                in
+                let ff = run (Strategies.Twochoice.first_fit ()) in
+                let g_fix = fst (run (Global.fix ())) in
+                let g_bal = fst (run (Global.balance ())) in
+                { g_opt; two; rnd; ff; g_fix; g_bal } ))
          loads)
   in
   let table =
@@ -1380,38 +1255,28 @@ let greedy_baselines ~ctx ~quick =
   in
   let checks = ref [] in
   List.iter2
-    (fun load o ->
-       let iv i = Jobs.int_value (Jobs.nth o i) in
-       let icell i =
-         Jobs.cell (Jobs.nth o i) (function Jobs.Int v -> pi v | _ -> "?")
-       in
-       let lcell i =
-         Jobs.cell (Jobs.nth o i)
-           (function
-             | Jobs.Float f -> Texttable.cell_float ~decimals:2 f
-             | _ -> "?")
-       in
-       let opt = iv 0 and two = iv 1 and rnd = iv 3 and ff = iv 5 in
-       let fix = iv 7 and bal = iv 8 in
+    (fun load r ->
+       let (two, two_lat), (rnd, rnd_lat), (ff, ff_lat) = (r.two, r.rnd, r.ff) in
+       let lat = Texttable.cell_float ~decimals:2 in
        Texttable.add_row table
          [
            Printf.sprintf "%.1f" load;
-           icell 0;
-           icell 1; lcell 2;
-           icell 3; lcell 4;
-           icell 5; lcell 6;
-           icell 7;
-           icell 8;
+           pi r.g_opt;
+           pi two; lat two_lat;
+           pi rnd; lat rnd_lat;
+           pi ff; lat ff_lat;
+           pi r.g_fix;
+           pi r.g_bal;
          ];
        checks :=
          (Printf.sprintf "two-choice beats random choice at load %.1f" load,
-          two >= rnd && two > min_int)
+          two >= rnd)
          :: (Printf.sprintf "matching beats greedy at load %.1f" load,
-             bal >= two && fix >= rnd && bal > min_int)
+             r.g_bal >= two && r.g_fix >= rnd)
          :: (Printf.sprintf "optimum dominates everything at load %.1f" load,
-             opt >= bal && opt >= two && opt >= ff && opt > min_int)
+             r.g_opt >= r.g_bal && r.g_opt >= two && r.g_opt >= ff)
          :: !checks)
-    loads outcomes;
+    loads rows;
   {
     id = "F.greedy";
     title = "Extension: greedy baselines";
@@ -1422,42 +1287,34 @@ let greedy_baselines ~ctx ~quick =
 (* ------------------------------------------------------------------ *)
 (* Failure injection: local protocols on a lossy network *)
 
-let loss_robustness ~ctx ~quick =
+let loss_robustness ?domains ~quick () =
   let rounds = if quick then 80 else 250 in
   let losses =
     if quick then [ 0.0; 0.1; 0.3 ] else [ 0.0; 0.05; 0.1; 0.2; 0.4 ]
   in
-  let mk_inst () =
+  let inst =
     let rng = Rng.create ~seed:95 in
     Adversary.Random_workload.make ~rng ~n:6 ~d:4 ~rounds ~load:1.1 ()
   in
-  let inst = mk_inst () in
-  let jobs =
-    Jobs.job ~name:"opt"
-      ~params:[ ("rounds", pi rounds) ]
-      (fun ~attempt:_ -> Jobs.Int (Offline.Opt.value inst))
-    :: List.map
-      (fun loss ->
-         Jobs.job
-           ~name:(Printf.sprintf "loss=%.2f" loss)
-           ~params:
-             [ ("loss", string_of_float loss); ("rounds", pi rounds) ]
-           (fun ~attempt:_ ->
-              let fix = Sched.Engine.run inst (Local.fix ~loss ()) in
-              let eager = Sched.Engine.run inst (Local.eager ~loss ()) in
-              Jobs.List
-                [
-                  Jobs.Int fix.Sched.Outcome.served;
-                  Jobs.Int eager.Sched.Outcome.served;
-                  Jobs.Bool
-                    (Sched.Outcome.is_consistent fix
-                     && Sched.Outcome.is_consistent eager);
-                ]))
-      losses
+  let opt =
+    List.hd
+      (jobs ?domains ~family:"A.loss"
+         [ ("opt", fun () -> Offline.Opt.value inst) ])
   in
-  let outcomes = Jobs.map ctx ~family:"A.loss" ~shared:(shared_of ~quick) jobs in
-  let opt_o, loss_os =
-    match outcomes with o :: rest -> (o, rest) | [] -> assert false
+  (* (local_fix served, local_eager served, both consistent) per loss *)
+  let results =
+    jobs ?domains ~family:"A.loss"
+      (List.map
+         (fun loss ->
+            ( Printf.sprintf "loss=%.2f" loss,
+              fun () ->
+                let fix = Sched.Engine.run inst (Local.fix ~loss ()) in
+                let eager = Sched.Engine.run inst (Local.eager ~loss ()) in
+                ( fix.Sched.Outcome.served,
+                  eager.Sched.Outcome.served,
+                  Sched.Outcome.is_consistent fix
+                  && Sched.Outcome.is_consistent eager ) ))
+         losses)
   in
   let table =
     Texttable.create
@@ -1469,29 +1326,17 @@ let loss_robustness ~ctx ~quick =
       ()
   in
   let checks = ref [] in
-  let series =
-    List.map2
-      (fun loss o ->
-         let fix = Jobs.int_value (Jobs.nth o 0) in
-         let eager = Jobs.int_value (Jobs.nth o 1) in
-         Texttable.add_row table
-           [
-             Printf.sprintf "%.2f" loss;
-             Jobs.cell (Jobs.nth o 0)
-               (function Jobs.Int v -> pi v | _ -> "?");
-             Jobs.cell (Jobs.nth o 1)
-               (function Jobs.Int v -> pi v | _ -> "?");
-             Jobs.cell opt_o (function Jobs.Int v -> pi v | _ -> "?");
-           ];
-         checks :=
-           ( Printf.sprintf "outcomes stay consistent at loss %.2f" loss,
-             Jobs.bool_value (Jobs.nth o 2) )
-           :: !checks;
-         (loss, fix, eager))
-      losses loss_os
-  in
-  (match (series, List.rev series) with
-   | (_, fix0, eager0) :: _, (_, fix_worst, eager_worst) :: _ ->
+  List.iter2
+    (fun loss (fix, eager, consistent) ->
+       Texttable.add_row table
+         [ Printf.sprintf "%.2f" loss; pi fix; pi eager; pi opt ];
+       checks :=
+         ( Printf.sprintf "outcomes stay consistent at loss %.2f" loss,
+           consistent )
+         :: !checks)
+    losses results;
+  (match (results, List.rev results) with
+   | (fix0, eager0, _) :: _, (fix_worst, eager_worst, _) :: _ ->
      checks :=
        ("loss degrades local_fix", fix0 >= fix_worst)
        :: ("loss degrades local_eager", eager0 >= eager_worst)
@@ -1509,7 +1354,7 @@ let loss_robustness ~ctx ~quick =
 (* ------------------------------------------------------------------ *)
 (* Extension: replica placement under session traffic *)
 
-let placement_policies ~ctx ~quick =
+let placement_policies ?domains ~quick () =
   let rounds = if quick then 120 else 400 in
   let disks = 10 and items = 200 and d = 4 in
   let zipf = 1.2 in
@@ -1525,38 +1370,20 @@ let placement_policies ~ctx ~quick =
         Dataserver.Placement.striped ~disks ~items ~copies:2 );
     ]
   in
-  let outcomes =
-    Jobs.map ctx ~family:"F.placement" ~shared:(shared_of ~quick)
+  (* (load spread, run) per policy *)
+  let results =
+    jobs ?domains ~family:"F.placement"
       (List.map
          (fun (_, jname, placement) ->
-            Jobs.job ~name:jname
-              ~params:
-                [
-                  ("rounds", pi rounds); ("disks", pi disks);
-                  ("items", pi items); ("zipf", string_of_float zipf);
-                ]
-              (fun ~attempt:_ ->
-                 let rng = Rng.create ~seed:92 in
-                 let inst, _stats =
-                   Dataserver.Trace.sessions ~rng ~placement ~rounds
-                     ~arrivals_per_round:1.6 ~mean_length:7 ~d ~zipf ()
-                 in
-                 let r = Harness.run_instance inst (Global.balance ()) in
-                 let spread =
-                   Dataserver.Placement.load_spread placement ~popularity
-                 in
-                 let total =
-                   Sched.Instance.n_requests
-                     r.Harness.outcome.Sched.Outcome.instance
-                 in
-                 Jobs.List
-                   [
-                     Jobs.Float spread;
-                     Jobs.Int r.Harness.outcome.Sched.Outcome.served;
-                     Jobs.Int total;
-                     Jobs.Int r.Harness.opt;
-                     Jobs.Float r.Harness.ratio;
-                   ]))
+            ( jname,
+              fun () ->
+                let rng = Rng.create ~seed:92 in
+                let inst, _stats =
+                  Dataserver.Trace.sessions ~rng ~placement ~rounds
+                    ~arrivals_per_round:1.6 ~mean_length:7 ~d ~zipf ()
+                in
+                ( Dataserver.Placement.load_spread placement ~popularity,
+                  Harness.run_instance inst (Global.balance ()) ) ))
          policies)
   in
   let table =
@@ -1573,39 +1400,32 @@ let placement_policies ~ctx ~quick =
   in
   let checks = ref [] in
   List.iter2
-    (fun (name, _, _) o ->
-       let served = Jobs.int_value (Jobs.nth o 1) in
-       let total = Jobs.int_value (Jobs.nth o 2) in
+    (fun (name, _, _) (spread, (r : Harness.run)) ->
+       let served = r.outcome.Sched.Outcome.served in
+       let total = Sched.Instance.n_requests r.outcome.Sched.Outcome.instance in
        Texttable.add_row table
          [
            name;
-           Jobs.cell (Jobs.nth o 0)
-             (function
-               | Jobs.Float f -> Texttable.cell_float ~decimals:3 f
-               | _ -> "?");
-           Jobs.cell (Jobs.nth o 1)
-             (function Jobs.Int v -> pi v | _ -> "?");
-           Jobs.cell (Jobs.nth o 3)
-             (function Jobs.Int v -> pi v | _ -> "?");
-           float_cell_of (Jobs.nth o 4);
-           (if total > 0 && served > min_int then
+           Texttable.cell_float ~decimals:3 spread;
+           pi served;
+           pi r.opt;
+           Harness.float_cell r.ratio;
+           (if total > 0 then
               Printf.sprintf "%.2f"
                 (100.0 *. float_of_int (total - served) /. float_of_int total)
             else "?");
          ];
        checks :=
          ( Printf.sprintf "%s placement: scheduler tracks its optimum" name,
-           Jobs.float_value (Jobs.nth o 4) <= 1.1 )
+           r.ratio <= 1.1 )
          :: !checks)
-    policies outcomes;
+    policies results;
   (* random duplicated assignment must beat the chained layout, whose
      copies of consecutive (hence similarly hot) items share disks;
      carefully hand-tuned striping can match random on a fixed skew,
      but it has no such guarantee under catalogue churn *)
-  (match outcomes with
-   | o_random :: o_chained :: _ ->
-     let spread_random = Jobs.float_value (Jobs.nth o_random 0) in
-     let spread_chained = Jobs.float_value (Jobs.nth o_chained 0) in
+  (match results with
+   | (spread_random, _) :: (spread_chained, _) :: _ ->
      checks :=
        ( "random placement spreads load better than chained",
          spread_random <= spread_chained +. 0.05 )
@@ -1621,7 +1441,7 @@ let placement_policies ~ctx ~quick =
 (* ------------------------------------------------------------------ *)
 (* Extension: per-request deadlines *)
 
-let mixed_deadlines ~ctx ~quick =
+let mixed_deadlines ?domains ~quick () =
   let rounds = if quick then 60 else 200 in
   let single_seeds = [ 71; 72 ] in
   let struct_cases =
@@ -1633,59 +1453,41 @@ let mixed_deadlines ~ctx ~quick =
       ("A_local_fix", (fun () -> Local.fix ()), 1);
     ]
   in
-  let jobs =
-    List.map
-      (fun seed ->
-         Jobs.job
-           ~name:(Printf.sprintf "edf/seed=%d" seed)
-           ~params:[ ("seed", pi seed); ("rounds", pi rounds) ]
-           (fun ~attempt:_ ->
-              let rng = Rng.create ~seed in
-              let inst =
-                Adversary.Random_workload.make_mixed_deadlines ~rng ~n:5 ~d:4
-                  ~rounds ~load:1.1 ~alternatives:1 ()
-              in
-              let r = Harness.run_instance inst (Edf.independent ()) in
-              Jobs.List
-                [
-                  Jobs.Bool
-                    (r.Harness.outcome.Sched.Outcome.served = r.Harness.opt
-                     && Offline.Opt.single_alternative_edf inst = r.Harness.opt);
-                  Jobs.Float r.Harness.ratio;
-                ]))
-      single_seeds
-    @ List.map
-        (fun (name, mk, forbidden) ->
-           Jobs.job ~name:("struct/" ^ name)
-             ~params:
-               [ ("strategy", name); ("order", pi forbidden);
-                 ("rounds", pi rounds) ]
-             (fun ~attempt:_ ->
-                let rng = Rng.create ~seed:73 in
-                let inst =
-                  Adversary.Random_workload.make_mixed_deadlines ~rng ~n:5
-                    ~d:4 ~rounds ~load:1.2 ()
-                in
-                let r = Harness.run_instance inst (mk ()) in
-                Jobs.List
-                  [
-                    Jobs.Bool
-                      (Sched.Outcome.is_consistent r.Harness.outcome
+  (* (check passed, ratio) per case *)
+  let singles, structs =
+    split_at (List.length single_seeds)
+      (jobs ?domains ~family:"E.mixed"
+         (List.map
+            (fun seed ->
+               ( Printf.sprintf "edf/seed=%d" seed,
+                 fun () ->
+                   let rng = Rng.create ~seed in
+                   let inst =
+                     Adversary.Random_workload.make_mixed_deadlines ~rng ~n:5
+                       ~d:4 ~rounds ~load:1.1 ~alternatives:1 ()
+                   in
+                   let r = Harness.run_instance inst (Edf.independent ()) in
+                   ( r.Harness.outcome.Sched.Outcome.served = r.Harness.opt
+                     && Offline.Opt.single_alternative_edf inst
+                        = r.Harness.opt,
+                     r.Harness.ratio ) ))
+            single_seeds
+          @ List.map
+              (fun (name, mk, forbidden) ->
+                 ( "struct/" ^ name,
+                   fun () ->
+                     let rng = Rng.create ~seed:73 in
+                     let inst =
+                       Adversary.Random_workload.make_mixed_deadlines ~rng
+                         ~n:5 ~d:4 ~rounds ~load:1.2 ()
+                     in
+                     let r = Harness.run_instance inst (mk ()) in
+                     ( Sched.Outcome.is_consistent r.Harness.outcome
                        && not
                             (Analysis.Audit.has_augmenting_of_order
-                               r.Harness.outcome ~order:forbidden));
-                    Jobs.Float r.Harness.ratio;
-                  ]))
-        struct_cases
-  in
-  let outcomes =
-    Jobs.map ctx ~family:"E.mixed" ~shared:(shared_of ~quick) jobs
-  in
-  let singles =
-    List.filteri (fun i _ -> i < List.length single_seeds) outcomes
-  in
-  let structs =
-    List.filteri (fun i _ -> i >= List.length single_seeds) outcomes
+                               r.Harness.outcome ~order:forbidden),
+                       r.Harness.ratio ) ))
+              struct_cases))
   in
   let table =
     Texttable.create
@@ -1696,13 +1498,12 @@ let mixed_deadlines ~ctx ~quick =
   in
   let checks = ref [] in
   List.iter2
-    (fun seed o ->
-       let ok = Jobs.bool_value (Jobs.nth o 0) in
+    (fun seed (ok, ratio) ->
        Texttable.add_row table
          [
            Printf.sprintf "EDF c=1 mixed deadlines (seed %d)" seed;
            "1";
-           float_cell_of (Jobs.nth o 1);
+           Harness.float_cell ratio;
            yes_no ok;
          ];
        checks :=
@@ -1710,13 +1511,12 @@ let mixed_deadlines ~ctx ~quick =
          :: !checks)
     single_seeds singles;
   List.iter2
-    (fun (name, _, forbidden) o ->
-       let ok = Jobs.bool_value (Jobs.nth o 0) in
+    (fun (name, _, forbidden) (ok, ratio) ->
        Texttable.add_row table
          [
            Printf.sprintf "%s c=2 mixed deadlines" name;
            Printf.sprintf "no order-%d path" forbidden;
-           float_cell_of (Jobs.nth o 1);
+           Harness.float_cell ratio;
            yes_no ok;
          ];
        checks :=
@@ -1733,42 +1533,25 @@ let mixed_deadlines ~ctx ~quick =
 (* Table 1 summary - the golden snapshot *)
 
 (* A compact measured-vs-paper-bound recap of Table 1 at canonical
-   parameters.  Job keys coincide with the corresponding families', so
-   a cached battery answers the summary for free; the rendered quick
-   form is pinned byte-for-byte by the golden test, which is how ratio
+   parameters, built from the per-family jobs; the rendered quick form
+   is pinned byte-for-byte by the golden test, which is how ratio
    regressions fail loudly in `dune runtest`. *)
-let table1_summary ~ctx ~quick =
-  let shared = shared_of ~quick in
+let table1_summary ?domains ~quick () =
+  let one ~family job = List.hd (jobs ?domains ~family [ job ]) in
   let lb_k = if quick then 3 else 8 in
   let fb_k = if quick then 3 else 6 in
   let bal_intervals = if quick then 4 else 8 in
   let any_phases = if quick then 4 else 8 in
-  let fix_o =
-    List.hd
-      (Jobs.map ctx ~family:"T1.fix.lb" ~shared [ fix_lb_job ~d:4 ~k:lb_k ])
+  let fix_r = one ~family:"T1.fix.lb" (fix_lb_job ~d:4 ~k:lb_k) in
+  let current_r = one ~family:"T1.current.lb" (current_lb_job ~ell:3 ~d:6) in
+  let fixbal_r = one ~family:"T1.fixbal.lb" (fixbal_lb_job ~d:4 ~k:fb_k) in
+  let eager_r = one ~family:"T1.eager.lb" (eager_lb_job ~d:4 ~k:fb_k) in
+  let bal_r =
+    one ~family:"T1.bal.lb"
+      (bal_lb_job ~d:5 ~groups:2 ~intervals:bal_intervals)
   in
-  let current_o =
-    List.hd
-      (Jobs.map ctx ~family:"T1.current.lb" ~shared
-         [ current_lb_job ~ell:3 ~d:6 ])
-  in
-  let fixbal_o =
-    List.hd
-      (Jobs.map ctx ~family:"T1.fixbal.lb" ~shared
-         [ fixbal_lb_job ~d:4 ~k:fb_k ])
-  in
-  let eager_o =
-    List.hd
-      (Jobs.map ctx ~family:"T1.eager.lb" ~shared
-         [ eager_lb_job ~d:4 ~k:fb_k ])
-  in
-  let bal_o =
-    List.hd
-      (Jobs.map ctx ~family:"T1.bal.lb" ~shared
-         [ bal_lb_job ~d:5 ~groups:2 ~intervals:bal_intervals ])
-  in
-  let any_os =
-    Jobs.map ctx ~family:"T1.any.lb" ~shared
+  let any_rs =
+    jobs ?domains ~family:"T1.any.lb"
       (List.map
          (fun (name, mk) -> any_lb_job ~d:3 ~phases:any_phases ~name ~mk)
          Global.all)
@@ -1779,7 +1562,7 @@ let table1_summary ~ctx ~quick =
     List.map
       (fun (name, mk, ub, forbidden_order) ->
          let worst, audit_ok =
-           ub_measure ctx ~quick ~d:ub_d ~name ~mk ~forbidden_order runs
+           ub_measure ?domains ~d:ub_d ~name ~mk ~forbidden_order runs
          in
          (name, ub, worst, audit_ok))
       (ub_strategies ~d:ub_d)
@@ -1792,49 +1575,45 @@ let table1_summary ~ctx ~quick =
       ~header:[ "row"; "paper bound"; "measured"; "ok" ] ()
   in
   let checks = ref [] in
-  let lb_row label bound o =
-    let ok = Rat.equal (Jobs.rat_value o) bound in
+  let lb_row label bound r =
+    let ok = Rat.equal r bound in
     Texttable.add_row table
-      [ label; Harness.rat_cell bound; rat_cell_of o; yes_no ok ];
+      [ label; Harness.rat_cell bound; Harness.rat_cell r; yes_no ok ];
     checks := (label ^ " matches", ok) :: !checks
   in
-  lb_row "A_fix LB (d=4)" (Analysis.Bounds.fix_lb ~d:4) fix_o;
+  lb_row "A_fix LB (d=4)" (Analysis.Bounds.fix_lb ~d:4) fix_r;
   (let reference =
      let alg = Adversary.Thm22.alg_lower_bound_per_phase ~ell:3 ~d:6 in
      float_of_int (3 * 6) /. float_of_int alg
    in
-   let ok = close ~tol:0.05 (Jobs.float_value current_o) reference in
+   let ok = close ~tol:0.05 current_r reference in
    Texttable.add_row table
      [
        "A_current LB (ell=3,d=6)";
        Harness.float_cell reference;
-       float_cell_of current_o;
+       Harness.float_cell current_r;
        yes_no ok;
      ];
    checks := ("A_current LB (ell=3,d=6) matches", ok) :: !checks);
   lb_row "A_fix_balance LB (d=4)" (Analysis.Bounds.fix_balance_lb ~d:4)
-    fixbal_o;
-  lb_row "A_eager LB (d=4)" (Rat.make 4 3) eager_o;
+    fixbal_r;
+  lb_row "A_eager LB (d=4)" (Rat.make 4 3) eager_r;
   (let x = 2 in
    let expect =
      float_of_int ((2 * ((5 * x) - 1)) + (4 * x))
      /. float_of_int ((2 * ((4 * x) - 1)) + (4 * x))
    in
-   let ok = close ~tol:0.02 (Jobs.float_value bal_o) expect in
+   let ok = close ~tol:0.02 bal_r expect in
    Texttable.add_row table
      [
        "A_balance LB (d=5,groups=2)";
        Harness.float_cell expect;
-       float_cell_of bal_o;
+       Harness.float_cell bal_r;
        yes_no ok;
      ];
    checks := ("A_balance LB (d=5,groups=2) matches", ok) :: !checks);
   (let bound = Analysis.Bounds.universal_lb_finite ~d:3 in
-   let worst_strategy =
-     List.fold_left
-       (fun acc o -> Float.min acc (Jobs.float_value o))
-       infinity any_os
-   in
+   let worst_strategy = List.fold_left Float.min infinity any_rs in
    let ok = worst_strategy >= Rat.to_float bound -. 1e-9 in
    Texttable.add_row table
      [
@@ -1867,28 +1646,26 @@ let table1_summary ~ctx ~quick =
 
 let catalog =
   [
-    ("T1.fix.lb", fun ~ctx ~quick -> t1_fix_lb ~ctx ~quick);
-    ("T1.current.lb", fun ~ctx ~quick -> t1_current_lb ~ctx ~quick);
-    ("T1.fixbal.lb", fun ~ctx ~quick -> t1_fixbal_lb ~ctx ~quick);
-    ("T1.eager.lb", fun ~ctx ~quick -> t1_eager_lb ~ctx ~quick);
-    ("T1.bal.lb", fun ~ctx ~quick -> t1_bal_lb ~ctx ~quick);
-    ("T1.any.lb", fun ~ctx ~quick -> t1_any_lb ~ctx ~quick);
-    ("T1.ub", fun ~ctx ~quick -> t1_upper_bounds ~ctx ~quick);
-    ("T1.summary", fun ~ctx ~quick -> table1_summary ~ctx ~quick);
-    ("E.edf", fun ~ctx ~quick -> edf_baselines ~ctx ~quick);
-    ("E.local", fun ~ctx ~quick -> local_strategies ~ctx ~quick);
-    ("F.ratio-vs-d", fun ~ctx ~quick -> series_ratio_vs_d ~ctx ~quick);
-    ("F.avgcase", fun ~ctx ~quick -> series_average_case ~ctx ~quick);
-    ("A.bias", fun ~ctx ~quick -> ablation_bias ~ctx ~quick);
-    ("A.keep", fun ~ctx ~quick -> ablation_keep ~ctx ~quick);
-    ("F.choices", fun ~ctx ~quick -> power_of_choices ~ctx ~quick);
-    ("F.greedy", fun ~ctx ~quick -> greedy_baselines ~ctx ~quick);
-    ("F.placement", fun ~ctx ~quick -> placement_policies ~ctx ~quick);
-    ("A.loss", fun ~ctx ~quick -> loss_robustness ~ctx ~quick);
-    ("E.mixed", fun ~ctx ~quick -> mixed_deadlines ~ctx ~quick);
+    ("T1.fix.lb", t1_fix_lb);
+    ("T1.current.lb", t1_current_lb);
+    ("T1.fixbal.lb", t1_fixbal_lb);
+    ("T1.eager.lb", t1_eager_lb);
+    ("T1.bal.lb", t1_bal_lb);
+    ("T1.any.lb", t1_any_lb);
+    ("T1.ub", t1_upper_bounds);
+    ("T1.summary", table1_summary);
+    ("E.edf", edf_baselines);
+    ("E.local", local_strategies);
+    ("F.ratio-vs-d", series_ratio_vs_d);
+    ("F.avgcase", series_average_case);
+    ("A.bias", ablation_bias);
+    ("A.keep", ablation_keep);
+    ("F.choices", power_of_choices);
+    ("F.greedy", greedy_baselines);
+    ("F.placement", placement_policies);
+    ("A.loss", loss_robustness);
+    ("E.mixed", mixed_deadlines);
   ]
-
-let all ~ctx ~quick = List.map (fun (_, f) -> f ~ctx ~quick) catalog
 
 let render t =
   let buf = Buffer.create 1024 in

@@ -78,9 +78,6 @@ let asymptotic_ratio_exact ~make ~factory ~k =
   let dopt, dalg = diffs ~make ~factory ~k in
   Prelude.Rat.make dopt dalg
 
-let parmap ?metrics ?domains f xs =
-  Obs.Instrument.parmap_map ?metrics ?domains f xs
-
 let rat_cell r =
   Printf.sprintf "%s (%.4f)" (Prelude.Rat.to_string r)
     (Prelude.Rat.to_float r)

@@ -64,12 +64,6 @@ val asymptotic_ratio_exact :
   k:int -> Prelude.Rat.t
 (** As {!asymptotic_ratio}, as an exact rational. *)
 
-val parmap :
-  ?metrics:Obs.Metrics.t -> ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
-(** {!Prelude.Parmap.map} with domain-utilisation metrics
-    ({!Obs.Instrument.parmap_map}); the experiment fan-outs use this so
-    [parmap.*] counters appear whenever a registry is ambient. *)
-
 val rat_cell : Prelude.Rat.t -> string
 (** ["45/41 (1.0976)"]. *)
 

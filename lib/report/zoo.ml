@@ -3,7 +3,7 @@ module Slo = Analysis.Slo
 
 (* every deterministic strategy with a live-engine implementation; the
    randomised greedy and the message-passing locals are excluded so a
-   zoo cell is a pure function of its key (the cache contract) *)
+   zoo cell is a pure function of its workload and strategy *)
 let strategies =
   [
     "fix"; "current"; "fix_balance"; "eager"; "balance"; "edf"; "edf_coord";
@@ -16,78 +16,9 @@ let strategies =
 let tier ~quick = if quick then (6, 4, 40) else (8, 4, 240)
 let seed = 7
 
-let pi = string_of_int
-
-let encode_scores (s : Slo.scores) =
-  [
-    Jobs.Int s.submitted;
-    Jobs.Int s.served;
-    Jobs.Int s.expired;
-    Jobs.Int s.rounds;
-    Jobs.Float s.violation_rate;
-    Jobs.Float s.throughput;
-    Jobs.Float s.antt;
-    Jobs.Float s.max_delay_factor;
-    Jobs.Int s.machines_needed;
-  ]
-
-let decode_scores o =
-  let iv i = Jobs.int_value (Jobs.nth o i) in
-  let fv i = Jobs.float_value (Jobs.nth o i) in
-  {
-    Slo.submitted = iv 0;
-    served = iv 1;
-    expired = iv 2;
-    rounds = iv 3;
-    violation_rate = fv 4;
-    throughput = fv 5;
-    antt = fv 6;
-    max_delay_factor = fv 7;
-    machines_needed = iv 8;
-  }
-
-(* The job value is the full score record, not one chosen metric, so a
-   cached cell answers every --score mode and table column alike. *)
-let score_value (r : Slo.streamed) =
-  Jobs.List
-    (encode_scores r.scores
-     @ [ Jobs.Int r.opt; Jobs.Float r.final_ratio; Jobs.Float r.anytime_ratio ])
-
-type cell = {
-  scores : Slo.scores;
-  opt : int;
-  final_ratio : float;
-  anytime_ratio : float;
-}
-
-let cell_of_outcome o =
-  match o with
-  | Jobs.Failed _ -> None
-  | Jobs.Done _ ->
-      let iv i = Jobs.int_value (Jobs.nth o i) in
-      let fv i = Jobs.float_value (Jobs.nth o i) in
-      Some
-        {
-          scores = decode_scores o;
-          opt = iv 9;
-          final_ratio = fv 10;
-          anytime_ratio = fv 11;
-        }
-
 let zoo_job ~workload ~strategy ~n ~d ~rounds ~load =
-  Jobs.job
-    ~name:(workload ^ "/" ^ strategy)
-    ~params:
-      [
-        ("workload", workload);
-        ("strategy", strategy);
-        ("n", pi n);
-        ("d", pi d);
-        ("rounds", pi rounds);
-        ("load", Printf.sprintf "%h" load);
-        ("seed", pi seed);
-      ]
-    (fun ~attempt:_ ->
+  ( workload ^ "/" ^ strategy,
+    fun () ->
       let inst =
         match Workload.Zoo.generate ~name:workload ~n ~d ~rounds ~load ~seed with
         | Ok i -> i
@@ -98,11 +29,11 @@ let zoo_job ~workload ~strategy ~n ~d ~rounds ~load =
         | Ok f -> f
         | Error m -> failwith m
       in
-      score_value (Slo.score_stream inst factory))
+      Slo.score_stream inst factory )
 
 let eps = 1e-9
 
-let well_formed ~n ~d c =
+let well_formed ~n ~d (c : Slo.streamed) =
   let s = c.scores in
   let conserved = s.served + s.expired = s.submitted in
   let viol_ok = s.violation_rate >= 0.0 && s.violation_rate <= 1.0 in
@@ -126,7 +57,7 @@ let well_formed ~n ~d c =
   conserved && viol_ok && thr_ok && antt_ok && delay_ok && machines_ok
   && ratio_ok
 
-let summary ~ctx ~quick =
+let summary ?domains ~quick () =
   let n, d, rounds = tier ~quick in
   let cases =
     List.concat_map
@@ -134,9 +65,8 @@ let summary ~ctx ~quick =
         List.map (fun strategy -> (f, strategy)) strategies)
       Workload.Zoo.families
   in
-  let outcomes =
-    Jobs.map ctx ~family:"Z.zoo"
-      ~shared:[ ("quick", if quick then "1" else "0") ]
+  let cells =
+    Obs.Instrument.jobs ?domains ~family:"Z.zoo"
       (List.map
          (fun ((f : Workload.Zoo.family), strategy) ->
            zoo_job ~workload:f.key ~strategy ~n ~d ~rounds
@@ -161,33 +91,25 @@ let summary ~ctx ~quick =
   in
   let checks =
     List.map2
-      (fun ((f : Workload.Zoo.family), strategy) o ->
-        let render mk = Jobs.cell o (fun _ -> mk ()) in
-        let c = cell_of_outcome o in
-        let row =
-          match c with
-          | None ->
-              [ f.key; strategy ] @ List.init 8 (fun _ -> render (fun () -> "?"))
-          | Some c ->
-              let s = c.scores in
-              let m mode = Slo.mode_cell mode ~ratio:c.final_ratio s in
-              [
-                f.key;
-                strategy;
-                render (fun () -> Printf.sprintf "%d/%d" s.served s.submitted);
-                m Slo.Violation;
-                m Slo.Throughput;
-                m Slo.Antt;
-                m Slo.Delay;
-                m Slo.Machines;
-                render (fun () -> Printf.sprintf "%.3f" c.anytime_ratio);
-                m Slo.Ratio;
-              ]
-        in
-        Texttable.add_row table row;
-        let ok = match c with None -> false | Some c -> well_formed ~n ~d c in
-        (Printf.sprintf "%s x %s: scores well-formed" f.key strategy, ok))
-      cases outcomes
+      (fun ((f : Workload.Zoo.family), strategy) (c : Slo.streamed) ->
+        let s = c.scores in
+        let m mode = Slo.mode_cell mode ~ratio:c.final_ratio s in
+        Texttable.add_row table
+          [
+            f.key;
+            strategy;
+            Printf.sprintf "%d/%d" s.served s.submitted;
+            m Slo.Violation;
+            m Slo.Throughput;
+            m Slo.Antt;
+            m Slo.Delay;
+            m Slo.Machines;
+            Printf.sprintf "%.3f" c.anytime_ratio;
+            m Slo.Ratio;
+          ];
+        ( Printf.sprintf "%s x %s: scores well-formed" f.key strategy,
+          well_formed ~n ~d c ))
+      cases cells
   in
   {
     Experiments.id = "Z.zoo";
@@ -196,4 +118,4 @@ let summary ~ctx ~quick =
     checks;
   }
 
-let catalog = [ ("Z.zoo", fun ~ctx ~quick -> summary ~ctx ~quick) ]
+let catalog = [ ("Z.zoo", summary) ]

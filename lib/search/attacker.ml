@@ -1,6 +1,5 @@
 module Rat = Prelude.Rat
 module Rng = Prelude.Rng
-module Jobs = Report.Jobs
 
 type config = {
   n : int;
@@ -238,80 +237,37 @@ type result = {
   disagreements : Certificate.t list;
 }
 
-let soi = string_of_int
-
-let run ?metrics ?ctx ~strategy cfg =
+let run ?metrics ?domains ~strategy cfg =
   validate cfg;
-  let ctx = match ctx with Some c -> c | None -> Jobs.local () in
-  let jobs =
-    List.init cfg.restarts (fun r ->
-      Jobs.job
-        ~name:(Printf.sprintf "%s-restart-%d" strategy.Game.key r)
-        ~params:
-          [ ("strategy", strategy.Game.name); ("n", soi cfg.n);
-            ("d", soi cfg.d); ("seed", soi cfg.seed); ("restart", soi r);
-            ("evals", soi cfg.evals); ("phases", soi cfg.phases);
-            ("max_genes", soi cfg.max_genes) ]
-        (fun ~attempt:_ ->
-           let s = restart cfg strategy ~seed:(cfg.seed + ((r + 1) * 7919)) in
-           Jobs.List
-             [
-               Jobs.Rat s.s_rate;
-               Jobs.Str
-                 (match s.s_cert with
-                  | Some c -> Certificate.render c
-                  | None -> "");
-               Jobs.Int s.s_instances;
-               Jobs.Int s.s_evals;
-               Jobs.Int s.s_accepts;
-               Jobs.List
-                 (List.map (fun c -> Jobs.Str (Certificate.render c))
-                    s.s_dis);
-             ]))
+  let restarts =
+    Obs.Instrument.jobs ?metrics ?domains ~family:"search.attacker"
+      (List.init cfg.restarts (fun r ->
+           ( Printf.sprintf "%s-restart-%d" strategy.Game.key r,
+             fun () ->
+               restart cfg strategy ~seed:(cfg.seed + ((r + 1) * 7919)) )))
   in
-  let outcomes = Jobs.map ctx ~family:"search.attacker" jobs in
-  let best = ref None in
-  let instances = ref 0 and evals = ref 0 and accepts = ref 0 in
-  let dis = ref [] in
-  List.iter
-    (fun o ->
-       match o with
-       | Jobs.Done
-           (Jobs.List
-              [ Jobs.Rat rate; Jobs.Str cert; Jobs.Int insts;
-                Jobs.Int ev; Jobs.Int acc; Jobs.List ds ]) ->
-         instances := !instances + insts;
-         evals := !evals + ev;
-         accepts := !accepts + acc;
-         List.iter
-           (function
-             | Jobs.Str s ->
-               (match Certificate.parse s with
-                | Ok c -> dis := c :: !dis
-                | Error _ -> ())
-             | _ -> ())
-           ds;
-         if cert <> "" then begin
-           match Certificate.parse cert with
-           | Ok c ->
-             let better =
-               match !best with
-               | None -> true
-               | Some (r, _) -> Rat.compare rate r > 0
-             in
-             if better then best := Some (rate, c)
-           | Error _ -> ()
-         end
-       | _ -> ())
-    outcomes;
+  (* the first restart (in order) with the strictly best rate wins *)
+  let best =
+    List.fold_left
+      (fun best s ->
+         match (s.s_cert, best) with
+         | Some c, None -> Some (s.s_rate, c)
+         | Some c, Some (rate, _) when Rat.compare s.s_rate rate > 0 ->
+           Some (s.s_rate, c)
+         | _ -> best)
+      None restarts
+  in
+  let sum f = List.fold_left (fun acc s -> acc + f s) 0 restarts in
+  let instances = sum (fun s -> s.s_instances) in
   (match Obs.Metrics.resolve metrics with
    | None -> ()
    | Some m ->
-     Obs.Metrics.incr ~by:!instances m "search.attacker_instances";
-     Obs.Metrics.incr ~by:!accepts m "search.attacker_accepts");
-  match !best with
-  | None -> failwith "Attacker.run: all restarts failed"
+     Obs.Metrics.incr ~by:instances m "search.attacker_instances";
+     Obs.Metrics.incr ~by:(sum (fun s -> s.s_accepts)) m
+       "search.attacker_accepts");
+  match best with
+  | None -> failwith "Attacker.run: no restart served a request"
   | Some (rate, cert) ->
-    { strategy; cfg; best_rate = rate; certificate = cert;
-      instances = !instances; evals = !evals;
-      disagreements = List.rev !dis }
+    { strategy; cfg; best_rate = rate; certificate = cert; instances;
+      evals = sum (fun s -> s.s_evals);
+      disagreements = List.concat_map (fun s -> s.s_dis) restarts }

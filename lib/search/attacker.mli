@@ -16,8 +16,7 @@
     {!Game.evaluate_instance}; with the default budgets a single run
     differentially checks hundreds of instances, which is the
     fuzz-differential tier of the test-suite.  Restarts are independent
-    and fan out as {!Report.Jobs} jobs (family ["search.attacker"]), so
-    [--jobs]/[--cache-dir]/[--resume] apply. *)
+    and fan out as {!Obs.Instrument.jobs} (family ["search.attacker"]). *)
 
 type config = {
   n : int;
@@ -52,11 +51,12 @@ type result = {
 }
 
 val run :
-  ?metrics:Obs.Metrics.t -> ?ctx:Report.Jobs.ctx ->
+  ?metrics:Obs.Metrics.t -> ?domains:int ->
   strategy:Game.strategy -> config -> result
-(** Attack one strategy.  [ctx] defaults to {!Report.Jobs.local};
+(** Attack one strategy, its restarts on up to [domains] domains;
     outcomes are deterministic for a given config regardless of the
     domain count.  Records [search.attacker_instances] and
     [search.attacker_accepts].
-    @raise Failure if every restart job failed (a bug — restarts are
-    deterministic). *)
+    @raise Obs.Instrument.Job_failed if a restart raises.
+    @raise Failure if no restart's best genome served a request, so
+    there is no certificate to report. *)

@@ -581,6 +581,26 @@ let start ?metrics cfg =
     let stride = (cfg.n_resources + shards_n - 1) / shards_n in
     (* the last slice may be short; recompute the real shard count *)
     let shards_n = (cfg.n_resources + stride - 1) / stride in
+    (* worker domains: contiguous shard slices, so a worker's shards
+       cover a contiguous resource range too.  domains <= 0 keeps the
+       old one-domain-per-shard behaviour. *)
+    let workers_n =
+      if cfg.domains <= 0 then shards_n
+      else max 1 (min cfg.domains shards_n)
+    in
+    let wstride = (shards_n + workers_n - 1) / workers_n in
+    let workers_n = (shards_n + wstride - 1) / wstride in
+    (* the workers, the I/O domain and this one must fit the runtime's
+       domain limit, checked before anything is opened or spawned *)
+    if workers_n + 2 > Prelude.Parmap.max_domains then
+      Error
+        (Printf.sprintf
+           "%d worker domains plus the I/O and main domains exceed the \
+            runtime's limit of %d domains; use at most %d workers (fewer \
+            shards or domains)"
+           workers_n Prelude.Parmap.max_domains
+           (Prelude.Parmap.max_domains - 2))
+    else
     match open_listener cfg.addr with
     | Error _ as e -> e
     | Ok listen_fd ->
@@ -625,15 +645,6 @@ let start ?metrics cfg =
           joined = false;
         }
       in
-      (* worker domains: contiguous shard slices, so a worker's shards
-         cover a contiguous resource range too.  domains <= 0 keeps the
-         old one-domain-per-shard behaviour. *)
-      let workers_n =
-        if cfg.domains <= 0 then shards_n
-        else max 1 (min cfg.domains shards_n)
-      in
-      let wstride = (shards_n + workers_n - 1) / workers_n in
-      let workers_n = (shards_n + wstride - 1) / wstride in
       Obs.Metrics.set t.io_m "serve.shards" (float_of_int shards_n);
       Obs.Metrics.set t.io_m "serve.domains" (float_of_int workers_n);
       let tick_source =

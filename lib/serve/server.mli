@@ -75,7 +75,10 @@ val start : ?metrics:Obs.Metrics.t -> config -> (t, string) result
     socket is ready when this returns.  [metrics] (or the ambient
     registry) receives the final merged snapshot when the server
     finishes.  Errors are returned, not raised: an unresolvable host,
-    a config bound out of range, or a unix-socket path occupied by a
+    a config bound out of range, more worker domains than the runtime's
+    domain limit leaves beside the I/O and main domains
+    ({!Prelude.Parmap.max_domains} [- 2]; refused before the listener
+    opens), or a unix-socket path occupied by a
     non-socket file (pre-existing sockets are reclaimed; anything else
     is refused so it cannot be destroyed). *)
 

@@ -98,9 +98,20 @@ let test_bad_values_are_errors () =
   (match eval Cli.metrics [ "--metrics"; "bogus" ] with
    | Error `Parse -> ()
    | _ -> Alcotest.fail "--metrics bogus must be a usage error");
-  match eval Cli.score [ "--score"; "bogus" ] with
-  | Error `Parse -> ()
-  | _ -> Alcotest.fail "--score bogus must be a usage error"
+  (match eval Cli.score [ "--score"; "bogus" ] with
+   | Error `Parse -> ()
+   | _ -> Alcotest.fail "--score bogus must be a usage error");
+  (* --jobs is bounded by the runtime's domain limit; parsing spawns
+     nothing, so the out-of-range values are safe to try *)
+  Alcotest.(check (option (option int)))
+    "--jobs 128 parses" (Some (Some 128)) (parsed Cli.jobs [ "--jobs"; "128" ]);
+  List.iter
+    (fun args ->
+       match eval Cli.jobs args with
+       | Error `Parse -> ()
+       | _ ->
+         Alcotest.failf "%s must be a usage error" (String.concat " " args))
+    [ [ "--jobs"; "0" ]; [ "--jobs=-1" ]; [ "--jobs"; "129" ] ]
 
 let () =
   Alcotest.run "cli"

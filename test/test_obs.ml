@@ -306,6 +306,58 @@ let test_instrument_parmap () =
   | Some s -> check Alcotest.int "one sample per domain" 3 (Stats.count s)
   | None -> Alcotest.fail "tasks_per_domain missing"
 
+(* A job that raises fails the whole batch: the error names the family
+   and the job, and its backtrace still holds the worker-side raise. *)
+let[@inline never] job_boom i =
+  if i = 5 then failwith "planted";
+  i
+
+let test_instrument_job_failure () =
+  Printexc.record_backtrace true;
+  let contains ~needle s =
+    let n = String.length needle in
+    let rec at i = i + n <= String.length s && (String.sub s i n = needle || at (i + 1)) in
+    at 0
+  in
+  List.iter
+    (fun domains ->
+       match
+         Obs.Instrument.jobs ~domains ~family:"T.fam"
+           (List.init 8 (fun i ->
+                (Printf.sprintf "job-%d" i, fun () -> job_boom i)))
+       with
+       | _ -> Alcotest.failf "a raising job must fail the map (%d domains)" domains
+       | exception (Obs.Instrument.Job_failed { family; job; exn } as e) ->
+         let bt = Printexc.get_backtrace () in
+         check Alcotest.string "family" "T.fam" family;
+         check Alcotest.string "job" "job-5" job;
+         check Alcotest.bool "original exception" true
+           (exn = Failure "planted");
+         check Alcotest.string "printed"
+           "job T.fam/job-5 raised Failure(\"planted\")"
+           (Printexc.to_string e);
+         if not (contains ~needle:"job_boom" bt && contains ~needle:"test_obs.ml" bt)
+         then
+           Alcotest.failf "worker raise frame missing (%d domains):\n%s"
+             domains bt)
+    [ 1; 2 ]
+
+(* the battery's promise: the same jobs give the same results, in the
+   same order, at any domain count *)
+let prop_jobs_domain_invariant =
+  QCheck.Test.make ~name:"parallel runner is byte-identical to serial"
+    ~count:30
+    QCheck.(int_range 0 40)
+    (fun n ->
+       let run domains =
+         Obs.Instrument.jobs ~domains ~family:"det"
+           (List.init n (fun i ->
+                ( Printf.sprintf "case-%d" i,
+                  fun () -> Printf.sprintf "%d %h" i (sqrt (float_of_int i)) )))
+       in
+       let serial = run 1 in
+       serial = run 2 && serial = run (Prelude.Parmap.recommended_domains ()))
+
 (* ------------------------------------------------------------------ *)
 (* engine + streaming optimum hooks *)
 
@@ -407,6 +459,13 @@ let () =
         [
           Alcotest.test_case "parmap adapter" `Quick test_instrument_parmap;
         ] );
+      ( "instrument jobs",
+        [
+          Alcotest.test_case "a raise names family and job" `Quick
+            test_instrument_job_failure;
+        ] );
+      ( "determinism",
+        [ QCheck_alcotest.to_alcotest prop_jobs_domain_invariant ] );
       ( "hooks",
         [
           Alcotest.test_case "engine counters" `Quick

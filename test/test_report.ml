@@ -2,9 +2,10 @@
    runs at quick parameters and every one of its named checks must
    pass.  This is the test-suite mirror of `reqsched exp --quick`. *)
 
-let experiment_case (id, f) =
+let experiment_case
+    (id, (f : ?domains:int -> quick:bool -> unit -> Report.Experiments.t)) =
   Alcotest.test_case id `Slow (fun () ->
-      let e = f ~ctx:(Report.Jobs.local ()) ~quick:true in
+      let e = f ~quick:true () in
       List.iter
         (fun (name, ok) ->
            Alcotest.check Alcotest.bool
@@ -40,12 +41,43 @@ let contains ~needle haystack =
   go 0
 
 let test_render_contains_pass_lines () =
-  let e =
-    Report.Experiments.t1_fix_lb ~ctx:(Report.Jobs.local ()) ~quick:true
-  in
+  let e = Report.Experiments.t1_fix_lb ~quick:true () in
   let s = Report.Experiments.render e in
   Alcotest.check Alcotest.bool "has PASS marker" true
     (contains ~needle:"[PASS]" s)
+
+(* ------------------------------------------------------------------ *)
+(* golden snapshot: the quick Table 1 summary *)
+
+let read_file path =
+  let ic = open_in_bin path in
+  let n = in_channel_length ic in
+  let s = really_input_string ic n in
+  close_in ic;
+  s
+
+let golden_path () =
+  (* cwd is test/ under `dune runtest` (the dep is copied next to the
+     executable) but the project root under a bare `dune exec` *)
+  List.find_opt Sys.file_exists
+    [ "golden_table1_quick.txt"; Filename.concat "test" "golden_table1_quick.txt" ]
+
+let test_golden_table1_quick () =
+  let expected =
+    match golden_path () with
+    | Some p -> read_file p
+    | None -> Alcotest.fail "golden_table1_quick.txt not found"
+  in
+  let e = Report.Experiments.table1_summary ~quick:true () in
+  let got = Report.Experiments.render e in
+  if got <> expected then
+    Alcotest.failf
+      "Table 1 quick summary drifted from test/golden_table1_quick.txt.\n\
+       If the change is intended, regenerate with:\n\
+      \  dune exec bin/reqsched.exe -- exp T1.summary --quick > \
+       test/golden_table1_quick.txt\n\
+       --- expected ---\n%s--- got ---\n%s"
+      expected got
 
 (* Regression: greedy_random's coin rng was hardcoded to seed 0, so
    --seed changed the workload but never the strategy's coin flips.  Two
@@ -122,6 +154,11 @@ let () =
             test_registry_knows_every_strategy;
           Alcotest.test_case "solver names parse" `Quick
             test_registry_solver_names;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "table 1 quick snapshot" `Slow
+            test_golden_table1_quick;
         ] );
       ("experiments", List.map experiment_case Report.Experiments.catalog);
     ]

@@ -1046,6 +1046,31 @@ let test_start_refuses_non_socket_path () =
        close_in ic;
        check Alcotest.string "file contents preserved" "precious" line)
 
+let test_start_refuses_too_many_domains () =
+  (* 256 resources in 200 shards are 128 two-resource shards, one worker
+     domain each: with the I/O and main domains that is 130, past the
+     runtime's 128.  start must refuse before it opens the listener or
+     spawns anything. *)
+  let path =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "reqsched_domains_%d.sock" (Unix.getpid ()))
+  in
+  check Alcotest.bool "no socket before" false (Sys.file_exists path);
+  (match
+     Server.start
+       { (base_cfg (Server.Unix_sock path)) with
+         n_resources = 256; shards = 200 }
+   with
+   | Error m ->
+     check Alcotest.bool "error names the limit" true
+       (contains_sub ~sub:"128 domains" m)
+   | Ok srv ->
+     Server.drain srv;
+     ignore (Server.wait srv);
+     Alcotest.fail "server started past the domain limit");
+  check Alcotest.bool "no socket file created" false (Sys.file_exists path)
+
 let () =
   Alcotest.run "serve"
     [
@@ -1112,5 +1137,7 @@ let () =
             test_start_bad_hostname;
           Alcotest.test_case "refuses non-socket path" `Quick
             test_start_refuses_non_socket_path;
+          Alcotest.test_case "refuses workers past the domain limit" `Quick
+            test_start_refuses_too_many_domains;
         ] );
     ]

@@ -2,17 +2,16 @@
    differential, and the golden quick-tier summary snapshot.
 
    The zoo generators promise three things the properties here pin:
-   byte-identical regeneration from the same seed (the cache contract),
-   codec-valid instances (so any zoo instance can travel the rsp/1 wire
-   format and replay), and a load knob that is monotone in the emitted
-   request count (so sweeps over load are meaningful). *)
+   byte-identical regeneration from the same seed (so a job may run on
+   any domain), codec-valid instances (so any zoo instance can travel
+   the rsp/1 wire format and replay), and a load knob that is monotone
+   in the emitted request count (so sweeps over load are meaningful). *)
 
 module Zoo = Workload.Zoo
 module Slo = Analysis.Slo
 module Codec = Sched.Codec
 module Instance = Sched.Instance
 module Engine = Sched.Engine
-module Jobs = Report.Jobs
 module Registry = Report.Registry
 
 (* ------------------------------------------------------------------ *)
@@ -205,8 +204,8 @@ let golden_path () =
   List.find_opt Sys.file_exists
     [ "golden_zoo_quick.txt"; Filename.concat "test" "golden_zoo_quick.txt" ]
 
-let render_zoo ctx =
-  Report.Experiments.render (Report.Zoo.summary ~ctx ~quick:true)
+let render_zoo ?domains () =
+  Report.Experiments.render (Report.Zoo.summary ?domains ~quick:true ())
 
 let test_golden_zoo_quick () =
   let expected =
@@ -214,20 +213,20 @@ let test_golden_zoo_quick () =
     | Some p -> read_file p
     | None -> Alcotest.fail "golden_zoo_quick.txt not found"
   in
-  let got = render_zoo (Jobs.local ()) in
+  let got = render_zoo () in
   if got <> expected then
     Alcotest.failf
       "zoo quick summary drifted from test/golden_zoo_quick.txt.\n\
        If the change is intended, regenerate with:\n\
-      \  dune exec bin/reqsched.exe -- exp Z.zoo --quick | sed '/^jobs:/,$d' > \
+      \  dune exec bin/reqsched.exe -- exp Z.zoo --quick > \
        test/golden_zoo_quick.txt\n\
        --- expected ---\n%s--- got ---\n%s"
       expected got
 
-(* serial and parallel runners must render the same bytes *)
+(* serial and parallel runs must render the same bytes *)
 let test_jobs_determinism () =
-  let serial = render_zoo (Jobs.create ~domains:1 ()) in
-  let parallel = render_zoo (Jobs.local ()) in
+  let serial = render_zoo ~domains:1 () in
+  let parallel = render_zoo ~domains:2 () in
   Alcotest.(check string) "zoo summary identical across --jobs levels" serial
     parallel
 

@@ -267,6 +267,106 @@ let run_scale ~quick =
   check "kernel never slower than rebuild (10% tolerance)" !never_slower;
   print_newline ()
 
+(* The scoring pipeline as a run grows: the streaming offline optimum
+   ([Opt_stream.feed]) and the SLO accumulator, fed round by round from
+   a live engine over zoo mix at two run lengths, the same in both
+   tiers (the optimum's graph holds the whole run: 8 000 rounds is
+   already ~380k requests).  Their per-round cost should not grow with
+   the run.  The events come from greedy_2choice, the cheapest
+   strategy: only the two scorers are timed.  The check is
+   deterministic: each left vertex is visited by at most one failed
+   augmenting search (DESIGN 4.3.1). *)
+let run_scoring () =
+  let n = 64 and d = 4 in
+  let lengths = [ 2_000; 8_000 ] in
+  let family = Option.get (Workload.Zoo.find "mix") in
+  let table =
+    Prelude.Texttable.create
+      ~title:
+        (Printf.sprintf
+           "B.scale scoring  --  us/round of Opt_stream.feed and Slo vs run \
+            length (zoo mix n=%d d=%d load %g, mean over the run)"
+           n d family.Workload.Zoo.default_load)
+      ~header:
+        [ "rounds"; "requests"; "feed us"; "visits"; "failed visits";
+          "slo us" ]
+      ()
+  in
+  let bounded = ref true in
+  List.iter
+    (fun rounds ->
+       let inst =
+         family.Workload.Zoo.generate ~n ~d ~rounds
+           ~load:family.Workload.Zoo.default_load ~seed:1
+       in
+       let live =
+         Sched.Engine.Live.create ~n ~d (Strategies.Twochoice.least_loaded ())
+       in
+       let opt = Offline.Opt_stream.create ~n_resources:n () in
+       let slo = Analysis.Slo.create () in
+       let feed_s = ref 0.0 and slo_s = ref 0.0 in
+       let horizon = inst.Sched.Instance.horizon in
+       for round = 0 to horizon - 1 do
+         let arrivals = Sched.Instance.arrivals_at inst round in
+         let ids =
+           Array.map
+             (fun (r : Sched.Request.t) ->
+                match
+                  Sched.Engine.Live.submit live
+                    ~alternatives:(Array.to_list r.alternatives)
+                    ~deadline:r.deadline
+                with
+                | Ok id -> id
+                | Error m -> failwith m)
+             arrivals
+         in
+         let t0 = Unix.gettimeofday () in
+         ignore (Offline.Opt_stream.feed opt arrivals : int);
+         let t1 = Unix.gettimeofday () in
+         let out = Sched.Engine.Live.step live in
+         let t2 = Unix.gettimeofday () in
+         Array.iteri
+           (fun i id ->
+              Analysis.Slo.on_submit slo ~id ~round
+                ~deadline:arrivals.(i).Sched.Request.deadline)
+           ids;
+         List.iter
+           (fun (id, _) -> Analysis.Slo.on_serve slo ~id ~round)
+           out.Sched.Engine.Live.served;
+         List.iter
+           (fun id -> Analysis.Slo.on_expire slo ~id ~round)
+           out.Sched.Engine.Live.expired;
+         Analysis.Slo.on_round slo;
+         let t3 = Unix.gettimeofday () in
+         feed_s := !feed_s +. (t1 -. t0);
+         slo_s := !slo_s +. (t3 -. t2)
+       done;
+       let per_round x = x /. float_of_int horizon in
+       let stats = Offline.Opt_stream.search_stats opt in
+       let requests = Sched.Instance.n_requests inst in
+       let failed = stats.Graph.Augment.failed_visits in
+       if failed > requests then bounded := false;
+       let feed_us = per_round (!feed_s *. 1e6)
+       and visits = per_round (float_of_int stats.Graph.Augment.visited)
+       and slo_us = per_round (!slo_s *. 1e6) in
+       let params =
+         [ ("table", "scoring"); ("n", string_of_int n);
+           ("d", string_of_int d); ("rounds", string_of_int rounds) ]
+       in
+       let rec_metric metric v = record ~family:"B.scale" ~params ~metric v in
+       rec_metric "opt_stream_feed_us_per_round" feed_us;
+       rec_metric "opt_stream_visits_per_round" visits;
+       rec_metric "opt_stream_failed_visits" (float_of_int failed);
+       rec_metric "slo_us_per_round" slo_us;
+       Prelude.Texttable.add_row table
+         [ string_of_int rounds; string_of_int requests;
+           Printf.sprintf "%.1f" feed_us; Printf.sprintf "%.1f" visits;
+           string_of_int failed; Printf.sprintf "%.2f" slo_us ])
+    lengths;
+  Prelude.Texttable.print table;
+  check "failed-search visits <= requests" !bounded;
+  print_newline ()
+
 let run_micro () =
   let tests = Test.make_grouped ~name:"reqsched" (micro_tests ()) in
   let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.5) ~kde:None () in
@@ -312,7 +412,7 @@ let run_micro () =
 let families =
   [
     ("B.micro", fun ~quick:_ -> run_micro ());
-    ("B.scale", run_scale);
+    ("B.scale", fun ~quick -> run_scale ~quick; run_scoring ());
   ]
 
 let main quick only json metrics =
@@ -321,6 +421,7 @@ let main quick only json metrics =
   let* selected =
     match only with None -> Ok families | Some id -> Cli.select id families
   in
+  Cli.run @@ fun () ->
   let t0 = Unix.gettimeofday () in
   Printf.printf
     "reqsched bench harness -- Berenbrink, Riedel, Scheideler (SPAA 1999)\n\
@@ -352,7 +453,7 @@ let () =
       ~doc:"Run the reqsched bench families (B.micro, B.scale)."
   in
   exit
-    (Cmd.eval
+    (Cmd.eval'
        (Cmd.v info
           (Term.term_result'
              Term.(const main $ Cli.quick $ Cli.only $ json $ Cli.metrics))))

@@ -91,7 +91,7 @@ let run_cmd =
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run one strategy on a workload.")
-    (Term.term_result'
+    (Cli.exits
        Term.(const action $ Cli.workload $ Cli.strategy $ audit_arg $ csv_arg
              $ phases_arg $ Cli.score $ Cli.metrics))
 
@@ -154,7 +154,7 @@ let compare_cmd =
   in
   Cmd.v
     (Cmd.info "compare" ~doc:"Run every strategy on one workload.")
-    (Term.term_result'
+    (Cli.exits
        Term.(const action $ Cli.workload $ Cli.solver $ Cli.score
              $ Cli.metrics))
 
@@ -169,7 +169,7 @@ let exp_cmd =
     Option.iter
       (fun dir -> if not (Sys.file_exists dir) then Sys.mkdir dir 0o755)
       csv;
-    Cli.catch_job_failure @@ fun () ->
+    Cli.run @@ fun () ->
     let failures =
       List.fold_left
         (fun failures (_, f) ->
@@ -228,7 +228,7 @@ let table1_cmd =
   in
   Cmd.v
     (Cmd.info "table1" ~doc:"Print the paper's Table 1 bounds for a given d.")
-    (Term.term_result' Term.(const action $ Cli.d))
+    (Cli.exits Term.(const action $ Cli.d))
 
 (* ------------------------------------------------------------------ *)
 (* sweep *)
@@ -259,7 +259,7 @@ let sweep_cmd =
         loads (Ok [])
     in
     (* one job per table cell, and one per load for its optimum *)
-    Cli.catch_job_failure @@ fun () ->
+    Cli.run @@ fun () ->
     let opts =
       Obs.Instrument.jobs ?domains ~family:"sweep"
         (List.map
@@ -374,7 +374,7 @@ let trace_cmd =
   Cmd.v
     (Cmd.info "trace"
        ~doc:"Round-by-round service trace of a strategy on a workload.")
-    (Term.term_result'
+    (Cli.exits
        Term.(const action $ Cli.workload $ Cli.strategy $ grid_arg
              $ Cli.metrics))
 
@@ -532,7 +532,7 @@ let serve_cmd =
        ~doc:
          "Run the live scheduling server (SIGINT/SIGTERM drain \
           gracefully).")
-    (Term.term_result'
+    (Cli.exits
        Term.(const action $ listen_arg $ shards_arg $ domains_arg $ Cli.n
              $ Cli.d $ Cli.strategy $ Cli.seed $ tick $ queue_cap_arg
              $ max_batch_arg $ outbox_cap_arg $ read_timeout_arg
@@ -745,7 +745,7 @@ let cluster_cmd =
          "Run the paper's local strategies live across a multi-node \
           router tier (consistent-hash placement, capacity-d mailboxes, \
           failure/rejoin), or serve it with --listen.")
-    (Term.term_result'
+    (Cli.exits
        Term.(const action $ nodes_arg $ kind_arg $ Cli.workload $ kill_arg
              $ rejoin_arg $ fail_after_arg $ capacity_arg $ decisions_arg
              $ listen_arg $ tick $ Cli.metrics))
@@ -858,7 +858,7 @@ let load_cmd =
   in
   Cmd.v
     (Cmd.info "load" ~doc:"Generate load against a running reqsched server.")
-    (Term.term_result'
+    (Cli.exits
        Term.(const action $ connect_arg $ mode_arg $ Cli.workload $ users_arg
              $ total_arg $ tick $ batch_arg $ trace_arg $ save_trace_arg
              $ decisions_arg $ Cli.metrics))
@@ -912,7 +912,7 @@ let search_cmd =
            incr problems;
            "FAILED: " ^ e)
     in
-    Cli.catch_job_failure @@ fun () ->
+    Cli.run @@ fun () ->
     (match tier with
      | Some `Guided ->
        let d = Option.value d ~default:3 in
@@ -1096,7 +1096,7 @@ let () =
   in
   let info = Cmd.info "reqsched" ~version:"1.0.0" ~doc in
   exit
-    (Cmd.eval
+    (Cmd.eval'
        (Cmd.group info
           [
             run_cmd; compare_cmd; exp_cmd; table1_cmd; trace_cmd; sweep_cmd;

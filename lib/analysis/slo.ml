@@ -34,61 +34,201 @@ let frac_value f = if f.den = 0 then Float.nan else float_of_int f.num /. float_
 (* -- machines-needed interval bound ----------------------------------
    Kao et al.'s lower bound: max over [t1, t2] of
    ceil (N(t1,t2) / (t2 - t1 + 1)) with N counting requests whose whole
-   window [arrival .. last_round] fits inside the interval.  Streamed:
-   when round r completes, every window with last_round = r has just
-   closed; only intervals ending at r gained members, so one backward
-   scan accumulating closed windows by arrival updates the maximum.
-   O(horizon^2) total, O(horizon) state. *)
+   window [arrival .. last_round] fits inside the interval.  Since
+   max ceil = ceil max, it is the ceiling of the densest interval, and
+   when round t2 completes only intervals ending at t2 gained members.
+
+   Let o be the oldest arrival round with a window still open after t2
+   (t2 + 1 if none), F(x) the number of requests arriving before x for
+   x <= o, and C the number of windows closed so far.  For t1 < o every
+   request arriving before t1 has closed, so N(t1,t2) = C - F(t1): the
+   density is the slope from the point (t1, F(t1)) to Q = (t2 + 1, C).
+   The steepest such slope is the tangent from Q to the lower convex
+   hull of the points (x, F(x)), found by binary search with integer
+   cross products.  The few t1 in [o, t2] are scanned directly from
+   per-arrival closed counts.  A hull vertex whose right edge is no
+   steeper than the best bound so far can never beat it again (any
+   slope through it to a later Q is at most max (that edge, the next
+   vertex's slope)), so it is dropped from the left; what remains is
+   bounded by the open window in practice, not by the horizon.
+   [machines_of_instance] below is the direct O(h^2) oracle. *)
+
+let ceil_div a b = (a + b - 1) / b
+
+(* pow2 >= n, at least 16 *)
+let pow2_at_least n =
+  let rec go c = if c >= n then c else go (2 * c) in
+  go 16
 
 type machines = {
-  mutable by_arrival : int array;  (* arrival -> closed windows, grown 2x *)
-  mutable hi_arrival : int;        (* 1 + largest arrival recorded *)
-  close_at : (int, int list ref) Hashtbl.t;  (* last_round -> arrivals *)
+  (* last_round -> arrival of each window closing then, rounds
+     [rounds .. rounds + length - 1] at [last_round land (length - 1)] *)
+  mutable closing : Prelude.Ivec.t array;
+  (* arrival round -> windows still open / closed so far, arrival rounds
+     [oldest .. current] at [arrival land (length - 1)] *)
+  mutable open_at : int array;
+  mutable closed_at : int array;
+  mutable oldest : int; (* o: oldest arrival round not yet folded *)
+  mutable f_oldest : int; (* F(o) *)
+  mutable closed : int; (* C *)
+  (* lower hull of (x, F x) for x < o, vertices [h_lo .. h_hi - 1] *)
+  mutable hx : int array;
+  mutable hy : int array;
+  mutable h_lo : int;
+  mutable h_hi : int;
   mutable best : int;
 }
 
 let machines_create () =
-  { by_arrival = Array.make 16 0; hi_arrival = 0;
-    close_at = Hashtbl.create 64; best = 0 }
+  {
+    closing = Array.init 16 (fun _ -> Prelude.Ivec.create ());
+    open_at = Array.make 16 0;
+    closed_at = Array.make 16 0;
+    oldest = 0;
+    f_oldest = 0;
+    closed = 0;
+    hx = Array.make 16 0;
+    hy = Array.make 16 0;
+    h_lo = 0;
+    h_hi = 0;
+    best = 0;
+  }
+
+(* Make room for last round [last] while rounds from [now] are live. *)
+let reserve_closing m ~now ~last =
+  let len = Array.length m.closing in
+  if last - now >= len then begin
+    let len' = pow2_at_least (last - now + 1) in
+    let c =
+      Array.init len' (fun i ->
+          let r = now + ((i - now) land (len' - 1)) in
+          if r < now + len then m.closing.(r land (len - 1))
+          else Prelude.Ivec.create ())
+    in
+    m.closing <- c
+  end
+
+(* Make room for arrival round [now] while arrival rounds from
+   [m.oldest] are live; [now]'s own cell is still empty (this runs
+   before its first admission and again when round [now] completes). *)
+let reserve_arrivals m ~now =
+  let len = Array.length m.open_at in
+  if now - m.oldest >= len then begin
+    let len' = pow2_at_least (now - m.oldest + 1) in
+    let op = Array.make len' 0 and cl = Array.make len' 0 in
+    for a = m.oldest to now - 1 do
+      op.(a land (len' - 1)) <- m.open_at.(a land (len - 1));
+      cl.(a land (len' - 1)) <- m.closed_at.(a land (len - 1))
+    done;
+    m.open_at <- op;
+    m.closed_at <- cl
+  end
 
 let machines_add m ~arrival ~last_round =
-  (match Hashtbl.find_opt m.close_at last_round with
-   | Some l -> l := arrival :: !l
-   | None -> Hashtbl.add m.close_at last_round (ref [ arrival ]))
+  reserve_arrivals m ~now:arrival;
+  reserve_closing m ~now:arrival ~last:last_round;
+  let i = arrival land (Array.length m.open_at - 1) in
+  m.open_at.(i) <- m.open_at.(i) + 1;
+  Prelude.Ivec.push m.closing.(last_round land (Array.length m.closing - 1))
+    arrival
 
-let machines_round_done m ~round =
-  (match Hashtbl.find_opt m.close_at round with
-   | None -> ()
-   | Some l ->
-       Hashtbl.remove m.close_at round;
-       List.iter
-         (fun arrival ->
-           if arrival >= Array.length m.by_arrival then begin
-             let grown =
-               Array.make (max (2 * Array.length m.by_arrival) (arrival + 1)) 0
-             in
-             Array.blit m.by_arrival 0 grown 0 (Array.length m.by_arrival);
-             m.by_arrival <- grown
-           end;
-           m.by_arrival.(arrival) <- m.by_arrival.(arrival) + 1;
-           if arrival >= m.hi_arrival then m.hi_arrival <- arrival + 1)
-         !l);
-  (* intervals ending at [round]: walk t1 downward, accumulate *)
-  let acc = ref 0 in
-  for t1 = min round (m.hi_arrival - 1) downto 0 do
-    acc := !acc + m.by_arrival.(t1);
-    let len = round - t1 + 1 in
-    let need = (!acc + len - 1) / len in
+let cross ax ay bx by cx cy = ((bx - ax) * (cy - ay)) - ((by - ay) * (cx - ax))
+
+let hull_push m x y =
+  while
+    m.h_hi - m.h_lo >= 2
+    && cross m.hx.(m.h_hi - 2) m.hy.(m.h_hi - 2) m.hx.(m.h_hi - 1)
+         m.hy.(m.h_hi - 1) x y
+       <= 0
+  do
+    m.h_hi <- m.h_hi - 1
+  done;
+  if m.h_hi = Array.length m.hx then begin
+    (* shift the live vertices down, doubling once they fill half *)
+    let live = m.h_hi - m.h_lo in
+    let room a =
+      if 2 * live <= Array.length a then a else Array.make (2 * Array.length a) 0
+    in
+    let hx = room m.hx and hy = room m.hy in
+    Array.blit m.hx m.h_lo hx 0 live;
+    Array.blit m.hy m.h_lo hy 0 live;
+    m.hx <- hx;
+    m.hy <- hy;
+    m.h_lo <- 0;
+    m.h_hi <- live
+  end;
+  m.hx.(m.h_hi) <- x;
+  m.hy.(m.h_hi) <- y;
+  m.h_hi <- m.h_hi + 1
+
+(* The hull vertex with the steepest slope to Q = (qx, qy), right of
+   every vertex: the first vertex k with Q not strictly above the line
+   through k and k + 1 (that line's height at qx grows with k). *)
+let hull_tangent m qx qy =
+  let lo = ref m.h_lo and hi = ref (m.h_hi - 1) in
+  while !lo < !hi do
+    let k = (!lo + !hi) / 2 in
+    if cross m.hx.(k) m.hy.(k) m.hx.(k + 1) m.hy.(k + 1) qx qy > 0 then
+      lo := k + 1
+    else hi := k
+  done;
+  !lo
+
+let machines_round_done m ~round:t2 =
+  reserve_arrivals m ~now:t2;
+  let bucket = m.closing.(t2 land (Array.length m.closing - 1)) in
+  let amask = Array.length m.open_at - 1 in
+  for k = 0 to Prelude.Ivec.length bucket - 1 do
+    let i = Prelude.Ivec.get bucket k land amask in
+    m.open_at.(i) <- m.open_at.(i) - 1;
+    m.closed_at.(i) <- m.closed_at.(i) + 1
+  done;
+  m.closed <- m.closed + Prelude.Ivec.length bucket;
+  Prelude.Ivec.clear bucket;
+  (* fold arrival rounds whose windows have all closed into the hull *)
+  while m.oldest <= t2 && m.open_at.(m.oldest land amask) = 0 do
+    hull_push m m.oldest m.f_oldest;
+    let i = m.oldest land amask in
+    m.f_oldest <- m.f_oldest + m.closed_at.(i);
+    m.closed_at.(i) <- 0;
+    m.oldest <- m.oldest + 1
+  done;
+  (* intervals [t1, t2] with t1 < o: the tangent from Q *)
+  let qx = t2 + 1 and qy = m.closed in
+  if m.h_hi > m.h_lo then begin
+    let k = hull_tangent m qx qy in
+    let need = ceil_div (qy - m.hy.(k)) (qx - m.hx.(k)) in
     if need > m.best then m.best <- need
+  end;
+  (* t1 in [o, t2]: the rounds whose windows are partly open *)
+  let acc = ref (qy - m.f_oldest) in
+  for t1 = m.oldest to t2 do
+    let need = ceil_div !acc (t2 - t1 + 1) in
+    if need > m.best then m.best <- need;
+    acc := !acc - m.closed_at.(t1 land amask)
+  done;
+  while
+    m.h_hi - m.h_lo >= 2
+    && m.hy.(m.h_lo + 1) - m.hy.(m.h_lo)
+       <= m.best * (m.hx.(m.h_lo + 1) - m.hx.(m.h_lo))
+  do
+    m.h_lo <- m.h_lo + 1
   done
 
 (* -- streaming accumulator ------------------------------------------- *)
 
-type pending = { arrival : int; deadline : int }
+(* Pending requests live in an id-indexed ring: id [i] at
+   [i land (length - 1)], ids from [low] to [last_id]; a cell holds
+   [no_id] once its request is terminal.  Ids ascend, so the ring spans
+   the open window's ids and doubles only when that span outgrows it. *)
+let no_id = min_int
 
 type t = {
-  live : (int, pending) Hashtbl.t;  (* admitted, no terminal outcome *)
-  seen : (int, unit) Hashtbl.t;     (* every id ever admitted *)
+  mutable last_id : int;
+  mutable low : int; (* no pending id below it *)
+  mutable ids : int array;
+  mutable arrival : int array;
+  mutable deadline : int array;
   mutable submitted : int;
   mutable served : int;
   mutable expired : int;
@@ -100,8 +240,11 @@ type t = {
 
 let create () =
   {
-    live = Hashtbl.create 64;
-    seen = Hashtbl.create 64;
+    last_id = no_id;
+    low = 0;
+    ids = Array.make 64 no_id;
+    arrival = Array.make 64 0;
+    deadline = Array.make 64 0;
     submitted = 0;
     served = 0;
     expired = 0;
@@ -111,34 +254,67 @@ let create () =
     machines = machines_create ();
   }
 
+(* Room for [id]: skip terminal ids at the bottom, then double the ring
+   until ids [low .. id] fit, moving the pending ones. *)
+let reserve_id t id =
+  let len = Array.length t.ids in
+  while t.low <= t.last_id && t.ids.(t.low land (len - 1)) <> t.low do
+    t.low <- t.low + 1
+  done;
+  if t.low > t.last_id then t.low <- id;
+  if id - t.low >= len then begin
+    let len' = pow2_at_least (id - t.low + 1) in
+    let ids = Array.make len' no_id in
+    let arrival = Array.make len' 0 and deadline = Array.make len' 0 in
+    for i = t.low to t.last_id do
+      let c = i land (len - 1) in
+      if t.ids.(c) = i then begin
+        let c' = i land (len' - 1) in
+        ids.(c') <- i;
+        arrival.(c') <- t.arrival.(c);
+        deadline.(c') <- t.deadline.(c)
+      end
+    done;
+    t.ids <- ids;
+    t.arrival <- arrival;
+    t.deadline <- deadline
+  end
+
 let on_submit t ~id ~round ~deadline =
   if deadline < 1 then invalid_arg "Slo.on_submit: deadline < 1";
-  if Hashtbl.mem t.seen id then invalid_arg "Slo.on_submit: duplicate id";
-  Hashtbl.add t.seen id ();
-  Hashtbl.add t.live id { arrival = round; deadline };
+  if id <= t.last_id then invalid_arg "Slo.on_submit: id not ascending";
+  if round <> t.rounds then
+    invalid_arg "Slo.on_submit: round is not the round in progress";
+  reserve_id t id;
+  let c = id land (Array.length t.ids - 1) in
+  t.ids.(c) <- id;
+  t.arrival.(c) <- round;
+  t.deadline.(c) <- deadline;
+  t.last_id <- id;
   t.submitted <- t.submitted + 1;
   machines_add t.machines ~arrival:round ~last_round:(round + deadline - 1)
 
+(* The cell of pending [id], now terminal. *)
 let take_pending t ~id ~what =
-  match Hashtbl.find_opt t.live id with
-  | Some p ->
-      Hashtbl.remove t.live id;
-      p
-  | None -> invalid_arg ("Slo." ^ what ^ ": unknown or terminal id")
+  let c = id land (Array.length t.ids - 1) in
+  if id = no_id || t.ids.(c) <> id then
+    invalid_arg ("Slo." ^ what ^ ": unknown or terminal id");
+  t.ids.(c) <- no_id;
+  c
 
 let on_serve t ~id ~round =
-  let p = take_pending t ~id ~what:"on_serve" in
+  let c = take_pending t ~id ~what:"on_serve" in
   t.served <- t.served + 1;
-  let turnaround = round - p.arrival + 1 in
+  let turnaround = round - t.arrival.(c) + 1 in
   t.turnaround_sum <- t.turnaround_sum + turnaround;
-  frac_update t.delay ~num:turnaround ~den:p.deadline
+  frac_update t.delay ~num:turnaround ~den:t.deadline.(c)
 
 let on_expire t ~id ~round:_ =
-  let p = take_pending t ~id ~what:"on_expire" in
+  let c = take_pending t ~id ~what:"on_expire" in
   t.expired <- t.expired + 1;
   (* hard-drop adaptation of the delay factor: one full window elapsed
      and the request still died, so charge (D + 1) / D > 1 *)
-  frac_update t.delay ~num:(p.deadline + 1) ~den:p.deadline
+  frac_update t.delay ~num:(t.deadline.(c) + 1) ~den:t.deadline.(c)
 
 let on_round t =
   machines_round_done t.machines ~round:t.rounds;

@@ -48,23 +48,35 @@ type scores = {
     Feed engine events as they happen: {!on_submit} at admission,
     {!on_serve} / {!on_expire} as {!Sched.Engine.Live.step} reports
     them, {!on_round} after each step.  [scores] may be read at any
-    time — every metric is well-defined mid-stream. *)
+    time — every metric is well-defined mid-stream.
+
+    {b Contract}: ids are strictly ascending across {!on_submit} calls
+    (as {!Sched.Engine.Live.submit} issues them) and each request is
+    admitted into the round in progress.  On that contract the state
+    is bounded by the open window, not by the run: pending requests sit
+    in an id-indexed ring spanning the ids from the oldest pending one
+    to the newest (gaps in the ids count towards that span), and the
+    machines-needed bound keeps per-arrival-round counts for the rounds
+    with open windows plus a pruned convex hull (DESIGN §4.11).  Each
+    event is O(1) amortised; {!on_round} costs O(open rounds + log hull). *)
 
 type t
 
 val create : unit -> t
 
 val on_submit : t -> id:int -> round:int -> deadline:int -> unit
-(** Record an admission.  Ids must be fresh; @raise Invalid_argument on
-    a duplicate or on [deadline < 1]. *)
+(** Record an admission into [round], which must be the round in
+    progress (the number of {!on_round} calls so far).
+    @raise Invalid_argument on an id not above every earlier one
+    (a duplicate included), on another round, or on [deadline < 1]. *)
 
 val on_serve : t -> id:int -> round:int -> unit
 (** Record a first service. @raise Invalid_argument on an unknown id
-    (never submitted, or already terminal). *)
+    (never submitted, or already served or expired). *)
 
 val on_expire : t -> id:int -> round:int -> unit
 (** Record a window closing unserved. @raise Invalid_argument on an
-    unknown id. *)
+    unknown id (never submitted, or already served or expired). *)
 
 val on_round : t -> unit
 (** The round just executed is complete (all of its serve/expire events
@@ -78,8 +90,9 @@ val scores : t -> scores
 val of_outcome : Sched.Outcome.t -> scores
 (** The same five objectives recomputed {e independently} from a full
     outcome log: direct loops over [served_at] and the instance, no
-    shared accumulator code.  Equals the streaming scores exactly when
-    the stream saw the same run ([rounds = horizon]). *)
+    shared accumulator code (machines-needed by the direct O(h{^2})
+    double loop over intervals).  Equals the streaming scores exactly
+    when the stream saw the same run ([rounds = horizon]). *)
 
 (** {1 One-pass scored run} *)
 

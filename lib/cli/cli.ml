@@ -173,15 +173,25 @@ let jobs =
   in
   Arg.(value & opt (some domains) None & info [ "jobs" ] ~docv:"N" ~doc)
 
-let catch_job_failure k =
+let program_name () =
+  Filename.remove_extension (Filename.basename Sys.executable_name)
+
+let run k =
   Printexc.record_backtrace true;
+  let failed msg =
+    Printf.eprintf "%s: %s\n%!" (program_name ()) msg;
+    Ok 1
+  in
   match k () with
-  | r -> r
+  | Ok () -> Ok Cmd.Exit.ok
+  | Error msg -> failed msg
   | exception (Obs.Instrument.Job_failed _ as e) ->
     let bt = Printexc.get_raw_backtrace () in
-    Error
+    failed
       (String.trim
          (Printexc.to_string e ^ "\n" ^ Printexc.raw_backtrace_to_string bt))
+
+let exits t = Term.(const (fun () -> Cmd.Exit.ok) $ term_result' t)
 
 (* ------------------------------------------------------------------ *)
 (* experiment selection *)

@@ -3,8 +3,9 @@
 
     Each option that more than one subcommand or executable takes is
     declared here once, so its name, default and help read the same
-    everywhere.  Actions return [(unit, string) result], which
-    [Term.term_result'] turns into cmdliner's CLI-error exit. *)
+    everywhere.  Actions return [(unit, string) result]: {!exits} turns
+    an [Error] into cmdliner's usage-error exit, and a command whose
+    work can fail runs it under {!run}, which exits 1 instead. *)
 
 open Cmdliner
 
@@ -69,8 +70,8 @@ val metrics : metrics Term.t
     [--metrics-out FILE]. *)
 
 val with_metrics :
-  metrics -> (Obs.Metrics.t option -> (unit, string) result) ->
-  (unit, string) result
+  metrics -> (Obs.Metrics.t option -> ('a, string) result) ->
+  ('a, string) result
 (** With [--metrics], install a fresh ambient registry around [k], pass
     it to [k] too (for callers the ambient fallback does not reach), and
     export its snapshot when [k] succeeds.  Without, [k None]. *)
@@ -82,11 +83,24 @@ val jobs : int option Term.t
     [1 .. Prelude.Parmap.max_domains] is a usage error, so no domain is
     ever asked of a runtime that cannot start it. *)
 
-val catch_job_failure :
-  (unit -> ('a, string) result) -> ('a, string) result
-(** Run [k] with backtraces recorded; a {!Obs.Instrument.Job_failed}
-    escaping it becomes [Error] naming the family, the job and the
-    exception, followed by the backtrace from the job's raise point. *)
+(** {2 Exit codes}
+
+    A command exits 0 when it ran and succeeded, 1 when it ran and
+    failed (failed checks, search problems, a raising job), and
+    cmdliner's 124 on a usage error: a bad flag value, or an [Error] an
+    action returns before it starts its work. *)
+
+val run : (unit -> (unit, string) result) -> (Cmd.Exit.code, string) result
+(** [run k] is a command's work once its arguments are validated.
+    [Ok ()] gives [Ok 0]; [Error msg], or a {!Obs.Instrument.Job_failed}
+    escaping [k] (named with its family, job and exception, followed by
+    the backtrace from the job's raise point), is printed on stderr as
+    ["PROGRAM: msg"] and gives [Ok 1].  Backtraces are
+    recorded while [k] runs. *)
+
+val exits : (unit, string) result Term.t -> Cmd.Exit.code Term.t
+(** A command term without a run-failure case: [Ok ()] exits 0, [Error]
+    is a usage error (124). *)
 
 (** {2 Experiment selection} *)
 

@@ -19,22 +19,51 @@ module Ivec = Prelude.Ivec
    right vertices, which cannot be interior), hence it would have existed
    before the append — contradiction.  Augmentations never revive dead
    roots (the classical non-revival lemma), so one search per new right
-   vertex, ever, keeps the matching maximum. *)
+   vertex, ever, keeps the matching maximum.
+
+   Saturation pruning (DESIGN §4.3.1).  Let H be the graph the searches
+   have seen so far: the matched right vertices and the roots already
+   searched, with all their edges.  The matching is maximum in H after
+   every search, and a search never leaves H (it moves right only along
+   matching edges).  Three facts make a failed search's visits dead for
+   good:
+   - a failed search from a free root visits only left vertices that
+     are matched in every maximum matching of H (a maximum matching
+     missing one would give an alternating walk from the root to a free
+     left vertex, and in a bipartite graph such a walk shortens to an
+     augmenting path);
+   - that stays true when right vertices whose edges are all new, and
+     left vertices with edges only to them, are appended (the
+     symmetric difference with a maximum matching missing the vertex
+     is a path that uses no new edge, so it would already refute the
+     property in H);
+   - every left vertex on an augmenting path from a new root is missed
+     by some maximum matching of the old H (flip the path's tail).
+   So dead vertices lie on no augmenting path, skipping them loses
+   nothing, and each left vertex is visited by at most one failed
+   search. *)
 
 type search_stats = {
   searches : int;
   successes : int;
   warm_hits : int;
   visited : int;
+  failed_visits : int;
 }
+
+(* [stamp.(u)] is the clock of the last search that visited [u], or
+   [dead] once a failed search visited it.  [dead] is [max_int], so
+   "visited by this search or dead" is the one test [stamp >= clock]. *)
+let dead = max_int
 
 type t = {
   g : Bipartite.t;
   mutable left_to : int array; (* capacity >= n_left g; -1 = free *)
   mutable right_to : int array; (* capacity >= n_right g; -1 = free *)
   mutable left_edge : int array; (* capacity >= n_left g; -1 = free *)
-  mutable stamp : int array; (* per left vertex, DFS visit clock *)
+  mutable stamp : int array; (* per left vertex: visit clock or [dead] *)
   mutable clock : int;
+  trail : Ivec.t; (* left vertices stamped by the live search *)
   mutable size : int;
   (* plain counters (no locking: callers own the structure), read out by
      the observability layer via [stats] *)
@@ -42,7 +71,7 @@ type t = {
   mutable successes : int;
   mutable warm_hits : int;
   mutable visited : int;
-  mutable cur_visits : int; (* left vertices stamped by the live search *)
+  mutable failed_visits : int;
 }
 
 let grow a n ~fill =
@@ -71,12 +100,13 @@ let create g =
       left_edge = Array.make (max nl 1) (-1);
       stamp = Array.make (max nl 1) 0;
       clock = 0;
+      trail = Ivec.create ~capacity:64 ();
       size = 0;
       searches = 0;
       successes = 0;
       warm_hits = 0;
       visited = 0;
-      cur_visits = 0;
+      failed_visits = 0;
     }
   in
   if Bipartite.n_edges g > 0 then begin
@@ -99,36 +129,34 @@ let stats t =
     successes = t.successes;
     warm_hits = t.warm_hits;
     visited = t.visited;
+    failed_visits = t.failed_visits;
   }
 
-(* DFS from a right vertex looking for a free left vertex along an
-   alternating path; flips the path in place on success. *)
-let rec search t r =
-  let adj = Bipartite.adj_right t.g r in
-  let n = Ivec.length adj in
-  let rec try_edge i =
-    if i >= n then false
+(* Kuhn DFS from right vertex [r] over its edges [adj] from index [i]
+   on, looking for a free left vertex along an alternating path; flips
+   the path in place on success.  Top-level recursion, no closures: a
+   search allocates nothing unless [trail] has to grow. *)
+let rec search t r adj i =
+  if i >= Ivec.length adj then false
+  else begin
+    let id = Ivec.get adj i in
+    let u = Bipartite.edge_left t.g id in
+    if t.stamp.(u) >= t.clock then search t r adj (i + 1)
     else begin
-      let id = Ivec.get adj i in
-      let u = Bipartite.edge_left t.g id in
-      if t.stamp.(u) = t.clock then try_edge (i + 1)
-      else begin
-        t.stamp.(u) <- t.clock;
-        t.cur_visits <- t.cur_visits + 1;
-        let r' = t.left_to.(u) in
-        if r' < 0 || search t r' then begin
-          (* if u was matched, the recursive call found r' a new partner
-             already, so stealing u is safe *)
-          t.left_to.(u) <- r;
-          t.right_to.(r) <- u;
-          t.left_edge.(u) <- id;
-          true
-        end
-        else try_edge (i + 1)
+      t.stamp.(u) <- t.clock;
+      Ivec.push t.trail u;
+      let r' = t.left_to.(u) in
+      if r' < 0 || search t r' (Bipartite.adj_right t.g r') 0 then begin
+        (* if u was matched, the recursive call found r' a new partner
+           already, so stealing u is safe *)
+        t.left_to.(u) <- r;
+        t.right_to.(r) <- u;
+        t.left_edge.(u) <- id;
+        true
       end
+      else search t r adj (i + 1)
     end
-  in
-  try_edge 0
+  end
 
 let augment_from_right t r =
   sync t;
@@ -137,16 +165,26 @@ let augment_from_right t r =
   if t.right_to.(r) >= 0 then false
   else begin
     t.clock <- t.clock + 1;
-    t.cur_visits <- 0;
-    let grew = search t r in
+    Ivec.clear t.trail;
+    let grew = search t r (Bipartite.adj_right t.g r) 0 in
+    let visits = Ivec.length t.trail in
     t.searches <- t.searches + 1;
-    t.visited <- t.visited + t.cur_visits;
+    t.visited <- t.visited + visits;
     if grew then begin
       t.size <- t.size + 1;
       t.successes <- t.successes + 1;
       (* a warm hit: the root's first probe was a free left vertex, no
          rematching needed — the common case on paper-graph streams *)
-      if t.cur_visits = 1 then t.warm_hits <- t.warm_hits + 1
+      if visits = 1 then t.warm_hits <- t.warm_hits + 1
+    end
+    else begin
+      (* every vertex this failed search reached is matched in every
+         maximum matching, now and after any later append (see the
+         header): no augmenting path can pass through it again *)
+      t.failed_visits <- t.failed_visits + visits;
+      for k = 0 to visits - 1 do
+        t.stamp.(Ivec.get t.trail k) <- dead
+      done
     end;
     grew
   end
@@ -159,6 +197,12 @@ let augment_new_rights t ~first =
     if augment_from_right t r then incr gained
   done;
   !gained
+
+let is_dead t u =
+  sync t;
+  if u < 0 || u >= Bipartite.n_left t.g then
+    invalid_arg "Augment.is_dead: left vertex out of range";
+  t.stamp.(u) = dead
 
 let matching t =
   sync t;

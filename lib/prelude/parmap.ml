@@ -15,7 +15,13 @@ let no_clock () = 0.0
 
 let mapi ?domains ?(clock = no_clock) ?observe f xs =
   let domains =
-    match domains with Some d -> max 1 d | None -> recommended_domains ()
+    match domains with
+    | Some d when d < 1 || d > max_domains ->
+      invalid_arg
+        (Printf.sprintf "Parmap.mapi: %d domains, expected 1..%d" d
+           max_domains)
+    | Some d -> d
+    | None -> recommended_domains ()
   in
   let items = Array.of_list xs in
   let n = Array.length items in

@@ -41,6 +41,8 @@ val map :
     after all domains have joined, with the backtrace captured at the
     original raise point.  With [domains = 1] or a short input list this
     degrades to plain [List.map] with no domain spawns.
+    @raise Invalid_argument if [domains] is outside [1 .. max_domains],
+    before anything runs or spawns.
 
     [observe] (default: none) receives one {!domain_stat} per worker
     after all have joined, stamped with [clock] (default: a constant 0,

@@ -314,6 +314,206 @@ let test_ledger_validation () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "period 0 accepted"
 
+(* ------------------------------------------------------------------ *)
+(* Slo: the streaming accumulator against its batch oracle *)
+
+module Slo = Analysis.Slo
+module Live = Engine.Live
+
+let raises what f =
+  match f () with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.failf "%s: expected Invalid_argument" what
+
+let test_slo_incremental_api () =
+  let t = Slo.create () in
+  Slo.on_submit t ~id:3 ~round:0 ~deadline:2;
+  Slo.on_submit t ~id:5 ~round:0 ~deadline:1;
+  raises "duplicate id" (fun () -> Slo.on_submit t ~id:5 ~round:0 ~deadline:1);
+  raises "descending id" (fun () -> Slo.on_submit t ~id:4 ~round:0 ~deadline:1);
+  raises "deadline 0" (fun () -> Slo.on_submit t ~id:6 ~round:0 ~deadline:0);
+  raises "a round not in progress" (fun () ->
+      Slo.on_submit t ~id:6 ~round:1 ~deadline:1);
+  raises "serve a skipped id" (fun () -> Slo.on_serve t ~id:4 ~round:0);
+  raises "serve a future id" (fun () -> Slo.on_serve t ~id:6 ~round:0);
+  raises "expire a skipped id" (fun () -> Slo.on_expire t ~id:4 ~round:0);
+  Slo.on_serve t ~id:5 ~round:0;
+  raises "serve a served id" (fun () -> Slo.on_serve t ~id:5 ~round:0);
+  raises "expire a served id" (fun () -> Slo.on_expire t ~id:5 ~round:0);
+  Slo.on_round t;
+  Slo.on_expire t ~id:3 ~round:1;
+  raises "expire an expired id" (fun () -> Slo.on_expire t ~id:3 ~round:1);
+  raises "serve an expired id" (fun () -> Slo.on_serve t ~id:3 ~round:1);
+  Slo.on_round t;
+  (* a gap in the ids is fine, and so is a ring outgrown by one round *)
+  for id = 1000 to 1199 do
+    Slo.on_submit t ~id ~round:2 ~deadline:1
+  done;
+  for id = 1000 to 1199 do
+    if id mod 2 = 0 then Slo.on_serve t ~id ~round:2
+    else Slo.on_expire t ~id ~round:2
+  done;
+  Slo.on_round t;
+  let s = Slo.scores t in
+  check Alcotest.int "submitted" 202 s.Slo.submitted;
+  check Alcotest.int "served" 101 s.Slo.served;
+  check Alcotest.int "expired" 101 s.Slo.expired;
+  check Alcotest.int "machines: 200 windows in one round" 200
+    s.Slo.machines_needed
+
+(* [Slo.machines_needed] restricted to intervals of at most [max_len]
+   rounds, by direct loops: which interval sets the bound. *)
+let machines_within (inst : Instance.t) ~max_len =
+  let best = ref 0 in
+  for t2 = 0 to inst.horizon - 1 do
+    for t1 = max 0 (t2 - max_len + 1) to t2 do
+      let n = ref 0 in
+      for a = t1 to t2 do
+        Array.iter
+          (fun r -> if Request.last_round r <= t2 then incr n)
+          (Instance.arrivals_at inst a)
+      done;
+      let len = t2 - t1 + 1 in
+      best := max !best ((!n + len - 1) / len)
+    done
+  done;
+  !best
+
+let check_stream_equals_batch what inst =
+  let streamed = Slo.score_stream inst (Strategies.Twochoice.least_loaded ()) in
+  let batch =
+    Slo.of_outcome (Engine.run inst (Strategies.Twochoice.least_loaded ()))
+  in
+  if compare streamed.Slo.scores batch <> 0 then
+    Alcotest.failf "%s: streamed machines %d, batch %d" what
+      streamed.Slo.scores.Slo.machines_needed batch.Slo.machines_needed;
+  batch.Slo.machines_needed
+
+(* Constant overload: 7 requests a round on 2 resources, deadline 3, for
+   2400 rounds.  Only intervals longer than 7 * (3 - 1) = 14 rounds
+   reach the bound of 7; shorter ones lose their last two rounds'
+   windows. *)
+let test_slo_long_constant_overload () =
+  let rounds = 2400 and d = 3 in
+  let reqs =
+    List.init (rounds * 7) (fun i ->
+        req ~arrival:(i / 7) ~alts:[ i mod 2; (i + 1) mod 2 ] ~deadline:d)
+  in
+  let inst = Instance.build ~n_resources:2 ~d reqs in
+  let m = check_stream_equals_batch "constant overload" inst in
+  check Alcotest.int "the long-run rate sets the bound" 7 m;
+  check Alcotest.bool "no interval of <= 14 rounds reaches it" true
+    (machines_within inst ~max_len:14 < m)
+
+(* A single burst: one request a round for 2400 rounds, and 40 with
+   deadline 1 in round 1700.  One round sets the bound. *)
+let test_slo_long_single_burst () =
+  let rounds = 2400 and d = 4 in
+  let background =
+    List.init rounds (fun r -> req ~arrival:r ~alts:[ r mod 3 ] ~deadline:d)
+  in
+  let burst = List.init 40 (fun i -> req ~arrival:1700 ~alts:[ i mod 3 ] ~deadline:1) in
+  let reqs =
+    List.stable_sort
+      (fun (a : Request.t) (b : Request.t) -> compare a.arrival b.arrival)
+      (background @ burst)
+  in
+  let inst = Instance.build ~n_resources:3 ~d reqs in
+  let m = check_stream_equals_batch "single burst" inst in
+  check Alcotest.int "the burst round sets the bound" 40 m;
+  check Alcotest.int "a one-round interval reaches it" m
+    (machines_within inst ~max_len:1)
+
+(* Random arrival counts (bursts, empty rounds) and deadlines up to 40,
+   past the accumulator's initial ring sizes: the streamed scores equal
+   the batch oracle's exactly, every window expiring unserved. *)
+let prop_slo_stream_equals_batch =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:200 ~name:"streamed Slo = of_outcome, random windows"
+       QCheck.(pair (int_range 1 300) (int_range 0 100_000))
+       (fun (rounds, seed) ->
+          let rng = Prelude.Rng.create ~seed in
+          let d = 1 + Prelude.Rng.int rng 40 in
+          let reqs = ref [] in
+          for r = 0 to rounds - 1 do
+            let k =
+              match Prelude.Rng.int rng 4 with
+              | 0 -> 0
+              | 1 -> Prelude.Rng.int rng 30
+              | _ -> Prelude.Rng.int rng 4
+            in
+            for _ = 1 to k do
+              reqs :=
+                req ~arrival:r ~alts:[ 0 ]
+                  ~deadline:(1 + Prelude.Rng.int rng d)
+                :: !reqs
+            done
+          done;
+          let inst = Instance.build ~n_resources:1 ~d (List.rev !reqs) in
+          let t = Slo.create () in
+          for r = 0 to inst.horizon - 1 do
+            Array.iter
+              (fun (q : Request.t) ->
+                 Slo.on_submit t ~id:q.id ~round:r ~deadline:q.deadline)
+              (Instance.arrivals_at inst r);
+            Array.iter
+              (fun (q : Request.t) ->
+                 if Request.last_round q = r then
+                   Slo.on_expire t ~id:q.id ~round:r)
+              inst.requests;
+            Slo.on_round t
+          done;
+          let o =
+            {
+              Sched.Outcome.instance = inst;
+              strategy_name = "none";
+              served_at = Array.make (Instance.n_requests inst) None;
+              served = 0;
+              wasted = 0;
+              per_round_served = Array.make inst.horizon 0;
+            }
+          in
+          compare (Slo.scores t) (Slo.of_outcome o) = 0))
+
+(* The accumulator holds the open window, not the history: its heap
+   after 20 000 rounds of zoo mix stays within 1.5x of its heap after
+   2 000 rounds. *)
+let test_slo_bounded_by_the_window () =
+  let n = 8 and d = 4 and rounds = 20_000 in
+  let inst =
+    match
+      Workload.Zoo.generate ~name:"mix" ~n ~d ~rounds ~load:1.0 ~seed:5
+    with
+    | Ok i -> i
+    | Error m -> Alcotest.fail m
+  in
+  let live = Live.create ~n ~d (Strategies.Twochoice.least_loaded ()) in
+  let t = Slo.create () in
+  let early = ref 0 in
+  for round = 0 to rounds - 1 do
+    Array.iter
+      (fun (r : Request.t) ->
+         match
+           Live.submit live ~alternatives:(Array.to_list r.alternatives)
+             ~deadline:r.deadline
+         with
+         | Ok id -> Slo.on_submit t ~id ~round ~deadline:r.deadline
+         | Error m -> Alcotest.fail m)
+      (Instance.arrivals_at inst round);
+    let out = Live.step live in
+    List.iter (fun (id, _) -> Slo.on_serve t ~id ~round) out.Live.served;
+    List.iter (fun id -> Slo.on_expire t ~id ~round) out.Live.expired;
+    Slo.on_round t;
+    if round + 1 = rounds / 10 then
+      early := Obj.reachable_words (Obj.repr t)
+  done;
+  let late = Obj.reachable_words (Obj.repr t) in
+  check Alcotest.bool "a long run scored something" true
+    ((Slo.scores t).Slo.submitted > 2 * rounds);
+  if float_of_int late > 1.5 *. float_of_int !early then
+    Alcotest.failf "Slo state grew from %d words at round %d to %d at %d"
+      !early (rounds / 10) late rounds
+
 let () =
   Alcotest.run "analysis"
     [
@@ -352,5 +552,16 @@ let () =
         [
           Alcotest.test_case "windows" `Quick test_ledger_windows;
           Alcotest.test_case "validation" `Quick test_ledger_validation;
+        ] );
+      ( "slo",
+        [
+          Alcotest.test_case "incremental API" `Quick test_slo_incremental_api;
+          Alcotest.test_case "long constant overload" `Quick
+            test_slo_long_constant_overload;
+          Alcotest.test_case "long single burst" `Quick
+            test_slo_long_single_burst;
+          prop_slo_stream_equals_batch;
+          Alcotest.test_case "state bounded by the window" `Quick
+            test_slo_bounded_by_the_window;
         ] );
     ]

@@ -113,6 +113,41 @@ let test_bad_values_are_errors () =
          Alcotest.failf "%s must be a usage error" (String.concat " " args))
     [ [ "--jobs"; "0" ]; [ "--jobs=-1" ]; [ "--jobs"; "129" ] ]
 
+(* Exit codes: a usage error keeps cmdliner's 124, a command that ran
+   and failed exits 1 (its message on stderr), success exits 0. *)
+let exit_code work args =
+  let err = Format.formatter_of_buffer (Buffer.create 256) in
+  Cmd.eval' ~err ~help:err
+    ~argv:(Array.of_list ("prog" :: args))
+    (Cmd.v (Cmd.info "prog")
+       (Term.term_result'
+          Term.(const (fun _jobs -> Cli.run work) $ Cli.jobs)))
+
+let test_exit_codes () =
+  let ok () = Ok () in
+  let failed_checks () = Error "2 failed checks" in
+  let raising_job () =
+    ignore
+      (Obs.Instrument.jobs ~domains:1 ~family:"F.test"
+         [ ("boom", fun () -> failwith "planted") ]
+        : unit list);
+    Ok ()
+  in
+  Alcotest.(check int) "success" 0 (exit_code ok [ "--jobs"; "1" ]);
+  Alcotest.(check int) "failed checks" 1
+    (exit_code failed_checks [ "--jobs"; "1" ]);
+  Alcotest.(check int) "a raising job" 1 (exit_code raising_job []);
+  Alcotest.(check int) "--jobs 0 is a usage error" 124
+    (exit_code ok [ "--jobs"; "0" ]);
+  Alcotest.(check int) "and stays one when the work would fail" 124
+    (exit_code failed_checks [ "--jobs"; "0" ]);
+  Alcotest.(check int) "an action's own Error is a usage error" 124
+    (Cmd.eval'
+       ~err:(Format.formatter_of_buffer (Buffer.create 64))
+       ~argv:[| "prog" |]
+       (Cmd.v (Cmd.info "prog")
+          (Cli.exits Term.(const (Error "d must be >= 2")))))
+
 let () =
   Alcotest.run "cli"
     [
@@ -131,5 +166,6 @@ let () =
           Alcotest.test_case "cluster kinds" `Quick test_cluster_kinds;
           Alcotest.test_case "bad values are errors" `Quick
             test_bad_values_are_errors;
+          Alcotest.test_case "exit codes" `Quick test_exit_codes;
         ] );
     ]

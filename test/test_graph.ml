@@ -569,6 +569,163 @@ let prop_augment_tracks_hopcroft_karp =
        done;
        !ok)
 
+(* The saturation-pruning lemma (DESIGN §4.3.1), checked step by step
+   on longer growth scripts: the size tracks Hopcroft-Karp, and every
+   left vertex a failed search killed is matched and essential —
+   removing it costs every maximum matching one edge, checked by
+   Hopcroft-Karp on a copy of the graph without its edges. *)
+let long_growth_arb =
+  QCheck.make
+    QCheck.Gen.(
+      int_range 1 40 >>= fun steps ->
+      int_range 0 100_000 >>= fun seed -> return (steps, seed))
+    ~print:(fun (steps, seed) -> Printf.sprintf "steps=%d seed=%d" steps seed)
+
+let without_left g v =
+  let g' =
+    Bipartite.create ~n_left:(Bipartite.n_left g) ~n_right:(Bipartite.n_right g)
+  in
+  Bipartite.iter_edges g (fun _ ~left ~right ->
+      if left <> v then ignore (Bipartite.add_edge g' ~left ~right : int));
+  g'
+
+(* One growth step under the append discipline: 0-3 new left vertices,
+   1-3 new right vertices, 0-6 edges each incident to a new right
+   vertex; rights outnumber lefts on average, so searches fail. *)
+let grow_step rng g a =
+  for _ = 1 to Rng.int rng 4 do
+    ignore (Bipartite.add_left_vertex g : int)
+  done;
+  let first = Bipartite.n_right g in
+  for _ = 1 to 1 + Rng.int rng 3 do
+    ignore (Bipartite.add_right_vertex g : int)
+  done;
+  let nl = Bipartite.n_left g and nr = Bipartite.n_right g in
+  if nl > 0 then
+    for _ = 1 to Rng.int rng 7 do
+      ignore
+        (Bipartite.add_edge g ~left:(Rng.int rng nl)
+           ~right:(first + Rng.int rng (nr - first)))
+    done;
+  ignore (Graph.Augment.augment_new_rights a ~first : int)
+
+let prop_dead_vertices_are_essential =
+  qtest ~count:150 "dead left vertices are matched in every maximum matching"
+    long_growth_arb
+    (fun (steps, seed) ->
+       let rng = Rng.create ~seed in
+       let g = Bipartite.create ~n_left:0 ~n_right:0 in
+       let a = Graph.Augment.create g in
+       let ok = ref true in
+       for _ = 1 to steps do
+         grow_step rng g a;
+         let nu = Hopcroft_karp.max_matching_size g in
+         let m = Graph.Augment.matching a in
+         if Graph.Augment.size a <> nu then ok := false;
+         for v = 0 to Bipartite.n_left g - 1 do
+           if Graph.Augment.is_dead a v then begin
+             if not (Matching.is_matched_left m v) then ok := false;
+             if Hopcroft_karp.max_matching_size (without_left g v) <> nu - 1
+             then ok := false
+           end
+         done
+       done;
+       !ok)
+
+(* Each left vertex is stamped by at most one failed search: the
+   search that fails kills what it stamped, and dead vertices are never
+   stamped again. *)
+let prop_failed_visits_bounded =
+  qtest ~count:300 "failed-search visits <= left vertices" long_growth_arb
+    (fun (steps, seed) ->
+       let rng = Rng.create ~seed in
+       let g = Bipartite.create ~n_left:0 ~n_right:0 in
+       let a = Graph.Augment.create g in
+       for _ = 1 to steps do grow_step rng g a done;
+       let s = Graph.Augment.stats a in
+       let dead = ref 0 in
+       for v = 0 to Bipartite.n_left g - 1 do
+         if Graph.Augment.is_dead a v then incr dead
+       done;
+       s.Graph.Augment.failed_visits <= Bipartite.n_left g
+       && s.Graph.Augment.failed_visits = !dead)
+
+let test_failed_search_kills_once () =
+  (* two lefts, each wanted by three slots: the third slot's search
+     fails and kills both; the fourth's stamps nothing *)
+  let g = Bipartite.create ~n_left:0 ~n_right:0 in
+  let a = Graph.Augment.create g in
+  let u0 = Bipartite.add_left_vertex g and u1 = Bipartite.add_left_vertex g in
+  let slot () =
+    let r = Bipartite.add_right_vertex g in
+    ignore (Bipartite.add_edge g ~left:u0 ~right:r : int);
+    ignore (Bipartite.add_edge g ~left:u1 ~right:r : int);
+    Graph.Augment.augment_new_rights a ~first:r
+  in
+  check Alcotest.int "slot 0" 1 (slot ());
+  check Alcotest.int "slot 1" 1 (slot ());
+  check Alcotest.int "slot 2 fails" 0 (slot ());
+  let s = Graph.Augment.stats a in
+  check Alcotest.int "the failed search stamped both" 2
+    s.Graph.Augment.failed_visits;
+  check Alcotest.bool "both dead" true
+    (Graph.Augment.is_dead a u0 && Graph.Augment.is_dead a u1);
+  check Alcotest.int "slot 3 fails" 0 (slot ());
+  let s' = Graph.Augment.stats a in
+  check Alcotest.int "a dead vertex is never stamped again" 2
+    s'.Graph.Augment.failed_visits;
+  check Alcotest.int "so the search visited nothing" s.Graph.Augment.visited
+    s'.Graph.Augment.visited
+
+let minor_words_during f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* A search on a column that needs no capacity growth allocates
+   nothing: no closure per visit, no list, no boxed counter. *)
+let test_search_allocates_nothing () =
+  let g = Bipartite.create ~n_left:0 ~n_right:0 in
+  let a = Graph.Augment.create g in
+  let n = 64 in
+  for _ = 1 to n do ignore (Bipartite.add_left_vertex g : int) done;
+  (* a chain: slot i takes lefts i and i+1, so each new slot reroutes
+     the whole chain before it *)
+  let column ~lefts =
+    let r = Bipartite.add_right_vertex g in
+    List.iter
+      (fun u -> ignore (Bipartite.add_edge g ~left:u ~right:r : int))
+      lefts;
+    r
+  in
+  let r = ref 0 in
+  for i = 0 to n - 3 do
+    r := column ~lefts:[ i + 1; i ];
+    ignore (Graph.Augment.augment_new_rights a ~first:!r : int)
+  done;
+  (* grow the right capacity (62 -> 128) past the measured columns *)
+  for _ = 1 to 8 do ignore (column ~lefts:[] : int) done;
+  ignore (Graph.Augment.augment_new_rights a ~first:(!r + 1) : int);
+  let baseline = minor_words_during ignore in
+  let reroute = column ~lefts:[ n - 2; 0 ] in
+  let words =
+    minor_words_during (fun () ->
+        ignore (Graph.Augment.augment_from_right a reroute : bool))
+  in
+  check Alcotest.int "the rerouting search grew the matching" (n - 1)
+    (Graph.Augment.size a);
+  check (Alcotest.float 0.) "minor words of a rerouting search" 0.
+    (words -. baseline);
+  let failing = column ~lefts:[ 0; n / 2 ] in
+  let words =
+    minor_words_during (fun () ->
+        ignore (Graph.Augment.augment_from_right a failing : bool))
+  in
+  check Alcotest.bool "the last search failed" true
+    (Graph.Augment.is_dead a 0);
+  check (Alcotest.float 0.) "minor words of a failing search" 0.
+    (words -. baseline)
+
 let () =
   Alcotest.run "graph"
     [
@@ -587,6 +744,12 @@ let () =
           Alcotest.test_case "populated graph" `Quick
             test_augment_on_populated_graph;
           prop_augment_tracks_hopcroft_karp;
+          prop_dead_vertices_are_essential;
+          prop_failed_visits_bounded;
+          Alcotest.test_case "a failed search kills once" `Quick
+            test_failed_search_kills_once;
+          Alcotest.test_case "a search allocates nothing" `Quick
+            test_search_allocates_nothing;
         ] );
       ( "matching",
         [

@@ -313,6 +313,26 @@ let test_parmap_edge_cases () =
   check Alcotest.(list int) "one domain degrades to List.map" [ 2; 3 ]
     (Prelude.Parmap.map ~domains:1 (fun x -> x + 1) [ 1; 2 ])
 
+(* A domain count outside 1..max_domains is refused before any task
+   runs or any domain is spawned, so trying the bad values is safe. *)
+let test_parmap_domain_count_checked () =
+  let ran = ref false in
+  List.iter
+    (fun domains ->
+       match
+         Prelude.Parmap.mapi ~domains (fun _ x -> ran := true; x) [ 1; 2; 3 ]
+       with
+       | exception Invalid_argument _ -> ()
+       | _ -> Alcotest.failf "~domains:%d must be refused" domains)
+    [ 0; -1; min_int; Prelude.Parmap.max_domains + 1; max_int ];
+  check Alcotest.bool "no task ran" false !ran;
+  (* an empty list is refused the same way *)
+  (match Prelude.Parmap.map ~domains:0 Fun.id [] with
+   | exception Invalid_argument _ -> ()
+   | _ -> Alcotest.fail "~domains:0 on [] must be refused");
+  check Alcotest.(list int) "the limit itself is accepted" [ 2 ]
+    (Prelude.Parmap.map ~domains:Prelude.Parmap.max_domains succ [ 1 ])
+
 let test_parmap_exception_propagates () =
   match
     Prelude.Parmap.map ~domains:4
@@ -524,6 +544,8 @@ let () =
           Alcotest.test_case "matches sequential" `Quick
             test_parmap_matches_sequential;
           Alcotest.test_case "edge cases" `Quick test_parmap_edge_cases;
+          Alcotest.test_case "domain count checked" `Quick
+            test_parmap_domain_count_checked;
           Alcotest.test_case "exception propagates" `Quick
             test_parmap_exception_propagates;
           Alcotest.test_case "order across domain counts" `Quick

@@ -273,9 +273,11 @@ let run_scale ~quick =
    tiers (the optimum's graph holds the whole run: 8 000 rounds is
    already ~380k requests).  Their per-round cost should not grow with
    the run.  The events come from greedy_2choice, the cheapest
-   strategy: only the two scorers are timed.  The check is
+   strategy: only the two scorers are timed.  The checks are
    deterministic: each left vertex is visited by at most one failed
-   augmenting search (DESIGN 4.3.1). *)
+   augmenting search (DESIGN 4.3.1), and the optimum's column store
+   holds at most 24 words per request (the growable graph it replaced
+   held 57). *)
 let run_scoring () =
   let n = 64 and d = 4 in
   let lengths = [ 2_000; 8_000 ] in
@@ -285,14 +287,14 @@ let run_scoring () =
       ~title:
         (Printf.sprintf
            "B.scale scoring  --  us/round of Opt_stream.feed and Slo vs run \
-            length (zoo mix n=%d d=%d load %g, mean over the run)"
+            length (zoo mix n=%d d=%d load %g, mean over the run unless p50)"
            n d family.Workload.Zoo.default_load)
       ~header:
-        [ "rounds"; "requests"; "feed us"; "visits"; "failed visits";
-          "slo us" ]
+        [ "rounds"; "requests"; "feed us"; "feed p50 us"; "visits";
+          "failed visits"; "words/req"; "slo us" ]
       ()
   in
-  let bounded = ref true in
+  let bounded = ref true and compact = ref true in
   List.iter
     (fun rounds ->
        let inst =
@@ -304,8 +306,9 @@ let run_scoring () =
        in
        let opt = Offline.Opt_stream.create ~n_resources:n () in
        let slo = Analysis.Slo.create () in
-       let feed_s = ref 0.0 and slo_s = ref 0.0 in
+       let slo_s = ref 0.0 in
        let horizon = inst.Sched.Instance.horizon in
+       let feed_s = Array.make horizon 0.0 in
        for round = 0 to horizon - 1 do
          let arrivals = Sched.Instance.arrivals_at inst round in
          let ids =
@@ -338,7 +341,7 @@ let run_scoring () =
            out.Sched.Engine.Live.expired;
          Analysis.Slo.on_round slo;
          let t3 = Unix.gettimeofday () in
-         feed_s := !feed_s +. (t1 -. t0);
+         feed_s.(round) <- t1 -. t0;
          slo_s := !slo_s +. (t3 -. t2)
        done;
        let per_round x = x /. float_of_int horizon in
@@ -346,7 +349,13 @@ let run_scoring () =
        let requests = Sched.Instance.n_requests inst in
        let failed = stats.Graph.Augment.failed_visits in
        if failed > requests then bounded := false;
-       let feed_us = per_round (!feed_s *. 1e6)
+       let words_per_req =
+         float_of_int (Obj.reachable_words (Obj.repr opt))
+         /. float_of_int requests
+       in
+       if words_per_req > 24. then compact := false;
+       let feed_us = per_round (Array.fold_left ( +. ) 0. feed_s *. 1e6)
+       and feed_p50_us = Prelude.Stats.quantile feed_s 0.5 *. 1e6
        and visits = per_round (float_of_int stats.Graph.Augment.visited)
        and slo_us = per_round (!slo_s *. 1e6) in
        let params =
@@ -355,16 +364,20 @@ let run_scoring () =
        in
        let rec_metric metric v = record ~family:"B.scale" ~params ~metric v in
        rec_metric "opt_stream_feed_us_per_round" feed_us;
+       rec_metric "opt_stream_feed_p50_us" feed_p50_us;
+       rec_metric "opt_stream_words_per_request" words_per_req;
        rec_metric "opt_stream_visits_per_round" visits;
        rec_metric "opt_stream_failed_visits" (float_of_int failed);
        rec_metric "slo_us_per_round" slo_us;
        Prelude.Texttable.add_row table
          [ string_of_int rounds; string_of_int requests;
-           Printf.sprintf "%.1f" feed_us; Printf.sprintf "%.1f" visits;
-           string_of_int failed; Printf.sprintf "%.2f" slo_us ])
+           Printf.sprintf "%.1f" feed_us; Printf.sprintf "%.1f" feed_p50_us;
+           Printf.sprintf "%.1f" visits; string_of_int failed;
+           Printf.sprintf "%.1f" words_per_req; Printf.sprintf "%.2f" slo_us ])
     lengths;
   Prelude.Texttable.print table;
   check "failed-search visits <= requests" !bounded;
+  check "opt_stream words per request <= 24" !compact;
   print_newline ()
 
 let run_micro () =

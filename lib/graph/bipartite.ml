@@ -1,18 +1,12 @@
 module Ivec = Prelude.Ivec
 
-(* [adj_l]/[adj_r] are capacity arrays: indices [< n_left]/[< n_right]
-   hold each vertex's adjacency vector, the rest hold the shared, never
-   mutated [unused] placeholder until [add_left_vertex]/[add_right_vertex]
-   gives the slot its own vector.  Growth doubles the capacity, so
-   streaming construction stays amortised O(1) per vertex and a doubling
-   copies pointers instead of creating a vector per spare slot. *)
 type t = {
-  mutable n_left : int;
-  mutable n_right : int;
-  mutable srcs : Ivec.t; (* edge id -> left endpoint *)
-  mutable dsts : Ivec.t; (* edge id -> right endpoint *)
-  mutable adj_l : Ivec.t array;
-  mutable adj_r : Ivec.t array;
+  n_left : int;
+  n_right : int;
+  srcs : Ivec.t; (* edge id -> left endpoint *)
+  dsts : Ivec.t; (* edge id -> right endpoint *)
+  adj_l : Ivec.t array;
+  adj_r : Ivec.t array;
 }
 
 let create ~n_left ~n_right =
@@ -30,31 +24,6 @@ let create ~n_left ~n_right =
 let n_left t = t.n_left
 let n_right t = t.n_right
 let n_edges t = Ivec.length t.srcs
-
-let unused = Ivec.create ~capacity:1 ()
-
-let grow_capacity arr used =
-  let cap = Array.length arr in
-  if used < cap then arr
-  else begin
-    let arr' = Array.make (max 4 (2 * cap)) unused in
-    Array.blit arr 0 arr' 0 cap;
-    arr'
-  end
-
-let add_left_vertex t =
-  t.adj_l <- grow_capacity t.adj_l t.n_left;
-  let v = t.n_left in
-  t.adj_l.(v) <- Ivec.create ~capacity:4 ();
-  t.n_left <- v + 1;
-  v
-
-let add_right_vertex t =
-  t.adj_r <- grow_capacity t.adj_r t.n_right;
-  let v = t.n_right in
-  t.adj_r.(v) <- Ivec.create ~capacity:4 ();
-  t.n_right <- v + 1;
-  v
 
 let add_edge t ~left ~right =
   if left < 0 || left >= t.n_left then

@@ -7,23 +7,14 @@
     scheduling graphs never create them, but nothing here depends on
     their absence).
 
-    Graphs are appendable: {!add_left_vertex} and {!add_right_vertex}
-    grow a side by one vertex, which the streaming offline optimum uses
-    to extend the paper graph round by round.  Vertices and edges are
-    never removed, so already-issued ids stay valid forever. *)
+    The vertex counts are fixed at {!create}; only edges are added.  A
+    graph that grows vertex by vertex is {!Augment}'s column store, which
+    hands out a [t] snapshot on demand. *)
 
 type t
 
 val create : n_left:int -> n_right:int -> t
 (** An empty graph on the given vertex counts. *)
-
-val add_left_vertex : t -> int
-(** Append a fresh isolated left vertex and return its id
-    (the new [n_left - 1]).  Amortised O(1). *)
-
-val add_right_vertex : t -> int
-(** Append a fresh isolated right vertex and return its id
-    (the new [n_right - 1]).  Amortised O(1). *)
 
 val n_left : t -> int
 val n_right : t -> int

@@ -20,21 +20,6 @@ let copy m =
     left_edge = Array.copy m.left_edge;
   }
 
-let extend g m =
-  let nl = Bipartite.n_left g and nr = Bipartite.n_right g in
-  if nl < Array.length m.left_to || nr < Array.length m.right_to then
-    invalid_arg "Matching.extend: graph smaller than matching";
-  let grow a n =
-    let a' = Array.make n (-1) in
-    Array.blit a 0 a' 0 (Array.length a);
-    a'
-  in
-  {
-    left_to = grow m.left_to nl;
-    right_to = grow m.right_to nr;
-    left_edge = grow m.left_edge nl;
-  }
-
 let size m =
   Array.fold_left (fun acc r -> if r >= 0 then acc + 1 else acc) 0 m.left_to
 

@@ -15,13 +15,6 @@ val empty : Bipartite.t -> t
 
 val copy : t -> t
 
-val extend : Bipartite.t -> t -> t
-(** A copy whose arrays are sized to the graph's {e current} vertex
-    counts, with every appended vertex free.  This is how a matching
-    follows a graph that has grown via {!Bipartite.add_left_vertex} /
-    {!Bipartite.add_right_vertex} since the matching was created.
-    @raise Invalid_argument if the graph is smaller than the matching. *)
-
 val size : t -> int
 (** Number of matched edges. *)
 

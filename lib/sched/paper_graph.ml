@@ -17,79 +17,6 @@ let of_instance inst =
     inst.Instance.requests;
   g
 
-module Stream = struct
-  (* Round-by-round construction of the same graph: each [advance]
-     appends the round's slot column and every edge into it — from the
-     round's arrivals (whose windows open here) and from still-live
-     earlier requests.  All new edges are incident to the new right
-     vertices, which is exactly the append discipline
-     {!Graph.Augment} needs to keep a maximum matching incrementally. *)
-
-  type t = {
-    n_resources : int;
-    g : Graph.Bipartite.t;
-    mutable round : int; (* next round to append *)
-    mutable live : (int * Request.t) list; (* (left vertex, request) *)
-  }
-
-  let start ~n_resources =
-    if n_resources < 1 then
-      invalid_arg "Paper_graph.Stream.start: need >= 1 resource";
-    {
-      n_resources;
-      g = Graph.Bipartite.create ~n_left:0 ~n_right:0;
-      round = 0;
-      live = [];
-    }
-
-  let graph t = t.g
-  let round t = t.round
-
-  let slot_index t ~resource ~round =
-    if resource < 0 || resource >= t.n_resources then
-      invalid_arg "Paper_graph.Stream.slot_index: resource out of range";
-    if round < 0 || round >= t.round then
-      invalid_arg "Paper_graph.Stream.slot_index: round not appended yet";
-    (round * t.n_resources) + resource
-
-  let connect t lv (r : Request.t) ~round =
-    Array.iter
-      (fun res ->
-         ignore
-           (Graph.Bipartite.add_edge t.g ~left:lv
-              ~right:((round * t.n_resources) + res)))
-      r.Request.alternatives
-
-  let advance t ~arrivals =
-    let round = t.round in
-    let first_slot = Graph.Bipartite.n_right t.g in
-    for _ = 1 to t.n_resources do
-      ignore (Graph.Bipartite.add_right_vertex t.g : int)
-    done;
-    (* live requests from earlier rounds extend into the new column *)
-    List.iter (fun (lv, r) -> connect t lv r ~round) t.live;
-    t.live <- List.filter (fun (_, r) -> Request.last_round r > round) t.live;
-    Array.iter
-      (fun (r : Request.t) ->
-         if r.Request.arrival <> round then
-           invalid_arg
-             (Printf.sprintf
-                "Paper_graph.Stream.advance: arrival %d fed at round %d"
-                r.Request.arrival round);
-         Array.iter
-           (fun res ->
-              if res < 0 || res >= t.n_resources then
-                invalid_arg
-                  "Paper_graph.Stream.advance: resource out of range")
-           r.Request.alternatives;
-         let lv = Graph.Bipartite.add_left_vertex t.g in
-         connect t lv r ~round;
-         if Request.last_round r > round then t.live <- (lv, r) :: t.live)
-      arrivals;
-    t.round <- round + 1;
-    first_slot
-end
-
 let edge_for g inst ~request ~resource ~round =
   if round < 0 || round >= inst.Instance.horizon
      || resource < 0 || resource >= inst.Instance.n_resources

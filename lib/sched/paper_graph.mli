@@ -4,7 +4,11 @@
     indices ({!Instance.slot_index}); a request is connected to every slot
     of each of its alternative resources inside its service window.  Any
     feasible schedule induces a matching in this graph, and the offline
-    optimum is a maximum matching (Sec. 1.2). *)
+    optimum is a maximum matching (Sec. 1.2).
+
+    The streaming offline optimum ([Offline.Opt_stream]) builds the same
+    graph round by round, one slot column at a time, in
+    {!Graph.Augment}'s column store rather than through this module. *)
 
 val of_instance : Instance.t -> Graph.Bipartite.t
 (** Build [G].  Edge ids are in (request, alternative, round) order. *)
@@ -14,39 +18,3 @@ val edge_for :
   round:int -> int option
 (** The edge id connecting the request to slot (resource, round), if it
     exists in [G]. *)
-
-(** Round-by-round construction of [G] for the streaming offline
-    optimum.  After [t] calls to {!Stream.advance} the graph equals the
-    prefix of [G] restricted to rounds [0 .. t-1]: slots use the same
-    dense index as {!Instance.slot_index} ([round * n + resource]), left
-    vertices are assigned in feed order (so they equal request ids when
-    fed from {!Instance.arrivals_at} round by round), and edges into
-    future rounds simply do not exist yet.  Every edge appended by an
-    [advance] is incident to that round's new slot column — the append
-    discipline {!Graph.Augment} relies on. *)
-module Stream : sig
-  type t
-
-  val start : n_resources:int -> t
-  (** An empty stream: no rounds, no requests.
-      @raise Invalid_argument if [n_resources < 1]. *)
-
-  val graph : t -> Graph.Bipartite.t
-  (** The growing prefix graph (shared, not a copy). *)
-
-  val round : t -> int
-  (** Number of rounds appended so far = the next round to append. *)
-
-  val slot_index : t -> resource:int -> round:int -> int
-  (** Dense slot index of an already-appended round.
-      @raise Invalid_argument out of range. *)
-
-  val advance : t -> arrivals:Request.t array -> int
-  (** Append the next round: [n_resources] fresh slot vertices, the
-      edges of still-live earlier requests into them, and one left
-      vertex (with its round-local edges) per arrival.  Returns the id
-      of the first slot vertex of the new column, ready to pass to
-      {!Graph.Augment.augment_new_rights} as [~first].
-      @raise Invalid_argument if an arrival's [arrival] field is not the
-      current round or names a resource [>= n_resources]. *)
-end

@@ -459,76 +459,80 @@ let prop_altpath_edges_partition_symdiff =
         Hashtbl.length covered = !expected)
 
 (* ------------------------------------------------------------------ *)
-(* growing graphs and incremental augmentation *)
+(* incremental augmentation on a graph grown column by column *)
 
-let test_bipartite_append_vertices () =
-  let g = Bipartite.create ~n_left:0 ~n_right:0 in
-  check Alcotest.int "first left" 0 (Bipartite.add_left_vertex g);
-  check Alcotest.int "first right" 0 (Bipartite.add_right_vertex g);
-  check Alcotest.int "second left" 1 (Bipartite.add_left_vertex g);
-  let id = Bipartite.add_edge g ~left:1 ~right:0 in
-  check Alcotest.int "edge endpoints" 1 (Bipartite.edge_left g id);
-  check Alcotest.int "degree after append" 1 (Bipartite.degree_right g 0);
-  (* old ids survive growth *)
-  for _ = 1 to 100 do ignore (Bipartite.add_right_vertex g : int) done;
-  check Alcotest.int "edge survives growth" 0 (Bipartite.edge_right g id);
-  check Alcotest.int "n_right" 101 (Bipartite.n_right g);
-  check Alcotest.bool "appended vertex isolated" true
-    (Bipartite.degree_right g 100 = 0)
+module Augment = Graph.Augment
 
-let test_matching_extend () =
-  let g = Bipartite.create ~n_left:1 ~n_right:1 in
-  let id = Bipartite.add_edge g ~left:0 ~right:0 in
-  let m = Matching.empty g in
-  Matching.use_edge g m id;
-  ignore (Bipartite.add_left_vertex g : int);
-  ignore (Bipartite.add_right_vertex g : int);
-  let m' = Matching.extend g m in
-  check Alcotest.bool "still valid" true (Matching.is_valid g m');
-  check Alcotest.int "size preserved" 1 (Matching.size m');
-  check Alcotest.bool "new left free" false (Matching.is_matched_left m' 1);
-  check Alcotest.bool "new right free" false (Matching.is_matched_right m' 1);
-  (* shrinking is rejected *)
-  let small = Bipartite.create ~n_left:0 ~n_right:0 in
-  (match Matching.extend small m with
-   | exception Invalid_argument _ -> ()
-   | _ -> Alcotest.fail "expected Invalid_argument")
+(* A growth script keeps its own list of the edges it appended, so the
+   oracles below (Hopcroft-Karp, the vertex-deletion check) run on a
+   reference graph built independently of [Augment]'s store. *)
+type script = { a : Augment.t; mutable edges : (int * int) list (* newest first *) }
+
+let script () = { a = Augment.create (); edges = [] }
+
+let column s lefts =
+  let arr = Array.of_list lefts in
+  let r = Augment.add_right s.a arr ~pos:0 ~len:(Array.length arr) in
+  List.iter (fun u -> s.edges <- (u, r) :: s.edges) lefts;
+  r
+
+let reference s =
+  let g =
+    Bipartite.create ~n_left:(Augment.n_left s.a) ~n_right:(Augment.n_right s.a)
+  in
+  List.iter
+    (fun (left, right) -> ignore (Bipartite.add_edge g ~left ~right : int))
+    (List.rev s.edges);
+  g
 
 let test_augment_from_scratch () =
   (* empty graph, grown column by column like the paper-graph stream *)
-  let g = Bipartite.create ~n_left:0 ~n_right:0 in
-  let a = Graph.Augment.create g in
-  check Alcotest.int "empty" 0 (Graph.Augment.size a);
-  let u0 = Bipartite.add_left_vertex g and u1 = Bipartite.add_left_vertex g in
-  let r0 = Bipartite.add_right_vertex g in
-  ignore (Bipartite.add_edge g ~left:u0 ~right:r0);
-  ignore (Bipartite.add_edge g ~left:u1 ~right:r0);
-  check Alcotest.int "one slot" 1 (Graph.Augment.augment_new_rights a ~first:r0);
-  check Alcotest.int "size 1" 1 (Graph.Augment.size a);
+  let s = script () in
+  let a = s.a in
+  check Alcotest.int "empty" 0 (Augment.size a);
+  let u0 = Augment.add_left a and u1 = Augment.add_left a in
+  ignore (column s [ u0; u1 ] : int);
+  check Alcotest.int "one slot" 1 (Augment.augment a);
+  check Alcotest.int "size 1" 1 (Augment.size a);
   (* the second column forces a rerouting augmentation *)
-  let r1 = Bipartite.add_right_vertex g in
-  ignore (Bipartite.add_edge g ~left:u0 ~right:r1);
-  check Alcotest.int "reroute" 1 (Graph.Augment.augment_new_rights a ~first:r1);
-  check Alcotest.int "size 2" 2 (Graph.Augment.size a);
-  let m = Graph.Augment.matching a in
+  ignore (column s [ u0 ] : int);
+  check Alcotest.int "reroute" 1 (Augment.augment a);
+  check Alcotest.int "size 2" 2 (Augment.size a);
+  check Alcotest.int "nothing new to search" 0 (Augment.augment a);
+  let g = Augment.graph a and m = Augment.matching a in
+  check Alcotest.(list (pair int int)) "snapshot holds the appended edges"
+    (List.rev s.edges)
+    (List.init (Bipartite.n_edges g) (fun id ->
+         (Bipartite.edge_left g id, Bipartite.edge_right g id)));
   check Alcotest.bool "valid" true (Matching.is_valid g m);
   check Alcotest.bool "certified" true (Hopcroft_karp.is_koenig_certificate g m)
 
-let test_augment_on_populated_graph () =
-  let g = build (3, 3, [ (0, 0); (1, 0); (1, 1); (2, 2) ]) in
-  let a = Graph.Augment.create g in
-  check Alcotest.int "initial solve" (Hopcroft_karp.max_matching_size g)
-    (Graph.Augment.size a);
-  check Alcotest.bool "matched right is a no-op" false
-    (Graph.Augment.augment_from_right a 0);
-  (match Graph.Augment.augment_from_right a 99 with
+let test_augment_rejects_bad_column () =
+  let a = Augment.create () in
+  let u = Augment.add_left a in
+  ignore (Augment.add_right a [| u |] ~pos:0 ~len:1 : int);
+  let raises name lefts ~pos ~len =
+    (match Augment.add_right a lefts ~pos ~len with
+     | exception Invalid_argument _ -> ()
+     | _ -> Alcotest.fail (name ^ ": expected Invalid_argument"));
+    (* a rejected column appends nothing *)
+    check Alcotest.int (name ^ ": n_right") 1 (Augment.n_right a);
+    check Alcotest.int (name ^ ": n_edges") 1 (Augment.n_edges a)
+  in
+  raises "left past the end" [| u; u + 1 |] ~pos:0 ~len:2;
+  raises "negative left" [| -1 |] ~pos:0 ~len:1;
+  raises "slice past the array" [| u |] ~pos:1 ~len:1;
+  raises "negative length" [| u |] ~pos:0 ~len:(-1);
+  check Alcotest.int "the good column still augments" 1 (Augment.augment a);
+  (match Augment.is_dead a 99 with
    | exception Invalid_argument _ -> ()
    | _ -> Alcotest.fail "expected Invalid_argument")
 
-(* Random growth scripts obeying the append discipline: each step adds
-   some vertices and only edges incident to the step's new right
-   vertices.  After every commit the incremental size must equal a
-   from-scratch Hopcroft-Karp solve (itself pinned to Brute above). *)
+(* Random growth scripts under the column discipline: each step adds
+   some left vertices and some columns, each column's edges naming
+   random existing left vertices.  After every step the incremental
+   size must equal a from-scratch Hopcroft-Karp solve (itself pinned to
+   Brute above) on the reference graph. *)
 let growth_arb =
   QCheck.make
     QCheck.Gen.(
@@ -536,35 +540,38 @@ let growth_arb =
       int_range 0 10_000 >>= fun seed -> return (steps, seed))
     ~print:(fun (steps, seed) -> Printf.sprintf "steps=%d seed=%d" steps seed)
 
+(* One growth step: [max_lefts - 1] at most new left vertices, 1-3
+   columns, and [max_edges - 1] at most edges, each into a random one of
+   the step's columns. *)
+let grow_step rng s ~max_lefts ~max_edges =
+  for _ = 1 to Rng.int rng max_lefts do
+    ignore (Augment.add_left s.a : int)
+  done;
+  let cols = Array.make (1 + Rng.int rng 3) [] in
+  let nl = Augment.n_left s.a in
+  if nl > 0 then
+    for _ = 1 to Rng.int rng max_edges do
+      let u = Rng.int rng nl and c = Rng.int rng (Array.length cols) in
+      cols.(c) <- u :: cols.(c)
+    done;
+  Array.iter (fun lefts -> ignore (column s (List.rev lefts) : int)) cols;
+  ignore (Augment.augment s.a : int)
+
 let prop_augment_tracks_hopcroft_karp =
   qtest ~count:300 "incremental augmentation = from-scratch Hopcroft-Karp"
     growth_arb
     (fun (steps, seed) ->
        let rng = Rng.create ~seed in
-       let g = Bipartite.create ~n_left:0 ~n_right:0 in
-       let a = Graph.Augment.create g in
+       let s = script () in
        let ok = ref true in
        for _ = 1 to steps do
-         for _ = 1 to Rng.int rng 3 do
-           ignore (Bipartite.add_left_vertex g : int)
-         done;
-         let first = Bipartite.n_right g in
-         for _ = 1 to 1 + Rng.int rng 3 do
-           ignore (Bipartite.add_right_vertex g : int)
-         done;
-         let nl = Bipartite.n_left g and nr = Bipartite.n_right g in
-         if nl > 0 then
-           for _ = 1 to Rng.int rng 5 do
-             ignore
-               (Bipartite.add_edge g ~left:(Rng.int rng nl)
-                  ~right:(first + Rng.int rng (nr - first)))
-           done;
-         ignore (Graph.Augment.augment_new_rights a ~first : int);
-         let m = Graph.Augment.matching a in
+         grow_step rng s ~max_lefts:3 ~max_edges:5;
+         let g = reference s in
+         let m = Augment.matching s.a in
          if
-           Graph.Augment.size a <> Hopcroft_karp.max_matching_size g
+           Augment.size s.a <> Hopcroft_karp.max_matching_size g
            || not (Matching.is_valid g m)
-           || Matching.size m <> Graph.Augment.size a
+           || Matching.size m <> Augment.size s.a
          then ok := false
        done;
        !ok)
@@ -573,7 +580,8 @@ let prop_augment_tracks_hopcroft_karp =
    on longer growth scripts: the size tracks Hopcroft-Karp, and every
    left vertex a failed search killed is matched and essential —
    removing it costs every maximum matching one edge, checked by
-   Hopcroft-Karp on a copy of the graph without its edges. *)
+   Hopcroft-Karp on a copy of the graph without its edges.  Rights
+   outnumber lefts on average, so searches fail. *)
 let long_growth_arb =
   QCheck.make
     QCheck.Gen.(
@@ -589,41 +597,21 @@ let without_left g v =
       if left <> v then ignore (Bipartite.add_edge g' ~left ~right : int));
   g'
 
-(* One growth step under the append discipline: 0-3 new left vertices,
-   1-3 new right vertices, 0-6 edges each incident to a new right
-   vertex; rights outnumber lefts on average, so searches fail. *)
-let grow_step rng g a =
-  for _ = 1 to Rng.int rng 4 do
-    ignore (Bipartite.add_left_vertex g : int)
-  done;
-  let first = Bipartite.n_right g in
-  for _ = 1 to 1 + Rng.int rng 3 do
-    ignore (Bipartite.add_right_vertex g : int)
-  done;
-  let nl = Bipartite.n_left g and nr = Bipartite.n_right g in
-  if nl > 0 then
-    for _ = 1 to Rng.int rng 7 do
-      ignore
-        (Bipartite.add_edge g ~left:(Rng.int rng nl)
-           ~right:(first + Rng.int rng (nr - first)))
-    done;
-  ignore (Graph.Augment.augment_new_rights a ~first : int)
-
 let prop_dead_vertices_are_essential =
   qtest ~count:150 "dead left vertices are matched in every maximum matching"
     long_growth_arb
     (fun (steps, seed) ->
        let rng = Rng.create ~seed in
-       let g = Bipartite.create ~n_left:0 ~n_right:0 in
-       let a = Graph.Augment.create g in
+       let s = script () in
        let ok = ref true in
        for _ = 1 to steps do
-         grow_step rng g a;
+         grow_step rng s ~max_lefts:4 ~max_edges:7;
+         let g = reference s in
          let nu = Hopcroft_karp.max_matching_size g in
-         let m = Graph.Augment.matching a in
-         if Graph.Augment.size a <> nu then ok := false;
+         let m = Augment.matching s.a in
+         if Augment.size s.a <> nu then ok := false;
          for v = 0 to Bipartite.n_left g - 1 do
-           if Graph.Augment.is_dead a v then begin
+           if Augment.is_dead s.a v then begin
              if not (Matching.is_matched_left m v) then ok := false;
              if Hopcroft_karp.max_matching_size (without_left g v) <> nu - 1
              then ok := false
@@ -639,90 +627,70 @@ let prop_failed_visits_bounded =
   qtest ~count:300 "failed-search visits <= left vertices" long_growth_arb
     (fun (steps, seed) ->
        let rng = Rng.create ~seed in
-       let g = Bipartite.create ~n_left:0 ~n_right:0 in
-       let a = Graph.Augment.create g in
-       for _ = 1 to steps do grow_step rng g a done;
-       let s = Graph.Augment.stats a in
+       let s = script () in
+       for _ = 1 to steps do grow_step rng s ~max_lefts:4 ~max_edges:7 done;
+       let st = Augment.stats s.a in
        let dead = ref 0 in
-       for v = 0 to Bipartite.n_left g - 1 do
-         if Graph.Augment.is_dead a v then incr dead
+       for v = 0 to Augment.n_left s.a - 1 do
+         if Augment.is_dead s.a v then incr dead
        done;
-       s.Graph.Augment.failed_visits <= Bipartite.n_left g
-       && s.Graph.Augment.failed_visits = !dead)
+       st.Augment.failed_visits <= Augment.n_left s.a
+       && st.Augment.failed_visits = !dead)
 
 let test_failed_search_kills_once () =
   (* two lefts, each wanted by three slots: the third slot's search
      fails and kills both; the fourth's stamps nothing *)
-  let g = Bipartite.create ~n_left:0 ~n_right:0 in
-  let a = Graph.Augment.create g in
-  let u0 = Bipartite.add_left_vertex g and u1 = Bipartite.add_left_vertex g in
+  let a = Augment.create () in
+  let u0 = Augment.add_left a and u1 = Augment.add_left a in
   let slot () =
-    let r = Bipartite.add_right_vertex g in
-    ignore (Bipartite.add_edge g ~left:u0 ~right:r : int);
-    ignore (Bipartite.add_edge g ~left:u1 ~right:r : int);
-    Graph.Augment.augment_new_rights a ~first:r
+    ignore (Augment.add_right a [| u0; u1 |] ~pos:0 ~len:2 : int);
+    Augment.augment a
   in
   check Alcotest.int "slot 0" 1 (slot ());
   check Alcotest.int "slot 1" 1 (slot ());
   check Alcotest.int "slot 2 fails" 0 (slot ());
-  let s = Graph.Augment.stats a in
+  let s = Augment.stats a in
   check Alcotest.int "the failed search stamped both" 2
-    s.Graph.Augment.failed_visits;
+    s.Augment.failed_visits;
   check Alcotest.bool "both dead" true
-    (Graph.Augment.is_dead a u0 && Graph.Augment.is_dead a u1);
+    (Augment.is_dead a u0 && Augment.is_dead a u1);
   check Alcotest.int "slot 3 fails" 0 (slot ());
-  let s' = Graph.Augment.stats a in
+  let s' = Augment.stats a in
   check Alcotest.int "a dead vertex is never stamped again" 2
-    s'.Graph.Augment.failed_visits;
-  check Alcotest.int "so the search visited nothing" s.Graph.Augment.visited
-    s'.Graph.Augment.visited
+    s'.Augment.failed_visits;
+  check Alcotest.int "so the search visited nothing" s.Augment.visited
+    s'.Augment.visited
 
 let minor_words_during f =
   let before = Gc.minor_words () in
   f ();
   Gc.minor_words () -. before
 
-(* A search on a column that needs no capacity growth allocates
-   nothing: no closure per visit, no list, no boxed counter. *)
+(* A search allocates nothing: no closure per visit, no list, no boxed
+   counter.  Only [augment] is measured; the column is appended first. *)
 let test_search_allocates_nothing () =
-  let g = Bipartite.create ~n_left:0 ~n_right:0 in
-  let a = Graph.Augment.create g in
+  let a = Augment.create () in
   let n = 64 in
-  for _ = 1 to n do ignore (Bipartite.add_left_vertex g : int) done;
+  for _ = 1 to n do ignore (Augment.add_left a : int) done;
   (* a chain: slot i takes lefts i and i+1, so each new slot reroutes
      the whole chain before it *)
-  let column ~lefts =
-    let r = Bipartite.add_right_vertex g in
-    List.iter
-      (fun u -> ignore (Bipartite.add_edge g ~left:u ~right:r : int))
-      lefts;
-    r
+  let column lefts =
+    ignore (Augment.add_right a lefts ~pos:0 ~len:(Array.length lefts) : int)
   in
-  let r = ref 0 in
   for i = 0 to n - 3 do
-    r := column ~lefts:[ i + 1; i ];
-    ignore (Graph.Augment.augment_new_rights a ~first:!r : int)
+    column [| i + 1; i |];
+    ignore (Augment.augment a : int)
   done;
-  (* grow the right capacity (62 -> 128) past the measured columns *)
-  for _ = 1 to 8 do ignore (column ~lefts:[] : int) done;
-  ignore (Graph.Augment.augment_new_rights a ~first:(!r + 1) : int);
   let baseline = minor_words_during ignore in
-  let reroute = column ~lefts:[ n - 2; 0 ] in
-  let words =
-    minor_words_during (fun () ->
-        ignore (Graph.Augment.augment_from_right a reroute : bool))
-  in
+  column [| n - 2; 0 |];
+  let words = minor_words_during (fun () -> ignore (Augment.augment a : int)) in
   check Alcotest.int "the rerouting search grew the matching" (n - 1)
-    (Graph.Augment.size a);
+    (Augment.size a);
   check (Alcotest.float 0.) "minor words of a rerouting search" 0.
     (words -. baseline);
-  let failing = column ~lefts:[ 0; n / 2 ] in
-  let words =
-    minor_words_during (fun () ->
-        ignore (Graph.Augment.augment_from_right a failing : bool))
-  in
-  check Alcotest.bool "the last search failed" true
-    (Graph.Augment.is_dead a 0);
+  column [| 0; n / 2 |];
+  let words = minor_words_during (fun () -> ignore (Augment.augment a : int)) in
+  check Alcotest.bool "the last search failed" true (Augment.is_dead a 0);
   check (Alcotest.float 0.) "minor words of a failing search" 0.
     (words -. baseline)
 
@@ -734,15 +702,12 @@ let () =
           Alcotest.test_case "basics" `Quick test_bipartite_basics;
           Alcotest.test_case "bounds" `Quick test_bipartite_bounds;
           Alcotest.test_case "iter_edges" `Quick test_bipartite_iter_edges;
-          Alcotest.test_case "append vertices" `Quick
-            test_bipartite_append_vertices;
         ] );
       ( "augment",
         [
-          Alcotest.test_case "matching extend" `Quick test_matching_extend;
           Alcotest.test_case "from scratch" `Quick test_augment_from_scratch;
-          Alcotest.test_case "populated graph" `Quick
-            test_augment_on_populated_graph;
+          Alcotest.test_case "rejects a bad column" `Quick
+            test_augment_rejects_bad_column;
           prop_augment_tracks_hopcroft_karp;
           prop_dead_vertices_are_essential;
           prop_failed_visits_bounded;

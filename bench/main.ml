@@ -269,115 +269,143 @@ let run_scale ~quick =
 
 (* The scoring pipeline as a run grows: the streaming offline optimum
    ([Opt_stream.feed]) and the SLO accumulator, fed round by round from
-   a live engine over zoo mix at two run lengths, the same in both
-   tiers (the optimum's graph holds the whole run: 8 000 rounds is
-   already ~380k requests).  Their per-round cost should not grow with
-   the run.  The events come from greedy_2choice, the cheapest
-   strategy: only the two scorers are timed.  The checks are
-   deterministic: each left vertex is visited by at most one failed
-   augmenting search (DESIGN 4.3.1), and the optimum's column store
-   holds at most 24 words per request (the growable graph it replaced
-   held 57). *)
-let run_scoring () =
+   a live engine, on zoo mix, vod and overload at 2 000 and 8 000
+   rounds, and 20 000 in the full tier.  Arrivals come from
+   [Workload.Zoo.chunked] in 1 000-round chunks, so a run holds one
+   chunk, not the whole instance (overload's ramp restarts each chunk,
+   so every run ends at its peak).  Their per-round cost and the
+   optimum's heap should not grow with the run.  The events come from
+   greedy_2choice, the cheapest strategy: only the two scorers are
+   timed.  The checks are deterministic: each left vertex is visited by
+   at most one failed augmenting search (DESIGN 4.3.1), the optimum
+   holds at most 24 words per request at every length (the growable
+   graph held 57), and at the longest run it holds at most 1.5x its
+   words at 2 000 rounds (the whole-graph column store grew linearly,
+   10.4 words per request). *)
+let run_scoring ~quick =
   let n = 64 and d = 4 in
-  let lengths = [ 2_000; 8_000 ] in
-  let family = Option.get (Workload.Zoo.find "mix") in
+  let lengths =
+    if quick then [ 2_000; 8_000 ] else [ 2_000; 8_000; 20_000 ]
+  in
   let table =
     Prelude.Texttable.create
       ~title:
         (Printf.sprintf
            "B.scale scoring  --  us/round of Opt_stream.feed and Slo vs run \
-            length (zoo mix n=%d d=%d load %g, mean over the run unless p50)"
-           n d family.Workload.Zoo.default_load)
+            length (zoo n=%d d=%d at each family's load, 1000-round chunks, \
+            mean over the run unless p50)"
+           n d)
       ~header:
-        [ "rounds"; "requests"; "feed us"; "feed p50 us"; "visits";
-          "failed visits"; "words/req"; "slo us" ]
+        [ "family"; "rounds"; "requests"; "feed us"; "feed p50 us"; "visits";
+          "failed visits"; "flips"; "words"; "words/req"; "slo us" ]
       ()
   in
-  let bounded = ref true and compact = ref true in
+  let bounded = ref true and compact = ref true and flat = ref true in
   List.iter
-    (fun rounds ->
-       let inst =
-         family.Workload.Zoo.generate ~n ~d ~rounds
-           ~load:family.Workload.Zoo.default_load ~seed:1
-       in
-       let live =
-         Sched.Engine.Live.create ~n ~d (Strategies.Twochoice.least_loaded ())
-       in
-       let opt = Offline.Opt_stream.create ~n_resources:n () in
-       let slo = Analysis.Slo.create () in
-       let slo_s = ref 0.0 in
-       let horizon = inst.Sched.Instance.horizon in
-       let feed_s = Array.make horizon 0.0 in
-       for round = 0 to horizon - 1 do
-         let arrivals = Sched.Instance.arrivals_at inst round in
-         let ids =
-           Array.map
-             (fun (r : Sched.Request.t) ->
-                match
-                  Sched.Engine.Live.submit live
-                    ~alternatives:(Array.to_list r.alternatives)
-                    ~deadline:r.deadline
-                with
-                | Ok id -> id
-                | Error m -> failwith m)
-             arrivals
-         in
-         let t0 = Unix.gettimeofday () in
-         ignore (Offline.Opt_stream.feed opt arrivals : int);
-         let t1 = Unix.gettimeofday () in
-         let out = Sched.Engine.Live.step live in
-         let t2 = Unix.gettimeofday () in
-         Array.iteri
-           (fun i id ->
-              Analysis.Slo.on_submit slo ~id ~round
-                ~deadline:arrivals.(i).Sched.Request.deadline)
-           ids;
-         List.iter
-           (fun (id, _) -> Analysis.Slo.on_serve slo ~id ~round)
-           out.Sched.Engine.Live.served;
-         List.iter
-           (fun id -> Analysis.Slo.on_expire slo ~id ~round)
-           out.Sched.Engine.Live.expired;
-         Analysis.Slo.on_round slo;
-         let t3 = Unix.gettimeofday () in
-         feed_s.(round) <- t1 -. t0;
-         slo_s := !slo_s +. (t3 -. t2)
-       done;
-       let per_round x = x /. float_of_int horizon in
-       let stats = Offline.Opt_stream.search_stats opt in
-       let requests = Sched.Instance.n_requests inst in
-       let failed = stats.Graph.Augment.failed_visits in
-       if failed > requests then bounded := false;
-       let words_per_req =
-         float_of_int (Obj.reachable_words (Obj.repr opt))
-         /. float_of_int requests
-       in
-       if words_per_req > 24. then compact := false;
-       let feed_us = per_round (Array.fold_left ( +. ) 0. feed_s *. 1e6)
-       and feed_p50_us = Prelude.Stats.quantile feed_s 0.5 *. 1e6
-       and visits = per_round (float_of_int stats.Graph.Augment.visited)
-       and slo_us = per_round (!slo_s *. 1e6) in
-       let params =
-         [ ("table", "scoring"); ("n", string_of_int n);
-           ("d", string_of_int d); ("rounds", string_of_int rounds) ]
-       in
-       let rec_metric metric v = record ~family:"B.scale" ~params ~metric v in
-       rec_metric "opt_stream_feed_us_per_round" feed_us;
-       rec_metric "opt_stream_feed_p50_us" feed_p50_us;
-       rec_metric "opt_stream_words_per_request" words_per_req;
-       rec_metric "opt_stream_visits_per_round" visits;
-       rec_metric "opt_stream_failed_visits" (float_of_int failed);
-       rec_metric "slo_us_per_round" slo_us;
-       Prelude.Texttable.add_row table
-         [ string_of_int rounds; string_of_int requests;
-           Printf.sprintf "%.1f" feed_us; Printf.sprintf "%.1f" feed_p50_us;
-           Printf.sprintf "%.1f" visits; string_of_int failed;
-           Printf.sprintf "%.1f" words_per_req; Printf.sprintf "%.2f" slo_us ])
-    lengths;
+    (fun name ->
+       let family = Option.get (Workload.Zoo.find name) in
+       let words_at = Hashtbl.create 3 in
+       List.iter
+         (fun rounds ->
+            let arrivals_at =
+              Workload.Zoo.chunked family ~n ~d
+                ~load:family.Workload.Zoo.default_load ~seed:1 ~chunk:1_000
+            in
+            let live =
+              Sched.Engine.Live.create ~n ~d
+                (Strategies.Twochoice.least_loaded ())
+            in
+            let opt = Offline.Opt_stream.create ~n_resources:n () in
+            let slo = Analysis.Slo.create () in
+            let slo_s = ref 0.0 and requests = ref 0 in
+            let feed_s = Array.make rounds 0.0 in
+            for round = 0 to rounds - 1 do
+              let arrivals = arrivals_at round in
+              requests := !requests + Array.length arrivals;
+              let ids =
+                Array.map
+                  (fun (r : Sched.Request.t) ->
+                     match
+                       Sched.Engine.Live.submit live
+                         ~alternatives:(Array.to_list r.alternatives)
+                         ~deadline:r.deadline
+                     with
+                     | Ok id -> id
+                     | Error m -> failwith m)
+                  arrivals
+              in
+              let t0 = Unix.gettimeofday () in
+              ignore (Offline.Opt_stream.feed opt arrivals : int);
+              let t1 = Unix.gettimeofday () in
+              let out = Sched.Engine.Live.step live in
+              let t2 = Unix.gettimeofday () in
+              Array.iteri
+                (fun i id ->
+                   Analysis.Slo.on_submit slo ~id ~round
+                     ~deadline:arrivals.(i).Sched.Request.deadline)
+                ids;
+              List.iter
+                (fun (id, _) -> Analysis.Slo.on_serve slo ~id ~round)
+                out.Sched.Engine.Live.served;
+              List.iter
+                (fun id -> Analysis.Slo.on_expire slo ~id ~round)
+                out.Sched.Engine.Live.expired;
+              Analysis.Slo.on_round slo;
+              let t3 = Unix.gettimeofday () in
+              feed_s.(round) <- t1 -. t0;
+              slo_s := !slo_s +. (t3 -. t2)
+            done;
+            let per_round x = x /. float_of_int rounds in
+            let stats = Offline.Opt_stream.search_stats opt in
+            let requests = !requests in
+            let failed = stats.Graph.Augment.failed_visits in
+            if failed > requests then bounded := false;
+            let words = Obj.reachable_words (Obj.repr opt) in
+            Hashtbl.replace words_at rounds words;
+            let words_per_req =
+              float_of_int words /. float_of_int requests
+            in
+            if words_per_req > 24. then compact := false;
+            let feed_us = per_round (Array.fold_left ( +. ) 0. feed_s *. 1e6)
+            and feed_p50_us = Prelude.Stats.quantile feed_s 0.5 *. 1e6
+            and visits = per_round (float_of_int stats.Graph.Augment.visited)
+            and flips = per_round (float_of_int stats.Graph.Augment.flips)
+            and slo_us = per_round (!slo_s *. 1e6) in
+            let params =
+              [ ("table", "scoring"); ("family", name);
+                ("n", string_of_int n); ("d", string_of_int d);
+                ("rounds", string_of_int rounds) ]
+            in
+            let rec_metric metric v =
+              record ~family:"B.scale" ~params ~metric v
+            in
+            rec_metric "opt_stream_feed_us_per_round" feed_us;
+            rec_metric "opt_stream_feed_p50_us" feed_p50_us;
+            rec_metric "opt_stream_words" (float_of_int words);
+            rec_metric "opt_stream_words_per_request" words_per_req;
+            rec_metric "opt_stream_visits_per_round" visits;
+            rec_metric "opt_stream_failed_visits" (float_of_int failed);
+            rec_metric "opt_stream_flips_per_round" flips;
+            rec_metric "slo_us_per_round" slo_us;
+            Prelude.Texttable.add_row table
+              [ name; string_of_int rounds; string_of_int requests;
+                Printf.sprintf "%.1f" feed_us;
+                Printf.sprintf "%.1f" feed_p50_us;
+                Printf.sprintf "%.1f" visits; string_of_int failed;
+                Printf.sprintf "%.1f" flips; string_of_int words;
+                Printf.sprintf "%.2f" words_per_req;
+                Printf.sprintf "%.2f" slo_us ])
+         lengths;
+       let longest = List.fold_left max 0 lengths in
+       if
+         float_of_int (Hashtbl.find words_at longest)
+         > 1.5 *. float_of_int (Hashtbl.find words_at 2_000)
+       then flat := false)
+    [ "mix"; "vod"; "overload" ];
   Prelude.Texttable.print table;
   check "failed-search visits <= requests" !bounded;
   check "opt_stream words per request <= 24" !compact;
+  check "opt_stream words flat across run lengths" !flat;
   print_newline ()
 
 let run_micro () =
@@ -425,7 +453,7 @@ let run_micro () =
 let families =
   [
     ("B.micro", fun ~quick:_ -> run_micro ());
-    ("B.scale", fun ~quick -> run_scale ~quick; run_scoring ());
+    ("B.scale", fun ~quick -> run_scale ~quick; run_scoring ~quick);
   ]
 
 let main quick only json metrics =

@@ -9,7 +9,7 @@
 
     The vertex counts are fixed at {!create}; only edges are added.  A
     graph that grows vertex by vertex is {!Augment}'s column store, which
-    hands out a [t] snapshot on demand. *)
+    holds only the part a later search can reach. *)
 
 type t
 

@@ -1,19 +1,18 @@
 module Instance = Sched.Instance
 module Request = Sched.Request
 module Augment = Graph.Augment
-module Ivec = Prelude.Ivec
 
 (* The paper graph is grown in [aug]'s column store: round [r]'s slot
    for resource [res] is right vertex [r * n + res], and request ids
-   are left vertices in feed order.  The requests whose window reaches
-   past the last fed round are the live set, kept as parallel arrays
-   in left-id order (oldest first), [n_live] of them in use.  Each
-   column lists the live requests newest-first, then the round's
+   are left vertices in feed order.  A round is one [aug] epoch, and a
+   request is open through its last round.  The requests whose window
+   reaches past the last fed round are the live set, kept as parallel
+   arrays in left-id order (oldest first), [n_live] of them in use.
+   Each column lists the live requests newest-first, then the round's
    arrivals in feed order: the order the Kuhn searches probe them. *)
 type t = {
   n : int;
   aug : Augment.t;
-  curve : Ivec.t; (* curve.(r) = OPT of the prefix through round r *)
   metrics : Obs.Metrics.t option;
   mutable live : Request.t array;
   mutable live_left : int array; (* the left vertex of [live.(i)] *)
@@ -27,7 +26,6 @@ let create ?metrics ~n_resources () =
   {
     n = n_resources;
     aug = Augment.create ();
-    curve = Ivec.create ();
     metrics = Obs.Metrics.resolve metrics;
     live = [||];
     live_left = [||];
@@ -59,6 +57,7 @@ let record_feed t ~arrivals ~before ~t0 =
       m "opt_stream.augmentations";
     Obs.Metrics.incr ~by:(d (fun s -> s.Augment.warm_hits))
       m "opt_stream.warm_hits";
+    Obs.Metrics.incr ~by:(d (fun s -> s.Augment.flips)) m "opt_stream.flips";
     Obs.Metrics.incr ~by:(d (fun s -> s.Augment.visited))
       m "opt_stream.search_visits"
 
@@ -99,8 +98,9 @@ let place t (r : Request.t) left =
 (* Append the round's slot column, one right vertex per resource. *)
 let append_round t (arrivals : Request.t array) =
   let first_left = Augment.n_left t.aug in
-  for _ = 1 to Array.length arrivals do
-    ignore (Augment.add_left t.aug : int)
+  for j = 0 to Array.length arrivals - 1 do
+    let last = Request.last_round arrivals.(j) in
+    ignore (Augment.add_left t.aug ~last : int)
   done;
   Array.fill t.ends 0 t.n 0;
   for i = 0 to t.n_live - 1 do
@@ -163,23 +163,21 @@ let feed t arrivals =
     | None -> None
     | Some _ -> Some (Augment.stats t.aug, Obs.Span.start ())
   in
-  let round = Ivec.length t.curve in
+  let round = Augment.epoch t.aug in
   validate t arrivals ~round;
   let first_left = append_round t arrivals in
   update_live t arrivals ~round ~first_left;
   ignore (Augment.augment t.aug : int);
+  Augment.settle t.aug;
   (match before with
    | None -> ()
    | Some (stats0, t0) -> record_feed t ~arrivals ~before:stats0 ~t0);
-  let v = Augment.size t.aug in
-  Ivec.push t.curve v;
-  v
+  Augment.size t.aug
 
 let opt t = Augment.size t.aug
-let rounds t = Ivec.length t.curve
-let curve t = Ivec.to_array t.curve
-let graph t = Augment.graph t.aug
-let matching t = Augment.matching t.aug
+let rounds t = Augment.epoch t.aug
+let first_held t = Augment.first_left t.aug
+let partner t i = Augment.partner t.aug i
 let search_stats t = Augment.stats t.aug
 
 let of_instance ?metrics inst =
@@ -189,7 +187,10 @@ let of_instance ?metrics inst =
   done;
   t
 
-let prefix_curve ?metrics inst = curve (of_instance ?metrics inst)
+let prefix_curve ?metrics inst =
+  let t = create ?metrics ~n_resources:inst.Instance.n_resources () in
+  Array.init inst.Instance.horizon (fun round ->
+      feed t (Instance.arrivals_at inst round))
 
 (* Naive baseline: one full from-scratch solve per prefix.  Kept here so
    the bench and the differential tests share the exact reference the

@@ -1,5 +1,5 @@
 (** Streaming offline optimum: the per-round OPT prefix curve in one
-    incremental pass.
+    incremental pass, in memory bounded by the window.
 
     {!Opt.value} answers "what could an offline scheduler have served on
     this whole instance?"; every anytime question — "what was the best
@@ -13,9 +13,15 @@
     curve costs little more than the final solve alone, instead of
     [horizon] times it.
 
-    Memory is linear in the run: about one word per edge plus three per
-    request (10.4 words per request on zoo [mix], [n = 64], [d = 4]).
-    A feed allocates nothing on the minor heap in the steady state.
+    Memory follows the window, not the run.  Each feed ends with
+    {!Graph.Augment.settle}: the requests whose window closed with the
+    round expire, the matching is moved (at the same size) to one that
+    leaves as many live requests free as it can, and the past that no
+    later augmenting path can reach is frozen into the matched count
+    and released (DESIGN §4.3.1).  On zoo [mix], [vod] and [overload]
+    ([n = 64], [d = 4]) the tracker holds about as many words after
+    20 000 rounds as after 2 000.  A feed allocates nothing on the minor
+    heap in the steady state.
 
     Exactness: the prefix value after feeding round [t] is the maximum
     matching of [G] restricted to slots of rounds [0..t] — what an
@@ -29,7 +35,9 @@
     new augmenting path ends at one of them). *)
 
 type t
-(** A live tracker: a growing prefix graph plus its maximum matching. *)
+(** A live tracker: the reachable part of the prefix graph, a maximum
+    matching of the whole prefix (its frozen part as a count), and the
+    live requests. *)
 
 val create : ?metrics:Obs.Metrics.t -> n_resources:int -> unit -> t
 (** An empty tracker (round 0 not yet fed).
@@ -40,7 +48,8 @@ val create : ?metrics:Obs.Metrics.t -> n_resources:int -> unit -> t
     [opt_stream.warm_hits], [opt_stream.search_visits] (augmenting-path
     effort; see {!Graph.Augment.search_stats} — the mean search length is
     [search_visits / searches] and the warm-start hit rate
-    [warm_hits / searches]) and histogram [opt_stream.feed_us].
+    [warm_hits / searches]), [opt_stream.flips] (the settle pass's
+    size-preserving flips) and histogram [opt_stream.feed_us].
     @raise Invalid_argument if [n_resources < 1]. *)
 
 val feed : t -> Sched.Request.t array -> int
@@ -61,18 +70,19 @@ val opt : t -> int
 val rounds : t -> int
 (** Rounds fed so far. *)
 
-val curve : t -> int array
-(** The prefix curve so far: element [r] is the optimum after feeding
-    round [r].  Length {!rounds}. *)
+val first_held : t -> int
+(** The oldest request whose partner the tracker still holds; requests
+    are numbered in feed order.  The slots of every request before it
+    are frozen for good, whether it is matched or not. *)
 
-val graph : t -> Graph.Bipartite.t
-(** A snapshot of the prefix paper graph, built on demand
-    ({!Graph.Augment.graph}): slot [round * n_resources + resource] is
-    the right vertex of that index, and the [i]-th request fed is left
-    vertex [i].  For König certification at a cut round. *)
-
-val matching : t -> Graph.Matching.t
-(** Snapshot of the current maximum matching over {!graph}'s ids. *)
+val partner : t -> int -> int
+(** [partner t i]: the slot ([round * n_resources + resource]) of
+    request [i] in the tracker's current maximum matching, or [-1] if
+    the matching leaves it unserved.  Together with the partners
+    recorded before each request was frozen, these give the whole
+    matching, e.g. for König certification at a cut round.
+    @raise Invalid_argument unless [first_held t <= i] and request [i]
+    has been fed. *)
 
 val search_stats : t -> Graph.Augment.search_stats
 (** Cumulative augmenting-path effort of this tracker, whether or not a
@@ -82,8 +92,9 @@ val of_instance : ?metrics:Obs.Metrics.t -> Sched.Instance.t -> t
 (** Feed a whole instance round by round. *)
 
 val prefix_curve : ?metrics:Obs.Metrics.t -> Sched.Instance.t -> int array
-(** [curve (of_instance inst)]: the full per-round OPT prefix curve,
-    length [horizon], in one pass. *)
+(** The values {!feed} returns on a fresh tracker fed the whole
+    instance: the full per-round OPT prefix curve, length [horizon], in
+    one pass. *)
 
 val naive_prefix_curve : Sched.Instance.t -> int array
 (** Reference implementation: one full Hopcroft–Karp solve per prefix,

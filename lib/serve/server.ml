@@ -158,6 +158,12 @@ let rec out_of_range n = function
   | [] -> None
   | a :: rest -> if a < 0 || a >= n then Some a else out_of_range n rest
 
+(* [Unix.select] takes descriptors below FD_SETSIZE only (1024 on
+   Linux; a [Unix.file_descr] is the descriptor number there) and fails
+   with EINVAL on a larger one. *)
+let fd_setsize = 1024
+let selectable (fd : Unix.file_descr) = (Obj.magic fd : int) < fd_setsize
+
 let io_loop t =
   let m = t.io_m in
   (* Open connections by id (reply routing) and by descriptor (select
@@ -474,6 +480,17 @@ let io_loop t =
       let accepting = ref true in
       while !accepting do
         match Unix.accept ~cloexec:true t.listen_fd with
+        | fd, _ when not (selectable fd) ->
+          (* select cannot watch it: refuse it here, in one blocking
+             write, rather than let select fail for every connection *)
+          Obs.Metrics.incr m "serve.rejected.fd_limit";
+          (try
+             let refusal =
+               Protocol.Error { message = "server descriptor limit reached" }
+             in
+             Lineio.write_all fd (Protocol.render_server refusal ^ "\n")
+           with Unix.Unix_error _ -> ());
+          (try Unix.close fd with Unix.Unix_error _ -> ())
         | fd, _ ->
           Unix.set_nonblock fd;
           incr next_cid;
@@ -603,6 +620,16 @@ let start ?metrics cfg =
     else
     match open_listener cfg.addr with
     | Error _ as e -> e
+    | Ok listen_fd when not (selectable listen_fd) ->
+      (try Unix.close listen_fd with Unix.Unix_error _ -> ());
+      (match cfg.addr with
+       | Unix_sock path -> (try Unix.unlink path with Unix.Unix_error _ -> ())
+       | Tcp _ -> ());
+      Error
+        (Printf.sprintf
+           "the listening socket got a descriptor past select's limit of \
+            %d: too many descriptors open"
+           fd_setsize)
     | Ok listen_fd ->
       Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
       (* each outbox has exactly one producer (the owning worker) and

@@ -303,3 +303,18 @@ let generate ~name ~n ~d ~rounds ~load ~seed =
   | Some f -> (
       try Ok (f.generate ~n ~d ~rounds ~load ~seed)
       with Invalid_argument m -> Error m)
+
+let chunked f ~n ~d ~load ~seed ~chunk =
+  if chunk < 1 then invalid_arg "Zoo.chunked: chunk must be >= 1";
+  let index = ref (-1) and inst = ref None in
+  fun round ->
+    let k = round / chunk in
+    if k <> !index then begin
+      inst := Some (f.generate ~n ~d ~rounds:chunk ~load ~seed:(seed + k));
+      index := k
+    end;
+    Array.map
+      (fun (r : Sched.Request.t) ->
+         Sched.Request.of_array ~id:r.id ~arrival:round
+           ~alternatives:r.alternatives ~deadline:r.deadline)
+      (Sched.Instance.arrivals_at (Option.get !inst) (round - (k * chunk)))

@@ -87,3 +87,16 @@ val generate :
   (Sched.Instance.t, string) result
 (** Generate by family key; [Error] on an unknown name or invalid
     parameter (never raises). *)
+
+val chunked :
+  family -> n:int -> d:int -> load:float -> seed:int -> chunk:int ->
+  int -> Sched.Request.t array
+(** [chunked f ~n ~d ~load ~seed ~chunk] is an endless arrival stream
+    held [chunk] rounds at a time: rounds [k * chunk .. (k + 1) * chunk - 1]
+    are the arrivals of [f]'s [chunk]-round instance for seed
+    [seed + k], shifted by [k * chunk] rounds (ids stay those of the
+    chunk's instance).  Apply it to rounds [0, 1, 2, ...] in order; a
+    run of any length then holds one chunk, not the whole run.  A
+    session (vod) ends with its chunk, and a ramp such as [overload]'s
+    restarts with each chunk.
+    @raise Invalid_argument if [chunk < 1], or from [f.generate]. *)

@@ -485,12 +485,36 @@ let reference s =
     (List.rev s.edges);
   g
 
+(* The matching a partner map describes, over [g]'s edge ids (a left's
+   edge is the first edge to its partner).  A pair with no edge in [g],
+   or two lefts on one right, makes it fail [Matching.is_valid]. *)
+let matching_of_partners g partners =
+  let m = Matching.empty g in
+  Array.iteri
+    (fun u r ->
+       if r >= 0 then begin
+         m.Matching.left_to.(u) <- r;
+         m.Matching.right_to.(r) <- u;
+         let adj = Bipartite.adj_left g u in
+         for k = Prelude.Ivec.length adj - 1 downto 0 do
+           let e = Prelude.Ivec.get adj k in
+           if Bipartite.edge_right g e = r then m.Matching.left_edge.(u) <- e
+         done
+       end)
+    partners;
+  m
+
+(* The tracker's matching over the reference graph; every left vertex
+   is held while the script never settles. *)
+let matching_of s g =
+  matching_of_partners g (Array.init (Augment.n_left s.a) (Augment.partner s.a))
+
 let test_augment_from_scratch () =
   (* empty graph, grown column by column like the paper-graph stream *)
   let s = script () in
   let a = s.a in
   check Alcotest.int "empty" 0 (Augment.size a);
-  let u0 = Augment.add_left a and u1 = Augment.add_left a in
+  let u0 = Augment.add_left a ~last:max_int and u1 = Augment.add_left a ~last:max_int in
   ignore (column s [ u0; u1 ] : int);
   check Alcotest.int "one slot" 1 (Augment.augment a);
   check Alcotest.int "size 1" 1 (Augment.size a);
@@ -499,17 +523,15 @@ let test_augment_from_scratch () =
   check Alcotest.int "reroute" 1 (Augment.augment a);
   check Alcotest.int "size 2" 2 (Augment.size a);
   check Alcotest.int "nothing new to search" 0 (Augment.augment a);
-  let g = Augment.graph a and m = Augment.matching a in
-  check Alcotest.(list (pair int int)) "snapshot holds the appended edges"
-    (List.rev s.edges)
-    (List.init (Bipartite.n_edges g) (fun id ->
-         (Bipartite.edge_left g id, Bipartite.edge_right g id)));
+  check Alcotest.(list int) "partners" [ 1; 0 ] [ Augment.partner a u0; Augment.partner a u1 ];
+  let g = reference s in
+  let m = matching_of s g in
   check Alcotest.bool "valid" true (Matching.is_valid g m);
   check Alcotest.bool "certified" true (Hopcroft_karp.is_koenig_certificate g m)
 
 let test_augment_rejects_bad_column () =
   let a = Augment.create () in
-  let u = Augment.add_left a in
+  let u = Augment.add_left a ~last:max_int in
   ignore (Augment.add_right a [| u |] ~pos:0 ~len:1 : int);
   let raises name lefts ~pos ~len =
     (match Augment.add_right a lefts ~pos ~len with
@@ -545,7 +567,7 @@ let growth_arb =
    the step's columns. *)
 let grow_step rng s ~max_lefts ~max_edges =
   for _ = 1 to Rng.int rng max_lefts do
-    ignore (Augment.add_left s.a : int)
+    ignore (Augment.add_left s.a ~last:max_int : int)
   done;
   let cols = Array.make (1 + Rng.int rng 3) [] in
   let nl = Augment.n_left s.a in
@@ -567,7 +589,7 @@ let prop_augment_tracks_hopcroft_karp =
        for _ = 1 to steps do
          grow_step rng s ~max_lefts:3 ~max_edges:5;
          let g = reference s in
-         let m = Augment.matching s.a in
+         let m = matching_of s g in
          if
            Augment.size s.a <> Hopcroft_karp.max_matching_size g
            || not (Matching.is_valid g m)
@@ -608,7 +630,7 @@ let prop_dead_vertices_are_essential =
          grow_step rng s ~max_lefts:4 ~max_edges:7;
          let g = reference s in
          let nu = Hopcroft_karp.max_matching_size g in
-         let m = Augment.matching s.a in
+         let m = matching_of s g in
          if Augment.size s.a <> nu then ok := false;
          for v = 0 to Bipartite.n_left g - 1 do
            if Augment.is_dead s.a v then begin
@@ -641,7 +663,7 @@ let test_failed_search_kills_once () =
   (* two lefts, each wanted by three slots: the third slot's search
      fails and kills both; the fourth's stamps nothing *)
   let a = Augment.create () in
-  let u0 = Augment.add_left a and u1 = Augment.add_left a in
+  let u0 = Augment.add_left a ~last:max_int and u1 = Augment.add_left a ~last:max_int in
   let slot () =
     ignore (Augment.add_right a [| u0; u1 |] ~pos:0 ~len:2 : int);
     Augment.augment a
@@ -661,6 +683,164 @@ let test_failed_search_kills_once () =
   check Alcotest.int "so the search visited nothing" s.Augment.visited
     s'.Augment.visited
 
+(* Epochs: a left closes when its last epoch ends; [settle] hands a
+   slot from a matched open left to a free closed one when an
+   alternating walk joins them, and releases what no search can reach
+   any more. *)
+let test_settle_flips_and_releases () =
+  let a = Augment.create () in
+  let old = Augment.add_left a ~last:0 and young = Augment.add_left a ~last:5 in
+  (* the column probes the young request first, so it takes the slot *)
+  ignore (Augment.add_right a [| young; old |] ~pos:0 ~len:2 : int);
+  check Alcotest.int "one slot, one match" 1 (Augment.augment a);
+  check Alcotest.int "the young request took it" 0 (Augment.partner a young);
+  Augment.settle a;
+  check Alcotest.int "epoch 1" 1 (Augment.epoch a);
+  check Alcotest.int "settle flipped the walk" 1 (Augment.stats a).Augment.flips;
+  check Alcotest.int "the young request is free again" (-1)
+    (Augment.partner a young);
+  check Alcotest.int "size unchanged" 1 (Augment.size a);
+  check Alcotest.int "the closing request holds the slot" 0
+    (Augment.partner a old);
+  (* no walk can reach it: it and the slot are frozen at once; the slot
+     is released now, the request at the next settle *)
+  check Alcotest.int "old slot released" 1 (Augment.first_right a);
+  (match Augment.add_right a [| old |] ~pos:0 ~len:1 with
+   | exception Invalid_argument _ -> ()
+   | _ -> Alcotest.fail "a closed left was accepted");
+  ignore (Augment.add_right a [| young |] ~pos:0 ~len:1 : int);
+  check Alcotest.int "the young request takes the next slot" 1
+    (Augment.augment a);
+  Augment.settle a;
+  check Alcotest.int "both served" 2 (Augment.size a);
+  check Alcotest.int "the open request keeps its slot held" 1
+    (Augment.first_right a);
+  check Alcotest.int "old request released" young (Augment.first_left a);
+  (match Augment.partner a old with
+   | exception Invalid_argument _ -> ()
+   | _ -> Alcotest.fail "a released left still answers");
+  (match Augment.add_left a ~last:1 with
+   | exception Invalid_argument _ -> ()
+   | _ -> Alcotest.fail "a left closed at birth was accepted");
+  (* a closed but held left is refused too *)
+  let b = Augment.create () in
+  let u = Augment.add_left b ~last:0 and v = Augment.add_left b ~last:3 in
+  ignore (Augment.add_right b [| u |] ~pos:0 ~len:1 : int);
+  ignore (Augment.add_right b [| v; u |] ~pos:0 ~len:2 : int);
+  check Alcotest.int "two slots, two matches" 2 (Augment.augment b);
+  Augment.settle b;
+  Augment.settle b;
+  (* v's slot names u, so a walk from v still reaches u *)
+  check Alcotest.int "u is still held" u (Augment.first_left b);
+  match Augment.add_right b [| v; u |] ~pos:0 ~len:2 with
+  | exception Invalid_argument _ ->
+    check Alcotest.int "nothing appended" 2 (Augment.n_right b)
+  | _ -> Alcotest.fail "a closed left was accepted"
+
+(* Growth scripts in epochs: each step opens a few lefts until a random
+   later epoch (one in five for ever), appends 1-3 columns naming open
+   lefts, augments and settles.  After every step the partners of the
+   held lefts, with the last partner seen for each released one, must
+   form a valid matching of the reference graph whose size is
+   Hopcroft-Karp's and the tracker's; every dead held left must be
+   matched; and a brute-force search must find no alternating walk from
+   a matched open left to a free closed left. *)
+type epoch_script = {
+  es : script;
+  lasts : Prelude.Ivec.t; (* per left: its last epoch *)
+  seen : Prelude.Ivec.t; (* per left: its partner when last held *)
+}
+
+let epoch_step rng e ~long =
+  let a = e.es.a in
+  let epoch = Augment.epoch a in
+  for _ = 1 to Rng.int rng 4 do
+    let last =
+      if Rng.int rng 5 = 0 then max_int
+      else epoch + Rng.int rng (if long then 12 else 4)
+    in
+    ignore (Augment.add_left a ~last : int);
+    Prelude.Ivec.push e.lasts last;
+    Prelude.Ivec.push e.seen (-1)
+  done;
+  let opens =
+    List.filter
+      (fun u -> Prelude.Ivec.get e.lasts u >= epoch)
+      (List.init
+         (Augment.n_left a - Augment.first_left a)
+         (fun k -> Augment.first_left a + k))
+    |> Array.of_list
+  in
+  let cols = Array.make (1 + Rng.int rng 3) [] in
+  if Array.length opens > 0 then
+    for _ = 1 to Rng.int rng 8 do
+      let u = opens.(Rng.int rng (Array.length opens))
+      and c = Rng.int rng (Array.length cols) in
+      cols.(c) <- u :: cols.(c)
+    done;
+  Array.iter (fun lefts -> ignore (column e.es (List.rev lefts) : int)) cols;
+  ignore (Augment.augment a : int);
+  Augment.settle a;
+  for u = Augment.first_left a to Augment.n_left a - 1 do
+    Prelude.Ivec.set e.seen u (Augment.partner a u)
+  done
+
+(* Is there an alternating walk (matching edge, any edge, matching
+   edge, ...) from a matched left [open_] says is open to a free left
+   it says is closed? *)
+let open_to_closed_walk g (m : Matching.t) ~open_ =
+  let nl = Bipartite.n_left g in
+  let found = ref false in
+  for root = 0 to nl - 1 do
+    if open_ root && m.Matching.left_to.(root) >= 0 then begin
+      let seen = Array.make nl false in
+      seen.(root) <- true;
+      let rec visit u =
+        let r = m.Matching.left_to.(u) in
+        Prelude.Ivec.iter
+          (fun e ->
+             let v = Bipartite.edge_left g e in
+             if not seen.(v) then begin
+               seen.(v) <- true;
+               if m.Matching.left_to.(v) >= 0 then visit v
+               else if not (open_ v) then found := true
+             end)
+          (Bipartite.adj_right g r)
+      in
+      visit root
+    end
+  done;
+  !found
+
+let prop_settle_keeps_the_invariant ~long =
+  qtest ~count:200
+    (Printf.sprintf "settle: no walk from a matched open left to a free closed one%s"
+       (if long then " (long windows)" else ""))
+    long_growth_arb
+    (fun (steps, seed) ->
+       let rng = Rng.create ~seed in
+       let e =
+         { es = script (); lasts = Prelude.Ivec.create (); seen = Prelude.Ivec.create () }
+       in
+       for step = 1 to steps do
+         epoch_step rng e ~long;
+         let a = e.es.a in
+         let g = reference e.es in
+         let m = matching_of_partners g (Prelude.Ivec.to_array e.seen) in
+         let nu = Hopcroft_karp.max_matching_size g in
+         let fail what = QCheck.Test.fail_reportf "step %d: %s" step what in
+         if Augment.size a <> nu then fail "size is not Hopcroft-Karp's";
+         if not (Matching.is_valid g m) then fail "partners are no matching";
+         if Matching.size m <> nu then fail "partners are not maximum";
+         for u = Augment.first_left a to Augment.n_left a - 1 do
+           if Augment.is_dead a u && not (Matching.is_matched_left m u) then
+             fail "a dead left is free"
+         done;
+         let open_ u = Prelude.Ivec.get e.lasts u >= Augment.epoch a in
+         if open_to_closed_walk g m ~open_ then fail "a walk breaks the invariant"
+       done;
+       true)
+
 let minor_words_during f =
   let before = Gc.minor_words () in
   f ();
@@ -671,7 +851,7 @@ let minor_words_during f =
 let test_search_allocates_nothing () =
   let a = Augment.create () in
   let n = 64 in
-  for _ = 1 to n do ignore (Augment.add_left a : int) done;
+  for _ = 1 to n do ignore (Augment.add_left a ~last:max_int : int) done;
   (* a chain: slot i takes lefts i and i+1, so each new slot reroutes
      the whole chain before it *)
   let column lefts =
@@ -715,6 +895,10 @@ let () =
             test_failed_search_kills_once;
           Alcotest.test_case "a search allocates nothing" `Quick
             test_search_allocates_nothing;
+          Alcotest.test_case "settle flips and releases" `Quick
+            test_settle_flips_and_releases;
+          prop_settle_keeps_the_invariant ~long:false;
+          prop_settle_keeps_the_invariant ~long:true;
         ] );
       ( "matching",
         [

@@ -995,6 +995,90 @@ let test_e2e_line_too_long () =
   check Alcotest.int "three protocol errors" 3
     (counter snap "serve.protocol_errors")
 
+(* A connection whose descriptor select cannot watch (>= FD_SETSIZE,
+   1024) is refused at accept with an explicit error line, and the
+   connections already open keep their service: before, the next
+   select failed with EINVAL and ended the I/O loop.  The test process
+   fills its descriptor table past 1024 (the server runs in it), so
+   the raw connection's accepted descriptor is a high one. *)
+let test_e2e_descriptor_limit () =
+  let send conn msg =
+    match Client.send conn msg with
+    | Ok () -> ()
+    | Error m -> Alcotest.failf "send: %s" m
+  in
+  let submit conn tag =
+    send conn
+      (Protocol.Submit { Protocol.tag; alternatives = [ 0; 1 ]; deadline = 2 })
+  in
+  let (), snap =
+    with_server ~shards:1 ~n:4 ~d:2 (fun addr _ ->
+        let conn =
+          match Client.connect addr ~client:"early" with
+          | Ok c -> c
+          | Error m -> Alcotest.failf "connect: %s" m
+        in
+        List.iter (submit conn) [ 0; 1; 2 ];
+        let spare =
+          List.init 1030 (fun _ ->
+              Unix.openfile "/dev/null" [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0)
+        in
+        Fun.protect
+          ~finally:(fun () -> List.iter Unix.close spare)
+          (fun () ->
+             let path =
+               match addr with Server.Unix_sock p -> p | Server.Tcp _ -> ""
+             in
+             let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+             Fun.protect
+               ~finally:(fun () -> Unix.close fd)
+               (fun () ->
+                  Unix.connect fd (Unix.ADDR_UNIX path);
+                  (* no select here: this descriptor is a high one too *)
+                  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+                  let buf = Buffer.create 64 and chunk = Bytes.create 256 in
+                  let rec read_all () =
+                    match Unix.read fd chunk 0 256 with
+                    | 0 -> ()
+                    | k ->
+                      Buffer.add_subbytes buf chunk 0 k;
+                      read_all ()
+                    | exception Unix.Unix_error (Unix.EAGAIN, _, _) ->
+                      Alcotest.fail "the refused connection was left open"
+                  in
+                  read_all ();
+                  check Alcotest.(list string) "refused with an error line"
+                    [ "error server descriptor limit reached" ]
+                    (Serve.Lineio.extract_lines buf)));
+        (* the early client keeps its service: one terminal per request *)
+        List.iter (submit conn) [ 3; 4; 5 ];
+        let terminals = Array.make 6 0 in
+        let rec tick k =
+          if k > 0 && Array.exists (fun c -> c = 0) terminals then begin
+            send conn Protocol.Tick;
+            let rec until_round () =
+              match Client.recv ~timeout:5.0 conn with
+              | Ok (Protocol.Round _) -> ()
+              | Ok msg ->
+                Option.iter
+                  (fun tag -> terminals.(tag) <- terminals.(tag) + 1)
+                  (Protocol.terminal_tag msg);
+                until_round ()
+              | Error m -> Alcotest.failf "recv: %s" m
+            in
+            until_round ();
+            tick (k - 1)
+          end
+        in
+        tick 8;
+        check Alcotest.(array int) "one terminal per request"
+          (Array.make 6 1) terminals;
+        send conn Protocol.Bye;
+        Client.close conn)
+  in
+  check Alcotest.int "refusal counted" 1 (counter snap "serve.rejected.fd_limit");
+  check Alcotest.int "no client errors" 0 (counter snap "serve.client_errors")
+
 let base_cfg addr =
   {
     Server.addr;
@@ -1045,6 +1129,31 @@ let test_start_refuses_non_socket_path () =
        let line = input_line ic in
        close_in ic;
        check Alcotest.string "file contents preserved" "precious" line)
+
+(* The listening socket itself must be one select can watch: past
+   FD_SETSIZE the server refuses to start (before, it started and its
+   I/O loop died at the first select). *)
+let test_start_refuses_high_listener () =
+  let path = fresh_sock_path () in
+  let spare =
+    List.init 1030 (fun _ ->
+        Unix.openfile "/dev/null" [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0)
+  in
+  Fun.protect
+    ~finally:(fun () -> List.iter Unix.close spare)
+    (fun () ->
+       match Server.start (base_cfg (Server.Unix_sock path)) with
+       | Error m ->
+         check Alcotest.bool ("error says why: " ^ m) true
+           (contains_sub ~sub:"descriptor" m);
+         check Alcotest.bool "socket path removed" false (Sys.file_exists path)
+       | Ok srv ->
+         (try
+            Server.drain srv;
+            ignore (Server.wait srv)
+          with _ -> ());
+         (try Sys.remove path with Sys_error _ -> ());
+         Alcotest.fail "server started on a descriptor select cannot watch")
 
 let test_start_refuses_too_many_domains () =
   (* 256 resources in 200 shards are 128 two-resource shards, one worker
@@ -1126,6 +1235,8 @@ let () =
             test_e2e_truncation_counted;
           Alcotest.test_case "shard step allocation per request" `Quick
             test_shard_step_words;
+          Alcotest.test_case "descriptor past FD_SETSIZE refused" `Quick
+            test_e2e_descriptor_limit;
           Alcotest.test_case "line over max_line rejected" `Quick
             test_e2e_line_too_long;
           Alcotest.test_case "oversize batch rejected whole" `Quick
@@ -1139,5 +1250,7 @@ let () =
             test_start_refuses_non_socket_path;
           Alcotest.test_case "refuses workers past the domain limit" `Quick
             test_start_refuses_too_many_domains;
+          Alcotest.test_case "refuses a listener past FD_SETSIZE" `Quick
+            test_start_refuses_high_listener;
         ] );
     ]

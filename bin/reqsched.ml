@@ -132,7 +132,7 @@ let compare_cmd =
          | Error _ -> ()
          | Ok factory ->
            let o = Sched.Engine.run ?metrics inst factory in
-           let ratio = Report.Harness.ratio_of ~opt ~served:o.served in
+           let ratio = Analysis.Slo.ratio_of ~opt ~served:o.served in
            let score_cells =
              match score_modes with
              | [] -> []
@@ -304,7 +304,7 @@ let sweep_cmd =
          let cells =
            List.filteri (fun i _ -> i / per_load = li) scores
            |> List.map (fun (s : Analysis.Slo.scores) ->
-               let ratio = Report.Harness.ratio_of ~opt ~served:s.served in
+               let ratio = Analysis.Slo.ratio_of ~opt ~served:s.served in
                match mode with
                | Analysis.Slo.Ratio -> Prelude.Texttable.cell_ratio ratio
                | m -> Analysis.Slo.mode_cell m ~ratio s)
@@ -606,10 +606,10 @@ let cluster_cmd =
       (* deterministic local run under the engine's full validation *)
       let* inst, priority =
         if w.name = "thm37" then
-          let sc, priority =
-            Adversary.Thm37.make ~d ~intervals:(max 1 (rounds / max 1 d))
-          in
-          Ok (sc.Adversary.Scenario.instance, Some priority)
+          let intervals = max 1 (rounds / max 1 d) in
+          match Adversary.Thm37.make ~d ~intervals with
+          | sc, priority -> Ok (sc.Adversary.Scenario.instance, Some priority)
+          | exception Invalid_argument m -> Error m
         else Result.map (fun inst -> (inst, None)) (Cli.instance w)
       in
       let session = ref None in
@@ -646,7 +646,7 @@ let cluster_cmd =
            (Sched.Instance.n_requests inst);
          Printf.printf "optimum  : %d\n" opt;
          Printf.printf "ratio    : %.4f\n"
-           (Report.Harness.ratio_of ~opt ~served:o.Sched.Outcome.served);
+           (Analysis.Slo.ratio_of ~opt ~served:o.Sched.Outcome.served);
          Option.iter
            (fun s ->
               let s = Cluster.Session.stats s in

@@ -96,4 +96,4 @@ let () =
     d phases
     (Rat.to_float Adversary.Thm26.ratio_bound)
     ""
-    (float_of_int opt /. float_of_int outcome.served)
+    (Analysis.Slo.ratio_of ~opt ~served:outcome.served)

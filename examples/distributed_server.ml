@@ -53,7 +53,7 @@ let () =
         name;
         string_of_int o.served;
         Prelude.Texttable.cell_ratio
-          (float_of_int opt /. float_of_int o.served);
+          (Analysis.Slo.ratio_of ~opt ~served:o.served);
         comm;
         msgs;
         bounced;
@@ -84,7 +84,7 @@ let () =
     o.served
     (Sched.Instance.n_requests sc.instance)
     opt
-    (float_of_int opt /. float_of_int o.served);
+    (Analysis.Slo.ratio_of ~opt ~served:o.served);
   Printf.printf
     "  %d messages sent, %d bounced by the capacity-%d mailboxes, %d \
      communication rounds per scheduling round\n"
@@ -98,5 +98,5 @@ let () =
     "  A_local_eager on the same input: accepted %d (ratio %.4f) using %d \
      communication rounds per scheduling round\n"
     o.served
-    (float_of_int opt /. float_of_int o.served)
+    (Analysis.Slo.ratio_of ~opt ~served:o.served)
     s.comm_rounds_max

@@ -44,7 +44,7 @@ let () =
   Format.printf "offline optimum: %d of %d@." opt
     (Sched.Instance.n_requests instance);
   Format.printf "competitive ratio on this input: %.3f@."
-    (float_of_int opt /. float_of_int outcome.served);
+    (Analysis.Slo.ratio_of ~opt ~served:outcome.served);
 
   (* 4. Audit the outcome: where (if anywhere) could the optimum still
      improve on the online schedule? *)

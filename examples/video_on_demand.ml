@@ -128,7 +128,7 @@ let () =
            string_of_int o.served;
            string_of_int (Sched.Outcome.failed o);
            Prelude.Texttable.cell_ratio
-             (float_of_int opt /. float_of_int o.served);
+             (Analysis.Slo.ratio_of ~opt ~served:o.served);
          ])
     strategies;
   Prelude.Texttable.print table2;

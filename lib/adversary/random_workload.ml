@@ -9,7 +9,7 @@ let check ~n ~d ~rounds ~load ~alternatives =
   if n < 1 then invalid_arg "Random_workload: n must be >= 1";
   if d < 1 then invalid_arg "Random_workload: d must be >= 1";
   if rounds < 1 then invalid_arg "Random_workload: rounds must be >= 1";
-  if not (load >= 0.0) then invalid_arg "Random_workload: negative load";
+  if not (load >= 0.0) then invalid_arg "Random_workload: load must be >= 0";
   if alternatives < 1 || alternatives > n then
     invalid_arg "Random_workload: alternatives out of [1, n]"
 

@@ -408,8 +408,6 @@ type streamed = {
   anytime_ratio : float;
 }
 
-(* same guard as Report.Harness.ratio_of; duplicated (not referenced)
-   because report depends on analysis, not the other way around *)
 let ratio_of ~opt ~served =
   if served > 0 then float_of_int opt /. float_of_int served
   else if opt = 0 then 1.0

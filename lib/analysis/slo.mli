@@ -105,9 +105,12 @@ type streamed = {
 }
 
 val ratio_of : opt:int -> served:int -> float
-(** [1.0] when both are 0 (nothing to lose), [infinity] when the
-    algorithm served nothing but OPT could, OPT/ALG otherwise — the
-    same guard the report harness uses. *)
+(** The competitive ratio [opt / served] with the degenerate cases made
+    explicit: [1.0] when both are zero (vacuously competitive),
+    [infinity] when the algorithm served nothing against a positive
+    optimum.  Every ratio the reports print goes through this — a naive
+    [opt /. max 1 served] silently reports [opt] itself for a strategy
+    that served nothing. *)
 
 val score_stream :
   ?metrics:Obs.Metrics.t ->

@@ -116,7 +116,7 @@ let metrics =
       "Record per-subsystem metrics (engine rounds, kernel search effort, \
        the streaming optimum behind SLO and anytime scores, network \
        traffic, domain utilisation) and print them after the report in \
-       the given format: text, csv or json.  Metrics only observe: every \
+       the given format: text or json.  Metrics only observe: every \
        result, the offline optimum included, is computed the same way \
        with or without them."
     in

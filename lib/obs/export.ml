@@ -1,18 +1,17 @@
 module Stats = Prelude.Stats
 module Texttable = Prelude.Texttable
 
-type format = Text | Csv | Json
+type format = Text | Json
 
 let format_of_string = function
   | "text" -> Ok Text
-  | "csv" -> Ok Csv
   | "json" -> Ok Json
   | other ->
     Error
-      (Printf.sprintf "unknown metrics format %S (expected text, csv or json)"
+      (Printf.sprintf "unknown metrics format %S (expected text or json)"
          other)
 
-let format_name = function Text -> "text" | Csv -> "csv" | Json -> "json"
+let format_name = function Text -> "text" | Json -> "json"
 
 (* %.17g round-trips every finite float through [float_of_string];
    non-finite values print as nan/inf/-inf, which [float_of_string]
@@ -47,62 +46,7 @@ let table snap =
     snap;
   t
 
-(* ------------------------------------------------------------------ *)
-(* CSV *)
-
-let csv_header = "name,kind,value,count,mean,m2,min,max"
-
-let to_csv snap =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf (csv_header ^ "\n");
-  List.iter
-    (fun (name, v) ->
-       let fields =
-         match (v : Metrics.value) with
-         | Counter c -> [ name; "counter"; string_of_int c; ""; ""; ""; ""; "" ]
-         | Gauge g -> [ name; "gauge"; fstr g; ""; ""; ""; ""; "" ]
-         | Histogram s ->
-           let n = Stats.count s in
-           if n = 0 then [ name; "histogram"; ""; "0"; ""; ""; ""; "" ]
-           else
-             [
-               name; "histogram"; ""; string_of_int n; fstr (Stats.mean s);
-               fstr (Stats.m2 s); fstr (Stats.min s); fstr (Stats.max s);
-             ]
-       in
-       Buffer.add_string buf (String.concat "," fields ^ "\n"))
-    snap;
-  Buffer.contents buf
-
 let parse_error fmt = Printf.ksprintf (fun s -> failwith ("Obs.Export: " ^ s)) fmt
-
-let of_csv text =
-  let lines =
-    String.split_on_char '\n' text
-    |> List.filter (fun l -> String.trim l <> "")
-  in
-  match lines with
-  | [] -> []
-  | header :: rows ->
-    if String.trim header <> csv_header then
-      parse_error "bad CSV header %S" header;
-    List.map
-      (fun line ->
-         match String.split_on_char ',' line with
-         | [ name; "counter"; v; _; _; _; _; _ ] ->
-           (name, Metrics.Counter (int_of_string v))
-         | [ name; "gauge"; v; _; _; _; _; _ ] ->
-           (name, Metrics.Gauge (float_of_string v))
-         | [ name; "histogram"; _; "0"; _; _; _; _ ] ->
-           (name, Metrics.Histogram (Stats.create ()))
-         | [ name; "histogram"; _; n; mean; m2; mn; mx ] ->
-           ( name,
-             Metrics.Histogram
-               (Stats.of_moments ~count:(int_of_string n)
-                  ~mean:(float_of_string mean) ~m2:(float_of_string m2)
-                  ~mn:(float_of_string mn) ~mx:(float_of_string mx)) )
-         | _ -> parse_error "bad CSV row %S" line)
-      rows
 
 (* ------------------------------------------------------------------ *)
 (* line-oriented JSON: one object per metric per line *)
@@ -229,7 +173,6 @@ let of_json text =
 let render fmt snap =
   match fmt with
   | Text -> Texttable.render (table snap)
-  | Csv -> to_csv snap
   | Json -> to_json snap
 
 let output ?path fmt snap =

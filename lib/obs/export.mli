@@ -1,28 +1,21 @@
-(** Metric snapshot exporters: text table, CSV, line-oriented JSON.
+(** Metric snapshot exporters: a text table and line-oriented JSON.
 
-    The CSV and JSON forms are lossless for counters, gauges and
-    histogram moments (floats print as [%.17g]); {!of_csv} and
-    {!of_json} invert them exactly, which the test-suite pins with
-    round-trip properties.  Non-finite floats appear as [nan]/[inf]
-    tokens (quoted in JSON).  Histograms export their Welford moments
-    (count, mean, m2, min, max), not raw observations. *)
+    The JSON form is lossless for counters, gauges and histogram moments
+    (floats print as [%.17g]); {!of_json} inverts it exactly, which the
+    test-suite pins with round-trip properties.  Non-finite floats
+    appear as quoted [nan]/[inf] tokens.  Histograms export their
+    Welford moments (count, mean, m2, min, max), not raw
+    observations. *)
 
-type format = Text | Csv | Json
+type format = Text | Json
 
 val format_of_string : string -> (format, string) result
-(** Parses ["text"], ["csv"], ["json"]. *)
+(** Parses ["text"] and ["json"]. *)
 
 val format_name : format -> string
 
 val table : Metrics.snapshot -> Prelude.Texttable.t
 (** Human-readable table: one row per metric. *)
-
-val to_csv : Metrics.snapshot -> string
-(** Header row [name,kind,value,count,mean,m2,min,max], one row per
-    metric. *)
-
-val of_csv : string -> Metrics.snapshot
-(** Inverse of {!to_csv}.  @raise Failure on malformed input. *)
 
 val to_json : Metrics.snapshot -> string
 (** One flat JSON object per line, e.g.

@@ -28,26 +28,6 @@ let csv_of_table table =
     (Prelude.Texttable.rows table);
   Buffer.contents buf
 
-let csv_of_instance (inst : Sched.Instance.t) =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (row [ "id"; "arrival"; "deadline"; "last_round"; "alternatives" ]);
-  Array.iter
-    (fun (r : Sched.Request.t) ->
-       Buffer.add_string buf
-         (row
-            [
-              string_of_int r.Sched.Request.id;
-              string_of_int r.Sched.Request.arrival;
-              string_of_int r.Sched.Request.deadline;
-              string_of_int (Sched.Request.last_round r);
-              String.concat "|"
-                (Array.to_list
-                   (Array.map string_of_int r.Sched.Request.alternatives));
-            ]))
-    inst.Sched.Instance.requests;
-  Buffer.contents buf
-
 let csv_of_outcome (o : Sched.Outcome.t) =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf

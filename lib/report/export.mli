@@ -1,4 +1,4 @@
-(** CSV export of instances, outcomes and experiment tables.
+(** CSV export of outcomes and experiment tables.
 
     The harness prints human-readable tables; this module writes the
     same data in machine-readable form so results can be analysed or
@@ -9,11 +9,6 @@
 val csv_of_table : Prelude.Texttable.t -> string
 (** The header and data rows of a rendered table as CSV (rules are
     skipped; the title, if any, becomes a ["# ..."] comment line). *)
-
-val csv_of_instance : Sched.Instance.t -> string
-(** One row per request:
-    [id,arrival,deadline,last_round,alternatives] with alternatives
-    separated by ['|']. *)
 
 val csv_of_outcome : Sched.Outcome.t -> string
 (** One row per request:

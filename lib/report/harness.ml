@@ -4,49 +4,14 @@ type run = {
   ratio : float;
 }
 
-let ratio_of ~opt ~served =
-  if served = 0 then if opt = 0 then 1.0 else infinity
-  else float_of_int opt /. float_of_int served
-
 let run_instance ?metrics inst factory =
   let metrics = Obs.Metrics.resolve metrics in
   let outcome = Sched.Engine.run ?metrics inst factory in
   let opt = Offline.Opt.value inst in
-  { outcome; opt; ratio = ratio_of ~opt ~served:outcome.Sched.Outcome.served }
-
-type anytime = {
-  run : run;
-  opt_curve : int array;
-  alg_curve : int array;
-  ratio_curve : float array;
-}
-
-let run_instance_anytime ?metrics inst factory =
-  let metrics = Obs.Metrics.resolve metrics in
-  let outcome = Sched.Engine.run ?metrics inst factory in
-  let opt_curve = Offline.Opt_stream.prefix_curve ?metrics inst in
-  let alg_curve =
-    let acc = ref 0 in
-    Array.map
-      (fun served ->
-         acc := !acc + served;
-         !acc)
-      outcome.Sched.Outcome.per_round_served
-  in
-  let ratio ~opt ~alg = ratio_of ~opt ~served:alg in
-  let horizon = Array.length opt_curve in
-  let opt = if horizon = 0 then 0 else opt_curve.(horizon - 1) in
   {
-    run =
-      {
-        outcome;
-        opt;
-        ratio = ratio ~opt ~alg:outcome.Sched.Outcome.served;
-      };
-    opt_curve;
-    alg_curve;
-    ratio_curve =
-      Array.mapi (fun r opt -> ratio ~opt ~alg:alg_curve.(r)) opt_curve;
+    outcome;
+    opt;
+    ratio = Analysis.Slo.ratio_of ~opt ~served:outcome.Sched.Outcome.served;
   }
 
 let run_scenario (sc : Adversary.Scenario.t) factory =

@@ -6,14 +6,6 @@ type run = {
   ratio : float;
 }
 
-val ratio_of : opt:int -> served:int -> float
-(** The competitive ratio [opt / served] with the degenerate cases made
-    explicit: [1.0] when both are zero (vacuously competitive),
-    [infinity] when the algorithm served nothing against a positive
-    optimum.  Every ratio the reports print goes through this — a naive
-    [opt /. max 1 served] silently reports [opt] itself for a strategy
-    that served nothing. *)
-
 val run_scenario : Adversary.Scenario.t -> Sched.Strategy.factory -> run
 (** Run and compute the exact optimum ({!Offline.Opt.value}); when the
     scenario carries an [opt_hint] it is checked against the computed
@@ -26,26 +18,8 @@ val run_instance :
 (** With a registry (explicit or ambient) the engine records its
     per-round metrics.  The optimum is always {!Offline.Opt.value}:
     metrics observe the run, they never pick the algorithm that computes
-    what is measured.  {!run_instance_anytime} is the entry point that
-    profiles the streaming tracker ([opt_stream.*]). *)
-
-type anytime = {
-  run : run;
-  opt_curve : int array;   (** streaming OPT prefix per round *)
-  alg_curve : int array;   (** cumulative requests served per round *)
-  ratio_curve : float array;
-      (** [opt_curve.(r) / alg_curve.(r)]; [1.0] when both are zero,
-          [infinity] when only the algorithm is at zero *)
-}
-
-val run_instance_anytime :
-  ?metrics:Obs.Metrics.t -> Sched.Instance.t -> Sched.Strategy.factory ->
-  anytime
-(** Like {!run_instance} but with anytime competitive monitoring: the
-    final optimum and the whole per-round curve come from one streaming
-    pass ({!Offline.Opt_stream.prefix_curve}) instead of per-round full
-    recomputes, so long workloads can be monitored at every round for
-    roughly the cost of the final solve. *)
+    what is measured.  [ratio] is {!Analysis.Slo.ratio_of}; the
+    anytime ratio comes from {!Analysis.Slo.score_stream}. *)
 
 val asymptotic_ratio :
   make:(int -> Adversary.Scenario.t) ->

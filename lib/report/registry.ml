@@ -51,31 +51,28 @@ let instance_of_workload ~name ~n ~d ~rounds ~load ~seed =
       (Adversary.Random_workload.make ~rng ~n ~d ~rounds ~load ?profile ())
   in
   let phases = max 1 (rounds / max 1 d) in
-  match name with
-  | "uniform" -> random None
-  | "zipf" -> random (Some (Adversary.Random_workload.Zipf 1.2))
-  | "bursty" ->
-    random
-      (Some
-         (Adversary.Random_workload.Bursty
-            { period = 20; duty = 0.3; peak = 2.5 }))
-  | "thm21" -> Ok (Adversary.Thm21.make ~d ~phases).instance
-  | "thm22" ->
-    (try Ok (Adversary.Thm22.make ~ell:4 ~d ~phases).instance
-     with Invalid_argument m -> Error m)
-  | "thm23" ->
-    (try Ok (Adversary.Thm23.make ~d ~phases).instance
-     with Invalid_argument m -> Error m)
-  | "thm24" ->
-    (try Ok (Adversary.Thm24.make ~d ~phases).instance
-     with Invalid_argument m -> Error m)
-  | "thm25" ->
-    (try Ok (Adversary.Thm25.make ~d ~groups:3 ~intervals:phases).instance
-     with Invalid_argument m -> Error m)
-  | "thm37" -> Ok (fst (Adversary.Thm37.make ~d ~intervals:phases)).instance
-  | other when List.mem other Workload.Zoo.names ->
-    Workload.Zoo.generate ~name:other ~n ~d ~rounds ~load ~seed
-  | other -> Error (Printf.sprintf "unknown workload %S" other)
+  (* every generator validates its own parameters; its message is the
+     error *)
+  try
+    match name with
+    | "uniform" -> random None
+    | "zipf" -> random (Some (Adversary.Random_workload.Zipf 1.2))
+    | "bursty" ->
+      random
+        (Some
+           (Adversary.Random_workload.Bursty
+              { period = 20; duty = 0.3; peak = 2.5 }))
+    | "thm21" -> Ok (Adversary.Thm21.make ~d ~phases).instance
+    | "thm22" -> Ok (Adversary.Thm22.make ~ell:4 ~d ~phases).instance
+    | "thm23" -> Ok (Adversary.Thm23.make ~d ~phases).instance
+    | "thm24" -> Ok (Adversary.Thm24.make ~d ~phases).instance
+    | "thm25" ->
+      Ok (Adversary.Thm25.make ~d ~groups:3 ~intervals:phases).instance
+    | "thm37" -> Ok (fst (Adversary.Thm37.make ~d ~intervals:phases)).instance
+    | other when List.mem other Workload.Zoo.names ->
+      Workload.Zoo.generate ~name:other ~n ~d ~rounds ~load ~seed
+    | other -> Error (Printf.sprintf "unknown workload %S" other)
+  with Invalid_argument m -> Error m
 
 let workload_names =
   [

@@ -37,7 +37,9 @@ val instance_of_workload :
     [seed]; theorem adversaries ([thm21] …) fix their own scenario and
     use [d] and [rounds] only to size it; the zoo families
     ({!Workload.Zoo.names}: [hotspot], [diurnal], [vod], [overload],
-    [mix]) generate from all of them with per-round keyed seeding. *)
+    [mix]) generate from all of them with per-round keyed seeding.
+    A value a generator refuses ([n < 1], [d] too small for a theorem,
+    a NaN load, …) is an [Error] carrying the generator's message. *)
 
 val workload_names : string list
 (** Every name {!instance_of_workload} accepts, in display order

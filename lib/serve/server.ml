@@ -592,6 +592,11 @@ let start ?metrics cfg =
   else if cfg.queue_capacity < 1 then Error "queue_capacity must be >= 1"
   else if cfg.max_batch < 1 then Error "max_batch must be >= 1"
   else if cfg.outbox_capacity < 1 then Error "outbox_capacity must be >= 1"
+  else if
+    match cfg.tick with
+    | `Every dt -> not (dt > 0.0 && Float.is_finite dt)
+    | `Manual -> false
+  then Error "tick interval must be finite and > 0"
   else begin
     let metrics = Obs.Metrics.resolve metrics in
     let shards_n = max 1 (min cfg.shards cfg.n_resources) in

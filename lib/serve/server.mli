@@ -53,7 +53,8 @@ type config = {
           instrumentation rides on: a cluster session records its
           [cluster.*] counters there, a local protocol its [net.*]. *)
   tick : [ `Every of float | `Manual ];
-      (** [`Every dt]: a round every [dt] seconds (real time).
+      (** [`Every dt]: a round every [dt] seconds (real time; {!start}
+          refuses a [dt] that is not finite and [> 0]).
           [`Manual]: rounds advance on wire [tick] messages (logical
           time — what deterministic replay uses). *)
   queue_capacity : int;    (** per-shard inbox bound (admission control) *)

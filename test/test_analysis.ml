@@ -109,13 +109,15 @@ let test_ratio_accounting () =
         req ~arrival:0 ~alts:[ 1 ] ~deadline:1;
       ]
   in
-  let o = Engine.run inst serve_all in
   (* the toy strategy serves only one per round *)
-  let r = Analysis.Ratio.of_outcome o in
-  check Alcotest.int "opt" 2 r.Analysis.Ratio.opt;
-  check Alcotest.int "alg" 1 r.Analysis.Ratio.alg;
-  check (Alcotest.float 1e-9) "ratio" 2.0 r.Analysis.Ratio.ratio;
-  check rat "exact" (Rat.of_int 2) (Analysis.Ratio.exact r)
+  let r = Analysis.Slo.score_stream inst serve_all in
+  check Alcotest.int "opt" 2 r.Analysis.Slo.opt;
+  check Alcotest.int "alg" 1 r.Analysis.Slo.scores.Analysis.Slo.served;
+  check Alcotest.int "alg agrees with the engine"
+    (Engine.run inst serve_all).Sched.Outcome.served
+    r.Analysis.Slo.scores.Analysis.Slo.served;
+  check (Alcotest.float 1e-9) "ratio" 2.0 r.Analysis.Slo.final_ratio;
+  check (Alcotest.float 1e-9) "anytime" 2.0 r.Analysis.Slo.anytime_ratio
 
 (* ------------------------------------------------------------------ *)
 (* Audit *)

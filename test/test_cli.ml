@@ -95,9 +95,24 @@ let test_bad_values_are_errors () =
   (match eval instance [ "-w"; "nonesuch" ] with
    | Error `Term -> ()
    | _ -> Alcotest.fail "an unknown workload must be a CLI error");
-  (match eval Cli.metrics [ "--metrics"; "bogus" ] with
-   | Error `Parse -> ()
-   | _ -> Alcotest.fail "--metrics bogus must be a usage error");
+  (* a value the generator refuses is an error, not an uncaught
+     Invalid_argument *)
+  List.iter
+    (fun args ->
+       match eval instance args with
+       | Error `Term -> ()
+       | _ -> Alcotest.failf "%s must be an error" (String.concat " " args))
+    [
+      [ "-n"; "0" ]; [ "--rounds"; "0" ]; [ "-d"; "0" ]; [ "--load"; "nan" ];
+      [ "-w"; "thm21"; "-d"; "1" ]; [ "-w"; "thm37"; "-d"; "0" ];
+      [ "-w"; "thm22"; "-d"; "3" ]; [ "-w"; "mix"; "-n"; "0" ];
+    ];
+  List.iter
+    (fun fmt ->
+       match eval Cli.metrics [ "--metrics"; fmt ] with
+       | Error `Parse -> ()
+       | _ -> Alcotest.failf "--metrics %s must be a usage error" fmt)
+    [ "bogus"; "csv" ];
   (match eval Cli.score [ "--score"; "bogus" ] with
    | Error `Parse -> ()
    | _ -> Alcotest.fail "--score bogus must be a usage error");

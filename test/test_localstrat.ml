@@ -154,7 +154,7 @@ let test_local_eager_compact_saves_a_round () =
   (* with the bigger mailbox the compact variant keeps the 5/3 bound *)
   let opt = Offline.Opt.value inst in
   check Alcotest.bool "compact within 5/3 of optimum" true
-    (float_of_int opt /. float_of_int compact.Outcome.served
+    (Analysis.Slo.ratio_of ~opt ~served:compact.Outcome.served
      <= (5.0 /. 3.0) +. 1e-9)
 
 let test_local_eager_within_5_3 () =
@@ -172,7 +172,7 @@ let test_local_eager_within_5_3 () =
        let o = Engine.run inst (Local.eager ()) in
        let opt = Offline.Opt.value inst in
        check Alcotest.bool "within 5/3" true
-         (float_of_int opt /. float_of_int o.Outcome.served
+         (Analysis.Slo.ratio_of ~opt ~served:o.Outcome.served
           <= (5.0 /. 3.0) +. 1e-9))
     instances
 

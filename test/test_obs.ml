@@ -211,37 +211,31 @@ let snapshot_equal a b =
           | _ -> false)
        a b
 
-let test_csv_roundtrip () =
-  let snap = mixed_snapshot () in
-  check Alcotest.bool "csv inverts exactly" true
-    (snapshot_equal snap (Export.of_csv (Export.to_csv snap)))
-
 let test_json_roundtrip () =
   let snap = mixed_snapshot () in
   check Alcotest.bool "json inverts exactly" true
     (snapshot_equal snap (Export.of_json (Export.to_json snap)))
 
 let test_export_malformed () =
-  (match Export.of_csv "name,kind,value\nx,counter" with
-   | exception Failure _ -> ()
-   | _ -> Alcotest.fail "truncated csv accepted");
   match Export.of_json "{\"name\":\"x\"" with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "truncated json accepted"
 
 let test_format_of_string () =
   check Alcotest.bool "text" true (Export.format_of_string "text" = Ok Export.Text);
-  check Alcotest.bool "csv" true (Export.format_of_string "csv" = Ok Export.Csv);
   check Alcotest.bool "json" true (Export.format_of_string "json" = Ok Export.Json);
-  match Export.format_of_string "yaml" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "yaml accepted"
+  List.iter
+    (fun name ->
+       match Export.format_of_string name with
+       | Error _ -> ()
+       | Ok _ -> Alcotest.failf "%s accepted" name)
+    [ "csv"; "yaml" ]
 
-(* random finite snapshots survive both round-trips bit-exactly (%.17g
-   is lossless for doubles) *)
+(* random finite snapshots survive the JSON round-trip bit-exactly
+   (%.17g is lossless for doubles) *)
 let prop_export_roundtrip =
   let fin = QCheck.float_range (-1e9) 1e9 in
-  prop ~count:100 "csv and json round-trip"
+  prop ~count:100 "random json round-trip"
     QCheck.(
       triple (int_range (-1000) 1000) fin
         (list_of_size Gen.(int_range 1 8) fin))
@@ -251,8 +245,7 @@ let prop_export_roundtrip =
        Metrics.set m "g" g;
        List.iter (Metrics.observe m "h") obs;
        let snap = Metrics.snapshot m in
-       snapshot_equal snap (Export.of_csv (Export.to_csv snap))
-       && snapshot_equal snap (Export.of_json (Export.to_json snap)))
+       snapshot_equal snap (Export.of_json (Export.to_json snap)))
 
 let test_table_render () =
   (* the text table renders one row per metric and never raises *)
@@ -418,12 +411,10 @@ let test_ambient_reaches_harness () =
          plain.Report.Harness.opt r.Report.Harness.opt;
        check Alcotest.int "run_instance leaves opt_stream alone" 0
          (Metrics.counter m "opt_stream.rounds");
-       let a =
-         Report.Harness.run_instance_anytime inst (Strategies.Global.fix ())
-       in
+       let a = Analysis.Slo.score_stream inst (Strategies.Global.fix ()) in
        check Alcotest.int "anytime optimum agrees" plain.Report.Harness.opt
-         a.Report.Harness.run.Report.Harness.opt;
-       check Alcotest.bool "run_instance_anytime profiles opt_stream" true
+         a.Analysis.Slo.opt;
+       check Alcotest.bool "score_stream profiles opt_stream" true
          (Metrics.counter m "opt_stream.rounds" > 0))
 
 (* ------------------------------------------------------------------ *)
@@ -446,7 +437,6 @@ let () =
         ] );
       ( "export",
         [
-          Alcotest.test_case "csv round-trip" `Quick test_csv_roundtrip;
           Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
           Alcotest.test_case "malformed input" `Quick test_export_malformed;
           Alcotest.test_case "format parsing" `Quick test_format_of_string;

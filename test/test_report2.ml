@@ -1,5 +1,6 @@
-(* Tests for the report-layer utilities: Gantt rendering and CSV
-   export.  (The experiment integration tests live in test_report.) *)
+(* Tests for the report-layer utilities: Gantt rendering, CSV export
+   and the ratio guard.  (The experiment integration tests live in
+   test_report.) *)
 
 module Request = Sched.Request
 module Instance = Sched.Instance
@@ -92,15 +93,6 @@ let test_csv_of_table () =
   check Alcotest.string "csv"
     "# demo\na,b\n\"x,y\",plain\n\"with \"\"quote\"\"\",2\n" csv
 
-let test_csv_of_instance () =
-  let inst =
-    Instance.build ~n_resources:3 ~d:2
-      [ req ~arrival:1 ~alts:[ 2; 0 ] ~deadline:2 ]
-  in
-  let csv = Report.Export.csv_of_instance inst in
-  check Alcotest.string "instance csv"
-    "id,arrival,deadline,last_round,alternatives\n0,1,2,2,2|0\n" csv
-
 let test_csv_of_outcome () =
   let inst =
     Instance.build ~n_resources:2 ~d:1
@@ -141,22 +133,30 @@ let test_texttable_accessors () =
     (Prelude.Texttable.rows t)
 
 (* ------------------------------------------------------------------ *)
-(* Harness.ratio_of *)
+(* Slo.ratio_of, the one guard the harness and every report use *)
 
 let test_ratio_of () =
   check (Alcotest.float 1e-9) "normal" 1.25
-    (Report.Harness.ratio_of ~opt:5 ~served:4);
+    (Analysis.Slo.ratio_of ~opt:5 ~served:4);
   check (Alcotest.float 1e-9) "both zero" 1.0
-    (Report.Harness.ratio_of ~opt:0 ~served:0);
+    (Analysis.Slo.ratio_of ~opt:0 ~served:0);
   check Alcotest.bool "served zero, opt positive" true
-    (Report.Harness.ratio_of ~opt:7 ~served:0 = infinity);
+    (Analysis.Slo.ratio_of ~opt:7 ~served:0 = infinity);
   (* the regression the compare/sweep tables had: opt /. max 1 served
      silently printed opt itself for a shut-out strategy *)
   check Alcotest.bool "not the naive guard" true
-    (Report.Harness.ratio_of ~opt:7 ~served:0 <> 7.0);
+    (Analysis.Slo.ratio_of ~opt:7 ~served:0 <> 7.0);
   check Alcotest.string "renders as inf, not a number" "inf"
-    (Printf.sprintf "%.4f" (Report.Harness.ratio_of ~opt:7 ~served:0)
-     |> fun s -> String.sub s 0 3)
+    (Printf.sprintf "%.4f" (Analysis.Slo.ratio_of ~opt:7 ~served:0)
+     |> fun s -> String.sub s 0 3);
+  let idle : Sched.Strategy.factory =
+   fun ~n:_ ~d:_ ->
+    { Sched.Strategy.name = "idle"; step = (fun ~round:_ ~arrivals:_ -> []) }
+  in
+  let inst = (small_outcome ()).Sched.Outcome.instance in
+  let r = Report.Harness.run_instance inst idle in
+  check Alcotest.bool "run_instance: shut out is inf" true
+    (r.Report.Harness.ratio = infinity)
 
 let qtest ?(count = 80) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
@@ -217,7 +217,6 @@ let () =
       ( "export",
         [
           Alcotest.test_case "csv of table" `Quick test_csv_of_table;
-          Alcotest.test_case "csv of instance" `Quick test_csv_of_instance;
           Alcotest.test_case "csv of outcome" `Quick test_csv_of_outcome;
           Alcotest.test_case "write file" `Quick test_write_file_roundtrip;
           Alcotest.test_case "texttable accessors" `Quick

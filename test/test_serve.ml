@@ -612,6 +612,75 @@ let test_e2e_truncation_counted () =
   check Alcotest.int "serve.truncated_alternatives" out_of_slice
     (counter snap "serve.truncated_alternatives")
 
+(* Sharding is cutting: under manual ticks a k-shard server decides
+   every tag as Engine.run decides that request on its shard's cut
+   sub-instance — requests routed by their first alternative, the
+   alternatives outside the slice dropped, resources shifted by the
+   slice start. *)
+let test_e2e_shards_are_cut_instances () =
+  let n = 8 and d = 4 in
+  let inst =
+    Adversary.Random_workload.make ~rng:(Prelude.Rng.create ~seed:41) ~n ~d
+      ~rounds:30 ~load:1.4 ~alternatives:3 ()
+  in
+  let requests = Array.to_list inst.Instance.requests in
+  let cut_decisions make shards =
+    let stride = (n + shards - 1) / shards in
+    let lines = Array.make (List.length requests) "" in
+    for k = 0 to ((n + stride - 1) / stride) - 1 do
+      let lo = k * stride and hi = min n ((k + 1) * stride) in
+      let mine =
+        List.filter
+          (fun (r : Request.t) -> r.Request.alternatives.(0) / stride = k)
+          requests
+      in
+      let cut =
+        Instance.build ~n_resources:(hi - lo) ~d
+          (List.map
+             (fun (r : Request.t) ->
+                Request.make ~arrival:r.Request.arrival
+                  ~deadline:r.Request.deadline
+                  ~alternatives:
+                    (List.filter_map
+                       (fun a ->
+                          if a >= lo && a < hi then Some (a - lo) else None)
+                       (Array.to_list r.Request.alternatives)))
+             mine)
+      in
+      let o = Sched.Engine.run cut (make ()) in
+      List.iteri
+        (fun i (r : Request.t) ->
+           let tag = r.Request.id in
+           lines.(tag) <-
+             (match o.Sched.Outcome.served_at.(i) with
+              | Some (res, round) ->
+                Printf.sprintf "t%d sched@%d S%d\n" tag round (res + lo)
+              | None -> Printf.sprintf "t%d exp\n" tag))
+        mine
+    done;
+    String.concat "" (Array.to_list lines)
+  in
+  List.iter
+    (fun (name, make) ->
+       List.iter
+         (fun shards ->
+            let r, _ =
+              with_server ~shards ~n ~d ~strategy:make (fun addr _ ->
+                  run_open addr inst)
+            in
+            check Alcotest.string
+              (Printf.sprintf "%s at %d shard(s)" name shards)
+              (cut_decisions make shards)
+              (Client.render_decisions r))
+         [ 1; 2; 4 ])
+    [
+      ("balance", fun () -> Strategies.Global.balance ());
+      ("greedy_2choice", fun () -> Strategies.Twochoice.least_loaded ());
+    ];
+  let balance () = Strategies.Global.balance () in
+  check Alcotest.bool "cutting changes decisions" true
+    (cut_decisions balance 1 <> cut_decisions balance 4)
+
 let decisions_of_fresh_run ~shards inst =
   let r, _ = with_server ~shards ~n:8 ~d:4 (fun addr _ -> run_open addr inst) in
   Client.render_decisions r
@@ -1180,6 +1249,25 @@ let test_start_refuses_too_many_domains () =
      Alcotest.fail "server started past the domain limit");
   check Alcotest.bool "no socket file created" false (Sys.file_exists path)
 
+let test_start_refuses_bad_tick () =
+  List.iter
+    (fun dt ->
+       let path = fresh_sock_path () in
+       let cfg = base_cfg (Server.Unix_sock path) in
+       (match Server.start { cfg with tick = `Every dt } with
+        | Error m ->
+          check Alcotest.bool ("error says why: " ^ m) true
+            (contains_sub ~sub:"tick" m)
+        | Ok srv ->
+          Server.drain srv;
+          ignore (Server.wait srv);
+          (try Sys.remove path with Sys_error _ -> ());
+          Alcotest.failf "server started with tick %g" dt);
+       check Alcotest.bool
+         (Printf.sprintf "no socket file at tick %g" dt)
+         false (Sys.file_exists path))
+    [ 0.0; -1.0; Float.nan ]
+
 let () =
   Alcotest.run "serve"
     [
@@ -1231,6 +1319,8 @@ let () =
             test_e2e_batched_replay_identical;
           Alcotest.test_case "outbox overflow drops no reply" `Quick
             test_e2e_outbox_overflow_no_reply_dropped;
+          Alcotest.test_case "shards decide as cut instances" `Quick
+            test_e2e_shards_are_cut_instances;
           Alcotest.test_case "truncated alternatives counted" `Quick
             test_e2e_truncation_counted;
           Alcotest.test_case "shard step allocation per request" `Quick
@@ -1250,6 +1340,8 @@ let () =
             test_start_refuses_non_socket_path;
           Alcotest.test_case "refuses workers past the domain limit" `Quick
             test_start_refuses_too_many_domains;
+          Alcotest.test_case "refuses a non-positive tick" `Quick
+            test_start_refuses_bad_tick;
           Alcotest.test_case "refuses a listener past FD_SETSIZE" `Quick
             test_start_refuses_high_listener;
         ] );

@@ -419,9 +419,8 @@ let prop_within_upper_bounds =
         || List.for_all
              (fun (factory, ub) ->
                 let served = (Engine.run inst factory).Outcome.served in
-                served > 0
-                && float_of_int opt /. float_of_int served
-                   <= Prelude.Rat.to_float ub +. 1e-9)
+                Analysis.Slo.ratio_of ~opt ~served
+                <= Prelude.Rat.to_float ub +. 1e-9)
              [
                (Global.fix (), Analysis.Bounds.fix_ub ~d);
                (Global.current (), Analysis.Bounds.fix_ub ~d);

@@ -69,7 +69,23 @@ let micro_tests () =
   let run_strategy inst factory () =
     ignore (Sched.Engine.run (Lazy.force inst) factory : Sched.Outcome.t)
   in
+  let gate_request =
+    Sched.Request.of_array ~id:123456 ~arrival:30864 ~alternatives:[| 45; 12 |]
+      ~deadline:4
+  in
+  let offer =
+    Cluster.Wire.data_env ~sender:123456 ~dst:45 ~deadline_key:30867
+      (Cluster.Wire.Offer gate_request)
+  and full = Cluster.Wire.Reply (Cluster.Wire.Full { q = 123456; res = 45 }) in
   [
+    (* the cluster's wire gate, per line: render, length check, parse
+       and typed compare of a typical offer and reply *)
+    Test.make ~name:"cluster/gate-offer-line"
+      (Staged.stage (fun () ->
+           ignore (Cluster.Transport.roundtrip offer : Cluster.Wire.t)));
+    Test.make ~name:"cluster/gate-full-reply"
+      (Staged.stage (fun () ->
+           ignore (Cluster.Transport.roundtrip full : Cluster.Wire.t)));
     (* Table 1 rows 1-2: the frozen-assignment solver *)
     Test.make ~name:"T1.fix/engine-run-thm2.1"
       (Staged.stage (fun () ->

@@ -889,6 +889,22 @@ let search_cmd =
                 "bad --budget %S (expected exhaustive, guided, or a request \
                  count)" s))
     in
+    (* an exhaustive size out of range is a usage error, refused before
+       any job runs *)
+    let* () =
+      match tier with
+      | Some `Guided -> Ok ()
+      | None | Some (`Budget _) ->
+        let budget = match tier with Some (`Budget b) -> Some b | _ -> None in
+        List.fold_left
+          (fun acc d ->
+             Result.bind acc (fun () ->
+                 (* the golden table runs at the default per-round *)
+                 let per_round = if golden then None else Some per_round in
+                 Sx.check (Sx.config ?budget ?per_round ~n ~d ())))
+          (Ok ())
+          (match d with Some d -> [ d ] | None -> [ 1; 2 ])
+    in
     let problems = ref 0 in
     let emit_cert slug cert =
       Option.iter

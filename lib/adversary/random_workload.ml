@@ -10,6 +10,15 @@ let check ~n ~d ~rounds ~load ~alternatives =
   if d < 1 then invalid_arg "Random_workload: d must be >= 1";
   if rounds < 1 then invalid_arg "Random_workload: rounds must be >= 1";
   if not (load >= 0.0) then invalid_arg "Random_workload: load must be >= 0";
+  if load = Float.infinity then
+    invalid_arg "Random_workload: load must be finite";
+  let expected = load *. float_of_int n *. float_of_int rounds in
+  if expected > float_of_int Sched.Instance.max_generated then
+    invalid_arg
+      (Printf.sprintf
+         "Random_workload: load %g asks for about %.3g requests (load x n x \
+          rounds), above the cap of %d"
+         load expected Sched.Instance.max_generated);
   if alternatives < 1 || alternatives > n then
     invalid_arg "Random_workload: alternatives out of [1, n]"
 

@@ -25,7 +25,9 @@ val make :
     [d].  [load] is the mean number of arrivals per round divided by [n]
     (1.0 saturates the server).  [alternatives] defaults to 2; it must
     not exceed [n].
-    @raise Invalid_argument on a bad parameter. *)
+    @raise Invalid_argument on a bad parameter: a size below 1, a
+    negative or non-finite load, or [load * n * rounds] above
+    {!Sched.Instance.max_generated}. *)
 
 val make_mixed_deadlines :
   rng:Prelude.Rng.t -> n:int -> d:int -> rounds:int -> load:float ->

@@ -217,7 +217,7 @@ let machines_round_done m ~round:t2 =
 
 (* -- streaming accumulator ------------------------------------------- *)
 
-(* Pending requests live in an id-indexed ring: id [i] at
+(* Pending requests live in a Sched.Id_ring: id [i] at
    [i land (length - 1)], ids from [low] to [last_id]; a cell holds
    [no_id] once its request is terminal.  Ids ascend, so the ring spans
    the open window's ids and doubles only when that span outgrows it. *)
@@ -255,30 +255,17 @@ let create () =
   }
 
 (* Room for [id]: skip terminal ids at the bottom, then double the ring
-   until ids [low .. id] fit, moving the pending ones. *)
+   until ids [low .. id] fit. *)
 let reserve_id t id =
-  let len = Array.length t.ids in
-  while t.low <= t.last_id && t.ids.(t.low land (len - 1)) <> t.low do
-    t.low <- t.low + 1
-  done;
+  let next = t.last_id + 1 in
+  t.low <- Sched.Id_ring.trim t.ids ~low:t.low ~next no_id;
   if t.low > t.last_id then t.low <- id;
-  if id - t.low >= len then begin
-    let len' = pow2_at_least (id - t.low + 1) in
-    let ids = Array.make len' no_id in
-    let arrival = Array.make len' 0 and deadline = Array.make len' 0 in
-    for i = t.low to t.last_id do
-      let c = i land (len - 1) in
-      if t.ids.(c) = i then begin
-        let c' = i land (len' - 1) in
-        ids.(c') <- i;
-        arrival.(c') <- t.arrival.(c);
-        deadline.(c') <- t.deadline.(c)
-      end
-    done;
-    t.ids <- ids;
-    t.arrival <- arrival;
-    t.deadline <- deadline
-  end
+  while id - t.low >= Array.length t.ids do
+    let low = t.low in
+    t.ids <- Sched.Id_ring.grow t.ids ~low ~next no_id;
+    t.arrival <- Sched.Id_ring.grow t.arrival ~low ~next 0;
+    t.deadline <- Sched.Id_ring.grow t.deadline ~low ~next 0
+  done
 
 let on_submit t ~id ~round ~deadline =
   if deadline < 1 then invalid_arg "Slo.on_submit: deadline < 1";

@@ -7,11 +7,12 @@ module Slots = Sched.Slots
 type t = {
   node_id : int;
   d : int;
-  slots : Wire.reqinfo Slots.t;
+  slots : Sched.Request.t Slots.t;
   mutable alive : bool;
 }
 
-let vacant = { Wire.rid = -1; alternatives = []; arrival = 0; deadline = 1 }
+let vacant =
+  Sched.Request.of_array ~id:(-1) ~arrival:0 ~alternatives:[| 0 |] ~deadline:1
 
 let create ~id ~n ~d =
   { node_id = id; d; slots = Slots.create ~n ~d ~dummy:vacant; alive = true }

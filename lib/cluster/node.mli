@@ -1,7 +1,7 @@
 (** An in-process shard node: the slot replica behind the router tier.
 
     Each node holds the materialised slot table for the resources the
-    ring currently places on it — request payloads ({!Wire.reqinfo}),
+    ring currently places on it — request payloads ({!Sched.Request.t}),
     not just ids, because the node is what actually serves: at the end
     of a round it reports its current-round occupants, and on a
     rebalance it is the node's table, not the router's decision state,
@@ -36,19 +36,19 @@ val revive : t -> unit
 (** Restart, empty (state does not survive a crash); the ring handoff
     repopulates it.  @raise Invalid_argument if already alive. *)
 
-val set_slot : t -> res:int -> round:int -> Wire.reqinfo -> unit
+val set_slot : t -> res:int -> round:int -> Sched.Request.t -> unit
 (** @raise Invalid_argument when dead (a delivered message cannot
     target a dead node; the transport bounces those). *)
 
 val free_slot : t -> res:int -> round:int -> unit
-val take_slot : t -> res:int -> round:int -> Wire.reqinfo option
+val take_slot : t -> res:int -> round:int -> Sched.Request.t option
 (** Remove and return the occupant, for the end-of-round serve. *)
 
-val export : t -> res:int -> from_round:int -> (int * Wire.reqinfo) list
+val export : t -> res:int -> from_round:int -> (int * Sched.Request.t) list
 (** Remove and return [res]'s slots at rounds [from_round ..
     from_round + d - 1], ascending — the content of a {!Wire.Handoff}
     when [res] moves to another node. *)
 
-val import : t -> res:int -> (int * Wire.reqinfo) list -> unit
+val import : t -> res:int -> (int * Sched.Request.t) list -> unit
 (** Install handed-off slots.  @raise Invalid_argument when dead or on
     an already-occupied slot (a handoff never overwrites). *)

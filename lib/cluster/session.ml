@@ -279,7 +279,6 @@ let rejoin t k =
 (* the machine's wire carrier *)
 
 let to_wire (m : Machine.envelope) =
-  let info = Wire.reqinfo_of_request in
   {
     Wire.sender = m.Net.sender;
     dst = m.Net.dst;
@@ -287,16 +286,15 @@ let to_wire (m : Machine.envelope) =
     tagged = m.Net.tagged;
     data =
       (match m.Net.payload with
-       | Machine.Offer r -> Wire.Offer (info r)
-       | Probe r -> Wire.Probe (info r)
+       | Machine.Offer r -> Wire.Offer r
+       | Probe r -> Wire.Probe r
        | Cancel { q; old_res; old_t } -> Wire.Cancel { q; old_res; old_t }
-       | Rival q -> Wire.Rival (info q)
-       | Swap { r; q } -> Wire.Swap { r; q = info q }
-       | Rehome { r; res } -> Wire.Rehome { r = info r; res });
+       | Rival q -> Wire.Rival q
+       | Swap { r; q } -> Wire.Swap { r; q }
+       | Rehome { r; res } -> Wire.Rehome { r; res });
   }
 
 let of_wire (e : Wire.env) : Machine.envelope =
-  let req = Wire.request_of_reqinfo in
   {
     Net.sender = e.Wire.sender;
     dst = e.Wire.dst;
@@ -304,12 +302,12 @@ let of_wire (e : Wire.env) : Machine.envelope =
     tagged = e.Wire.tagged;
     payload =
       (match e.Wire.data with
-       | Wire.Offer ri -> Machine.Offer (req ri)
-       | Probe ri -> Probe (req ri)
+       | Wire.Offer r -> Machine.Offer r
+       | Probe r -> Probe r
        | Cancel { q; old_res; old_t } -> Cancel { q; old_res; old_t }
-       | Rival ri -> Rival (req ri)
-       | Swap { r; q } -> Swap { r; q = req q }
-       | Rehome { r; res } -> Rehome { r = req r; res }
+       | Rival r -> Rival r
+       | Swap { r; q } -> Swap { r; q }
+       | Rehome { r; res } -> Rehome { r; res }
        | Loadq | Assign _ ->
          invalid_arg "Session: proxy message in a protocol round");
   }
@@ -318,7 +316,7 @@ let of_wire (e : Wire.env) : Machine.envelope =
    are answered over the wire. *)
 let on_event t = function
   | Machine.Accept { r; res; slot } ->
-    Node.set_slot (node_of t res) ~res ~round:slot (Wire.reqinfo_of_request r);
+    Node.set_slot (node_of t res) ~res ~round:slot r;
     respond t (Wire.Accept { q = r.Request.id; res; slot })
   | Full { q; res } -> respond t (Wire.Full { q; res })
   | Ack { q; res; slot } ->
@@ -329,11 +327,11 @@ let on_event t = function
        only read at the end of the round *)
     Option.iter
       (fun round ->
-         Node.set_slot (node_of t res) ~res ~round (Wire.reqinfo_of_request q))
+         Node.set_slot (node_of t res) ~res ~round q)
       slot
   | Released { res; slot } -> Node.free_slot (node_of t res) ~res ~round:slot
   | Swapped { q; res; round } ->
-    Node.set_slot (node_of t res) ~res ~round (Wire.reqinfo_of_request q)
+    Node.set_slot (node_of t res) ~res ~round q
 
 (* The machine claims a serve, the replica confirms it.  A node that
    lost the slot with its state before the router noticed did not
@@ -345,7 +343,7 @@ let confirm t ~res ~round id =
     Node.alive node
     &&
     match Node.take_slot node ~res ~round with
-    | Some ri when ri.Wire.rid = id -> true
+    | Some r when r.Request.id = id -> true
     | Some _ | None ->
       t.conflicts_n <- t.conflicts_n + 1;
       met t "cluster.serve_conflicts";
@@ -428,7 +426,7 @@ let proxy_tick t ~round =
          match best with
          | None -> None
          | Some (res, _slot) ->
-           Some (request_env q res (Wire.Assign (Wire.reqinfo_of_request q))))
+           Some (request_env q res (Wire.Assign q)))
       unscheduled
   in
   let results = exchange t assigns in
@@ -444,12 +442,12 @@ let proxy_tick t ~round =
     (fun ((e : Wire.env), st) ->
        if st = Transport.Delivered then
          match e.Wire.data with
-         | Wire.Assign ri ->
-           let r = Wire.request_of_reqinfo ri and res = e.Wire.dst in
+         | Wire.Assign r ->
+           let res = e.Wire.dst in
            on_event t
              (match Machine.try_accept t.m ~round ~res r with
               | Some slot -> Machine.Accept { r; res; slot }
-              | None -> Full { q = ri.Wire.rid; res })
+              | None -> Full { q = r.Request.id; res })
          | _ -> ())
     ordered
 

@@ -63,19 +63,23 @@ let flush t =
 
 (* The wire gate: a message exists only as its rendered line.  Parsing
    it back and comparing catches renderer/parser drift at the moment it
-   happens instead of three protocol layers later. *)
+   happens instead of three protocol layers later.  The line is written
+   into the domain's Codec writer and parsed where it lies; only an
+   error copies it out. *)
 let roundtrip msg =
-  let line = Wire.render msg in
-  if String.length line > Wire.max_line then
+  let w = Sched.Codec.writer () in
+  let len = Wire.put w msg in
+  if len > Wire.max_line then
+    invalid_arg (Printf.sprintf "Transport: oversize wire line (%d bytes)" len);
+  match Wire.parse_prefix (Sched.Codec.view w) len with
+  | Ok parsed when Wire.equal parsed msg -> parsed
+  | Ok _ ->
     invalid_arg
-      (Printf.sprintf "Transport: oversize wire line (%d bytes)"
-         (String.length line));
-  match Wire.parse line with
-  | Ok parsed when parsed = msg -> parsed
-  | Ok _ -> invalid_arg ("Transport: wire round-trip drift on: " ^ line)
+      ("Transport: wire round-trip drift on: " ^ Sched.Codec.contents w len)
   | Error e ->
-    invalid_arg (Printf.sprintf "Transport: unparsable wire line %S: %s"
-                   line e)
+    invalid_arg
+      (Printf.sprintf "Transport: unparsable wire line %S: %s"
+         (Sched.Codec.contents w len) e)
 
 (* Messages are arrays indexed by their position in the input list,
    which is also the LDF cut's final tie-break. *)

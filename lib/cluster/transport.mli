@@ -44,6 +44,14 @@ val create :
     {!flush} (ambient fallback; silent when neither is set).
     @raise Invalid_argument if [n < 1] or [capacity < 1]. *)
 
+val roundtrip : Wire.t -> Wire.t
+(** The wire gate every line passes: render the message into the
+    calling domain's {!Sched.Codec.writer}, check the line against
+    {!Wire.max_line}, parse it back where it lies and compare the
+    result with {!Wire.equal}; the re-parsed message.
+    @raise Invalid_argument on an oversize line, an unparsable one, or
+    a parse that differs from the message (renderer/parser drift). *)
+
 val exchange :
   t -> owner:(int -> int) -> alive:(int -> bool) ->
   Wire.env list -> (Wire.env * status) list

@@ -11,24 +11,15 @@ module Request = Sched.Request
 let version = Codec.version
 let max_line = 65536
 
-type reqinfo = {
-  rid : int;
-  alternatives : int list;
-  arrival : int;
-  deadline : int;
-}
-
-let last_round ri = ri.arrival + ri.deadline - 1
-
 type data =
-  | Offer of reqinfo
-  | Probe of reqinfo
+  | Offer of Request.t
+  | Probe of Request.t
   | Cancel of { q : int; old_res : int; old_t : int }
-  | Rival of reqinfo
-  | Swap of { r : int; q : reqinfo }
-  | Rehome of { r : reqinfo; res : int }
+  | Rival of Request.t
+  | Swap of { r : int; q : Request.t }
+  | Rehome of { r : Request.t; res : int }
   | Loadq
-  | Assign of reqinfo
+  | Assign of Request.t
 
 type env = {
   sender : int;
@@ -50,117 +41,144 @@ type control =
   | Hello of { node : int }
   | Ping of { round : int }
   | Join of { node : int; round : int }
-  | Handoff of { res : int; slots : (int * reqinfo) list }
+  | Handoff of { res : int; slots : (int * Request.t) list }
 
 type t = Data of env | Reply of reply | Control of control
 
 let data_env ~sender ~dst ~deadline_key ?(tagged = false) data =
   Data { sender; dst; deadline_key; tagged; data }
 
-let reqinfo_of_request (r : Request.t) =
-  {
-    rid = r.Request.id;
-    alternatives = Array.to_list r.Request.alternatives;
-    arrival = r.Request.arrival;
-    deadline = r.Request.deadline;
-  }
+(* ------------------------------------------------------------------ *)
+(* equality, field by field *)
 
-let request_of_reqinfo ri =
-  Request.of_array ~id:ri.rid ~arrival:ri.arrival
-    ~alternatives:(Array.of_list ri.alternatives) ~deadline:ri.deadline
+let equal_data a b =
+  match (a, b) with
+  | Offer x, Offer y | Probe x, Probe y | Rival x, Rival y | Assign x, Assign y
+    ->
+    Request.equal x y
+  | Cancel x, Cancel y ->
+    x.q = y.q && x.old_res = y.old_res && x.old_t = y.old_t
+  | Swap x, Swap y -> x.r = y.r && Request.equal x.q y.q
+  | Rehome x, Rehome y -> x.res = y.res && Request.equal x.r y.r
+  | Loadq, Loadq -> true
+  | _ -> false
+
+let equal_reply a b =
+  match (a, b) with
+  | Accept x, Accept y -> x.q = y.q && x.res = y.res && x.slot = y.slot
+  | Full x, Full y -> x.q = y.q && x.res = y.res
+  | Ack x, Ack y -> x.q = y.q && x.res = y.res
+  | Freeat x, Freeat y -> x.q = y.q && x.res = y.res && x.slot = y.slot
+  | Served x, Served y -> x.res = y.res && x.round = y.round && x.q = y.q
+  | Pong x, Pong y -> x.node = y.node && x.round = y.round
+  | _ -> false
+
+let rec equal_slots a b =
+  match (a, b) with
+  | [], [] -> true
+  | (t, r) :: a, (u, q) :: b -> t = u && Request.equal r q && equal_slots a b
+  | _ -> false
+
+let equal_control a b =
+  match (a, b) with
+  | Hello x, Hello y -> x.node = y.node
+  | Ping x, Ping y -> x.round = y.round
+  | Join x, Join y -> x.node = y.node && x.round = y.round
+  | Handoff x, Handoff y -> x.res = y.res && equal_slots x.slots y.slots
+  | _ -> false
+
+let equal a b =
+  match (a, b) with
+  | Data x, Data y ->
+    x.sender = y.sender && x.dst = y.dst && x.deadline_key = y.deadline_key
+    && x.tagged = y.tagged && equal_data x.data y.data
+  | Reply x, Reply y -> equal_reply x y
+  | Control x, Control y -> equal_control x y
+  | _ -> false
 
 (* ------------------------------------------------------------------ *)
-(* rendering: digit by digit into Codec's domain-private buffer, so a
-   line costs its bytes and nothing else *)
+(* rendering: field by field into Codec's domain-private writer, the
+   position threaded through, so a line costs its bytes and nothing
+   else *)
 
-let add_field b n =
-  Buffer.add_char b ' ';
-  Codec.add_int b n
+let put_field w pos n = Codec.put_int w (Codec.put_char w pos ' ') n
 
-(* " <rid> <alts> <arrival> <deadline>", behind its space *)
-let add_reqinfo b ri =
-  Buffer.add_char b ' ';
-  Codec.add_int b ri.rid;
-  Buffer.add_char b ' ';
-  Codec.add_alts b ri.alternatives;
-  add_field b ri.arrival;
-  add_field b ri.deadline
+(* " <id> <alts> <arrival> <deadline>", behind its space *)
+let put_request w pos (r : Request.t) =
+  let pos = put_field w pos r.Request.id in
+  let pos = Codec.put_char w pos ' ' in
+  let pos = Codec.put_alts w pos r.Request.alternatives in
+  let pos = put_field w pos r.Request.arrival in
+  put_field w pos r.Request.deadline
 
 (* "<keyword> <sender> <dst> <key> <t|u>" *)
-let add_head b keyword e =
-  Buffer.add_string b keyword;
-  add_field b e.sender;
-  add_field b e.dst;
-  Buffer.add_char b ' ';
-  if e.deadline_key = max_int then Buffer.add_string b "inf"
-  else Codec.add_int b e.deadline_key;
-  Buffer.add_string b (if e.tagged then " t" else " u")
+let put_head w keyword e =
+  let pos = Codec.put_string w 0 keyword in
+  let pos = put_field w pos e.sender in
+  let pos = put_field w pos e.dst in
+  let pos = Codec.put_char w pos ' ' in
+  let pos =
+    if e.deadline_key = max_int then Codec.put_string w pos "inf"
+    else Codec.put_int w pos e.deadline_key
+  in
+  Codec.put_string w pos (if e.tagged then " t" else " u")
 
-let add_data b e =
+let put_data w e =
   match e.data with
-  | Offer ri -> add_head b "offer" e; add_reqinfo b ri
-  | Probe ri -> add_head b "probe" e; add_reqinfo b ri
+  | Offer r -> put_request w (put_head w "offer" e) r
+  | Probe r -> put_request w (put_head w "probe" e) r
   | Cancel { q; old_res; old_t } ->
-    add_head b "cancel" e;
-    add_field b q;
-    add_field b old_res;
-    add_field b old_t
-  | Rival ri -> add_head b "rival" e; add_reqinfo b ri
-  | Swap { r; q } -> add_head b "swap" e; add_field b r; add_reqinfo b q
+    let pos = put_field w (put_head w "cancel" e) q in
+    put_field w (put_field w pos old_res) old_t
+  | Rival r -> put_request w (put_head w "rival" e) r
+  | Swap { r; q } -> put_request w (put_field w (put_head w "swap" e) r) q
   | Rehome { r; res } ->
-    add_head b "rehome" e; add_field b res; add_reqinfo b r
-  | Loadq -> add_head b "loadq" e
-  | Assign ri -> add_head b "assign" e; add_reqinfo b ri
+    put_request w (put_field w (put_head w "rehome" e) res) r
+  | Loadq -> put_head w "loadq" e
+  | Assign r -> put_request w (put_head w "assign" e) r
 
-let add_reply b = function
-  | Accept { q; res; slot } ->
-    Buffer.add_string b "accept"; add_field b q; add_field b res;
-    add_field b slot
-  | Full { q; res } ->
-    Buffer.add_string b "full"; add_field b q; add_field b res
-  | Ack { q; res } ->
-    Buffer.add_string b "ack"; add_field b q; add_field b res
-  | Freeat { q; res; slot } ->
-    Buffer.add_string b "freeat"; add_field b q; add_field b res;
-    add_field b slot
-  | Served { res; round; q } ->
-    Buffer.add_string b "served"; add_field b res; add_field b round;
-    add_field b q
-  | Pong { node; round } ->
-    Buffer.add_string b "pong"; add_field b node; add_field b round
+let put_ints2 w keyword a b =
+  put_field w (put_field w (Codec.put_string w 0 keyword) a) b
 
-(* handoff entries: "<round> <reqinfo>", the first behind a space, the
+let put_ints3 w keyword a b c = put_field w (put_ints2 w keyword a b) c
+
+let put_reply w = function
+  | Accept { q; res; slot } -> put_ints3 w "accept" q res slot
+  | Full { q; res } -> put_ints2 w "full" q res
+  | Ack { q; res } -> put_ints2 w "ack" q res
+  | Freeat { q; res; slot } -> put_ints3 w "freeat" q res slot
+  | Served { res; round; q } -> put_ints3 w "served" res round q
+  | Pong { node; round } -> put_ints2 w "pong" node round
+
+(* handoff entries: "<round> <request>", the first behind a space, the
    rest behind ';' *)
-let rec add_slots b sep = function
-  | [] -> ()
-  | (t, ri) :: rest ->
-    Buffer.add_char b sep;
-    Codec.add_int b t;
-    add_reqinfo b ri;
-    add_slots b ';' rest
+let rec put_slots w pos sep = function
+  | [] -> pos
+  | (t, r) :: rest ->
+    let pos = Codec.put_int w (Codec.put_char w pos sep) t in
+    put_slots w (put_request w pos r) ';' rest
 
-let add_control b = function
-  | Hello { node } ->
-    Buffer.add_string b "hello ";
-    Buffer.add_string b version;
-    add_field b node
-  | Ping { round } -> Buffer.add_string b "ping"; add_field b round
+(* "<keyword> <version>" *)
+let put_versioned w keyword =
+  let pos = Codec.put_char w (Codec.put_string w 0 keyword) ' ' in
+  Codec.put_string w pos version
+
+let put_control w = function
+  | Hello { node } -> put_field w (put_versioned w "hello") node
+  | Ping { round } -> put_field w (Codec.put_string w 0 "ping") round
   | Join { node; round } ->
-    Buffer.add_string b "join ";
-    Buffer.add_string b version;
-    add_field b node;
-    add_field b round
+    put_field w (put_field w (put_versioned w "join") node) round
   | Handoff { res; slots } ->
-    Buffer.add_string b "handoff";
-    add_field b res;
-    add_slots b ' ' slots
+    put_slots w (put_field w (Codec.put_string w 0 "handoff") res) ' ' slots
 
-let add b = function
-  | Data e -> add_data b e
-  | Reply r -> add_reply b r
-  | Control c -> add_control b c
+let put w = function
+  | Data e -> put_data w e
+  | Reply r -> put_reply w r
+  | Control c -> put_control w c
 
-let render m = Codec.render_with add m
+let render m =
+  let w = Codec.writer () in
+  Codec.contents w (put w m)
 
 (* ------------------------------------------------------------------ *)
 (* parsing: one index scan over the line with Codec's scanners.  The
@@ -190,19 +208,21 @@ let is s pos stop tok = stop - pos = String.length tok && same s pos tok 0
 
 let field s pos stop = String.sub s pos (stop - pos)
 
-(* "<rid> <alts> <arrival> <deadline>", exactly the fields after j *)
-let reqinfo s j stop =
+(* "<id> <alts> <arrival> <deadline>", exactly the fields after j; the
+   grammar enforces every rule of Request.of_array, which cannot fail
+   here *)
+let request s j stop =
   let i1 = if j < stop then space s (j + 1) stop else stop in
   let i2 = if i1 < stop then space s (i1 + 1) stop else stop in
   let i3 = if i2 < stop then space s (i2 + 1) stop else stop in
   if i3 >= stop || space s (i3 + 1) stop < stop then
     syntax "expected '<request> <alts> <arrival> <deadline>'";
-  let rid = nat ~what:"request id" s (j + 1) i1 in
-  let alternatives = Codec.scan_alts s ~pos:(i1 + 1) ~stop:i2 in
+  let id = nat ~what:"request id" s (j + 1) i1 in
+  let alternatives = Codec.scan_alt_array s ~pos:(i1 + 1) ~stop:i2 in
   let arrival = nat ~what:"arrival" s (i2 + 1) i3 in
   let deadline = nat ~what:"deadline" s (i3 + 1) stop in
   if deadline < 1 then syntax "deadline %d < 1" deadline;
-  { rid; alternatives; arrival; deadline }
+  Request.of_array ~id ~arrival ~alternatives ~deadline
 
 (* Exactly two or three integer fields in [p .. stop-1], scanned right
    to left: when several are bad, the last one names the error. *)
@@ -222,10 +242,10 @@ let ints3 ~shape w1 w2 w3 s p stop k =
   k (nat ~what:w1 s p i1) b c
 
 (* payloads: the fields after the tag flag, which ends at j *)
-let offer s j stop = Offer (reqinfo s j stop)
-let probe s j stop = Probe (reqinfo s j stop)
-let rival s j stop = Rival (reqinfo s j stop)
-let assign s j stop = Assign (reqinfo s j stop)
+let offer s j stop = Offer (request s j stop)
+let probe s j stop = Probe (request s j stop)
+let rival s j stop = Rival (request s j stop)
+let assign s j stop = Assign (request s j stop)
 
 let cancel s j stop =
   let shape = "<q> <old res> <old round>" in
@@ -237,13 +257,13 @@ let swap s j stop =
   if j >= stop then syntax "truncated swap";
   let i = space s (j + 1) stop in
   let r = nat ~what:"occupant" s (j + 1) i in
-  Swap { r; q = reqinfo s i stop }
+  Swap { r; q = request s i stop }
 
 let rehome s j stop =
   if j >= stop then syntax "truncated rehome";
   let i = space s (j + 1) stop in
   let res = nat ~what:"resource" s (j + 1) i in
-  Rehome { r = reqinfo s i stop; res }
+  Rehome { r = request s i stop; res }
 
 let loadq _ j stop =
   if j < stop then syntax "loadq carries no payload";
@@ -293,14 +313,14 @@ let join s p stop =
   let round = nat ~what:"round" s (i2 + 1) stop in
   Control (Join { node; round })
 
-(* "<round> <reqinfo>" entries separated by ';', scanned right to left
+(* "<round> <request>" entries separated by ';', scanned right to left
    like the ints: the last bad entry names the error *)
 let rec slots s pos stop =
   let e = Codec.field_end s ';' pos stop in
   let rest = if e < stop then slots s (e + 1) stop else [] in
   let i = space s pos e in
   let t = nat ~what:"slot round" s pos i in
-  (t, reqinfo s i e) :: rest
+  (t, request s i e) :: rest
 
 (* "<res>" and "<res> " carry no slots, "<res> <entries>" some *)
 let handoff s p stop =
@@ -344,8 +364,11 @@ let message s k p stop =
   else if is s 0 k "handoff" then handoff s p stop
   else syntax "unknown message %S" (field s 0 k)
 
-let parse line =
-  let len = String.length line in
+let parse_prefix line len =
+  if len < 0 || len > String.length line then
+    invalid_arg
+      (Printf.sprintf "Wire.parse_prefix: length %d outside a %d-byte string"
+         len (String.length line));
   if len > max_line then
     Error (Printf.sprintf "line too long (%d bytes, max %d)" len max_line)
   else
@@ -353,3 +376,5 @@ let parse line =
     match message line k (if k < len then k + 1 else len) len with
     | m -> Ok m
     | exception Codec.Syntax e -> Error e
+
+let parse line = parse_prefix line (String.length line)

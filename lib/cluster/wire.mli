@@ -18,6 +18,11 @@
       (hello/ping/join/handoff).  Also uncapped; never part of a
       protocol round budget.
 
+    A request travels as the {!Sched.Request.t} the protocol holds:
+    ["<id> <alts> <arrival> <deadline>"], enough to replicate it (a node
+    receiving one can hold the slot, hand it off, and report the
+    serve).
+
     Round-trip law (pinned by qcheck): [parse (render m) = Ok m] for
     every well-formed message.  [parse] rejects lines longer than
     {!max_line} outright — a peer cannot feed the router an unbounded
@@ -31,36 +36,25 @@ val max_line : int
 (** Longest accepted line in bytes (65536); [parse] rejects longer
     ones without inspecting them. *)
 
-type reqinfo = {
-  rid : int;                (** request id, [>= 0] *)
-  alternatives : int list;  (** global resource ids, {!Sched.Codec} rules *)
-  arrival : int;            (** arrival round, [>= 0] *)
-  deadline : int;           (** relative deadline, [>= 1] *)
-}
-(** Enough of a request to replicate it: a node receiving a [reqinfo]
-    can hold the slot, hand it off, and report the serve. *)
-
-val last_round : reqinfo -> int
-(** [arrival + deadline - 1], the LDF key of the request's messages. *)
-
 (** Payloads of capacity-contested data messages, one constructor per
     communication-round kind of the live protocols ([A_local_fix]:
     [Offer]; [A_local_eager] adds [Probe]/[Cancel]/[Rival]/[Swap]/
     [Rehome]; the proxy-global baseline uses [Loadq]/[Assign]). *)
 type data =
-  | Offer of reqinfo                               (** fix offer *)
-  | Probe of reqinfo  (** eager phase 2: mover asks for a current slot *)
+  | Offer of Sched.Request.t  (** fix offer *)
+  | Probe of Sched.Request.t
+      (** eager phase 2: mover asks for a current slot *)
   | Cancel of { q : int; old_res : int; old_t : int }
       (** release an acknowledged mover's old slot *)
-  | Rival of reqinfo             (** eager phase 3: swap solicitation *)
-  | Swap of { r : int; q : reqinfo }
+  | Rival of Sched.Request.t  (** eager phase 3: swap solicitation *)
+  | Swap of { r : int; q : Sched.Request.t }
       (** tagged notification: the current slot held by [r] now belongs
           to [q] *)
-  | Rehome of { r : reqinfo; res : int }
+  | Rehome of { r : Sched.Request.t; res : int }
       (** forward occupant [r] of [res]'s current slot to its other
           resource *)
-  | Loadq                          (** proxy: query earliest free slot *)
-  | Assign of reqinfo              (** proxy: claim a slot *)
+  | Loadq  (** proxy: query earliest free slot *)
+  | Assign of Sched.Request.t  (** proxy: claim a slot *)
 
 type env = {
   sender : int;       (** request id (LDF tie-break key) *)
@@ -83,28 +77,38 @@ type control =
   | Hello of { node : int }          (** carries {!version} on the wire *)
   | Ping of { round : int }
   | Join of { node : int; round : int }  (** rejoin; carries {!version} *)
-  | Handoff of { res : int; slots : (int * reqinfo) list }
+  | Handoff of { res : int; slots : (int * Sched.Request.t) list }
       (** move [res]'s future slots [(round, occupant)] to its new
           owner after a rebalance *)
 
 type t = Data of env | Reply of reply | Control of control
 
+val equal : t -> t -> bool
+(** Structural equality, field by field and without the polymorphic
+    walk: the transport's round-trip check. *)
+
+val put : Sched.Codec.writer -> t -> int
+(** Write the line (no newline) at position 0 of the writer; its
+    length. *)
+
 val render : t -> string
-(** One line, no newline, written into {!Sched.Codec.render_with}'s
-    buffer: the only allocation is the line. *)
+(** {!put} into the calling domain's {!Sched.Codec.writer}, as a fresh
+    string: the only allocation is the line. *)
+
+val parse_prefix : string -> int -> (t, string) result
+(** [parse_prefix s len] parses the line [s.[0 .. len-1]] (it keeps no
+    reference to [s]): rejects oversize lines, unknown keywords,
+    malformed fields and version mismatches.  One index scan over the
+    line: a well-formed line allocates only the message it denotes,
+    its requests built by {!Sched.Request.of_array}.  Where several integer
+    fields of a reply, a [cancel] or several [handoff] entries are bad,
+    the rightmost names the error.
+    @raise Invalid_argument if [len] is negative or beyond the end of
+    [s]. *)
 
 val parse : string -> (t, string) result
-(** Inverse of {!render}; rejects oversize lines, unknown keywords,
-    malformed fields and version mismatches.  One index scan over the
-    line: a well-formed line allocates only the message it denotes.
-    Where several integer fields of a reply, a [cancel] or several
-    [handoff] entries are bad, the rightmost names the error. *)
+(** The inverse of {!render}: [parse_prefix] over the whole string. *)
 
 val data_env :
   sender:int -> dst:int -> deadline_key:int -> ?tagged:bool -> data -> t
 (** Envelope helper; [tagged] defaults to [false]. *)
-
-val reqinfo_of_request : Sched.Request.t -> reqinfo
-val request_of_reqinfo : reqinfo -> Sched.Request.t
-(** Inverses on the replicated fields (id, alternatives, arrival,
-    deadline). *)

@@ -32,71 +32,150 @@ type carrier = {
   confirm : res:int -> round:int -> int -> bool;
 }
 
+(* The live requests sit in a Sched.Id_ring, as in Engine.Live:
+   request [id] occupies cell [id land (length - 1)] of [window], with
+   its slot (resource and round, resource -1 while unscheduled) in the
+   same cell of [res_of] and [slot_of].  Ids are admitted in ascending
+   order, so the live ones lie in [low .. next - 1] and a walk of that
+   span visits them in id order; a cell outside it, or of an id that
+   left, holds [vacant]. *)
 type t = {
   n : int;
   slots : int Slots.t; (* (resource, round) -> request id *)
-  assigned : (int, int * int) Hashtbl.t; (* id -> (resource, round) *)
-  active : (int, Request.t) Hashtbl.t;
+  mutable window : Request.t array;
+  mutable res_of : int array;
+  mutable slot_of : int array;
+  mutable low : int;  (* ids below are gone *)
+  mutable next : int; (* one past the last admitted id *)
+  mutable live : int;
+  pick : int array;   (* phase 2 scratch: resource -> acknowledged id *)
 }
+
+let vacant =
+  Request.of_array ~id:(-1) ~arrival:0 ~alternatives:[| 0 |] ~deadline:1
 
 let create ~n ~d =
   {
     n;
     slots = Slots.create ~n ~d ~dummy:(-1);
-    assigned = Hashtbl.create 128;
-    active = Hashtbl.create 128;
+    window = Array.make 256 vacant;
+    res_of = Array.make 256 (-1);
+    slot_of = Array.make 256 0;
+    low = 0;
+    next = 0;
+    live = 0;
+    pick = Array.make n (-1);
   }
 
 let capacity ~compact ~d = if compact then max d ((2 * d) - 2) else d
-let admit t (r : Request.t) = Hashtbl.replace t.active r.Request.id r
-let find t id = Hashtbl.find_opt t.active id
-let pending t = Hashtbl.length t.active
 
-let unscheduled t =
-  Hashtbl.fold
-    (fun id r acc -> if Hashtbl.mem t.assigned id then acc else r :: acc)
-    t.active []
-  |> List.sort (fun (a : Request.t) b -> compare a.Request.id b.Request.id)
+let cell t id = Sched.Id_ring.cell t.window id
 
-let unassign t id =
-  match Hashtbl.find_opt t.assigned id with
-  | Some (res, slot) ->
-    Slots.free t.slots ~res ~round:slot;
-    Hashtbl.remove t.assigned id
-  | None -> ()
+let grow t =
+  let low = t.low and next = t.next in
+  t.window <- Sched.Id_ring.grow t.window ~low ~next vacant;
+  t.res_of <- Sched.Id_ring.grow t.res_of ~low ~next (-1);
+  t.slot_of <- Sched.Id_ring.grow t.slot_of ~low ~next 0
+
+let admit t (r : Request.t) =
+  let id = r.Request.id in
+  if id < t.next then
+    invalid_arg
+      (Printf.sprintf "Machine.admit: id %d not above the last admitted (%d)"
+         id (t.next - 1));
+  if t.live = 0 then t.low <- id;
+  while id - t.low >= Array.length t.window do
+    grow t
+  done;
+  let i = cell t id in
+  t.window.(i) <- r;
+  t.res_of.(i) <- -1;
+  t.next <- id + 1;
+  t.live <- t.live + 1
+
+let is_live t id =
+  id >= t.low && id < t.next && t.window.(cell t id).Request.id = id
+
+let find t id = if is_live t id then Some t.window.(cell t id) else None
+let pending t = t.live
+
+(* the unscheduled requests of [low .. id], ascending, before [acc] *)
+let rec unscheduled_to t id acc =
+  if id < t.low then acc
+  else
+    let i = cell t id in
+    let r = t.window.(i) in
+    unscheduled_to t (id - 1)
+      (if r.Request.id = id && t.res_of.(i) < 0 then r :: acc else acc)
+
+let unscheduled t = unscheduled_to t (t.next - 1) []
+
+let unassign t i =
+  if t.res_of.(i) >= 0 then begin
+    Slots.free t.slots ~res:t.res_of.(i) ~round:t.slot_of.(i);
+    t.res_of.(i) <- -1
+  end
+
+let remove t i =
+  unassign t i;
+  t.window.(i) <- vacant;
+  t.live <- t.live - 1
+
+(* ids below the first live one are gone *)
+let advance_low t =
+  t.low <- Sched.Id_ring.trim t.window ~low:t.low ~next:t.next vacant
 
 let expire t ~round =
-  let dead =
-    Hashtbl.fold
-      (fun id r acc -> if Request.last_round r < round then id :: acc else acc)
-      t.active []
+  let rec go id acc =
+    if id < t.low then acc
+    else
+      let i = cell t id in
+      let r = t.window.(i) in
+      if r.Request.id = id && Request.last_round r < round then begin
+        remove t i;
+        go (id - 1) (id :: acc)
+      end
+      else go (id - 1) acc
   in
-  List.iter
-    (fun id ->
-       Hashtbl.remove t.active id;
-       unassign t id)
-    dead;
-  List.sort compare dead
+  let dead = go (t.next - 1) [] in
+  advance_low t;
+  dead
 
 let evict t ~lost =
-  Hashtbl.fold
-    (fun id (res, _) acc -> if lost res then id :: acc else acc)
-    t.assigned []
-  |> List.sort compare
-  |> List.filter (fun id ->
-      unassign t id;
-      Hashtbl.mem t.active id)
+  let rec go id acc =
+    if id < t.low then acc
+    else
+      let i = cell t id in
+      if t.window.(i).Request.id = id && t.res_of.(i) >= 0 && lost t.res_of.(i)
+      then begin
+        unassign t i;
+        go (id - 1) (id :: acc)
+      end
+      else go (id - 1) acc
+  in
+  go (t.next - 1) []
 
 let first_free t ~round ~res (r : Request.t) =
   Slots.first_free t.slots ~res ~from:(max round r.Request.arrival)
     ~last:(Request.last_round r)
 
+let not_live id =
+  invalid_arg (Printf.sprintf "Machine: request %d is not live" id)
+
+(* record [id]'s slot, which the caller has just taken *)
+let assign t id ~res ~slot =
+  if not (is_live t id) then not_live id;
+  let i = cell t id in
+  t.res_of.(i) <- res;
+  t.slot_of.(i) <- slot
+
 let try_accept t ~round ~res (r : Request.t) =
+  if not (is_live t r.Request.id) then not_live r.Request.id;
   match first_free t ~round ~res r with
   | None -> None
   | Some slot ->
+    assign t r.Request.id ~res ~slot;
     Slots.set t.slots ~res ~round:slot r.Request.id;
-    Hashtbl.replace t.assigned r.Request.id (res, slot);
     Some slot
 
 let message ~sender ~dst ~deadline_key payload =
@@ -173,17 +252,21 @@ type move = Request.t * int * int * int (* r, old res, old slot, new res *)
    acknowledges one mover (the lowest id), pre-positioning it there.
    The cancel round that commits the moves is built by the caller. *)
 let phase2_select t c ~round : move list =
-  let movers =
-    Hashtbl.fold
-      (fun id (res, slot) acc ->
-         if slot > round then
-           match Hashtbl.find_opt t.active id with
-           | Some r when Array.length r.Request.alternatives >= 2 ->
-             (r, res, slot, other_alternative r res) :: acc
-           | Some _ | None -> acc
+  let rec movers id acc =
+    if id < t.low then acc
+    else
+      let i = cell t id in
+      let r = t.window.(i) in
+      movers (id - 1)
+        (if
+           r.Request.id = id && t.res_of.(i) >= 0 && t.slot_of.(i) > round
+           && Array.length r.Request.alternatives >= 2
+         then
+           let res = t.res_of.(i) in
+           (r, res, t.slot_of.(i), other_alternative r res) :: acc
          else acc)
-      t.assigned []
   in
+  let movers = movers (t.next - 1) [] in
   let results =
     c.exchange
       (List.map
@@ -192,20 +275,22 @@ let phase2_select t c ~round : move list =
               ~deadline_key:(Request.last_round r) (Probe r))
          movers)
   in
-  let chosen = Hashtbl.create 16 in
+  (* results come back in ascending sender order: the first delivered
+     probe to a resource with a free current slot is its lowest id *)
   List.iter
     (fun ((m : envelope), st) ->
-       if st = Delivered && not (Slots.mem t.slots ~res:m.Net.dst ~round) then
-         match Hashtbl.find_opt chosen m.Net.dst with
-         | Some prev when prev <= m.Net.sender -> ()
-         | Some _ | None -> Hashtbl.replace chosen m.Net.dst m.Net.sender)
+       let dst = m.Net.dst in
+       if
+         st = Delivered && t.pick.(dst) < 0
+         && not (Slots.mem t.slots ~res:dst ~round)
+       then t.pick.(dst) <- m.Net.sender)
     results;
   let moves =
     List.filter
-      (fun ((r : Request.t), _, _, other) ->
-         Hashtbl.find_opt chosen other = Some r.Request.id)
+      (fun ((r : Request.t), _, _, other) -> t.pick.(other) = r.Request.id)
       movers
   in
+  List.iter (fun ((m : envelope), _) -> t.pick.(m.Net.dst) <- -1) results;
   List.iter
     (fun (r, _, _, other) ->
        c.event (Ack { q = r; res = other; slot = Some round }))
@@ -232,7 +317,7 @@ let settle_cancel t c ~round moves ((m : envelope), st) =
      | Some ((r : Request.t), res, slot, other) ->
        Slots.free t.slots ~res ~round:slot;
        Slots.set t.slots ~res:other ~round r.Request.id;
-       Hashtbl.replace t.assigned r.Request.id (other, round);
+       assign t r.Request.id ~res:other ~slot:round;
        Hashtbl.remove moves q
      | None -> ());
     if st = Delivered then c.event (Released { res = old_res; slot = old_t })
@@ -263,7 +348,7 @@ let land_swap t c ~round ~swapped ((m : envelope), st) =
     assert (st <> Bounced);
     let res = m.Net.dst in
     Slots.set t.slots ~res ~round q.Request.id;
-    Hashtbl.replace t.assigned q.Request.id (res, round);
+    assign t q.Request.id ~res ~slot:round;
     swapped.(res) <- true;
     if st = Delivered then c.event (Swapped { q; res; round })
   | _ -> ()
@@ -295,7 +380,7 @@ let rival_round t c ~round ~swapped ~moves ~prev_swaps ~extra ~alt pending =
            match Slots.find t.slots ~res ~round with
            | None -> ()
            | Some r_id ->
-             (match Hashtbl.find_opt t.active r_id with
+             (match find t r_id with
               | Some r when Array.length r.Request.alternatives >= 2 ->
                 c.event (Ack { q; res; slot = None });
                 Hashtbl.replace grants res (q, r, other_alternative r res)
@@ -384,10 +469,13 @@ let collect t c ~round =
     match Slots.take t.slots ~res ~round with
     | None -> ()
     | Some id ->
-      Hashtbl.remove t.assigned id;
+      let i = cell t id in
+      t.res_of.(i) <- -1;
       if c.confirm ~res ~round id then begin
-        Hashtbl.remove t.active id;
+        t.window.(i) <- vacant;
+        t.live <- t.live - 1;
         serves := { Sched.Strategy.request = id; resource = res } :: !serves
       end
   done;
+  advance_low t;
   !serves

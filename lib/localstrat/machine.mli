@@ -3,7 +3,13 @@
 
     The state is what the resources collectively know: the slot table
     ({!Sched.Slots}, maximal acceptance into the earliest free slot of the
-    window), the assignment map and the live requests.  It advances
+    window) and the live requests with their assignments, held as
+    {!Sched.Engine.Live} holds its window: a {!Sched.Id_ring} over the
+    ids from the oldest live one to the newest, doubled when the span
+    reaches its length.  Requests are admitted in ascending
+    id order, so every walk of the state ({!unscheduled}, {!expire},
+    {!evict}, phase 2's movers) visits the window in id order, without
+    hashing or sorting.  It advances
     {e only} on the outcomes the carrier reports for the messages it
     was handed, so two carriers that deliver the same messages reach
     the same decisions by construction:
@@ -77,7 +83,9 @@ val capacity : compact:bool -> d:int -> int
     communication round with phase 3's first rival round. *)
 
 val admit : t -> Request.t -> unit
-(** A live, unassigned request. *)
+(** A live, unassigned request.  Ids must ascend across calls (gaps
+    are allowed), as [Engine.Live] and [Cluster.Session] number them.
+    @raise Invalid_argument on an id not above every admitted one. *)
 
 val find : t -> int -> Request.t option
 (** The live request with this id. *)
@@ -101,7 +109,9 @@ val first_free : t -> round:int -> res:int -> Request.t -> int option
     [round] on, without taking it. *)
 
 val try_accept : t -> round:int -> res:int -> Request.t -> int option
-(** Take {!first_free} and assign the request to it. *)
+(** Take {!first_free} and assign the request to it.
+    @raise Invalid_argument if the request is not live (admitted and
+    neither expired nor served). *)
 
 val fix_round : t -> carrier -> round:int -> Request.t list -> unit
 (** [A_local_fix] (Thm 3.7), 2 communication rounds: the newcomers

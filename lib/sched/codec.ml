@@ -43,6 +43,63 @@ let render_with add x =
   add b x;
   Buffer.contents b
 
+(* Writing at a position: the writer is the bytes alone, the position
+   travels through the calls, and each [put_*] checks room once for
+   its whole field instead of once per character. *)
+
+type writer = { mutable bytes : Bytes.t }
+
+let writer_key = Domain.DLS.new_key (fun () -> { bytes = Bytes.create 256 })
+let writer () = Domain.DLS.get writer_key
+
+let grow w pos k =
+  let bytes = Bytes.create (max (pos + k) (2 * Bytes.length w.bytes)) in
+  Bytes.blit w.bytes 0 bytes 0 pos;
+  w.bytes <- bytes
+
+(* room for [k] more bytes at [pos] *)
+let[@inline] reserve w pos k =
+  if pos + k > Bytes.length w.bytes then grow w pos k
+
+let[@inline] put_char w pos c =
+  reserve w pos 1;
+  Bytes.unsafe_set w.bytes pos c;
+  pos + 1
+
+let put_string w pos s =
+  let k = String.length s in
+  reserve w pos k;
+  Bytes.unsafe_blit_string s 0 w.bytes pos k;
+  pos + k
+
+(* [add_digits] at a position: the digits of [n >= 0], most significant
+   first, ending before the returned position *)
+let rec put_digits b pos n =
+  let pos = if n >= 10 then put_digits b pos (n / 10) else pos in
+  Bytes.unsafe_set b pos (Char.unsafe_chr (48 + (n mod 10)));
+  pos + 1
+
+(* an int has at most 19 decimal digits *)
+let put_int w pos n =
+  if n < 0 then put_string w pos (string_of_int n)
+  else begin
+    reserve w pos 19;
+    put_digits w.bytes pos n
+  end
+
+let put_alts w pos (alts : int array) =
+  let pos = ref pos in
+  for i = 0 to Array.length alts - 1 do
+    if i > 0 then pos := put_char w !pos ',';
+    pos := put_int w !pos alts.(i)
+  done;
+  !pos
+
+let contents w len = Bytes.sub_string w.bytes 0 len
+
+(* The bytes are only read before the next write on this domain, by a
+   reader that keeps no reference to them. *)
+let view w = Bytes.unsafe_to_string w.bytes
 
 (* ------------------------------------------------------------------ *)
 (* scanning: one pass of indices over [s.[pos .. stop-1]], with no
@@ -70,7 +127,16 @@ let rec digits s i stop acc =
     then raise_notrace Exit;
     digits s (i + 1) stop ((acc * 10) - dg)
 
-let scan_int ~what s ~pos ~stop =
+(* Up to 18 digits cannot overflow: the plain loop, -1 at anything
+   else (a sign included), which the careful scan then handles. *)
+let rec small s i stop acc =
+  if i = stop then acc
+  else
+    let c = String.unsafe_get s i in
+    if c < '0' || c > '9' then -1
+    else small s (i + 1) stop ((acc * 10) + Char.code c - 48)
+
+let careful_int ~what s ~pos ~stop =
   match
     let neg = pos < stop && String.unsafe_get s pos = '-' in
     let first = if neg then pos + 1 else pos in
@@ -82,47 +148,33 @@ let scan_int ~what s ~pos ~stop =
   | exception Exit ->
     syntax "malformed %s %S" what (String.sub s pos (stop - pos))
 
-(* The list is built in order, by plain recursion, with no reversal.
-   Errors keep the left-to-right rule — the first field that is
-   malformed, negative or a repeat names the error — so a field that
-   fails to scan ([Bad_field], with its start) loses to a repeat before
-   it, which only the error path looks for. *)
-exception Bad_field of int * string
+let scan_int ~what s ~pos ~stop =
+  let v = if stop > pos && stop - pos <= 18 then small s pos stop 0 else -1 in
+  if v >= 0 then v else careful_int ~what s ~pos ~stop
 
-let rec alts_in_order s pos stop =
+let rec commas s i stop k =
+  if i >= stop then k
+  else commas s (i + 1) stop (if String.unsafe_get s i = ',' then k + 1 else k)
+
+let rec seen (a : int array) v i = i > 0 && (a.(i - 1) = v || seen a v (i - 1))
+
+(* Left to right, so the first field that is malformed, negative or a
+   repeat of an earlier one names the error. *)
+let rec fill_alts a s i pos stop =
   let j = field_end s ',' pos stop in
-  let v =
-    match scan_int ~what:"resource" s ~pos ~stop:j with
-    | v when v < 0 ->
-      raise (Bad_field (pos, Printf.sprintf "negative resource %d" v))
-    | v -> v
-    | exception Syntax m -> raise (Bad_field (pos, m))
-  in
-  v :: (if j >= stop then [] else alts_in_order s (j + 1) stop)
+  let v = scan_int ~what:"resource" s ~pos ~stop:j in
+  if v < 0 then syntax "negative resource %d" v;
+  if seen a v i then syntax "duplicate resource %d" v;
+  Array.unsafe_set a i v;
+  if j < stop then fill_alts a s (i + 1) (j + 1) stop
 
-(* is [v] among the first [n] elements of [l]? *)
-let rec mem_first l v n =
-  n > 0 && match l with [] -> false | x :: r -> x = v || mem_first r v (n - 1)
-
-let rec check_repeats all l i =
-  match l with
-  | [] -> ()
-  | v :: rest ->
-    if mem_first all v i then syntax "duplicate resource %d" v;
-    check_repeats all rest (i + 1)
-
-let scan_alts s ~pos ~stop =
+let scan_alt_array s ~pos ~stop =
   if pos >= stop then raise (Syntax "empty alternative list");
-  match alts_in_order s pos stop with
-  | alts ->
-    check_repeats alts alts 0;
-    alts
-  | exception Bad_field (at, m) ->
-    if at > pos then begin
-      let before = alts_in_order s pos (at - 1) in
-      check_repeats before before 0
-    end;
-    raise (Syntax m)
+  let a = Array.make (commas s pos stop 1) 0 in
+  fill_alts a s 0 pos stop;
+  a
+
+let scan_alts s ~pos ~stop = Array.to_list (scan_alt_array s ~pos ~stop)
 
 let split3 s ~pos ~stop =
   let i1 = field_end s ' ' pos stop in

@@ -45,6 +45,38 @@ val render_with : (Buffer.t -> 'a -> unit) -> 'a -> string
     so the only allocation is the result.  [add] must not call
     [render_with] itself. *)
 
+(** {2 Writing at a position}
+
+    The same grammar written into a domain-private byte scratch, with
+    the write position threaded through the calls: each [put_*] checks
+    room once for its whole field, not once per character, and no
+    buffer record is updated per byte.  [put_* w pos x] writes [x] at
+    [pos] and returns the position after it, growing the scratch when
+    needed.  [Cluster.Wire] renders its lines this way. *)
+
+type writer
+
+val writer : unit -> writer
+(** The calling domain's writer.  Its bytes are overwritten by the
+    next write on the same domain. *)
+
+val put_char : writer -> int -> char -> int
+val put_string : writer -> int -> string -> int
+
+val put_int : writer -> int -> int -> int
+(** Decimal, as {!add_int}. *)
+
+val put_alts : writer -> int -> int array -> int
+(** Comma-separated, as {!add_alts}. *)
+
+val contents : writer -> int -> string
+(** The first [len] bytes written, as a fresh string. *)
+
+val view : writer -> string
+(** The writer's bytes as they are, without a copy: valid only until
+    the next write on this domain, and only for a reader (such as
+    {!scan_int}) that keeps no reference to the string. *)
+
 (** {2 Scanning}
 
     One index scanner over [s.[pos .. stop-1]], shared by trace files,
@@ -74,11 +106,14 @@ val scan_int : what:string -> string -> pos:int -> stop:int -> int
 (** The decimal integer spanning the range.
     @raise Syntax ["malformed <what> \"<field>\""] otherwise. *)
 
-val scan_alts : string -> pos:int -> stop:int -> int list
+val scan_alt_array : string -> pos:int -> stop:int -> int array
 (** The comma-separated alternative list spanning the range, in order;
-    inverse of {!add_alts}.
+    inverse of {!put_alts} and {!add_alts}.
     @raise Syntax on an empty list, or at the first field (left to
     right) that is malformed, negative or a duplicate. *)
+
+val scan_alts : string -> pos:int -> stop:int -> int list
+(** {!scan_alt_array} as a list. *)
 
 val scan_req_fields :
   what:string -> string -> pos:int -> stop:int ->

@@ -16,9 +16,9 @@ module Ivec = Prelude.Ivec
    by the step that closes its window).
 
    A request can only be served in the [d] rounds after it arrives, so
-   the engine holds open windows only, in a ring indexed by id: the
-   request of open id [i] sits at [window.(i land (length - 1))], with
-   its served flag at the same index of [first_served].  Ids
+   the engine holds open windows only, in an {!Id_ring}: the request of
+   open id [i] sits at [window.(i land (length - 1))], with its served
+   flag at the same index of [first_served].  Ids
    [low .. next_id - 1] are the admitted ids not yet known closed, each
    open or reset to [closed]; every id closes within [d] rounds, so
    the span covers at most the last [d] rounds of admissions and the
@@ -83,26 +83,17 @@ module Live = struct
   let submitted t = t.next_id
   let round t = t.round
 
-  (* Double the ring, moving ids [low .. next_id - 1] to their cells
-     under the new mask. *)
   let grow t =
-    let len = Array.length t.window in
-    let window = Array.make (2 * len) closed
-    and first_served = Array.make (2 * len) false in
-    for id = t.low to t.next_id - 1 do
-      window.(id land ((2 * len) - 1)) <- t.window.(id land (len - 1));
-      first_served.(id land ((2 * len) - 1)) <-
-        t.first_served.(id land (len - 1))
-    done;
-    t.window <- window;
-    t.first_served <- first_served
+    let low = t.low and next = t.next_id in
+    t.window <- Id_ring.grow t.window ~low ~next closed;
+    t.first_served <- Id_ring.grow t.first_served ~low ~next false
 
   (* Queue a valid request arriving at the current round whose id is
      the next fresh one. *)
   let admit t (r : Request.t) =
     let id = t.next_id in
     if id - t.low >= Array.length t.window then grow t;
-    let i = id land (Array.length t.window - 1) in
+    let i = Id_ring.cell t.window id in
     t.window.(i) <- r;
     t.first_served.(i) <- false;
     Ivec.push t.expiry.(Request.last_round r mod t.d) id;
@@ -143,7 +134,7 @@ module Live = struct
     if count = 0 then [||]
     else begin
       let len = Array.length t.window in
-      let at = t.round_first land (len - 1) in
+      let at = Id_ring.cell t.window t.round_first in
       if at + count <= len then Array.sub t.window at count
       else begin
         let a = Array.make count closed in
@@ -162,7 +153,7 @@ module Live = struct
     | { Strategy.request; resource } :: rest ->
       if request < 0 || request >= t.next_id then
         fail "round %d: unknown request %d" round request;
-      let i = request land (Array.length t.window - 1) in
+      let i = Id_ring.cell t.window request in
       if t.window.(i).Request.id <> request then
         fail "round %d: request %d outside its window" round request;
       if resource < 0 || resource >= t.n then
@@ -205,20 +196,18 @@ module Live = struct
         k
     in
     let bucket = t.expiry.(round mod t.d) in
-    let mask = Array.length t.window - 1 in
     let unserved = ref 0 in
     for j = 0 to Ivec.length bucket - 1 do
       let id = Ivec.get bucket j in
-      if not t.first_served.(id land mask) then begin
+      let i = Id_ring.cell t.window id in
+      if not t.first_served.(i) then begin
         incr unserved;
         expired id
       end;
-      t.window.(id land mask) <- closed
+      t.window.(i) <- closed
     done;
     Ivec.clear bucket;
-    while t.low < t.next_id && t.window.(t.low land mask) == closed do
-      t.low <- t.low + 1
-    done;
+    t.low <- Id_ring.trim t.window ~low:t.low ~next:t.next_id closed;
     t.live <- t.live - k - !unserved;
     t.round <- round + 1;
     round

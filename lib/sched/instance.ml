@@ -117,3 +117,5 @@ let concat = function
 let pp_summary fmt t =
   Format.fprintf fmt "instance: n=%d d=%d requests=%d horizon=%d"
     t.n_resources t.d (n_requests t) t.horizon
+
+let max_generated = 10_000_000

@@ -23,6 +23,14 @@ val build : n_resources:int -> d:int -> Request.t list -> t
     [>= n_resources], has [deadline > d], or the list is out of arrival
     order. *)
 
+val max_generated : int
+(** The largest expected request count, [load * n * rounds], that the
+    workload generators ([Workload.Zoo], [Adversary.Random_workload])
+    accept: 10 000 000, far above any size the tests, experiments,
+    examples and benchmarks use (the largest is about 2 * 10^5), so a
+    mistyped [--load] is refused at once instead of building an
+    instance that does not fit in memory. *)
+
 val n_requests : t -> int
 
 val arrivals_at : t -> int -> Request.t array

@@ -24,6 +24,14 @@ let of_array ~id ~arrival ~alternatives ~deadline =
   done;
   { id; arrival; alternatives; deadline }
 
+let rec same_from (a : int array) (b : int array) i =
+  i = Array.length a || (a.(i) = b.(i) && same_from a b (i + 1))
+
+let equal a b =
+  a.id = b.id && a.arrival = b.arrival && a.deadline = b.deadline
+  && Array.length a.alternatives = Array.length b.alternatives
+  && same_from a.alternatives b.alternatives 0
+
 let make ~arrival ~alternatives ~deadline =
   of_array ~id:(-1) ~arrival ~alternatives:(Array.of_list alternatives)
     ~deadline

@@ -28,6 +28,10 @@ val of_array :
     afterwards).  Same checks and messages as {!make}; this is how
     {!Engine.Live} admits a request without a proto and a copy. *)
 
+val equal : t -> t -> bool
+(** Field by field; the same as structural [=], without the
+    polymorphic walk. *)
+
 val with_id : t -> int -> t
 (** Copy with the given id (used by {!Instance.build}). *)
 

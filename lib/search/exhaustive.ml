@@ -44,6 +44,9 @@ let validate cfg =
       | _ -> ())
     cfg.tags
 
+let check cfg =
+  match validate cfg with () -> Ok () | exception Invalid_argument m -> Error m
+
 type found = {
   ratio : Rat.t;
   opt : int;

@@ -61,6 +61,11 @@ val run : ?metrics:Obs.Metrics.t -> strategy:Game.strategy -> config -> result
     documented in {!type:config} — larger instances belong to the
     {!Attacker} tier. *)
 
+val check : config -> (unit, string) Stdlib.result
+(** [Error] with {!run}'s [Invalid_argument] message when [run] would
+    refuse the configuration, so a caller can reject it before any
+    search starts. *)
+
 val certificate : result -> Certificate.t option
 (** Certificate of the best found state. *)
 

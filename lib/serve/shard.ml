@@ -9,6 +9,7 @@
    the server merges after the workers exit. *)
 
 module Live = Sched.Engine.Live
+module Id_ring = Sched.Id_ring
 
 type task = {
   conn : int;               (* connection id, for reply routing *)
@@ -33,7 +34,7 @@ type t = {
   metrics : Obs.Metrics.t;
   depth_gauge : string; (* serve.shard<index>.queue_depth, built once *)
   live : Live.t;
-  (* Reply routing: the task of open engine id [i] sits at
+  (* Reply routing: an Id_ring, the task of open engine id [i] at
      [tasks.(i land (length - 1))]; ids [low ..] up to the next fresh
      one are admitted ids, each open or reset to [dummy_task] at its
      terminal.  Live hands out dense ids and every id terminates within
@@ -127,19 +128,13 @@ let rec fill_local t local i = function
     end
     else fill_local t local i rest
 
-(* Room for [id]: double the ring, moving ids [low .. id-1] to their
-   slots under the new mask. *)
+(* Room for [id]: ids [low .. id-1] are admitted. *)
 let grow t id =
-  let len = Array.length t.tasks in
-  let tasks = Array.make (2 * len) dummy_task in
-  for i = t.low to id - 1 do
-    tasks.(i land ((2 * len) - 1)) <- t.tasks.(i land (len - 1))
-  done;
-  t.tasks <- tasks
+  t.tasks <- Id_ring.grow t.tasks ~low:t.low ~next:id dummy_task
 
 (* The task of terminating id [id], its ring cell reset. *)
 let take_task t id =
-  let i = id land (Array.length t.tasks - 1) in
+  let i = Id_ring.cell t.tasks id in
   let task = t.tasks.(i) in
   t.tasks.(i) <- dummy_task;
   task
@@ -164,7 +159,7 @@ let step_once t =
     with
     | Ok id ->
       if id - t.low >= Array.length t.tasks then grow t id;
-      t.tasks.(id land (Array.length t.tasks - 1)) <- task
+      t.tasks.(Id_ring.cell t.tasks id) <- task
     | Error m ->
       Obs.Metrics.incr t.metrics "serve.rejected.invalid";
       push_reply t task.conn
@@ -187,11 +182,9 @@ let step_once t =
            push_reply t task.conn (Protocol.Expired { tag = task.tag })));
   Obs.Metrics.incr ~by:!served t.metrics "serve.served";
   Obs.Metrics.incr ~by:!expired t.metrics "serve.expired";
-  let mask = Array.length t.tasks - 1 in
-  let next = Live.submitted t.live in
-  while t.low < next && t.tasks.(t.low land mask) == dummy_task do
-    t.low <- t.low + 1
-  done;
+  t.low <-
+    Id_ring.trim t.tasks ~low:t.low ~next:(Live.submitted t.live)
+      dummy_task;
   Obs.Metrics.observe t.metrics "serve.tick_us" (Obs.Span.elapsed t0 *. 1e6);
   Atomic.incr t.stepped
 

@@ -31,7 +31,16 @@ let check ~n ~d ~rounds ~load =
   if n < 1 then invalid_arg "Workload.Zoo: n_resources must be >= 1";
   if d < 1 then invalid_arg "Workload.Zoo: d must be >= 1";
   if rounds < 1 then invalid_arg "Workload.Zoo: rounds must be >= 1";
-  if not (load >= 0.0) then invalid_arg "Workload.Zoo: load must be >= 0"
+  if not (load >= 0.0) then invalid_arg "Workload.Zoo: load must be >= 0";
+  if load = Float.infinity then
+    invalid_arg "Workload.Zoo: load must be finite";
+  let expected = load *. float_of_int n *. float_of_int rounds in
+  if expected > float_of_int Sched.Instance.max_generated then
+    invalid_arg
+      (Printf.sprintf
+         "Workload.Zoo: load %g asks for about %.3g requests (load x n x \
+          rounds), above the cap of %d"
+         load expected Sched.Instance.max_generated)
 
 (* Independent generator for (seed, family tag, round): splitmix64
    seeds that differ in any bit give independent streams, so mixing

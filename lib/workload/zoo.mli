@@ -40,8 +40,9 @@ val hotspot :
     [max 1 (rounds/6)] rounds, so the hot spot relocates several times
     per run and a scheduler cannot statically over-provision it.
     Alternatives are two distinct Zipf draws; deadlines are [d].
-    @raise Invalid_argument on [n < 1], [d < 1], [rounds < 1] or a
-    negative load. *)
+    @raise Invalid_argument on [n < 1], [d < 1], [rounds < 1], a
+    negative or non-finite load, or [load * n * rounds] above
+    {!Sched.Instance.max_generated} (every family checks the same). *)
 
 val diurnal :
   n:int -> d:int -> rounds:int -> load:float -> seed:int -> Sched.Instance.t

@@ -163,6 +163,69 @@ let test_exit_codes () =
        (Cmd.v (Cmd.info "prog")
           (Cli.exits Term.(const (Error "d must be >= 2")))))
 
+(* The built reqsched, for what only the binary's own wiring decides.
+   It sits next to this test in the build tree; a run still going
+   after [limit] seconds is killed and reported as [None]. *)
+let reqsched =
+  List.fold_left Filename.concat
+    (Filename.dirname Sys.executable_name)
+    [ Filename.parent_dir_name; "bin"; "reqsched.exe" ]
+
+let run_reqsched ?(limit = 10.0) args =
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let t0 = Unix.gettimeofday () in
+  let pid =
+    Unix.create_process reqsched
+      (Array.of_list ("reqsched" :: args))
+      Unix.stdin null null
+  in
+  Unix.close null;
+  let rec wait () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when Unix.gettimeofday () -. t0 > limit ->
+      Unix.kill pid Sys.sigkill;
+      ignore (Unix.waitpid [] pid);
+      None
+    | 0, _ ->
+      Unix.sleepf 0.005;
+      wait ()
+    | _, Unix.WEXITED code -> Some (code, Unix.gettimeofday () -. t0)
+    | _, (Unix.WSIGNALED _ | Unix.WSTOPPED _) -> Some (-1, 0.0)
+  in
+  wait ()
+
+let exits_124 ?limit args =
+  match run_reqsched ?limit args with
+  | Some (124, dt) -> dt
+  | Some (code, _) ->
+    Alcotest.failf "reqsched %s exited %d, want 124" (String.concat " " args)
+      code
+  | None ->
+    Alcotest.failf "reqsched %s still running after the limit"
+      (String.concat " " args)
+
+(* an exhaustive search size out of range is refused before any job
+   runs, not reported as a raising job (exit 1) *)
+let test_search_sizes () =
+  List.iter
+    (fun args -> ignore (exits_124 ("search" :: args)))
+    [ [ "-n"; "9" ]; [ "-n"; "0" ]; [ "-d"; "0" ]; [ "-d"; "4" ] ]
+
+(* --load is bounded: a typo is refused at once, not generated *)
+let test_load_bound () =
+  List.iter
+    (fun args ->
+       let dt = exits_124 ~limit:5.0 ("run" :: args) in
+       if dt > 1.0 then
+         Alcotest.failf "reqsched run %s took %.2f s to refuse"
+           (String.concat " " args) dt)
+    [
+      [ "-w"; "overload"; "--load"; "1e9"; "-n"; "1"; "--rounds"; "1" ];
+      [ "-w"; "uniform"; "--load"; "1e9"; "-n"; "1"; "--rounds"; "1" ];
+      [ "-w"; "vod"; "--load"; "inf" ];
+      [ "-w"; "zipf"; "--load"; "inf" ];
+    ]
+
 let () =
   Alcotest.run "cli"
     [
@@ -182,5 +245,12 @@ let () =
           Alcotest.test_case "bad values are errors" `Quick
             test_bad_values_are_errors;
           Alcotest.test_case "exit codes" `Quick test_exit_codes;
+        ] );
+      ( "binary",
+        [
+          Alcotest.test_case "search sizes are usage errors" `Quick
+            test_search_sizes;
+          Alcotest.test_case "a huge load is refused at once" `Quick
+            test_load_bound;
         ] );
     ]

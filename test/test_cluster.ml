@@ -98,12 +98,12 @@ let test_ring_moved_is_exact () =
 (* ------------------------------------------------------------------ *)
 (* wire grammar *)
 
-let reqinfo_gen =
+let request_gen =
   QCheck.Gen.(
     map
-      (fun (rid, alts, arrival, deadline) ->
-         let alternatives = List.sort_uniq compare alts in
-         { Wire.rid; alternatives; arrival; deadline })
+      (fun (id, alts, arrival, deadline) ->
+         let alternatives = Array.of_list (List.sort_uniq compare alts) in
+         Request.of_array ~id ~arrival ~alternatives ~deadline)
       (tup4 (int_range 0 9999)
          (list_size (int_range 1 4) (int_range 0 99))
          (int_range 0 500) (int_range 1 40)))
@@ -118,7 +118,7 @@ let env_gen data tagged =
 
 let wire_gen =
   QCheck.Gen.(
-    reqinfo_gen >>= fun ri ->
+    request_gen >>= fun ri ->
     tup3 (int_range 0 9999) (int_range 0 99) (int_range 0 500)
     >>= fun (a, b, c) ->
     oneof
@@ -178,9 +178,9 @@ module Model = struct
     | exception Sched.Codec.Syntax m -> Error m
 
 
-  let render_reqinfo ri =
-    Printf.sprintf "%d %s %d %d" ri.rid
-      (render_alts ri.alternatives)
+  let render_reqinfo (ri : Request.t) =
+    Printf.sprintf "%d %s %d %d" ri.id
+      (render_alts (Array.to_list ri.alternatives))
       ri.arrival ri.deadline
 
   let render_key k = if k = max_int then "inf" else string_of_int k
@@ -243,7 +243,10 @@ module Model = struct
       let* arrival = int_field ~what:"arrival" arrival_s in
       let* deadline = int_field ~what:"deadline" deadline_s in
       if deadline < 1 then Error (Printf.sprintf "deadline %d < 1" deadline)
-      else Ok { rid; alternatives; arrival; deadline }
+      else
+        Ok
+          (Request.of_array ~id:rid ~arrival
+             ~alternatives:(Array.of_list alternatives) ~deadline)
     | _ ->
       Error
         (Printf.sprintf "expected '<%s> <alts> <arrival> <deadline>'" what)
@@ -475,6 +478,110 @@ let test_wire_render_matches_model =
   qtest ~count:1000 "render is byte-identical to the model" wire_arb
     (fun msg -> Wire.render msg = Model.render msg)
 
+(* [m] with exactly one field changed, picked by [k]: a number moved,
+   the tag flipped, an alternative added or dropped, a handoff entry
+   added, dropped or edited, or the constructor swapped for one of the
+   same shape *)
+let one_field_apart m k =
+  let req (r : Request.t) =
+    let id = r.Request.id and arrival = r.Request.arrival
+    and alternatives = r.Request.alternatives
+    and deadline = r.Request.deadline in
+    match k / 8 mod 5 with
+    | 0 -> Request.of_array ~id:(id + 1) ~arrival ~alternatives ~deadline
+    | 1 -> Request.of_array ~id ~arrival:(arrival + 1) ~alternatives ~deadline
+    | 2 -> Request.of_array ~id ~arrival ~alternatives ~deadline:(deadline + 1)
+    | 3 when Array.length alternatives > 1 ->
+      Request.of_array ~id ~arrival ~deadline
+        ~alternatives:(Array.sub alternatives 0 (Array.length alternatives - 1))
+    | _ ->
+      Request.of_array ~id ~arrival ~deadline
+        ~alternatives:
+          (Array.append alternatives
+             [| 1 + Array.fold_left max 0 alternatives |])
+  in
+  let data (d : Wire.data) =
+    match (d, k mod 2) with
+    | Wire.Offer r, 0 -> Wire.Probe r
+    | Wire.Offer r, _ -> Wire.Offer (req r)
+    | Wire.Probe r, 0 -> Wire.Rival r
+    | Wire.Probe r, _ -> Wire.Probe (req r)
+    | Wire.Rival r, 0 -> Wire.Assign r
+    | Wire.Rival r, _ -> Wire.Rival (req r)
+    | Wire.Assign r, 0 -> Wire.Offer r
+    | Wire.Assign r, _ -> Wire.Assign (req r)
+    | Wire.Cancel c, 0 -> Wire.Cancel { c with q = c.q + 1 }
+    | Wire.Cancel c, _ -> Wire.Cancel { c with old_t = c.old_t + 1 }
+    | Wire.Swap w, 0 -> Wire.Swap { w with r = w.r + 1 }
+    | Wire.Swap w, _ -> Wire.Swap { w with q = req w.q }
+    | Wire.Rehome h, 0 -> Wire.Rehome { h with res = h.res + 1 }
+    | Wire.Rehome h, _ -> Wire.Rehome { h with r = req h.r }
+    | Wire.Loadq, _ ->
+      Wire.Assign
+        (Request.of_array ~id:0 ~arrival:0 ~alternatives:[| 0 |] ~deadline:1)
+  in
+  match m with
+  | Wire.Data e ->
+    Wire.Data
+      (match k mod 5 with
+       | 0 -> { e with Wire.sender = e.Wire.sender + 1 }
+       | 1 -> { e with Wire.dst = e.Wire.dst + 1 }
+       | 2 ->
+         { e with
+           Wire.deadline_key =
+             (if e.Wire.deadline_key = max_int then 0
+              else e.Wire.deadline_key + 1) }
+       | 3 -> { e with Wire.tagged = not e.Wire.tagged }
+       | _ -> { e with Wire.data = data e.Wire.data })
+  | Wire.Reply r ->
+    Wire.Reply
+      (match (r, k mod 2) with
+       | Wire.Accept a, 0 -> Wire.Accept { a with slot = a.slot + 1 }
+       | Wire.Accept a, _ -> Wire.Freeat { q = a.q; res = a.res; slot = a.slot }
+       | Wire.Freeat a, _ -> Wire.Freeat { a with res = a.res + 1 }
+       | Wire.Full f, 0 -> Wire.Ack { q = f.q; res = f.res }
+       | Wire.Full f, _ -> Wire.Full { f with q = f.q + 1 }
+       | Wire.Ack a, _ -> Wire.Ack { a with res = a.res + 1 }
+       | Wire.Served v, _ -> Wire.Served { v with round = v.round + 1 }
+       | Wire.Pong p, _ -> Wire.Pong { p with node = p.node + 1 })
+  | Wire.Control c ->
+    Wire.Control
+      (match c with
+       | Wire.Hello h -> Wire.Hello { node = h.node + 1 }
+       | Wire.Ping p -> Wire.Ping { round = p.round + 1 }
+       | Wire.Join j -> Wire.Join { j with round = j.round + 1 }
+       | Wire.Handoff { res; slots } ->
+         let fresh =
+           Request.of_array ~id:0 ~arrival:0 ~alternatives:[| 0 |] ~deadline:1
+         in
+         let res, slots =
+           match (slots, k mod 4) with
+           | _, 0 -> (res + 1, slots)
+           | (t, r) :: rest, 1 -> (res, (t + 1, r) :: rest)
+           | (t, r) :: rest, 2 -> (res, (t, req r) :: rest)
+           | _ :: rest, _ -> (res, rest)
+           | [], _ -> (res, [ (0, fresh) ])
+         in
+         Wire.Handoff { res; slots })
+
+let test_wire_equal_is_structural =
+  qtest ~count:1000 "Wire.equal agrees with structural equality"
+    (QCheck.make
+       QCheck.Gen.(triple wire_gen wire_gen nat)
+       ~print:(fun (a, b, k) ->
+           Printf.sprintf "%s / %s / %d" (Wire.render a) (Wire.render b) k))
+    (fun (a, b, k) ->
+       let same x y = Wire.equal x y = (x = y) in
+       let copy =
+         match Wire.parse (Wire.render a) with Ok c -> c | Error e -> failwith e
+       in
+       same a b && same b a && Wire.equal a copy && Wire.equal copy a
+       && List.for_all
+            (fun k ->
+               let a' = one_field_apart a k in
+               same a a' && same a' a && not (Wire.equal a a'))
+            [ k; k + 1; k + 2; k + 3; k + 4; k + 8; k + 16; k + 24; k + 32 ])
+
 (* a rendered line and single-byte edits of it: a byte replaced,
    inserted or deleted, drawn from the grammar's own alphabet and from
    arbitrary bytes; consecutive edits are also applied in pairs, so
@@ -572,11 +679,27 @@ let test_wire_rejects () =
       ("handoff 3 x 4 0,1 0 2;y 4 0,1 0 2", "malformed slot round \"y\"");
     ]
 
+let test_wire_parse_prefix_bounds () =
+  (* a prefix parses on its own; a length outside the string is refused
+     before any byte is read *)
+  (match Wire.parse_prefix "full 1 2;junk" 8 with
+   | Ok m ->
+     check Alcotest.bool "prefix" true
+       (m = Wire.Reply (Wire.Full { q = 1; res = 2 }))
+   | Error e -> Alcotest.failf "prefix rejected: %s" e);
+  List.iter
+    (fun len ->
+       match Wire.parse_prefix "full 1 2" len with
+       | _ -> Alcotest.failf "length %d accepted" len
+       | exception Invalid_argument _ -> ())
+    [ 9; 100; -1 ]
+
 let test_wire_oversize_via_render () =
   (* a handoff big enough to overflow the line budget must be refused
      by parse; render itself stays mechanical *)
   let ri =
-    { Wire.rid = 123456; alternatives = [ 10; 20 ]; arrival = 9; deadline = 7 }
+    Request.of_array ~id:123456 ~alternatives:[| 10; 20 |] ~arrival:9
+      ~deadline:7
   in
   let slots = List.init 4000 (fun i -> (i, ri)) in
   let line = Wire.render (Wire.Control (Wire.Handoff { res = 1; slots })) in
@@ -633,12 +756,8 @@ let test_net_transport_parity =
                 tagged;
                 data =
                   Wire.Offer
-                    {
-                      Wire.rid = sender;
-                      alternatives = [ dst ];
-                      arrival = 0;
-                      deadline;
-                    };
+                    (Request.of_array ~id:sender ~alternatives:[| dst |]
+                       ~arrival:0 ~deadline);
               })
            specs
        in
@@ -680,7 +799,7 @@ let test_transport_dead_node_bounces () =
     (Transport.dropped_dead transport)
 
 (* The carrier's allocation, pinned just above the measured figures
-   (48.8 words per offer, 14 per reply): a per-message closure, list
+   (39.8 words per offer, 10 per reply): a per-message closure, list
    copy, metrics update or Printf in the wire gate fails it.  The batch
    is 64 offers over 16 resources at capacity 2, so most of them
    bounce; the count includes each line, its re-parsed message, the
@@ -709,21 +828,18 @@ let test_transport_words () =
           tagged = false;
           data =
             Wire.Offer
-              {
-                Wire.rid = 1000 + i;
-                alternatives = [ i mod 16; (i + 5) mod 16 ];
-                arrival = 1997;
-                deadline = 4;
-              };
+              (Request.of_array ~id:(1000 + i)
+                 ~alternatives:[| i mod 16; (i + 5) mod 16 |] ~arrival:1997
+                 ~deadline:4);
         })
   in
-  pin "Transport.exchange per message" 49.5
+  pin "Transport.exchange per message" 40.5
     (minor_words_per 200 64 (fun () ->
          ignore
            (Transport.exchange transport ~owner:(fun _ -> 0)
               ~alive:(fun _ -> true) offers)));
   let reply = Wire.Accept { q = 123456; res = 42; slot = 1999 } in
-  pin "Transport.respond per line" 14.5
+  pin "Transport.respond per line" 10.5
     (minor_words_per 10_000 1 (fun () ->
          ignore (Transport.respond transport reply)))
 
@@ -1130,11 +1246,11 @@ let test_node_export () =
   List.iter
     (fun (res, round) ->
        Cluster.Node.set_slot node ~res ~round
-         { Wire.rid = (10 * res) + round; alternatives = [ res ];
-           arrival = 3; deadline = 4 })
+         (Request.of_array ~id:((10 * res) + round) ~alternatives:[| res |]
+            ~arrival:3 ~deadline:4))
     [ (1, 6); (1, 3); (1, 5); (0, 4); (2, 6) ];
   let export res =
-    List.map (fun (round, ri) -> (round, ri.Wire.rid))
+    List.map (fun (round, (r : Request.t)) -> (round, r.Request.id))
       (Cluster.Node.export node ~res ~from_round:3)
   in
   let slots = Alcotest.(list (pair int int)) in
@@ -1260,6 +1376,9 @@ let () =
           test_wire_render_matches_model;
           test_wire_parse_matches_model;
           Alcotest.test_case "rejects" `Quick test_wire_rejects;
+          Alcotest.test_case "parse_prefix length bounds" `Quick
+            test_wire_parse_prefix_bounds;
+          test_wire_equal_is_structural;
           Alcotest.test_case "oversize handoff" `Quick
             test_wire_oversize_via_render;
         ] );

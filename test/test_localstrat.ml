@@ -254,6 +254,157 @@ let prop_local_comm_budgets =
         (fix_stats ()).Local.comm_rounds_max <= 2
         && (eager_stats ()).Local.comm_rounds_max <= 9)
 
+(* ------------------------------------------------------------------ *)
+(* the machine's state against the hash-table state it replaced *)
+
+module Machine = Localstrat.Machine
+
+(* Live requests and assignments in hash tables, ids sorted on the way
+   out: the machine's state before it became an id-indexed ring. *)
+module Model = struct
+  type t = {
+    active : (int, Request.t) Hashtbl.t;
+    assigned : (int, int * int) Hashtbl.t;  (* id -> (resource, round) *)
+    slots : (int * int, int) Hashtbl.t;     (* (resource, round) -> id *)
+  }
+
+  let create () =
+    { active = Hashtbl.create 16; assigned = Hashtbl.create 16;
+      slots = Hashtbl.create 16 }
+
+  let admit t (r : Request.t) = Hashtbl.replace t.active r.Request.id r
+
+  let unscheduled t =
+    Hashtbl.fold
+      (fun id _ acc -> if Hashtbl.mem t.assigned id then acc else id :: acc)
+      t.active []
+    |> List.sort compare
+
+  let unassign t id =
+    match Hashtbl.find_opt t.assigned id with
+    | Some (res, slot) ->
+      Hashtbl.remove t.slots (res, slot);
+      Hashtbl.remove t.assigned id
+    | None -> ()
+
+  let expire t ~round =
+    let dead =
+      Hashtbl.fold
+        (fun id r acc ->
+           if Request.last_round r < round then id :: acc else acc)
+        t.active []
+    in
+    List.iter
+      (fun id ->
+         Hashtbl.remove t.active id;
+         unassign t id)
+      dead;
+    List.sort compare dead
+
+  let evict t ~lost =
+    Hashtbl.fold
+      (fun id (res, _) acc -> if lost res then id :: acc else acc)
+      t.assigned []
+    |> List.sort compare
+    |> List.filter (fun id ->
+        unassign t id;
+        Hashtbl.mem t.active id)
+
+  let try_accept t ~round ~res (r : Request.t) =
+    let rec first slot =
+      if slot > Request.last_round r then None
+      else if Hashtbl.mem t.slots (res, slot) then first (slot + 1)
+      else Some slot
+    in
+    match first (max round r.Request.arrival) with
+    | None -> None
+    | Some slot ->
+      Hashtbl.replace t.slots (res, slot) r.Request.id;
+      Hashtbl.replace t.assigned r.Request.id (res, slot);
+      Some slot
+end
+
+let ids = Alcotest.(list int)
+
+let ids_of = List.map (fun (r : Request.t) -> r.Request.id)
+
+(* Random rounds of admissions (ascending ids, sometimes with gaps,
+   sometimes enough to grow the ring), acceptances of unscheduled
+   requests, evictions and expiry, run on both; every answer must
+   agree, ids in the same order. *)
+let prop_machine_matches_model =
+  qtest ~count:200 "machine state agrees with the hash-table model"
+    QCheck.(triple (int_range 1 6) (int_range 1 4) (int_range 0 100_000))
+    (fun (n, d, seed) ->
+       let rng = Rng.create ~seed in
+       let m = Machine.create ~n ~d and model = Model.create () in
+       let next = ref 0 in
+       let agree what =
+         check ids (what ^ ": unscheduled") (Model.unscheduled model)
+           (ids_of (Machine.unscheduled m));
+         check Alcotest.int (what ^ ": pending")
+           (Hashtbl.length model.Model.active) (Machine.pending m)
+       in
+       for round = 0 to 39 do
+         check ids "expire" (Model.expire model ~round)
+           (Machine.expire m ~round);
+         let burst = if Rng.int rng 8 = 0 then 80 else Rng.int rng 6 in
+         for _ = 1 to burst do
+           let id = !next + if Rng.int rng 4 = 0 then Rng.int rng 5 else 0 in
+           next := id + 1;
+           let a = Rng.int rng n in
+           let alternatives =
+             if n > 1 && Rng.bool rng then
+               [| a; (a + 1 + Rng.int rng (n - 1)) mod n |]
+             else [| a |]
+           in
+           let r =
+             Request.of_array ~id ~arrival:round ~alternatives
+               ~deadline:(1 + Rng.int rng d)
+           in
+           Model.admit model r;
+           Machine.admit m r
+         done;
+         agree "admit";
+         List.iter
+           (fun (r : Request.t) ->
+              if Rng.int rng 3 > 0 then begin
+                let alts = r.Request.alternatives in
+                let res = alts.(Rng.int rng (Array.length alts)) in
+                check
+                  Alcotest.(option int)
+                  "try_accept"
+                  (Model.try_accept model ~round ~res r)
+                  (Machine.try_accept m ~round ~res r)
+              end)
+           (Machine.unscheduled m);
+         agree "accept";
+         if Rng.int rng 4 = 0 then begin
+           let k = Rng.int rng 3 in
+           let lost res = res mod 3 = k in
+           check ids "evict" (Model.evict model ~lost) (Machine.evict m ~lost);
+           agree "evict"
+         end
+       done;
+       true)
+
+let test_machine_admit_ascending () =
+  let m = Machine.create ~n:2 ~d:2 in
+  let r id =
+    Request.of_array ~id ~arrival:0 ~alternatives:[| 0; 1 |] ~deadline:2
+  in
+  Machine.admit m (r 3);
+  Machine.admit m (r 7);
+  List.iter
+    (fun id ->
+       match Machine.admit m (r id) with
+       | () -> Alcotest.failf "admitting id %d after 7 was accepted" id
+       | exception Invalid_argument _ -> ())
+    [ 7; 5; 0 ];
+  check ids "the state is unchanged" [ 3; 7 ] (ids_of (Machine.unscheduled m));
+  Machine.admit m (r 8);
+  check Alcotest.int "a higher id is admitted" 3 (Machine.pending m)
+
 let () =
   Alcotest.run "localstrat"
     [
@@ -280,6 +431,12 @@ let () =
         [
           Alcotest.test_case "thm 3.7 exact" `Quick
             test_thm37_exactly_two_competitive;
+        ] );
+      ( "machine",
+        [
+          prop_machine_matches_model;
+          Alcotest.test_case "admit wants ascending ids" `Quick
+            test_machine_admit_ascending;
         ] );
       ( "properties",
         [

@@ -907,6 +907,52 @@ let prop_slots_match_model =
         ops;
       true)
 
+(* Id_ring against a Hashtbl model: ascending admissions with gaps,
+   growing on demand, and departures in any order; every tracked id
+   stays in its cell and [trim] lands on the first one still there. *)
+let prop_id_ring_match_model =
+  let open QCheck in
+  let ops = list_of_size Gen.(0 -- 120) (pair small_nat small_nat) in
+  qtest ~count:300 "id ring agrees with a hashtable model" ops (fun ops ->
+      let module R = Sched.Id_ring in
+      let ring = ref (Array.make 4 (-1)) and low = ref 0 and next = ref 0 in
+      let model = Hashtbl.create 16 in
+      let step (kind, x) =
+        if kind mod 3 < 2 then begin
+          let id = !next + (x mod 4) in
+          if Hashtbl.length model = 0 then low := id;
+          while id - !low >= Array.length !ring do
+            ring := R.grow !ring ~low:!low ~next:!next (-1)
+          done;
+          !ring.(R.cell !ring id) <- id;
+          Hashtbl.replace model id ();
+          next := id + 1
+        end
+        else begin
+          let id = !low + (x mod max 1 (!next - !low)) in
+          if Hashtbl.mem model id then begin
+            !ring.(R.cell !ring id) <- -1;
+            Hashtbl.remove model id
+          end;
+          low := R.trim !ring ~low:!low ~next:!next (-1)
+        end
+      in
+      List.iter
+        (fun op ->
+           step op;
+           let first = ref !next in
+           for id = !low to !next - 1 do
+             let held = !ring.(R.cell !ring id) = id in
+             if held <> Hashtbl.mem model id then
+               Test.fail_reportf "id %d: ring %b, model %b" id held
+                 (Hashtbl.mem model id);
+             if held && id < !first then first := id
+           done;
+           if Hashtbl.length model > 0 && !first <> !low then
+             Test.fail_reportf "low %d, first tracked %d" !low !first)
+        ops;
+      true)
+
 let () =
   Alcotest.run "sched"
     [
@@ -983,5 +1029,5 @@ let () =
             test_live_round_words;
         ]
         @ window_bound_cases );
-      ("slots", [ prop_slots_match_model ]);
+      ("slots", [ prop_slots_match_model; prop_id_ring_match_model ]);
     ]

@@ -172,7 +172,9 @@ let run_scale ~quick =
      from-scratch rebuild oracle (seconds per round by n=128, so rounds
      shrink with size).  Past that the oracle is unaffordable: `Fix
      shapes time only the fix kernel next to the linear strategies.
-     Skipped cells print "-". *)
+     Skipped cells print "-".  On `Oracle shapes A_eager's two solvers
+     are timed and compared too; their times go to the JSON only, and
+     [run_full_family] prints the eager kernel. *)
   let shapes =
     if quick then
       [ (4, 2, 40, `Oracle); (8, 4, 40, `Oracle); (1024, 8, 3, `Fix);
@@ -215,6 +217,11 @@ let run_scale ~quick =
          done;
          (!best, Option.get !out)
        in
+       let params =
+         [ ("n", string_of_int n); ("d", string_of_int d);
+           ("rounds", string_of_int rounds) ]
+       in
+       let rec_metric metric v = record ~family:"B.scale" ~params ~metric v in
        let local, _ = time (Localstrat.Local.eager ()) in
        let twochoice, _ = time (Strategies.Twochoice.least_loaded ()) in
        let fix_k = time (Strategies.Global.fix ()) in
@@ -229,23 +236,27 @@ let run_scale ~quick =
              time
                (Strategies.Global.balance ~solver:Strategies.Global.Rebuild ())
            in
+           let eag_k, out_eag_k = time (Strategies.Global.eager ()) in
+           let eag_r, out_eag_r =
+             time
+               (Strategies.Global.eager ~solver:Strategies.Global.Rebuild ())
+           in
+           rec_metric "eager_kernel_us_per_round" eag_k;
+           rec_metric "eager_rebuild_us_per_round" eag_r;
            let _, out_fix_k = fix_k in
            let agree =
              outcomes_agree out_fix_k out_fix_r
              && outcomes_agree out_bal_k out_bal_r
+             && outcomes_agree out_eag_k out_eag_r
            in
            if not agree then all_agree := false;
            (* 10% tolerance absorbs scheduler jitter on the tiny shapes *)
            if fst fix_k > fix_r *. 1.1 || bal_k > bal_r *. 1.1
+              || eag_k > eag_r *. 1.1
            then never_slower := false;
            Some (fix_r, bal_k, bal_r, agree)
          | `Fix -> None
        in
-       let params =
-         [ ("n", string_of_int n); ("d", string_of_int d);
-           ("rounds", string_of_int rounds) ]
-       in
-       let rec_metric metric v = record ~family:"B.scale" ~params ~metric v in
        rec_metric "local_eager_us_per_round" local;
        rec_metric "twochoice_us_per_round" twochoice;
        rec_metric "fix_kernel_us_per_round" (fst fix_k);
@@ -281,6 +292,76 @@ let run_scale ~quick =
   Prelude.Texttable.print table;
   check "kernel outcomes match rebuild on every shape" !all_agree;
   check "kernel never slower than rebuild (10% tolerance)" !never_slower;
+  print_newline ()
+
+(* The full-reschedule kernels past the oracle's reach: A_balance and
+   A_eager re-solve the whole n*d window every round, so they are the
+   costliest kernels.  Each row is one metered run on the random
+   load-1.1 traffic of [run_scale]: microseconds and SPFA sweeps per
+   round, and the packed label width [Graph.Warm] chose (max and mean
+   over the rounds).  The check pins one word per label at n = 64,
+   d = 4, the shape of the score-balance pipeline: a change that
+   silently widens labels fails it. *)
+let run_full_family ~quick =
+  let shapes =
+    if quick then [ (64, 4, 40); (256, 8, 20) ]
+    else [ (64, 4, 60); (256, 8, 20); (1024, 8, 6) ]
+  in
+  let table =
+    Prelude.Texttable.create
+      ~title:
+        "B.scale full family  --  A_balance and A_eager kernels (random \
+         load 1.1, mean over the run)"
+      ~header:
+        [ "strategy"; "n"; "d"; "requests"; "us/round"; "sweeps/round";
+          "words max"; "words mean" ]
+      ()
+  in
+  let one_word = ref true in
+  List.iter
+    (fun (n, d, rounds) ->
+       let rng = Prelude.Rng.create ~seed:21 in
+       let inst =
+         Adversary.Random_workload.make ~rng ~n ~d ~rounds ~load:1.1 ()
+       in
+       let horizon = float_of_int inst.Sched.Instance.horizon in
+       List.iter
+         (fun (name, make) ->
+            let m = Obs.Metrics.create () in
+            let t0 = Unix.gettimeofday () in
+            ignore (Sched.Engine.run inst (make m) : Sched.Outcome.t);
+            let us = (Unix.gettimeofday () -. t0) *. 1e6 /. horizon in
+            let sweeps =
+              float_of_int (Obs.Metrics.counter m "strategy.augment_searches")
+              /. horizon
+            in
+            let words = Obs.Metrics.histogram m "strategy.label_words" in
+            let stat f = match words with Some s -> f s | None -> nan in
+            let wmax = stat Prelude.Stats.max
+            and wmean = stat Prelude.Stats.mean in
+            if n = 64 && d = 4 && wmax <> 1. then one_word := false;
+            let params =
+              [ ("table", "full_family"); ("strategy", name);
+                ("n", string_of_int n); ("d", string_of_int d);
+                ("rounds", string_of_int rounds) ]
+            in
+            let rec_metric metric v =
+              record ~family:"B.scale" ~params ~metric v
+            in
+            rec_metric "kernel_us_per_round" us;
+            rec_metric "sweeps_per_round" sweeps;
+            rec_metric "label_words_max" wmax;
+            rec_metric "label_words_mean" wmean;
+            Prelude.Texttable.add_row table
+              [ name; string_of_int n; string_of_int d;
+                string_of_int (Sched.Instance.n_requests inst);
+                Printf.sprintf "%.1f" us; Printf.sprintf "%.2f" sweeps;
+                Printf.sprintf "%.0f" wmax; Printf.sprintf "%.2f" wmean ])
+         [ ("A_balance", fun m -> Strategies.Global.balance ~metrics:m ());
+           ("A_eager", fun m -> Strategies.Global.eager ~metrics:m ()) ])
+    shapes;
+  Prelude.Texttable.print table;
+  check "balance and eager labels fit one word at n=64 d=4" !one_word;
   print_newline ()
 
 (* The scoring pipeline as a run grows: the streaming offline optimum
@@ -469,7 +550,11 @@ let run_micro () =
 let families =
   [
     ("B.micro", fun ~quick:_ -> run_micro ());
-    ("B.scale", fun ~quick -> run_scale ~quick; run_scoring ~quick);
+    ("B.scale",
+     fun ~quick ->
+       run_scale ~quick;
+       run_full_family ~quick;
+       run_scoring ~quick);
   ]
 
 let main quick only json metrics =

@@ -94,7 +94,10 @@ let machines_create () =
     best = 0;
   }
 
-(* Make room for last round [last] while rounds from [now] are live. *)
+(* Make room for last round [last] while rounds from [now] are live.
+   Not [Sched.Id_ring.grow]: a cell here is a mutable [Ivec] bucket, and
+   that routine fills every new cell with one shared vacant value, so
+   the new buckets would alias a single vector. *)
 let reserve_closing m ~now ~last =
   let len = Array.length m.closing in
   if last - now >= len then begin
@@ -112,17 +115,10 @@ let reserve_closing m ~now ~last =
    [m.oldest] are live; [now]'s own cell is still empty (this runs
    before its first admission and again when round [now] completes). *)
 let reserve_arrivals m ~now =
-  let len = Array.length m.open_at in
-  if now - m.oldest >= len then begin
-    let len' = pow2_at_least (now - m.oldest + 1) in
-    let op = Array.make len' 0 and cl = Array.make len' 0 in
-    for a = m.oldest to now - 1 do
-      op.(a land (len' - 1)) <- m.open_at.(a land (len - 1));
-      cl.(a land (len' - 1)) <- m.closed_at.(a land (len - 1))
-    done;
-    m.open_at <- op;
-    m.closed_at <- cl
-  end
+  while now - m.oldest >= Array.length m.open_at do
+    m.open_at <- Sched.Id_ring.grow m.open_at ~low:m.oldest ~next:now 0;
+    m.closed_at <- Sched.Id_ring.grow m.closed_at ~low:m.oldest ~next:now 0
+  done
 
 let machines_add m ~arrival ~last_round =
   reserve_arrivals m ~now:arrival;

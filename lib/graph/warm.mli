@@ -5,16 +5,21 @@
     FIFO order, then the same backward searches over tight arcs from the
     best-labelled free right vertices in ascending index — so on any
     graph it returns the {e same matching, edge for edge}, as
-    {!Tiered.solve} (the differential suite pins this).  The difference
-    is purely representational: a left-grouped CSR with flat [k]-stride
-    integer weights, a right-grouped CSR of the same edges for the
-    backward searches, stamp-guarded flat distance matrices instead of
-    [Lexvec.t option] arrays, an int ring buffer for the queue and an
-    explicit stack for the searches.  One value is created per strategy
-    and re-armed every round with {!begin_round}; once its grow-only
-    arrays fit the round, {!solve} performs no heap allocation (a test
-    pins this), which is where the online kernel's speedup over the
-    rebuild path comes from.
+    {!Tiered.solve} (the differential suite pins this).  The data
+    layout is its own: a left-grouped CSR with flat integer weights, a
+    right-grouped CSR of the same edges for the backward searches,
+    stamp-guarded flat distance matrices instead of [Lexvec.t option]
+    arrays, an int ring buffer for the queue and an explicit stack for
+    the searches.  And the labels are packed: {!solve} sizes a balanced
+    mixed radix from the round's vertex count and each tier's largest
+    |weight|, folds the [k] tiers into as few machine words as keep
+    every label, candidate and tight-arc sum exactly representable
+    (one word for a balance round at n = 64, d = 4), and runs on those
+    words; order and equality on words are order and equality on tier
+    vectors, so no decision changes (the argument is in [warm.ml]'s
+    header).  One value is created per strategy and re-armed every
+    round with {!begin_round}; once its grow-only arrays fit the round,
+    {!solve} performs no heap allocation (a test pins this).
 
     Build discipline: {!add_left} opens a left vertex; subsequent
     {!add_edge} calls attach to it (CSR grouping), with per-edge weights
@@ -35,6 +40,9 @@ type stats = {
       (** augmentations along a single free edge — no rematching of
           already-placed requests was needed (the kernel's
           [strategy.warm_hits]) *)
+  words : int;
+      (** machine words per label in the last {!solve} (1 before the
+          first): the packed width, at most the round's [k] *)
 }
 
 val create : unit -> t
@@ -74,4 +82,5 @@ val right_to : t -> int -> int
 (** Matched left vertex of a right vertex, or [-1]. *)
 
 val stats : t -> stats
-(** Cumulative effort counters since {!create}. *)
+(** Cumulative effort counters since {!create}, and the last packed
+    width. *)

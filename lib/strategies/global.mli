@@ -38,8 +38,9 @@
     claim checkable forever, not for production use.
 
     When a [metrics] registry is supplied (or ambient at factory-call
-    time), the kernel records per step [strategy.kernel_us] and three
-    counters (see {!Kernel.make}): [strategy.augment_searches] (SPFA
+    time), the kernel records per step [strategy.kernel_us], its packed
+    label width [strategy.label_words] and three counters (see
+    {!Kernel.make}): [strategy.augment_searches] (SPFA
     sweeps, one per matching phase), [strategy.augments] (augmenting
     paths flipped; a phase flips many) and [strategy.warm_hits] (the
     augments along a single free edge).  The [Rebuild] solver records

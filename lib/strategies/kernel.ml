@@ -276,6 +276,8 @@ let make ~kind ~n ~d ~bias ~metrics () : Strategy.t =
           "strategy.augments";
         Obs.Metrics.incr ~by:(s1.Warm.warm_hits - s0.Warm.warm_hits) m
           "strategy.warm_hits";
+        Obs.Metrics.observe m "strategy.label_words"
+          (float_of_int s1.Warm.words);
         serves
   in
   { Strategy.name = kind_name kind; step }

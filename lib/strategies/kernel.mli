@@ -48,8 +48,9 @@ val make :
   Sched.Strategy.t
 (** One kernel instance (strategy state is per-instance).  When
     [metrics] is present, each step
-    records [strategy.kernel_us] (histogram, µs per round) and counts,
-    from {!Graph.Warm.stats}:
+    records [strategy.kernel_us] (histogram, µs per round), the
+    histogram [strategy.label_words] (the solve's packed label width,
+    {!Graph.Warm.stats}[.words]) and counts, from {!Graph.Warm.stats}:
     - [strategy.augment_searches]: SPFA sweeps, one per phase of the
       solve (the last phase of each solve finds no positive gain);
     - [strategy.augments]: augmenting paths flipped — one phase flips

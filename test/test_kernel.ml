@@ -217,69 +217,165 @@ let prop_live_path =
 (* ------------------------------------------------------------------ *)
 (* Graph.Warm against Graph.Tiered, edge for edge *)
 
+(* Tier scales of the random graphs: zero tiers vanish from the packing,
+   small and 2^20-sized tiers share words (three 2^20 tiers overflow one
+   word), and a tier near 2^54 gets a word to itself once the graph has
+   about 64 or more vertices (its radix 2 (nv + 1) W + 1 then exceeds
+   2^61). *)
+type scale = Zero | Small | Wide | Huge
+
 let graph_gen =
   QCheck.Gen.(
-    int_range 0 6 >>= fun nl ->
-    int_range 0 6 >>= fun nr ->
-    int_range 1 3 >>= fun k ->
-    int_range 0 100_000 >>= fun seed -> return (nl, nr, k, seed))
+    int_range 0 40 >>= fun nl ->
+    int_range 0 40 >>= fun nr ->
+    int_range 1 12 >>= fun k ->
+    array_repeat k (frequency [ (1, return Zero); (3, return Small);
+                                (2, return Wide) ])
+    >>= fun scales ->
+    (* at most one huge tier, in a third of the graphs *)
+    int_range 0 (3 * k - 1) >>= fun huge ->
+    if huge < k then scales.(huge) <- Huge;
+    int_range 0 100_000 >>= fun seed -> return (nl, nr, scales, seed))
+
+let scale_name = function
+  | Zero -> "0" | Small -> "s" | Wide -> "w" | Huge -> "H"
 
 let graph_arb =
-  QCheck.make graph_gen ~print:(fun (nl, nr, k, seed) ->
-      Printf.sprintf "nl=%d nr=%d k=%d seed=%d" nl nr k seed)
+  QCheck.make graph_gen ~print:(fun (nl, nr, scales, seed) ->
+      Printf.sprintf "nl=%d nr=%d tiers=%s seed=%d" nl nr
+        (String.concat "" (Array.to_list (Array.map scale_name scales)))
+        seed)
+
+let draw rng = function
+  | Zero -> 0
+  | Small -> Rng.int rng 7 - 3
+  | Wide -> Rng.int_in rng (-(1 lsl 20)) (1 lsl 20)
+  | Huge ->
+    let m = (1 lsl 54) - Rng.int rng (1 lsl 20) in
+    if Rng.bool rng then m else -m
+
+type warm_case = {
+  agrees : bool;  (* Warm == Tiered edge for edge, and optimal *)
+  words : int;    (* Warm's packed width *)
+  nonzero : int;  (* tiers with a non-zero weight *)
+  one_word : bool; (* all non-zero radices multiply to <= 2^61 *)
+  own_word : bool; (* some tier's radix alone exceeds 2^61 *)
+}
+
+let warm_case (nl, nr, scales, seed) =
+  let k = Array.length scales in
+  let rng = Rng.create ~seed in
+  let g = Graph.Bipartite.create ~n_left:nl ~n_right:nr in
+  let warm = Graph.Warm.create () in
+  Graph.Warm.begin_round warm ~n_right:nr ~k;
+  let weights = ref [] in
+  (* identical insertion order on both sides: per-left groups of up to 8
+     edges to random rights, tier j drawn at scales.(j) *)
+  for _ = 0 to nl - 1 do
+    let l = Graph.Warm.add_left warm in
+    let degree = if nr = 0 then 0 else Rng.int rng (min nr 8 + 1) in
+    for _ = 1 to degree do
+      let right = Rng.int rng nr in
+      ignore (Graph.Bipartite.add_edge g ~left:l ~right : int);
+      let e = Graph.Warm.add_edge warm ~right in
+      let w = Array.map (draw rng) scales in
+      Array.iteri (fun j v -> Graph.Warm.set_weight warm e j v) w;
+      weights := w :: !weights
+    done
+  done;
+  let weights = Array.of_list (List.rev !weights) in
+  let weight e = Graph.Lexvec.of_array weights.(e) in
+  let m = Graph.Tiered.solve g ~weight in
+  Graph.Warm.solve warm;
+  let agrees =
+    List.for_all
+      (fun l ->
+         Graph.Warm.left_to warm l = m.Graph.Matching.left_to.(l)
+         && Graph.Warm.left_edge warm l = m.Graph.Matching.left_edge.(l))
+      (List.init nl Fun.id)
+    && List.for_all
+      (fun r -> Graph.Warm.right_to warm r = m.Graph.Matching.right_to.(r))
+      (List.init nr Fun.id)
+    && Graph.Tiered.is_max_weight_certificate g ~weight m
+  in
+  (* the radix bound of Warm's packing, recomputed from the weights *)
+  let limit = 1 lsl 61 and span = 2 * (nl + nr + 1) in
+  let wmax j =
+    Array.fold_left (fun acc w -> max acc (abs w.(j))) 0 weights
+  in
+  let nonzero = ref 0 and own_word = ref false and product = ref 1 in
+  for j = 0 to k - 1 do
+    let m = wmax j in
+    if m > 0 then begin
+      incr nonzero;
+      if m > (limit - 1) / span then own_word := true
+      else begin
+        let r = (span * m) + 1 in
+        product := if !product > limit / r then limit + 1 else !product * r
+      end
+    end
+  done;
+  {
+    agrees;
+    words = (Graph.Warm.stats warm).Graph.Warm.words;
+    nonzero = !nonzero;
+    one_word = (not !own_word) && !product <= limit;
+    own_word = !own_word;
+  }
+
+(* The packed width is 1 exactly when every radix fits one word, and
+   never more than one word per non-zero tier. *)
+let width_consistent c =
+  c.words >= 1
+  && c.words <= max 1 c.nonzero
+  && (c.words = 1) = (c.one_word || c.nonzero <= 1)
 
 let prop_warm_equals_tiered =
   qtest ~count:300 "Warm.solve == Tiered.solve on random weighted graphs"
-    graph_arb (fun (nl, nr, k, seed) ->
-      let rng = Rng.create ~seed in
-      let g = Graph.Bipartite.create ~n_left:nl ~n_right:nr in
-      let warm = Graph.Warm.create () in
-      Graph.Warm.begin_round warm ~n_right:nr ~k;
-      let weights = ref [] in
-      (* identical insertion order on both sides: per-left groups of
-         edges to random rights, random weights in [-3, 3] per tier *)
-      for _ = 0 to nl - 1 do
-        let l = Graph.Warm.add_left warm in
-        let degree = if nr = 0 then 0 else Rng.int rng (nr + 1) in
-        for _ = 1 to degree do
-          let right = Rng.int rng nr in
-          ignore (Graph.Bipartite.add_edge g ~left:l ~right : int);
-          let e = Graph.Warm.add_edge warm ~right in
-          let w = Array.init k (fun _ -> Rng.int rng 7 - 3) in
-          Array.iteri (fun j v -> Graph.Warm.set_weight warm e j v) w;
-          weights := w :: !weights
-        done
-      done;
-      let weights = Array.of_list (List.rev !weights) in
-      let weight e = Graph.Lexvec.of_array weights.(e) in
-      let m = Graph.Tiered.solve g ~weight in
-      Graph.Warm.solve warm;
-      let lefts_equal =
-        List.for_all
-          (fun l ->
-             Graph.Warm.left_to warm l = m.Graph.Matching.left_to.(l)
-             && Graph.Warm.left_edge warm l = m.Graph.Matching.left_edge.(l))
-          (List.init nl Fun.id)
-      and rights_equal =
-        List.for_all
-          (fun r -> Graph.Warm.right_to warm r = m.Graph.Matching.right_to.(r))
-          (List.init nr Fun.id)
-      in
-      lefts_equal && rights_equal
-      && Graph.Tiered.is_max_weight_certificate g ~weight m)
+    graph_arb (fun case ->
+      let c = warm_case case in
+      c.agrees && width_consistent c)
+
+(* The differential above is only as strong as the packings it draws:
+   on a fixed sample of its generator, every case agrees and the sample
+   reaches one word holding several tiers, several words, and a tier in
+   a word of its own. *)
+let test_generator_reaches_every_width () =
+  let rand = Random.State.make [| 29 |] in
+  let cases =
+    List.map warm_case (QCheck.Gen.generate ~rand ~n:300 graph_gen)
+  in
+  check Alcotest.bool "every sampled case agrees" true
+    (List.for_all (fun c -> c.agrees && width_consistent c) cases);
+  let reached name p =
+    check Alcotest.bool name true (List.exists p cases)
+  in
+  reached "one word of several tiers" (fun c ->
+      c.words = 1 && c.nonzero >= 2);
+  reached "two words or more" (fun c -> c.words >= 2);
+  reached "a tier in a word of its own" (fun c ->
+      c.own_word && c.words >= 2)
 
 (* One Warm round over a fixed random graph: 300 lefts of 6 edges each
-   into 200 rights, fix-like tiers [1; 1; bias]. *)
-let build_warm_round warm =
+   into 200 rights, fix-like tiers [1; 1; bias], or with [~wide] five
+   tiers of +-2^20, which take three words. *)
+let build_warm_round ?(wide = false) warm =
   let rng = Rng.create ~seed:5 in
-  Graph.Warm.begin_round warm ~n_right:200 ~k:3;
+  let k = if wide then 5 else 3 in
+  Graph.Warm.begin_round warm ~n_right:200 ~k;
   for _ = 1 to 300 do
     ignore (Graph.Warm.add_left warm : int);
     for _ = 1 to 6 do
       let e = Graph.Warm.add_edge warm ~right:(Rng.int rng 200) in
-      Graph.Warm.set_weight warm e 0 1;
-      Graph.Warm.set_weight warm e 1 1;
-      Graph.Warm.set_weight warm e 2 (Rng.int rng 7 - 3)
+      if wide then
+        for j = 0 to k - 1 do
+          Graph.Warm.set_weight warm e j (draw rng Wide)
+        done
+      else begin
+        Graph.Warm.set_weight warm e 0 1;
+        Graph.Warm.set_weight warm e 1 1;
+        Graph.Warm.set_weight warm e 2 (Rng.int rng 7 - 3)
+      end
     done
   done
 
@@ -288,17 +384,19 @@ let minor_words_during f =
   f ();
   Gc.minor_words () -. before
 
-let test_warm_solve_allocates_nothing () =
+let test_warm_solve_allocates_nothing ~wide () =
   let warm = Graph.Warm.create () in
   (* the first solve grows the arena; the second, on the same shape, is
      steady state *)
-  build_warm_round warm;
+  build_warm_round ~wide warm;
   Graph.Warm.solve warm;
-  build_warm_round warm;
+  build_warm_round ~wide warm;
   let baseline = minor_words_during ignore in
   let words = minor_words_during (fun () -> Graph.Warm.solve warm) in
   check (Alcotest.float 0.) "minor words of a steady-state solve" 0.
-    (words -. baseline)
+    (words -. baseline);
+  check Alcotest.int "packed width" (if wide then 3 else 1)
+    (Graph.Warm.stats warm).Graph.Warm.words
 
 (* ------------------------------------------------------------------ *)
 (* kernel metrics *)
@@ -358,8 +456,12 @@ let () =
       ( "warm-arena",
         [
           prop_warm_equals_tiered;
+          Alcotest.test_case "generator reaches every packed width" `Quick
+            test_generator_reaches_every_width;
           Alcotest.test_case "steady-state solve allocates nothing" `Quick
-            test_warm_solve_allocates_nothing;
+            (test_warm_solve_allocates_nothing ~wide:false);
+          Alcotest.test_case "multi-word solve allocates nothing" `Quick
+            (test_warm_solve_allocates_nothing ~wide:true);
         ] );
       ( "metrics",
         [

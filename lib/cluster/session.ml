@@ -68,12 +68,40 @@ type outcome = {
   expired : int list;
 }
 
+(* the session's [cluster.*] counters, bound once at creation *)
+type handles = {
+  h_requests : Obs.Metrics.counter;
+  h_straddle : Obs.Metrics.counter;
+  h_served : Obs.Metrics.counter;
+  h_expired : Obs.Metrics.counter;
+  h_readmitted : Obs.Metrics.counter;
+  h_failovers : Obs.Metrics.counter;
+  h_handoffs : Obs.Metrics.counter;
+  h_handoff_slots : Obs.Metrics.counter;
+  h_serve_conflicts : Obs.Metrics.counter;
+}
+
+let handles m =
+  let c name = Obs.Metrics.register_counter m ("cluster." ^ name) in
+  {
+    h_requests = c "requests";
+    h_straddle = c "straddle";
+    h_served = c "served";
+    h_expired = c "expired";
+    h_readmitted = c "readmitted";
+    h_failovers = c "failovers";
+    h_handoffs = c "handoffs";
+    h_handoff_slots = c "handoff_slots";
+    h_serve_conflicts = c "serve_conflicts";
+  }
+
 type t = {
   n : int;
   d : int;
   kind : kind;
   fail_after : int;
   metrics : Obs.Metrics.t option;
+  handles : handles option;
   transport : Transport.t;
   nodes : Node.t array;
   mutable ring : Ring.t;
@@ -97,8 +125,8 @@ type t = {
   mutable conflicts_n : int;
 }
 
-let met ?(by = 1) t key =
-  match t.metrics with None -> () | Some m -> Obs.Metrics.incr ~by m key
+let met t pick by =
+  match t.handles with None -> () | Some h -> Obs.Metrics.add (pick h) by
 
 let create ?metrics ?capacity ?priority ?(fail_after = 2) ?vnodes ~strategy
     ~nodes ~n ~d () =
@@ -127,6 +155,7 @@ let create ?metrics ?capacity ?priority ?(fail_after = 2) ?vnodes ~strategy
       kind = strategy;
       fail_after;
       metrics;
+      handles = Option.map handles metrics;
       transport;
       nodes = Array.init nodes (fun id -> Node.create ~id ~n ~d);
       ring = Ring.create ?vnodes ~nodes:(List.init nodes Fun.id) ();
@@ -158,7 +187,6 @@ let create ?metrics ?capacity ?priority ?(fail_after = 2) ?vnodes ~strategy
        ignore
          (Transport.control transport (Wire.Hello { node = Node.id node })))
     t.nodes;
-  Transport.flush transport;
   t
 
 let round t = t.round
@@ -200,12 +228,12 @@ let submit t ~alternatives ~deadline =
 let readmit t id =
   t.readmit <- id :: t.readmit;
   t.readmitted_n <- t.readmitted_n + 1;
-  met t "cluster.readmitted"
+  met t (fun h -> h.h_readmitted) 1
 
 let declare_dead t k =
   t.confirmed_dead.(k) <- true;
   t.failovers_n <- t.failovers_n + 1;
-  met t "cluster.failovers";
+  met t (fun h -> h.h_failovers) 1;
   let old_ring = t.ring in
   if List.length (Ring.members t.ring) > 1 && Ring.mem t.ring k then
     t.ring <- Ring.remove t.ring k;
@@ -267,12 +295,11 @@ let rejoin t k =
                 Node.import t.nodes.(k) ~res:res' slots'
               | _ -> assert false);
              t.handoffs_n <- t.handoffs_n + 1;
-             met t "cluster.handoffs";
+             met t (fun h -> h.h_handoffs) 1;
              t.handoff_slots_n <- t.handoff_slots_n + List.length slots;
-             met ~by:(List.length slots) t "cluster.handoff_slots"
+             met t (fun h -> h.h_handoff_slots) (List.length slots)
          end)
-      (Ring.moved ~before:old_ring ~after:t.ring ~n:t.n);
-    Transport.flush t.transport
+      (Ring.moved ~before:old_ring ~after:t.ring ~n:t.n)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -346,7 +373,7 @@ let confirm t ~res ~round id =
     | Some r when r.Request.id = id -> true
     | Some _ | None ->
       t.conflicts_n <- t.conflicts_n + 1;
-      met t "cluster.serve_conflicts";
+      met t (fun h -> h.h_serve_conflicts) 1;
       false
   in
   if confirmed then respond t (Wire.Served { res; round; q = id })
@@ -475,8 +502,8 @@ let step t =
   let admitted = List.length arrivals in
   t.requests_n <- t.requests_n + admitted;
   t.straddled_n <- t.straddled_n + !straddled;
-  if admitted > 0 then met ~by:admitted t "cluster.requests";
-  if !straddled > 0 then met ~by:!straddled t "cluster.straddle";
+  if admitted > 0 then met t (fun h -> h.h_requests) admitted;
+  if !straddled > 0 then met t (fun h -> h.h_straddle) !straddled;
   let readmits = List.filter_map (Machine.find t.m) (List.rev t.readmit) in
   t.readmit <- [];
   let c = carrier t in
@@ -497,10 +524,9 @@ let step t =
       (Machine.collect t.m c ~round)
   in
   t.served_n <- t.served_n + List.length served;
-  met ~by:(List.length served) t "cluster.served";
+  met t (fun h -> h.h_served) (List.length served);
   t.expired_n <- t.expired_n + List.length expired;
-  met ~by:(List.length expired) t "cluster.expired";
-  Transport.flush t.transport;
+  met t (fun h -> h.h_expired) (List.length expired);
   t.round <- round + 1;
   { round; served; expired }
 

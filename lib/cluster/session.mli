@@ -105,9 +105,8 @@ val create :
     protocols' cancellation soundness needs.  [priority] breaks LDF
     ties (Thm 3.7's favoured/victim split).  [fail_after] (default 2)
     is the missed-pong threshold of dead-node detection.  [metrics]
-    (ambient fallback) receives the [cluster.*] counters, mirrored from
-    {!stats} once per {!step} (and at the end of [create] and
-    {!rejoin}, which send control lines between steps).
+    (ambient fallback) receives the [cluster.*] counters as they move,
+    through handles bound here (the traffic ones by {!Transport}).
     @raise Invalid_argument on [nodes < 1], [n < 1], [d < 1],
     [capacity < d] or [fail_after < 1]. *)
 

@@ -8,23 +8,39 @@ module Budget = Distnet.Budget
 
 type status = Distnet.Net.status = Delivered | Bounced | Dead
 
+(* the [cluster.*] traffic counters, bound once per transport *)
+type handles = {
+  h_comm_rounds : Obs.Metrics.counter;
+  h_msgs : Obs.Metrics.counter;
+  h_bounced : Obs.Metrics.counter;
+  h_dropped_dead : Obs.Metrics.counter;
+  h_replies : Obs.Metrics.counter;
+  h_ctrl_msgs : Obs.Metrics.counter;
+}
+
+let handles m =
+  let c name = Obs.Metrics.register_counter m ("cluster." ^ name) in
+  {
+    h_comm_rounds = c "comm_rounds";
+    h_msgs = c "msgs";
+    h_bounced = c "bounced";
+    h_dropped_dead = c "dropped_dead";
+    h_replies = c "replies";
+    h_ctrl_msgs = c "ctrl_msgs";
+  }
+
 type t = {
   n : int;
   capacity : int;
   priority : sender:int -> dst:int -> int;
-  metrics : Obs.Metrics.t option;
+  handles : handles option;
   mutable comm_rounds : int;
   mutable messages : int;
   mutable bounced : int;
   mutable dropped_dead : int;
   mutable replies : int;
   mutable ctrl_msgs : int;
-  mirrored : int array;  (* the counters as last mirrored, in [names] order *)
 }
-
-let names =
-  [| "cluster.comm_rounds"; "cluster.msgs"; "cluster.bounced";
-     "cluster.dropped_dead"; "cluster.replies"; "cluster.ctrl_msgs" |]
 
 let create ~n ~capacity ?priority ?metrics () =
   if n < 1 then invalid_arg "Transport.create: n < 1";
@@ -36,30 +52,21 @@ let create ~n ~capacity ?priority ?metrics () =
       (match priority with
        | Some p -> p
        | None -> fun ~sender:_ ~dst:_ -> 0);
-    metrics = Obs.Metrics.resolve metrics;
+    handles = Option.map handles (Obs.Metrics.resolve metrics);
     comm_rounds = 0;
     messages = 0;
     bounced = 0;
     dropped_dead = 0;
     replies = 0;
     ctrl_msgs = 0;
-    mirrored = Array.make (Array.length names) 0;
   }
 
-(* one [incr ~by] per counter that moved since the last flush *)
-let flush t =
-  match t.metrics with
-  | None -> ()
-  | Some m ->
-    Array.iteri
-      (fun i v ->
-         let by = v - t.mirrored.(i) in
-         if by > 0 then begin
-           Obs.Metrics.incr ~by m names.(i);
-           t.mirrored.(i) <- v
-         end)
-      [| t.comm_rounds; t.messages; t.bounced; t.dropped_dead; t.replies;
-         t.ctrl_msgs |]
+(* Copy a gain of a private counter into the registry.  A zero gain is
+   skipped, so a counter appears in the dumps once it has moved. *)
+let meter t pick by =
+  match t.handles with
+  | Some h when by > 0 -> Obs.Metrics.add (pick h) by
+  | Some _ | None -> ()
 
 (* The wire gate: a message exists only as its rendered line.  Parsing
    it back and comparing catches renderer/parser drift at the moment it
@@ -86,8 +93,12 @@ let roundtrip msg =
 let exchange t ~owner ~alive envs =
   let msgs = Array.of_list envs in
   let k = Array.length msgs in
-  if k > 0 then t.comm_rounds <- t.comm_rounds + 1;
+  if k > 0 then begin
+    t.comm_rounds <- t.comm_rounds + 1;
+    meter t (fun h -> h.h_comm_rounds) 1
+  end;
   t.messages <- t.messages + k;
+  meter t (fun h -> h.h_msgs) k;
   (* the wire pass: every envelope must survive its own rendering *)
   for i = 0 to k - 1 do
     match roundtrip (Wire.Data msgs.(i)) with
@@ -115,6 +126,7 @@ let exchange t ~owner ~alive envs =
     Budget.deliver ~n:t.n ~capacity:t.capacity ~priority:t.priority
       contesting
   in
+  let bounced0 = t.bounced and dead0 = t.dropped_dead in
   let out = ref [] in
   for i = k - 1 downto 0 do
     let status =
@@ -130,21 +142,27 @@ let exchange t ~owner ~alive envs =
     in
     out := (msgs.(i), status) :: !out
   done;
+  meter t (fun h -> h.h_bounced) (t.bounced - bounced0);
+  meter t (fun h -> h.h_dropped_dead) (t.dropped_dead - dead0);
   !out
 
 let respond t reply =
   t.replies <- t.replies + 1;
+  meter t (fun h -> h.h_replies) 1;
   match roundtrip (Wire.Reply reply) with
   | Wire.Reply r -> r
   | _ -> assert false
 
 let control t ctrl =
   t.ctrl_msgs <- t.ctrl_msgs + 1;
+  meter t (fun h -> h.h_ctrl_msgs) 1;
   match roundtrip (Wire.Control ctrl) with
   | Wire.Control c -> c
   | _ -> assert false
 
-let tick t = t.comm_rounds <- t.comm_rounds + 1
+let tick t =
+  t.comm_rounds <- t.comm_rounds + 1;
+  meter t (fun h -> h.h_comm_rounds) 1
 
 let comm_rounds t = t.comm_rounds
 let messages t = t.messages

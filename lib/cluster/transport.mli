@@ -20,11 +20,12 @@
     capacity), and replies/control lines travel uncapped.
 
     Meters: private counters for protocol budgets (comm rounds,
-    messages, bounces, dead drops, replies, control lines), mirrored
-    into [cluster.*] metrics ([cluster.comm_rounds], [cluster.msgs],
-    [cluster.bounced], [cluster.dropped_dead], [cluster.replies],
-    [cluster.ctrl_msgs]) by {!flush}, so that a message costs no
-    registry lock or string hash. *)
+    messages, bounces, dead drops, replies, control lines).  Each gain
+    is also added to the matching [cluster.*] metric
+    ([cluster.comm_rounds], [cluster.msgs], [cluster.bounced],
+    [cluster.dropped_dead], [cluster.replies], [cluster.ctrl_msgs])
+    through a handle bound at {!create}: one atomic add, no registry
+    lock or string hash. *)
 
 type status = Distnet.Net.status =
   | Delivered
@@ -40,8 +41,8 @@ val create :
 (** A fabric over [n] resources delivering at most [capacity] untagged
     data messages per resource per communication round.  [priority]
     breaks LDF ties as in {!Distnet.Net} (higher kept; default
-    constant 0).  [metrics] receives the [cluster.*] mirror at each
-    {!flush} (ambient fallback; silent when neither is set).
+    constant 0).  [metrics] receives the [cluster.*] counters as they
+    move (ambient fallback; silent when neither is set).
     @raise Invalid_argument if [n < 1] or [capacity < 1]. *)
 
 val roundtrip : Wire.t -> Wire.t
@@ -73,11 +74,6 @@ val control : t -> Wire.control -> Wire.control
 
 val tick : t -> unit
 (** Count a communication round carrying no data traffic. *)
-
-val flush : t -> unit
-(** Mirror what the counters gained since the last flush into the
-    metrics registry: one [incr ~by] per counter that moved.
-    [Cluster.Session] flushes once per scheduling round. *)
 
 val comm_rounds : t -> int
 val messages : t -> int

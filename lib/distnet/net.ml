@@ -8,18 +8,27 @@ type 'a message = {
   payload : 'a;
 }
 
-(* Per-instance meters are plain refs: a network belongs to one protocol
-   run, and its budget accounting (comm_rounds deltas in localstrat) must
-   not see traffic from other networks.  The metrics registry only
-   receives copies for telemetry — it may be the ambient one, shared by
-   every network in the process (and, under the job runner, by every
-   domain), so reading budgets back from it would race. *)
+(* Per-instance meters are plain fields: a network belongs to one
+   protocol run, and its budget accounting (comm_rounds deltas in
+   localstrat) must not see traffic from other networks.  The metrics
+   registry only receives copies for telemetry, through handles bound at
+   creation — it may be the ambient one, shared by every network in the
+   process (and, under the job runner, by every domain), so reading
+   budgets back from it would race. *)
 type meters = {
   mutable rounds : int;
   mutable sent : int;
   mutable delivered : int;
   mutable bounced : int;
   mutable dropped : int;
+}
+
+type handles = {
+  h_rounds : Obs.Metrics.counter;
+  h_sent : Obs.Metrics.counter;
+  h_delivered : Obs.Metrics.counter;
+  h_bounced : Obs.Metrics.counter;
+  h_dropped : Obs.Metrics.counter;
 }
 
 type t = {
@@ -30,13 +39,18 @@ type t = {
   loss_rng : Prelude.Rng.t;
   metrics : Obs.Metrics.t;
   meters : meters;
+  handles : handles;
 }
 
-let k_rounds = "net.comm_rounds"
-let k_sent = "net.sent"
-let k_delivered = "net.delivered"
-let k_bounced = "net.bounced"
-let k_dropped = "net.dropped"
+let handles m =
+  let c name = Obs.Metrics.register_counter m ("net." ^ name) in
+  {
+    h_rounds = c "comm_rounds";
+    h_sent = c "sent";
+    h_delivered = c "delivered";
+    h_bounced = c "bounced";
+    h_dropped = c "dropped";
+  }
 
 let create ~n ~capacity ?(priority = fun ~sender:_ ~dst:_ -> 0)
     ?(loss = 0.0) ?loss_rng ?metrics () =
@@ -57,7 +71,8 @@ let create ~n ~capacity ?(priority = fun ~sender:_ ~dst:_ -> 0)
   let meters =
     { rounds = 0; sent = 0; delivered = 0; bounced = 0; dropped = 0 }
   in
-  { n; capacity; priority; loss; loss_rng; metrics; meters }
+  { n; capacity; priority; loss; loss_rng; metrics; meters;
+    handles = handles metrics }
 
 let deliver t msgs =
   match msgs with
@@ -65,8 +80,8 @@ let deliver t msgs =
   | _ :: _ ->
     t.meters.rounds <- t.meters.rounds + 1;
     t.meters.sent <- t.meters.sent + List.length msgs;
-    Obs.Metrics.incr t.metrics k_rounds;
-    Obs.Metrics.incr ~by:(List.length msgs) t.metrics k_sent;
+    Obs.Metrics.add t.handles.h_rounds 1;
+    Obs.Metrics.add t.handles.h_sent (List.length msgs);
     (* failure injection: drop untagged messages before the mailbox;
        tagged messages keep their delivery guarantee *)
     let dropped = ref 0 in
@@ -117,9 +132,9 @@ let deliver t msgs =
     t.meters.delivered <- t.meters.delivered + (List.length msgs - !bounced);
     t.meters.bounced <- t.meters.bounced + !bounced;
     t.meters.dropped <- t.meters.dropped + !dropped;
-    Obs.Metrics.incr ~by:(List.length msgs - !bounced) t.metrics k_delivered;
-    Obs.Metrics.incr ~by:!bounced t.metrics k_bounced;
-    Obs.Metrics.incr ~by:!dropped t.metrics k_dropped;
+    Obs.Metrics.add t.handles.h_delivered (List.length msgs - !bounced);
+    Obs.Metrics.add t.handles.h_bounced !bounced;
+    Obs.Metrics.add t.handles.h_dropped !dropped;
     results
 
 let exchange t msgs =
@@ -127,7 +142,7 @@ let exchange t msgs =
 
 let tick t =
   t.meters.rounds <- t.meters.rounds + 1;
-  Obs.Metrics.incr t.metrics k_rounds
+  Obs.Metrics.add t.handles.h_rounds 1
 
 let comm_rounds t = t.meters.rounds
 let messages_sent t = t.meters.sent

@@ -1,25 +1,35 @@
 (** Named metrics: counters, gauges and histograms.
 
-    A registry maps metric names to mutable accumulators; instrumented
-    subsystems record into it on their hot paths, and the harness
-    exports a {!snapshot} at the end of a run ({!Export}).  Histograms
-    are {!Prelude.Stats} accumulators, so per-domain registries merge
-    exactly ({!merge} uses [Stats.merge]) — the property the
-    observability test-suite pins: recording a workload into [k]
-    registries and merging equals recording it into one.
+    A registry binds metric names to slots; instrumented subsystems
+    record into them, and the harness exports a {!snapshot} at the end
+    of a run ({!Export}).  Histograms are {!Prelude.Stats} accumulators,
+    so per-domain registries merge exactly ({!merge} uses
+    [Stats.merge]) — the property the observability test-suite pins:
+    recording a workload into [k] registries and merging equals
+    recording it into one.
 
-    Every operation takes the registry's mutex, so one registry may be
-    shared across domains; for hot parallel loops prefer one registry
-    per domain plus a final {!merge} (uncontended locks are cheap, but
-    contended ones are not).
+    {b Handles.}  A name is bound to its slot once, by
+    {!register_counter}, {!register_gauge} or {!register_histogram},
+    and every later update goes through the returned handle without
+    looking the name up.  A counter is an [int Atomic.t]: {!add} is one
+    fetch-and-add — no lock, no hash, no allocation — and stays exact
+    when several domains share the registry.  {!put} and {!record} take
+    the registry's mutex (a histogram's fields move together) but hash
+    and allocate nothing.  The by-name functions ({!incr}, {!set},
+    {!observe}) look the handle up under the mutex and then do the
+    handle operation, so hot paths register once and keep the handle.
+
+    A slot appears in snapshots once it has been recorded into: binding
+    a handle alone adds nothing to the dumps.
 
     Dotted lower-case names ([subsystem.metric], e.g.
     ["engine.served"]) keep exports greppable; names must not contain
-    commas, double quotes or newlines (the CSV/JSON exporters reject
-    none of these, they would just corrupt the framing). *)
+    double quotes, backslashes or control characters (the JSON exporter
+    writes names with OCaml's escaping, which agrees with JSON only on
+    plain text). *)
 
 type t
-(** A mutable, mutex-protected metric registry. *)
+(** A metric registry, safe to share across domains. *)
 
 type value =
   | Counter of int
@@ -31,6 +41,36 @@ type snapshot = (string * value) list
     [Stats.t] payloads are private copies. *)
 
 val create : unit -> t
+
+(** {2 Handles} *)
+
+type counter
+type gauge
+type histogram
+
+val register_counter : t -> string -> counter
+(** The counter bound to the name, binding a fresh one (at 0) if the
+    name is unbound.
+    @raise Invalid_argument if the name is bound to another kind. *)
+
+val register_gauge : t -> string -> gauge
+(** As {!register_counter}, for a gauge. *)
+
+val register_histogram : t -> string -> histogram
+(** As {!register_counter}, for a histogram. *)
+
+val add : counter -> int -> unit
+(** Add to the counter (the amount may be negative or 0; either way the
+    counter appears in the next snapshot).  Lock-free and
+    allocation-free. *)
+
+val put : gauge -> float -> unit
+(** Set the gauge. *)
+
+val record : histogram -> float -> unit
+(** Fold one observation into the histogram. *)
+
+(** {2 By name} *)
 
 val incr : ?by:int -> t -> string -> unit
 (** Add [by] (default 1; may be negative) to a counter, creating it at
@@ -47,18 +87,24 @@ val set : t -> string -> float -> unit
 (** Set a gauge to the given value, creating it if absent. *)
 
 val gauge : t -> string -> float
-(** Current gauge value; [nan] if absent. *)
+(** Current gauge value; [nan] if absent or not set since binding or
+    {!clear}. *)
 
 val observe : t -> string -> float -> unit
 (** Fold one observation into a histogram, creating it if absent. *)
 
 val histogram : t -> string -> Prelude.Stats.t option
-(** Copy of a histogram's accumulator; [None] if absent. *)
+(** Copy of a histogram's accumulator; [None] if absent or not recorded
+    into since binding or {!clear}. *)
 
 val snapshot : t -> snapshot
 
 val clear : t -> unit
-(** Drop every metric. *)
+(** Zero every metric: counters to 0, gauges unset, histograms empty,
+    and none of them in the next snapshot until recorded into again.
+    Names stay bound to their kinds and handles stay attached: an update
+    through a handle taken before [clear] shows in later snapshots.
+    Meant between runs, not while other domains update. *)
 
 val merge : snapshot -> snapshot -> snapshot
 (** Union by name: counters and gauges add, histograms combine via

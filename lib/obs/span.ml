@@ -1,12 +1,12 @@
-let now = Unix.gettimeofday
+(* Spans are nanosecond stamps of the monotonic clock (bechamel's
+   clock_gettime binding): taking one allocates nothing, and no
+   wall-clock step can make an interval negative or huge. *)
+type span = int
 
-type span = float (* start time, seconds *)
-
-let start () = now ()
-
-(* the wall clock can step backwards (NTP); never report negative time *)
-let elapsed t0 = Float.max 0.0 (now () -. t0)
-
+let start () = Int64.to_int (Monotonic_clock.now ())
+let now () = float_of_int (start ()) *. 1e-9
+let diff t0 t1 = float_of_int (t1 - t0) *. 1e-9
+let elapsed t0 = diff t0 (start ())
 let finish metrics name t0 = Metrics.observe metrics name (elapsed t0)
 
 let record metrics name t0 =

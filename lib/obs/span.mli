@@ -1,18 +1,22 @@
-(** Wall-clock span timing feeding {!Metrics} histograms.
+(** Span timing on the monotonic clock, feeding {!Metrics} histograms.
 
-    Spans are plain start timestamps — no allocation, safe to take in
-    any domain.  The sink is a {!Metrics} registry, whose mutex makes
+    Spans are plain start stamps — no allocation, safe to take in any
+    domain.  The sink is a {!Metrics} registry, whose mutex makes
     concurrent [finish] calls from several domains safe.  The clock is
-    [Unix.gettimeofday] with negative intervals clamped to zero, so
-    reported durations are monotone even across clock steps. *)
+    [CLOCK_MONOTONIC] (through [bechamel.monotonic_clock]), so a
+    wall-clock step neither reverses nor stretches an interval. *)
 
 val now : unit -> float
-(** Seconds since the epoch.  Exposed so other layers (e.g.
-    {!Prelude.Parmap} instrumentation) can share the same clock. *)
+(** Seconds on the monotonic clock (from an arbitrary origin).  Exposed
+    so other layers (e.g. {!Prelude.Parmap} instrumentation) can share
+    the same clock. *)
 
 type span
 
 val start : unit -> span
+
+val diff : span -> span -> float
+(** [diff t0 t1]: seconds from [t0] to [t1]. *)
 
 val elapsed : span -> float
 (** Seconds since [start]; never negative. *)

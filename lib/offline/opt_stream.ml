@@ -2,6 +2,33 @@ module Instance = Sched.Instance
 module Request = Sched.Request
 module Augment = Graph.Augment
 
+module M = Obs.Metrics
+
+(* the [opt_stream.*] handles, bound once per tracker *)
+type meters = {
+  feed_us : M.histogram;
+  rounds : M.counter;
+  arrivals : M.counter;
+  searches : M.counter;
+  augmentations : M.counter;
+  warm_hits : M.counter;
+  flips : M.counter;
+  search_visits : M.counter;
+}
+
+let meters m =
+  let c name = M.register_counter m ("opt_stream." ^ name) in
+  {
+    feed_us = M.register_histogram m "opt_stream.feed_us";
+    rounds = c "rounds";
+    arrivals = c "arrivals";
+    searches = c "searches";
+    augmentations = c "augmentations";
+    warm_hits = c "warm_hits";
+    flips = c "flips";
+    search_visits = c "search_visits";
+  }
+
 (* The paper graph is grown in [aug]'s column store: round [r]'s slot
    for resource [res] is right vertex [r * n + res], and request ids
    are left vertices in feed order.  A round is one [aug] epoch, and a
@@ -13,7 +40,7 @@ module Augment = Graph.Augment
 type t = {
   n : int;
   aug : Augment.t;
-  metrics : Obs.Metrics.t option;
+  meters : meters option;
   mutable live : Request.t array;
   mutable live_left : int array; (* the left vertex of [live.(i)] *)
   mutable n_live : int;
@@ -26,7 +53,7 @@ let create ?metrics ~n_resources () =
   {
     n = n_resources;
     aug = Augment.create ();
-    metrics = Obs.Metrics.resolve metrics;
+    meters = Option.map meters (M.resolve metrics);
     live = [||];
     live_left = [||];
     n_live = 0;
@@ -42,24 +69,16 @@ let grow a n ~fill =
     a'
   end
 
-let record_feed t ~arrivals ~before ~t0 =
-  match t.metrics with
-  | None -> ()
-  | Some m ->
-    let after = Augment.stats t.aug in
-    let d f = f after - f (before : Augment.search_stats) in
-    Obs.Metrics.observe m "opt_stream.feed_us" (Obs.Span.elapsed t0 *. 1e6);
-    Obs.Metrics.incr m "opt_stream.rounds";
-    Obs.Metrics.incr ~by:(Array.length arrivals) m "opt_stream.arrivals";
-    Obs.Metrics.incr ~by:(d (fun s -> s.Augment.searches))
-      m "opt_stream.searches";
-    Obs.Metrics.incr ~by:(d (fun s -> s.Augment.successes))
-      m "opt_stream.augmentations";
-    Obs.Metrics.incr ~by:(d (fun s -> s.Augment.warm_hits))
-      m "opt_stream.warm_hits";
-    Obs.Metrics.incr ~by:(d (fun s -> s.Augment.flips)) m "opt_stream.flips";
-    Obs.Metrics.incr ~by:(d (fun s -> s.Augment.visited))
-      m "opt_stream.search_visits"
+let record_feed m aug ~arrivals ~(before : Augment.search_stats) ~t0 =
+  let after = Augment.stats aug in
+  M.record m.feed_us (Obs.Span.elapsed t0 *. 1e6);
+  M.add m.rounds 1;
+  M.add m.arrivals (Array.length arrivals);
+  M.add m.searches (after.Augment.searches - before.searches);
+  M.add m.augmentations (after.successes - before.successes);
+  M.add m.warm_hits (after.warm_hits - before.warm_hits);
+  M.add m.flips (after.flips - before.flips);
+  M.add m.search_visits (after.visited - before.visited)
 
 (* Every arrival is checked before anything is appended, so a rejected
    feed leaves the tracker as it was. *)
@@ -159,9 +178,9 @@ let update_live t (arrivals : Request.t array) ~round ~first_left =
 
 let feed t arrivals =
   let before =
-    match t.metrics with
+    match t.meters with
     | None -> None
-    | Some _ -> Some (Augment.stats t.aug, Obs.Span.start ())
+    | Some m -> Some (m, Augment.stats t.aug, Obs.Span.start ())
   in
   let round = Augment.epoch t.aug in
   validate t arrivals ~round;
@@ -171,7 +190,7 @@ let feed t arrivals =
   Augment.settle t.aug;
   (match before with
    | None -> ()
-   | Some (stats0, t0) -> record_feed t ~arrivals ~before:stats0 ~t0);
+   | Some (m, stats0, t0) -> record_feed m t.aug ~arrivals ~before:stats0 ~t0);
   Augment.size t.aug
 
 let opt t = Augment.size t.aug

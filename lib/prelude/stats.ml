@@ -1,5 +1,8 @@
+(* Every field is a float, so the record is stored flat and an update
+   boxes nothing: [add] allocates no minor words.  [n] holds an integer
+   count, exact below 2^53. *)
 type t = {
-  mutable n : int;
+  mutable n : float;
   mutable mean : float;
   mutable m2 : float; (* sum of squared deviations from the running mean *)
   mutable mn : float;
@@ -7,57 +10,65 @@ type t = {
 }
 
 let create () =
-  { n = 0; mean = 0.0; m2 = 0.0; mn = infinity; mx = neg_infinity }
+  { n = 0.0; mean = 0.0; m2 = 0.0; mn = infinity; mx = neg_infinity }
 
-let add t x =
-  t.n <- t.n + 1;
+let[@inline] add t x =
+  t.n <- t.n +. 1.0;
   let delta = x -. t.mean in
-  t.mean <- t.mean +. (delta /. float_of_int t.n);
+  t.mean <- t.mean +. (delta /. t.n);
   t.m2 <- t.m2 +. (delta *. (x -. t.mean));
   if x < t.mn then t.mn <- x;
   if x > t.mx then t.mx <- x
 
 let copy t = { t with n = t.n }
 
+let reset t =
+  t.n <- 0.0;
+  t.mean <- 0.0;
+  t.m2 <- 0.0;
+  t.mn <- infinity;
+  t.mx <- neg_infinity
+
 let of_moments ~count ~mean ~m2 ~mn ~mx =
   if count < 0 then invalid_arg "Stats.of_moments: negative count";
   if count = 0 then create ()
-  else { n = count; mean; m2; mn; mx }
+  else { n = float_of_int count; mean; m2; mn; mx }
 
-let count t = t.n
+let count t = int_of_float t.n
 let m2 t = t.m2
-let mean t = if t.n = 0 then nan else t.mean
-let variance t = if t.n < 2 then nan else t.m2 /. float_of_int (t.n - 1)
+let mean t = if t.n = 0.0 then nan else t.mean
+let variance t = if t.n < 2.0 then nan else t.m2 /. (t.n -. 1.0)
 let stddev t = sqrt (variance t)
-let min t = if t.n = 0 then nan else t.mn
-let max t = if t.n = 0 then nan else t.mx
+let min t = if t.n = 0.0 then nan else t.mn
+let max t = if t.n = 0.0 then nan else t.mx
 
 let ci95_halfwidth t =
-  if t.n < 2 then nan else 1.96 *. stddev t /. sqrt (float_of_int t.n)
+  if t.n < 2.0 then nan else 1.96 *. stddev t /. sqrt t.n
 
 (* Chan et al. parallel-merge formula. *)
-let merge a b =
-  if a.n = 0 then { b with n = b.n }
-  else if b.n = 0 then { a with n = a.n }
-  else begin
-    let n = a.n + b.n in
-    let delta = b.mean -. a.mean in
-    let mean =
-      a.mean +. (delta *. float_of_int b.n /. float_of_int n)
-    in
-    let m2 =
-      a.m2 +. b.m2
-      +. (delta *. delta *. float_of_int a.n *. float_of_int b.n
-          /. float_of_int n)
-    in
-    {
-      n;
-      mean;
-      m2;
-      mn = Stdlib.min a.mn b.mn;
-      mx = Stdlib.max a.mx b.mx;
-    }
+let absorb a b =
+  if b.n = 0.0 then ()
+  else if a.n = 0.0 then begin
+    a.n <- b.n;
+    a.mean <- b.mean;
+    a.m2 <- b.m2;
+    a.mn <- b.mn;
+    a.mx <- b.mx
   end
+  else begin
+    let n = a.n +. b.n in
+    let delta = b.mean -. a.mean in
+    a.mean <- a.mean +. (delta *. b.n /. n);
+    a.m2 <- a.m2 +. b.m2 +. (delta *. delta *. a.n *. b.n /. n);
+    a.n <- n;
+    a.mn <- Stdlib.min a.mn b.mn;
+    a.mx <- Stdlib.max a.mx b.mx
+  end
+
+let merge a b =
+  let c = copy a in
+  absorb c b;
+  c
 
 let quantile data q =
   let len = Array.length data in

@@ -10,10 +10,13 @@ type t
 val create : unit -> t
 
 val add : t -> float -> unit
-(** Fold one observation into the accumulator. *)
+(** Fold one observation into the accumulator; allocates nothing. *)
 
 val copy : t -> t
 (** Independent accumulator with the same current state. *)
+
+val reset : t -> unit
+(** Return the accumulator to the state of {!create}. *)
 
 val of_moments :
   count:int -> mean:float -> m2:float -> mn:float -> mx:float -> t
@@ -45,6 +48,10 @@ val ci95_halfwidth : t -> float
 
 val merge : t -> t -> t
 (** Combine two accumulators as if all observations were added to one. *)
+
+val absorb : t -> t -> unit
+(** [absorb a b] folds [b] into [a] in place: afterwards [a] equals
+    [merge a b] (the old [a]); [b] is unchanged. *)
 
 val quantile : float array -> float -> float
 (** [quantile data q] is the [q]-quantile ([0 <= q <= 1]) of [data] by

@@ -31,6 +31,28 @@ module Ivec = Prelude.Ivec
    strategy and the callbacks allocate, and nothing else per request. *)
 
 module Live = struct
+  module M = Obs.Metrics
+
+  (* the [engine.*] handles, bound once per engine *)
+  type meters = {
+    step_us : M.histogram;
+    rounds : M.counter;
+    arrivals : M.counter;
+    served : M.counter;
+    wasted : M.counter;
+    served_per_round : M.histogram;
+  }
+
+  let meters m =
+    {
+      step_us = M.register_histogram m "engine.step_us";
+      rounds = M.register_counter m "engine.rounds";
+      arrivals = M.register_counter m "engine.arrivals";
+      served = M.register_counter m "engine.served";
+      wasted = M.register_counter m "engine.wasted";
+      served_per_round = M.register_histogram m "engine.served_per_round";
+    }
+
   type outcome = {
     round : int;                (** the round just executed *)
     served : (int * int) list;
@@ -46,7 +68,7 @@ module Live = struct
     n : int;
     d : int;
     strategy : Strategy.t;
-    metrics : Obs.Metrics.t option;
+    meters : meters option;
     mutable window : Request.t array;   (* id ring: open request or [closed] *)
     mutable first_served : bool array;  (* parallel to [window] *)
     mutable low : int;                  (* ids below are closed *)
@@ -66,7 +88,7 @@ module Live = struct
       n;
       d;
       strategy = factory ~n ~d;
-      metrics = Obs.Metrics.resolve metrics;
+      meters = Option.map meters (Obs.Metrics.resolve metrics);
       window = Array.make 256 closed;
       first_served = Array.make 256 false;
       low = 0;
@@ -179,20 +201,20 @@ module Live = struct
     let arrivals = arrivals t in
     t.round_first <- t.next_id;
     let k =
-      match t.metrics with
+      match t.meters with
       | None ->
         apply t ~round ~served 0 (t.strategy.Strategy.step ~round ~arrivals)
       | Some m ->
         let wasted0 = t.wasted in
         let t0 = Obs.Span.start () in
         let services = t.strategy.Strategy.step ~round ~arrivals in
-        Obs.Metrics.observe m "engine.step_us" (Obs.Span.elapsed t0 *. 1e6);
+        M.record m.step_us (Obs.Span.elapsed t0 *. 1e6);
         let k = apply t ~round ~served 0 services in
-        Obs.Metrics.incr m "engine.rounds";
-        Obs.Metrics.incr ~by:(Array.length arrivals) m "engine.arrivals";
-        Obs.Metrics.incr ~by:k m "engine.served";
-        Obs.Metrics.incr ~by:(t.wasted - wasted0) m "engine.wasted";
-        Obs.Metrics.observe m "engine.served_per_round" (float_of_int k);
+        M.add m.rounds 1;
+        M.add m.arrivals (Array.length arrivals);
+        M.add m.served k;
+        M.add m.wasted (t.wasted - wasted0);
+        M.record m.served_per_round (float_of_int k);
         k
     in
     let bucket = t.expiry.(round mod t.d) in

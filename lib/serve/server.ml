@@ -146,7 +146,7 @@ type conn = {
   outq : Buffer.t;
   mutable greeted : bool;
   mutable inflight : int; (* admitted, terminal response still pending *)
-  mutable last_read : float;
+  mutable last_read : Obs.Span.span; (* monotonic *)
   mutable closing : bool; (* close once outq is flushed *)
   mutable closed : bool;
 }
@@ -164,8 +164,46 @@ let rec out_of_range n = function
 let fd_setsize = 1024
 let selectable (fd : Unix.file_descr) = (Obj.magic fd : int) < fd_setsize
 
+(* The I/O domain's counters, bound once: an update is one atomic add *)
+type io_counters = {
+  lines_in : Obs.Metrics.counter;
+  requests : Obs.Metrics.counter;
+  admitted : Obs.Metrics.counter;
+  batches_in : Obs.Metrics.counter;
+  responses_out : Obs.Metrics.counter;
+  responses_dropped : Obs.Metrics.counter;
+  protocol_errors : Obs.Metrics.counter;
+  client_errors : Obs.Metrics.counter;
+  connections : Obs.Metrics.counter;
+  read_timeouts : Obs.Metrics.counter;
+  rejected_fd_limit : Obs.Metrics.counter;
+  rejected_draining : Obs.Metrics.counter;
+  rejected_invalid : Obs.Metrics.counter;
+  rejected_overload : Obs.Metrics.counter;
+}
+
+let io_counters m =
+  let c name = Obs.Metrics.register_counter m ("serve." ^ name) in
+  {
+    lines_in = c "lines_in";
+    requests = c "requests";
+    admitted = c "admitted";
+    batches_in = c "batches_in";
+    responses_out = c "responses_out";
+    responses_dropped = c "responses_dropped";
+    protocol_errors = c "protocol_errors";
+    client_errors = c "client_errors";
+    connections = c "connections";
+    read_timeouts = c "read_timeouts";
+    rejected_fd_limit = c "rejected.fd_limit";
+    rejected_draining = c "rejected.draining";
+    rejected_invalid = c "rejected.invalid";
+    rejected_overload = c "rejected.overload";
+  }
+
 let io_loop t =
-  let m = t.io_m in
+  let m = io_counters t.io_m in
+  let bump c = Obs.Metrics.add c 1 in
   (* Open connections by id (reply routing) and by descriptor (select
      results).  A closed connection leaves [by_fd] at once and [conns]
      at the end of the loop iteration ([reap]), so the loops over
@@ -181,7 +219,7 @@ let io_loop t =
   let queue_msg conn msg =
     Protocol.render_server_into conn.outq msg;
     Buffer.add_char conn.outq '\n';
-    Obs.Metrics.incr m "serve.responses_out"
+    bump m.responses_out
   in
   let close_conn ?(error = false) conn =
     if not conn.closed then begin
@@ -190,7 +228,7 @@ let io_loop t =
       dead := conn.cid :: !dead;
       (try Unix.close conn.fd with Unix.Unix_error _ -> ());
       if error || conn.inflight > 0 then
-        Obs.Metrics.incr m "serve.client_errors"
+        bump m.client_errors
     end
   in
   let reap () =
@@ -199,7 +237,7 @@ let io_loop t =
   in
   let shard_index_of_resource r = r / t.stride in
   let reject conn ~tag reason counter =
-    Obs.Metrics.incr m counter;
+    bump counter;
     queue_msg conn (Protocol.Rejected { tag; reason })
   in
   (* [None] when well-formed; [Some detail] says what is wrong *)
@@ -221,13 +259,13 @@ let io_loop t =
   in
   let admit conn ({ Protocol.tag; alternatives; deadline } as req :
                     Protocol.request) =
-    Obs.Metrics.incr m "serve.requests";
+    bump m.requests;
     if Atomic.get t.draining then
-      reject conn ~tag Protocol.Draining "serve.rejected.draining"
+      reject conn ~tag Protocol.Draining m.rejected_draining
     else
       match check_valid req with
       | Some detail ->
-        reject conn ~tag (Protocol.Invalid detail) "serve.rejected.invalid"
+        reject conn ~tag (Protocol.Invalid detail) m.rejected_invalid
       | None ->
         let shard = t.shards.(shard_index_of_resource (List.hd alternatives)) in
         if
@@ -235,9 +273,9 @@ let io_loop t =
             { Shard.conn = conn.cid; tag; alternatives; deadline }
         then begin
           conn.inflight <- conn.inflight + 1;
-          Obs.Metrics.incr m "serve.admitted"
+          bump m.admitted
         end
-        else reject conn ~tag Protocol.Overload "serve.rejected.overload"
+        else reject conn ~tag Protocol.Overload m.rejected_overload
   in
   (* A batch line: validate every entry, then push each shard's share
      with one grouped [try_admit_many] — one lock acquisition per shard
@@ -248,12 +286,12 @@ let io_loop t =
   and group_len = Array.make (Array.length t.shards) 0 in
   let admit_batch conn reqs =
     let nreqs = List.length reqs in
-    Obs.Metrics.incr ~by:nreqs m "serve.requests";
-    Obs.Metrics.incr m "serve.batches_in";
+    Obs.Metrics.add m.requests nreqs;
+    bump m.batches_in;
     if Atomic.get t.draining then
       List.iter
         (fun (r : Protocol.request) ->
-           reject conn ~tag:r.tag Protocol.Draining "serve.rejected.draining")
+           reject conn ~tag:r.tag Protocol.Draining m.rejected_draining)
         reqs
     else if nreqs > t.cfg.max_batch then
       let detail =
@@ -263,7 +301,7 @@ let io_loop t =
       List.iter
         (fun (r : Protocol.request) ->
            reject conn ~tag:r.tag (Protocol.Invalid detail)
-             "serve.rejected.invalid")
+             m.rejected_invalid)
         reqs
     else begin
       (* each shard's tasks in submission order, in reused arrays *)
@@ -272,8 +310,7 @@ let io_loop t =
                 Protocol.request) ->
            match check_valid req with
            | Some detail ->
-             reject conn ~tag (Protocol.Invalid detail)
-               "serve.rejected.invalid"
+             reject conn ~tag (Protocol.Invalid detail) m.rejected_invalid
            | None ->
              let i = shard_index_of_resource (List.hd alternatives) in
              let task =
@@ -297,22 +334,22 @@ let io_loop t =
                Shard.try_admit_many t.shards.(i) tasks ~off:0 ~len
              in
              conn.inflight <- conn.inflight + accepted;
-             Obs.Metrics.incr ~by:accepted m "serve.admitted";
+             Obs.Metrics.add m.admitted accepted;
              for k = accepted to len - 1 do
                reject conn ~tag:tasks.(k).Shard.tag Protocol.Overload
-                 "serve.rejected.overload"
+                 m.rejected_overload
              done
            end)
         group_len
     end
   in
   let protocol_error conn detail =
-    Obs.Metrics.incr m "serve.protocol_errors";
+    bump m.protocol_errors;
     queue_msg conn (Protocol.Error { message = detail });
     conn.closing <- true
   in
   let handle_line conn line =
-    Obs.Metrics.incr m "serve.lines_in";
+    bump m.lines_in;
     match Protocol.parse_client line with
     | Error detail -> protocol_error conn detail
     | Ok (Protocol.Hello _) ->
@@ -354,7 +391,7 @@ let io_loop t =
       match Unix.read conn.fd scratch 0 (Bytes.length scratch) with
       | 0 -> close_conn conn (* EOF; error iff requests stranded *)
       | n ->
-        conn.last_read <- Unix.gettimeofday ();
+        conn.last_read <- Obs.Span.start ();
         Buffer.add_subbytes conn.inq scratch 0 n;
         handle_lines conn (Lineio.extract_lines ~fresh:n conn.inq)
       | exception
@@ -393,7 +430,7 @@ let io_loop t =
              if Protocol.is_terminal msg then
                conn.inflight <- max 0 (conn.inflight - 1);
              queue_msg conn msg
-           | Some _ | None -> Obs.Metrics.incr m "serve.responses_dropped"
+           | Some _ | None -> bump m.responses_dropped
          done)
       t.outboxes
   in
@@ -424,9 +461,9 @@ let io_loop t =
         (fun _ conn ->
            if
              (not conn.closed) && (not conn.closing)
-             && now -. conn.last_read > t.cfg.read_timeout
+             && Obs.Span.diff conn.last_read now > t.cfg.read_timeout
            then begin
-             Obs.Metrics.incr m "serve.read_timeouts";
+             bump m.read_timeouts;
              close_conn ~error:(conn.inflight > 0) conn
            end)
         conns
@@ -483,7 +520,7 @@ let io_loop t =
         | fd, _ when not (selectable fd) ->
           (* select cannot watch it: refuse it here, in one blocking
              write, rather than let select fail for every connection *)
-          Obs.Metrics.incr m "serve.rejected.fd_limit";
+          bump m.rejected_fd_limit;
           (try
              let refusal =
                Protocol.Error { message = "server descriptor limit reached" }
@@ -502,14 +539,14 @@ let io_loop t =
               outq = Buffer.create 256;
               greeted = false;
               inflight = 0;
-              last_read = Unix.gettimeofday ();
+              last_read = Obs.Span.start ();
               closing = false;
               closed = false;
             }
           in
           Hashtbl.replace conns conn.cid conn;
           Hashtbl.replace by_fd fd conn;
-          Obs.Metrics.incr m "serve.connections"
+          bump m.connections
         | exception
             Unix.Unix_error
               ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
@@ -532,7 +569,7 @@ let io_loop t =
          if (not c.closed) && (Buffer.length c.outq > 0 || c.closing) then
            handle_writable c)
       conns;
-    scan_timeouts (Unix.gettimeofday ());
+    scan_timeouts (Obs.Span.start ());
     reap ()
   done;
   (* shards are gone.  A client's last lines (its bye, typically) may
@@ -543,7 +580,7 @@ let io_loop t =
   reap ();
   route_responses ();
   send_ready_acks ();
-  let deadline = Unix.gettimeofday () +. 2.0 in
+  let flush_start = Obs.Span.start () in
   let rec flush () =
     let pending =
       Hashtbl.fold
@@ -552,7 +589,7 @@ let io_loop t =
            else acc)
         conns []
     in
-    if pending <> [] && Unix.gettimeofday () < deadline then begin
+    if pending <> [] && Obs.Span.elapsed flush_start < 2.0 then begin
       (match
          Unix.select [] (List.map (fun c -> c.fd) pending) [] 0.05
        with
@@ -574,7 +611,7 @@ let io_loop t =
    | Tcp _ -> ());
   let final =
     Obs.Metrics.merge_all
-      (Obs.Metrics.snapshot m
+      (Obs.Metrics.snapshot t.io_m
        :: Array.to_list (Array.map Shard.metrics_snapshot t.shards))
   in
   Atomic.set t.final (Some final);

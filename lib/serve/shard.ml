@@ -25,6 +25,36 @@ let dummy_task = { conn = -1; tag = -1; alternatives = []; deadline = 0 }
    mutex flavour (which grows on demand) is the better trade. *)
 let spsc_capacity_limit = 1 lsl 16
 
+(* The shard's metric handles, bound once at creation *)
+type meters = {
+  depth_gauge : Obs.Metrics.gauge; (* serve.shard<index>.queue_depth *)
+  queue_depth : Obs.Metrics.histogram;
+  tick_us : Obs.Metrics.histogram;
+  served : Obs.Metrics.counter;
+  expired : Obs.Metrics.counter;
+  rejected_invalid : Obs.Metrics.counter;
+  truncated : Obs.Metrics.counter;
+  outbox_stalls : Obs.Metrics.counter;
+  crashes : Obs.Metrics.counter;
+}
+
+let meters m ~index =
+  let c = Obs.Metrics.register_counter m
+  and h = Obs.Metrics.register_histogram m in
+  {
+    depth_gauge =
+      Obs.Metrics.register_gauge m
+        (Printf.sprintf "serve.shard%d.queue_depth" index);
+    queue_depth = h "serve.queue_depth";
+    tick_us = h "serve.tick_us";
+    served = c "serve.served";
+    expired = c "serve.expired";
+    rejected_invalid = c "serve.rejected.invalid";
+    truncated = c "serve.truncated_alternatives";
+    outbox_stalls = c "serve.outbox_stalls";
+    crashes = c "serve.shard_crashes";
+  }
+
 type t = {
   index : int;
   lo : int;
@@ -32,7 +62,7 @@ type t = {
   inbox : task Chan.t;
   outbox : (int * Protocol.server_msg) Chan.t; (* this shard's own ring *)
   metrics : Obs.Metrics.t;
-  depth_gauge : string; (* serve.shard<index>.queue_depth, built once *)
+  meters : meters;
   live : Live.t;
   (* Reply routing: an Id_ring, the task of open engine id [i] at
      [tasks.(i land (length - 1))]; ids [low ..] up to the next fresh
@@ -65,7 +95,7 @@ let create ?metrics ~index ~lo ~hi ~d ~queue_capacity ~strategy ~outbox () =
     inbox;
     outbox;
     metrics;
-    depth_gauge = Printf.sprintf "serve.shard%d.queue_depth" index;
+    meters = meters metrics ~index;
     live = Live.create ~metrics ~n:(hi - lo) ~d strategy;
     tasks = Array.make 256 dummy_task;
     low = 0;
@@ -90,7 +120,7 @@ let metrics_snapshot t = Obs.Metrics.snapshot t.metrics
 let note_crash t exn =
   (* a crashing strategy must not take the server down: record, report,
      and let the worker keep driving its other shards *)
-  Obs.Metrics.incr t.metrics "serve.shard_crashes";
+  Obs.Metrics.add t.meters.crashes 1;
   Printf.eprintf "reqsched serve: shard %d crashed: %s\n%!" t.index
     (Printexc.to_string exn)
 
@@ -102,7 +132,7 @@ let note_crash t exn =
 let push_reply t conn msg =
   if not (Chan.try_push t.outbox (conn, msg)) then begin
     let rec retry delay =
-      Obs.Metrics.incr t.metrics "serve.outbox_stalls";
+      Obs.Metrics.add t.meters.outbox_stalls 1;
       (try Unix.sleepf delay with Unix.Unix_error (Unix.EINTR, _, _) -> ());
       if not (Chan.try_push t.outbox (conn, msg)) then
         retry (Float.min (delay *. 2.0) 0.002)
@@ -141,13 +171,14 @@ let take_task t id =
 
 (* A round allocates, per request, its local alternatives and engine
    record, and per reply the message and its outbox pair; the metrics
-   are updated once per round. *)
+   are updated once per round, through handles. *)
 let step_once t =
   let depth = Chan.drain_into t.inbox t.drain_buf in
   let tasks = !(t.drain_buf) in
   let t0 = Obs.Span.start () in
-  Obs.Metrics.set t.metrics t.depth_gauge (float_of_int depth);
-  Obs.Metrics.observe t.metrics "serve.queue_depth" (float_of_int depth);
+  let mt = t.meters in
+  Obs.Metrics.put mt.depth_gauge (float_of_int depth);
+  Obs.Metrics.record mt.queue_depth (float_of_int depth);
   let truncated = ref 0 in
   for i = 0 to depth - 1 do
     let task = tasks.(i) in
@@ -161,12 +192,12 @@ let step_once t =
       if id - t.low >= Array.length t.tasks then grow t id;
       t.tasks.(Id_ring.cell t.tasks id) <- task
     | Error m ->
-      Obs.Metrics.incr t.metrics "serve.rejected.invalid";
+      Obs.Metrics.add mt.rejected_invalid 1;
       push_reply t task.conn
         (Protocol.Rejected { tag = task.tag; reason = Protocol.Invalid m })
   done;
   if !truncated > 0 then
-    Obs.Metrics.incr ~by:!truncated t.metrics "serve.truncated_alternatives";
+    Obs.Metrics.add mt.truncated !truncated;
   let round = Live.round t.live and served = ref 0 and expired = ref 0 in
   ignore
     (Live.step_with t.live
@@ -180,12 +211,12 @@ let step_once t =
            incr expired;
            let task = take_task t id in
            push_reply t task.conn (Protocol.Expired { tag = task.tag })));
-  Obs.Metrics.incr ~by:!served t.metrics "serve.served";
-  Obs.Metrics.incr ~by:!expired t.metrics "serve.expired";
+  Obs.Metrics.add mt.served !served;
+  Obs.Metrics.add mt.expired !expired;
   t.low <-
     Id_ring.trim t.tasks ~low:t.low ~next:(Live.submitted t.live)
       dummy_task;
-  Obs.Metrics.observe t.metrics "serve.tick_us" (Obs.Span.elapsed t0 *. 1e6);
+  Obs.Metrics.record mt.tick_us (Obs.Span.elapsed t0 *. 1e6);
   Atomic.incr t.stepped
 
 let drained t ~draining =

@@ -54,12 +54,32 @@ let kind_name = function
   | Balance -> "A_balance"
   | Remax -> "A_remax"
 
+module M = Obs.Metrics
+
+(* the [strategy.*] handles, bound once per kernel *)
+type meters = {
+  kernel_us : M.histogram;
+  augment_searches : M.counter;
+  augments : M.counter;
+  warm_hits : M.counter;
+  label_words : M.histogram;
+}
+
+let meters m =
+  {
+    kernel_us = M.register_histogram m "strategy.kernel_us";
+    augment_searches = M.register_counter m "strategy.augment_searches";
+    augments = M.register_counter m "strategy.augments";
+    warm_hits = M.register_counter m "strategy.warm_hits";
+    label_words = M.register_histogram m "strategy.label_words";
+  }
+
 type t = {
   kind : kind;
   n : int;
   d : int;
   bias : Strategy.bias;
-  metrics : Obs.Metrics.t option;
+  meters : meters option;
   warm : Warm.t;
   slots : int Slots.t; (* fix family: frozen assignments, by id *)
   (* full family / current: live requests in ascending id order;
@@ -251,7 +271,7 @@ let make ~kind ~n ~d ~bias ~metrics () : Strategy.t =
       n;
       d;
       bias;
-      metrics;
+      meters = Option.map meters metrics;
       warm = Warm.create ();
       slots = Slots.create ~n ~d ~dummy:(-1);
       pool = [||];
@@ -260,24 +280,19 @@ let make ~kind ~n ~d ~bias ~metrics () : Strategy.t =
     }
   in
   let step =
-    match st.metrics with
+    match st.meters with
     | None -> fun ~round ~arrivals -> step_core st ~round ~arrivals
     | Some m ->
       fun ~round ~arrivals ->
         let s0 = Warm.stats st.warm in
         let t0 = Obs.Span.start () in
         let serves = step_core st ~round ~arrivals in
-        Obs.Metrics.observe m "strategy.kernel_us"
-          (Obs.Span.elapsed t0 *. 1e6);
+        M.record m.kernel_us (Obs.Span.elapsed t0 *. 1e6);
         let s1 = Warm.stats st.warm in
-        Obs.Metrics.incr ~by:(s1.Warm.sweeps - s0.Warm.sweeps) m
-          "strategy.augment_searches";
-        Obs.Metrics.incr ~by:(s1.Warm.augments - s0.Warm.augments) m
-          "strategy.augments";
-        Obs.Metrics.incr ~by:(s1.Warm.warm_hits - s0.Warm.warm_hits) m
-          "strategy.warm_hits";
-        Obs.Metrics.observe m "strategy.label_words"
-          (float_of_int s1.Warm.words);
+        M.add m.augment_searches (s1.Warm.sweeps - s0.Warm.sweeps);
+        M.add m.augments (s1.Warm.augments - s0.Warm.augments);
+        M.add m.warm_hits (s1.Warm.warm_hits - s0.Warm.warm_hits);
+        M.record m.label_words (float_of_int s1.Warm.words);
         serves
   in
   { Strategy.name = kind_name kind; step }

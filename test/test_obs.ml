@@ -131,6 +131,136 @@ let test_ambient () =
   check Alcotest.bool "resolve None when unset" true
     (Metrics.resolve None = None)
 
+(* ------------------------------------------------------------------ *)
+(* handles *)
+
+(* minor words [f] allocates, net of the measurement itself *)
+let minor_words f =
+  let words g =
+    let w0 = Gc.minor_words () in
+    g ();
+    Gc.minor_words () -. w0
+  in
+  words f -. words ignore
+
+let test_counter_handle_allocation () =
+  let m = Metrics.create () in
+  let c = Metrics.register_counter m "c" in
+  Metrics.add c 1;
+  let w =
+    minor_words (fun () ->
+        for i = 1 to 10_000 do
+          Metrics.add c i
+        done)
+  in
+  check (Alcotest.float 0.0) "minor words for 10 000 adds" 0.0 w;
+  check Alcotest.int "sum" (1 + (10_000 * 10_001 / 2)) (Metrics.counter m "c")
+
+let test_counter_handle_domains () =
+  let per_domain = 200_000 in
+  List.iter
+    (fun domains ->
+       let m = Metrics.create () in
+       let c = Metrics.register_counter m "shared" in
+       let workers =
+         List.init domains (fun k ->
+             Domain.spawn (fun () ->
+                 (* each domain takes its own handle to the same slot *)
+                 let mine =
+                   if k = 0 then c else Metrics.register_counter m "shared"
+                 in
+                 for _ = 1 to per_domain do
+                   Metrics.add mine 1
+                 done))
+       in
+       List.iter Domain.join workers;
+       check Alcotest.int
+         (Printf.sprintf "%d domains sum exactly" domains)
+         (domains * per_domain)
+         (Metrics.counter m "shared"))
+    [ 2; 4 ]
+
+let test_handle_and_name_share_a_slot () =
+  let m = Metrics.create () in
+  Metrics.incr ~by:3 m "c";
+  let c = Metrics.register_counter m "c" in
+  Metrics.add c 4;
+  Metrics.incr m "c";
+  check Alcotest.int "by name and by handle add up" 8 (Metrics.counter m "c");
+  let g = Metrics.register_gauge m "g" in
+  Metrics.put g 1.5;
+  check (Alcotest.float 0.0) "gauge by handle, read by name" 1.5
+    (Metrics.gauge m "g");
+  let h = Metrics.register_histogram m "h" in
+  Metrics.observe m "h" 1.0;
+  Metrics.record h 3.0;
+  (match Metrics.histogram m "h" with
+   | Some s ->
+     check Alcotest.int "both observations" 2 (Stats.count s);
+     check (Alcotest.float 1e-12) "mean" 2.0 (Stats.mean s)
+   | None -> Alcotest.fail "histogram missing");
+  (* binding a handle alone leaves the dumps as they were *)
+  let _ = Metrics.register_counter m "quiet" in
+  check Alcotest.bool "a bound, unrecorded name is not in the snapshot" false
+    (List.mem_assoc "quiet" (Metrics.snapshot m));
+  let z = Metrics.register_counter m "zero" in
+  Metrics.add z 0;
+  check Alcotest.bool "an add of 0 records the counter" true
+    (List.assoc_opt "zero" (Metrics.snapshot m) = Some (Metrics.Counter 0))
+
+let test_handle_kind_clash () =
+  let m = Metrics.create () in
+  Metrics.incr m "c";
+  Metrics.set m "g" 1.0;
+  let raises name f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.fail (name ^ " accepted")
+  in
+  raises "gauge handle on a counter" (fun () ->
+      ignore (Metrics.register_gauge m "c"));
+  raises "histogram handle on a counter" (fun () ->
+      ignore (Metrics.register_histogram m "c"));
+  raises "counter handle on a gauge" (fun () ->
+      ignore (Metrics.register_counter m "g"));
+  (* a bound but unrecorded name keeps its kind too *)
+  ignore (Metrics.register_histogram m "h");
+  raises "counter write into a bound histogram" (fun () -> Metrics.incr m "h")
+
+let test_clear_keeps_handles () =
+  let m = Metrics.create () in
+  let c = Metrics.register_counter m "c" in
+  let g = Metrics.register_gauge m "g" in
+  let h = Metrics.register_histogram m "h" in
+  Metrics.add c 5;
+  Metrics.put g 2.0;
+  Metrics.record h 1.0;
+  Metrics.clear m;
+  check Alcotest.int "clear empties the snapshot" 0
+    (List.length (Metrics.snapshot m));
+  check Alcotest.int "counter zeroed" 0 (Metrics.counter m "c");
+  check Alcotest.bool "gauge unset" true (Float.is_nan (Metrics.gauge m "g"));
+  check Alcotest.bool "histogram gone" true (Metrics.histogram m "h" = None);
+  (* the handles stay attached: later updates show in the registry *)
+  Metrics.add c 2;
+  Metrics.put g 7.0;
+  Metrics.record h 4.0;
+  check Alcotest.int "counter after clear" 2 (Metrics.counter m "c");
+  check (Alcotest.float 0.0) "gauge after clear" 7.0 (Metrics.gauge m "g");
+  (match Metrics.histogram m "h" with
+   | Some s ->
+     check Alcotest.int "one observation after clear" 1 (Stats.count s);
+     check (Alcotest.float 0.0) "only the new one" 4.0 (Stats.mean s)
+   | None -> Alcotest.fail "histogram detached by clear");
+  check
+    Alcotest.(list string)
+    "snapshot after clear" [ "c"; "g"; "h" ]
+    (List.map fst (Metrics.snapshot m));
+  (* names keep their kinds across clear *)
+  match Metrics.set m "c" 1.0 with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "clear unbound a counter's kind"
+
 (* The tentpole law: recording a workload split across k registries and
    merging the snapshots equals recording everything into one registry.
    Ops are counter increments and histogram observations over a small
@@ -433,6 +563,15 @@ let () =
           Alcotest.test_case "merge units" `Quick test_merge_units;
           Alcotest.test_case "merge_into" `Quick test_merge_into;
           Alcotest.test_case "ambient" `Quick test_ambient;
+          Alcotest.test_case "counter handle allocates nothing" `Quick
+            test_counter_handle_allocation;
+          Alcotest.test_case "counter handle across domains" `Quick
+            test_counter_handle_domains;
+          Alcotest.test_case "handle and name share a slot" `Quick
+            test_handle_and_name_share_a_slot;
+          Alcotest.test_case "handle kind clash" `Quick test_handle_kind_clash;
+          Alcotest.test_case "clear keeps handles" `Quick
+            test_clear_keeps_handles;
           prop_merge_equals_single;
         ] );
       ( "export",

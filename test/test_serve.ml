@@ -454,10 +454,11 @@ let test_shard_ring_growth () =
    half the time (deadlines 1..4, so most expire).  Admission and the
    outbox drain are outside the measurement.  What is left is the
    request's local alternatives and engine record, its reply and
-   outbox pair, and the strategy's own; the bound sits just above the
-   measured figure, so a per-task list, closure or metrics update
-   cannot come back unseen. *)
-let shard_step_words_bound = 21.5
+   outbox pair, and the strategy's own (18.2 words; the round's metric
+   updates go through handles and allocate nothing); the bound sits
+   just above the measured figure, so a per-task list, closure or
+   by-name metrics update cannot come back unseen. *)
+let shard_step_words_bound = 18.5
 
 let test_shard_step_words () =
   let per = 48 and warmup = 100 and rounds = 400 in
@@ -582,6 +583,102 @@ let test_e2e_exactly_one_terminal () =
   check Alcotest.int "no client errors" 0 (counter snap "serve.client_errors");
   check Alcotest.int "no dropped responses" 0
     (counter snap "serve.responses_dropped")
+
+(* The I/O loop's counters against the client's own tally: every line
+   the client writes is one [serve.lines_in], every line it reads one
+   [serve.responses_out], every request it submits one
+   [serve.requests], and every one not rejected one [serve.admitted].
+   The protocol is driven by hand so the client counts its own lines;
+   [batch] > 1 sends a round's arrivals as batch frames of that size. *)
+let test_e2e_io_counters_match_client () =
+  let inst = random_instance ~n:8 ~d:4 ~rounds:30 ~load:1.5 ~seed:17 in
+  let run batch =
+    let tally, snap =
+      with_server ~shards:2 ~n:8 ~d:4 (fun addr _ ->
+          let ok what = function
+            | Ok v -> v
+            | Error m -> Alcotest.failf "%s: %s" what m
+          in
+          (* connect sends hello and reads welcome *)
+          let conn = ok "connect" (Client.connect addr ~client:"counter") in
+          let sent = ref 1 and received = ref 1 in
+          let submitted = ref 0 and rejected = ref 0 and terminals = ref 0 in
+          let send msg =
+            ok "send" (Client.send conn msg);
+            incr sent
+          in
+          let take msg =
+            incr received;
+            match Protocol.terminal_tag msg with
+            | Some _ ->
+              incr terminals;
+              (match msg with
+               | Protocol.Rejected _ -> incr rejected
+               | _ -> ())
+            | None -> ()
+          in
+          for round = 0 to inst.Instance.horizon - 1 do
+            let reqs =
+              Array.to_list
+                (Array.map
+                   (fun (r : Request.t) ->
+                      { Protocol.tag = r.Request.id;
+                        alternatives = Array.to_list r.Request.alternatives;
+                        deadline = r.Request.deadline })
+                   (Instance.arrivals_at inst round))
+            in
+            submitted := !submitted + List.length reqs;
+            let rec chunks = function
+              | [] -> ()
+              | reqs when batch = 1 ->
+                List.iter (fun r -> send (Protocol.Submit r)) reqs
+              | reqs ->
+                let rec split k acc = function
+                  | r :: rest when k > 0 -> split (k - 1) (r :: acc) rest
+                  | rest -> (List.rev acc, rest)
+                in
+                let group, rest = split batch [] reqs in
+                send (Protocol.Batch group);
+                chunks rest
+            in
+            chunks reqs;
+            send Protocol.Tick;
+            let rec await () =
+              match ok "recv" (Client.recv conn) with
+              | Protocol.Round { round = r } when r >= round -> incr received
+              | msg ->
+                take msg;
+                await ()
+            in
+            await ()
+          done;
+          while !terminals < !submitted do
+            take (ok "recv terminal" (Client.recv conn))
+          done;
+          send Protocol.Bye;
+          (* the server closes once it has read the bye *)
+          (match Client.recv ~timeout:10.0 conn with
+           | Error _ -> ()
+           | Ok msg ->
+             Alcotest.failf "unexpected line after bye: %s"
+               (Protocol.render_server msg));
+          Client.close conn;
+          (!sent, !received, !submitted, !rejected))
+    in
+    let sent, received, submitted, rejected = tally in
+    let name what = Printf.sprintf "batch=%d %s" batch what in
+    check Alcotest.bool (name "requests submitted") true (submitted > 0);
+    check Alcotest.int (name "serve.requests") submitted
+      (counter snap "serve.requests");
+    check Alcotest.int (name "serve.admitted") (submitted - rejected)
+      (counter snap "serve.admitted");
+    check Alcotest.int (name "serve.lines_in") sent
+      (counter snap "serve.lines_in");
+    check Alcotest.int (name "serve.responses_out") received
+      (counter snap "serve.responses_out")
+  in
+  run 1;
+  run 4
 
 (* Shards count the alternatives they drop once per round; the total
    must equal the out-of-slice alternatives of the submitted stream,
@@ -1295,6 +1392,8 @@ let () =
         [ Alcotest.test_case "parse" `Quick test_addr_of_string ] );
       ( "e2e",
         [
+          Alcotest.test_case "I/O counters match the client" `Quick
+            test_e2e_io_counters_match_client;
           Alcotest.test_case "exactly one terminal" `Quick
             test_e2e_exactly_one_terminal;
           Alcotest.test_case "replay deterministic" `Quick

@@ -226,6 +226,49 @@ let test_load_bound () =
       [ "-w"; "zipf"; "--load"; "inf" ];
     ]
 
+(* Goldens of the commands that score a run: each file holds the
+   stdout of the command line beside it, so a change to how runs are
+   scored, or to where the optimum comes from, must leave every byte
+   alone.  Regenerate one with
+   [dune exec bin/reqsched.exe -- ARGS > test/golden_cli_NAME.txt]. *)
+let cli_goldens =
+  [
+    ( "run",
+      [ "run"; "-w"; "vod"; "-n"; "16"; "-d"; "4"; "--rounds"; "60";
+        "--score"; "slo"; "--audit"; "--phases"; "10" ] );
+    ( "compare",
+      [ "compare"; "-w"; "mix"; "-n"; "16"; "-d"; "4"; "--rounds"; "60";
+        "--score"; "slo" ] );
+    ( "sweep",
+      [ "sweep"; "-w"; "uniform"; "-n"; "8"; "-d"; "4"; "--rounds"; "40";
+        "--score"; "violation" ] );
+    ("cluster_thm37", [ "cluster"; "-w"; "thm37"; "-d"; "4"; "--rounds"; "24" ]);
+    ( "cluster_eager",
+      [ "cluster"; "-w"; "uniform"; "-n"; "12"; "-d"; "4"; "--rounds"; "30";
+        "--strategy"; "local_eager" ] );
+  ]
+
+let test_cli_golden (name, args) () =
+  let file = Printf.sprintf "golden_cli_%s.txt" name in
+  let expected =
+    (* cwd is test/ under `dune runtest`, the root under `dune exec` *)
+    match
+      List.find_opt Sys.file_exists [ file; Filename.concat "test" file ]
+    with
+    | Some p -> In_channel.with_open_bin p In_channel.input_all
+    | None -> Alcotest.failf "%s not found" file
+  in
+  let ic =
+    Unix.open_process_args_in reqsched (Array.of_list ("reqsched" :: args))
+  in
+  let got = In_channel.input_all ic in
+  (match Unix.close_process_in ic with
+   | Unix.WEXITED 0 -> ()
+   | _ -> Alcotest.failf "reqsched %s failed" (String.concat " " args));
+  if got <> expected then
+    Alcotest.failf "reqsched %s drifted from test/%s\n--- expected ---\n%s--- got ---\n%s"
+      (String.concat " " args) file expected got
+
 let () =
   Alcotest.run "cli"
     [
@@ -253,4 +296,9 @@ let () =
           Alcotest.test_case "a huge load is refused at once" `Quick
             test_load_bound;
         ] );
+      ( "golden",
+        List.map
+          (fun ((name, _) as g) ->
+             Alcotest.test_case name `Quick (test_cli_golden g))
+          cli_goldens );
     ]

@@ -40,7 +40,7 @@ let run_cmd =
     (match score with
      | None -> ()
      | Some sel ->
-       let s = Analysis.Slo.of_outcome r.outcome in
+       let s = r.scores in
        Option.iter (fun m -> Analysis.Slo.record m s) metrics;
        (match sel with
         | Analysis.Slo.All ->
@@ -102,7 +102,8 @@ let compare_cmd =
   let action w solver score metrics =
     Cli.with_metrics metrics @@ fun metrics ->
     let* inst = Cli.instance w in
-    let opt = Offline.Opt.value inst in
+    let curve = Report.Harness.optimum ?metrics inst in
+    let opt = Report.Harness.final curve in
     (* --score slo appends the full block, one objective just its
        column; ratio already has a column, so All skips it *)
     let score_modes =
@@ -131,14 +132,12 @@ let compare_cmd =
          match Cli.factory ?metrics ~seed:w.seed { Cli.strategy; solver } with
          | Error _ -> ()
          | Ok factory ->
-           let o = Sched.Engine.run ?metrics inst factory in
-           let ratio = Analysis.Slo.ratio_of ~opt ~served:o.served in
+           let r = Report.Harness.score ?metrics ~curve inst factory in
+           let o = r.outcome and ratio = r.ratio in
            let score_cells =
-             match score_modes with
-             | [] -> []
-             | modes ->
-               let s = Analysis.Slo.of_outcome o in
-               List.map (fun mode -> Analysis.Slo.mode_cell mode ~ratio s) modes
+             List.map
+               (fun mode -> Analysis.Slo.mode_cell mode ~ratio r.scores)
+               score_modes
            in
            Prelude.Texttable.add_row table
              ([
@@ -258,33 +257,26 @@ let sweep_cmd =
            Ok ((load, inst) :: acc))
         loads (Ok [])
     in
-    (* one job per table cell, and one per load for its optimum *)
+    (* one job per row: the load's optimum, then every strategy's run
+       scored against it *)
     Cli.run @@ fun () ->
-    let opts =
+    let rows =
       Obs.Instrument.jobs ?domains ~family:"sweep"
         (List.map
            (fun (load, inst) ->
-              ( Printf.sprintf "opt/load=%.2f" load,
-                fun () -> Offline.Opt.value inst ))
-           insts)
-    in
-    let scores =
-      Obs.Instrument.jobs ?domains ~family:"sweep"
-        (List.concat_map
-           (fun (load, inst) ->
-              List.map
-                (fun sname ->
-                   ( Printf.sprintf "%s/load=%.2f" sname load,
-                     fun () ->
+              ( Printf.sprintf "load=%.2f" load,
+                fun () ->
+                  let curve = Report.Harness.optimum ?metrics inst in
+                  List.map
+                    (fun sname ->
                        match
                          Report.Registry.factory_of_name ~seed:w.seed ?metrics
                            sname
                        with
                        | Error m -> failwith m
                        | Ok factory ->
-                         Analysis.Slo.of_outcome
-                           (Sched.Engine.run ?metrics inst factory) ))
-                strategies)
+                         Report.Harness.score ?metrics ~curve inst factory)
+                    strategies ))
            insts)
     in
     let table =
@@ -298,20 +290,20 @@ let sweep_cmd =
         ~header:("load" :: "optimum" :: strategies)
         ()
     in
-    let per_load = List.length strategies in
-    List.iteri
-      (fun li ((load, _), opt) ->
+    List.iter2
+      (fun (load, _) (runs : Report.Harness.run list) ->
          let cells =
-           List.filteri (fun i _ -> i / per_load = li) scores
-           |> List.map (fun (s : Analysis.Slo.scores) ->
-               let ratio = Analysis.Slo.ratio_of ~opt ~served:s.served in
-               match mode with
-               | Analysis.Slo.Ratio -> Prelude.Texttable.cell_ratio ratio
-               | m -> Analysis.Slo.mode_cell m ~ratio s)
+           List.map
+             (fun (r : Report.Harness.run) ->
+                match mode with
+                | Analysis.Slo.Ratio -> Prelude.Texttable.cell_ratio r.ratio
+                | m -> Analysis.Slo.mode_cell m ~ratio:r.ratio r.scores)
+             runs
          in
+         let opt = (List.hd runs).opt in
          Prelude.Texttable.add_row table
            (Printf.sprintf "%.1f" load :: string_of_int opt :: cells))
-      (List.combine insts opts);
+      insts rows;
     Prelude.Texttable.print table;
     Ok ()
   in
@@ -638,15 +630,14 @@ let cluster_cmd =
         }
       in
       (try
-         let o = Sched.Engine.run ?metrics inst factory in
-         let opt = Offline.Opt.value inst in
+         let r = Report.Harness.run_instance ?metrics inst factory in
+         let o = r.outcome in
          Printf.printf "instance : %s\n"
            (Format.asprintf "%a" Sched.Instance.pp_summary inst);
          Printf.printf "served   : %d / %d\n" o.Sched.Outcome.served
            (Sched.Instance.n_requests inst);
-         Printf.printf "optimum  : %d\n" opt;
-         Printf.printf "ratio    : %.4f\n"
-           (Analysis.Slo.ratio_of ~opt ~served:o.Sched.Outcome.served);
+         Printf.printf "optimum  : %d\n" r.opt;
+         Printf.printf "ratio    : %.4f\n" r.ratio;
          Option.iter
            (fun s ->
               let s = Cluster.Session.stats s in

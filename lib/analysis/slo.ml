@@ -382,58 +382,12 @@ let of_outcome (o : Sched.Outcome.t) =
     ~turnaround_sum:!turnaround_sum ~delay
     ~machines_needed:(machines_of_instance inst)
 
-(* -- one-pass scored run ---------------------------------------------- *)
-
-type streamed = {
-  scores : scores;
-  opt : int;
-  final_ratio : float;
-  anytime_ratio : float;
-}
+(* -- the guarded ratio ------------------------------------------------ *)
 
 let ratio_of ~opt ~served =
   if served > 0 then float_of_int opt /. float_of_int served
   else if opt = 0 then 1.0
   else Float.infinity
-
-let score_stream ?metrics (inst : Sched.Instance.t) factory =
-  let engine =
-    Sched.Engine.Live.create ?metrics ~n:inst.n_resources ~d:inst.d factory
-  in
-  let tracker =
-    Offline.Opt_stream.create ?metrics ~n_resources:inst.n_resources ()
-  in
-  let acc = create () in
-  let worst = ref 1.0 in
-  let served_so_far = ref 0 in
-  for round = 0 to inst.horizon - 1 do
-    let arrivals = Sched.Instance.arrivals_at inst round in
-    Array.iter
-      (fun (r : Sched.Request.t) ->
-        match
-          Sched.Engine.Live.submit engine
-            ~alternatives:(Array.to_list r.alternatives) ~deadline:r.deadline
-        with
-        | Ok id -> on_submit acc ~id ~round ~deadline:r.deadline
-        | Error m -> invalid_arg ("Slo.score_stream: rejected submit: " ^ m))
-      arrivals;
-    let opt_prefix = Offline.Opt_stream.feed tracker arrivals in
-    let out = Sched.Engine.Live.step engine in
-    List.iter (fun (id, _resource) -> on_serve acc ~id ~round) out.served;
-    List.iter (fun id -> on_expire acc ~id ~round) out.expired;
-    on_round acc;
-    served_so_far := !served_so_far + List.length out.served;
-    let prefix_ratio = ratio_of ~opt:opt_prefix ~served:!served_so_far in
-    if prefix_ratio > !worst then worst := prefix_ratio
-  done;
-  let s = scores acc in
-  let opt = Offline.Opt_stream.opt tracker in
-  {
-    scores = s;
-    opt;
-    final_ratio = ratio_of ~opt ~served:s.served;
-    anytime_ratio = !worst;
-  }
 
 (* -- export through lib/obs ------------------------------------------- *)
 

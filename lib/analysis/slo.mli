@@ -94,15 +94,7 @@ val of_outcome : Sched.Outcome.t -> scores
     double loop over intervals).  Equals the streaming scores exactly
     when the stream saw the same run ([rounds = horizon]). *)
 
-(** {1 One-pass scored run} *)
-
-type streamed = {
-  scores : scores;
-  opt : int;            (** offline optimum of the full instance *)
-  final_ratio : float;  (** OPT / served, guarded as {!ratio_of} *)
-  anytime_ratio : float;
-      (** worst prefix ratio over all rounds — the anytime guarantee *)
-}
+(** {1 The competitive ratio} *)
 
 val ratio_of : opt:int -> served:int -> float
 (** The competitive ratio [opt / served] with the degenerate cases made
@@ -111,14 +103,6 @@ val ratio_of : opt:int -> served:int -> float
     optimum.  Every ratio the reports print goes through this — a naive
     [opt /. max 1 served] silently reports [opt] itself for a strategy
     that served nothing. *)
-
-val score_stream :
-  ?metrics:Obs.Metrics.t ->
-  Sched.Instance.t -> Sched.Strategy.factory -> streamed
-(** Drive a live engine and a streaming-OPT tracker over the instance
-    in one pass, feeding this accumulator from the engine's own event
-    stream — SLO scores and anytime ratio together, without a recorded
-    outcome. *)
 
 (** {1 Export through lib/obs} *)
 

@@ -14,7 +14,7 @@ module Ivec = Prelude.Ivec
    Why roots on the right suffice: every augmenting path in a bipartite
    graph has exactly one free endpoint on each side.  If the matching was
    maximum before the appends and every new edge is incident to a new
-   right vertex (which [add_right] makes the only possible append: a
+   right vertex (which [add_columns] makes the only possible append: a
    round's slots arrive together with all edges into them), then any
    augmenting path must use a new edge, whose new right endpoint is free
    and therefore an endpoint of the path.  Old free right vertices stay
@@ -71,9 +71,12 @@ module Ivec = Prelude.Ivec
    slowly decaying [peak] of it: a release shrinks the array to [room
    peak] once it is more than four times that.  The array thus tracks
    what has been kept lately, not everything ever pushed, without
-   reallocating on every swing.  A fresh array is always above
-   [Max_young_wosize] (256 words) and goes straight to the major heap:
-   a feed allocates nothing on the minor heap. *)
+   reallocating on every swing.  The first array has 32 words, so a
+   small graph pays for four small blocks and never moves.  Every later
+   array is above [Max_young_wosize] (256 words) and goes straight to
+   the major heap: a feed allocates nothing on the minor heap.  Words
+   are copied by plain loops, since a blit into a major-heap array
+   passes each word through the write barrier. *)
 module Suffix = struct
   type t = {
     mutable data : int array;
@@ -85,7 +88,15 @@ module Suffix = struct
 
   let room kept = (2 * kept) + 257
 
-  let create () = { data = [||]; off = 0; lo = 0; len = 0; peak = 0 }
+  (* [dst.(dpos + k) <- src.(spos + k)] for [k] ascending: safe for an
+     overlapping move down *)
+  let copy src spos dst dpos len =
+    for k = 0 to len - 1 do
+      Array.unsafe_set dst (dpos + k) (Array.unsafe_get src (spos + k))
+    done
+
+  let create () =
+    { data = Array.make 32 0; off = 0; lo = 0; len = 0; peak = 0 }
   let length v = v.len
   let first v = v.lo
   let get v i = v.data.(i - v.off)
@@ -93,7 +104,7 @@ module Suffix = struct
 
   let move v size =
     let a = Array.make size 0 in
-    Array.blit v.data (v.lo - v.off) a 0 (v.len - v.lo);
+    copy v.data (v.lo - v.off) a 0 (v.len - v.lo);
     v.data <- a;
     v.off <- v.lo
 
@@ -110,7 +121,7 @@ module Suffix = struct
     if v.len - v.off + extra > cap then begin
       let need = v.len - v.lo + extra in
       if 2 * need <= cap then begin
-        Array.blit v.data (v.lo - v.off) v.data 0 (v.len - v.lo);
+        copy v.data (v.lo - v.off) v.data 0 (v.len - v.lo);
         v.off <- v.lo
       end
       else move v (room need);
@@ -125,7 +136,7 @@ module Suffix = struct
   (* push [src.(pos) .. src.(pos + len - 1)] *)
   let append v src ~pos ~len =
     reserve v len;
-    Array.blit src pos v.data (v.len - v.off) len;
+    copy src pos v.data (v.len - v.off) len;
     v.len <- v.len + len
 end
 
@@ -231,23 +242,39 @@ let add_left t ~last =
   t.n_open <- t.n_open + 1;
   u
 
-let add_right t lefts ~pos ~len =
-  if pos < 0 || len < 0 || pos > Array.length lefts - len then
-    invalid_arg "Augment.add_right: slice out of bounds";
+(* The oldest left named by edges [i, stop), or [n_left t] if none;
+   raises, before anything is appended, on a left not held or closed. *)
+let oldest_named t lefts i stop =
   let lo = first_left t and nl = n_left t in
   let oldest = ref nl in
-  for i = pos to pos + len - 1 do
-    let u = lefts.(i) in
+  for j = i to stop - 1 do
+    let u = lefts.(j) in
     if u < lo || u >= nl then
-      invalid_arg "Augment.add_right: left vertex out of range";
+      invalid_arg "Augment.add_columns: left vertex out of range";
     if last t u < t.epoch then
-      invalid_arg "Augment.add_right: left vertex closed";
+      invalid_arg "Augment.add_columns: left vertex closed";
     if u < !oldest then oldest := u
   done;
-  Suffix.append t.lefts lefts ~pos ~len;
-  Suffix.push t.offsets (n_edges t);
-  Suffix.push t.col_min !oldest;
-  n_right t - 1
+  !oldest
+
+let add_columns t lefts ~ends ~count =
+  if count < 0 || count > Array.length ends then
+    invalid_arg "Augment.add_columns: count out of bounds";
+  let start = ref 0 in
+  for k = 0 to count - 1 do
+    if ends.(k) < !start || ends.(k) > Array.length lefts then
+      invalid_arg "Augment.add_columns: column ends out of bounds";
+    ignore (oldest_named t lefts !start ends.(k) : int);
+    start := ends.(k)
+  done;
+  let base = n_edges t in
+  Suffix.append t.lefts lefts ~pos:0 ~len:!start;
+  let start = ref 0 in
+  for k = 0 to count - 1 do
+    Suffix.push t.offsets (base + ends.(k));
+    Suffix.push t.col_min (oldest_named t lefts !start ends.(k));
+    start := ends.(k)
+  done
 
 let stats t =
   {

@@ -10,10 +10,10 @@
 
     + {!add_left} adds an isolated left vertex, open until a given
       epoch;
-    + {!add_right} adds a right vertex {e together with all its edges},
-      to left vertices that are still open (a scheduling round's time
-      slots arrive together with all edges into them, from the requests
-      whose window covers the round).
+    + {!add_columns} adds right vertices {e together with all their
+      edges}, to left vertices that are still open (a scheduling
+      round's time slots arrive together with all edges into them, from
+      the requests whose window covers the round).
 
     No edge between existing vertices can be added, so the append
     discipline the incremental invariant needs is the only thing the API
@@ -75,15 +75,15 @@ val add_left : t -> last:int -> int
     ([max_int]: for ever), and return its id (the new [n_left - 1]).
     @raise Invalid_argument if [last] is before the current epoch. *)
 
-val add_right : t -> int array -> pos:int -> len:int -> int
-(** [add_right t lefts ~pos ~len] appends a right vertex whose edges go
-    to [lefts.(pos) .. lefts.(pos + len - 1)], in that order, and
-    returns its id (the new [n_right - 1]).  The edges take the next
-    [len] edge ids, in the same order; a search probes them in that
-    order.  The array is copied, not kept.
-    @raise Invalid_argument, appending nothing, if the slice is out of
-    the array's bounds or names a left vertex that does not exist, is no
-    longer held or is closed. *)
+val add_columns : t -> int array -> ends:int array -> count:int -> unit
+(** [add_columns t lefts ~ends ~count] appends [count] right vertices,
+    ids [n_right] onwards.  Column [k]'s edges go to [lefts.(i)] for
+    [i] from [ends.(k - 1)] (0 for [k = 0]) up to [ends.(k) - 1], in
+    that order.  The edges take the next edge ids, in the same order; a
+    search probes them in that order.  The arrays are copied, not kept.
+    @raise Invalid_argument, appending nothing, if [count] or a column
+    end is out of bounds, the ends decrease, or a column names a left
+    vertex that does not exist, is no longer held or is closed. *)
 
 val n_left : t -> int
 val n_right : t -> int

@@ -12,7 +12,7 @@ let expanded inst =
   let _, m = expanded_matching inst in
   Graph.Matching.size m
 
-let value = expanded
+let value inst = Opt_stream.opt (Opt_stream.of_instance inst)
 
 let single_alternative_edf inst =
   Array.iter

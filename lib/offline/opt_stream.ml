@@ -48,17 +48,23 @@ type t = {
   mutable edges : int array; (* the round's columns, by resource *)
 }
 
+(* fills the unused cells of [live] *)
+let vacant =
+  Request.of_array ~id:(-1) ~arrival:0 ~alternatives:[| 0 |] ~deadline:1
+
+(* Every array starts at a size a small instance never outgrows, so a
+   tracker that solves one pays for a few small blocks and no growth. *)
 let create ?metrics ~n_resources () =
   if n_resources < 1 then invalid_arg "Opt_stream.create: need >= 1 resource";
   {
     n = n_resources;
     aug = Augment.create ();
     meters = Option.map meters (M.resolve metrics);
-    live = [||];
-    live_left = [||];
+    live = Array.make 16 vacant;
+    live_left = Array.make 16 0;
     n_live = 0;
     ends = Array.make n_resources 0;
-    edges = [||];
+    edges = Array.make 64 0;
   }
 
 let grow a n ~fill =
@@ -121,7 +127,9 @@ let append_round t (arrivals : Request.t array) =
     let last = Request.last_round arrivals.(j) in
     ignore (Augment.add_left t.aug ~last : int)
   done;
-  Array.fill t.ends 0 t.n 0;
+  for res = 0 to t.n - 1 do
+    t.ends.(res) <- 0
+  done;
   for i = 0 to t.n_live - 1 do
     count_edges t t.live.(i)
   done;
@@ -142,12 +150,7 @@ let append_round t (arrivals : Request.t array) =
   for j = 0 to Array.length arrivals - 1 do
     place t arrivals.(j) (first_left + j)
   done;
-  let start = ref 0 in
-  for res = 0 to t.n - 1 do
-    let stop = t.ends.(res) in
-    ignore (Augment.add_right t.aug t.edges ~pos:!start ~len:(stop - !start) : int);
-    start := stop
-  done;
+  Augment.add_columns t.aug t.edges ~ends:t.ends ~count:t.n;
   first_left
 
 (* Drop the requests whose window closes with this round and admit the
@@ -163,8 +166,7 @@ let update_live t (arrivals : Request.t array) ~round ~first_left =
   done;
   let cap = !kept + Array.length arrivals in
   if cap > Array.length t.live then begin
-    (* any request fills the new cells; only [0, n_live) is read *)
-    t.live <- grow t.live cap ~fill:arrivals.(0);
+    t.live <- grow t.live cap ~fill:vacant;
     t.live_left <- grow t.live_left cap ~fill:0
   end;
   for j = 0 to Array.length arrivals - 1 do

@@ -1,18 +1,56 @@
+module Slo = Analysis.Slo
+
 type run = {
   outcome : Sched.Outcome.t;
   opt : int;
   ratio : float;
+  anytime_ratio : float;
+  scores : Slo.scores;
 }
 
-let run_instance ?metrics inst factory =
-  let metrics = Obs.Metrics.resolve metrics in
-  let outcome = Sched.Engine.run ?metrics inst factory in
-  let opt = Offline.Opt.value inst in
+let optimum ?metrics inst = Offline.Opt_stream.prefix_curve ?metrics inst
+
+let final curve =
+  let h = Array.length curve in
+  if h = 0 then 0 else curve.(h - 1)
+
+(* One engine run: its own events feed the SLO accumulator, and each
+   round's served count, against the curve, the anytime ratio. *)
+let score ?metrics ~curve inst factory =
+  let acc = Slo.create () in
+  let served = ref 0 and worst = ref 1.0 in
+  let observer =
+    {
+      Sched.Engine.arrivals =
+        (fun round arrivals ->
+           Array.iter
+             (fun (r : Sched.Request.t) ->
+                Slo.on_submit acc ~id:r.id ~round ~deadline:r.deadline)
+             arrivals);
+      served =
+        (fun id round ->
+           incr served;
+           Slo.on_serve acc ~id ~round);
+      expired = (fun id round -> Slo.on_expire acc ~id ~round);
+      round_done =
+        (fun round ->
+           Slo.on_round acc;
+           let r = Slo.ratio_of ~opt:curve.(round) ~served:!served in
+           if r > !worst then worst := r);
+    }
+  in
+  let outcome = Sched.Engine.run ?metrics ~observer inst factory in
+  let opt = final curve in
   {
     outcome;
     opt;
-    ratio = Analysis.Slo.ratio_of ~opt ~served:outcome.Sched.Outcome.served;
+    ratio = Slo.ratio_of ~opt ~served:outcome.Sched.Outcome.served;
+    anytime_ratio = !worst;
+    scores = Slo.scores acc;
   }
+
+let run_instance ?metrics inst factory =
+  score ?metrics ~curve:(optimum ?metrics inst) inst factory
 
 let run_scenario (sc : Adversary.Scenario.t) factory =
   let r = run_instance sc.Adversary.Scenario.instance factory in

@@ -2,24 +2,46 @@
 
 type run = {
   outcome : Sched.Outcome.t;
-  opt : int;
-  ratio : float;
+  opt : int;              (** offline optimum of the whole instance *)
+  ratio : float;          (** OPT / served, guarded as {!Analysis.Slo.ratio_of} *)
+  anytime_ratio : float;
+      (** worst prefix ratio over all rounds: the OPT prefix curve
+          against the served count after each round (1 on an empty
+          horizon) *)
+  scores : Analysis.Slo.scores;
+      (** the streaming SLO accumulator fed by the run's own events *)
 }
+(** A scored run: the one place a strategy's run meets the optimum. *)
 
-val run_scenario : Adversary.Scenario.t -> Sched.Strategy.factory -> run
-(** Run and compute the exact optimum ({!Offline.Opt.value}); when the
-    scenario carries an [opt_hint] it is checked against the computed
-    optimum and a mismatch raises [Failure] — the adversary constructions
-    are exact, so disagreement means a bug. *)
+val optimum : ?metrics:Obs.Metrics.t -> Sched.Instance.t -> int array
+(** The instance's OPT prefix curve ({!Offline.Opt_stream.prefix_curve},
+    whose last value is {!Offline.Opt.value}), computed once and shared
+    by every strategy scored on the instance. *)
+
+val final : int array -> int
+(** The last value of a prefix curve, the whole instance's optimum (0
+    on an empty horizon). *)
+
+val score :
+  ?metrics:Obs.Metrics.t -> curve:int array -> Sched.Instance.t ->
+  Sched.Strategy.factory -> run
+(** One pass: {!Sched.Engine.run} with an observer that feeds the
+    streaming {!Analysis.Slo} accumulator and tracks the anytime ratio
+    against [curve], which must be {!optimum} of the same instance.
+    With a registry (explicit or ambient) the engine records its
+    per-round metrics; metrics observe the run, they never pick the
+    algorithm that computes what is measured. *)
 
 val run_instance :
   ?metrics:Obs.Metrics.t -> Sched.Instance.t -> Sched.Strategy.factory ->
   run
-(** With a registry (explicit or ambient) the engine records its
-    per-round metrics.  The optimum is always {!Offline.Opt.value}:
-    metrics observe the run, they never pick the algorithm that computes
-    what is measured.  [ratio] is {!Analysis.Slo.ratio_of}; the
-    anytime ratio comes from {!Analysis.Slo.score_stream}. *)
+(** {!score} against a fresh {!optimum}. *)
+
+val run_scenario : Adversary.Scenario.t -> Sched.Strategy.factory -> run
+(** {!run_instance}; when the scenario carries an [opt_hint] it is
+    checked against the computed optimum and a mismatch raises [Failure]
+    — the adversary constructions are exact, so disagreement means a
+    bug. *)
 
 val asymptotic_ratio :
   make:(int -> Adversary.Scenario.t) ->

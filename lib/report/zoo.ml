@@ -29,11 +29,11 @@ let zoo_job ~workload ~strategy ~n ~d ~rounds ~load =
         | Ok f -> f
         | Error m -> failwith m
       in
-      Slo.score_stream inst factory )
+      Harness.run_instance inst factory )
 
 let eps = 1e-9
 
-let well_formed ~n ~d (c : Slo.streamed) =
+let well_formed ~n ~d (c : Harness.run) =
   let s = c.scores in
   let conserved = s.served + s.expired = s.submitted in
   let viol_ok = s.violation_rate >= 0.0 && s.violation_rate <= 1.0 in
@@ -51,8 +51,8 @@ let well_formed ~n ~d (c : Slo.streamed) =
   let machines_ok = s.machines_needed >= if s.submitted > 0 then 1 else 0 in
   let ratio_ok =
     c.opt >= s.served
-    && c.final_ratio >= 1.0 -. eps
-    && c.anytime_ratio >= c.final_ratio -. eps
+    && c.ratio >= 1.0 -. eps
+    && c.anytime_ratio >= c.ratio -. eps
   in
   conserved && viol_ok && thr_ok && antt_ok && delay_ok && machines_ok
   && ratio_ok
@@ -91,9 +91,9 @@ let summary ?domains ~quick () =
   in
   let checks =
     List.map2
-      (fun ((f : Workload.Zoo.family), strategy) (c : Slo.streamed) ->
+      (fun ((f : Workload.Zoo.family), strategy) (c : Harness.run) ->
         let s = c.scores in
-        let m mode = Slo.mode_cell mode ~ratio:c.final_ratio s in
+        let m mode = Slo.mode_cell mode ~ratio:c.ratio s in
         Texttable.add_row table
           [
             f.key;

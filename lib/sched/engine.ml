@@ -247,9 +247,26 @@ end
 (* ------------------------------------------------------------------ *)
 (* Batch drivers: a fresh [Live] stepped for [horizon] rounds, [arrive]
    admitting each round's requests first.  First services are recorded
-   by id ([at] is -1 until served) to build the [Outcome]. *)
+   by id ([at] is -1 until served) to build the [Outcome]; an observer
+   sees them as they happen. *)
 
-let drive ?metrics ~n ~d ~horizon ~arrive ~instance factory =
+type observer = {
+  arrivals : int -> Request.t array -> unit;
+  served : int -> int -> unit;
+  expired : int -> int -> unit;
+  round_done : int -> unit;
+}
+
+let unobserved =
+  {
+    arrivals = (fun _ _ -> ());
+    served = (fun _ _ -> ());
+    expired = (fun _ _ -> ());
+    round_done = ignore;
+  }
+
+let drive ?metrics ?(observer = unobserved) ~n ~d ~horizon ~arrive ~instance
+    factory =
   let live = Live.create ?metrics ~n ~d factory in
   let resource = Ivec.create () and at = Ivec.create () in
   let is_served id = id >= 0 && id < Ivec.length at && Ivec.get at id >= 0 in
@@ -263,8 +280,10 @@ let drive ?metrics ~n ~d ~horizon ~arrive ~instance factory =
       (Live.step_with live
          ~served:(fun id res ->
              Ivec.set resource id res;
-             Ivec.set at id round)
-         ~expired:ignore)
+             Ivec.set at id round;
+             observer.served id round)
+         ~expired:(fun id -> observer.expired id round));
+    observer.round_done round
   done;
   let inst = instance () in
   let per_round_served = Array.make (max inst.Instance.horizon 1) 0 in
@@ -286,11 +305,13 @@ let drive ?metrics ~n ~d ~horizon ~arrive ~instance factory =
     per_round_served;
   }
 
-let run ?metrics inst factory =
-  drive ?metrics ~n:inst.Instance.n_resources ~d:inst.Instance.d
+let run ?metrics ?observer inst factory =
+  drive ?metrics ?observer ~n:inst.Instance.n_resources ~d:inst.Instance.d
     ~horizon:inst.Instance.horizon
     ~arrive:(fun live ~round ~is_served:_ ->
-        Array.iter (Live.admit live) (Instance.arrivals_at inst round))
+        let arrivals = Instance.arrivals_at inst round in
+        Array.iter (Live.admit live) arrivals;
+        Option.iter (fun o -> o.arrivals round arrivals) observer)
     ~instance:(fun () -> inst)
     factory
 

@@ -11,8 +11,24 @@ exception Protocol_error of string
     resource not among its alternatives, or two services on one resource
     in the same round. *)
 
-val run : ?metrics:Obs.Metrics.t -> Instance.t -> Strategy.factory -> Outcome.t
-(** Run the strategy over the whole instance.  Services of an
+type observer = {
+  arrivals : int -> Request.t array -> unit;
+      (** [arrivals round reqs]: the round's arrivals, admitted and not
+          yet stepped *)
+  served : int -> int -> unit;
+      (** [served id round]: a first service, in service order *)
+  expired : int -> int -> unit;
+      (** [expired id round]: a window closed unserved, ids ascending,
+          after the round's services *)
+  round_done : int -> unit;  (** the round's events are all delivered *)
+}
+(** What a run reports round by round, as {!Live.step_with} sees it. *)
+
+val run :
+  ?metrics:Obs.Metrics.t -> ?observer:observer -> Instance.t ->
+  Strategy.factory -> Outcome.t
+(** Run the strategy over the whole instance, telling [observer] each
+    round's events as they happen.  Services of an
     already-served request are legal but counted as [wasted] (the paper's
     EDF duplicates); everything else illegal raises {!Protocol_error}.
 

@@ -110,14 +110,14 @@ let test_ratio_accounting () =
       ]
   in
   (* the toy strategy serves only one per round *)
-  let r = Analysis.Slo.score_stream inst serve_all in
-  check Alcotest.int "opt" 2 r.Analysis.Slo.opt;
-  check Alcotest.int "alg" 1 r.Analysis.Slo.scores.Analysis.Slo.served;
+  let r = Report.Harness.run_instance inst serve_all in
+  check Alcotest.int "opt" 2 r.Report.Harness.opt;
+  check Alcotest.int "alg" 1 r.scores.Analysis.Slo.served;
   check Alcotest.int "alg agrees with the engine"
     (Engine.run inst serve_all).Sched.Outcome.served
-    r.Analysis.Slo.scores.Analysis.Slo.served;
-  check (Alcotest.float 1e-9) "ratio" 2.0 r.Analysis.Slo.final_ratio;
-  check (Alcotest.float 1e-9) "anytime" 2.0 r.Analysis.Slo.anytime_ratio
+    r.scores.Analysis.Slo.served;
+  check (Alcotest.float 1e-9) "ratio" 2.0 r.ratio;
+  check (Alcotest.float 1e-9) "anytime" 2.0 r.anytime_ratio
 
 (* ------------------------------------------------------------------ *)
 (* Audit *)
@@ -382,13 +382,16 @@ let machines_within (inst : Instance.t) ~max_len =
   !best
 
 let check_stream_equals_batch what inst =
-  let streamed = Slo.score_stream inst (Strategies.Twochoice.least_loaded ()) in
+  let streamed =
+    (Report.Harness.run_instance inst (Strategies.Twochoice.least_loaded ()))
+      .Report.Harness.scores
+  in
   let batch =
     Slo.of_outcome (Engine.run inst (Strategies.Twochoice.least_loaded ()))
   in
-  if compare streamed.Slo.scores batch <> 0 then
+  if compare streamed batch <> 0 then
     Alcotest.failf "%s: streamed machines %d, batch %d" what
-      streamed.Slo.scores.Slo.machines_needed batch.Slo.machines_needed;
+      streamed.Slo.machines_needed batch.Slo.machines_needed;
   batch.Slo.machines_needed
 
 (* Constant overload: 7 requests a round on 2 resources, deadline 3, for

@@ -470,9 +470,14 @@ type script = { a : Augment.t; mutable edges : (int * int) list (* newest first 
 
 let script () = { a = Augment.create (); edges = [] }
 
+(* append [lefts] as one column; its right vertex *)
+let add_right a lefts =
+  Augment.add_columns a lefts ~ends:[| Array.length lefts |] ~count:1;
+  Augment.n_right a - 1
+
 let column s lefts =
   let arr = Array.of_list lefts in
-  let r = Augment.add_right s.a arr ~pos:0 ~len:(Array.length arr) in
+  let r = add_right s.a arr in
   List.iter (fun u -> s.edges <- (u, r) :: s.edges) lefts;
   r
 
@@ -532,19 +537,23 @@ let test_augment_from_scratch () =
 let test_augment_rejects_bad_column () =
   let a = Augment.create () in
   let u = Augment.add_left a ~last:max_int in
-  ignore (Augment.add_right a [| u |] ~pos:0 ~len:1 : int);
-  let raises name lefts ~pos ~len =
-    (match Augment.add_right a lefts ~pos ~len with
+  ignore (add_right a [| u |] : int);
+  let raises name lefts ~ends ~count =
+    (match Augment.add_columns a lefts ~ends ~count with
      | exception Invalid_argument _ -> ()
      | _ -> Alcotest.fail (name ^ ": expected Invalid_argument"));
     (* a rejected column appends nothing *)
     check Alcotest.int (name ^ ": n_right") 1 (Augment.n_right a);
     check Alcotest.int (name ^ ": n_edges") 1 (Augment.n_edges a)
   in
-  raises "left past the end" [| u; u + 1 |] ~pos:0 ~len:2;
-  raises "negative left" [| -1 |] ~pos:0 ~len:1;
-  raises "slice past the array" [| u |] ~pos:1 ~len:1;
-  raises "negative length" [| u |] ~pos:0 ~len:(-1);
+  raises "left past the end" [| u; u + 1 |] ~ends:[| 2 |] ~count:1;
+  raises "negative left" [| -1 |] ~ends:[| 1 |] ~count:1;
+  raises "column past the array" [| u |] ~ends:[| 2 |] ~count:1;
+  raises "decreasing ends" [| u; u |] ~ends:[| 2; 1 |] ~count:2;
+  raises "count past the ends" [| u |] ~ends:[| 1 |] ~count:2;
+  raises "negative count" [| u |] ~ends:[| 1 |] ~count:(-1);
+  raises "a good column before a bad one" [| u; u + 1 |] ~ends:[| 1; 2 |]
+    ~count:2;
   check Alcotest.int "the good column still augments" 1 (Augment.augment a);
   (match Augment.is_dead a 99 with
    | exception Invalid_argument _ -> ()
@@ -665,7 +674,7 @@ let test_failed_search_kills_once () =
   let a = Augment.create () in
   let u0 = Augment.add_left a ~last:max_int and u1 = Augment.add_left a ~last:max_int in
   let slot () =
-    ignore (Augment.add_right a [| u0; u1 |] ~pos:0 ~len:2 : int);
+    ignore (add_right a [| u0; u1 |] : int);
     Augment.augment a
   in
   check Alcotest.int "slot 0" 1 (slot ());
@@ -691,7 +700,7 @@ let test_settle_flips_and_releases () =
   let a = Augment.create () in
   let old = Augment.add_left a ~last:0 and young = Augment.add_left a ~last:5 in
   (* the column probes the young request first, so it takes the slot *)
-  ignore (Augment.add_right a [| young; old |] ~pos:0 ~len:2 : int);
+  ignore (add_right a [| young; old |] : int);
   check Alcotest.int "one slot, one match" 1 (Augment.augment a);
   check Alcotest.int "the young request took it" 0 (Augment.partner a young);
   Augment.settle a;
@@ -705,10 +714,10 @@ let test_settle_flips_and_releases () =
   (* no walk can reach it: it and the slot are frozen at once; the slot
      is released now, the request at the next settle *)
   check Alcotest.int "old slot released" 1 (Augment.first_right a);
-  (match Augment.add_right a [| old |] ~pos:0 ~len:1 with
+  (match add_right a [| old |] with
    | exception Invalid_argument _ -> ()
    | _ -> Alcotest.fail "a closed left was accepted");
-  ignore (Augment.add_right a [| young |] ~pos:0 ~len:1 : int);
+  ignore (add_right a [| young |] : int);
   check Alcotest.int "the young request takes the next slot" 1
     (Augment.augment a);
   Augment.settle a;
@@ -725,14 +734,14 @@ let test_settle_flips_and_releases () =
   (* a closed but held left is refused too *)
   let b = Augment.create () in
   let u = Augment.add_left b ~last:0 and v = Augment.add_left b ~last:3 in
-  ignore (Augment.add_right b [| u |] ~pos:0 ~len:1 : int);
-  ignore (Augment.add_right b [| v; u |] ~pos:0 ~len:2 : int);
+  ignore (add_right b [| u |] : int);
+  ignore (add_right b [| v; u |] : int);
   check Alcotest.int "two slots, two matches" 2 (Augment.augment b);
   Augment.settle b;
   Augment.settle b;
   (* v's slot names u, so a walk from v still reaches u *)
   check Alcotest.int "u is still held" u (Augment.first_left b);
-  match Augment.add_right b [| v; u |] ~pos:0 ~len:2 with
+  match add_right b [| v; u |] with
   | exception Invalid_argument _ ->
     check Alcotest.int "nothing appended" 2 (Augment.n_right b)
   | _ -> Alcotest.fail "a closed left was accepted"
@@ -855,7 +864,7 @@ let test_search_allocates_nothing () =
   (* a chain: slot i takes lefts i and i+1, so each new slot reroutes
      the whole chain before it *)
   let column lefts =
-    ignore (Augment.add_right a lefts ~pos:0 ~len:(Array.length lefts) : int)
+    ignore (add_right a lefts : int)
   in
   for i = 0 to n - 3 do
     column [| i + 1; i |];

@@ -601,6 +601,61 @@ let prop_stream_koenig_at_random_cuts =
   qtest ~count:100 "incremental matching Koenig-certified at cut rounds"
     workload_arb (fun spec -> certify_at_cuts (build_workload spec))
 
+(* Opt.value is the stream's final value; Hopcroft-Karp ([expanded]) is
+   its oracle on every named instance the system reports on: each
+   theorem adversary, each zoo family at the quick size, dataserver
+   session traces and the empty instance. *)
+let test_value_equals_expanded_named () =
+  let thm26 =
+    let adv = Adversary.Thm26.create ~d:3 ~phases:2 in
+    (Sched.Engine.run_adaptive ~n:Adversary.Thm26.n_resources ~d:3
+       ~last_arrival_round:(Adversary.Thm26.last_arrival_round ~d:3 ~phases:2)
+       ~adversary:(Adversary.Thm26.adversary adv)
+       (Strategies.Global.balance ()))
+      .Sched.Outcome.instance
+  in
+  let theorems =
+    [
+      ("thm2.1", (Adversary.Thm21.make ~d:4 ~phases:3).instance);
+      ("thm2.2", (Adversary.Thm22.make ~ell:2 ~d:4 ~phases:3).instance);
+      ("thm2.3", (Adversary.Thm23.make ~d:4 ~phases:3).instance);
+      ("thm2.4", (Adversary.Thm24.make ~d:4 ~phases:3).instance);
+      ("thm2.5", (Adversary.Thm25.make ~d:5 ~groups:2 ~intervals:3).instance);
+      ("thm2.6", thm26);
+      ("thm3.7", (fst (Adversary.Thm37.make ~d:4 ~intervals:6)).instance);
+    ]
+  in
+  let zoo =
+    List.map
+      (fun (f : Workload.Zoo.family) ->
+         match
+           Workload.Zoo.generate ~name:f.key ~n:6 ~d:4 ~rounds:40
+             ~load:f.default_load ~seed:7
+         with
+         | Ok inst -> ("zoo " ^ f.key, inst)
+         | Error m -> Alcotest.fail m)
+      Workload.Zoo.families
+  in
+  let sessions =
+    List.map
+      (fun seed ->
+         let rng = Prelude.Rng.create ~seed in
+         let placement =
+           Dataserver.Placement.partner ~disks:4 ~items:10 ~copies:2
+         in
+         ( Printf.sprintf "sessions seed %d" seed,
+           fst
+             (Dataserver.Trace.sessions ~rng ~placement ~rounds:60
+                ~arrivals_per_round:1.0 ~mean_length:5 ~d:3 ()) ))
+      [ 8; 9 ]
+  in
+  let empty = ("empty", Instance.build ~n_resources:3 ~d:2 []) in
+  List.iter
+    (fun (name, inst) ->
+       check Alcotest.int (name ^ ": value = expanded")
+         (Offline.Opt.expanded inst) (Offline.Opt.value inst))
+    ((empty :: theorems) @ zoo @ sessions)
+
 let test_opt_adversary_certified () =
   (* certify the optima of the adversarial instances used throughout *)
   List.iter
@@ -655,6 +710,8 @@ let () =
             test_stream_feed_allocation;
           Alcotest.test_case "koenig at cut rounds" `Quick
             test_stream_koenig_at_cut_rounds;
+          Alcotest.test_case "value = expanded on named instances" `Quick
+            test_value_equals_expanded_named;
           prop_stream_equals_expanded;
           prop_stream_curve_on_workloads;
           prop_stream_koenig_at_random_cuts;

@@ -161,6 +161,47 @@ let test_ratio_of () =
 let qtest ?(count = 80) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
 
+(* The scored pass against its oracles, for every registry strategy:
+   its outcome is [Engine.run]'s field by field, its optimum is
+   Hopcroft-Karp's, and its anytime ratio is the worst prefix ratio
+   recomputed from the Hopcroft-Karp prefix curve and the outcome's
+   per-round served counts.  Every tenth case is the empty instance,
+   whose [per_round_served] has length 1 but whose curve has length 0. *)
+let prop_scored_pass_matches_oracles =
+  let names = Array.of_list Report.Registry.strategy_names in
+  qtest ~count:120 "scored pass = Engine.run + HK prefix oracle"
+    QCheck.(pair (int_range 0 999) (int_range 0 (Array.length names - 1)))
+    (fun (seed, k) ->
+       let factory () =
+         match Report.Registry.factory_of_name ~seed names.(k) with
+         | Ok f -> f
+         | Error m -> failwith m
+       in
+       let inst =
+         if seed mod 10 = 0 then Instance.build ~n_resources:3 ~d:3 []
+         else
+           Adversary.Random_workload.make ~rng:(Prelude.Rng.create ~seed)
+             ~n:(2 + (seed mod 3)) ~d:3 ~rounds:(1 + (seed mod 12))
+             ~load:1.3 ()
+       in
+       let r = Report.Harness.run_instance inst (factory ()) in
+       let o = Engine.run inst (factory ()) and p = r.Report.Harness.outcome in
+       let curve = Offline.Opt_stream.naive_prefix_curve inst in
+       let worst = ref 1.0 and served = ref 0 in
+       Array.iteri
+         (fun round opt ->
+            served := !served + o.per_round_served.(round);
+            worst := Float.max !worst (Analysis.Slo.ratio_of ~opt ~served:!served))
+         curve;
+       p.instance == o.instance
+       && p.strategy_name = o.strategy_name
+       && p.served_at = o.served_at
+       && p.served = o.served
+       && p.wasted = o.wasted
+       && p.per_round_served = o.per_round_served
+       && r.opt = Offline.Opt.expanded inst
+       && r.anytime_ratio = !worst)
+
 let prop_gantt_glyphs_match_served =
   (* one glyph per served request inside the drawn range *)
   qtest "gantt draws exactly the served slots"
@@ -223,7 +264,10 @@ let () =
             test_texttable_accessors;
         ] );
       ( "harness",
-        [ Alcotest.test_case "ratio_of" `Quick test_ratio_of ] );
+        [
+          Alcotest.test_case "ratio_of" `Quick test_ratio_of;
+          prop_scored_pass_matches_oracles;
+        ] );
       ( "properties",
         [ prop_gantt_glyphs_match_served; prop_csv_outcome_row_count ] );
     ]

@@ -131,12 +131,15 @@ let factory_of_name name =
   | Error m -> Alcotest.fail m
 
 let check_differential ~what inst strategy =
-  let streamed = Slo.score_stream inst (factory_of_name strategy) in
+  let streamed =
+    (Report.Harness.run_instance inst (factory_of_name strategy))
+      .Report.Harness.scores
+  in
   let batch = Slo.of_outcome (Engine.run inst (factory_of_name strategy)) in
-  if not (scores_equal streamed.scores batch) then
+  if not (scores_equal streamed batch) then
     Alcotest.failf "%s x %s: streaming != batch\nstream: %s\nbatch:  %s" what
       strategy
-      (pp_scores_line streamed.scores)
+      (pp_scores_line streamed)
       (pp_scores_line batch)
 
 (* the deterministic strategies the zoo sweeps; rotating through them

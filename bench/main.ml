@@ -104,10 +104,14 @@ let micro_tests () =
                 ~adversary:(Adversary.Thm26.adversary adv)
                 (Strategies.Global.eager ())
                : Sched.Outcome.t)));
-    (* offline optimum engines used by every experiment *)
+    (* the offline optimum every experiment divides by (the streamed
+       fold), and its Hopcroft-Karp oracle on the same instance *)
     Test.make ~name:"OPT/value-thm2.1"
       (Staged.stage (fun () ->
            ignore (Offline.Opt.value (Lazy.force thm21_instance) : int)));
+    Test.make ~name:"OPT/hopcroft-karp-thm2.1"
+      (Staged.stage (fun () ->
+           ignore (Offline.Opt.expanded (Lazy.force thm21_instance) : int)));
     Test.make ~name:"OPT/hopcroft-karp"
       (Staged.stage (fun () ->
            ignore (Offline.Opt.expanded (Lazy.force random_instance) : int)));

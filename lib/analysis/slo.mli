@@ -21,11 +21,14 @@
       [t1 .. t2] — how many copies of the cluster the workload demands
       even offline.
 
+    [Report.Harness.score] feeds the streaming accumulator from a run's
+    own events; {!of_outcome} is its batch oracle, for tests only.
+
     Exactness discipline: the accumulator keeps integer sums and exact
     rational maxima and divides only inside {!scores}, so the streaming
-    path and a batch recomputation from a full outcome log agree to the
-    last bit ({!of_outcome} is that independent recomputation; the
-    differential suite pins them equal on hundreds of instances). *)
+    path and the batch recomputation from a full outcome log agree to
+    the last bit (the differential suite pins them equal on hundreds of
+    instances). *)
 
 type scores = {
   submitted : int;
@@ -93,8 +96,6 @@ val of_outcome : Sched.Outcome.t -> scores
     shared accumulator code (machines-needed by the direct O(h{^2})
     double loop over intervals).  Equals the streaming scores exactly
     when the stream saw the same run ([rounds = horizon]). *)
-
-(** {1 The competitive ratio} *)
 
 val ratio_of : opt:int -> served:int -> float
 (** The competitive ratio [opt / served] with the degenerate cases made

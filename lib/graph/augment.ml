@@ -72,11 +72,9 @@ module Ivec = Prelude.Ivec
    peak] once it is more than four times that.  The array thus tracks
    what has been kept lately, not everything ever pushed, without
    reallocating on every swing.  The first array has 32 words, so a
-   small graph pays for four small blocks and never moves.  Every later
-   array is above [Max_young_wosize] (256 words) and goes straight to
-   the major heap: a feed allocates nothing on the minor heap.  Words
-   are copied by plain loops, since a blit into a major-heap array
-   passes each word through the write barrier. *)
+   small graph never moves; every later one is above [Max_young_wosize]
+   (256 words) and goes straight to the major heap: a feed allocates
+   nothing on the minor heap. *)
 module Suffix = struct
   type t = {
     mutable data : int array;
@@ -88,13 +86,6 @@ module Suffix = struct
 
   let room kept = (2 * kept) + 257
 
-  (* [dst.(dpos + k) <- src.(spos + k)] for [k] ascending: safe for an
-     overlapping move down *)
-  let copy src spos dst dpos len =
-    for k = 0 to len - 1 do
-      Array.unsafe_set dst (dpos + k) (Array.unsafe_get src (spos + k))
-    done
-
   let create () =
     { data = Array.make 32 0; off = 0; lo = 0; len = 0; peak = 0 }
   let length v = v.len
@@ -104,7 +95,7 @@ module Suffix = struct
 
   let move v size =
     let a = Array.make size 0 in
-    copy v.data (v.lo - v.off) a 0 (v.len - v.lo);
+    Array.blit v.data (v.lo - v.off) a 0 (v.len - v.lo);
     v.data <- a;
     v.off <- v.lo
 
@@ -121,7 +112,7 @@ module Suffix = struct
     if v.len - v.off + extra > cap then begin
       let need = v.len - v.lo + extra in
       if 2 * need <= cap then begin
-        copy v.data (v.lo - v.off) v.data 0 (v.len - v.lo);
+        Array.blit v.data (v.lo - v.off) v.data 0 (v.len - v.lo);
         v.off <- v.lo
       end
       else move v (room need);
@@ -136,7 +127,7 @@ module Suffix = struct
   (* push [src.(pos) .. src.(pos + len - 1)] *)
   let append v src ~pos ~len =
     reserve v len;
-    copy src pos v.data (v.len - v.off) len;
+    Array.blit src pos v.data (v.len - v.off) len;
     v.len <- v.len + len
 end
 
@@ -225,6 +216,11 @@ let size t = t.size
 let epoch t = t.epoch
 let first_left t = Suffix.first t.info / 3
 let first_right t = Suffix.first t.offsets
+let n_open t = t.n_open
+
+let open_left t k =
+  if k < 0 || k >= t.n_open then invalid_arg "Augment.open_left";
+  t.opens.(k)
 
 let add_left t ~last =
   if last < t.epoch then
@@ -242,37 +238,30 @@ let add_left t ~last =
   t.n_open <- t.n_open + 1;
   u
 
-(* The oldest left named by edges [i, stop), or [n_left t] if none;
-   raises, before anything is appended, on a left not held or closed. *)
-let oldest_named t lefts i stop =
-  let lo = first_left t and nl = n_left t in
-  let oldest = ref nl in
-  for j = i to stop - 1 do
-    let u = lefts.(j) in
-    if u < lo || u >= nl then
-      invalid_arg "Augment.add_columns: left vertex out of range";
-    if last t u < t.epoch then
-      invalid_arg "Augment.add_columns: left vertex closed";
-    if u < !oldest then oldest := u
-  done;
-  !oldest
-
 let add_columns t lefts ~ends ~count =
   if count < 0 || count > Array.length ends then
     invalid_arg "Augment.add_columns: count out of bounds";
-  let start = ref 0 in
+  let lo = first_left t and nl = n_left t and stop = ref 0 in
   for k = 0 to count - 1 do
-    if ends.(k) < !start || ends.(k) > Array.length lefts then
+    if ends.(k) < !stop || ends.(k) > Array.length lefts then
       invalid_arg "Augment.add_columns: column ends out of bounds";
-    ignore (oldest_named t lefts !start ends.(k) : int);
-    start := ends.(k)
+    for i = !stop to ends.(k) - 1 do
+      let u = lefts.(i) in
+      if u < lo || u >= nl || last t u < t.epoch then
+        invalid_arg "Augment.add_columns: left vertex not held or closed"
+    done;
+    stop := ends.(k)
   done;
-  let base = n_edges t in
-  Suffix.append t.lefts lefts ~pos:0 ~len:!start;
-  let start = ref 0 in
+  (* every column checked: append them all *)
+  let base = n_edges t and start = ref 0 in
+  Suffix.append t.lefts lefts ~pos:0 ~len:!stop;
   for k = 0 to count - 1 do
+    let oldest = ref nl in
+    for i = !start to ends.(k) - 1 do
+      if lefts.(i) < !oldest then oldest := lefts.(i)
+    done;
     Suffix.push t.offsets (base + ends.(k));
-    Suffix.push t.col_min (oldest_named t lefts !start ends.(k));
+    Suffix.push t.col_min !oldest;
     start := ends.(k)
   done
 

@@ -119,6 +119,11 @@ val first_left : t -> int
     {!settle} after the one that froze it, so its final {!partner} can
     be read in between. *)
 
+val n_open : t -> int
+val open_left : t -> int -> int
+(** [open_left t k]: the [k]-th of the [n_open t] left vertices open in
+    the current epoch, ascending.  @raise Invalid_argument out of range. *)
+
 val first_right : t -> int
 (** The oldest right vertex whose column is still held. *)
 

@@ -12,7 +12,9 @@ let expanded inst =
   let _, m = expanded_matching inst in
   Graph.Matching.size m
 
-let value inst = Opt_stream.opt (Opt_stream.of_instance inst)
+let value inst =
+  let curve = Opt_stream.prefix_curve inst in
+  if Array.length curve = 0 then 0 else curve.(Array.length curve - 1)
 
 let single_alternative_edf inst =
   Array.iter

@@ -1,24 +1,22 @@
 (** Offline optimum: the benchmark every competitive ratio divides by.
 
     The optimum number of servable requests equals the size of a maximum
-    matching in the paper's graph [G] ({!Sched.Paper_graph}), computed
-    by Hopcroft–Karp on the one-node-per-request graph — the one
-    whole-instance route, whether or not metrics are on (a Dinic
-    max-flow over grouped identical requests measured 2–5.5x slower on
-    random and zoo instances; EXPERIMENTS.md).  The tests cross-check it
-    against the final value of {!Opt_stream}'s independent incremental
-    matching, with König certificates, and against the EDF oracle
-    below.
+    matching in the paper's graph [G] ({!Sched.Paper_graph}).
+    {!value} is the final value of {!Opt_stream}'s incremental fold: one
+    pass over the rounds that holds only the open window, so its memory
+    follows the window and not the run.  It is the one production route
+    to the optimum.
 
-    For the per-round OPT {e prefix curve} of a long or streaming
-    workload, use {!Opt_stream} — one incremental pass instead of
-    [horizon] full recomputes.
-
-    {!single_alternative_edf} solves the restricted one-alternative model
-    greedily, giving an independent oracle for Observation 3.1 tests. *)
+    {!expanded} solves the whole graph by Hopcroft–Karp.  It is the
+    oracle: the tests pin {!value} to it on random and named instances,
+    with König certificates, and {!Analysis.Audit} uses its matching
+    for the alternating-path census.  {!single_alternative_edf} solves
+    the one-alternative model greedily, an independent oracle for
+    Observation 3.1 tests. *)
 
 val expanded : Sched.Instance.t -> int
-(** Maximum matching size of [G] by Hopcroft–Karp. *)
+(** Maximum matching size of [G] by Hopcroft–Karp over the whole
+    instance (the oracle). *)
 
 val expanded_matching :
   Sched.Instance.t -> Graph.Bipartite.t * Graph.Matching.t
@@ -26,7 +24,8 @@ val expanded_matching :
     analysis against an online outcome). *)
 
 val value : Sched.Instance.t -> int
-(** The offline optimum: {!expanded}. *)
+(** The offline optimum: the last value of {!Opt_stream.prefix_curve}
+    (0 on an empty horizon); equal to {!expanded}. *)
 
 val single_alternative_edf : Sched.Instance.t -> int
 (** Greedy earliest-deadline-first optimum for instances in which every

@@ -33,22 +33,21 @@ let meters m =
    for resource [res] is right vertex [r * n + res], and request ids
    are left vertices in feed order.  A round is one [aug] epoch, and a
    request is open through its last round.  The requests whose window
-   reaches past the last fed round are the live set, kept as parallel
-   arrays in left-id order (oldest first), [n_live] of them in use.
+   reaches past the last fed round are the live set: [aug]'s open
+   lefts, whose requests sit in the id ring [reqs] (left [u] at
+   [Sched.Id_ring.cell reqs u], lefts from the oldest open one on).
    Each column lists the live requests newest-first, then the round's
    arrivals in feed order: the order the Kuhn searches probe them. *)
 type t = {
   n : int;
   aug : Augment.t;
   meters : meters option;
-  mutable live : Request.t array;
-  mutable live_left : int array; (* the left vertex of [live.(i)] *)
-  mutable n_live : int;
+  mutable reqs : Request.t array;
   ends : int array; (* per resource: end of its column in [edges] *)
   mutable edges : int array; (* the round's columns, by resource *)
 }
 
-(* fills the unused cells of [live] *)
+(* fills the cells of [reqs] no open left holds *)
 let vacant =
   Request.of_array ~id:(-1) ~arrival:0 ~alternatives:[| 0 |] ~deadline:1
 
@@ -60,20 +59,10 @@ let create ?metrics ~n_resources () =
     n = n_resources;
     aug = Augment.create ();
     meters = Option.map meters (M.resolve metrics);
-    live = Array.make 16 vacant;
-    live_left = Array.make 16 0;
-    n_live = 0;
+    reqs = Array.make 16 vacant;
     ends = Array.make n_resources 0;
     edges = Array.make 64 0;
   }
-
-let grow a n ~fill =
-  if n <= Array.length a then a
-  else begin
-    let a' = Array.make (max n (2 * Array.length a)) fill in
-    Array.blit a 0 a' 0 (Array.length a);
-    a'
-  end
 
 let record_feed m aug ~arrivals ~(before : Augment.search_stats) ~t0 =
   let after = Augment.stats aug in
@@ -120,18 +109,25 @@ let place t (r : Request.t) left =
     t.ends.(res) <- t.ends.(res) + 1
   done
 
+let live t k = t.reqs.(Sched.Id_ring.cell t.reqs (Augment.open_left t.aug k))
+
 (* Append the round's slot column, one right vertex per resource. *)
 let append_round t (arrivals : Request.t array) =
-  let first_left = Augment.n_left t.aug in
+  let first_left = Augment.n_left t.aug and n_live = Augment.n_open t.aug in
+  let low = if n_live > 0 then Augment.open_left t.aug 0 else first_left in
+  while first_left + Array.length arrivals - low > Array.length t.reqs do
+    t.reqs <- Sched.Id_ring.grow t.reqs ~low ~next:first_left vacant
+  done;
   for j = 0 to Array.length arrivals - 1 do
     let last = Request.last_round arrivals.(j) in
-    ignore (Augment.add_left t.aug ~last : int)
+    let u = Augment.add_left t.aug ~last in
+    t.reqs.(Sched.Id_ring.cell t.reqs u) <- arrivals.(j)
   done;
   for res = 0 to t.n - 1 do
     t.ends.(res) <- 0
   done;
-  for i = 0 to t.n_live - 1 do
-    count_edges t t.live.(i)
+  for k = 0 to n_live - 1 do
+    count_edges t (live t k)
   done;
   for j = 0 to Array.length arrivals - 1 do
     count_edges t arrivals.(j)
@@ -143,40 +139,16 @@ let append_round t (arrivals : Request.t array) =
     t.ends.(res) <- !total;
     total := !total + c
   done;
-  t.edges <- grow t.edges !total ~fill:0;
-  for i = t.n_live - 1 downto 0 do
-    place t t.live.(i) t.live_left.(i)
+  (* scratch rewritten every round: a larger array, nothing copied *)
+  if !total > Array.length t.edges then
+    t.edges <- Array.make (max !total (2 * Array.length t.edges)) 0;
+  for k = n_live - 1 downto 0 do
+    place t (live t k) (Augment.open_left t.aug k)
   done;
   for j = 0 to Array.length arrivals - 1 do
     place t arrivals.(j) (first_left + j)
   done;
-  Augment.add_columns t.aug t.edges ~ends:t.ends ~count:t.n;
-  first_left
-
-(* Drop the requests whose window closes with this round and admit the
-   arrivals whose window goes on, keeping left-id order. *)
-let update_live t (arrivals : Request.t array) ~round ~first_left =
-  let kept = ref 0 in
-  for i = 0 to t.n_live - 1 do
-    if Request.last_round t.live.(i) > round then begin
-      t.live.(!kept) <- t.live.(i);
-      t.live_left.(!kept) <- t.live_left.(i);
-      incr kept
-    end
-  done;
-  let cap = !kept + Array.length arrivals in
-  if cap > Array.length t.live then begin
-    t.live <- grow t.live cap ~fill:vacant;
-    t.live_left <- grow t.live_left cap ~fill:0
-  end;
-  for j = 0 to Array.length arrivals - 1 do
-    if Request.last_round arrivals.(j) > round then begin
-      t.live.(!kept) <- arrivals.(j);
-      t.live_left.(!kept) <- first_left + j;
-      incr kept
-    end
-  done;
-  t.n_live <- !kept
+  Augment.add_columns t.aug t.edges ~ends:t.ends ~count:t.n
 
 let feed t arrivals =
   let before =
@@ -186,8 +158,7 @@ let feed t arrivals =
   in
   let round = Augment.epoch t.aug in
   validate t arrivals ~round;
-  let first_left = append_round t arrivals in
-  update_live t arrivals ~round ~first_left;
+  append_round t arrivals;
   ignore (Augment.augment t.aug : int);
   Augment.settle t.aug;
   (match before with
@@ -200,13 +171,6 @@ let rounds t = Augment.epoch t.aug
 let first_held t = Augment.first_left t.aug
 let partner t i = Augment.partner t.aug i
 let search_stats t = Augment.stats t.aug
-
-let of_instance ?metrics inst =
-  let t = create ?metrics ~n_resources:inst.Instance.n_resources () in
-  for round = 0 to inst.Instance.horizon - 1 do
-    ignore (feed t (Instance.arrivals_at inst round) : int)
-  done;
-  t
 
 let prefix_curve ?metrics inst =
   let t = create ?metrics ~n_resources:inst.Instance.n_resources () in

@@ -1,17 +1,17 @@
 (** Streaming offline optimum: the per-round OPT prefix curve in one
-    incremental pass, in memory bounded by the window.
+    incremental pass, in memory bounded by the window.  Its final value
+    is {!Opt.value}, the optimum every reported ratio divides by.
 
-    {!Opt.value} answers "what could an offline scheduler have served on
-    this whole instance?"; every anytime question — "what was the best
-    possible {e so far}, after each round?" — would need [horizon] full
-    recomputes.  This module instead grows the paper graph round by
-    round in {!Graph.Augment}'s column store and maintains a maximum
-    matching incrementally: feeding round [t] appends the round's
-    [n_resources] slots, each with all its edges (from the live earlier
-    requests, newest first, then from the round's arrivals), and one
+    The pass grows the paper graph round by round in
+    {!Graph.Augment}'s column store and maintains a maximum matching
+    incrementally: feeding round [t] appends the round's [n_resources]
+    slots, each with all its edges (from the live earlier requests,
+    newest first, then from the round's arrivals), and one
     augmenting-path search per new slot restores maximality.  The whole
     curve costs little more than the final solve alone, instead of
-    [horizon] times it.
+    [horizon] Hopcroft–Karp recomputes; a tracker starts from small
+    arrays, so a tiny instance costs about as much as one
+    Hopcroft–Karp solve (EXPERIMENTS, "One optimum").
 
     Memory follows the window, not the run.  Each feed ends with
     {!Graph.Augment.settle}: the requests whose window closed with the
@@ -27,8 +27,9 @@
     matching of [G] restricted to slots of rounds [0..t] — what an
     offline scheduler could serve {e by the end of round [t]} from the
     requests revealed so far.  After the final round it equals
-    {!Opt.value} exactly; the differential property suite pins the two
-    against each other and certifies cut rounds with König covers.
+    {!Opt.expanded} (Hopcroft–Karp, the oracle) exactly; the
+    differential property suite pins the two against each other and
+    certifies cut rounds with König covers.
 
     The curve is non-decreasing and each round's increment lies in
     [0 .. n_resources] (a round adds only [n_resources] slots, and every
@@ -87,9 +88,6 @@ val partner : t -> int -> int
 val search_stats : t -> Graph.Augment.search_stats
 (** Cumulative augmenting-path effort of this tracker, whether or not a
     metrics registry is attached. *)
-
-val of_instance : ?metrics:Obs.Metrics.t -> Sched.Instance.t -> t
-(** Feed a whole instance round by round. *)
 
 val prefix_curve : ?metrics:Obs.Metrics.t -> Sched.Instance.t -> int array
 (** The values {!feed} returns on a fresh tracker fed the whole

@@ -1296,11 +1296,7 @@ let loss_robustness ?domains ~quick () =
     let rng = Rng.create ~seed:95 in
     Adversary.Random_workload.make ~rng ~n:6 ~d:4 ~rounds ~load:1.1 ()
   in
-  let opt =
-    List.hd
-      (jobs ?domains ~family:"A.loss"
-         [ ("opt", fun () -> Offline.Opt.value inst) ])
-  in
+  let opt = Offline.Opt.value inst in
   (* (local_fix served, local_eager served, both consistent) per loss *)
   let results =
     jobs ?domains ~family:"A.loss"

@@ -5,32 +5,25 @@ type run = {
   opt : int;              (** offline optimum of the whole instance *)
   ratio : float;          (** OPT / served, guarded as {!Analysis.Slo.ratio_of} *)
   anytime_ratio : float;
-      (** worst prefix ratio over all rounds: the OPT prefix curve
-          against the served count after each round (1 on an empty
-          horizon) *)
-  scores : Analysis.Slo.scores;
-      (** the streaming SLO accumulator fed by the run's own events *)
+      (** worst prefix ratio over the rounds (1 on an empty horizon) *)
+  scores : Analysis.Slo.scores;  (** fed by the run's own events *)
 }
 (** A scored run: the one place a strategy's run meets the optimum. *)
 
 val optimum : ?metrics:Obs.Metrics.t -> Sched.Instance.t -> int array
-(** The instance's OPT prefix curve ({!Offline.Opt_stream.prefix_curve},
-    whose last value is {!Offline.Opt.value}), computed once and shared
-    by every strategy scored on the instance. *)
+(** The instance's OPT prefix curve ({!Offline.Opt_stream.prefix_curve}),
+    computed once and shared by every strategy scored on it. *)
 
 val final : int array -> int
-(** The last value of a prefix curve, the whole instance's optimum (0
-    on an empty horizon). *)
+(** A curve's last value, {!Offline.Opt.value} (0 on an empty horizon). *)
 
 val score :
   ?metrics:Obs.Metrics.t -> curve:int array -> Sched.Instance.t ->
   Sched.Strategy.factory -> run
 (** One pass: {!Sched.Engine.run} with an observer that feeds the
     streaming {!Analysis.Slo} accumulator and tracks the anytime ratio
-    against [curve], which must be {!optimum} of the same instance.
-    With a registry (explicit or ambient) the engine records its
-    per-round metrics; metrics observe the run, they never pick the
-    algorithm that computes what is measured. *)
+    against [curve], the instance's {!optimum}.  A registry (explicit or
+    ambient) receives the engine's per-round metrics. *)
 
 val run_instance :
   ?metrics:Obs.Metrics.t -> Sched.Instance.t -> Sched.Strategy.factory ->

@@ -258,12 +258,8 @@ type observer = {
 }
 
 let unobserved =
-  {
-    arrivals = (fun _ _ -> ());
-    served = (fun _ _ -> ());
-    expired = (fun _ _ -> ());
-    round_done = ignore;
-  }
+  let ignore2 _ _ = () in
+  { arrivals = ignore2; served = ignore2; expired = ignore2; round_done = ignore }
 
 let drive ?metrics ?(observer = unobserved) ~n ~d ~horizon ~arrive ~instance
     factory =

@@ -11,18 +11,17 @@ exception Protocol_error of string
     resource not among its alternatives, or two services on one resource
     in the same round. *)
 
+(** What a run reports round by round, as {!Live.step_with} sees it:
+    [arrivals round reqs] before the step, [served id round] on each
+    first service in service order, [expired id round] on each window
+    closed unserved (ids ascending, after the services), then
+    [round_done round]. *)
 type observer = {
   arrivals : int -> Request.t array -> unit;
-      (** [arrivals round reqs]: the round's arrivals, admitted and not
-          yet stepped *)
   served : int -> int -> unit;
-      (** [served id round]: a first service, in service order *)
   expired : int -> int -> unit;
-      (** [expired id round]: a window closed unserved, ids ascending,
-          after the round's services *)
-  round_done : int -> unit;  (** the round's events are all delivered *)
+  round_done : int -> unit;
 }
-(** What a run reports round by round, as {!Live.step_with} sees it. *)
 
 val run :
   ?metrics:Obs.Metrics.t -> ?observer:observer -> Instance.t ->

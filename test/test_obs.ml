@@ -511,7 +511,7 @@ let test_opt_stream_metrics_consistent () =
   let m = Metrics.create () in
   let inst = small_instance () in
   let v =
-    Offline.Opt_stream.opt (Offline.Opt_stream.of_instance ~metrics:m inst)
+    Report.Harness.final (Offline.Opt_stream.prefix_curve ~metrics:m inst)
   in
   check Alcotest.int "instrumentation does not change the optimum"
     (Offline.Opt.value inst) v;

@@ -161,7 +161,7 @@ let prop_expanded_matching_is_valid =
         let g, m = Offline.Opt.expanded_matching inst in
         Graph.Matching.is_valid g m
         && Graph.Matching.size m
-           = Offline.Opt_stream.opt (Offline.Opt_stream.of_instance inst))
+           = Offline.Opt.value inst)
 
 let prop_opt_koenig_certified =
   (* independent optimality certificate: a vertex cover of equal size
@@ -196,7 +196,7 @@ let prop_stream_equals_expanded =
   qtest ~count:300 "Opt_stream = expanded (random instances)"
     (instance_arb ~alts_max:3) (fun spec ->
         let inst = build_random spec in
-        Offline.Opt_stream.opt (Offline.Opt_stream.of_instance inst)
+        Offline.Opt.value inst
         = Offline.Opt.expanded inst)
 
 let workload_arb =
@@ -250,7 +250,7 @@ let test_stream_theorem_adversaries () =
     (fun (name, inst) ->
        let expanded = Offline.Opt.expanded inst in
        check Alcotest.int (name ^ ": stream = expanded") expanded
-         (Offline.Opt_stream.opt (Offline.Opt_stream.of_instance inst));
+         (Offline.Opt.value inst);
        let curve = Offline.Opt_stream.prefix_curve inst in
        check Alcotest.bool (name ^ ": curve well-formed") true
          (curve_well_formed inst curve);
@@ -259,7 +259,7 @@ let test_stream_theorem_adversaries () =
     (adaptive :: fixed)
 
 let test_stream_incremental_api () =
-  (* feeding by hand matches of_instance, and opt/rounds/curve agree *)
+  (* feeding by hand matches Opt.value, and opt/rounds/curve agree *)
   let inst = build_workload (3, 3, 12, 77) in
   let t = Offline.Opt_stream.create ~n_resources:3 () in
   check Alcotest.int "opt before any round" 0 (Offline.Opt_stream.opt t);

@@ -103,7 +103,7 @@ let compare_cmd =
     Cli.with_metrics metrics @@ fun metrics ->
     let* inst = Cli.instance w in
     let curve = Report.Harness.optimum ?metrics inst in
-    let opt = Report.Harness.final curve in
+    let opt = Offline.Opt.final curve in
     (* --score slo appends the full block, one objective just its
        column; ratio already has a column, so All skips it *)
     let score_modes =

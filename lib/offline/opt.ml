@@ -12,9 +12,10 @@ let expanded inst =
   let _, m = expanded_matching inst in
   Graph.Matching.size m
 
-let value inst =
-  let curve = Opt_stream.prefix_curve inst in
+let final curve =
   if Array.length curve = 0 then 0 else curve.(Array.length curve - 1)
+
+let value inst = final (Opt_stream.prefix_curve inst)
 
 let single_alternative_edf inst =
   Array.iter

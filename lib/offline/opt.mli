@@ -24,8 +24,12 @@ val expanded_matching :
     analysis against an online outcome). *)
 
 val value : Sched.Instance.t -> int
-(** The offline optimum: the last value of {!Opt_stream.prefix_curve}
-    (0 on an empty horizon); equal to {!expanded}. *)
+(** The offline optimum: {!final} of {!Opt_stream.prefix_curve}; equal
+    to {!expanded}. *)
+
+val final : int array -> int
+(** The optimum a prefix curve ends at: its last value, 0 on an empty
+    horizon. *)
 
 val single_alternative_edf : Sched.Instance.t -> int
 (** Greedy earliest-deadline-first optimum for instances in which every

@@ -10,10 +10,6 @@ type run = {
 
 let optimum ?metrics inst = Offline.Opt_stream.prefix_curve ?metrics inst
 
-let final curve =
-  let h = Array.length curve in
-  if h = 0 then 0 else curve.(h - 1)
-
 (* One engine run: its own events feed the SLO accumulator, and each
    round's served count, against the curve, the anytime ratio. *)
 let score ?metrics ~curve inst factory =
@@ -40,7 +36,7 @@ let score ?metrics ~curve inst factory =
     }
   in
   let outcome = Sched.Engine.run ?metrics ~observer inst factory in
-  let opt = final curve in
+  let opt = Offline.Opt.final curve in
   {
     outcome;
     opt;

@@ -14,9 +14,6 @@ val optimum : ?metrics:Obs.Metrics.t -> Sched.Instance.t -> int array
 (** The instance's OPT prefix curve ({!Offline.Opt_stream.prefix_curve}),
     computed once and shared by every strategy scored on it. *)
 
-val final : int array -> int
-(** A curve's last value, {!Offline.Opt.value} (0 on an empty horizon). *)
-
 val score :
   ?metrics:Obs.Metrics.t -> curve:int array -> Sched.Instance.t ->
   Sched.Strategy.factory -> run

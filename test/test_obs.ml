@@ -511,7 +511,7 @@ let test_opt_stream_metrics_consistent () =
   let m = Metrics.create () in
   let inst = small_instance () in
   let v =
-    Report.Harness.final (Offline.Opt_stream.prefix_curve ~metrics:m inst)
+    Offline.Opt.final (Offline.Opt_stream.prefix_curve ~metrics:m inst)
   in
   check Alcotest.int "instrumentation does not change the optimum"
     (Offline.Opt.value inst) v;

@@ -99,7 +99,7 @@ let run_cmd =
 (* compare *)
 
 let compare_cmd =
-  let action w solver score metrics =
+  let action w score metrics =
     Cli.with_metrics metrics @@ fun metrics ->
     let* inst = Cli.instance w in
     let curve = Report.Harness.optimum ?metrics inst in
@@ -129,7 +129,7 @@ let compare_cmd =
     in
     List.iter
       (fun strategy ->
-         match Cli.factory ?metrics ~seed:w.seed { Cli.strategy; solver } with
+         match Cli.factory ?metrics ~seed:w.seed strategy with
          | Error _ -> ()
          | Ok factory ->
            let r = Report.Harness.score ?metrics ~curve inst factory in
@@ -154,7 +154,7 @@ let compare_cmd =
   Cmd.v
     (Cmd.info "compare" ~doc:"Run every strategy on one workload.")
     (Cli.exits
-       Term.(const action $ Cli.workload $ Cli.solver $ Cli.score
+       Term.(const action $ Cli.workload $ Cli.score
              $ Cli.metrics))
 
 (* ------------------------------------------------------------------ *)
@@ -461,7 +461,7 @@ let serve_cmd =
             n d
             (Serve.Server.n_shards srv)
             (Serve.Server.n_domains srv)
-            s.Cli.strategy (tick_label tick))
+            s (tick_label tick))
     in
     Printf.printf
       "drained: served=%d expired=%d rejected=%d client_errors=%d\n"
@@ -495,8 +495,10 @@ let serve_cmd =
   in
   let queue_cap_arg =
     let doc =
-      "Per-shard admission queue bound; a full queue rejects with \
-       $(b,overload) instead of buffering without limit."
+      Printf.sprintf
+        "Per-shard admission queue bound, 1..%d; a full queue rejects \
+         with $(b,overload) instead of buffering without limit."
+        Serve.Server.max_capacity
     in
     Arg.(value & opt int 1024 & info [ "queue-cap" ] ~docv:"N" ~doc)
   in
@@ -509,9 +511,11 @@ let serve_cmd =
   in
   let outbox_cap_arg =
     let doc =
-      "Per-shard reply ring bound; a full ring stalls that shard with \
-       backpressure (counted as serve.outbox_stalls), never drops a \
-       reply."
+      Printf.sprintf
+        "Per-shard reply ring bound, 1..%d; a full ring stalls that shard \
+         with backpressure (counted as serve.outbox_stalls), never drops \
+         a reply."
+        Serve.Server.max_capacity
     in
     Arg.(value & opt int 4096 & info [ "outbox-cap" ] ~docv:"N" ~doc)
   in

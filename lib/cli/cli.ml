@@ -56,40 +56,15 @@ let instance w =
 (* ------------------------------------------------------------------ *)
 (* strategies *)
 
-let solver =
-  let doc =
-    Printf.sprintf
-      "Solver for the global strategies: one of %s.  $(b,kernel) (the \
-       default) is the warm-start incremental round kernel, $(b,rebuild) \
-       the from-scratch differential oracle.  Strategies without a solver \
-       choice ignore this."
-      (String.concat ", " Report.Registry.solver_names)
-  in
-  let name_of s =
-    List.find
-      (fun n -> Report.Registry.solver_of_name n = Ok s)
-      Report.Registry.solver_names
-  in
-  Arg.(value
-       & opt (name_conv ~docv:"SOLVER" Report.Registry.solver_of_name name_of)
-           Strategies.Global.Kernel
-       & info [ "solver" ] ~docv:"SOLVER" ~doc)
-
-type strategy = { strategy : string; solver : Strategies.Global.solver }
-
 let strategy =
   let doc =
     Printf.sprintf "Strategy: one of %s."
       (String.concat ", " Report.Registry.strategy_names)
   in
-  let strategy_name =
-    Arg.(value & opt string "balance" & info [ "s"; "strategy" ] ~docv:"S" ~doc)
-  in
-  let make strategy solver = { strategy; solver } in
-  Term.(const make $ strategy_name $ solver)
+  Arg.(value & opt string "balance" & info [ "s"; "strategy" ] ~docv:"S" ~doc)
 
-let factory ?metrics ~seed s =
-  Report.Registry.factory_of_name ~seed ?metrics ~solver:s.solver s.strategy
+let factory ?metrics ~seed name =
+  Report.Registry.factory_of_name ~seed ?metrics name
 
 let score =
   let doc =

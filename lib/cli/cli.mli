@@ -44,19 +44,13 @@ val instance : workload -> (Sched.Instance.t, string) result
 
 (** {2 Strategies} *)
 
-val solver : Strategies.Global.solver Term.t
-(** [--solver SOLVER], default [kernel]; parsed through
-    {!Report.Registry.solver_of_name}. *)
-
-type strategy = { strategy : string; solver : Strategies.Global.solver }
-
-val strategy : strategy Term.t
-(** [-s/--strategy S] (default [balance]) and {!solver}. *)
+val strategy : string Term.t
+(** [-s/--strategy S], default [balance]. *)
 
 val factory :
-  ?metrics:Obs.Metrics.t -> seed:int -> strategy ->
+  ?metrics:Obs.Metrics.t -> seed:int -> string ->
   (Sched.Strategy.factory, string) result
-(** {!Report.Registry.factory_of_name} with the chosen solver. *)
+(** {!Report.Registry.factory_of_name}. *)
 
 val score : Analysis.Slo.selector option Term.t
 (** [--score MODE], parsed through {!Analysis.Slo.selector_of_name}. *)

@@ -1,12 +1,14 @@
 (* Consistent hashing over a splitmix-style mixer.  The ring is an
    immutable sorted array of (point, node) pairs; ownership is a binary
    search for the first point at or after the resource's hash, wrapping
-   to the smallest point.  Rebuilding the array on membership change is
-   O(members * vnodes) — membership changes are rare (failover,
-   rejoin), lookups are the common case. *)
+   to the smallest point.  Each member projects [vnodes] points.
+   Rebuilding the array on membership change is O(members * vnodes) —
+   membership changes are rare (failover, rejoin), lookups are the
+   common case. *)
+
+let vnodes = 64
 
 type t = {
-  vnodes : int;
   points : (int * int) array; (* (point, node), sorted by point *)
   members : int list;         (* ascending *)
 }
@@ -29,7 +31,7 @@ let mix z =
 let node_point ~node ~replica = mix (((node * 0x10001) + replica + 1) * 2)
 let resource_key resource = mix ((resource * 2) + 1)
 
-let build ~vnodes members =
+let build members =
   let points =
     List.concat_map
       (fun node ->
@@ -38,10 +40,9 @@ let build ~vnodes members =
     |> Array.of_list
   in
   Array.sort compare points;
-  { vnodes; points; members }
+  { points; members }
 
-let create ?(vnodes = 64) ~nodes () =
-  if vnodes < 1 then invalid_arg "Ring.create: vnodes < 1";
+let create ~nodes () =
   if nodes = [] then invalid_arg "Ring.create: no nodes";
   List.iter
     (fun node -> if node < 0 then invalid_arg "Ring.create: negative node")
@@ -49,7 +50,7 @@ let create ?(vnodes = 64) ~nodes () =
   let members = List.sort_uniq compare nodes in
   if List.length members <> List.length nodes then
     invalid_arg "Ring.create: duplicate node";
-  build ~vnodes members
+  build members
 
 let members t = t.members
 let mem t node = List.mem node t.members
@@ -72,12 +73,12 @@ let remove t node =
   if not (mem t node) then invalid_arg "Ring.remove: not a member";
   match List.filter (fun m -> m <> node) t.members with
   | [] -> invalid_arg "Ring.remove: last member"
-  | members -> build ~vnodes:t.vnodes members
+  | members -> build members
 
 let add t node =
   if node < 0 then invalid_arg "Ring.add: negative node";
   if mem t node then invalid_arg "Ring.add: already a member";
-  build ~vnodes:t.vnodes (List.sort compare (node :: t.members))
+  build (List.sort compare (node :: t.members))
 
 let moved ~before ~after ~n =
   let out = ref [] in

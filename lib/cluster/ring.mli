@@ -4,7 +4,7 @@
     placement must disturb as little as possible when membership
     changes, because every moved resource costs an explicit slot
     handoff on rejoin (DESIGN.md §4.12).  Classic consistent hashing
-    gives that: each node projects [vnodes] points onto a hash circle
+    gives that: each node projects 64 points onto a hash circle
     and a resource belongs to the node owning the first point at or
     after the resource's own hash.  Removing a node only reassigns the
     resources it owned; adding it back restores exactly the original
@@ -19,11 +19,10 @@
 
 type t
 
-val create : ?vnodes:int -> nodes:int list -> unit -> t
-(** A ring over the given member nodes ([vnodes] points each,
-    default 64).
+val create : nodes:int list -> unit -> t
+(** A ring over the given member nodes, 64 points each.
     @raise Invalid_argument on an empty or duplicate-containing member
-    list, a negative node id, or [vnodes < 1]. *)
+    list, or a negative node id. *)
 
 val owner : t -> int -> int
 (** The node owning the given resource. *)

@@ -128,7 +128,7 @@ type t = {
 let met t pick by =
   match t.handles with None -> () | Some h -> Obs.Metrics.add (pick h) by
 
-let create ?metrics ?capacity ?priority ?(fail_after = 2) ?vnodes ~strategy
+let create ?metrics ?capacity ?priority ?(fail_after = 2) ~strategy
     ~nodes ~n ~d () =
   if nodes < 1 then invalid_arg "Session.create: nodes < 1";
   if n < 1 then invalid_arg "Session.create: n < 1";
@@ -158,7 +158,7 @@ let create ?metrics ?capacity ?priority ?(fail_after = 2) ?vnodes ~strategy
       handles = Option.map handles metrics;
       transport;
       nodes = Array.init nodes (fun id -> Node.create ~id ~n ~d);
-      ring = Ring.create ?vnodes ~nodes:(List.init nodes Fun.id) ();
+      ring = Ring.create ~nodes:(List.init nodes Fun.id) ();
       suspected = Array.make nodes 0;
       confirmed_dead = Array.make nodes false;
       m = Machine.create ~n ~d;
@@ -551,11 +551,11 @@ let stats t =
     serve_conflicts = t.conflicts_n;
   }
 
-let factory ?metrics ?capacity ?priority ?fail_after ?vnodes ?on_create
+let factory ?metrics ?capacity ?priority ?fail_after ?on_create
     ~strategy ~nodes () : Strategy.factory =
  fun ~n ~d ->
   let t =
-    create ?metrics ?capacity ?priority ?fail_after ?vnodes ~strategy ~nodes
+    create ?metrics ?capacity ?priority ?fail_after ~strategy ~nodes
       ~n ~d ()
   in
   (match on_create with Some f -> f t | None -> ());

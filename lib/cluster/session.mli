@@ -96,7 +96,6 @@ val create :
   ?capacity:int ->
   ?priority:(sender:int -> dst:int -> int) ->
   ?fail_after:int ->
-  ?vnodes:int ->
   strategy:kind -> nodes:int -> n:int -> d:int -> unit -> t
 (** A cluster of [nodes] shard nodes over [n] resources with nominal
     deadline [d].  [capacity] is the per-resource mailbox bound
@@ -154,7 +153,6 @@ val factory :
   ?capacity:int ->
   ?priority:(sender:int -> dst:int -> int) ->
   ?fail_after:int ->
-  ?vnodes:int ->
   ?on_create:(t -> unit) ->
   strategy:kind -> nodes:int -> unit -> Sched.Strategy.factory
 (** Adapt a cluster session to the engine's strategy interface, so

@@ -5,29 +5,13 @@ let strategy_names =
     "greedy_firstfit";
   ]
 
-let solvers =
-  [
-    ("kernel", Strategies.Global.Kernel);
-    ("rebuild", Strategies.Global.Rebuild);
-  ]
-
-let solver_names = List.map fst solvers
-
-let solver_of_name name =
-  match List.assoc_opt name solvers with
-  | Some s -> Ok s
-  | None ->
-    Error
-      (Printf.sprintf "unknown solver %S (expected one of: %s)" name
-         (String.concat ", " solver_names))
-
-let factory_of_name ~seed ?metrics ?solver name =
+let factory_of_name ~seed ?metrics name =
   match name with
-  | "fix" -> Ok (Strategies.Global.fix ?solver ?metrics ())
-  | "current" -> Ok (Strategies.Global.current ?solver ?metrics ())
-  | "fix_balance" -> Ok (Strategies.Global.fix_balance ?solver ?metrics ())
-  | "eager" -> Ok (Strategies.Global.eager ?solver ?metrics ())
-  | "balance" -> Ok (Strategies.Global.balance ?solver ?metrics ())
+  | "fix" -> Ok (Strategies.Global.fix ?metrics ())
+  | "current" -> Ok (Strategies.Global.current ?metrics ())
+  | "fix_balance" -> Ok (Strategies.Global.fix_balance ?metrics ())
+  | "eager" -> Ok (Strategies.Global.eager ?metrics ())
+  | "balance" -> Ok (Strategies.Global.balance ?metrics ())
   | "edf" -> Ok (Strategies.Edf.independent ())
   | "edf_coord" -> Ok (Strategies.Edf.coordinated ())
   | "local_fix" -> Ok (Localstrat.Local.fix ?metrics ())

@@ -11,24 +11,15 @@
 val strategy_names : string list
 (** Every name {!factory_of_name} accepts, in display order. *)
 
-val solver_names : string list
-(** Every name {!solver_of_name} accepts, in display order — the one
-    source for the CLI's [--solver] help and the error message. *)
-
-val solver_of_name : string -> (Strategies.Global.solver, string) result
-(** ["kernel"] is the warm-start incremental kernel (the default
-    everywhere), ["rebuild"] the from-scratch differential oracle; any
-    other name is an [Error] listing {!solver_names}. *)
-
 val factory_of_name :
-  seed:int -> ?metrics:Obs.Metrics.t -> ?solver:Strategies.Global.solver ->
-  string -> (Sched.Strategy.factory, string) result
+  seed:int -> ?metrics:Obs.Metrics.t -> string ->
+  (Sched.Strategy.factory, string) result
 (** [seed] drives randomised strategies (currently [greedy_random]) —
     distinct seeds give distinct coin streams.  [metrics] is forwarded
     to factories with an instrumented substrate (the local strategies'
-    {!Distnet.Net} and the global strategies' kernel).  [solver] selects
-    the global strategies' solver; strategies without a solver choice
-    ignore it. *)
+    {!Distnet.Net} and the global strategies' kernel).  The global
+    strategies run their production kernel; the from-scratch oracle is
+    reached through {!Strategies.Global.make}'s [?solver] only. *)
 
 val instance_of_workload :
   name:string -> n:int -> d:int -> rounds:int -> load:float -> seed:int ->

@@ -55,7 +55,12 @@ let n_requests t = Array.length t.requests
 
 let arrivals_at t round =
   if round < 0 || round >= Array.length t.arrivals_by_round then [||]
-  else Array.map (fun i -> t.requests.(i)) t.arrivals_by_round.(round)
+  else
+    (* ids are dense and in arrival order, so a round's arrivals are one
+       contiguous run of [requests] *)
+    match t.arrivals_by_round.(round) with
+    | [||] -> [||]
+    | ids -> Array.sub t.requests ids.(0) (Array.length ids)
 
 let total_slots t = t.n_resources * t.horizon
 

@@ -34,7 +34,8 @@ val max_generated : int
 val n_requests : t -> int
 
 val arrivals_at : t -> int -> Request.t array
-(** Requests arriving at the given round (empty outside the horizon). *)
+(** Requests arriving at the given round, in id order, in a fresh array
+    (empty outside the horizon). *)
 
 val total_slots : t -> int
 (** [n_resources * horizon]: capacity of the whole schedule. *)

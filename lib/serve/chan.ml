@@ -1,208 +1,88 @@
-(* Bounded FIFO queues for the serve data plane, in two flavours.
+(* Bounded lock-free single-producer/single-consumer FIFO rings for the
+   serve data plane.  Each inbox is written only by the I/O domain and
+   drained only by the owning worker domain, and each outbox is written
+   only by the owning worker and drained only by the I/O domain.
 
-   [Locked] — a mutex-protected flat ring.  Multi-producer (the I/O
-   domain pushes, shards push replies, and tests push from several
-   domains), single-consumer (the owner drains).  Overflow is the
-   producer's signal to apply backpressure explicitly — nothing is ever
+   Head and tail are monotonic [Atomic] counters (length = tail - head,
+   cell index = counter mod capacity); the producer owns tail, the
+   consumer owns head.  Under the OCaml 5 memory model the [Atomic.set]
+   of tail after the plain cell writes publishes them to the consumer
+   (and symmetrically head publishes consumption back to the producer),
+   so no cell is ever read and written concurrently.  Overflow is the
+   producer's signal to apply backpressure explicitly: nothing is ever
    dropped silently.  Consumers poll ([drain_into] is non-blocking); the
    serve loops tick on their own clocks, so no condition variable is
-   needed.  The ring grows geometrically up to [capacity] but never
-   shrinks, so a steady-state producer/consumer pair allocates nothing:
-   pushes write into the ring in place and [drain_into] copies out with
-   at most two [Array.blit]s into the caller's reusable buffer.
-   [capacity] may be huge (e.g. [max_int]); only the high-water mark is
-   ever allocated.
+   needed.
 
-   [Spsc] — a lock-free single-producer/single-consumer ring for the
-   case the server actually has: each inbox is written only by the I/O
-   domain and drained only by the owning worker domain, and each outbox
-   is written only by the owning worker and drained only by the I/O
-   domain.  Head and tail are monotonic [Atomic] counters (length =
-   tail - head, cell index = counter mod capacity); the producer owns
-   tail, the consumer owns head.  Under the OCaml 5 memory model the
-   [Atomic.set] of tail after the plain cell writes publishes them to
-   the consumer (and symmetrically head publishes consumption back to
-   the producer), so no cell is ever read and written concurrently.
-   The ring is allocated eagerly at full capacity — there is no safe
-   lock-free grow — which is why construction needs a [dummy] witness
-   and why [capacity] must be modest.  The mutex flavour remains the
-   oracle: a qcheck differential in test_serve.ml drives both through
-   identical operation sequences. *)
+   The ring is allocated eagerly at full capacity, since a lock-free
+   grow would need its own publication argument; that is why
+   construction needs a [dummy] witness and why the server bounds the
+   capacity.  Pushes write into the ring in place and [drain_into]
+   copies out with at most two [Array.blit]s into the caller's reusable
+   buffer, so steady-state traffic allocates nothing. *)
 
-type 'a locked = {
-  mutex : Mutex.t;
-  capacity : int;
-  mutable buf : 'a array; (* ring storage; [||] until the first push *)
-  mutable head : int;     (* index of the oldest element *)
-  mutable length : int;
-}
-
-type 'a spsc = {
+type 'a t = {
   cap : int;
   ring : 'a array;
-  shead : int Atomic.t; (* consumed count; owned by the consumer *)
-  stail : int Atomic.t; (* produced count; owned by the producer *)
+  head : int Atomic.t; (* consumed count; owned by the consumer *)
+  tail : int Atomic.t; (* produced count; owned by the producer *)
 }
-
-type 'a t = Locked of 'a locked | Spsc of 'a spsc
-
-let create ~capacity =
-  if capacity < 1 then invalid_arg "Chan.create: capacity must be >= 1";
-  Locked
-    { mutex = Mutex.create (); capacity; buf = [||]; head = 0; length = 0 }
 
 let create_spsc ~capacity ~dummy =
   if capacity < 1 then invalid_arg "Chan.create_spsc: capacity must be >= 1";
-  Spsc
-    {
-      cap = capacity;
-      ring = Array.make capacity dummy;
-      shead = Atomic.make 0;
-      stail = Atomic.make 0;
-    }
+  {
+    cap = capacity;
+    ring = Array.make capacity dummy;
+    head = Atomic.make 0;
+    tail = Atomic.make 0;
+  }
 
-let with_lock t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
-
-(* Make room for [extra] more elements (never beyond capacity; the
-   caller has already clamped).  [witness] seeds fresh cells — 'a array
-   cells must hold a value of the right type.  Linearizes the ring. *)
-let grow t ~extra ~witness =
-  let size = Array.length t.buf in
-  if t.length + extra > size then begin
-    let want = t.length + extra in
-    let size' = min t.capacity (max want (max 16 (2 * size))) in
-    let buf' = Array.make size' witness in
-    let tail = min t.length (size - t.head) in
-    if tail > 0 then Array.blit t.buf t.head buf' 0 tail;
-    if t.length > tail then Array.blit t.buf 0 buf' tail (t.length - tail);
-    t.buf <- buf';
-    t.head <- 0
+let try_push c x =
+  let tl = Atomic.get c.tail in
+  if tl - Atomic.get c.head >= c.cap then false
+  else begin
+    c.ring.(tl mod c.cap) <- x;
+    Atomic.set c.tail (tl + 1);
+    true
   end
 
-let unlocked_push t x =
-  grow t ~extra:1 ~witness:x;
-  let size = Array.length t.buf in
-  t.buf.((t.head + t.length) mod size) <- x;
-  t.length <- t.length + 1
-
-let try_push t x =
-  match t with
-  | Locked t ->
-    with_lock t (fun () ->
-        if t.length >= t.capacity then false
-        else begin
-          unlocked_push t x;
-          true
-        end)
-  | Spsc c ->
-    let tl = Atomic.get c.stail in
-    if tl - Atomic.get c.shead >= c.cap then false
-    else begin
-      c.ring.(tl mod c.cap) <- x;
-      Atomic.set c.stail (tl + 1);
-      true
-    end
-
-let push_slice t src ~off ~len =
+let push_slice c src ~off ~len =
   if off < 0 || len < 0 || off + len > Array.length src then
     invalid_arg "Chan.push_slice: bad slice";
-  if len = 0 then 0
-  else
-    match t with
-    | Locked t ->
-      with_lock t (fun () ->
-          let accept = min len (t.capacity - t.length) in
-          if accept > 0 then begin
-            grow t ~extra:accept ~witness:src.(off);
-            let size = Array.length t.buf in
-            let at = (t.head + t.length) mod size in
-            let first = min accept (size - at) in
-            Array.blit src off t.buf at first;
-            if accept > first then
-              Array.blit src (off + first) t.buf 0 (accept - first);
-            t.length <- t.length + accept
-          end;
-          accept)
-    | Spsc c ->
-      let tl = Atomic.get c.stail in
-      let accept = min len (c.cap - (tl - Atomic.get c.shead)) in
-      if accept > 0 then begin
-        let at = tl mod c.cap in
-        let first = min accept (c.cap - at) in
-        Array.blit src off c.ring at first;
-        if accept > first then
-          Array.blit src (off + first) c.ring 0 (accept - first);
-        Atomic.set c.stail (tl + accept)
-      end;
-      accept
+  let tl = Atomic.get c.tail in
+  let accept = min len (c.cap - (tl - Atomic.get c.head)) in
+  if accept > 0 then begin
+    let at = tl mod c.cap in
+    let first = min accept (c.cap - at) in
+    Array.blit src off c.ring at first;
+    if accept > first then
+      Array.blit src (off + first) c.ring 0 (accept - first);
+    Atomic.set c.tail (tl + accept)
+  end;
+  accept
 
 (* Stale ring cells keep references to drained elements until they are
-   overwritten — bounded by the ring's high-water mark, and the serve
-   queues carry small messages, so no clearing pass is done here. *)
-let unlocked_drain_into t dst =
-  let count = t.length in
+   overwritten — bounded by the capacity, and the serve queues carry
+   small messages, so no clearing pass is done here. *)
+let drain_into c dst =
+  (* Read tail first: anything the producer published before that read
+     is fully visible.  New pushes racing in after the read are simply
+     left for the next poll. *)
+  let tl = Atomic.get c.tail in
+  let h = Atomic.get c.head in
+  let count = tl - h in
   if count > 0 then begin
-    let size = Array.length t.buf in
+    let at = h mod c.cap in
     if Array.length !dst < count then
-      dst := Array.make (max count (2 * Array.length !dst)) t.buf.(t.head);
-    let first = min count (size - t.head) in
-    Array.blit t.buf t.head !dst 0 first;
-    if count > first then Array.blit t.buf 0 !dst first (count - first);
-    t.head <- 0;
-    t.length <- 0
+      dst := Array.make (max count (2 * Array.length !dst)) c.ring.(at);
+    let first = min count (c.cap - at) in
+    Array.blit c.ring at !dst 0 first;
+    if count > first then Array.blit c.ring 0 !dst first (count - first);
+    Atomic.set c.head tl
   end;
   count
 
-let drain_into t dst =
-  match t with
-  | Locked t -> with_lock t (fun () -> unlocked_drain_into t dst)
-  | Spsc c ->
-    (* Read tail first: anything the producer published before that read
-       is fully visible.  New pushes racing in after the read are simply
-       left for the next poll. *)
-    let tl = Atomic.get c.stail in
-    let h = Atomic.get c.shead in
-    let count = tl - h in
-    if count > 0 then begin
-      let at = h mod c.cap in
-      if Array.length !dst < count then
-        dst := Array.make (max count (2 * Array.length !dst)) c.ring.(at);
-      let first = min count (c.cap - at) in
-      Array.blit c.ring at !dst 0 first;
-      if count > first then Array.blit c.ring 0 !dst first (count - first);
-      Atomic.set c.shead tl
-    end;
-    count
-
-let drain t =
-  match t with
-  | Locked t ->
-    with_lock t (fun () ->
-        let size = Array.length t.buf in
-        let out = ref [] in
-        for i = t.length - 1 downto 0 do
-          out := t.buf.((t.head + i) mod size) :: !out
-        done;
-        t.head <- 0;
-        t.length <- 0;
-        !out)
-  | Spsc c ->
-    let tl = Atomic.get c.stail in
-    let h = Atomic.get c.shead in
-    let out = ref [] in
-    for i = tl - h - 1 downto 0 do
-      out := c.ring.((h + i) mod c.cap) :: !out
-    done;
-    if tl > h then Atomic.set c.shead tl;
-    !out
-
-let length t =
-  match t with
-  | Locked t -> with_lock t (fun () -> t.length)
-  | Spsc c ->
-    (* Racy but monotone-safe: the producer sees free space at most
-       understated, the consumer sees pending items at most
-       understated.  Exact for the owning side. *)
-    max 0 (Atomic.get c.stail - Atomic.get c.shead)
+(* Racy but monotone-safe: the producer sees free space at most
+   understated, the consumer sees pending items at most understated.
+   Exact for the owning side. *)
+let length c = max 0 (Atomic.get c.tail - Atomic.get c.head)

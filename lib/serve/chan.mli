@@ -1,50 +1,41 @@
-(** Bounded multi-producer FIFO queues for the serve data plane, backed
-    by a flat ring buffer.
+(** Bounded lock-free single-producer/single-consumer FIFO rings for
+    the serve data plane.
 
     The I/O domain pushes admitted requests into a shard's inbox and
-    each shard pushes responses into its own outbox.  Capacity is a hard
-    admission-control bound: {!try_push} / {!push_slice} refuse instead
-    of blocking or dropping, so the caller can send an explicit reject
-    or retry with backpressure.  The ring grows geometrically up to the
-    capacity and is then reused in place — steady-state traffic through
-    a channel allocates nothing ({!drain_into} copies into a caller-
-    owned reusable buffer with at most two blits). *)
+    each shard pushes responses into its own outbox; every ring has
+    exactly one producer domain and one consumer domain.  Capacity is a
+    hard admission-control bound: {!try_push} / {!push_slice} refuse
+    instead of blocking or dropping, so the caller can send an explicit
+    reject or retry with backpressure.  The ring is allocated at full
+    capacity and reused in place, so steady-state traffic through a
+    channel allocates nothing ({!drain_into} copies into a caller-owned
+    reusable buffer with at most two blits). *)
 
 type 'a t
 
-val create : capacity:int -> 'a t
-(** Mutex-protected flavour: safe for any number of producer domains.
-    @raise Invalid_argument if [capacity < 1].  [capacity] may be
-    [max_int] for an effectively unbounded queue; storage only ever
-    grows to the high-water mark actually reached. *)
-
 val create_spsc : capacity:int -> dummy:'a -> 'a t
-(** Lock-free single-producer/single-consumer flavour: exactly one
-    domain may ever push and exactly one (possibly different) domain may
-    ever drain — the server's inboxes (I/O domain → worker) and outboxes
-    (worker → I/O domain) qualify.  Same API and FIFO/backpressure
-    semantics as {!create}; the mutex flavour is the oracle in the
-    differential tests.  The ring is allocated eagerly at full
-    [capacity] (no lock-free grow), seeded with [dummy], so keep the
-    capacity modest.  @raise Invalid_argument if [capacity < 1]. *)
+(** A ring of [capacity] cells seeded with [dummy].  Exactly one domain
+    may ever push and exactly one (possibly different) domain may ever
+    drain.  The cells are allocated eagerly (there is no lock-free
+    grow), so keep the capacity modest; the server accepts at most
+    65 536.  @raise Invalid_argument if [capacity < 1]. *)
 
 val try_push : 'a t -> 'a -> bool
-(** Append; [false] iff the queue is at capacity. *)
+(** Append; [false] iff the queue is at capacity.  Producer only. *)
 
 val push_slice : 'a t -> 'a array -> off:int -> len:int -> int
-(** Append [src.(off .. off+len-1)] in order under one lock
-    acquisition; returns how many were accepted (the prefix that fit
-    under the capacity — the caller handles the rejected suffix).
-    @raise Invalid_argument on a bad slice. *)
+(** Append [src.(off .. off+len-1)] in order with one publication of
+    the tail; returns how many were accepted (the prefix that fit under
+    the capacity — the caller handles the rejected suffix).  Producer
+    only.  @raise Invalid_argument on a bad slice. *)
 
 val drain_into : 'a t -> 'a array ref -> int
 (** Remove everything, oldest first, into [!dst] (grown geometrically
     when too small, reused otherwise) and return the count.  Cells of
-    [!dst] beyond the count are unspecified.  Non-blocking. *)
-
-val drain : 'a t -> 'a list
-(** Remove and return everything, oldest first.  Non-blocking.
-    Allocates; the hot paths use {!drain_into}. *)
+    [!dst] beyond the count are unspecified.  Non-blocking.  Consumer
+    only. *)
 
 val length : 'a t -> int
-(** O(1) under the lock. *)
+(** Items pushed and not yet drained.  Exact on the producer's and the
+    consumer's own side; from either side, a concurrent push or drain
+    may not be seen yet. *)

@@ -257,33 +257,57 @@ let io_loop t =
              (Printf.sprintf "deadline %d outside 1..%d" deadline t.cfg.d)
          else None)
   in
-  let admit conn ({ Protocol.tag; alternatives; deadline } as req :
-                    Protocol.request) =
-    bump m.requests;
-    if Atomic.get t.draining then
-      reject conn ~tag Protocol.Draining m.rejected_draining
-    else
-      match check_valid req with
-      | Some detail ->
-        reject conn ~tag (Protocol.Invalid detail) m.rejected_invalid
-      | None ->
-        let shard = t.shards.(shard_index_of_resource (List.hd alternatives)) in
-        if
-          Shard.try_admit shard
-            { Shard.conn = conn.cid; tag; alternatives; deadline }
-        then begin
-          conn.inflight <- conn.inflight + 1;
-          bump m.admitted
-        end
-        else reject conn ~tag Protocol.Overload m.rejected_overload
-  in
-  (* A batch line: validate every entry, then push each shard's share
-     with one grouped [try_admit_many] — one lock acquisition per shard
-     touched instead of one per request.  Submission order is preserved
-     within each shard, so a batched run makes the same decisions as the
-     same requests submitted line by line. *)
+  (* Admission.  Every request, from a [req] line or a [batch] entry,
+     goes through [stage]: an invalid one is rejected at once, a valid
+     one is appended to the group of the shard its first alternative
+     lies in.  [flush] pushes a shard's group with one grouped
+     [try_admit_many] and rejects the suffix that did not fit.  A [req]
+     line flushes its one shard at once; a batch line flushes every
+     shard after staging all its entries.  Submission order is
+     preserved within each shard, so a batched run makes the same
+     decisions as the same requests submitted line by line. *)
   let groups = Array.make (Array.length t.shards) [||]
   and group_len = Array.make (Array.length t.shards) 0 in
+  (* the index of the shard [req] was staged for, or -1 if rejected *)
+  let stage conn ({ Protocol.tag; alternatives; deadline } as req :
+                    Protocol.request) =
+    match check_valid req with
+    | Some detail ->
+      reject conn ~tag (Protocol.Invalid detail) m.rejected_invalid;
+      -1
+    | None ->
+      let i = shard_index_of_resource (List.hd alternatives) in
+      let task = { Shard.conn = conn.cid; tag; alternatives; deadline } in
+      let len = group_len.(i) in
+      if len = Array.length groups.(i) then begin
+        let grown = Array.make (max 16 (2 * len)) task in
+        Array.blit groups.(i) 0 grown 0 len;
+        groups.(i) <- grown
+      end;
+      groups.(i).(len) <- task;
+      group_len.(i) <- len + 1;
+      i
+  in
+  let flush conn i =
+    let len = group_len.(i) in
+    if len > 0 then begin
+      group_len.(i) <- 0;
+      let tasks = groups.(i) in
+      let accepted = Shard.try_admit_many t.shards.(i) tasks ~off:0 ~len in
+      conn.inflight <- conn.inflight + accepted;
+      Obs.Metrics.add m.admitted accepted;
+      for k = accepted to len - 1 do
+        reject conn ~tag:tasks.(k).Shard.tag Protocol.Overload
+          m.rejected_overload
+      done
+    end
+  in
+  let rec stage_all conn = function
+    | [] -> ()
+    | req :: rest ->
+      ignore (stage conn req : int);
+      stage_all conn rest
+  in
   let admit_batch conn reqs =
     let nreqs = List.length reqs in
     Obs.Metrics.add m.requests nreqs;
@@ -304,43 +328,10 @@ let io_loop t =
              m.rejected_invalid)
         reqs
     else begin
-      (* each shard's tasks in submission order, in reused arrays *)
-      List.iter
-        (fun ({ Protocol.tag; alternatives; deadline } as req :
-                Protocol.request) ->
-           match check_valid req with
-           | Some detail ->
-             reject conn ~tag (Protocol.Invalid detail) m.rejected_invalid
-           | None ->
-             let i = shard_index_of_resource (List.hd alternatives) in
-             let task =
-               { Shard.conn = conn.cid; tag; alternatives; deadline }
-             in
-             let len = group_len.(i) in
-             if len = Array.length groups.(i) then begin
-               let grown = Array.make (max 16 (2 * len)) task in
-               Array.blit groups.(i) 0 grown 0 len;
-               groups.(i) <- grown
-             end;
-             groups.(i).(len) <- task;
-             group_len.(i) <- len + 1)
-        reqs;
-      Array.iteri
-        (fun i len ->
-           if len > 0 then begin
-             group_len.(i) <- 0;
-             let tasks = groups.(i) in
-             let accepted =
-               Shard.try_admit_many t.shards.(i) tasks ~off:0 ~len
-             in
-             conn.inflight <- conn.inflight + accepted;
-             Obs.Metrics.add m.admitted accepted;
-             for k = accepted to len - 1 do
-               reject conn ~tag:tasks.(k).Shard.tag Protocol.Overload
-                 m.rejected_overload
-             done
-           end)
-        group_len
+      stage_all conn reqs;
+      for i = 0 to Array.length group_len - 1 do
+        flush conn i
+      done
     end
   in
   let protocol_error conn detail =
@@ -359,7 +350,13 @@ let io_loop t =
         queue_msg conn (Protocol.Welcome { server = t.cfg.name })
       end
     | Ok _ when not conn.greeted -> protocol_error conn "expected hello first"
-    | Ok (Protocol.Submit req) -> admit conn req
+    | Ok (Protocol.Submit req) ->
+      bump m.requests;
+      if Atomic.get t.draining then
+        reject conn ~tag:req.tag Protocol.Draining m.rejected_draining
+      else
+        let i = stage conn req in
+        if i >= 0 then flush conn i
     | Ok (Protocol.Batch reqs) -> admit_batch conn reqs
     | Ok Protocol.Tick ->
       (match t.cfg.tick with
@@ -623,12 +620,17 @@ let io_loop t =
 (* ------------------------------------------------------------------ *)
 (* lifecycle *)
 
+(* Every queue is an SPSC ring allocated at full capacity *)
+let max_capacity = 65536
+
 let start ?metrics cfg =
   if cfg.n_resources < 1 then Error "n_resources must be >= 1"
   else if cfg.d < 1 then Error "d must be >= 1"
-  else if cfg.queue_capacity < 1 then Error "queue_capacity must be >= 1"
+  else if cfg.queue_capacity < 1 || cfg.queue_capacity > max_capacity then
+    Error (Printf.sprintf "queue_capacity must be in 1..%d" max_capacity)
   else if cfg.max_batch < 1 then Error "max_batch must be >= 1"
-  else if cfg.outbox_capacity < 1 then Error "outbox_capacity must be >= 1"
+  else if cfg.outbox_capacity < 1 || cfg.outbox_capacity > max_capacity then
+    Error (Printf.sprintf "outbox_capacity must be in 1..%d" max_capacity)
   else if
     match cfg.tick with
     | `Every dt -> not (dt > 0.0 && Float.is_finite dt)
@@ -675,15 +677,11 @@ let start ?metrics cfg =
     | Ok listen_fd ->
       Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
       (* each outbox has exactly one producer (the owning worker) and
-         one consumer (the I/O domain): SPSC unless the capacity makes
-         eager allocation unreasonable *)
+         one consumer (the I/O domain) *)
       let dummy_reply = (-1, Protocol.Error { message = "" }) in
       let outboxes =
         Array.init shards_n (fun _ ->
-            if cfg.outbox_capacity <= 65536 then
-              Chan.create_spsc ~capacity:cfg.outbox_capacity
-                ~dummy:dummy_reply
-            else Chan.create ~capacity:cfg.outbox_capacity)
+            Chan.create_spsc ~capacity:cfg.outbox_capacity ~dummy:dummy_reply)
       in
       let shards =
         Array.init shards_n (fun i ->

@@ -9,12 +9,12 @@
     engine stepped on a round ticker.  Requests are routed to the shard
     owning
     their first alternative through a bounded inbox — a full inbox is an
-    immediate, explicit [overload] reject, never a silent drop.  A
-    [batch] wire line is admitted with one grouped inbox push per shard
-    touched, and replies flow back through per-shard outbox rings the
-    I/O domain merge-flushes every iteration; the reply path therefore
-    costs one lock acquisition per shard per direction per loop, not
-    one per message.
+    immediate, explicit [overload] reject, never a silent drop.  Every
+    request goes through one admission step: a [req] line is one
+    grouped inbox push, a [batch] line one grouped push per shard
+    touched.  Replies flow back through per-shard outbox rings the I/O
+    domain merge-flushes every iteration.  Inboxes and outboxes are
+    lock-free single-producer/single-consumer rings ({!Chan}).
 
     Failure isolation: client-side failures (EPIPE, ECONNRESET, abrupt
     EOF with requests in flight, read timeouts) close that connection
@@ -57,17 +57,24 @@ type config = {
           refuses a [dt] that is not finite and [> 0]).
           [`Manual]: rounds advance on wire [tick] messages (logical
           time — what deterministic replay uses). *)
-  queue_capacity : int;    (** per-shard inbox bound (admission control) *)
+  queue_capacity : int;    (** per-shard inbox bound (admission control),
+                               [1 .. max_capacity] *)
   max_batch : int;         (** longest [batch] line accepted; longer
                                batches are rejected as invalid *)
-  outbox_capacity : int;   (** per-shard reply ring bound; a full ring
-                               stalls the shard with backpressure
+  outbox_capacity : int;   (** per-shard reply ring bound,
+                               [1 .. max_capacity]; a full ring stalls
+                               the shard with backpressure
                                ([serve.outbox_stalls]) — replies are
                                never dropped *)
   read_timeout : float;    (** idle-connection cutoff in seconds;
                                [<= 0.] disables *)
   name : string;           (** server token in the [welcome] line *)
 }
+
+val max_capacity : int
+(** 65 536: the largest [queue_capacity] and [outbox_capacity]
+    {!start} accepts.  Every ring is allocated at full capacity when
+    the server starts. *)
 
 type t
 

@@ -3,8 +3,8 @@
 
    The owning worker is the only consumer of the inbox and the only
    writer of the engine, and the I/O domain is the only producer of the
-   inbox and the only consumer of the outbox, so both channels run on
-   the SPSC fast path and everything else here is single-threaded.
+   inbox and the only consumer of the outbox, so both channels are
+   SPSC rings and everything else here is single-threaded.
    Shard-local metrics live in a private registry (uncontended) that
    the server merges after the workers exit. *)
 
@@ -20,10 +20,6 @@ type task = {
 }
 
 let dummy_task = { conn = -1; tag = -1; alternatives = []; deadline = 0 }
-
-(* SPSC rings allocate their full capacity eagerly; past this bound the
-   mutex flavour (which grows on demand) is the better trade. *)
-let spsc_capacity_limit = 1 lsl 16
 
 (* The shard's metric handles, bound once at creation *)
 type meters = {
@@ -83,16 +79,11 @@ let create ?metrics ~index ~lo ~hi ~d ~queue_capacity ~strategy ~outbox () =
   let metrics =
     match metrics with Some m -> m | None -> Obs.Metrics.create ()
   in
-  let inbox =
-    if queue_capacity <= spsc_capacity_limit then
-      Chan.create_spsc ~capacity:queue_capacity ~dummy:dummy_task
-    else Chan.create ~capacity:queue_capacity
-  in
   {
     index;
     lo;
     hi;
-    inbox;
+    inbox = Chan.create_spsc ~capacity:queue_capacity ~dummy:dummy_task;
     outbox;
     metrics;
     meters = meters metrics ~index;

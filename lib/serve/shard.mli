@@ -43,10 +43,10 @@ val create :
     same registry to the strategy factory, so strategy-level counters
     (a cluster session's [cluster.*], a local protocol's [net.*]) are
     merged into the final snapshot with the [serve.*] ones.  The inbox
-    is an SPSC ring (I/O domain produces, owning worker consumes)
-    unless [queue_capacity] exceeds the eager-allocation bound, in
-    which case the growable mutex ring is used.
-    @raise Invalid_argument if the range is empty. *)
+    is an SPSC ring of [queue_capacity] cells, allocated here: the I/O
+    domain produces, the owning worker consumes.
+    @raise Invalid_argument if the range is empty or
+    [queue_capacity < 1]. *)
 
 val index : t -> int
 val owns : t -> int -> bool

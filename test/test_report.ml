@@ -113,27 +113,6 @@ let test_registry_knows_every_strategy () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown strategy accepted"
 
-(* solver_names is the one list behind --solver's help and the parse
-   error, so every listed name must parse and nothing else may — in
-   particular not the retired ring-scan kernel's name, which was once
-   accepted without being listed. *)
-let test_registry_solver_names () =
-  List.iter
-    (fun name ->
-       match Report.Registry.solver_of_name name with
-       | Ok _ -> ()
-       | Error m -> Alcotest.fail m)
-    Report.Registry.solver_names;
-  let retired = String.concat "-" [ "kernel"; "ring" ] in
-  match Report.Registry.solver_of_name retired with
-  | Ok _ -> Alcotest.fail (retired ^ " accepted")
-  | Error m ->
-    List.iter
-      (fun name ->
-         Alcotest.check Alcotest.bool ("error lists " ^ name) true
-           (contains ~needle:name m))
-      Report.Registry.solver_names
-
 let () =
   Alcotest.run "report"
     ~and_exit:true
@@ -152,8 +131,6 @@ let () =
             test_registry_seed_reaches_greedy_random;
           Alcotest.test_case "every strategy constructs" `Quick
             test_registry_knows_every_strategy;
-          Alcotest.test_case "solver names parse" `Quick
-            test_registry_solver_names;
         ] );
       ( "golden",
         [

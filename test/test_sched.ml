@@ -457,12 +457,13 @@ let instance_gen =
     int_range 0 1000 >>= fun seed ->
     return (n, d, n_req, seed))
 
-let build_random (n, d, n_req, seed) =
+(* consecutive arrivals are [0 .. gap-1] rounds apart *)
+let build_random ?(gap = 2) (n, d, n_req, seed) =
   let rng = Rng.create ~seed in
   let protos = ref [] in
   let arrival = ref 0 in
   for _ = 1 to n_req do
-    arrival := !arrival + Rng.int rng 2;
+    arrival := !arrival + Rng.int rng gap;
     let deadline = 1 + Rng.int rng d in
     let a = Rng.int rng n in
     let alts =
@@ -477,6 +478,22 @@ let build_random (n, d, n_req, seed) =
 let instance_arb =
   QCheck.make instance_gen ~print:(fun (n, d, n_req, seed) ->
       Printf.sprintf "n=%d d=%d req=%d seed=%d" n d n_req seed)
+
+(* [arrivals_at] reads a round's requests as one run of the request
+   array; it must equal the filter by arrival on every round from -1 to
+   the horizon, empty rounds included (gaps of up to 3 rounds). *)
+let prop_arrivals_at_filters =
+  qtest ~count:300 "arrivals_at = requests filtered by arrival"
+    instance_arb (fun spec ->
+        let inst = build_random ~gap:4 spec in
+        let all = Array.to_list inst.Instance.requests in
+        List.for_all
+          (fun round ->
+             Array.to_list (Instance.arrivals_at inst round)
+             = List.filter
+                 (fun (r : Request.t) -> r.Request.arrival = round)
+                 all)
+          (List.init (inst.Instance.horizon + 2) (fun i -> i - 1)))
 
 let prop_engine_consistency_all_strategies =
   qtest ~count:60 "engine outcomes are always consistent" instance_arb
@@ -970,6 +987,7 @@ let () =
           Alcotest.test_case "restrict alternatives" `Quick
             test_instance_restrict_alternatives;
           Alcotest.test_case "latency" `Quick test_outcome_latency;
+          prop_arrivals_at_filters;
         ] );
       ( "engine",
         [

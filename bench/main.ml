@@ -65,10 +65,22 @@ let random_instance =
     (let rng = Prelude.Rng.create ~seed:7 in
      Adversary.Random_workload.make ~rng ~n:8 ~d:4 ~rounds:60 ~load:1.1 ())
 
+(* a small fixed zoo vod instance: the cluster-eager workload's family
+   and shape, 20 rounds *)
+let vod_instance =
+  lazy
+    (match
+       Workload.Zoo.generate ~name:"vod" ~n:64 ~d:4 ~rounds:20 ~load:1.2
+         ~seed:1
+     with
+     | Ok inst -> inst
+     | Error m -> failwith m)
+
 let micro_tests () =
   let run_strategy inst factory () =
     ignore (Sched.Engine.run (Lazy.force inst) factory : Sched.Outcome.t)
   in
+  let ring = Cluster.Ring.create ~nodes:[ 0; 1; 2 ] ~n:64 () in
   let gate_request =
     Sched.Request.of_array ~id:123456 ~arrival:30864 ~alternatives:[| 45; 12 |]
       ~deadline:4
@@ -86,6 +98,18 @@ let micro_tests () =
     Test.make ~name:"cluster/gate-full-reply"
       (Staged.stage (fun () ->
            ignore (Cluster.Transport.roundtrip full : Cluster.Wire.t)));
+    (* a resource's node, as every routed message looks it up *)
+    Test.make ~name:"cluster/ring-owner"
+      (Staged.stage (fun () ->
+           ignore (Cluster.Ring.owner ring (Sys.opaque_identity 45) : int)));
+    (* whole cluster rounds: local_eager on three nodes, every message
+       through the gate *)
+    Test.make ~name:"cluster/eager-vod-step"
+      (Staged.stage
+         (run_strategy vod_instance
+            (Cluster.Session.factory
+               ~strategy:(Cluster.Session.Local_eager { compact = false })
+               ~nodes:3 ())));
     (* Table 1 rows 1-2: the frozen-assignment solver *)
     Test.make ~name:"T1.fix/engine-run-thm2.1"
       (Staged.stage (fun () ->

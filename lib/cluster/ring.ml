@@ -1,16 +1,16 @@
-(* Consistent hashing over a splitmix-style mixer.  The ring is an
-   immutable sorted array of (point, node) pairs; ownership is a binary
-   search for the first point at or after the resource's hash, wrapping
-   to the smallest point.  Each member projects [vnodes] points.
-   Rebuilding the array on membership change is O(members * vnodes) —
-   membership changes are rare (failover, rejoin), lookups are the
-   common case. *)
+(* Consistent hashing over a splitmix-style mixer.  Each member
+   projects [vnodes] points; a resource belongs to the member owning
+   the first point at or after the resource's hash, wrapping to the
+   smallest point.  Ownership changes only with membership (failover,
+   rejoin), so a ring computes every resource's owner once, when it is
+   built, and a lookup is an array read: building is
+   O(members * vnodes * log + n * log), lookups are the common case. *)
 
 let vnodes = 64
 
 type t = {
-  points : (int * int) array; (* (point, node), sorted by point *)
-  members : int list;         (* ascending *)
+  table : int array;   (* owner of each resource in [0 .. n-1] *)
+  members : int list;  (* ascending *)
 }
 
 (* splitmix64 finalizer, truncated to OCaml's 63-bit int.  Fixed
@@ -31,7 +31,16 @@ let mix z =
 let node_point ~node ~replica = mix (((node * 0x10001) + replica + 1) * 2)
 let resource_key resource = mix ((resource * 2) + 1)
 
-let build members =
+(* first index of [points] with point >= key, or [len] when key exceeds
+   every point *)
+let rec search (points : (int * int) array) key lo hi =
+  if lo >= hi then lo
+  else
+    let m = (lo + hi) / 2 in
+    if fst points.(m) >= key then search points key lo m
+    else search points key (m + 1) hi
+
+let build ~n members =
   let points =
     List.concat_map
       (fun node ->
@@ -40,50 +49,47 @@ let build members =
     |> Array.of_list
   in
   Array.sort compare points;
-  { points; members }
+  let len = Array.length points in
+  let table =
+    Array.init n (fun resource ->
+        let i = search points (resource_key resource) 0 len in
+        snd points.(if i = len then 0 else i))
+  in
+  { table; members }
 
-let create ~nodes () =
+let create ~nodes ~n () =
   if nodes = [] then invalid_arg "Ring.create: no nodes";
+  if n < 0 then invalid_arg "Ring.create: negative resource count";
   List.iter
     (fun node -> if node < 0 then invalid_arg "Ring.create: negative node")
     nodes;
   let members = List.sort_uniq compare nodes in
   if List.length members <> List.length nodes then
     invalid_arg "Ring.create: duplicate node";
-  build members
+  build ~n members
 
 let members t = t.members
 let mem t node = List.mem node t.members
-
-let owner t resource =
-  let key = resource_key resource in
-  let pts = t.points in
-  let len = Array.length pts in
-  (* first index with point >= key, or 0 when key exceeds every point *)
-  let rec search lo hi =
-    if lo >= hi then lo
-    else
-      let m = (lo + hi) / 2 in
-      if fst pts.(m) >= key then search lo m else search (m + 1) hi
-  in
-  let i = search 0 len in
-  snd pts.(if i = len then 0 else i)
+let resources t = Array.length t.table
+let owner t resource = t.table.(resource)
 
 let remove t node =
   if not (mem t node) then invalid_arg "Ring.remove: not a member";
   match List.filter (fun m -> m <> node) t.members with
   | [] -> invalid_arg "Ring.remove: last member"
-  | members -> build members
+  | members -> build ~n:(resources t) members
 
 let add t node =
   if node < 0 then invalid_arg "Ring.add: negative node";
   if mem t node then invalid_arg "Ring.add: already a member";
-  build (List.sort compare (node :: t.members))
+  build ~n:(resources t) (List.sort compare (node :: t.members))
 
-let moved ~before ~after ~n =
+let moved ~before ~after =
+  let n = resources before in
+  if resources after <> n then invalid_arg "Ring.moved: resource counts differ";
   let out = ref [] in
   for resource = n - 1 downto 0 do
-    if owner before resource <> owner after resource then
+    if before.table.(resource) <> after.table.(resource) then
       out := resource :: !out
   done;
   !out

@@ -12,6 +12,11 @@
     second is what makes a rejoin handoff the precise inverse of the
     failover that preceded it.
 
+    A ring covers a fixed resource count [n] and computes the owner of
+    every resource in [0 .. n-1] when it is built, so {!owner} is an
+    array read: placements change only with membership, lookups happen
+    on every message.
+
     Values are immutable; membership changes return a new ring.  The
     hash is a fixed splitmix-style mixer, so placements are stable
     across runs, processes and platforms (no [Hashtbl.hash], whose
@@ -19,13 +24,16 @@
 
 type t
 
-val create : nodes:int list -> unit -> t
-(** A ring over the given member nodes, 64 points each.
+val create : nodes:int list -> n:int -> unit -> t
+(** A ring over the given member nodes, 64 points each, placing the
+    resources [0 .. n-1].
     @raise Invalid_argument on an empty or duplicate-containing member
-    list, or a negative node id. *)
+    list, a negative node id or a negative [n]. *)
 
 val owner : t -> int -> int
-(** The node owning the given resource. *)
+(** The node owning the given resource: the member of the first point
+    at or after the resource's hash, else of the smallest point.
+    @raise Invalid_argument outside [0 .. n-1]. *)
 
 val members : t -> int list
 (** Current members, ascending. *)
@@ -33,14 +41,16 @@ val members : t -> int list
 val mem : t -> int -> bool
 
 val remove : t -> int -> t
-(** Ring without the given node.
+(** Ring without the given node, over the same resources.
     @raise Invalid_argument when removing the last member or a
     non-member. *)
 
 val add : t -> int -> t
-(** Ring with the given node (re)admitted.
+(** Ring with the given node (re)admitted, over the same resources.
     @raise Invalid_argument if already a member. *)
 
-val moved : before:t -> after:t -> n:int -> int list
-(** Resources in [0 .. n-1] whose owner differs between the two rings,
-    ascending — the handoff set of a membership change. *)
+val moved : before:t -> after:t -> int list
+(** Resources whose owner differs between the two rings, ascending —
+    the handoff set of a membership change.
+    @raise Invalid_argument when the rings place different resource
+    counts. *)

@@ -158,7 +158,7 @@ let create ?metrics ?capacity ?priority ?(fail_after = 2) ~strategy
       handles = Option.map handles metrics;
       transport;
       nodes = Array.init nodes (fun id -> Node.create ~id ~n ~d);
-      ring = Ring.create ~nodes:(List.init nodes Fun.id) ();
+      ring = Ring.create ~nodes:(List.init nodes Fun.id) ~n ();
       suspected = Array.make nodes 0;
       confirmed_dead = Array.make nodes false;
       m = Machine.create ~n ~d;
@@ -299,7 +299,7 @@ let rejoin t k =
              t.handoff_slots_n <- t.handoff_slots_n + List.length slots;
              met t (fun h -> h.h_handoff_slots) (List.length slots)
          end)
-      (Ring.moved ~before:old_ring ~after:t.ring ~n:t.n)
+      (Ring.moved ~before:old_ring ~after:t.ring)
   end
 
 (* ------------------------------------------------------------------ *)

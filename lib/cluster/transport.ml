@@ -71,8 +71,10 @@ let meter t pick by =
 (* The wire gate: a message exists only as its rendered line.  Parsing
    it back and comparing catches renderer/parser drift at the moment it
    happens instead of three protocol layers later.  The line is written
-   into the domain's Codec writer and parsed where it lies; only an
-   error copies it out. *)
+   into the domain's Codec writer and parsed where it lies, in one pass;
+   only an error copies it out.  Every message takes this path before
+   the capacity cut, so a bounced, tagged or dead-addressed line is
+   checked like a delivered one. *)
 let roundtrip msg =
   let w = Sched.Codec.writer () in
   let len = Wire.put w msg in

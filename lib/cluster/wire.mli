@@ -98,11 +98,13 @@ val render : t -> string
 val parse_prefix : string -> int -> (t, string) result
 (** [parse_prefix s len] parses the line [s.[0 .. len-1]] (it keeps no
     reference to [s]): rejects oversize lines, unknown keywords,
-    malformed fields and version mismatches.  One index scan over the
-    line: a well-formed line allocates only the message it denotes,
-    its requests built by {!Sched.Request.of_array}.  Where several integer
-    fields of a reply, a [cancel] or several [handoff] entries are bad,
-    the rightmost names the error.
+    malformed fields and version mismatches.  One left-to-right pass
+    over the line, each integer read while its end is found: a
+    well-formed line allocates only the message it denotes, its
+    requests built by {!Sched.Request.of_array}.  Error order: a wrong
+    field count outranks a bad field; an envelope's head, a request
+    and [hello]/[join] report their leftmost bad field, a reply and a
+    [cancel] their rightmost, and a [handoff] its last bad entry.
     @raise Invalid_argument if [len] is negative or beyond the end of
     [s]. *)
 

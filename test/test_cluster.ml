@@ -28,7 +28,7 @@ let qtest ?(count = 100) name gen prop =
 (* ring *)
 
 let test_ring_owner_total () =
-  let ring = Ring.create ~nodes:[ 0; 1; 2 ] () in
+  let ring = Ring.create ~nodes:[ 0; 1; 2 ] ~n:500 () in
   for res = 0 to 499 do
     let o = Ring.owner ring res in
     if not (List.mem o [ 0; 1; 2 ]) then
@@ -37,7 +37,7 @@ let test_ring_owner_total () =
 
 let test_ring_spread () =
   (* every node of a 3-node ring owns something on a reasonable space *)
-  let ring = Ring.create ~nodes:[ 0; 1; 2 ] () in
+  let ring = Ring.create ~nodes:[ 0; 1; 2 ] ~n:200 () in
   let counts = Array.make 3 0 in
   for res = 0 to 199 do
     counts.(Ring.owner ring res) <- counts.(Ring.owner ring res) + 1
@@ -59,7 +59,7 @@ let ring_change_arb =
 let test_ring_remove_moves_only_victims =
   qtest "removing a node moves only its resources" ring_change_arb
     (fun (nodes, n, victim) ->
-       let ring = Ring.create ~nodes:(List.init nodes Fun.id) () in
+       let ring = Ring.create ~nodes:(List.init nodes Fun.id) ~n () in
        let smaller = Ring.remove ring victim in
        List.for_all
          (fun res ->
@@ -72,16 +72,16 @@ let test_ring_rejoin_restores_placement =
   qtest "re-adding a removed node restores the original placement"
     ring_change_arb
     (fun (nodes, n, victim) ->
-       let ring = Ring.create ~nodes:(List.init nodes Fun.id) () in
+       let ring = Ring.create ~nodes:(List.init nodes Fun.id) ~n () in
        let back = Ring.add (Ring.remove ring victim) victim in
        List.for_all
          (fun res -> Ring.owner back res = Ring.owner ring res)
          (List.init n Fun.id))
 
 let test_ring_moved_is_exact () =
-  let ring = Ring.create ~nodes:[ 0; 1; 2; 3 ] () in
+  let ring = Ring.create ~nodes:[ 0; 1; 2; 3 ] ~n:64 () in
   let smaller = Ring.remove ring 2 in
-  let moved = Ring.moved ~before:ring ~after:smaller ~n:64 in
+  let moved = Ring.moved ~before:ring ~after:smaller in
   List.iter
     (fun res ->
        check Alcotest.int
@@ -94,6 +94,118 @@ let test_ring_moved_is_exact () =
       (Printf.sprintf "moved list exact at %d" res)
       did_move (List.mem res moved)
   done
+
+(* The placement rule restated from its definition: splitmix64's
+   finalizer over even pre-images for the 64 points of each member and
+   odd ones for resource keys; a resource belongs to the first point at
+   or after its key, else to the smallest point. *)
+module Ring_model = struct
+  let mix z =
+    let z = Int64.of_int z in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
+        0xbf58476d1ce4e5b9L in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
+        0x94d049bb133111ebL in
+    let z = Int64.logxor z (Int64.shift_right_logical z 31) in
+    Int64.to_int (Int64.logand z Int64.max_int)
+
+  let points members =
+    List.concat_map
+      (fun node ->
+         List.init 64 (fun replica ->
+             (mix (((node * 0x10001) + replica + 1) * 2), node)))
+      members
+
+  (* the member of the smallest (point, node) in [l] *)
+  let smallest l = snd (List.fold_left min (max_int, max_int) l)
+
+  let owner points res =
+    let key = mix ((res * 2) + 1) in
+    match List.filter (fun (p, _) -> p >= key) points with
+    | [] -> smallest points
+    | later -> smallest later
+end
+
+let ring_chain_gen =
+  QCheck.Gen.(
+    triple
+      (list_size (int_range 1 5) (int_range 0 7))
+      (int_range 1 96)
+      (list_size (int_range 1 8) (int_range 0 7)))
+
+let ring_chain_arb =
+  QCheck.make ring_chain_gen ~print:(fun (nodes, n, ops) ->
+      Printf.sprintf "nodes=[%s] n=%d ops=[%s]"
+        (String.concat ";" (List.map string_of_int nodes))
+        n
+        (String.concat ";" (List.map string_of_int ops)))
+
+(* Random create/remove/add chains: each op removes the node when it is
+   a member (and not the last), else adds it.  After every step the
+   owner table is the brute-force scan, and [moved] is exactly the set
+   whose scanned owner changed. *)
+let test_ring_table_is_the_scan =
+  qtest ~count:60 "owner table equals the brute-force scan" ring_chain_arb
+    (fun (nodes, n, ops) ->
+       let nodes = List.sort_uniq compare nodes in
+       let agrees ring =
+         let points = Ring_model.points (Ring.members ring) in
+         List.for_all
+           (fun res -> Ring.owner ring res = Ring_model.owner points res)
+           (List.init n Fun.id)
+         || QCheck.Test.fail_reportf "owner differs from the scan over [%s]"
+              (String.concat ";"
+                 (List.map string_of_int (Ring.members ring)))
+       in
+       let ring = Ring.create ~nodes ~n () in
+       agrees ring
+       && snd
+            (List.fold_left
+               (fun (ring, ok) node ->
+                  let next =
+                    if not (Ring.mem ring node) then Ring.add ring node
+                    else if List.length (Ring.members ring) > 1 then
+                      Ring.remove ring node
+                    else ring
+                  in
+                  let changed =
+                    List.filter
+                      (fun res -> Ring.owner ring res <> Ring.owner next res)
+                      (List.init n Fun.id)
+                  in
+                  ( next,
+                    ok && agrees next
+                    && Ring.moved ~before:ring ~after:next = changed ))
+               (ring, true) ops))
+
+(* The session's placement follows the router's view of membership:
+   all nodes until a failure is detected, the survivors after, all
+   nodes again after the rejoin. *)
+let test_session_owner_follows_membership () =
+  let n = 48 in
+  let s =
+    Session.create ~strategy:Session.Local_fix ~nodes:3 ~n ~d:3 ()
+  in
+  let same_as members what =
+    let ring = Ring.create ~nodes:members ~n () in
+    for res = 0 to n - 1 do
+      if Session.owner s res <> Ring.owner ring res then
+        Alcotest.failf "%s: resource %d on node %d, a fresh ring says %d" what
+          res (Session.owner s res) (Ring.owner ring res)
+    done
+  in
+  let step () = ignore (Session.step s) in
+  step ();
+  same_as [ 0; 1; 2 ] "before the failure";
+  Session.kill s 1;
+  step ();
+  same_as [ 0; 1; 2 ] "failure not yet detected";
+  step ();
+  same_as [ 0; 2 ] "after detection";
+  Session.rejoin s 1;
+  same_as [ 0; 1; 2 ] "after the rejoin";
+  step ();
+  same_as [ 0; 1; 2 ] "a round after the rejoin"
 
 (* ------------------------------------------------------------------ *)
 (* wire grammar *)
@@ -639,6 +751,88 @@ let test_wire_parse_matches_model =
        && List.for_all (fun e -> parse_agrees (apply_edit line e)) edits
        && pairs edits)
 
+(* One rendered sample of every constructor, for the edit sweep: a
+   three-resource request, an "inf" key and a tagged envelope among
+   them, and a handoff of two entries. *)
+let sweep_samples =
+  let r =
+    Request.of_array ~id:4021 ~arrival:37 ~alternatives:[| 12; 3; 40 |]
+      ~deadline:6
+  and r2 =
+    Request.of_array ~id:4022 ~arrival:38 ~alternatives:[| 5 |] ~deadline:2
+  in
+  let env ?(tagged = false) ?(key = 42) data =
+    Wire.Data { Wire.sender = 905; dst = 12; deadline_key = key; tagged; data }
+  in
+  [
+    env (Wire.Offer r);
+    env ~key:max_int (Wire.Probe r);
+    env (Wire.Cancel { q = 905; old_res = 3; old_t = 39 });
+    env (Wire.Rival r);
+    env ~tagged:true (Wire.Swap { r = 17; q = r });
+    env (Wire.Rehome { r; res = 40 });
+    env Wire.Loadq;
+    env (Wire.Assign r2);
+    Wire.Reply (Wire.Accept { q = 905; res = 12; slot = 41 });
+    Wire.Reply (Wire.Full { q = 905; res = 12 });
+    Wire.Reply (Wire.Ack { q = 905; res = 3 });
+    Wire.Reply (Wire.Freeat { q = 905; res = 40; slot = 43 });
+    Wire.Reply (Wire.Served { res = 12; round = 41; q = 905 });
+    Wire.Reply (Wire.Pong { node = 2; round = 41 });
+    Wire.Control (Wire.Hello { node = 2 });
+    Wire.Control (Wire.Ping { round = 41 });
+    Wire.Control (Wire.Join { node = 2; round = 41 });
+    Wire.Control (Wire.Handoff { res = 12; slots = [ (41, r); (43, r2) ] });
+  ]
+
+(* Every truncation, one-byte deletion and one-byte replacement from
+   the alphabet below, of every sample, and every pair of replacements
+   by 'x' or '-' (two bad fields at once): the parser and the model
+   agree at every byte, so each error text and its precedence is pinned
+   deterministically.  Truncations also go through [parse_prefix] over
+   the whole line, which must not read past its length. *)
+let test_wire_edit_sweep () =
+  let alphabet = [ '0'; '9'; ' '; ','; ';'; '-'; 't'; 'u'; 'i'; 'x' ] in
+  let checked = ref 0 in
+  let agree what line got =
+    incr checked;
+    let want = Model.parse line in
+    if got <> want then
+      Alcotest.failf "%s %S: parse gives %s, the model %s" what line
+        (show_result got) (show_result want)
+  in
+  List.iter
+    (fun m ->
+       let line = Wire.render m in
+       let len = String.length line in
+       agree "sample" line (Wire.parse line);
+       for k = 0 to len - 1 do
+         let prefix = String.sub line 0 k in
+         agree "truncation" prefix (Wire.parse prefix);
+         agree "prefix" prefix (Wire.parse_prefix line k)
+       done;
+       for i = 0 to len - 1 do
+         let deleted = apply_edit line (Delete i) in
+         agree "deletion" deleted (Wire.parse deleted);
+         List.iter
+           (fun c ->
+              if line.[i] <> c then
+                let replaced = apply_edit line (Replace (i, c)) in
+                agree "replacement" replaced (Wire.parse replaced))
+           alphabet;
+         for j = i + 1 to len - 1 do
+           List.iter
+             (fun (a, b) ->
+                let twice =
+                  apply_edit (apply_edit line (Replace (i, a))) (Replace (j, b))
+                in
+                agree "two replacements" twice (Wire.parse twice))
+             [ ('x', 'x'); ('-', 'x'); ('x', '-') ]
+         done
+       done)
+    sweep_samples;
+  check Alcotest.bool "every sample swept" true (!checked > 5000)
+
 let test_wire_rejects () =
   let rejects line want =
     match Wire.parse line with
@@ -797,6 +991,56 @@ let test_transport_dead_node_bounces () =
      && List.nth statuses 3 = Transport.Dead);
   check Alcotest.int "dead drops counted" 2
     (Transport.dropped_dead transport)
+
+(* The wire gate sees every line before the capacity cut: a line the
+   parser refuses stops the exchange even when its message would lose
+   the LDF cut, is tagged, or is addressed to a dead node, and stops a
+   reply or a control message too.  A negative sender, key or field
+   renders with a '-', which the grammar refuses. *)
+let test_transport_gate_covers_every_line () =
+  let env ?(tagged = false) ~sender ~dst ~key () =
+    {
+      Wire.sender;
+      dst;
+      deadline_key = key;
+      tagged;
+      data =
+        Wire.Offer
+          (Request.of_array ~id:7 ~arrival:0 ~alternatives:[| 0; 1 |]
+             ~deadline:4);
+    }
+  in
+  let winner = env ~sender:1 ~dst:0 ~key:50 () in
+  let refused what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: a line the parser refuses passed the gate" what
+    | exception Invalid_argument m ->
+      if not (String.starts_with ~prefix:"Transport: unparsable wire line" m)
+      then Alcotest.failf "%s: raised %S" what m
+  in
+  let exchange ?(alive = fun _ -> true) envs =
+    let transport = Transport.create ~n:4 ~capacity:1 () in
+    Transport.exchange transport ~owner:(fun res -> res mod 2) ~alive envs
+  in
+  (* the same batches with well-formed lines pass, and the loser loses *)
+  (match exchange [ winner; env ~sender:2 ~dst:0 ~key:10 () ] with
+   | [ (_, Transport.Delivered); (_, Transport.Bounced) ] -> ()
+   | _ -> Alcotest.fail "control batch: want delivered, bounced");
+  refused "negative key, losing the cut" (fun () ->
+      exchange [ winner; env ~sender:2 ~dst:0 ~key:(-3) () ]);
+  refused "negative sender, losing the cut" (fun () ->
+      exchange [ winner; env ~sender:(-2) ~dst:0 ~key:10 () ]);
+  refused "negative sender, tagged" (fun () ->
+      exchange [ winner; env ~tagged:true ~sender:(-4) ~dst:0 ~key:60 () ]);
+  refused "negative key, to a dead node" (fun () ->
+      exchange
+        ~alive:(fun node -> node = 0)
+        [ winner; env ~sender:3 ~dst:1 ~key:(-1) () ]);
+  let transport = Transport.create ~n:4 ~capacity:1 () in
+  refused "reply" (fun () ->
+      Transport.respond transport (Wire.Accept { q = -1; res = 0; slot = 3 }));
+  refused "control" (fun () ->
+      Transport.control transport (Wire.Ping { round = -1 }))
 
 (* The carrier's allocation, pinned just above the measured figures
    (39.8 words per offer, 10 per reply): a per-message closure, list
@@ -1369,6 +1613,9 @@ let () =
           test_ring_remove_moves_only_victims;
           test_ring_rejoin_restores_placement;
           Alcotest.test_case "moved exact" `Quick test_ring_moved_is_exact;
+          test_ring_table_is_the_scan;
+          Alcotest.test_case "session owner follows membership" `Quick
+            test_session_owner_follows_membership;
         ] );
       ( "wire",
         [
@@ -1381,6 +1628,8 @@ let () =
           test_wire_equal_is_structural;
           Alcotest.test_case "oversize handoff" `Quick
             test_wire_oversize_via_render;
+          Alcotest.test_case "edit sweep agrees with the model" `Quick
+            test_wire_edit_sweep;
         ] );
       ( "transport",
         [
@@ -1389,6 +1638,8 @@ let () =
             test_transport_dead_node_bounces;
           Alcotest.test_case "allocation per message" `Quick
             test_transport_words;
+          Alcotest.test_case "the gate refuses bounced, tagged, dead lines"
+            `Quick test_transport_gate_covers_every_line;
         ] );
       ( "parity",
         [
